@@ -23,7 +23,10 @@ test: check
 # rule set (and the standalone .olg examples), failing on any
 # error-severity finding. boomvet does the same for the Go runtime
 # itself: determinism, clone-on-store ownership, and noalloc passes
-# over every package (see internal/govet).
+# over every package (see internal/govet). The last two lines cover the
+# benchmark, a module of its own that `go build ./...` and
+# `go test ./...` do not see: a 1/20-size run of all six workloads with
+# their correctness checks, and its tests (BENCHMARK.json == catalogue).
 check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/boomvet -severity=error ./...
@@ -36,6 +39,8 @@ check:
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-evalbench -smoke -out /dev/null
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
+	bash bench/run.sh -smoke
+	cd bench && $(GO) test ./...
 
 # chaos: a short deterministic fault-injection sweep — every scenario
 # (replicated-FS master failover, Paxos leader churn, MapReduce worker

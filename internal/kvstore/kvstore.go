@@ -1,6 +1,6 @@
 // Package kvstore is a replicated key-value store built entirely from
 // this repository's declarative substrates: the Overlog Paxos log
-// orders writes, eight gateway rules apply them, and reads are served
+// orders writes, ten gateway rules apply them, and reads are served
 // from any replica's table. It exists to show the paper's larger
 // point — once the coordination substrate is rules, new replicated
 // services are small compositions — and as a second, simpler consumer
@@ -43,12 +43,22 @@ const Rules = `
 	g3 kv_resp(@Cl, Id, true, V) :- kv_get(@Me, Id, Cl, K), kv(K, V);
 	g4 kv_resp(@Cl, Id, false, "") :- kv_get(@Me, Id, Cl, K), notin kv(K, _);
 
-	// ...and every decided command replays into the table.
-	a1 kv(K, V) :- decided(_, Cmd), tostr(nth(Cmd, 2)) == "put",
+	// ...and every decided command applies to the table exactly once, in
+	// slot order, one slot per step (the cursor boomfs/replicated.go
+	// g3-g5 uses). Joining kv against the whole decided log instead
+	// would let an old del delete a newer put of the same key, and let a
+	// learner that receives slots out of order keep the older write.
+	table applied(K: string, S: int) keys(0);
+	applied("a", 0);
+	event apply(S: int, Cmd: list);
+	g5 apply(S, Cmd) :- decided(S, Cmd), applied("a", S);
+	g6 next applied("a", S + 1) :- apply(S, _);
+
+	a1 kv(K, V) :- apply(_, Cmd), tostr(nth(Cmd, 2)) == "put",
 	        K := tostr(nth(Cmd, 3)), V := tostr(nth(Cmd, 4));
-	a2 delete kv(K, V) :- decided(_, Cmd), tostr(nth(Cmd, 2)) == "del",
+	a2 delete kv(K, V) :- apply(_, Cmd), tostr(nth(Cmd, 2)) == "del",
 	        K := tostr(nth(Cmd, 3)), kv(K, V);
-	a3 kv_resp(@Cl, Id, true, "") :- decided(_, Cmd),
+	a3 kv_resp(@Cl, Id, true, "") :- apply(_, Cmd),
 	        Id := tostr(nth(Cmd, 0)), Cl := toaddr(nth(Cmd, 1));
 `
 

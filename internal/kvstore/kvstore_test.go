@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/overlog"
 	"repro/internal/paxos"
 	"repro/internal/sim"
 )
@@ -118,5 +119,74 @@ func TestSequentialConsistencyPerClient(t *testing.T) {
 		if err != nil || !ok || got != want {
 			t.Fatalf("iteration %d: read %q want %q (ok=%v err=%v)", i, got, want, ok, err)
 		}
+	}
+}
+
+// TestPutDeletePut: a key written again after its delete must stay.
+// Before the apply cursor the delete rule joined each new kv row
+// against every old decided "del", so the re-put was acknowledged and
+// then deleted at the end of its own step, on every replica.
+func TestPutDeletePut(t *testing.T) {
+	c, g, cl := setup(t, 3)
+	if err := cl.Put("k", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Put("k", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := cl.Get("k"); err != nil || !ok || v != "v2" {
+		t.Fatalf("get after put/del/put: %q %v %v, want v2", v, ok, err)
+	}
+	if err := c.Run(c.Now() + 5_000); err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.Replicas {
+		if v, ok := g.ReplicaValue(i, "k"); !ok || v != "v2" {
+			t.Errorf("replica %d: k=%q ok=%v, want v2", i, v, ok)
+		}
+	}
+}
+
+// TestOutOfOrderLearnerAppliesInSlotOrder: a follower that learns slot
+// 0 only after slots 1 and 2 (a dropped decide_msg, refilled by
+// anti-entropy) must still end with what the log says — the later
+// put, and the key the del removed still gone — not with whatever
+// arrived last.
+func TestOutOfOrderLearnerAppliesInSlotOrder(t *testing.T) {
+	const self = "kv:1"
+	rt := overlog.NewRuntime(self)
+	if err := paxos.Install(rt, self, []string{"kv:0", self, "kv:2"}, paxos.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.InstallSource(Rules); err != nil {
+		t.Fatal(err)
+	}
+	decide := func(slot int64, op, key, val string) overlog.Tuple {
+		return overlog.NewTuple("decide_msg", overlog.Addr(self), overlog.Int(slot),
+			overlog.List(overlog.Str(fmt.Sprintf("req-%d", slot)), overlog.Addr("client:0"),
+				overlog.Str(op), overlog.Str(key), overlog.Str(val)))
+	}
+	now := int64(0)
+	deliver := func(msgs ...overlog.Tuple) {
+		t.Helper()
+		for i := 0; i < 6; i++ { // the message, then the deferred writes it sets off
+			now++
+			if _, err := rt.Step(now, msgs); err != nil {
+				t.Fatal(err)
+			}
+			msgs = nil
+		}
+	}
+	deliver(decide(1, "put", "a", "new"), decide(2, "del", "b", ""))
+	if n := rt.Table("kv").Len(); n != 0 {
+		t.Fatalf("slots 1 and 2 applied before slot 0 was known: %s", rt.Table("kv").Dump())
+	}
+	deliver(decide(0, "put", "a", "old"))
+	deliver(decide(3, "put", "b", "late"), decide(4, "del", "b", ""))
+	if got, want := rt.Table("kv").Dump(), `kv("a", "new")`; got != want {
+		t.Fatalf("kv = %s, want %s", got, want)
 	}
 }

@@ -1,6 +1,9 @@
 package overlog
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // steadyProgram mirrors evalbench.SteadyProgram; duplicated here
 // because this file needs package-internal access (raceEnabled) while
@@ -233,4 +236,60 @@ func TestDuplicateInsertAllocGuard(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("duplicate insert allocates %.1f/run, want 0", avg)
 	}
+}
+
+// tinyStepProgram is the shape of an FS or Paxos request step: one
+// message lands and is relayed through a few event tables, each joined
+// against a small persistent table.
+const tinyStepProgram = `
+	table cfg(K: string, V: int) keys(0);
+	table seen(Id: int) keys(0);
+	event e1(Id: int, A: string, B: string, C: int);
+	event e2(Id: int, A: string, B: string, C: int);
+	event e3(Id: int, A: string, B: string, C: int);
+	event e4(Id: int, A: string, B: string, C: int);
+	cfg("k", 1);
+	t1 e2(Id, A, B, V) :- e1(Id, A, B, _), cfg("k", V);
+	t2 e3(Id, A, B, V) :- e2(Id, A, B, _), cfg("k", V);
+	t3 e4(Id, A, B, V) :- e3(Id, A, B, _), cfg("k", V);
+	t4 seen(0) :- e4(Id, _, _, _), cfg("k", Id);
+`
+
+// TestTinyStepAllocGuard pins what a step that touches a few event
+// tables with one tuple each pays in bytes. Stored-tuple arenas, chain
+// arenas and index backlogs are dropped when an event table clears, so
+// their first chunk must be a few entries, not a bulk-sized one: at
+// full-size first chunks this step allocated ~160 KB (41 KB per event
+// table touched), which was half of fs_sim's CPU in GC and malloc.
+func TestTinyStepAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	rt := NewRuntime("guard")
+	if err := rt.InstallSource(tinyStepProgram); err != nil {
+		t.Fatal(err)
+	}
+	step := int64(0)
+	run := func() {
+		step++
+		if _, err := rt.Step(step, []Tuple{NewTuple("e1", Int(step), Str("a"), Str("b"), Int(0))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / runs
+	const budget = 4 << 10
+	if perStep > budget {
+		t.Fatalf("a one-tuple step through four event tables allocates %d B, budget %d — an arena or backlog is back to a bulk-sized first chunk", perStep, budget)
+	}
+	t.Logf("%d B per step", perStep)
 }

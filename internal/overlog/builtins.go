@@ -32,6 +32,10 @@ type Builtin struct {
 	// evaluation order, so rules using them never run on the parallel
 	// fixpoint workers. Step-constant reads (now, localaddr) stay pure.
 	Impure bool
+	// ReadsEnv marks pure builtins that read the EvalEnv (now,
+	// localaddr): constant within a step, but not a function of the
+	// arguments alone, so no index may be keyed by them.
+	ReadsEnv bool
 }
 
 var builtins = map[string]*Builtin{}
@@ -324,12 +328,12 @@ func init() {
 			}
 			return best, nil
 		}})
-	registerBuiltin(&Builtin{Name: "now", MinArgs: 0, MaxArgs: 0,
+	registerBuiltin(&Builtin{Name: "now", ReadsEnv: true, MinArgs: 0, MaxArgs: 0,
 		Doc: "now() returns the current timestep clock in milliseconds",
 		Fn: func(env EvalEnv, _ []Value) (Value, error) {
 			return Int(env.NowMS()), nil
 		}})
-	registerBuiltin(&Builtin{Name: "localaddr", MinArgs: 0, MaxArgs: 0,
+	registerBuiltin(&Builtin{Name: "localaddr", ReadsEnv: true, MinArgs: 0, MaxArgs: 0,
 		Doc: "localaddr() returns this node's address",
 		Fn: func(env EvalEnv, _ []Value) (Value, error) {
 			return Addr(env.LocalAddr()), nil

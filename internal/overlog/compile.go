@@ -3,6 +3,7 @@ package overlog
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // InstallError reports a semantic error found while installing a
@@ -174,6 +175,11 @@ const (
 	opNotin
 	opCond
 	opAssign
+	// opTest is `X := e` with X already bound, which only a reordered
+	// delta variant produces (the atom that binds X moved ahead of the
+	// assignment): it passes when X encoding-equals e, the comparison an
+	// index probe on X's column makes in the original order.
+	opTest
 )
 
 // bodyOp is one compiled body conjunct.
@@ -186,16 +192,22 @@ type bodyOp struct {
 	//   bind   — variable's first occurrence; binds a slot
 	//   filter — variable bound earlier in this same atom; post-filter
 	// Wildcards are dropped.
+	//
+	// planComputedKeys may append computed key columns (Table.computed)
+	// to bound: boundCols[plainBound:] are virtual, and the equality
+	// tests they were lifted from stay in the body, so those columns
+	// only ever pre-filter the candidates.
 	boundCols   []int
 	boundExprs  []cexpr
+	plainBound  int
 	bindCols    []int
 	bindSlots   []int
 	filterCols  []int
 	filterSlots []int
 
 	cond       cexpr // opCond
-	assignSlot int   // opAssign
-	assignExpr cexpr // opAssign
+	assignSlot int   // opAssign, opTest
+	assignExpr cexpr // opAssign, opTest
 
 	line int
 
@@ -327,23 +339,27 @@ func (cr *compiledRule) prepare() {
 	cr.envBuf = make([]Value, cr.nslots)
 	cr.headBuf = make([]Value, len(cr.head.exprs))
 	for _, op := range cr.body {
-		if op.kind != opScan && op.kind != opNotin {
-			continue
+		if op.kind == opScan || op.kind == opNotin {
+			op.prepareProbe()
 		}
-		op.valsBuf = make([]Value, len(op.boundExprs))
-		op.memoVals = make([]Value, len(op.boundExprs))
-		allSlots := len(op.boundExprs) > 0
-		for _, ce := range op.boundExprs {
-			if _, ok := ce.(cslot); !ok {
-				allSlots = false
-				break
-			}
+	}
+}
+
+// prepareProbe builds a scan/notin op's probe plan from its bound
+// expressions; planComputedKeys re-runs it after extending them.
+func (op *bodyOp) prepareProbe() {
+	op.valsBuf = make([]Value, len(op.boundExprs))
+	op.memoVals = make([]Value, len(op.boundExprs))
+	op.boundSlots = nil
+	for _, ce := range op.boundExprs {
+		if _, ok := ce.(cslot); !ok {
+			return
 		}
-		if allSlots {
-			op.boundSlots = make([]int, len(op.boundExprs))
-			for i, ce := range op.boundExprs {
-				op.boundSlots[i] = ce.(cslot).idx
-			}
+	}
+	if len(op.boundExprs) > 0 {
+		op.boundSlots = make([]int, len(op.boundExprs))
+		for i, ce := range op.boundExprs {
+			op.boundSlots[i] = ce.(cslot).idx
 		}
 	}
 }
@@ -361,39 +377,120 @@ func (cr *compiledRule) finalizeDelta() {
 	}
 }
 
-// exprPure reports whether a compiled expression's value depends only
-// on its env bindings and step-constant runtime reads. Impure builtins
-// (unique, nextid, random) advance runtime state per call, so their
-// evaluation order is observable and must stay serial.
-func exprPure(ce cexpr) bool {
+// exprCalls reports whether every builtin a compiled expression can
+// call satisfies ok.
+func exprCalls(ce cexpr, ok func(*Builtin) bool) bool {
 	switch e := ce.(type) {
-	case nil:
-		return true
-	case cconst, cslot:
+	case nil, cconst, cslot:
 		return true
 	case cneg:
-		return exprPure(e.e)
+		return exprCalls(e.e, ok)
 	case cbin:
-		return exprPure(e.l) && exprPure(e.r)
+		return exprCalls(e.l, ok) && exprCalls(e.r, ok)
 	case ccall:
-		if e.b.Impure {
+		if !ok(e.b) {
 			return false
 		}
 		for _, a := range e.args {
-			if !exprPure(a) {
+			if !exprCalls(a, ok) {
 				return false
 			}
 		}
 		return true
 	case clist:
 		for _, el := range e.elems {
-			if !exprPure(el) {
+			if !exprCalls(el, ok) {
 				return false
 			}
 		}
 		return true
 	}
 	return false
+}
+
+// exprPure reports whether a compiled expression's value depends only
+// on its env bindings and step-constant runtime reads. Impure builtins
+// (unique, nextid, random) advance runtime state per call, so their
+// evaluation order is observable and must stay serial.
+func exprPure(ce cexpr) bool {
+	return exprCalls(ce, func(b *Builtin) bool { return !b.Impure })
+}
+
+// exprRowOnly is the stricter property an index key needs: the value
+// depends on the env bindings alone, not on the node or the clock, so
+// it can be computed once when a row is stored and evaluated with no
+// EvalEnv at all.
+func exprRowOnly(ce cexpr) bool {
+	return exprCalls(ce, func(b *Builtin) bool { return !b.Impure && !b.ReadsEnv })
+}
+
+// mapSlots rebuilds ce with every slot reference sent through f, which
+// may reject a slot (ok=false fails the whole rewrite). n counts the
+// references seen.
+func mapSlots(ce cexpr, f func(slot int) (int, bool)) (out cexpr, n int, ok bool) {
+	switch e := ce.(type) {
+	case cconst:
+		return e, 0, true
+	case cslot:
+		idx, ok := f(e.idx)
+		return cslot{idx: idx}, 1, ok
+	case cneg:
+		in, n, ok := mapSlots(e.e, f)
+		return cneg{e: in}, n, ok
+	case cbin:
+		l, nl, okl := mapSlots(e.l, f)
+		r, nr, okr := mapSlots(e.r, f)
+		return cbin{op: e.op, l: l, r: r}, nl + nr, okl && okr
+	case ccall:
+		args, n, ok := mapSlotsAll(e.args, f)
+		return ccall{b: e.b, args: args}, n, ok
+	case clist:
+		elems, n, ok := mapSlotsAll(e.elems, f)
+		return clist{elems: elems}, n, ok
+	}
+	return nil, 0, false
+}
+
+func mapSlotsAll(ces []cexpr, f func(int) (int, bool)) ([]cexpr, int, bool) {
+	out := make([]cexpr, len(ces))
+	total, all := 0, true
+	for i, ce := range ces {
+		m, n, ok := mapSlots(ce, f)
+		out[i], total, all = m, total+n, all && ok
+	}
+	return out, total, all
+}
+
+// exprSig renders a compiled expression canonically, slots as $n, so
+// two rules that compute the same function of a row name the same
+// computed key column.
+func exprSig(ce cexpr) string {
+	switch e := ce.(type) {
+	case cconst:
+		if e.v.Kind() == KindFloat {
+			return "float:" + e.v.String() // 1.0 prints as 1, the int's literal
+		}
+		return e.v.String()
+	case cslot:
+		return fmt.Sprintf("$%d", e.idx)
+	case cneg:
+		return "-(" + exprSig(e.e) + ")"
+	case cbin:
+		return "(" + exprSig(e.l) + " " + e.op.String() + " " + exprSig(e.r) + ")"
+	case ccall:
+		return e.b.Name + "(" + exprSigs(e.args) + ")"
+	case clist:
+		return "[" + exprSigs(e.elems) + "]"
+	}
+	return "?"
+}
+
+func exprSigs(ces []cexpr) string {
+	parts := make([]string, len(ces))
+	for i, ce := range ces {
+		parts[i] = exprSig(ce)
+	}
+	return strings.Join(parts, ", ")
 }
 
 // rulePure reports whether every expression the rule can evaluate —
@@ -493,6 +590,10 @@ type ruleCompiler struct {
 	prog  string
 	slots map[string]int
 	names []string
+	// reordered marks a delta variant: its leading atom was moved ahead
+	// of the elements that used to precede it, so a `:=` may find its
+	// variable already bound and compiles to a test (opTest).
+	reordered bool
 }
 
 func (rc *ruleCompiler) slotOf(name string) (int, bool) {
@@ -638,6 +739,7 @@ func (rc *ruleCompiler) compileAtom(a *Atom, negated bool) (*bodyOp, error) {
 			op.boundExprs = append(op.boundExprs, ce)
 		}
 	}
+	op.plainBound = len(op.boundCols)
 	return op, nil
 }
 
@@ -702,7 +804,8 @@ func (rc *ruleCompiler) compileRule(seq int) (*compiledRule, error) {
 			}
 			cr.body = append(cr.body, &bodyOp{kind: opCond, cond: ce, line: be.Line})
 		case BodyAssign:
-			if _, already := rc.slotOf(be.Assign); already {
+			slot, already := rc.slotOf(be.Assign)
+			if already && !rc.reordered {
 				return nil, rc.errf(be.Line, "variable %s reassigned with := (each variable binds once)", be.Assign)
 			}
 			if !rc.exprFullyBound(be.Expr) {
@@ -712,8 +815,11 @@ func (rc *ruleCompiler) compileRule(seq int) (*compiledRule, error) {
 			if err != nil {
 				return nil, err
 			}
-			slot := rc.newSlot(be.Assign)
-			cr.body = append(cr.body, &bodyOp{kind: opAssign, assignSlot: slot, assignExpr: ce, line: be.Line})
+			kind := opTest
+			if !already {
+				kind, slot = opAssign, rc.newSlot(be.Assign)
+			}
+			cr.body = append(cr.body, &bodyOp{kind: kind, assignSlot: slot, assignExpr: ce, line: be.Line})
 		}
 	}
 
@@ -806,7 +912,7 @@ func buildDeltaVariants(cat *catalog, cr *compiledRule, seq int) error {
 		}
 		variant := &Rule{Name: src.Name, Delete: src.Delete, Deferred: src.Deferred,
 			Head: src.Head, Body: reordered, Line: src.Line}
-		rc := &ruleCompiler{cat: cat, rule: variant, prog: cr.program, slots: map[string]int{}}
+		rc := &ruleCompiler{cat: cat, rule: variant, prog: cr.program, slots: map[string]int{}, reordered: true}
 		vcr, err := rc.compileRule(seq)
 		if err != nil {
 			// The reordering is unsafe for this atom (e.g. one of its
@@ -820,6 +926,111 @@ func buildDeltaVariants(cat *catalog, cr *compiledRule, seq int) error {
 		cr.deltaVariants = append(cr.deltaVariants, vcr)
 	}
 	return nil
+}
+
+// planComputedKeys gives scans a probe where the rule only spells a
+// filter. When a scan of T is followed, before the next atom, by
+// equality tests `bound == f(columns this scan binds)` — an opTest, or
+// an `==` condition — with f a function of the row alone, T is probed
+// through an index keyed by f(row) (Table.computedCol) with the bound
+// side as probe value: f joins the op's bound columns as a virtual
+// column. The tests stay in the body, so the index only pre-filters
+// candidates: a fingerprint collision is filtered by the test, and a
+// row whose f errors is a candidate of every probe (index.unkeyed) and
+// raises, or is filtered first, exactly as under a full scan.
+//
+// A pre-filter must not lose a row the test would pass. An opTest
+// compares encodings, as the index does. `==` coerces (1 == 1.0), so
+// it only joins the key when one side is statically a string, addr or
+// bool, for which == and encoding equality agree. A bare column on the
+// row side is left alone: a rule that wants a column probed says so by
+// putting the value in the atom. Event tables are left alone too: they
+// hold a step's few tuples, and keying those every step costs more than
+// scanning them.
+func planComputedKeys(cr *compiledRule, tables map[string]*Table) {
+	boundAt := make([]int, cr.nslots) // body position binding each slot
+	for i, op := range cr.body {
+		switch op.kind {
+		case opScan:
+			for _, s := range op.bindSlots {
+				boundAt[s] = i
+			}
+		case opAssign:
+			boundAt[op.assignSlot] = i
+		}
+	}
+	for i, op := range cr.body {
+		t := tables[op.table]
+		if op.kind != opScan || t.decl.Event {
+			continue
+		}
+		rowCol := func(slot int) (int, bool) {
+			for j, s := range op.bindSlots {
+				if s == slot {
+					return op.bindCols[j], true
+				}
+			}
+			return 0, false
+		}
+		earlier := func(slot int) (int, bool) { return slot, boundAt[slot] < i }
+		// split reports whether `bound == row` is a usable key: row a
+		// computed function of this scan's columns, bound known before
+		// the scan starts.
+		split := func(bound, row cexpr) (cexpr, bool) {
+			if _, bare := row.(cslot); bare || !exprRowOnly(row) || !exprPure(bound) {
+				return nil, false
+			}
+			if _, _, ok := mapSlots(bound, earlier); !ok {
+				return nil, false
+			}
+			fn, n, ok := mapSlots(row, rowCol)
+			return fn, ok && n > 0
+		}
+		for _, next := range cr.body[i+1:] {
+			if next.kind == opScan || next.kind == opNotin {
+				break
+			}
+			var bound, fn cexpr
+			ok := false
+			switch next.kind {
+			case opTest:
+				bound = cslot{idx: next.assignSlot}
+				fn, ok = split(bound, next.assignExpr)
+			case opCond:
+				eq, isEq := next.cond.(cbin)
+				if !isEq || eq.op != OpEQ || !(encodingEq(eq.l) || encodingEq(eq.r)) {
+					continue
+				}
+				bound = eq.l
+				if fn, ok = split(eq.l, eq.r); !ok {
+					bound = eq.r
+					fn, ok = split(eq.r, eq.l)
+				}
+			}
+			if !ok {
+				continue
+			}
+			op.boundCols = append(op.boundCols, t.computedCol(fn))
+			op.boundExprs = append(op.boundExprs, bound)
+		}
+		if len(op.boundCols) > op.plainBound {
+			op.prepareProbe()
+		}
+	}
+}
+
+// encodingEq reports whether == against ce's value is encoding
+// equality: ce is known, whatever its bindings, to produce a kind that
+// only coerces to itself (string and addr share an encoding).
+func encodingEq(ce cexpr) bool {
+	k := KindNil
+	switch e := ce.(type) {
+	case cconst:
+		k = e.v.Kind()
+	case ccall:
+		k = e.b.Ret
+	}
+	return k == KindString || k == KindAddr || k == KindBool
 }
 
 // --- catalog & stratification ---

@@ -8,10 +8,11 @@ import (
 
 // Explain renders the compiled plan of one installed rule: its stratum,
 // flags, the join order with each atom's bound/bind/filter column
-// partition, and the delta-variant reorderings semi-naive evaluation
-// will use. This is a debugging aid in the spirit of the paper's
-// metaprogrammed introspection — the catalog knows everything about the
-// program, so exposing the physical plan is a formatting exercise.
+// partition and access path, and the delta-variant reorderings
+// semi-naive evaluation will use. This is a debugging aid in the spirit
+// of the paper's metaprogrammed introspection — the catalog knows
+// everything about the program, so exposing the physical plan is a
+// formatting exercise.
 func (r *Runtime) Explain(ruleName string) (string, error) {
 	var cr *compiledRule
 	for _, c := range r.cat.rules {
@@ -49,10 +50,22 @@ func (r *Runtime) Explain(ruleName string) (string, error) {
 		fmt.Fprintf(&b, " aggregates [%s]", strings.Join(aggs, ", "))
 	}
 	b.WriteString("\n  plan (textual join order):\n")
-	explainOps(&b, cr, "    ")
+	r.explainOps(&b, cr, -1, "    ")
 	if n := len(cr.deltaVariants); n > 0 {
 		fmt.Fprintf(&b, "  delta variants (frontier-first reorderings): %d of %d scans\n",
 			countNonNil(cr.deltaVariants), n)
+		for i, v := range cr.deltaVariants {
+			front := cr.body[cr.scanPositions[i]].table
+			switch {
+			case v == nil:
+				fmt.Fprintf(&b, "    new %s: no reordering compiles, textual order\n", front)
+			case v == cr:
+				fmt.Fprintf(&b, "    new %s: textual order\n", front)
+			default:
+				fmt.Fprintf(&b, "    new %s:\n", front)
+				r.explainOps(&b, v, 0, "      ")
+			}
+		}
 	}
 	return b.String(), nil
 }
@@ -67,7 +80,9 @@ func countNonNil(vs []*compiledRule) int {
 	return n
 }
 
-func explainOps(b *strings.Builder, cr *compiledRule, indent string) {
+// explainOps lists a compiled body; frontier is the position fed from
+// the step's delta instead of the table (-1: none).
+func (r *Runtime) explainOps(b *strings.Builder, cr *compiledRule, frontier int, indent string) {
 	for i, op := range cr.body {
 		switch op.kind {
 		case opScan, opNotin:
@@ -75,14 +90,39 @@ func explainOps(b *strings.Builder, cr *compiledRule, indent string) {
 			if op.kind == opNotin {
 				kind = "notin"
 			}
-			fmt.Fprintf(b, "%s%d. %s %-18s bound=%v bind=%v filter=%v\n",
-				indent, i, kind, op.table, op.boundCols, op.bindCols, op.filterCols)
+			fmt.Fprintf(b, "%s%d. %s %-18s bound=%v bind=%v filter=%v  via %s\n",
+				indent, i, kind, op.table, op.boundCols[:op.plainBound], op.bindCols, op.filterCols,
+				r.accessPath(op, i == frontier))
 		case opCond:
 			fmt.Fprintf(b, "%s%d. cond\n", indent, i)
 		case opAssign:
 			fmt.Fprintf(b, "%s%d. assign slot %d\n", indent, i, op.assignSlot)
+		case opTest:
+			fmt.Fprintf(b, "%s%d. test slot %d\n", indent, i, op.assignSlot)
 		}
 	}
+}
+
+// accessPath names how a scan finds its candidate rows.
+func (r *Runtime) accessPath(op *bodyOp, frontier bool) string {
+	switch {
+	case frontier:
+		return "delta"
+	case len(op.boundCols) == 0:
+		return "full scan"
+	case len(op.boundCols) == op.plainBound:
+		return fmt.Sprintf("index %v", op.boundCols)
+	}
+	t := r.tables[op.table]
+	keys := make([]string, len(op.boundCols))
+	for i, c := range op.boundCols {
+		if i < op.plainBound {
+			keys[i] = fmt.Sprintf("$%d", c)
+		} else {
+			keys[i] = exprSig(t.computed[c-len(t.decl.Cols)])
+		}
+	}
+	return "computed-key index [" + strings.Join(keys, ", ") + "]"
 }
 
 // ExplainAll renders every installed rule's plan, grouped by stratum —

@@ -46,6 +46,35 @@ func TestExplainRule(t *testing.T) {
 	}
 }
 
+// TestExplainAccessPaths: Explain names how each scan finds its rows,
+// in the textual plan and in every frontier-first variant — including
+// the computed-key probe a := -derived join key gets.
+func TestExplainAccessPaths(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, diffProgramNamed("computed-key-delete").src)
+	out := mustExplain(t, rt, "cp1")
+	for _, frag := range []string{
+		"via full scan", "via index [0]", "2 of 2 scans",
+		"new decided: textual order", "new pending:", "via delta",
+		"via computed-key index [tostr(nth($1, 0))]", "test slot",
+	} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("Explain(cp1) missing %q:\n%s", frag, out)
+		}
+	}
+	// The same join against an event table is scanned: it holds one
+	// step's tuples, and keying them every step costs more than it saves.
+	mustInstall(t, rt, `
+		event dec(Slot: int, Cmd: list);
+		ev1 delete pending(Id, C2) :- dec(_, Cmd), Id := tostr(nth(Cmd, 0)), pending(Id, C2);
+	`)
+	if out := mustExplain(t, rt, "ev1"); !strings.Contains(out, "2 of 2 scans") ||
+		!strings.Contains(out, "scan  dec                bound=[] bind=[1] filter=[]  via full scan") ||
+		strings.Contains(out, "computed-key") {
+		t.Errorf("Explain(ev1): want dec scanned in the pending-first variant:\n%s", out)
+	}
+}
+
 func TestExplainAllStrata(t *testing.T) {
 	rt := NewRuntime("n1")
 	mustInstall(t, rt, `

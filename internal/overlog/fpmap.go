@@ -163,9 +163,18 @@ func (m *fpMap) reserve(extra int) {
 	}
 }
 
-// clear resets the map to empty, releasing the backing array.
+// clear resets the map to empty. A backing array that never grew past
+// the minimum is wiped and kept — an event table holding a tuple or two
+// per step would otherwise reallocate it every step — and a larger one
+// is released.
 func (m *fpMap) clear() {
-	m.slots = nil
+	if len(m.slots) != fpMapMinCap {
+		m.slots = nil
+	} else if m.n > 0 {
+		for i := range m.slots {
+			m.slots[i] = fpSlot{}
+		}
+	}
 	m.n = 0
 }
 

@@ -511,7 +511,7 @@ func (w *parWorker) evalTuple(wcr *compiledRule, op *bodyOp, cand Tuple, delta b
 		if err != nil {
 			return err
 		}
-		for i, col := range op.boundCols {
+		for i, col := range op.boundCols[:op.plainBound] {
 			if !cand.Vals[col].Equal(vals[i]) {
 				return nil
 			}

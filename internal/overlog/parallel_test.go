@@ -97,7 +97,7 @@ func diffObserved(t *testing.T, label string, serial, parallel *observedRuntime)
 // TestPropParallelFixpointMatchesSerial runs identical random fact
 // streams through a serial runtime and a parallel one (randomized
 // worker count, threshold forced to 1 so even tiny frontiers take the
-// parallel path) over all five differential program families, and
+// parallel path) over every differential program family, and
 // requires bit-identical protocol output after every step plus
 // bit-identical snapshots at the end.
 func TestPropParallelFixpointMatchesSerial(t *testing.T) {
@@ -113,15 +113,7 @@ func TestPropParallelFixpointMatchesSerial(t *testing.T) {
 
 		steps := 1 + r.Intn(5)
 		for s := 1; s <= steps; s++ {
-			var batch []Tuple
-			for i := 0; i < 1+r.Intn(12); i++ {
-				tblName := prog.factTables[r.Intn(len(prog.factTables))]
-				vals := make([]Value, prog.arity[tblName])
-				for j := range vals {
-					vals[j] = Int(r.Int63n(5))
-				}
-				batch = append(batch, Tuple{Table: tblName, Vals: vals})
-			}
+			batch := prog.batch(r, 1+r.Intn(12), 5)
 			serial.step(t, int64(s), cloneBatch(batch))
 			par.step(t, int64(s), cloneBatch(batch))
 			diffObserved(t, fmt.Sprintf("program %s seed %d workers %d step %d", prog.name, seed, workers, s),
@@ -347,16 +339,7 @@ func TestParallelFixpointRace(t *testing.T) {
 			}
 			r := rand.New(rand.NewSource(42))
 			for s := 1; s <= 4; s++ {
-				var batch []Tuple
-				for i := 0; i < 40; i++ {
-					tblName := prog.factTables[r.Intn(len(prog.factTables))]
-					vals := make([]Value, prog.arity[tblName])
-					for j := range vals {
-						vals[j] = Int(r.Int63n(9))
-					}
-					batch = append(batch, Tuple{Table: tblName, Vals: vals})
-				}
-				if _, err := rt.Step(int64(s), batch); err != nil {
+				if _, err := rt.Step(int64(s), prog.batch(r, 40, 9)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -269,16 +269,92 @@ func TestPropAggregatesMatchOracle(t *testing.T) {
 	}
 }
 
+// diffProgram is one program of the differential pool: its source, the
+// tables a random fact stream feeds, and how a fact for one of them is
+// drawn (nil gen: arity[table] ints below the caller's domain).
+type diffProgram struct {
+	name, src  string
+	factTables []string
+	arity      map[string]int
+	gen        func(r *rand.Rand, table string) []Value
+}
+
+// batch draws up to n random facts for one step of the program. Facts
+// from gen are keyed by their first column, and a batch carries one
+// fact per key: two rows for one primary key in one step replace each
+// other on every naive iteration, which never converges.
+func (p diffProgram) batch(r *rand.Rand, n int, domain int64) []Tuple {
+	var batch []Tuple
+	seen := map[string]bool{}
+	for i := 0; i < n; i++ {
+		tbl := p.factTables[r.Intn(len(p.factTables))]
+		var vals []Value
+		if p.gen != nil {
+			vals = p.gen(r, tbl)
+			key := tbl + "/" + vals[0].String()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+		} else {
+			vals = make([]Value, p.arity[tbl])
+			for j := range vals {
+				vals[j] = Int(r.Int63n(domain))
+			}
+		}
+		batch = append(batch, Tuple{Table: tbl, Vals: vals})
+	}
+	return batch
+}
+
+// computedKeyPrelude is the log-shaped table the computed-key programs
+// join through a function of its Cmd column, fed and shrunk by events:
+// a stream over the tiny domains of genLogFact re-inserts keys deleted
+// earlier, replaces rows under a primary key, and deletes rows of the
+// indexed table, every few steps.
+const computedKeyPrelude = `
+	table decided(Slot: int, Cmd: list) keys(0);
+	event dec(Slot: int, Cmd: list);
+	event undec(Slot: int);
+	dc1 decided(S, Cmd) :- dec(S, Cmd);
+	ud1 delete decided(S, Cmd) :- undec(S), decided(S, Cmd);
+`
+
+// genLogFact draws facts for the computed-key programs. Commands are
+// [Id, Client, Op, Key, Val], the shape paxos and kvstore log.
+func genLogFact(r *rand.Rand, table string) []Value {
+	pick := func(prefix string, n int) Value { return Str(fmt.Sprintf("%s%d", prefix, r.Intn(n))) }
+	switch table {
+	case "dec":
+		op := Str("put")
+		if r.Intn(2) == 0 {
+			op = Str("del")
+		}
+		return []Value{Int(r.Int63n(6)), List(pick("r", 4), Addr("c:0"), op, pick("k", 3), pick("v", 2))}
+	case "undec":
+		return []Value{Int(r.Int63n(6))}
+	case "req":
+		return []Value{pick("r", 4), List(pick("r", 4), pick("v", 2))}
+	case "own":
+		return []Value{pick("r", 4), pick("w", 2)}
+	case "unown":
+		return []Value{pick("r", 4)}
+	case "put":
+		return []Value{pick("k", 3), pick("v", 2)}
+	}
+	panic("genLogFact: no generator for " + table)
+}
+
 // diffPrograms is the pool of programs the semi-naive/naive
 // differential test draws from. Together they cover the paths where
 // the two strategies could diverge: recursion (delta variants),
 // multi-way joins (probe-plan dispatch), negation (stratum barriers),
-// aggregation (stratum-entry recompute), and deletion.
-var diffPrograms = []struct {
-	name, src  string
-	factTables []string
-	arity      map[string]int
-}{
+// aggregation (stratum-entry recompute), deletion, and — the
+// computed-key-* programs — joins whose key is derived by := or tested
+// against a constant, which the frontier-first variant probes through
+// a computed-key index (paxos cp1's text, its positive twin, and the
+// text kvstore's a2 had before the apply cursor).
+var diffPrograms = []diffProgram{
 	{
 		name: "transitive-closure",
 		src: `
@@ -340,6 +416,52 @@ var diffPrograms = []struct {
 		factTables: []string{"live", "tomb"},
 		arity:      map[string]int{"live": 2, "tomb": 1},
 	},
+	{
+		name: "computed-key-delete",
+		src: computedKeyPrelude + `
+			table pending(ReqId: string, Cmd: list) keys(0);
+			event req(ReqId: string, Cmd: list);
+			rq1 pending(Id, Cmd) :- req(Id, Cmd);
+			cp1 delete pending(Id, C2) :- decided(_, Cmd), Id := tostr(nth(Cmd, 0)), pending(Id, C2);
+		`,
+		factTables: []string{"dec", "dec", "undec", "req", "req"},
+		gen:        genLogFact,
+	},
+	{
+		name: "computed-key-positive",
+		src: computedKeyPrelude + `
+			table owner(Id: string, Who: string) keys(0);
+			table claimed(Slot: int, Who: string) keys(0,1);
+			event own(Id: string, Who: string);
+			event unown(Id: string);
+			ow1 owner(Id, W) :- own(Id, W);
+			ow2 delete owner(Id, W) :- unown(Id), owner(Id, W);
+			po1 claimed(S, W) :- decided(S, Cmd), Id := tostr(nth(Cmd, 0)), owner(Id, W);
+		`,
+		factTables: []string{"dec", "dec", "undec", "own", "own", "unown"},
+		gen:        genLogFact,
+	},
+	{
+		name: "computed-key-const",
+		src: computedKeyPrelude + `
+			table kv(K: string, V: string) keys(0);
+			event put(K: string, V: string);
+			p1 kv(K, V) :- put(K, V);
+			a2 delete kv(K, V) :- decided(_, Cmd), tostr(nth(Cmd, 2)) == "del",
+			        K := tostr(nth(Cmd, 3)), kv(K, V);
+		`,
+		factTables: []string{"dec", "dec", "undec", "put", "put"},
+		gen:        genLogFact,
+	},
+}
+
+func diffProgramNamed(name string) diffProgram {
+	for _, p := range diffPrograms {
+		if p.name == name {
+			return p
+		}
+	}
+	panic("no differential program named " + name)
 }
 
 // dumpAll renders every table in name order — the full observable
@@ -372,19 +494,11 @@ func TestPropSemiNaiveMatchesNaive(t *testing.T) {
 		}
 		steps := 1 + r.Intn(5)
 		for s := 1; s <= steps; s++ {
-			var batch []Tuple
-			for i := 0; i < 1+r.Intn(12); i++ {
-				tblName := prog.factTables[r.Intn(len(prog.factTables))]
-				vals := make([]Value, prog.arity[tblName])
-				for j := range vals {
-					vals[j] = Int(r.Int63n(5))
-				}
-				batch = append(batch, Tuple{Table: tblName, Vals: vals})
-			}
-			if _, err := fast.Step(int64(s), batch); err != nil {
+			batch := prog.batch(r, 1+r.Intn(12), 5)
+			if _, err := fast.Step(int64(s), cloneBatch(batch)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := slow.Step(int64(s), batch); err != nil {
+			if _, err := slow.Step(int64(s), cloneBatch(batch)); err != nil {
 				t.Fatal(err)
 			}
 			if a, b := dumpAll(fast), dumpAll(slow); a != b {

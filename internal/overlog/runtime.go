@@ -435,9 +435,11 @@ func (r *Runtime) Install(prog *Program) error {
 			return err
 		}
 		cr.finalizeDelta()
+		planComputedKeys(cr, r.tables)
 		cr.initParallel()
 		for _, v := range cr.deltaVariants {
 			if v != nil && v != cr {
+				planComputedKeys(v, r.tables)
 				v.initParallel()
 			}
 		}
@@ -1029,6 +1031,16 @@ func (r *Runtime) execOps(cr *compiledRule, opIdx, deltaPos int, frontier []Tupl
 		env[op.assignSlot] = v
 		return r.execOps(cr, opIdx+1, deltaPos, frontier, env, emit)
 
+	case opTest:
+		v, err := op.assignExpr.eval(env, r)
+		if err != nil {
+			return fmt.Errorf("rule %s: %w", cr.name, err)
+		}
+		if !env[op.assignSlot].keyEqual(v) {
+			return nil
+		}
+		return r.execOps(cr, opIdx+1, deltaPos, frontier, env, emit)
+
 	case opNotin:
 		vals, err := op.probeVals(env, r, cr)
 		if err != nil {
@@ -1060,11 +1072,13 @@ func (r *Runtime) execOps(cr *compiledRule, opIdx, deltaPos int, frontier []Tupl
 			}
 			candidates = op.candBuf
 		}
+		// Frontier tuples are unfiltered: check the stored bound columns
+		// (computed ones have their test in the body).
+		stored := op.boundCols[:op.plainBound]
 		for _, cand := range candidates {
 			if opIdx == deltaPos {
-				// Frontier tuples are unfiltered: check bound columns.
 				ok := true
-				for i, col := range op.boundCols {
+				for i, col := range stored {
 					if !cand.Vals[col].Equal(vals[i]) {
 						ok = false
 						break

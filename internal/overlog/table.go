@@ -14,7 +14,8 @@ import (
 //
 // Storage is a hash map from a 64-bit fingerprint of the key columns to
 // a (almost always singleton) chain of rows, plus lazily built
-// secondary indexes on whatever column subsets the evaluator joins on.
+// secondary indexes on whatever columns — stored, or computed from the
+// row — the evaluator joins on.
 // Fingerprints hash the same canonical byte stream the old string-key
 // encoding produced, so key semantics are unchanged; a fingerprint
 // collision merely lengthens one chain, and every probe re-verifies
@@ -34,6 +35,12 @@ type Table struct {
 	ixOverflow []*index
 	ixAll      []*index
 
+	// computed lists the table's computed key columns: functions of a
+	// row alone that some rule joins on (planComputedKeys). Column number
+	// len(decl.Cols)+i stands for computed[i] applied to the row, so an
+	// index's column list names stored and computed columns alike.
+	computed []cexpr
+
 	// pending holds rows stored since the last index synchronization.
 	// Index maintenance is lazy: inserts append here (one cheap append,
 	// no per-index hashing) and syncIndexes drains the backlog the next
@@ -43,7 +50,8 @@ type Table struct {
 	// relation's delta is non-empty — never pay per-insert index upkeep
 	// for rows whose index entry is never read. Entries are the stored
 	// rows' value slices (the table name is implied), and growth doubles
-	// so an insert-heavy fixpoint's backlog reallocates O(log n) times.
+	// from a few slots, so an insert-heavy fixpoint's backlog reallocates
+	// O(log n) times and a one-tuple step pays for one small array.
 	pending [][]Value
 
 	// generation increments on every mutation; used to invalidate the
@@ -65,16 +73,49 @@ type Table struct {
 	// dead until the chunk itself is unreachable — acceptable for the
 	// grow-mostly tables fixpoints produce; Clear drops both arenas
 	// with the rows.
+	//
+	// Chunk sizes climb a ladder (nextChunk) that Clear restarts: an
+	// event table that holds one tuple for one step pays for a few
+	// entries, not a full chunk, and a bulk load is at the full size
+	// after six doublings. Chunks are dropped at Clear, never recycled
+	// across steps: watchers and step hooks may still hold stored tuples.
 	arena []Value
 	chain []Tuple
 }
 
-// arenaChunk is the stored-tuple arena's chunk size in values.
-const arenaChunk = 512
+// arenaChunk and chainChunk are the full chunk sizes of the stored-
+// tuple arena (in values) and the chain arena (in rows).
+const (
+	arenaChunk = 512
+	chainChunk = arenaChunk / 2
+)
 
+// nextChunk returns the size of the chunk after one of capacity prev:
+// double it, from full/64 (a few entries) up to full.
+func nextChunk(prev, full int) int {
+	n := prev * 2
+	if n < full/64 {
+		n = full / 64
+	}
+	if n > full {
+		n = full
+	}
+	return n
+}
+
+// index is a secondary index on a list of key columns, stored or
+// computed (column numbers >= the table's arity; see Table.computed).
 type index struct {
 	cols    []int
-	buckets fpMap // fingerprint of col values -> rows
+	buckets fpMap // fingerprint of key column values -> rows
+	// computed marks an index with a computed key column. Such an index
+	// only pre-filters: a probe verifies the stored columns and leaves
+	// the computed ones to the equality test the planner lifted them
+	// from, which is still in the rule body. unkeyed holds the rows for
+	// which a computed column failed to evaluate; every probe returns
+	// them, so that test raises the error a full scan would have met.
+	computed bool
+	unkeyed  []Tuple
 }
 
 // indexSig packs a column list into a 64-bit signature: 8 bits per
@@ -217,7 +258,7 @@ func (t *Table) ownTuple(tp Tuple) Tuple {
 		return Tuple{Table: tp.Table}
 	}
 	if cap(t.arena)-len(t.arena) < n {
-		size := arenaChunk
+		size := nextChunk(cap(t.arena), arenaChunk)
 		if n > size {
 			size = n
 		}
@@ -234,7 +275,7 @@ func (t *Table) ownTuple(tp Tuple) Tuple {
 // the carve dead.
 func (t *Table) ownChain(stored Tuple) []Tuple {
 	if cap(t.chain)-len(t.chain) < 1 {
-		t.chain = make([]Tuple, 0, arenaChunk/2)
+		t.chain = make([]Tuple, 0, nextChunk(cap(t.chain), chainChunk))
 	}
 	a := len(t.chain)
 	//boomvet:allow(ownership) stored is the storage-owned clone made by insertChecked
@@ -482,6 +523,7 @@ func (t *Table) Clear() {
 	t.n = 0
 	for _, ix := range t.ixAll {
 		ix.buckets.clear()
+		ix.unkeyed = nil
 	}
 	t.sorted = nil
 	t.sortedOK = false
@@ -489,6 +531,43 @@ func (t *Table) Clear() {
 	t.chain = nil
 	t.pending = nil
 	t.generation++
+}
+
+// computedCol returns the column number standing for fn applied to a
+// row, registering fn on first sight. fn reads the row as its env
+// (slot i = column i) and must be exprRowOnly. Two rules computing the
+// same function get the same number, hence the same indexes.
+func (t *Table) computedCol(fn cexpr) int {
+	sig := exprSig(fn)
+	for i, have := range t.computed {
+		if exprSig(have) == sig {
+			return len(t.decl.Cols) + i
+		}
+	}
+	t.computed = append(t.computed, fn)
+	return len(t.decl.Cols) + len(t.computed) - 1
+}
+
+// keyFP fingerprints tp's key columns under ix. ok is false when a
+// computed column fails to evaluate on this row.
+func (t *Table) keyFP(ix *index, tp Tuple) (fp uint64, ok bool) {
+	if !ix.computed {
+		return tp.hashCols(ix.cols), true
+	}
+	width := len(t.decl.Cols)
+	h := fnvOffset64
+	for _, c := range ix.cols {
+		if c < width {
+			h = tp.Vals[c].hash(h)
+			continue
+		}
+		v, err := t.computed[c-width].eval(tp.Vals, nil)
+		if err != nil {
+			return 0, false
+		}
+		h = v.hash(h)
+	}
+	return h, true
 }
 
 // Match returns stored tuples whose columns cols equal vals, using (and
@@ -500,16 +579,42 @@ func (t *Table) Match(cols []int, vals []Value) []Tuple {
 // MatchInto appends the tuples Match would return to dst and returns
 // it. The evaluator calls it with per-operator reusable buffers so
 // steady-state probes allocate nothing; results are copies of the
-// bucket, so the table may be mutated while dst is iterated.
+// bucket, so the table may be mutated while dst is iterated. Computed
+// columns in cols narrow the candidates but are not verified here (see
+// index.computed): the caller's own equality test decides.
 func (t *Table) MatchInto(dst []Tuple, cols []int, vals []Value) []Tuple {
 	if len(cols) == 0 {
 		return append(dst, t.sortedTuples()...)
 	}
 	ix := t.ensureIndex(cols)
+	if ix.computed {
+		dst = t.appendPrefiltered(dst, ix.buckets.get(hashVals(vals)), cols, vals)
+		return t.appendPrefiltered(dst, ix.unkeyed, cols, vals)
+	}
 	for _, tp := range ix.buckets.get(hashVals(vals)) {
 		match := true
 		for i, c := range cols {
 			if !tp.Vals[c].keyEqual(vals[i]) {
+				match = false
+				break
+			}
+		}
+		if match {
+			dst = append(dst, tp)
+		}
+	}
+	return dst
+}
+
+// appendPrefiltered is MatchInto's candidate filter for an index with
+// computed columns: it verifies the stored columns among cols and lets
+// the computed ones through.
+func (t *Table) appendPrefiltered(dst, rows []Tuple, cols []int, vals []Value) []Tuple {
+	width := len(t.decl.Cols)
+	for _, tp := range rows {
+		match := true
+		for i, c := range cols {
+			if c < width && !tp.Vals[c].keyEqual(vals[i]) {
 				match = false
 				break
 			}
@@ -539,6 +644,9 @@ func (t *Table) ensureIndex(cols []int) *index {
 	// Pre-size buckets for the current population: secondary keys are
 	// usually near-unique, so one bucket per row is the right guess.
 	ix := &index{cols: append([]int(nil), cols...)}
+	for _, c := range cols {
+		ix.computed = ix.computed || c >= len(t.decl.Cols)
+	}
 	ix.buckets.reserve(t.n)
 	// Two-pass build from the sorted scan (not the rows map: within-
 	// bucket order decides probe candidate order, so it must not vary
@@ -551,13 +659,18 @@ func (t *Table) ensureIndex(cols []int) *index {
 	src := t.sortedTuples()
 	if len(src) > 0 {
 		fps := make([]uint64, len(src))
-		ord := make([]int, len(src))
+		ord := make([]int, 0, len(src))
 		for i, tp := range src {
-			fps[i] = tp.hashCols(ix.cols)
-			ord[i] = i
+			fp, ok := t.keyFP(ix, tp)
+			if !ok {
+				ix.unkeyed = append(ix.unkeyed, tp)
+				continue
+			}
+			fps[i] = fp
+			ord = append(ord, i)
 		}
 		sort.SliceStable(ord, func(a, b int) bool { return fps[ord[a]] < fps[ord[b]] })
-		backing := make([]Tuple, len(src))
+		backing := make([]Tuple, len(ord))
 		for i, o := range ord {
 			backing[i] = src[o]
 		}
@@ -589,8 +702,8 @@ func (t *Table) deferIndexAdd(tp Tuple) {
 	}
 	if len(t.pending) == cap(t.pending) {
 		newCap := cap(t.pending) * 2
-		if newCap < 256 {
-			newCap = 256
+		if newCap < chainChunk/64 {
+			newCap = chainChunk / 64
 		}
 		grown := make([][]Value, len(t.pending), newCap)
 		copy(grown, t.pending)
@@ -614,8 +727,12 @@ func (t *Table) syncIndexes() {
 // addToIndexes mirrors a stored tuple into every secondary index.
 func (t *Table) addToIndexes(tp Tuple) {
 	for _, ix := range t.ixAll {
-		fp := tp.hashCols(ix.cols)
-		ix.buckets.put(fp, append(ix.buckets.get(fp), tp))
+		if fp, ok := t.keyFP(ix, tp); ok {
+			ix.buckets.put(fp, append(ix.buckets.get(fp), tp))
+		} else {
+			//boomvet:allow(ownership) tp is a stored row: deferIndexAdd's callers pass the storage-owned clone
+			ix.unkeyed = append(ix.unkeyed, tp)
+		}
 	}
 }
 
@@ -626,23 +743,31 @@ func (t *Table) removeFromIndexes(tp Tuple) {
 		t.syncIndexes()
 	}
 	for _, ix := range t.ixAll {
-		fp := tp.hashCols(ix.cols)
-		bucket := ix.buckets.get(fp)
-		for i := range bucket {
-			if bucket[i].keyEqualCols(tp, t.keys) {
-				last := len(bucket) - 1
-				bucket[i] = bucket[last]
-				bucket[last] = Tuple{}
-				bucket = bucket[:last]
-				break
-			}
+		fp, ok := t.keyFP(ix, tp)
+		if !ok {
+			ix.unkeyed = t.removeByKey(ix.unkeyed, tp)
+			continue
 		}
-		if len(bucket) == 0 {
+		if bucket := t.removeByKey(ix.buckets.get(fp), tp); len(bucket) == 0 {
 			ix.buckets.del(fp)
 		} else {
 			ix.buckets.put(fp, bucket)
 		}
 	}
+}
+
+// removeByKey drops from rows, in place, the row stored under tp's
+// primary key.
+func (t *Table) removeByKey(rows []Tuple, tp Tuple) []Tuple {
+	for i := range rows {
+		if rows[i].keyEqualCols(tp, t.keys) {
+			last := len(rows) - 1
+			rows[i] = rows[last]
+			rows[last] = Tuple{}
+			return rows[:last]
+		}
+	}
+	return rows
 }
 
 // Dump renders the table contents for debugging, sorted.

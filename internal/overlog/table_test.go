@@ -121,3 +121,71 @@ func TestEventTableClear(t *testing.T) {
 		t.Fatalf("index not cleared: %v", got)
 	}
 }
+
+// TestComputedKeyIndexUnkeyedRows pins the table half of the
+// computed-key contract: an index keyed by a function of the row finds
+// rows by that function's value, shares the computed column between
+// callers that name the same function, keeps up with inserts,
+// replacements and deletes, verifies stored columns but not computed
+// ones (the caller's test does), and returns a row whose key fails to
+// evaluate from every probe until the row is gone.
+func TestComputedKeyIndexUnkeyedRows(t *testing.T) {
+	decl := &TableDecl{Name: "log", Cols: []ColDecl{
+		{Name: "Slot", Type: KindInt},
+		{Name: "Cmd", Type: KindList},
+	}, KeyCols: []int{0}}
+	tbl := NewTable(decl)
+	call := func(name string, args ...cexpr) cexpr {
+		b, _ := LookupBuiltin(name)
+		return ccall{b: b, args: args}
+	}
+	first := func() cexpr { return call("tostr", call("nth", cslot{idx: 1}, cconst{v: Int(0)})) }
+	vc := tbl.computedCol(first())
+	if vc != 2 || tbl.computedCol(first()) != vc {
+		t.Fatalf("computed column %d, want 2 both times", vc)
+	}
+	if other := tbl.computedCol(call("tostr", call("nth", cslot{idx: 1}, cconst{v: Int(1)}))); other != 3 {
+		t.Fatalf("a different function got column %d, want 3", other)
+	}
+	row := func(slot int64, cmd ...Value) Tuple { return NewTuple("log", Int(slot), List(cmd...)) }
+	slots := func(rows []Tuple) string {
+		var out []string
+		for _, tp := range rows {
+			out = append(out, tp.Vals[0].String())
+		}
+		return strings.Join(out, ",")
+	}
+	probe := func(id string) string { return slots(tbl.Match([]int{vc}, []Value{Str(id)})) }
+
+	tbl.Insert(row(1, Str("a")))
+	tbl.Insert(row(2)) // nth fails: stored before the index exists
+	if got := probe("a"); got != "1,2" {
+		t.Fatalf("probe a = %s, want the keyed row then the unkeyed one", got)
+	}
+	tbl.Insert(row(3, Str("b")))
+	tbl.Insert(row(4)) // unkeyed, arriving through the pending backlog
+	if got := probe("b"); got != "3,2,4" {
+		t.Fatalf("probe b = %s", got)
+	}
+	if got := probe("nobody"); got != "2,4" {
+		t.Fatalf("probe of an absent key = %s, want just the unkeyed rows", got)
+	}
+	// Stored columns in the same index are verified, for unkeyed rows too.
+	if got := slots(tbl.Match([]int{0, vc}, []Value{Int(4), Str("b")})); got != "4" {
+		t.Fatalf("probe slot 4 / b = %s, want only the unkeyed row in slot 4", got)
+	}
+	tbl.Insert(row(2, Str("b"))) // replacement gives slot 2 a key
+	tbl.Delete(row(4))
+	tbl.Delete(row(1, Str("a")))
+	if got := probe("b"); got != "3,2" {
+		t.Fatalf("after replace and delete, probe b = %s", got)
+	}
+	if got := probe("a"); got != "" {
+		t.Fatalf("after delete, probe a = %s", got)
+	}
+	tbl.Clear()
+	tbl.Insert(row(7))
+	if got := probe("a"); got != "7" {
+		t.Fatalf("after Clear, probe a = %s", got)
+	}
+}

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/overlog"
@@ -301,4 +302,27 @@ func TestFiveReplicasSurviveTwoFailures(t *testing.T) {
 			decidedCount(c, members[4]))
 	}
 	logsAgree(t, c, []string{members[1], members[2], members[4]})
+}
+
+// TestCleanupProbesLogByRequestID pins the access path of the two
+// rules that clear a decided command's queue entries: when a pending or
+// inflight tuple arrives, decided is probed through an index keyed by
+// the request id inside Cmd — one index shared by both rules — instead
+// of being scanned. Scanning it made every put cost O(log length).
+func TestCleanupProbesLogByRequestID(t *testing.T) {
+	rt := overlog.NewRuntime("px:0")
+	if err := Install(rt, "px:0", []string{"px:0", "px:1", "px:2"}, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []string{"cp1", "cp2"} {
+		plan, err := rt.Explain(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"2 of 2 scans", "scan  decided            bound=[] bind=[1] filter=[]  via computed-key index [tostr(nth($1, 0))]"} {
+			if !strings.Contains(plan, want) {
+				t.Errorf("Explain(%s) lacks %q:\n%s", rule, want, plan)
+			}
+		}
+	}
 }

@@ -207,3 +207,22 @@ feed:
 		t.Fatalf("node stalled after send error: %d steps", steps)
 	}
 }
+
+// TestNodeClockStaysOnTheWall: however many steps a node takes inside
+// one millisecond, its clock reads wall time. When each step was forced
+// a millisecond past the last, ten thousand quick steps put the clock
+// ten seconds ahead, and until the wall caught up it advanced one
+// millisecond per step — periodics (heartbeats) slowed to the step rate.
+func TestNodeClockStaysOnTheWall(t *testing.T) {
+	node := NewNode(overlog.NewRuntime("solo"), func(overlog.Envelope) error { return nil })
+	for i := 0; i < 10000; i++ {
+		node.lastMS = node.nowMS() // what Run does around every Step
+	}
+	if wall := time.Since(node.start).Milliseconds(); node.lastMS > wall {
+		t.Fatalf("after 10000 back-to-back steps the clock reads %d ms, the wall %d ms", node.lastMS, wall)
+	}
+	node.lastMS += 5 // never backwards, even if the wall is behind
+	if got := node.nowMS(); got < node.lastMS {
+		t.Fatalf("clock moved backwards: %d after %d", got, node.lastMS)
+	}
+}
