@@ -15,7 +15,8 @@ test: check
 # check: static analysis plus a race pass over the concurrency-heavy
 # packages (telemetry registry/journal/span tracer, wall-clock
 # transport, trace) and over the parallel-fixpoint worker pool (the
-# only goroutines inside internal/overlog), plus a short
+# only goroutines inside internal/overlog; the Differential tests run
+# it beside naive, semi-naive and per-group evaluation), plus a short
 # fault-injection sweep (see `chaos` below). The telemetry, sim,
 # chaos, and loadgen lines carry the span-tracing and SLO-monitor
 # tests, so concurrent span recording is always raced.
@@ -34,7 +35,7 @@ check:
 	$(GO) run ./cmd/boomlint -severity=error examples/quickstart/quickstart.olg
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
-	$(GO) test -race -run Parallel ./internal/overlog
+	$(GO) test -race -run 'Parallel|Differential' ./internal/overlog
 	$(GO) test -run AllocGuard ./internal/overlog ./internal/sim
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-evalbench -smoke -out /dev/null

@@ -24,6 +24,95 @@ var planExceptions = map[string]string{
 	"boomfs-replicated/replica/mv1": "as boomfs/master/mv1",
 }
 
+// aggregatePlans pins, by program/rule, how every aggregate rule this
+// repository ships is evaluated once it has run: one group at a time
+// (which tables' changes name the groups they touch), or all groups on
+// every input change, and why. An entry that turns from per-group to
+// whole-rule is a performance regression the size of boommr's jc1/md1
+// (88 % of mr_sim's rule time before they were maintained per group);
+// one that turns the other way changed when the rule reads now().
+var aggregatePlans = map[string]string{
+	"boommr_jt/jc1": "per-group (seeded on J; atoms carrying the group: task)",
+	"boommr_jt/md1": "per-group (seeded on J; atoms carrying the group: task)",
+	// The second task atom ranks against every pending task: any change
+	// to task can move any rank.
+	"boommr_jt/pm1": "whole-rule: every input has an atom without the group",
+	"boommr_jt/pr1": "whole-rule: every input has an atom without the group",
+	// Re-reading now() for every tracker whenever any tracker row changes
+	// is what expires a silent tracker from the free ranks.
+	"boommr_jt/fm1":           "whole-rule: calls now()",
+	"boommr_jt/fc1":           "whole-rule: calls now()",
+	"boommr_jt/fr1":           "whole-rule: calls now()",
+	"boommr_jt/fc2":           "whole-rule: calls now()",
+	"boommr_policy_fair/js1":  "per-group (seeded on J; atoms carrying the group: task)",
+	"boommr_policy_fair/far1": "whole-rule: event input fair_key",
+	"boommr_policy_late/ar1":  "per-group (seeded on J; atoms carrying the group: attempt_rate)",
+	"boommr_policy_late/ao1":  "per-group (seeded on J, T; atoms carrying the group: attempt)",
+	"boommr_policy_late/sw1":  "whole-rule: event input spec_cand",
+
+	"paxos/pt1": "per-group (seeded on B; atoms carrying the group: promise_store)",
+	// A new ballot in cur_ballot changes which rows count in every slot.
+	"paxos/am1": "per-group (seeded on S; atoms carrying the group: promise_acc_store)",
+	"paxos/ms1": "whole-rule: event input slot_seen",
+	"paxos/mp1": "whole-rule: constant group",
+	"paxos/at1": "per-group (seeded on S, B; atoms carrying the group: ack_store)",
+
+	"boomfs_master/ld1": "whole-rule: calls now()",
+	"boomfs_master/cr1": "whole-rule: calls now()",
+	// Responses leave the node: there is no view to maintain.
+	"boomfs_master/ls3": "whole-rule: remote head",
+	"boomfs_master/ck1": "whole-rule: remote head",
+}
+
+// TestEveryAggregateHasItsPlan holds every aggregate rule of every unit
+// to aggregatePlans.
+func TestEveryAggregateHasItsPlan(t *testing.T) {
+	unused := map[string]bool{}
+	for k := range aggregatePlans {
+		unused[k] = true
+	}
+	for _, u := range embeddedUnits() {
+		for g, srcs := range u.Groups {
+			rt := overlog.NewRuntime("n:0")
+			for _, src := range srcs {
+				if err := rt.InstallSource(src); err != nil {
+					t.Fatalf("%s/%s: %v", u.Name, g, err)
+				}
+			}
+			for _, rule := range rt.Rules() {
+				plan, err := rt.Explain(rule)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var prog string
+				if _, err := fmt.Sscanf(plan, "rule "+rule+" (program %s", &prog); err != nil {
+					t.Fatalf("%s/%s/%s: unreadable plan: %v\n%s", u.Name, g, rule, err, plan)
+				}
+				id := strings.TrimSuffix(prog, ")") + "/" + rule
+				const marker = "\n  aggregate: "
+				at := strings.Index(plan, marker)
+				if at < 0 {
+					if strings.Contains(plan, ", aggregate") {
+						t.Errorf("%s: an aggregate rule whose plan does not say how it is evaluated:\n%s", id, plan)
+					}
+					continue
+				}
+				got, _, _ := strings.Cut(plan[at+len(marker):], "\n")
+				switch want, ok := aggregatePlans[id]; {
+				case !ok:
+					t.Errorf("%s is not in aggregatePlans; it is evaluated %s", id, got)
+				case got != want:
+					t.Errorf("%s is evaluated %s, pinned as %s", id, got, want)
+				}
+				delete(unused, id)
+			}
+		}
+	}
+	for id := range unused {
+		t.Errorf("aggregatePlans names %s, which no unit installs", id)
+	}
+}
+
 // TestEveryScanHasDeltaVariant is the plan pin: in every program this
 // repository ships, every scan position of every rule has a
 // frontier-first variant, so one new tuple is joined by probing the

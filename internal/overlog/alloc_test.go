@@ -238,6 +238,22 @@ func TestDuplicateInsertAllocGuard(t *testing.T) {
 	}
 }
 
+// stepBytes runs warm-up steps, then reports the bytes one run of step
+// allocates, averaged over 200.
+func stepBytes(step func()) uint64 {
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
 // tinyStepProgram is the shape of an FS or Paxos request step: one
 // message lands and is relayed through a few event tables, each joined
 // against a small persistent table.
@@ -276,20 +292,77 @@ func TestTinyStepAllocGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	perStep := (after.TotalAlloc - before.TotalAlloc) / runs
+	perStep := stepBytes(run)
 	const budget = 4 << 10
 	if perStep > budget {
 		t.Fatalf("a one-tuple step through four event tables allocates %d B, budget %d — an arena or backlog is back to a bulk-sized first chunk", perStep, budget)
+	}
+	t.Logf("%d B per step", perStep)
+}
+
+// TestAggStepAllocGuard pins what the step of
+// TestAggregateStepVisitsOneGroup allocates — one of 20000 rows changes
+// state, one of 2000 groups is recounted and its head row replaced — to
+// what storage costs: the event, the task row, the head row, and the
+// job's index bucket growing by the row that moved into it (1.9 KB).
+// Aggregate evaluation itself reuses the rule's collector, its groups
+// and its head buffer, and the retraction record its backing. (With a
+// collector, a groups map and a head tuple per group per evaluation
+// this step allocated 1.35 MB, and jc1 and md1 4.4 MB per mr_sim job.)
+func TestAggStepAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	rt := loadCountTasks(t, 2000)
+	step, job := int64(1), int64(0)
+	states := [2]string{"done", "running"}
+	perStep := stepBytes(func() {
+		step++
+		job = (job + 7) % 2000
+		set := NewTuple("set_task", Int(job), Int(9), Str("map"), Str(states[(step/2000)%2]))
+		if _, err := rt.Step(step, []Tuple{set}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := ruleNamed(rt, "jc1").stats.groupEvals; n < 200 {
+		t.Fatalf("jc1 re-collected %d single groups over the measured steps, want one per step", n)
+	}
+	const budget = 3 << 10
+	if perStep > budget {
+		t.Fatalf("a step that recounts one group of 2000 allocates %d B, budget %d — aggregate evaluation allocates per evaluation or per group again", perStep, budget)
+	}
+	t.Logf("%d B per step", perStep)
+}
+
+// TestDisplaceStepAllocGuard pins the other side of the retraction
+// record: a step that replaces a row under its primary key in a table
+// no aggregate reads keeps no record of the displaced row, and
+// allocates no more than it did before there was one: 1132 B, which is
+// the budget (884 B now that the per-step dirty map is cleared in
+// place instead of remade).
+func TestDisplaceStepAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	rt := NewRuntime("guard")
+	mustInstall(t, rt, `
+		table kv(K: int, V: int) keys(0);
+		event put(K: int, V: int);
+		p1 kv(K, V) :- put(K, V);
+	`)
+	step := int64(0)
+	perStep := stepBytes(func() {
+		step++
+		if _, err := rt.Step(step, []Tuple{NewTuple("put", Int(step%16), Int(step))}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(rt.retracted) != 0 {
+		t.Fatalf("retractions recorded for %d tables no per-group aggregate reads", len(rt.retracted))
+	}
+	const budget = 1132
+	if perStep > budget {
+		t.Fatalf("a step that displaces one keyed row allocates %d B, budget %d", perStep, budget)
 	}
 	t.Logf("%d B per step", perStep)
 }

@@ -2,6 +2,7 @@ package overlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -288,15 +289,13 @@ type compiledRule struct {
 	isDeferred bool
 	stratum    int
 	ranOnce    bool
-	// prevAgg remembers the tuples this aggregate rule materialized on
-	// its previous recomputation, keyed by group key, so groups that
-	// stop deriving retract their stale row (materialized-view
-	// maintenance; only used for local, non-delete, non-deferred heads).
-	prevAgg map[string]Tuple
-	// retractBuf is reusable scratch for the sorted retraction sweep
-	// over prevAgg (see runtime.go): vanished group keys are collected
-	// and sorted so retraction order never inherits map order.
-	retractBuf []string
+	// agg holds an aggregate rule's groups across evaluations (see
+	// aggCollector in runtime.go); nil unless isAgg. group is the plan
+	// for re-evaluating single groups, nil when every evaluation must
+	// recompute all of them, for the reason wholeRule gives.
+	agg       *aggCollector
+	group     *groupPlan
+	wholeRule string
 	// scanPositions indexes body ops that are opScan, for semi-naive
 	// delta placement.
 	scanPositions []int
@@ -493,25 +492,31 @@ func exprSigs(ces []cexpr) string {
 	return strings.Join(parts, ", ")
 }
 
-// rulePure reports whether every expression the rule can evaluate —
-// probe values, conditions, assignments, and head columns — is pure.
-func rulePure(cr *compiledRule) bool {
+// ruleCalls reports whether every builtin that any expression the rule
+// can evaluate — probe values, conditions, assignments, and head
+// columns — can call satisfies ok.
+func ruleCalls(cr *compiledRule, ok func(*Builtin) bool) bool {
 	for _, op := range cr.body {
 		for _, ce := range op.boundExprs {
-			if !exprPure(ce) {
+			if !exprCalls(ce, ok) {
 				return false
 			}
 		}
-		if !exprPure(op.cond) || !exprPure(op.assignExpr) {
+		if !exprCalls(op.cond, ok) || !exprCalls(op.assignExpr, ok) {
 			return false
 		}
 	}
 	for _, ce := range cr.head.exprs {
-		if !exprPure(ce) {
+		if !exprCalls(ce, ok) {
 			return false
 		}
 	}
 	return true
+}
+
+// rulePure reports whether every expression of the rule is pure.
+func rulePure(cr *compiledRule) bool {
+	return ruleCalls(cr, func(b *Builtin) bool { return !b.Impure })
 }
 
 // initParallel decides whether this compiled form may run on the
@@ -928,6 +933,161 @@ func buildDeltaVariants(cat *catalog, cr *compiledRule, seq int) error {
 	return nil
 }
 
+// groupPlan lets an aggregate rule re-evaluate single groups instead of
+// all of them. seeded is the rule's own text compiled with the group
+// variables already bound (slots 0..len(vars)-1, in vars order), so
+// every occurrence of one in an atom is an index probe and the body
+// enumerates one group's bindings. atoms has one entry per scan/notin
+// op of the body; head reads the rule's own materialized rows.
+type groupPlan struct {
+	vars   []string
+	seeded *compiledRule
+	atoms  []groupAtom
+	head   groupAtom
+}
+
+// groupAtom maps rows of one atom's table to the groups they can take
+// part in. cols[i] is the column holding group variable i; it is nil
+// when the atom's own terms do not carry every group variable, and then
+// a change to the table can reach any group. A row that differs from
+// the atom on a constant column matches it in no group.
+type groupAtom struct {
+	table     string
+	cols      []int
+	constCols []int
+	constVals []Value
+}
+
+// groupAtomOf reads a seeded form's atom (or head) back as a groupAtom:
+// exprs[i] is what the rule puts in column cols[i].
+func groupAtomOf(table string, nvars int, cols []int, exprs []cexpr) groupAtom {
+	at := groupAtom{table: table, cols: make([]int, nvars)}
+	found := 0
+	for i := range at.cols {
+		at.cols[i] = -1
+	}
+	for i, ce := range exprs {
+		switch e := ce.(type) {
+		case cconst:
+			at.constCols = append(at.constCols, cols[i])
+			at.constVals = append(at.constVals, e.v)
+		case cslot:
+			if e.idx < nvars && at.cols[e.idx] < 0 {
+				at.cols[e.idx] = cols[i]
+				found++
+			}
+		}
+	}
+	if found < nvars {
+		at.cols = nil
+	}
+	return at
+}
+
+// planGroups decides, from the rule's shape alone, whether an aggregate
+// rule is maintained group by group, and builds the plan. A rule
+// qualifies when re-evaluating only the groups that changed rows
+// project onto is indistinguishable from recomputing every group:
+//
+//   - the head is a stored local table the rule maintains (not remote,
+//     not `next`, not an event: an event head shows every group on
+//     every evaluation);
+//   - no body table is an event table (a step's events are the whole
+//     input, there is no "unchanged rest");
+//   - no expression reads the clock or the node or is impure: such a
+//     rule is re-read for every group whenever any input row changes,
+//     which is for instance the only thing that ever expires a silent
+//     tracker from boommr's free_map_rank;
+//   - every group column is a variable or a constant, and at least one
+//     is a variable (one constant group is the whole rule);
+//   - some table's atoms all carry every group variable, so that a
+//     change to it names the groups it touches.
+func planGroups(cat *catalog, cr *compiledRule, seq int) (*groupPlan, string) {
+	if cr.head.locCol >= 0 {
+		return nil, "remote head"
+	}
+	if cr.isDeferred {
+		return nil, "deferred head"
+	}
+	for _, op := range cr.body {
+		if (op.kind == opScan || op.kind == opNotin) && cat.decls[op.table].Event {
+			return nil, "event input " + op.table
+		}
+	}
+	if cat.decls[cr.head.table].Event {
+		return nil, "event head"
+	}
+	envCall := ""
+	ruleCalls(cr, func(b *Builtin) bool {
+		if b.Impure || b.ReadsEnv {
+			envCall = b.Name
+		}
+		return envCall == ""
+	})
+	if envCall != "" {
+		return nil, "calls " + envCall + "()"
+	}
+	var vars []string
+	for _, ce := range cr.head.exprs {
+		switch e := ce.(type) {
+		case nil, cconst:
+		case cslot:
+			if name := cr.slotNames[e.idx]; !slices.Contains(vars, name) {
+				vars = append(vars, name)
+			}
+		default:
+			return nil, "computed group column"
+		}
+	}
+	if len(vars) == 0 {
+		return nil, "constant group"
+	}
+	rc := &ruleCompiler{cat: cat, rule: cr.src, prog: cr.program, slots: map[string]int{}, reordered: true}
+	for _, v := range vars {
+		rc.newSlot(v)
+	}
+	seeded, err := rc.compileRule(seq)
+	if err != nil {
+		return nil, "seeded form does not compile: " + err.Error()
+	}
+	seeded.name, seeded.stats = cr.name, cr.stats
+	plan := &groupPlan{vars: vars, seeded: seeded}
+	for _, op := range seeded.body {
+		if op.kind == opScan || op.kind == opNotin {
+			plan.atoms = append(plan.atoms,
+				groupAtomOf(op.table, len(vars), op.boundCols[:op.plainBound], op.boundExprs[:op.plainBound]))
+		}
+	}
+	if len(plan.carrying()) == 0 {
+		return nil, "every input has an atom without the group"
+	}
+	headCols := make([]int, len(seeded.head.exprs))
+	for i := range headCols {
+		headCols[i] = i
+	}
+	plan.head = groupAtomOf(cr.head.table, len(vars), headCols, seeded.head.exprs)
+	return plan, ""
+}
+
+// carrying lists, in body order, the tables all of whose atoms carry
+// the group: a step that changes only these is evaluated per group.
+func (p *groupPlan) carrying() []string {
+	var out []string
+	for i, at := range p.atoms {
+		ok := true
+		for j, other := range p.atoms {
+			// An earlier atom of the same table has decided it already.
+			if other.table == at.table && (other.cols == nil || j < i) {
+				ok = false
+			}
+		}
+		if ok {
+			out = append(out, at.table)
+		}
+	}
+	return out
+}
+
 // planComputedKeys gives scans a probe where the rule only spells a
 // filter. When a scan of T is followed, before the next atom, by
 // equality tests `bound == f(columns this scan binds)` — an opTest, or
@@ -948,7 +1108,12 @@ func buildDeltaVariants(cat *catalog, cr *compiledRule, seq int) error {
 // hold a step's few tuples, and keying those every step costs more than
 // scanning them.
 func planComputedKeys(cr *compiledRule, tables map[string]*Table) {
-	boundAt := make([]int, cr.nslots) // body position binding each slot
+	// Body position binding each slot; -1 for the slots a seeded form
+	// (groupPlan) holds bound before the body starts.
+	boundAt := make([]int, cr.nslots)
+	for i := range boundAt {
+		boundAt[i] = -1
+	}
 	for i, op := range cr.body {
 		switch op.kind {
 		case opScan:
@@ -1045,12 +1210,17 @@ type catalog struct {
 	// strata[i] holds the rules of stratum i, aggregates listed first.
 	strata     [][]*compiledRule
 	maxStratum int
+	// groupTables names the tables whose retracted rows the runtime
+	// records: the body tables and the head of every aggregate rule
+	// with a groupPlan.
+	groupTables map[string]bool
 }
 
 func newCatalog() *catalog {
 	return &catalog{
-		decls:   make(map[string]*TableDecl),
-		watches: make(map[string]string),
+		decls:       make(map[string]*TableDecl),
+		watches:     make(map[string]string),
+		groupTables: make(map[string]bool),
 	}
 }
 

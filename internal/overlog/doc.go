@@ -68,10 +68,35 @@
 // the remaining head columns: count<X> (or count<_>), sum<X>, avg<X>,
 // min<X>, max<X>, and setof<X> (sorted list of distinct values).
 // Aggregate rules read the complete fixpoint of their inputs
-// (stratification) and recompute whenever an input table changes.
-// Operational caveat inherited from the lineage: when an aggregate's
-// input set becomes empty, no group is derived, so the previous output
-// row persists; rules must re-join base tables for liveness checks.
+// (stratification) and are evaluated once per timestep, in the steps
+// in which a body table gained or lost a row.
+//
+// A rule whose head is a local table is a maintained view: the rule
+// remembers the row it stored for each group, replaces it when the
+// group's value changes, and deletes it at the end of the step in which
+// the group stops deriving (its input set became empty), so a count
+// never outlives the rows it counted. Rules with a remote (@) or `next`
+// head derive and forget; nothing is retracted.
+//
+// How much is recomputed follows from the rule's shape. A rule is
+// maintained per group when its group columns are variables or
+// constants (at least one variable), head and body tables are stored
+// (not events), no expression reads now() or localaddr() or is impure,
+// and some body table's atoms all mention every group variable: the
+// rows a step inserted into or removed from such a table name the
+// groups they touch, and only those groups are re-read, through index
+// probes on the group variables. Every other rule, and any step that
+// changes a table with an atom lacking a group variable, recomputes all
+// groups. Runtime.Explain says which, and why. The results are the same
+// either way, with one exception: if another rule deletes a view's row,
+// a per-group view derives it again on the next step, a whole-rule view
+// when an input next changes.
+//
+// A now() in an aggregate body is read only when the rule is evaluated,
+// that is when an input table changes, and then for every group: ld1
+// below drops a silent node the next time any node's row changes, not
+// when its two seconds are up. Rules that must notice the passage of
+// time on their own join a periodic.
 //
 //	ld1 live_dn("live", setof<N>) :- datanode(N, T), T >= now() - 2000;
 //

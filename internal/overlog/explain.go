@@ -8,11 +8,12 @@ import (
 
 // Explain renders the compiled plan of one installed rule: its stratum,
 // flags, the join order with each atom's bound/bind/filter column
-// partition and access path, and the delta-variant reorderings
-// semi-naive evaluation will use. This is a debugging aid in the spirit
-// of the paper's metaprogrammed introspection — the catalog knows
-// everything about the program, so exposing the physical plan is a
-// formatting exercise.
+// partition and access path, the delta-variant reorderings semi-naive
+// evaluation will use and, for an aggregate, whether it is maintained
+// per group or recomputed whole (and why). This is a debugging aid in
+// the spirit of the paper's metaprogrammed introspection — the catalog
+// knows everything about the program, so exposing the physical plan is
+// a formatting exercise.
 func (r *Runtime) Explain(ruleName string) (string, error) {
 	var cr *compiledRule
 	for _, c := range r.cat.rules {
@@ -51,6 +52,16 @@ func (r *Runtime) Explain(ruleName string) (string, error) {
 	}
 	b.WriteString("\n  plan (textual join order):\n")
 	r.explainOps(&b, cr, -1, "    ")
+	switch {
+	case cr.group != nil:
+		// How the rule is evaluated once it has run: one group at a time
+		// through the seeded form when only these tables changed.
+		fmt.Fprintf(&b, "  aggregate: per-group (seeded on %s; atoms carrying the group: %s)\n",
+			strings.Join(cr.group.vars, ", "), strings.Join(cr.group.carrying(), ", "))
+		r.explainOps(&b, cr.group.seeded, -1, "    ")
+	case cr.isAgg:
+		fmt.Fprintf(&b, "  aggregate: whole-rule: %s\n", cr.wholeRule)
+	}
 	if n := len(cr.deltaVariants); n > 0 {
 		fmt.Fprintf(&b, "  delta variants (frontier-first reorderings): %d of %d scans\n",
 			countNonNil(cr.deltaVariants), n)

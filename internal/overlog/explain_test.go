@@ -75,6 +75,33 @@ func TestExplainAccessPaths(t *testing.T) {
 	}
 }
 
+// TestExplainAggregateMode: Explain says how an aggregate rule is
+// evaluated once it has run — per group, seeded on which variables and
+// through which probes, or whole, and why.
+func TestExplainAggregateMode(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, diffProgramNamed("agg-keyed-replace").src)
+	mustInstall(t, rt, diffProgramNamed("agg-now").src)
+	mustInstall(t, rt, diffProgramNamed("agg-assigned-group").src)
+	for rule, frags := range map[string][]string{
+		"jc1": {"aggregate: per-group (seeded on J; atoms carrying the group: task)",
+			"scan  task               bound=[0 3] bind=[1] filter=[]  via index [0 3]"},
+		"pm1": {"aggregate: whole-rule: every input has an atom without the group"},
+		"fm1": {"aggregate: whole-rule: calls now()"},
+		// The := that binds B is a test once B is seeded, and reading is
+		// probed by it.
+		"bk1": {"aggregate: per-group (seeded on B, Nm; atoms carrying the group: bucket)",
+			"via computed-key index [($1 % 3)]", "test slot 0"},
+	} {
+		out := mustExplain(t, rt, rule)
+		for _, frag := range frags {
+			if !strings.Contains(out, frag) {
+				t.Errorf("Explain(%s) missing %q:\n%s", rule, frag, out)
+			}
+		}
+	}
+}
+
 func TestExplainAllStrata(t *testing.T) {
 	rt := NewRuntime("n1")
 	mustInstall(t, rt, `

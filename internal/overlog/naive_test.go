@@ -72,15 +72,53 @@ func TestNaiveEvalEventsAndDeletes(t *testing.T) {
 	}
 }
 
+// differentialRun is the oracle for an access path: one seeded stream
+// of the program's facts, steps timesteps long, through four evaluators
+// — semi-naive, naive (never runs a delta variant, always collects all
+// groups), and parallel at 2 and 4 workers (the same plans from pool
+// workers against pre-synced indexes) — which must agree on every table
+// after every timestep. inspect sees the semi-naive and the 2-worker
+// runtime before they are closed.
+func differentialRun(t *testing.T, prog diffProgram, seed int64, steps int, inspect func(semi, par2 *Runtime)) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	names := []string{"semi-naive", "naive", "parallel-2", "parallel-4"}
+	rts := []*Runtime{
+		NewRuntime("n1"),
+		NewRuntime("n1", WithNaiveEval()),
+		NewRuntime("n1", WithParallelFixpoint(2), WithParallelForce()),
+		NewRuntime("n1", WithParallelFixpoint(4), WithParallelForce()),
+	}
+	for _, rt := range rts {
+		rt.parMinFrontier = 1
+		defer rt.Close()
+		mustInstall(t, rt, prog.src)
+	}
+	for step := int64(1); step <= int64(steps); step++ {
+		batch := prog.batch(r, 1+r.Intn(12), 5)
+		var want string
+		for i, rt := range rts {
+			if _, err := rt.Step(step, cloneBatch(batch)); err != nil {
+				t.Fatalf("%s seed %d step %d: %s: %v", prog.name, seed, step, names[i], err)
+			}
+			got := dumpAll(rt)
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s seed %d step %d: %s diverged from semi-naive:\n%s\nvs\n%s",
+					prog.name, seed, step, names[i], got, want)
+			}
+		}
+	}
+	inspect(rts[0], rts[2])
+}
+
 // TestComputedKeyDifferential is the oracle for the computed-key access
 // path: the three computed-key programs of the differential pool, each
 // over seeded 12-step streams (long enough that keys deleted early are
 // re-inserted, rows are replaced under their primary key and rows leave
-// the indexed table), through four evaluators that reach the join four
-// ways — naive (never runs a delta variant), semi-naive (variant plus
-// computed-key probe), and parallel at 2 and 4 workers (the same probe
-// from pool workers against a pre-synced index) — which must agree on
-// every table after every timestep.
+// the indexed table), through differentialRun's four evaluators, which
+// reach the join four ways.
 func TestComputedKeyDifferential(t *testing.T) {
 	for _, prog := range diffPrograms {
 		if !strings.HasPrefix(prog.name, "computed-key-") {
@@ -88,43 +126,58 @@ func TestComputedKeyDifferential(t *testing.T) {
 		}
 		var probedOnPool int64
 		for seed := int64(1); seed <= 25; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			names := []string{"semi-naive", "naive", "parallel-2", "parallel-4"}
-			rts := []*Runtime{
-				NewRuntime("n1"),
-				NewRuntime("n1", WithNaiveEval()),
-				NewRuntime("n1", WithParallelFixpoint(2), WithParallelForce()),
-				NewRuntime("n1", WithParallelFixpoint(4), WithParallelForce()),
-			}
-			for _, rt := range rts {
-				rt.parMinFrontier = 1
-				defer rt.Close()
-				mustInstall(t, rt, prog.src)
-			}
-			for step := int64(1); step <= 12; step++ {
-				batch := prog.batch(r, 1+r.Intn(12), 5)
-				var want string
-				for i, rt := range rts {
-					if _, err := rt.Step(step, cloneBatch(batch)); err != nil {
-						t.Fatalf("%s seed %d step %d: %s: %v", prog.name, seed, step, names[i], err)
-					}
-					got := dumpAll(rt)
-					if i == 0 {
-						want = got
-					} else if got != want {
-						t.Fatalf("%s seed %d step %d: %s diverged from semi-naive:\n%s\nvs\n%s",
-							prog.name, seed, step, names[i], got, want)
+			differentialRun(t, prog, seed, 12, func(_, par2 *Runtime) {
+				for _, cr := range par2.cat.rules {
+					if strings.Contains(mustExplain(t, par2, cr.name), "computed-key index") {
+						probedOnPool += cr.stats.parRuns
 					}
 				}
-			}
-			for _, cr := range rts[2].cat.rules {
-				if strings.Contains(mustExplain(t, rts[2], cr.name), "computed-key index") {
-					probedOnPool += cr.stats.parRuns
-				}
-			}
+			})
 		}
 		if probedOnPool == 0 {
 			t.Fatalf("%s: no rule with a computed-key probe ever ran on the worker pool", prog.name)
+		}
+	}
+}
+
+// TestAggregateDifferential is the oracle for group-at-a-time aggregate
+// maintenance: every agg-* program of the differential pool over seeded
+// 16-step streams through differentialRun's four evaluators. Naive
+// evaluation collects all groups of every rule on every step; the
+// others re-collect, where the rule has a plan for it, only the groups
+// a step's inserted and retracted rows touch. The counters pin that
+// the comparison is between those two: the rules named perGroup did
+// re-collect single groups, serially and beside the pool, and the ones
+// named wholeRule have no plan to, for the reason given.
+func TestAggregateDifferential(t *testing.T) {
+	for _, prog := range diffPrograms {
+		if !strings.HasPrefix(prog.name, "agg-") {
+			continue
+		}
+		serial, besidePool := map[string]int64{}, map[string]int64{}
+		for seed := int64(1); seed <= 25; seed++ {
+			differentialRun(t, prog, seed, 16, func(semi, par2 *Runtime) {
+				for i, cr := range semi.cat.rules {
+					serial[cr.name] += cr.stats.groupEvals
+					besidePool[cr.name] += par2.cat.rules[i].stats.groupEvals
+				}
+				for rule, why := range prog.wholeRule {
+					if want := "aggregate: whole-rule: " + why + "\n"; !strings.Contains(mustExplain(t, semi, rule), want) {
+						t.Fatalf("%s: want %s%s", prog.name, want, mustExplain(t, semi, rule))
+					}
+				}
+			})
+		}
+		for _, rule := range prog.perGroup {
+			if serial[rule] == 0 || besidePool[rule] == 0 {
+				t.Errorf("%s: %s re-collected %d single groups serially and %d beside the pool, want some",
+					prog.name, rule, serial[rule], besidePool[rule])
+			}
+		}
+		for rule := range prog.wholeRule {
+			if n := serial[rule] + besidePool[rule]; n != 0 {
+				t.Errorf("%s: %s re-collected %d single groups, want all groups every time", prog.name, rule, n)
+			}
 		}
 	}
 }
@@ -240,12 +293,7 @@ func TestComputedKeyProbeVisitsFewRows(t *testing.T) {
 	if n := rt.Table("pending").Len(); n != 0 {
 		t.Fatalf("cp1 left %d pending rows for a decided request", n)
 	}
-	var cp1 *compiledRule
-	for _, cr := range rt.cat.rules {
-		if cr.name == "cp1" {
-			cp1 = cr
-		}
-	}
+	cp1 := ruleNamed(rt, "cp1")
 	variant := cp1.deltaForPos[cp1.scanPositions[1]] // pending carries the frontier
 	if variant == nil {
 		t.Fatal("cp1 has no frontier-first variant for pending")
@@ -256,5 +304,132 @@ func TestComputedKeyProbeVisitsFewRows(t *testing.T) {
 	}
 	if n := len(probe.candBuf); n > 2 {
 		t.Fatalf("one new pending tuple visited %d decided rows of 2000, want the 1 its key selects", n)
+	}
+}
+
+// countTasksProgram is boommr's jc1 over a task table fed by an event.
+const countTasksProgram = `
+	table task(JobId: int, TaskId: int, Type: string, State: string) keys(0,1);
+	table job_done_cnt(JobId: int, N: int) keys(0);
+	event set_task(JobId: int, TaskId: int, Type: string, State: string);
+	st1 task(J, T, Ty, St) :- set_task(J, T, Ty, St);
+	jc1 job_done_cnt(J, count<T>) :- task(J, T, _, "done");
+`
+
+// loadCountTasks installs countTasksProgram and stores jobs jobs of ten
+// tasks each, nine done and the last running, in one step: jc1's first
+// evaluation, which materializes every group.
+func loadCountTasks(t *testing.T, jobs int) *Runtime {
+	t.Helper()
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, countTasksProgram)
+	var tasks []Tuple
+	for j := 0; j < jobs; j++ {
+		for k := 0; k < 10; k++ {
+			state := "done"
+			if k == 9 {
+				state = "running"
+			}
+			tasks = append(tasks, NewTuple("task", Int(int64(j)), Int(int64(k)), Str("map"), Str(state)))
+		}
+	}
+	if _, err := rt.Step(1, tasks); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.Table("job_done_cnt").Len(); n != jobs {
+		t.Fatalf("jc1 materialized %d groups, want %d", n, jobs)
+	}
+	return rt
+}
+
+func ruleNamed(rt *Runtime, name string) *compiledRule {
+	for _, cr := range rt.cat.rules {
+		if cr.name == name {
+			return cr
+		}
+	}
+	panic("no rule named " + name)
+}
+
+// TestAggregateStepVisitsOneGroup is the visit-count guard for
+// group-at-a-time maintenance: with 2000 groups of 10 rows stored, one
+// row changing state costs jc1 one head and a look at the rows of that
+// row's group, not a recount of all 20000. (Before aggregates were
+// maintained per group this was 88 % of mr_sim's rule time.)
+func TestAggregateStepVisitsOneGroup(t *testing.T) {
+	rt := loadCountTasks(t, 2000)
+	jc1 := ruleNamed(rt, "jc1")
+	fires := jc1.stats.fires
+	if _, err := rt.Step(2, []Tuple{NewTuple("set_task", Int(1234), Int(9), Str("map"), Str("done"))}); err != nil {
+		t.Fatal(err)
+	}
+	if !rt.Table("job_done_cnt").Contains(NewTuple("job_done_cnt", Int(1234), Int(10))) {
+		t.Fatalf("job 1234 not recounted:\n%s", rt.Table("job_done_cnt").Dump())
+	}
+	if n := jc1.stats.fires - fires; n != 1 {
+		t.Fatalf("one task changing state derived %d heads, want the 1 of its job", n)
+	}
+	if n := jc1.stats.groupEvals; n != 1 {
+		t.Fatalf("jc1 re-collected %d single groups, want 1", n)
+	}
+	probe := jc1.group.seeded.body[0]
+	if n := len(probe.candBuf); probe.table != "task" || n > 10 {
+		t.Fatalf("recounting one job visited %d rows of %s, want the job's 10 of 20000", n, probe.table)
+	}
+}
+
+// TestAggregateOverSysFire pins when a loss is seen. sys::fire is
+// refreshed after a step's strata, each changed count displacing the
+// old row, so both the new rows and the displaced ones belong to the
+// following step: after step n, a per-group aggregate over sys::fire
+// holds the counts as they stood after step n-1, exactly like its twin
+// with the plan taken away, which recomputes every group.
+func TestAggregateOverSysFire(t *testing.T) {
+	const src = `
+		table seen(Id: int) keys(0);
+		table last(K: string, Id: int) keys(0);
+		table fire_of(R: string, N: int) keys(0);
+		event ping(Id: int);
+		event pong(Id: int);
+		s1 seen(Id) :- ping(Id);
+		l1 last("l", Id) :- pong(Id);
+		f1 fire_of(R, max<C>) :- sys::fire(R, C), R != "f1";
+	`
+	perGroup, whole := NewRuntime("n1"), NewRuntime("n1")
+	mustInstall(t, perGroup, src)
+	mustInstall(t, whole, src)
+	ruleNamed(whole, "f1").group = nil
+	r := rand.New(rand.NewSource(1))
+	prev := map[string]int64{}
+	for step := int64(1); step <= 20; step++ {
+		var batch []Tuple
+		for i := r.Intn(3); i > 0; i-- {
+			batch = append(batch, NewTuple("ping", Int(step*10+int64(i))))
+		}
+		if r.Intn(2) == 0 {
+			batch = append(batch, NewTuple("pong", Int(step)))
+		}
+		for _, rt := range []*Runtime{perGroup, whole} {
+			if _, err := rt.Step(step, cloneBatch(batch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := perGroup.Table("fire_of").Dump()
+		if want := whole.Table("fire_of").Dump(); got != want {
+			t.Fatalf("step %d: per-group\n%s\nwhole-rule\n%s", step, got, want)
+		}
+		if step > 1 {
+			want := fmt.Sprintf("fire_of(\"l1\", %d)\nfire_of(\"s1\", %d)", prev["l1"], prev["s1"])
+			if got != want {
+				t.Fatalf("step %d: fire_of holds\n%s\nwant the counts after step %d\n%s", step, got, step-1, want)
+			}
+		}
+		prev = perGroup.RuleStats()
+	}
+	if n := ruleNamed(perGroup, "f1").stats.groupEvals; n == 0 {
+		t.Fatal("f1 never re-collected a single group")
+	}
+	if n := ruleNamed(whole, "f1").stats.groupEvals; n != 0 {
+		t.Fatalf("the twin without a plan re-collected %d single groups", n)
 	}
 }

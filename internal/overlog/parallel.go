@@ -353,15 +353,17 @@ func (r *Runtime) mergeParDeltas(c *parCall, p *fixpool) error {
 	return nil
 }
 
-// evalAggPar runs an eligible aggregate rule's body joins on the pool.
-// Workers record one (group columns, aggregate inputs) row per
-// satisfied binding; the merge replays them through the rule's
-// aggCollector in global binding order, so accumulator state — float
-// sum order included — and group emission order are bit-identical to
-// serial evaluation. This is the "merge partial aggregates
-// deterministically" half of routing-vs-merging: groups may span
-// workers freely because accumulation itself never runs concurrently.
-func (r *Runtime) evalAggPar(cr *compiledRule) (handled bool, err error) {
+// collectAggPar runs an eligible aggregate rule's body joins on the
+// pool, for an evaluation of all groups that the caller has begun and
+// will emit. Workers record one (group columns, aggregate inputs) row
+// per satisfied binding; the merge replays them through the rule's
+// aggCollector in global binding order, so accumulator state and group
+// emission order are bit-identical to serial evaluation. This is the
+// "merge partial aggregates deterministically" half of
+// routing-vs-merging: groups may span workers freely because
+// accumulation itself never runs concurrently. collected=false means
+// nothing was collected and the caller must evaluate serially.
+func (r *Runtime) collectAggPar(cr *compiledRule) (collected bool, err error) {
 	op := cr.body[0]
 	t := r.tables[op.table]
 	if t == nil {
@@ -414,7 +416,6 @@ func (r *Runtime) evalAggPar(cr *compiledRule) (handled bool, err error) {
 	}
 
 	ensureParFires(cr.stats, p.n)
-	agg := newAggCollector(cr, r)
 	for _, w := range p.workers {
 		w.cursor = 0
 	}
@@ -424,13 +425,11 @@ func (r *Runtime) evalAggPar(cr *compiledRule) (handled bool, err error) {
 		w.cursor++
 		for k := 0; k < int(rn.n); k++ {
 			base := (int(rn.start) + k) * c.aggStr
-			if err := agg.collectRow(w.dvals[base:base+c.aggGroup], w.dvals[base+c.aggGroup:base+c.aggStr]); err != nil {
-				return true, err
-			}
+			cr.agg.collectRow(w.dvals[base:base+c.aggGroup], w.dvals[base+c.aggGroup:base+c.aggStr])
 		}
 		cr.stats.parFires[w.id] += int64(rn.n)
 	}
-	return true, agg.emit(r)
+	return true, nil
 }
 
 func ensureParFires(stats *ruleStats, n int) {

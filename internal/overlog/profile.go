@@ -16,6 +16,10 @@ type ruleStats struct {
 	fires     int64 // head derivations (pre-dedup)
 	retracted int64 // stored tuples this rule's deletions/maintenance removed
 	wallNS    int64 // wall time inside evalRuleFull/evalRuleDelta (profiling only)
+	// groupEvals counts single groups an aggregate rule re-collected
+	// through its seeded form (see groupPlan); an evaluation of all
+	// groups adds nothing.
+	groupEvals int64
 	// Parallel-fixpoint attribution (see parallel.go): calls dispatched
 	// to the worker pool, wall time the merge spent blocked waiting for
 	// workers (profiling only), and per-worker derivation counts.

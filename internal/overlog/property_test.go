@@ -271,16 +271,22 @@ func TestPropAggregatesMatchOracle(t *testing.T) {
 
 // diffProgram is one program of the differential pool: its source, the
 // tables a random fact stream feeds, and how a fact for one of them is
-// drawn (nil gen: arity[table] ints below the caller's domain).
+// drawn (nil gen: arity[table] ints below the caller's domain). For the
+// aggregate programs, perGroup names the rules that must have been
+// evaluated one group at a time by the end of a long enough stream and
+// wholeRule those that never may be, each with its reason.
 type diffProgram struct {
 	name, src  string
 	factTables []string
 	arity      map[string]int
 	gen        func(r *rand.Rand, table string) []Value
+	keyLen     int // leading columns keying a generated fact; 0 means 1
+	perGroup   []string
+	wholeRule  map[string]string
 }
 
 // batch draws up to n random facts for one step of the program. Facts
-// from gen are keyed by their first column, and a batch carries one
+// from gen are keyed by their leading columns, and a batch carries one
 // fact per key: two rows for one primary key in one step replace each
 // other on every naive iteration, which never converges.
 func (p diffProgram) batch(r *rand.Rand, n int, domain int64) []Tuple {
@@ -291,7 +297,7 @@ func (p diffProgram) batch(r *rand.Rand, n int, domain int64) []Tuple {
 		var vals []Value
 		if p.gen != nil {
 			vals = p.gen(r, tbl)
-			key := tbl + "/" + vals[0].String()
+			key := tbl + "/" + fmt.Sprint(vals[:max(p.keyLen, 1)])
 			if seen[key] {
 				continue
 			}
@@ -345,15 +351,57 @@ func genLogFact(r *rand.Rand, table string) []Value {
 	panic("genLogFact: no generator for " + table)
 }
 
+// genAggFact draws facts for the agg-* programs: every table is filled
+// through a put_ event and shrunk through a del_ event over a domain
+// small enough that rows are replaced under their key, groups empty and
+// refill, and deleted keys come back, every few steps.
+func genAggFact(r *rand.Rand, table string) []Value {
+	n := func(k int) Value { return Int(int64(r.Intn(k))) }
+	pick := func(vals ...Value) Value { return vals[r.Intn(len(vals))] }
+	switch table {
+	case "set_task":
+		t := r.Intn(4)
+		ty := Str("map")
+		if t == 3 {
+			ty = Str("reduce")
+		}
+		return []Value{n(3), Int(int64(t)), ty, pick(Str("pending"), Str("running"), Str("done"), Str("done"))}
+	case "drop_task":
+		return []Value{n(3), n(4)}
+	case "put_obs":
+		// Addends whose sum depends on the order they are folded in.
+		return []Value{n(8), n(3), pick(Float(0.1), Float(0.2), Float(0.3), Float(1e16), Float(-1e16), Float(1.5))}
+	case "put_item", "put_reading":
+		return []Value{n(8), n(4)}
+	case "del_obs", "del_item", "del_reading":
+		return []Value{n(8)}
+	case "put_bucket":
+		return []Value{n(3), pick(Str("lo"), Str("hi"))}
+	case "del_bucket", "put_closed", "del_closed", "zap":
+		return []Value{n(3)}
+	case "put_pending":
+		return []Value{Str(fmt.Sprintf("r%d", r.Intn(6))), n(3)}
+	case "del_pending", "put_inflight", "del_inflight":
+		return []Value{Str(fmt.Sprintf("r%d", r.Intn(6)))}
+	case "hb":
+		// Twelve trackers: most are silent in a given step, so rows do age out.
+		return []Value{Str(fmt.Sprintf("t%02d", r.Intn(12))), Int(int64(1 + r.Intn(2))), n(3)}
+	}
+	panic("genAggFact: no generator for " + table)
+}
+
 // diffPrograms is the pool of programs the semi-naive/naive
 // differential test draws from. Together they cover the paths where
 // the two strategies could diverge: recursion (delta variants),
 // multi-way joins (probe-plan dispatch), negation (stratum barriers),
-// aggregation (stratum-entry recompute), deletion, and — the
-// computed-key-* programs — joins whose key is derived by := or tested
-// against a constant, which the frontier-first variant probes through
-// a computed-key index (paxos cp1's text, its positive twin, and the
-// text kvstore's a2 had before the apply cursor).
+// aggregation (stratum-entry recompute), deletion, — the computed-key-*
+// programs — joins whose key is derived by := or tested against a
+// constant, which the frontier-first variant probes through a
+// computed-key index (paxos cp1's text, its positive twin, and the text
+// kvstore's a2 had before the apply cursor), and — the agg-* programs —
+// aggregates over tables that shrink, maintained one group at a time
+// where the rule's shape allows it and whole where it does not (the
+// texts of boommr's jc1, pm1 and fc1/fm1 and paxos' mp1 among them).
 var diffPrograms = []diffProgram{
 	{
 		name: "transitive-closure",
@@ -452,6 +500,184 @@ var diffPrograms = []diffProgram{
 		`,
 		factTables: []string{"dec", "dec", "undec", "put", "put"},
 		gen:        genLogFact,
+	},
+	{
+		// jc1's text over a keyed table whose rows are replaced
+		// (pending, running, done), deleted by a delete rule and
+		// re-inserted; beside it pm1's self-join, which ranks against
+		// every pending task and so stays whole-rule over the same table.
+		name: "agg-keyed-replace",
+		src: `
+			table task(JobId: int, TaskId: int, Type: string, State: string) keys(0,1);
+			table job_done_cnt(JobId: int, N: int) keys(0);
+			table pending_map_rank(JobId: int, TaskId: int, R: int) keys(0,1);
+			event set_task(JobId: int, TaskId: int, Type: string, State: string);
+			event drop_task(JobId: int, TaskId: int);
+			st1 task(J, T, Ty, St) :- set_task(J, T, Ty, St);
+			dt1 delete task(J, T, Ty, St) :- drop_task(J, T), task(J, T, Ty, St);
+			jc1 job_done_cnt(J, count<T>) :- task(J, T, _, "done");
+			pm1 pending_map_rank(J, T, count<K2>) :- task(J, T, "map", "pending"),
+			        task(J2, T2, "map", "pending"), K2 := J2 * 1000000 + T2,
+			        or(J2 < J, and(J2 == J, T2 <= T));
+		`,
+		factTables: []string{"set_task", "set_task", "set_task", "drop_task"},
+		gen:        genAggFact,
+		keyLen:     2,
+		perGroup:   []string{"jc1"},
+		wholeRule:  map[string]string{"pm1": "every input has an atom without the group"},
+	},
+	{
+		// Every aggregate kind over groups that shrink, empty and refill.
+		// The float addends make sum and avg depend on fold order, which
+		// differs between a scan of all groups and a probe of one.
+		name: "agg-kinds",
+		src: `
+			table obs(Id: int, G: int, V: float) keys(0);
+			table stats(G: int, N: int, Mn: float, Mx: float, Av: float, Vs: list, Sm: float) keys(0);
+			event put_obs(Id: int, G: int, V: float);
+			event del_obs(Id: int);
+			po1 obs(Id, G, V) :- put_obs(Id, G, V);
+			do1 delete obs(Id, G, V) :- del_obs(Id), obs(Id, G, V);
+			s1 stats(G, count<_>, min<V>, max<V>, avg<V>, setof<V>, sum<V>) :- obs(_, G, V);
+		`,
+		factTables: []string{"put_obs", "put_obs", "del_obs", "del_obs"},
+		gen:        genAggFact,
+		perGroup:   []string{"s1"},
+	},
+	{
+		// An aggregate over an aggregate's head: the inner row displaced
+		// under its key is the outer rule's retraction, in the same step.
+		name: "agg-over-agg",
+		src: `
+			table item(Id: int, G: int) keys(0);
+			table per_g(G: int, N: int) keys(0);
+			table hist(N: int, Gs: int) keys(0);
+			event put_item(Id: int, G: int);
+			event del_item(Id: int);
+			pi1 item(Id, G) :- put_item(Id, G);
+			di1 delete item(Id, G) :- del_item(Id), item(Id, G);
+			ig1 per_g(G, count<Id>) :- item(Id, G);
+			hg1 hist(N, count<G>) :- per_g(G, N);
+		`,
+		factTables: []string{"put_item", "put_item", "del_item"},
+		gen:        genAggFact,
+		perGroup:   []string{"ig1", "hg1"},
+	},
+	{
+		// A group variable bound by := (a test in the seeded form, and a
+		// computed-key probe of reading): per group when bucket changes,
+		// whole when reading does, whose atom does not carry B.
+		name: "agg-assigned-group",
+		src: `
+			table reading(Id: int, V: int) keys(0);
+			table bucket(B: int, Name: string) keys(0);
+			table per_bucket(B: int, Name: string, N: int, S: int) keys(0);
+			event put_reading(Id: int, V: int);
+			event del_reading(Id: int);
+			event put_bucket(B: int, Name: string);
+			event del_bucket(B: int);
+			pr1 reading(Id, V) :- put_reading(Id, V);
+			dr1 delete reading(Id, V) :- del_reading(Id), reading(Id, V);
+			pb1 bucket(B, Nm) :- put_bucket(B, Nm);
+			db1 delete bucket(B, Nm) :- del_bucket(B), bucket(B, Nm);
+			bk1 per_bucket(B, Nm, count<Id>, sum<V>) :- reading(Id, V), B := V % 3, bucket(B, Nm);
+		`,
+		factTables: []string{"put_reading", "del_reading", "put_bucket", "put_bucket", "del_bucket"},
+		gen:        genAggFact,
+		perGroup:   []string{"bk1"},
+	},
+	{
+		// Negation: mp1's text (one constant group), a notin whose atom
+		// does not carry the group (a change to inflight is whole-rule)
+		// and one that does (a row entering closed empties its group, a
+		// row leaving it brings the group back).
+		name: "agg-notin",
+		src: `
+			table pending(Id: string, C: int) keys(0);
+			table inflight(Id: string) keys(0);
+			table closed(C: int) keys(0);
+			table min_pending(K: string, Id: string) keys(0);
+			table idle_by_cmd(C: int, N: int) keys(0);
+			table open_by_cmd(C: int, Ids: list) keys(0);
+			event put_pending(Id: string, C: int);
+			event del_pending(Id: string);
+			event put_inflight(Id: string);
+			event del_inflight(Id: string);
+			event put_closed(C: int);
+			event del_closed(C: int);
+			pp1 pending(Id, C) :- put_pending(Id, C);
+			dp1 delete pending(Id, C) :- del_pending(Id), pending(Id, C);
+			pf1 inflight(Id) :- put_inflight(Id);
+			df1 delete inflight(Id) :- del_inflight(Id), inflight(Id);
+			pc1 closed(C) :- put_closed(C);
+			dc1 delete closed(C) :- del_closed(C), closed(C);
+			mp1 min_pending("m", min<Id>) :- pending(Id, _), notin inflight(Id);
+			ic1 idle_by_cmd(C, count<Id>) :- pending(Id, C), notin inflight(Id);
+			oc1 open_by_cmd(C, setof<Id>) :- pending(Id, C), notin closed(C);
+		`,
+		factTables: []string{"put_pending", "put_pending", "del_pending", "put_inflight", "del_inflight", "put_closed", "del_closed"},
+		gen:        genAggFact,
+		perGroup:   []string{"ic1", "oc1"},
+		wholeRule:  map[string]string{"mp1": "constant group"},
+	},
+	{
+		// fc1's and fm1's texts, and fl1, which but for its now() would be
+		// maintained per tracker: a row counts while its heartbeat is
+		// younger than three ticks of the step clock. Every step carries
+		// a heartbeat, so the rules run every step, and must then drop
+		// the trackers whose rows did not change but which the clock has
+		// moved past the threshold: now() is read for every group or none.
+		name: "agg-now",
+		src: `
+			table tracker(Tr: string, HB: int, MS: int, MU: int) keys(0);
+			table free_map_cnt(K: string, N: int) keys(0);
+			table free_map_rank(Tr: string, K: int) keys(0);
+			table free_slots(Tr: string, N: int) keys(0);
+			event hb(Tr: string, MS: int, MU: int);
+			h1 tracker(Tr, now(), MS, MU) :- hb(Tr, MS, MU);
+			fc1 free_map_cnt("m", count<Tr>) :- tracker(Tr, HB, MS, MU), MS > MU, HB >= now() - 3;
+			fm1 free_map_rank(Tr, count<Tr2>) :- tracker(Tr, HB, MS, MU), MS > MU, HB >= now() - 3,
+			        tracker(Tr2, HB2, MS2, MU2), MS2 > MU2, HB2 >= now() - 3, Tr2 <= Tr;
+			fl1 free_slots(Tr, max<F>) :- tracker(Tr, HB, MS, MU), HB >= now() - 3, F := MS - MU;
+		`,
+		factTables: []string{"hb"},
+		gen:        genAggFact,
+		wholeRule:  map[string]string{"fc1": "calls now()", "fm1": "calls now()", "fl1": "calls now()"},
+	},
+	{
+		// An event table as input: a step's events are the whole input,
+		// so a group no event of this step names is retracted, not kept.
+		// (Every step carries an event: a step without one evaluates the
+		// rule under naive evaluation only.)
+		name: "agg-event-input",
+		src: `
+			table seen_cnt(G: int, N: int) keys(0);
+			event put_item(Id: int, G: int);
+			sc1 seen_cnt(G, count<Id>) :- put_item(Id, G);
+		`,
+		factTables: []string{"put_item"},
+		gen:        genAggFact,
+		wholeRule:  map[string]string{"sc1": "event input put_item"},
+	},
+	{
+		// A head row deleted by another rule. Naive evaluation derives it
+		// again on the next step; a rule maintained per group does too,
+		// because a row lost from its own head touches that row's group.
+		name: "agg-head-deleted",
+		src: `
+			table item(Id: int, G: int) keys(0);
+			table cnt(G: int, N: int) keys(0);
+			event put_item(Id: int, G: int);
+			event del_item(Id: int);
+			event zap(G: int);
+			pi1 item(Id, G) :- put_item(Id, G);
+			di1 delete item(Id, G) :- del_item(Id), item(Id, G);
+			c1 cnt(G, count<Id>) :- item(Id, G);
+			z1 delete cnt(G, N) :- zap(G), cnt(G, N);
+		`,
+		factTables: []string{"put_item", "put_item", "del_item", "zap"},
+		gen:        genAggFact,
+		perGroup:   []string{"c1"},
 	},
 }
 

@@ -150,6 +150,21 @@ func TestProvenanceWildcardAndAgg(t *testing.T) {
 	}
 }
 
+// TestProvenancePerGroupAgg: a group re-collected on its own records
+// its binding count like one collected with all the others.
+func TestProvenancePerGroupAgg(t *testing.T) {
+	rt := loadCountTasks(t, 3)
+	rt.EnableProvenance("job_done_cnt", 16)
+	provStep(t, rt, 2, NewTuple("set_task", Int(1), Int(9), Str("map"), Str("done")))
+	if n := ruleNamed(rt, "jc1").stats.groupEvals; n != 1 {
+		t.Fatalf("jc1 re-collected %d single groups, want 1", n)
+	}
+	got := rt.DerivationsOf("job_done_cnt", NewTuple("job_done_cnt", Int(1), Int(10)).Fingerprint())
+	if len(got) != 1 || got[0].Rule != "jc1" || got[0].Agg != 10 || len(got[0].Body) != 0 {
+		t.Fatalf("want one derivation by jc1 over 10 bindings, got %v", got)
+	}
+}
+
 // TestProvenanceRemoteSend: a head routed to another node is recorded
 // locally with To set, so cross-node chases find the origin.
 func TestProvenanceRemoteSend(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 )
@@ -85,11 +86,20 @@ type Runtime struct {
 	pendDel   []Tuple
 	// deferredIns holds `next`-rule heads awaiting the following step.
 	deferredIns []Tuple
-	// dirty marks tables that lost tuples (deletion or key replacement)
-	// at the end of the previous step, forcing aggregate recomputation;
-	// nextDirty collects marks during the current step.
+	// dirty marks tables that lost rows (deletion, or displacement under
+	// the primary key), which is the half of "an input changed" that
+	// stepDeltas does not show; retracted keeps the lost rows themselves
+	// for the tables per-group aggregates read (catalog.groupTables), so
+	// such a rule can tell which groups a loss touched. Both are
+	// stepDeltas' counterpart with the lifetime shifted: they are emptied
+	// after a step's last stratum, not at its end, so a loss is seen by
+	// exactly one stratum pass — this step's when it happens before the
+	// strata (external and in-stratum displacements), the next step's
+	// when it happens after them (end-of-step deletions, sys::fire
+	// refreshes, Install and restore between steps). The slices keep
+	// their backing across steps, as deltaFree does for stepDeltas.
 	dirty     map[string]bool
-	nextDirty map[string]bool
+	retracted map[string][]Tuple
 
 	watchers []Watcher
 	watchAll bool // trace every table regardless of watch declarations
@@ -232,7 +242,7 @@ func NewRuntime(addr string, opts ...Option) *Runtime {
 		stepDeltas:     make(map[string][]Tuple),
 		deltaFree:      make(map[string][]Tuple),
 		dirty:          make(map[string]bool),
-		nextDirty:      make(map[string]bool),
+		retracted:      make(map[string][]Tuple),
 		maxIterations:  1 << 20,
 		parMinFrontier: defaultParMinFrontier,
 		parCPUs:        runtime.GOMAXPROCS(0),
@@ -443,6 +453,16 @@ func (r *Runtime) Install(prog *Program) error {
 				v.initParallel()
 			}
 		}
+		if cr.isAgg {
+			cr.agg = newAggCollector(cr, r)
+			if cr.group, cr.wholeRule = planGroups(r.cat, cr, base+i); cr.group != nil {
+				planComputedKeys(cr.group.seeded, r.tables)
+				r.cat.groupTables[cr.head.table] = true
+				for _, at := range cr.group.atoms {
+					r.cat.groupTables[at.table] = true
+				}
+			}
+		}
 		r.cat.rules = append(r.cat.rules, cr)
 	}
 	r.cat.programs = append(r.cat.programs, progName(prog))
@@ -578,8 +598,6 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 	// stepDeltas is NOT reset here: tuples inserted since the previous
 	// step (facts and state loaded by Install) must seed this step's
 	// semi-naive frontier. It is cleared at the end of the step.
-	r.dirty = r.nextDirty
-	r.nextDirty = make(map[string]bool)
 
 	// Deferred heads from the previous step arrive as external inserts.
 	if len(r.deferredIns) > 0 {
@@ -619,6 +637,15 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 	for s := 0; s <= r.cat.maxStratum; s++ {
 		if err := r.runStratum(s); err != nil {
 			return nil, err
+		}
+	}
+	// Every rule has now seen the rows lost since the previous step's
+	// strata; what is lost from here on is the next step's to see.
+	if len(r.dirty) > 0 {
+		clear(r.dirty)
+		for t, lost := range r.retracted {
+			clear(lost)
+			r.retracted[t] = lost[:0]
 		}
 	}
 
@@ -694,8 +721,17 @@ func (r *Runtime) maintainFireStats() error {
 	if !needed {
 		return nil
 	}
-	for name, count := range r.RuleStats() {
-		if _, err := r.insertLocal(NewTuple("sys::fire", Str(name), Int(count)), "sys"); err != nil {
+	// Rule order, not map order: insertion order is delta order, which
+	// rules reading sys::fire (a per-group aggregate's emission order
+	// included) pass on to everything downstream.
+	fires := r.RuleStats()
+	for _, cr := range r.cat.rules {
+		count, ok := fires[cr.name]
+		if !ok {
+			continue // a rule of the same name reported the sum already
+		}
+		delete(fires, cr.name)
+		if _, err := r.insertLocal(NewTuple("sys::fire", Str(cr.name), Int(count)), "sys"); err != nil {
 			return err
 		}
 	}
@@ -737,8 +773,7 @@ func (r *Runtime) insertLocal(tp Tuple, viaRule string) (bool, error) {
 	}
 	r.stepDeltas[tp.Table] = append(dl, norm)
 	if displaced != nil {
-		r.retractCt++
-		r.nextDirty[tp.Table] = true
+		r.noteRetraction(*displaced)
 		if len(r.watchers) > 0 {
 			r.emitWatch(WatchEvent{Node: r.addr, Time: r.now, Insert: false, Rule: viaRule, Tuple: *displaced})
 		}
@@ -756,16 +791,27 @@ func (r *Runtime) deleteLocal(tp Tuple) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("overlog: %s: delete from undeclared table %q", r.addr, tp.Table)
 	}
-	removed, err := tbl.Delete(tp)
+	old, removed, err := tbl.remove(tp)
 	if err != nil {
 		return false, err
 	}
 	if removed {
-		r.retractCt++
-		r.nextDirty[tp.Table] = true
+		r.noteRetraction(old)
 		r.emitWatch(WatchEvent{Node: r.addr, Time: r.now, Insert: false, Rule: "delete", Tuple: tp})
 	}
 	return removed, nil
+}
+
+// noteRetraction records that a stored row left its table: old is the
+// storage-owned row, which stays intact after removal (arena slots are
+// never rewritten).
+func (r *Runtime) noteRetraction(old Tuple) {
+	r.retractCt++
+	r.dirty[old.Table] = true
+	if r.cat.groupTables[old.Table] {
+		//boomvet:allow(ownership) old is the row storage owned, handed over by the removal
+		r.retracted[old.Table] = append(r.retracted[old.Table], old)
+	}
 }
 
 func (r *Runtime) emitWatch(ev WatchEvent) {
@@ -825,9 +871,9 @@ func (r *Runtime) runStratum(s int) error {
 	var loopRules []*compiledRule
 	for _, cr := range rules {
 		if cr.isAgg || len(cr.scanPositions) == 0 {
-			// Full recomputation is only needed when an input table
-			// changed (insert this step, or deletion/replacement at the
-			// end of the previous step) or the rule has never run.
+			// Evaluation is only needed when an input table changed (rows
+			// inserted this step, or lost since the previous step's
+			// strata) or the rule has never run.
 			if cr.ranOnce && !r.ruleInputsChanged(cr) {
 				continue
 			}
@@ -889,19 +935,27 @@ func (r *Runtime) runStratum(s int) error {
 	}
 }
 
-// ruleInputsChanged reports whether any body table of cr received
-// inserts this step or was dirtied (deleted from / key-replaced) at the
-// end of the previous step.
+// tableChanged reports whether the table gained rows this step or lost
+// rows since the previous step's strata.
+func (r *Runtime) tableChanged(table string) bool {
+	return len(r.stepDeltas[table]) > 0 || r.dirty[table]
+}
+
+// ruleInputsChanged reports whether any body table of cr changed. A
+// rule maintained per group also answers for its own rows: one that
+// something else removed is re-derived at the next pass, which costs
+// the rule's own end-of-step retraction of a vanished group one empty
+// look at that group. (A whole-rule aggregate re-derives such a row
+// only when an input next changes, as it always has; waking it for its
+// own retractions would re-read now() at steps where it is not read
+// today.)
 func (r *Runtime) ruleInputsChanged(cr *compiledRule) bool {
 	for _, op := range cr.body {
-		if op.kind != opScan && op.kind != opNotin {
-			continue
-		}
-		if len(r.stepDeltas[op.table]) > 0 || r.dirty[op.table] {
+		if (op.kind == opScan || op.kind == opNotin) && r.tableChanged(op.table) {
 			return true
 		}
 	}
-	return false
+	return cr.group != nil && r.dirty[cr.head.table]
 }
 
 // runStratumNaive is the ablation path: iterate full re-derivation of
@@ -938,22 +992,44 @@ func (r *Runtime) evalRuleFull(cr *compiledRule) error {
 		defer func() { cr.stats.wallNS += time.Since(start).Nanoseconds() }() //boomvet:allow(walltime) profiling only: per-rule wall attribution
 	}
 	r.armProv(cr)
-	env := cr.envBuf
 	if cr.isAgg {
-		if r.parOn() && !r.provOn && cr.parOK {
-			if handled, err := r.evalAggPar(cr); handled {
-				return err
-			}
-		}
-		agg := newAggCollector(cr, r)
-		if err := r.execOps(cr, 0, -1, nil, env, agg.collect); err != nil {
-			return err
-		}
-		return agg.emit(r)
+		return r.evalAgg(cr)
 	}
-	return r.execOps(cr, 0, -1, nil, env, func(env []Value) error {
+	return r.execOps(cr, 0, -1, nil, cr.envBuf, func(env []Value) error {
 		return r.emitHead(cr, env)
 	})
+}
+
+// evalAgg evaluates an aggregate rule. Which groups: the ones this
+// pass's changed rows touch when the rule has a plan for that and has
+// materialized every group once; all of them otherwise (and always
+// under naive evaluation, the oracle the differential tests hold this
+// against).
+func (r *Runtime) evalAgg(cr *compiledRule) error {
+	a := cr.agg
+	if cr.group != nil && cr.ranOnce && !r.naiveEval {
+		touched, err := a.collectTouched()
+		if err != nil {
+			return err
+		}
+		if touched {
+			return a.emit(false)
+		}
+	}
+	a.begin(cr)
+	collected := false
+	if r.parOn() && !r.provOn && cr.parOK {
+		var err error
+		if collected, err = r.collectAggPar(cr); err != nil {
+			return err
+		}
+	}
+	if !collected {
+		if err := r.execOps(cr, 0, -1, nil, cr.envBuf, a.collectFn); err != nil {
+			return err
+		}
+	}
+	return a.emit(true)
 }
 
 // armProv decides whether the rule evaluation about to run records
@@ -1237,12 +1313,16 @@ func (r *Runtime) routeHead(cr *compiledRule, tp Tuple, scratch bool) error {
 
 // --- aggregation ---
 
-// accumulator is the running state for one aggregate position.
+// accumulator is the running state for one aggregate position of one
+// group. Float addends are kept and folded in sorted order when the
+// head is built: a group's bindings arrive in scan order when every
+// group is collected and in index-bucket order when one is, and a
+// float sum must not depend on which.
 type accumulator struct {
 	count    int64
-	sumI     int64
-	sumF     float64
-	sawFloat bool
+	sumI     int64     // the int addends
+	sumF     float64   // the int addends again, as a float: exact below 2^53 in any order
+	floats   []float64 // the float addends
 	min, max Value
 	minSet   bool
 	maxSet   bool
@@ -1250,25 +1330,128 @@ type accumulator struct {
 	setVals  []Value
 }
 
-type aggGroup struct {
-	groupVals []Value
-	accs      []accumulator
+func (acc *accumulator) reset() {
+	clear(acc.setSeen)
+	*acc = accumulator{floats: acc.floats[:0], setSeen: acc.setSeen, setVals: acc.setVals[:0]}
 }
 
+// sum folds the addends: ints first, then floats ascending.
+func (acc *accumulator) sum() float64 {
+	slices.Sort(acc.floats)
+	s := acc.sumF
+	for _, f := range acc.floats {
+		s += f
+	}
+	return s
+}
+
+// set builds a setof aggregate's sorted list. A stored list is held by
+// reference, so it needs its own backing — unless the group's previous
+// row already holds the same list, which is then reused: an unchanged
+// set allocates nothing.
+func (acc *accumulator) set(prev Tuple, col int) Value {
+	slices.SortFunc(acc.setVals, Value.Compare)
+	if prev.Vals != nil && slices.EqualFunc(prev.Vals[col].lst(), acc.setVals, Value.keyEqual) {
+		return prev.Vals[col]
+	}
+	return List(slices.Clone(acc.setVals)...)
+}
+
+// aggGroup is one group of an aggregate rule: the accumulators of the
+// evaluation in progress and the row the last evaluation stored.
+type aggGroup struct {
+	key       string
+	groupVals []Value
+	accs      []accumulator
+	epoch     uint64 // evaluation that last reset accs
+	// prev is the storage-owned row this rule materialized for the
+	// group (Vals nil: none), retracted when the group stops deriving.
+	prev Tuple
+}
+
+// aggCollector evaluates one aggregate rule. It lives as long as the
+// rule: groups persists across evaluations and holds every group with
+// a materialized row, which makes it the rule's view of its own output
+// (materialized-view maintenance; rules with remote or deferred heads
+// keep nothing, those derivations leave the rule's control). One
+// evaluation is begin, any number of collect/collectRow calls, emit;
+// whether it covers all groups or the touched ones is emit's argument.
+// Buffers are reused, so an evaluation that changes no row allocates
+// nothing.
 type aggCollector struct {
 	cr     *compiledRule
 	rt     *Runtime
+	head   *Table // the rule's head table
 	groups map[string]*aggGroup
-	order  []string
-	// Scratch buffers: group columns evaluate and encode here first, so
-	// bindings that land in an existing group allocate nothing.
-	valBuf []Value
-	aggBuf []Value
-	keyBuf []byte
+	epoch  uint64
+	// run is the compiled form being collected (cr, or its seeded form:
+	// slot numbers differ) and live the groups collected into so far,
+	// in first-touch order, which is emission order.
+	run  *compiledRule
+	live []*aggGroup
+
+	collectFn func([]Value) error // collect, bound once
+	valBuf    []Value
+	aggBuf    []Value
+	keyBuf    []byte
+	goneBuf   []string
 }
 
 func newAggCollector(cr *compiledRule, rt *Runtime) *aggCollector {
-	return &aggCollector{cr: cr, rt: rt, groups: make(map[string]*aggGroup)}
+	a := &aggCollector{cr: cr, rt: rt, head: rt.tables[cr.head.table],
+		groups: make(map[string]*aggGroup), aggBuf: make([]Value, len(cr.head.aggs))}
+	a.collectFn = a.collect
+	return a
+}
+
+// begin starts an evaluation of the given compiled form.
+func (a *aggCollector) begin(run *compiledRule) {
+	a.epoch++
+	a.run = run
+	clear(a.live) // groups the last evaluation retired are garbage now
+	a.live = a.live[:0]
+}
+
+// groupFor returns the group with these group-column values, creating
+// it if need be; fresh reports that this is the evaluation's first
+// touch, which resets the accumulators and queues it for emit.
+func (a *aggCollector) groupFor(groupVals []Value) (g *aggGroup, fresh bool) {
+	a.keyBuf = a.keyBuf[:0]
+	for _, v := range groupVals {
+		a.keyBuf = v.encode(a.keyBuf)
+	}
+	g, ok := a.groups[string(a.keyBuf)] // no alloc: map-index conversion
+	if !ok {
+		g = &aggGroup{key: string(a.keyBuf), groupVals: append([]Value(nil), groupVals...),
+			accs: make([]accumulator, len(a.cr.head.aggs))}
+		a.groups[g.key] = g
+	}
+	if g.epoch == a.epoch {
+		return g, false
+	}
+	g.epoch = a.epoch
+	for i := range g.accs {
+		g.accs[i].reset()
+	}
+	a.live = append(a.live, g)
+	return g, true
+}
+
+// groupCols evaluates the form's group columns (the non-aggregate head
+// columns, in head order) into valBuf.
+func (a *aggCollector) groupCols(env []Value) error {
+	a.valBuf = a.valBuf[:0]
+	for _, ce := range a.run.head.exprs {
+		if ce == nil {
+			continue // aggregate position
+		}
+		v, err := ce.eval(env, a.rt)
+		if err != nil {
+			return fmt.Errorf("rule %s aggregate group column: %w", a.cr.name, err)
+		}
+		a.valBuf = append(a.valBuf, v)
+	}
+	return nil
 }
 
 // collect records one body binding into its group: evaluate the group
@@ -1276,52 +1459,29 @@ func newAggCollector(cr *compiledRule, rt *Runtime) *aggCollector {
 // collectRow (shared with the parallel merge, which replays rows the
 // workers recorded — see parallel.go).
 func (a *aggCollector) collect(env []Value) error {
-	cr := a.cr
-	// Group key = evaluated non-aggregate head columns.
-	a.valBuf = a.valBuf[:0]
-	for _, ce := range cr.head.exprs {
-		if ce == nil {
-			continue // aggregate position
-		}
-		v, err := ce.eval(env, a.rt)
-		if err != nil {
-			return fmt.Errorf("rule %s aggregate group column: %w", cr.name, err)
-		}
-		a.valBuf = append(a.valBuf, v)
+	if err := a.groupCols(env); err != nil {
+		return err
 	}
-	if a.aggBuf == nil {
-		a.aggBuf = make([]Value, len(cr.head.aggs))
-	}
-	for i, spec := range cr.head.aggs {
+	for i, spec := range a.run.head.aggs {
 		if spec.slot < 0 {
 			a.aggBuf[i] = NilValue // count<_>
 		} else {
 			a.aggBuf[i] = env[spec.slot]
 		}
 	}
-	return a.collectRow(a.valBuf, a.aggBuf)
+	a.collectRow(a.valBuf, a.aggBuf)
+	return nil
 }
 
 // collectRow accumulates one pre-evaluated binding row: groupVals are
 // the group columns in head order, aggVals one value per aggregate
-// spec (ignored for count<_>). Accumulation order across rows decides
-// float-sum results and group emission order, so callers must present
-// rows in serial binding order.
-func (a *aggCollector) collectRow(groupVals, aggVals []Value) error {
-	cr := a.cr
-	a.keyBuf = a.keyBuf[:0]
-	for _, v := range groupVals {
-		a.keyBuf = v.encode(a.keyBuf)
-	}
-	g, ok := a.groups[string(a.keyBuf)] // no alloc: map-index conversion
-	if !ok {
-		gv := append([]Value(nil), groupVals...)
-		key := string(a.keyBuf)
-		g = &aggGroup{groupVals: gv, accs: make([]accumulator, len(cr.head.aggs))}
-		a.groups[key] = g
-		a.order = append(a.order, key)
-	}
-	for i, spec := range cr.head.aggs {
+// spec (ignored for count<_>). The order in which groups first appear
+// is their emission order, and among values that compare equal min,
+// max and setof keep the first, so callers collecting all groups
+// present rows in serial binding order.
+func (a *aggCollector) collectRow(groupVals, aggVals []Value) {
+	g, _ := a.groupFor(groupVals)
+	for i, spec := range a.cr.head.aggs {
 		acc := &g.accs[i]
 		acc.count++
 		if spec.slot < 0 {
@@ -1331,8 +1491,7 @@ func (a *aggCollector) collectRow(groupVals, aggVals []Value) error {
 		switch spec.kind {
 		case AggSum, AggAvg:
 			if v.Kind() == KindFloat {
-				acc.sawFloat = true
-				acc.sumF += v.AsFloat()
+				acc.floats = append(acc.floats, v.AsFloat())
 			} else {
 				acc.sumI += v.AsInt()
 				acc.sumF += v.AsFloat()
@@ -1358,29 +1517,87 @@ func (a *aggCollector) collectRow(groupVals, aggVals []Value) error {
 			}
 		}
 	}
+}
+
+// collectTouched is the per-group evaluation: it projects every row
+// that entered or left a body table since the rule last ran (and every
+// row of its own that something removed) onto its group key, and
+// re-collects each distinct group once through the seeded form — whole
+// groups, so no accumulator is ever inverted. Rows are walked in body,
+// delta and retraction order, never map order: that is emission order.
+// It reports false, having done nothing, when a changed table has an
+// atom that does not carry the group; the caller then collects all.
+func (a *aggCollector) collectTouched() (bool, error) {
+	r, plan := a.rt, a.cr.group
+	for i := range plan.atoms {
+		if at := &plan.atoms[i]; at.cols == nil && r.tableChanged(at.table) {
+			return false, nil
+		}
+	}
+	a.begin(plan.seeded)
+	for i := range plan.atoms {
+		at := &plan.atoms[i]
+		if err := a.collectGroupsOf(at, r.stepDeltas[at.table]); err != nil {
+			return true, err
+		}
+		if err := a.collectGroupsOf(at, r.retracted[at.table]); err != nil {
+			return true, err
+		}
+	}
+	return true, a.collectGroupsOf(&plan.head, r.retracted[plan.head.table])
+}
+
+// collectGroupsOf collects the group of each row, unless this
+// evaluation has it already. Projecting is allowed to over-approximate
+// (a row the atom's other terms reject still names a group): the group
+// is recomputed from the tables, not from the row.
+func (a *aggCollector) collectGroupsOf(at *groupAtom, rows []Tuple) error {
+	env := a.run.envBuf
+rows:
+	for _, tp := range rows {
+		for i, c := range at.constCols {
+			if !tp.Vals[c].keyEqual(at.constVals[i]) {
+				continue rows
+			}
+		}
+		for i, c := range at.cols {
+			env[i] = tp.Vals[c]
+		}
+		if err := a.groupCols(env); err != nil {
+			return err
+		}
+		if _, fresh := a.groupFor(a.valBuf); !fresh {
+			continue
+		}
+		a.cr.stats.groupEvals++
+		if err := a.rt.execOps(a.run, 0, -1, nil, env, a.collectFn); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// emit materializes one head tuple per group, then retracts rows left
-// over from groups that no longer derive. Without the retraction an
-// aggregate view over a shrinking input keeps its last row forever —
-// e.g. a count of live replica holders stays at its old value after
+// emit routes one head per collected group that derives, retracts the
+// row of each that no longer does, and — when the evaluation covered
+// all groups — of every group it did not meet. Without the retraction
+// an aggregate view over a shrinking input keeps its last row forever
+// — e.g. a count of live replica holders stays at its old value after
 // every holder dies, so `notin` tests against the view never fire.
 // Deletions match the exact previous tuple, so a row legitimately
 // re-derived by another rule (or replaced under the same key) is
-// untouched. Remote, deferred, and delete heads are exempt: those
-// derivations leave the rule's control, so there is nothing coherent
-// to retract.
-func (a *aggCollector) emit(r *Runtime) error {
-	cr := a.cr
-	maintain := !cr.isDelete && !cr.isDeferred && cr.head.locCol < 0
-	var cur map[string]Tuple
-	if maintain {
-		cur = make(map[string]Tuple, len(a.order))
-	}
-	for _, key := range a.order {
-		g := a.groups[key]
-		vals := make([]Value, len(cr.head.exprs))
+// untouched. Heads are built in the rule's scratch buffer and always
+// routed: storage rejects an unchanged row without allocating, and a
+// row something else deleted comes back.
+func (a *aggCollector) emit(all bool) error {
+	cr, r := a.cr, a.rt
+	maintain := !cr.isDeferred && cr.head.locCol < 0
+	for _, g := range a.live {
+		n := g.accs[0].count
+		if n == 0 {
+			a.retire(g)
+			continue
+		}
+		vals := cr.headBuf
 		gi := 0
 		for i, ce := range cr.head.exprs {
 			if ce != nil {
@@ -1394,56 +1611,65 @@ func (a *aggCollector) emit(r *Runtime) error {
 			case AggCount:
 				vals[spec.col] = Int(acc.count)
 			case AggSum:
-				if acc.sawFloat {
-					vals[spec.col] = Float(acc.sumF)
+				if len(acc.floats) > 0 {
+					vals[spec.col] = Float(acc.sum())
 				} else {
 					vals[spec.col] = Int(acc.sumI)
 				}
 			case AggAvg:
-				vals[spec.col] = Float(acc.sumF / float64(acc.count))
+				vals[spec.col] = Float(acc.sum() / float64(acc.count))
 			case AggMin:
 				vals[spec.col] = acc.min
 			case AggMax:
 				vals[spec.col] = acc.max
 			case AggSet:
-				sorted := append([]Value(nil), acc.setVals...)
-				sort.Slice(sorted, func(x, y int) bool { return sorted[x].Compare(sorted[y]) < 0 })
-				vals[spec.col] = List(sorted...)
+				vals[spec.col] = acc.set(g.prev, spec.col)
 			}
 		}
 		cr.stats.fires++
 		r.derivedCt++
-		tp := NewTuple(cr.head.table, vals...)
-		if maintain {
-			cur[key] = tp
-		}
-		if r.provActive && len(g.accs) > 0 {
+		if r.provActive {
 			// Aggregate lineage records the group's binding count, not the
 			// (unboundedly many) contributing tuples.
-			r.provAggN = g.accs[0].count
+			r.provAggN = n
 		}
-		if err := r.routeHead(cr, tp, false); err != nil {
+		tp := Tuple{Table: cr.head.table, Vals: vals}
+		if err := r.routeHead(cr, tp, true); err != nil {
 			return err
 		}
+		if maintain {
+			g.prev, _ = a.head.LookupKey(tp)
+		}
 	}
-	if maintain {
-		// Retract vanished groups in sorted key order: pendDel order
+	if !maintain {
+		clear(a.groups)
+		return nil
+	}
+	if all {
+		// Retire vanished groups in sorted key order: pendDel order
 		// decides watch/journal/provenance emission order, which must
-		// not inherit map iteration order. The key buffer is reused
-		// across recomputations (steady state retracts nothing).
-		gone := cr.retractBuf[:0]
-		for key := range cr.prevAgg {
-			if _, ok := cur[key]; !ok {
+		// not inherit map iteration order.
+		gone := a.goneBuf[:0]
+		for key, g := range a.groups {
+			if g.epoch != a.epoch {
 				gone = append(gone, key)
 			}
 		}
 		sort.Strings(gone)
 		for _, key := range gone {
-			r.pendDel = append(r.pendDel, cr.prevAgg[key])
-			r.pendDelBy = append(r.pendDelBy, cr.stats)
+			a.retire(a.groups[key])
 		}
-		cr.retractBuf = gone
-		cr.prevAgg = cur
+		a.goneBuf = gone
 	}
 	return nil
+}
+
+// retire forgets a group that no longer derives, queueing the row it
+// had materialized for end-of-step deletion.
+func (a *aggCollector) retire(g *aggGroup) {
+	if g.prev.Vals != nil {
+		a.rt.pendDel = append(a.rt.pendDel, g.prev)
+		a.rt.pendDelBy = append(a.rt.pendDelBy, a.cr.stats)
+	}
+	delete(a.groups, g.key)
 }

@@ -397,21 +397,27 @@ func (t *Table) InsertBatch(tps []Tuple) (int, error) {
 // Delete removes the stored tuple matching tp's key columns if the full
 // tuple matches. It returns whether a tuple was removed.
 func (t *Table) Delete(tp Tuple) (bool, error) {
+	_, removed, err := t.remove(tp)
+	return removed, err
+}
+
+// remove is Delete returning the stored row it removed as well.
+func (t *Table) remove(tp Tuple) (Tuple, bool, error) {
 	if err := t.checkTuple(tp); err != nil {
-		return false, err
+		return Tuple{}, false, err
 	}
 	tp = t.normalize(tp)
 	fp := tp.hashCols(t.keys)
 	bucket := t.rows.get(fp)
 	i := t.findRow(bucket, tp)
 	if i < 0 || !bucket[i].Equal(tp) {
-		return false, nil
+		return Tuple{}, false, nil
 	}
 	old := bucket[i]
 	t.removeRow(fp, i)
 	t.removeFromIndexes(old)
 	t.generation++
-	return true, nil
+	return old, true, nil
 }
 
 // DeleteByKey removes whatever tuple is stored under the key columns of
