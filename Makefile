@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint race bench bench-paper chaos chaos-tcp scale examples experiments profile clean
+.PHONY: all build test check lint race bench-paper chaos chaos-tcp scale examples experiments profile clean
 
 all: build test
 
@@ -14,12 +14,12 @@ test: check
 
 # check: static analysis plus a race pass over the concurrency-heavy
 # packages (telemetry registry/journal/span tracer, wall-clock
-# transport, trace) and over the parallel-fixpoint worker pool (the
-# only goroutines inside internal/overlog; the Differential tests run
-# it beside naive, semi-naive and per-group evaluation), plus a short
-# fault-injection sweep (see `chaos` below). The telemetry, sim,
-# chaos, and loadgen lines carry the span-tracing and SLO-monitor
-# tests, so concurrent span recording is always raced.
+# transport, trace), plus a short fault-injection sweep (see `chaos`
+# below). The telemetry, sim, chaos, and loadgen lines carry the
+# span-tracing and SLO-monitor tests, so concurrent span recording is
+# always raced. internal/overlog has no goroutines and no race line:
+# its Differential tests (semi-naive against naive evaluation) run in
+# the plain `go test ./...`.
 # boomlint runs the Overlog whole-program analyzer over every embedded
 # rule set (and the standalone .olg examples), failing on any
 # error-severity finding. boomvet does the same for the Go runtime
@@ -35,10 +35,8 @@ check:
 	$(GO) run ./cmd/boomlint -severity=error examples/quickstart/quickstart.olg
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
-	$(GO) test -race -run 'Parallel|Differential' ./internal/overlog
 	$(GO) test -run AllocGuard ./internal/overlog ./internal/sim
 	$(MAKE) chaos
-	$(GO) run ./cmd/boom-evalbench -smoke -out /dev/null
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test ./...
@@ -92,14 +90,6 @@ race:
 bench-paper:
 	$(GO) test -bench=. -benchmem .
 
-# Evaluator microbenchmarks (internal/evalbench) plus the quick
-# experiment suite, recorded into BENCH_evaluator.json: ns/op,
-# allocs/op, B/op per workload, experiment-suite wall time, and the
-# pre-optimization baseline for comparison.
-bench:
-	$(GO) run ./cmd/boom-evalbench -benchtime 2s -experiments -out BENCH_evaluator.json
-	$(GO) test -bench=. -benchmem ./internal/overlog
-
 # The paper's evaluation with full parameters, printed as reports.
 experiments:
 	$(GO) run ./cmd/boom-bench all
@@ -122,4 +112,4 @@ examples:
 
 clean:
 	$(GO) clean ./...
-	rm -f boom boom-bench test_output.txt bench_output.txt cpu.pprof ruleprofile.txt
+	rm -f boom boom-bench test_output.txt cpu.pprof ruleprofile.txt

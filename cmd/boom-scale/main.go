@@ -37,9 +37,9 @@ type WorkloadRow struct {
 	loadgen.RunStats
 }
 
-// Report is the BENCH_scale.json schema (mirrors BENCH_evaluator.json:
-// measured rows plus a pinned baseline so the improvement this file
-// documents stays legible without git archaeology).
+// Report is the BENCH_scale.json schema: measured rows plus a pinned
+// baseline so the improvement this file documents stays legible
+// without git archaeology.
 type Report struct {
 	Scheduler []SchedRow    `json:"scheduler"`
 	Workloads []WorkloadRow `json:"workloads"`

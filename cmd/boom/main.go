@@ -92,7 +92,7 @@ subcommands:
              get PATH
   olg      FILE [-steps N] [-analyze] [-profile]   run or analyze an Overlog file
   mr-demo  [-trackers N] [-status ADDR]        wordcount over real TCP sockets
-  repl [-workers N]                            interactive Overlog shell
+  repl                                         interactive Overlog shell
   rules    [name]                              print a shipped rule set
            (fs-master, fs-datanode, fs-gc, gateway, mr-jobtracker,
             mr-fifo, mr-late, mr-fair, mr-tracker, paxos)
@@ -117,11 +117,10 @@ func runMaster(args []string) error {
 	profile := fs.Bool("profile", false, "collect per-rule wall time from boot (see /debug/profile)")
 	gossip := fs.Bool("gossip", false, "run SWIM membership; datanodes that gossip feed the liveness relations without static registration")
 	gossipSeeds := fs.String("gossip-seeds", "", "comma-separated peer master addresses to seed the membership view")
-	workers := fs.Int("workers", 0, "parallel fixpoint pool size (0/1 = serial; idle on single-CPU hosts)")
 	fs.Parse(args)
 	cfg := boomfs.DefaultConfig()
 	cfg.ReplicationFactor = *repl
-	srv, err := rtfs.StartMasterFrom(*listen, cfg, *restore, overlog.WithParallelFixpoint(*workers))
+	srv, err := rtfs.StartMasterFrom(*listen, cfg, *restore)
 	if err != nil {
 		return err
 	}
@@ -159,9 +158,8 @@ func runDataNode(args []string) error {
 	profile := fs.Bool("profile", false, "collect per-rule wall time from boot (see /debug/profile)")
 	gossip := fs.Bool("gossip", false, "run SWIM membership; discovers master replicas and carries heartbeat liveness")
 	gossipSeeds := fs.String("gossip-seeds", "", "comma-separated master addresses to seed the view (default: -master)")
-	workers := fs.Int("workers", 0, "parallel fixpoint pool size (0/1 = serial; idle on single-CPU hosts)")
 	fs.Parse(args)
-	srv, err := rtfs.StartDataNode(*listen, *master, boomfs.DefaultConfig(), overlog.WithParallelFixpoint(*workers))
+	srv, err := rtfs.StartDataNode(*listen, *master, boomfs.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -356,7 +354,6 @@ func runMRDemo(args []string) error {
 	trackers := fs.Int("trackers", 3, "task trackers to start")
 	policy := fs.String("policy", "fifo", "scheduling policy: fifo, late, fair")
 	status := fs.String("status", "", "serve the jobtracker's status endpoint at this address (trackers pick ephemeral ports)")
-	workers := fs.Int("workers", 0, "parallel fixpoint pool size per node (0/1 = serial)")
 	fs.Parse(args)
 
 	var pol boommr.Policy
@@ -385,7 +382,7 @@ func runMRDemo(args []string) error {
 	cfg := boommr.DefaultMRConfig()
 	cfg.HeartbeatMS, cfg.SchedTickMS, cfg.TrackerTTL = 100, 50, 600
 	cfg.MapBaseMS, cfg.RedBaseMS, cfg.ProgressMS = 100, 150, 100
-	cluster, err := rtmr.Start(jtAddr, ttAddrs, pol, cfg, overlog.WithParallelFixpoint(*workers))
+	cluster, err := rtmr.Start(jtAddr, ttAddrs, pol, cfg)
 	if err != nil {
 		return err
 	}
@@ -460,13 +457,11 @@ func runRules(args []string) error {
 }
 
 func runRepl(args []string) error {
-	fs := flag.NewFlagSet("repl", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "parallel fixpoint pool size (0/1 = serial; \\profile shows per-worker fires)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) > 0 {
+		return fmt.Errorf("repl: takes no arguments")
 	}
 	fmt.Println("Overlog shell — .help for commands, .quit to leave")
-	return repl.New(os.Stdout, overlog.WithParallelFixpoint(*workers)).Run(os.Stdin)
+	return repl.New(os.Stdout).Run(os.Stdin)
 }
 
 func runOlg(args []string) error {
@@ -475,7 +470,6 @@ func runOlg(args []string) error {
 	dump := fs.Bool("dump", true, "dump table contents after the run")
 	analyze := fs.Bool("analyze", false, "print the CALM monotonicity analysis and plans instead of running")
 	profile := fs.Bool("profile", false, "print the per-rule fixpoint profile after the run")
-	workers := fs.Int("workers", 0, "parallel fixpoint pool size (0/1 = serial)")
 	fs.Parse(args)
 	if fs.NArg() < 1 {
 		return fmt.Errorf("olg: missing program file")
@@ -484,8 +478,7 @@ func runOlg(args []string) error {
 	if err != nil {
 		return err
 	}
-	rt := overlog.NewRuntime("local", overlog.WithParallelFixpoint(*workers))
-	defer rt.Close()
+	rt := overlog.NewRuntime("local")
 	rt.RegisterWatcher(func(ev overlog.WatchEvent) {
 		fmt.Println(ev)
 	})

@@ -4,7 +4,7 @@
 //
 //	walltime   no wall-clock reads in deterministic packages
 //	seedrand   no math/rand global-source draws (inject seeds)
-//	gospawn    no goroutines outside the sanctioned worker pools
+//	gospawn    no goroutines in deterministic packages
 //	maporder   no map-iteration order escaping into ordered output
 //	ownership  no Tuple retained across storage without Clone
 //	noalloc    //boomvet:noalloc functions stay allocation-free

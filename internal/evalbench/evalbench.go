@@ -1,16 +1,13 @@
 // Package evalbench defines the Overlog evaluator's microbenchmark
 // workloads in importable form. The same drivers back two consumers:
-// `go test -bench` (via thin wrappers in internal/overlog's test
-// files) and cmd/boom-evalbench, which runs them through
-// testing.Benchmark and emits BENCH_evaluator.json so evaluator
-// regressions are visible as numbers in the repo, not just locally.
+// `go test -bench ./internal/overlog` (thin wrappers in bench_test.go)
+// and the benchmark's eval_batch workload (bench/eval.go), which looks
+// three of them up by name in Suite() and times their Once bodies.
 //
 // Each workload isolates one axis of the evaluator's cost model (see
 // DESIGN.md §11): fixpoint recursion, multi-way index probing,
 // aggregate recomputation, the duplicate-derivation fast path, and raw
-// table insert/probe throughput. Every workload exposes its
-// per-iteration body as a plain function so smoke runs can execute it
-// once without the benchmark framework's iteration scaling.
+// table insert/probe throughput.
 package evalbench
 
 import (
@@ -20,8 +17,9 @@ import (
 	"repro/internal/overlog"
 )
 
-// Bench names one workload for suite runners. Fn is the `go bench`
-// driver; Once runs the iteration body a single time (smoke checks).
+// Bench names one workload. Fn is the `go test -bench` driver; Once
+// runs the iteration body a single time, on a fresh runtime (what
+// eval_batch times).
 type Bench struct {
 	Name string
 	Fn   func(b *testing.B)
@@ -86,8 +84,7 @@ func tcOnce(facts []overlog.Tuple) error {
 	return nil
 }
 
-// TransitiveClosure is the headline join-heavy fixpoint workload
-// referenced by BENCH_evaluator.json.
+// TransitiveClosure is the headline join-heavy fixpoint workload.
 func TransitiveClosure(b *testing.B, n int) {
 	facts := tcFacts(n)
 	b.ReportAllocs()
@@ -97,53 +94,6 @@ func TransitiveClosure(b *testing.B, n int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// tcParOnce is tcOnce with a parallel fixpoint pool configured. The
-// runtime applies its own single-CPU fallback (see
-// overlog.WithParallelFixpoint): on one core the pool stays idle and
-// the sweep records the serial path under each worker count, which is
-// exactly what a production embedder setting -workers would get.
-func tcParOnce(facts []overlog.Tuple, workers int) error {
-	rt := overlog.NewRuntime("bench", overlog.WithParallelFixpoint(workers))
-	defer rt.Close()
-	if err := rt.InstallSource(tcProgram); err != nil {
-		return err
-	}
-	if _, err := rt.Step(1, facts); err != nil {
-		return err
-	}
-	if rt.Table("reach").Len() == 0 {
-		return fmt.Errorf("empty closure")
-	}
-	return nil
-}
-
-// TransitiveClosurePar is TransitiveClosure under WithParallelFixpoint.
-func TransitiveClosurePar(b *testing.B, n, workers int) {
-	facts := tcFacts(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tcParOnce(facts, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// WorkerSweep returns the headline fixpoint workload at each requested
-// pool size, for boom-evalbench's -workers sweep.
-func WorkerSweep(n int, workerCounts []int) []Bench {
-	var out []Bench
-	for _, w := range workerCounts {
-		w := w
-		out = append(out, Bench{
-			Name: fmt.Sprintf("FixpointTransitiveClosure/n=%d/workers=%d", n, w),
-			Fn:   func(b *testing.B) { TransitiveClosurePar(b, n, w) },
-			Once: func() error { return tcParOnce(tcFacts(n), w) },
-		})
-	}
-	return out
 }
 
 // multiJoinProgram exercises a 4-atom join pipeline where every

@@ -8,8 +8,8 @@ package govet
 // exposition, derivation DAGs) without needing full determinism.
 
 // DeterministicPackages must replay bit-identically: wall-clock reads,
-// unseeded randomness, map-order leaks, and unsanctioned goroutines
-// are all bugs here.
+// unseeded randomness, map-order leaks, and goroutines are all bugs
+// here.
 //
 // Two deliberate exclusions, decided when the transport grew gossip
 // membership and the live chaos harness:
@@ -27,28 +27,17 @@ package govet
 //     logic (schedule derivation, shrinking, JSON interchange) must
 //     stay.
 //
-// One deliberate inclusion that now contains goroutines:
-//
-//   - repro/internal/overlog stays scoped even though the parallel
-//     fixpoint (parallel.go) spawns a worker pool. The pool is the one
-//     sanctioned concurrency site in the package and it is constructed
-//     to be replay-invisible: the frontier is hash-partitioned by join
-//     fingerprint (a pure function of the data), workers write only to
-//     per-worker scratch, and the merge back into storage is serial
-//     and ordered by (rule ord, worker id, intra-worker order) — so
-//     the derived state, the watch stream, and the profile counters
-//     are bit-identical to the serial schedule regardless of how the
-//     kernel interleaves the workers. Each `go` statement there
-//     carries //boomvet:allow(gospawn) restating this argument; any
-//     NEW goroutine in the package must either route through that pool
-//     or make the same determinism argument in its own waiver.
+// No goroutine in internal/overlog or internal/sim: rule evaluation
+// and sim stepping are serial (DESIGN.md §16), neither package carries
+// a gospawn waiver, and TestEvaluatorAndSimSpawnNothing fails if one
+// appears.
 //
 // Span-timestamp policy (walltime pass): telemetry.Tracer records
 // whatever clock the caller passes and never reads one itself, so the
 // scoped packages stay waiver-free by construction — the sim stamps
-// spans with its virtual clock in the serial merge phase, loadgen
-// stamps request spans at virtual issue/complete instants, and only
-// the wall-clock drivers (transport, rtfs, rtmr — all outside the
+// spans with its virtual clock in the merge phase, loadgen stamps
+// request spans at virtual issue/complete instants, and only the
+// wall-clock drivers (transport, rtfs, rtmr — all outside the
 // scope, by the transport argument above) call time.Now for span
 // bounds. A walltime finding on a span-stamping line inside a scoped
 // package means virtual time was available and not used: fix it, do

@@ -21,10 +21,10 @@ import (
 // constructors are allowed, everything package-level is not.
 //
 // gospawn: a bare `go` statement makes scheduling — and therefore any
-// state it touches — racy against the deterministic step loop. The
-// only sanctioned concurrency is the bounded phase-1 worker pool in
-// sim (whose effects merge serially in creation order); new pools
-// need the same two-phase argument, made explicit with an allow.
+// state it touches — racy against the deterministic step loop. No
+// goroutine in internal/overlog or internal/sim: neither may even
+// waive one (TestEvaluatorAndSimSpawnNothing). Elsewhere in the scope
+// an allow must argue why the goroutine's effects replay identically.
 
 // WalltimeAnalyzer flags wall-clock reads in deterministic packages.
 var WalltimeAnalyzer = &Analyzer{
@@ -103,7 +103,7 @@ func runSeedrand(p *Pass) {
 // GospawnAnalyzer flags goroutine spawns in deterministic packages.
 var GospawnAnalyzer = &Analyzer{
 	Name:  "gospawn",
-	Doc:   "flag `go` statements outside the sanctioned worker pools in deterministic packages",
+	Doc:   "flag `go` statements in deterministic packages",
 	Scope: deterministicScope,
 	Run:   runGospawn,
 }
@@ -113,7 +113,7 @@ func runGospawn(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				p.Reportf(g.Pos(),
-					"goroutine spawned in a deterministic package: unsanctioned concurrency breaks bit-identical replay; sanctioned pools carry //boomvet:allow(gospawn) with the determinism argument")
+					"goroutine spawned in a deterministic package: concurrency breaks bit-identical replay")
 			}
 			return true
 		})

@@ -6,10 +6,9 @@
 // for the invariants earlier PRs established:
 //
 //   - determinism: no wall-clock reads, unseeded randomness, unordered
-//     map iteration escaping into ordered output, or goroutine spawns
-//     outside the sanctioned worker pools, inside the packages that
-//     must replay bit-identically (walltime, seedrand, maporder,
-//     gospawn passes);
+//     map iteration escaping into ordered output, or goroutine
+//     spawns, inside the packages that must replay bit-identically
+//     (walltime, seedrand, maporder, gospawn passes);
 //   - ownership: the clone-on-store tuple contract — a Tuple crossing
 //     a retention boundary (struct field, package var, storage) must
 //     be cloned first, because callers pass reusable scratch buffers

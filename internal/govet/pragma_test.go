@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -69,5 +71,48 @@ var a = 1 //boomvet:allow(walltime) wrong check for this finding
 	idx := buildPragmaIndex(fset, files)
 	if idx.allow("seedrand", "pragma_case.go", 3) {
 		t.Error("allow(walltime) suppressed a seedrand finding")
+	}
+}
+
+// TestEvaluatorAndSimSpawnNothing holds internal/overlog and
+// internal/sim goroutine-free: evaluation and sim stepping are serial
+// (DESIGN.md §16), so neither package may contain a `go` statement,
+// and neither may waive one — the gospawn pass alone would let a
+// worker pool back in behind an allow.
+func TestEvaluatorAndSimSpawnNothing(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"internal/overlog", "internal/sim"} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				files = append(files, f)
+			}
+		}
+		if len(files) == 0 {
+			t.Fatalf("%s: no Go files parsed", dir)
+		}
+		for _, a := range buildPragmaIndex(fset, files).allows {
+			if a.check == "gospawn" {
+				t.Errorf("%s: gospawn waiver; %s stays goroutine-free", fset.Position(a.pos), dir)
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement; %s stays goroutine-free", fset.Position(g.Pos()), dir)
+				}
+				return true
+			})
+		}
 	}
 }

@@ -67,7 +67,6 @@ type FSConfig struct {
 	// CPU (the M/D/1 service-time model); 0 leaves masters infinitely
 	// fast and latency purely network-bound.
 	MasterServiceMS int64 `json:"master_service_ms"`
-	Parallel        int   `json:"parallel,omitempty"`
 	// Trace arms per-request root spans plus sim rule/net spans, and
 	// fills RunStats.Breakdown with the queue/serve/network
 	// decomposition of the latency distribution.
@@ -133,9 +132,6 @@ func horizon(ops int64, rate float64, timeoutMS int64) int64 {
 func RunFS(cfg FSConfig) (RunStats, error) {
 	cfg.defaults()
 	opts := []sim.Option{sim.WithClusterSeed(cfg.Seed)}
-	if cfg.Parallel >= 2 {
-		opts = append(opts, sim.WithParallelStep(cfg.Parallel))
-	}
 	if cfg.MasterServiceMS > 0 {
 		svc := cfg.MasterServiceMS
 		opts = append(opts, sim.WithServiceTime(func(node, table string) int64 {

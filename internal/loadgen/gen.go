@@ -37,9 +37,9 @@ type Generator struct {
 	tracer *telemetry.Tracer
 	nodeOf func(i int64) string
 
-	// mu guards inflight and rec: watch callbacks fire during phase 1
-	// of the cluster step, which may run node fixpoints concurrently
-	// under WithParallelStep.
+	// mu guards inflight, rec and win, so Complete, TakeWindow and Done
+	// may be called from a goroutine other than the one stepping the
+	// cluster (every caller in this repo is on it).
 	mu       sync.Mutex
 	inflight map[string]inflightOp
 	rec      Recorder

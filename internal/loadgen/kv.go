@@ -23,7 +23,6 @@ type KVConfig struct {
 	Ops       int64   `json:"ops"`
 	Keys      int     `json:"keys"` // key-space size
 	TimeoutMS int64   `json:"timeout_ms"`
-	Parallel  int     `json:"parallel,omitempty"`
 }
 
 func (cfg *KVConfig) defaults() {
@@ -47,11 +46,7 @@ func (cfg *KVConfig) defaults() {
 // RunKV executes one open-loop KV put workload.
 func RunKV(cfg KVConfig) (RunStats, error) {
 	cfg.defaults()
-	opts := []sim.Option{sim.WithClusterSeed(cfg.Seed)}
-	if cfg.Parallel >= 2 {
-		opts = append(opts, sim.WithParallelStep(cfg.Parallel))
-	}
-	c := sim.NewCluster(opts...)
+	c := sim.NewCluster(sim.WithClusterSeed(cfg.Seed))
 
 	g, err := kvstore.NewGroup(c, "kv", cfg.Replicas, paxos.DefaultConfig())
 	if err != nil {

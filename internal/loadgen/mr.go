@@ -23,7 +23,6 @@ type MRConfig struct {
 	Reduces       int     `json:"reduces"`
 	BytesPerSplit int     `json:"bytes_per_split"`
 	TimeoutMS     int64   `json:"timeout_ms"`
-	Parallel      int     `json:"parallel,omitempty"`
 }
 
 func (cfg *MRConfig) defaults() {
@@ -53,11 +52,7 @@ func (cfg *MRConfig) defaults() {
 // RunMR executes one open-loop MR run against a FIFO JobTracker.
 func RunMR(cfg MRConfig) (RunStats, error) {
 	cfg.defaults()
-	opts := []sim.Option{sim.WithClusterSeed(cfg.Seed)}
-	if cfg.Parallel >= 2 {
-		opts = append(opts, sim.WithParallelStep(cfg.Parallel))
-	}
-	c := sim.NewCluster(opts...)
+	c := sim.NewCluster(sim.WithClusterSeed(cfg.Seed))
 
 	mrc := boommr.DefaultMRConfig()
 	reg := boommr.NewRegistry()

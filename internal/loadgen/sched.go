@@ -19,7 +19,6 @@ type SchedConfig struct {
 	BaseIntervalMS int64 `json:"base_interval_ms"`
 	VirtualMS      int64 `json:"virtual_ms"`
 	Seed           int64 `json:"seed"`
-	Parallel       int   `json:"parallel,omitempty"`
 }
 
 // SchedResult reports scheduler cost for one configuration. NsPerStep
@@ -64,11 +63,7 @@ func RunSched(cfg SchedConfig) (SchedResult, error) {
 	if cfg.VirtualMS <= 0 {
 		cfg.VirtualMS = 3000
 	}
-	opts := []sim.Option{sim.WithClusterSeed(cfg.Seed)}
-	if cfg.Parallel >= 2 {
-		opts = append(opts, sim.WithParallelStep(cfg.Parallel))
-	}
-	c := sim.NewCluster(opts...)
+	c := sim.NewCluster(sim.WithClusterSeed(cfg.Seed))
 	for i := 0; i < cfg.Active; i++ {
 		rt, err := c.AddNode(fmt.Sprintf("act:%d", i))
 		if err != nil {

@@ -8,13 +8,12 @@ import (
 )
 
 // Evaluator microbenchmarks. The workloads live in internal/evalbench
-// so cmd/boom-evalbench can run the same drivers through
-// testing.Benchmark and emit BENCH_evaluator.json; these wrappers make
-// them visible to `go test -bench`. They isolate storage and
-// join-probe cost so storage-layer regressions show up as ns/op and
-// allocs/op, not as noise inside a whole-cluster experiment. The
-// companion guard test (TestProbePathAllocGuard) turns the allocs/op
-// numbers into a hard budget enforced by `go test`.
+// so the benchmark's eval_batch workload (bench/eval.go) runs the same
+// bodies; these wrappers make them visible to `go test -bench`. They
+// isolate storage and join-probe cost so storage-layer regressions
+// show up as ns/op and allocs/op, not as noise inside a whole-cluster
+// experiment. The companion guard test (TestProbePathAllocGuard) turns
+// the allocs/op numbers into a hard budget enforced by `go test`.
 
 func BenchmarkFixpointTransitiveClosure(b *testing.B) {
 	for _, n := range []int{64, 256} {

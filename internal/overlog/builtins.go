@@ -28,9 +28,9 @@ type Builtin struct {
 	Doc     string
 	Ret     Kind // static return kind; KindNil when it depends on the arguments
 	// Impure marks builtins whose value depends on mutable runtime state
-	// (ID counters, the seeded RNG): calls must happen in serial
-	// evaluation order, so rules using them never run on the parallel
-	// fixpoint workers. Step-constant reads (now, localaddr) stay pure.
+	// (ID counters, the seeded RNG): each call is observable, so no plan
+	// may cache, reorder or repeat one. Step-constant reads (now,
+	// localaddr) stay pure.
 	Impure bool
 	// ReadsEnv marks pure builtins that read the EvalEnv (now,
 	// localaddr): constant within a step, but not a function of the

@@ -216,20 +216,18 @@ type bodyOp struct {
 	// expression evaluation when every bound column is a plain variable;
 	// valsBuf and candBuf are reusable evaluation buffers. Reuse is safe
 	// because execOps only ever advances through the body, so the same
-	// operator is never active twice, and a Runtime is single-threaded
-	// (parallel fixpoint workers evaluate on private clones of the ops;
-	// see parallel.go).
+	// operator is never active twice, and a Runtime is single-threaded.
 	boundSlots []int
 	valsBuf    []Value
 	candBuf    []Tuple
 
-	// Probe memo: batched delta evaluation sorts frontier tuples by
-	// join-key fingerprint, so consecutive bindings probe this operator
-	// with the same bound values. The memo keeps the last probe's key and
-	// table generation; on a hit candBuf is still the correct candidate
-	// list and MatchInto is skipped entirely (one index probe per
-	// distinct key per batch). memoVals is preallocated by prepare, so
-	// the steady-state probe path still allocates nothing.
+	// Probe memo: consecutive bindings often probe this operator with
+	// the same bound values (frontier tuples that share a join key, an
+	// outer atom that does not bind this one's key). The memo keeps the
+	// last probe's key and table generation; on a hit candBuf is still
+	// the correct candidate list and MatchInto is skipped entirely.
+	// memoVals is preallocated by prepare, so the steady-state probe
+	// path still allocates nothing.
 	memoOK   bool
 	memoGen  uint64
 	memoVals []Value
@@ -314,17 +312,6 @@ type compiledRule struct {
 	// derivations are rejected against storage without allocating.
 	envBuf  []Value
 	headBuf []Value
-
-	// Parallel-fixpoint plan (see parallel.go). parOK marks this
-	// compiled form safe to evaluate on the worker pool when its first
-	// scan carries the frontier: every expression is pure, and — for
-	// rules that insert locally within the step — no non-frontier body
-	// op reads the head table, so a frozen-table evaluation sees exactly
-	// what serial evaluation would. parKeyCols are the frontier-tuple
-	// columns feeding the next join's probe (the partition key); nil
-	// means partition by whole-tuple hash.
-	parOK      bool
-	parKeyCols []int
 
 	// stats accumulates firing/retraction/wall-time counters; delta
 	// variants share their parent's block so counts aggregate no matter
@@ -512,80 +499,6 @@ func ruleCalls(cr *compiledRule, ok func(*Builtin) bool) bool {
 		}
 	}
 	return true
-}
-
-// rulePure reports whether every expression of the rule is pure.
-func rulePure(cr *compiledRule) bool {
-	return ruleCalls(cr, func(b *Builtin) bool { return !b.Impure })
-}
-
-// initParallel decides whether this compiled form may run on the
-// parallel fixpoint workers when body[0] (its first scan) carries the
-// frontier, and picks the partition key. Conditions:
-//
-//   - the first scan is the first body op: every op before a frontier
-//     scan re-evaluates per worker binding, which is only equivalent
-//     (and only cheap) for pure, loop-free prefixes — requiring the
-//     scan at position 0 keeps serial emission order trivially equal
-//     to ord order;
-//   - all expressions are pure (impure builtins observe call order);
-//   - when the rule inserts into its head table within the step (not
-//     deferred, not a deletion), no later body op reads the head
-//     table: workers probe frozen tables, so a rule that feeds its own
-//     non-frontier probes would see stale state mid-call.
-//
-// The partition key is the set of frontier-tuple columns that bind the
-// slots probed by the next scan (sideways information passing): tuples
-// sharing a join key land on one worker, which sorts its batch by key
-// fingerprint so each distinct key probes the index exactly once.
-func (cr *compiledRule) initParallel() {
-	cr.parOK = false
-	cr.parKeyCols = nil
-	// Aggregates parallelize via evalAggPar (full-scan partitioning with
-	// serial accumulator replay); the body constraints are the same.
-	if len(cr.scanPositions) == 0 || cr.scanPositions[0] != 0 {
-		return
-	}
-	if !rulePure(cr) {
-		return
-	}
-	insertsLocally := !cr.isDelete && !cr.isDeferred
-	if insertsLocally {
-		for i, op := range cr.body {
-			if i == 0 || (op.kind != opScan && op.kind != opNotin) {
-				continue
-			}
-			if op.table == cr.head.table {
-				return
-			}
-		}
-	}
-	cr.parOK = true
-	front := cr.body[0]
-	for _, op := range cr.body[1:] {
-		if (op.kind != opScan && op.kind != opNotin) || op.boundSlots == nil || len(op.boundSlots) == 0 {
-			continue
-		}
-		key := make([]int, 0, len(op.boundSlots))
-		for _, s := range op.boundSlots {
-			col := -1
-			for j, bs := range front.bindSlots {
-				if bs == s {
-					col = front.bindCols[j]
-					break
-				}
-			}
-			if col < 0 {
-				key = nil
-				break
-			}
-			key = append(key, col)
-		}
-		if key != nil {
-			cr.parKeyCols = key
-		}
-		break // the first probed op after the frontier decides the key
-	}
 }
 
 // ruleCompiler tracks variable slot allocation for one rule.

@@ -73,93 +73,79 @@ func TestNaiveEvalEventsAndDeletes(t *testing.T) {
 }
 
 // differentialRun is the oracle for an access path: one seeded stream
-// of the program's facts, steps timesteps long, through four evaluators
-// — semi-naive, naive (never runs a delta variant, always collects all
-// groups), and parallel at 2 and 4 workers (the same plans from pool
-// workers against pre-synced indexes) — which must agree on every table
-// after every timestep. inspect sees the semi-naive and the 2-worker
-// runtime before they are closed.
-func differentialRun(t *testing.T, prog diffProgram, seed int64, steps int, inspect func(semi, par2 *Runtime)) {
+// of the program's facts, steps timesteps long, through semi-naive
+// evaluation and naive (never runs a delta variant, always collects all
+// groups), which must agree on every table after every timestep.
+// inspect sees the semi-naive runtime afterwards.
+func differentialRun(t *testing.T, prog diffProgram, seed int64, steps int, inspect func(semi *Runtime)) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	names := []string{"semi-naive", "naive", "parallel-2", "parallel-4"}
-	rts := []*Runtime{
-		NewRuntime("n1"),
-		NewRuntime("n1", WithNaiveEval()),
-		NewRuntime("n1", WithParallelFixpoint(2), WithParallelForce()),
-		NewRuntime("n1", WithParallelFixpoint(4), WithParallelForce()),
-	}
-	for _, rt := range rts {
-		rt.parMinFrontier = 1
-		defer rt.Close()
-		mustInstall(t, rt, prog.src)
-	}
+	semi, naive := NewRuntime("n1"), NewRuntime("n1", WithNaiveEval())
+	mustInstall(t, semi, prog.src)
+	mustInstall(t, naive, prog.src)
 	for step := int64(1); step <= int64(steps); step++ {
 		batch := prog.batch(r, 1+r.Intn(12), 5)
-		var want string
-		for i, rt := range rts {
-			if _, err := rt.Step(step, cloneBatch(batch)); err != nil {
-				t.Fatalf("%s seed %d step %d: %s: %v", prog.name, seed, step, names[i], err)
-			}
-			got := dumpAll(rt)
-			if i == 0 {
-				want = got
-			} else if got != want {
-				t.Fatalf("%s seed %d step %d: %s diverged from semi-naive:\n%s\nvs\n%s",
-					prog.name, seed, step, names[i], got, want)
-			}
+		if _, err := semi.Step(step, cloneBatch(batch)); err != nil {
+			t.Fatalf("%s seed %d step %d: semi-naive: %v", prog.name, seed, step, err)
+		}
+		if _, err := naive.Step(step, cloneBatch(batch)); err != nil {
+			t.Fatalf("%s seed %d step %d: naive: %v", prog.name, seed, step, err)
+		}
+		if got, want := dumpAll(naive), dumpAll(semi); got != want {
+			t.Fatalf("%s seed %d step %d: naive diverged from semi-naive:\n%s\nvs\n%s",
+				prog.name, seed, step, got, want)
 		}
 	}
-	inspect(rts[0], rts[2])
+	inspect(semi)
 }
 
 // TestComputedKeyDifferential is the oracle for the computed-key access
 // path: the three computed-key programs of the differential pool, each
 // over seeded 12-step streams (long enough that keys deleted early are
 // re-inserted, rows are replaced under their primary key and rows leave
-// the indexed table), through differentialRun's four evaluators, which
-// reach the join four ways.
+// the indexed table), through differentialRun's two evaluators: naive
+// evaluation reaches the join in the rule's textual order, semi-naive
+// through the frontier-first variant and its computed-key probe.
 func TestComputedKeyDifferential(t *testing.T) {
 	for _, prog := range diffPrograms {
 		if !strings.HasPrefix(prog.name, "computed-key-") {
 			continue
 		}
-		var probedOnPool int64
+		var firedThroughProbe int64
 		for seed := int64(1); seed <= 25; seed++ {
-			differentialRun(t, prog, seed, 12, func(_, par2 *Runtime) {
-				for _, cr := range par2.cat.rules {
-					if strings.Contains(mustExplain(t, par2, cr.name), "computed-key index") {
-						probedOnPool += cr.stats.parRuns
+			differentialRun(t, prog, seed, 12, func(semi *Runtime) {
+				for _, cr := range semi.cat.rules {
+					if strings.Contains(mustExplain(t, semi, cr.name), "computed-key index") {
+						firedThroughProbe += cr.stats.fires
 					}
 				}
 			})
 		}
-		if probedOnPool == 0 {
-			t.Fatalf("%s: no rule with a computed-key probe ever ran on the worker pool", prog.name)
+		if firedThroughProbe == 0 {
+			t.Fatalf("%s: no rule with a computed-key probe ever fired", prog.name)
 		}
 	}
 }
 
 // TestAggregateDifferential is the oracle for group-at-a-time aggregate
 // maintenance: every agg-* program of the differential pool over seeded
-// 16-step streams through differentialRun's four evaluators. Naive
-// evaluation collects all groups of every rule on every step; the
-// others re-collect, where the rule has a plan for it, only the groups
-// a step's inserted and retracted rows touch. The counters pin that
-// the comparison is between those two: the rules named perGroup did
-// re-collect single groups, serially and beside the pool, and the ones
-// named wholeRule have no plan to, for the reason given.
+// 16-step streams through differentialRun's two evaluators. Naive
+// evaluation collects all groups of every rule on every step;
+// semi-naive re-collects, where the rule has a plan for it, only the
+// groups a step's inserted and retracted rows touch. The counters pin
+// that the comparison is between those two: the rules named perGroup
+// did re-collect single groups, and the ones named wholeRule have no
+// plan to, for the reason given.
 func TestAggregateDifferential(t *testing.T) {
 	for _, prog := range diffPrograms {
 		if !strings.HasPrefix(prog.name, "agg-") {
 			continue
 		}
-		serial, besidePool := map[string]int64{}, map[string]int64{}
+		groupEvals := map[string]int64{}
 		for seed := int64(1); seed <= 25; seed++ {
-			differentialRun(t, prog, seed, 16, func(semi, par2 *Runtime) {
-				for i, cr := range semi.cat.rules {
-					serial[cr.name] += cr.stats.groupEvals
-					besidePool[cr.name] += par2.cat.rules[i].stats.groupEvals
+			differentialRun(t, prog, seed, 16, func(semi *Runtime) {
+				for _, cr := range semi.cat.rules {
+					groupEvals[cr.name] += cr.stats.groupEvals
 				}
 				for rule, why := range prog.wholeRule {
 					if want := "aggregate: whole-rule: " + why + "\n"; !strings.Contains(mustExplain(t, semi, rule), want) {
@@ -169,13 +155,12 @@ func TestAggregateDifferential(t *testing.T) {
 			})
 		}
 		for _, rule := range prog.perGroup {
-			if serial[rule] == 0 || besidePool[rule] == 0 {
-				t.Errorf("%s: %s re-collected %d single groups serially and %d beside the pool, want some",
-					prog.name, rule, serial[rule], besidePool[rule])
+			if groupEvals[rule] == 0 {
+				t.Errorf("%s: %s re-collected no single group, want some", prog.name, rule)
 			}
 		}
 		for rule := range prog.wholeRule {
-			if n := serial[rule] + besidePool[rule]; n != 0 {
+			if n := groupEvals[rule]; n != 0 {
 				t.Errorf("%s: %s re-collected %d single groups, want all groups every time", prog.name, rule, n)
 			}
 		}

@@ -20,12 +20,6 @@ type ruleStats struct {
 	// through its seeded form (see groupPlan); an evaluation of all
 	// groups adds nothing.
 	groupEvals int64
-	// Parallel-fixpoint attribution (see parallel.go): calls dispatched
-	// to the worker pool, wall time the merge spent blocked waiting for
-	// workers (profiling only), and per-worker derivation counts.
-	parRuns   int64
-	parWaitNS int64
-	parFires  []int64
 }
 
 // RuleProfile is one rule's accumulated profile counters.
@@ -36,13 +30,6 @@ type RuleProfile struct {
 	Fires     int64  `json:"fires"`
 	Retracted int64  `json:"retracted,omitempty"`
 	WallNS    int64  `json:"wall_ns"`
-	// ParallelRuns counts evaluations dispatched to the fixpoint worker
-	// pool; WorkerFires splits the parallel derivations by worker id;
-	// MergeWaitNS is the wall time the serial merge spent blocked on
-	// workers (profiling only). All zero/empty for serial-only rules.
-	ParallelRuns int64   `json:"parallel_runs,omitempty"`
-	WorkerFires  []int64 `json:"worker_fires,omitempty"`
-	MergeWaitNS  int64   `json:"merge_wait_ns,omitempty"`
 }
 
 // StratumProfile summarizes the semi-naive loop behaviour of one
@@ -91,17 +78,12 @@ func (r *Runtime) RuleProfiles() []RuleProfile {
 	out := make([]RuleProfile, len(r.cat.rules))
 	for i, cr := range r.cat.rules {
 		out[i] = RuleProfile{
-			Rule:         cr.name,
-			Program:      cr.program,
-			Stratum:      cr.stratum,
-			Fires:        cr.stats.fires,
-			Retracted:    cr.stats.retracted,
-			WallNS:       cr.stats.wallNS,
-			ParallelRuns: cr.stats.parRuns,
-			MergeWaitNS:  cr.stats.parWaitNS,
-		}
-		if len(cr.stats.parFires) > 0 {
-			out[i].WorkerFires = append([]int64(nil), cr.stats.parFires...)
+			Rule:      cr.name,
+			Program:   cr.program,
+			Stratum:   cr.stratum,
+			Fires:     cr.stats.fires,
+			Retracted: cr.stats.retracted,
+			WallNS:    cr.stats.wallNS,
 		}
 	}
 	return out

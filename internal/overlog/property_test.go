@@ -700,6 +700,17 @@ func dumpAll(rt *Runtime) string {
 	return b.String()
 }
 
+// cloneBatch gives each runtime its own tuple values: insertion
+// normalizes Vals in place, so sharing one batch across runtimes would
+// let one runtime's normalization leak into the other's input.
+func cloneBatch(batch []Tuple) []Tuple {
+	out := make([]Tuple, len(batch))
+	for i, tp := range batch {
+		out[i] = tp.Clone()
+	}
+	return out
+}
+
 // TestPropSemiNaiveMatchesNaive feeds identical random fact streams,
 // spread over random step batches, to a semi-naive runtime and a
 // naive-fixpoint runtime, and requires every table to agree after

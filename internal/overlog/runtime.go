@@ -3,7 +3,6 @@ package overlog
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -136,18 +135,6 @@ type Runtime struct {
 
 	stepHooks []func(StepStats)
 	wakeHook  func()
-
-	// Parallel fixpoint state (see parallel.go): configured worker
-	// count, the lazily created pool, the dispatch threshold, and
-	// reusable partition scratch.
-	parWorkers     int
-	parMinFrontier int
-	parForce       bool // dispatch even on a single-CPU process
-	parCPUs        int  // GOMAXPROCS snapshot from construction
-	pool           *fixpool
-	parFPs         []uint64
-	parOwner       []uint8
-	parCallBuf     parCall
 }
 
 // StepStats summarizes one completed timestep for instrumentation.
@@ -236,16 +223,14 @@ func WithNaiveEval() Option {
 // NewRuntime creates an empty runtime for a node with the given address.
 func NewRuntime(addr string, opts ...Option) *Runtime {
 	r := &Runtime{
-		addr:           addr,
-		cat:            newCatalog(),
-		tables:         make(map[string]*Table),
-		stepDeltas:     make(map[string][]Tuple),
-		deltaFree:      make(map[string][]Tuple),
-		dirty:          make(map[string]bool),
-		retracted:      make(map[string][]Tuple),
-		maxIterations:  1 << 20,
-		parMinFrontier: defaultParMinFrontier,
-		parCPUs:        runtime.GOMAXPROCS(0),
+		addr:          addr,
+		cat:           newCatalog(),
+		tables:        make(map[string]*Table),
+		stepDeltas:    make(map[string][]Tuple),
+		deltaFree:     make(map[string][]Tuple),
+		dirty:         make(map[string]bool),
+		retracted:     make(map[string][]Tuple),
+		maxIterations: 1 << 20,
 	}
 	r.rng = rand.New(rand.NewSource(int64(hashValue(Str(addr)))))
 	for _, o := range opts {
@@ -446,11 +431,9 @@ func (r *Runtime) Install(prog *Program) error {
 		}
 		cr.finalizeDelta()
 		planComputedKeys(cr, r.tables)
-		cr.initParallel()
 		for _, v := range cr.deltaVariants {
 			if v != nil && v != cr {
 				planComputedKeys(v, r.tables)
-				v.initParallel()
 			}
 		}
 		if cr.isAgg {
@@ -1017,17 +1000,8 @@ func (r *Runtime) evalAgg(cr *compiledRule) error {
 		}
 	}
 	a.begin(cr)
-	collected := false
-	if r.parOn() && !r.provOn && cr.parOK {
-		var err error
-		if collected, err = r.collectAggPar(cr); err != nil {
-			return err
-		}
-	}
-	if !collected {
-		if err := r.execOps(cr, 0, -1, nil, cr.envBuf, a.collectFn); err != nil {
-			return err
-		}
+	if err := r.execOps(cr, 0, -1, nil, cr.envBuf, a.collectFn); err != nil {
+		return err
 	}
 	return a.emit(true)
 }
@@ -1063,15 +1037,6 @@ func (r *Runtime) evalRuleDelta(cr *compiledRule, deltaPos int, frontier []Tuple
 		if v := cr.deltaForPos[deltaPos]; v != nil {
 			run = v
 			pos = run.scanPositions[0]
-		}
-	}
-	// Parallel path: the frontier scan must lead the body (pos 0) so
-	// per-ordinal evaluation preserves serial emission order; see
-	// parallel.go. A worker-side error falls through to the serial
-	// path, which re-runs the untouched call exactly.
-	if pos == 0 && r.parReady(run, len(frontier)) {
-		if handled, err := r.evalRuleDeltaPar(run, frontier); handled {
-			return err
 		}
 	}
 	return r.execOps(run, 0, pos, frontier, run.envBuf, func(env []Value) error {
@@ -1374,7 +1339,7 @@ type aggGroup struct {
 // a materialized row, which makes it the rule's view of its own output
 // (materialized-view maintenance; rules with remote or deferred heads
 // keep nothing, those derivations leave the rule's control). One
-// evaluation is begin, any number of collect/collectRow calls, emit;
+// evaluation is begin, any number of collect calls, emit;
 // whether it covers all groups or the touched ones is emit's argument.
 // Buffers are reused, so an evaluation that changes no row allocates
 // nothing.
@@ -1456,8 +1421,7 @@ func (a *aggCollector) groupCols(env []Value) error {
 
 // collect records one body binding into its group: evaluate the group
 // columns and gather the aggregated slot values, then accumulate via
-// collectRow (shared with the parallel merge, which replays rows the
-// workers recorded — see parallel.go).
+// collectRow.
 func (a *aggCollector) collect(env []Value) error {
 	if err := a.groupCols(env); err != nil {
 		return err
@@ -1477,8 +1441,7 @@ func (a *aggCollector) collect(env []Value) error {
 // the group columns in head order, aggVals one value per aggregate
 // spec (ignored for count<_>). The order in which groups first appear
 // is their emission order, and among values that compare equal min,
-// max and setof keep the first, so callers collecting all groups
-// present rows in serial binding order.
+// max and setof keep the first, so rows arrive in binding order.
 func (a *aggCollector) collectRow(groupVals, aggVals []Value) {
 	g, _ := a.groupFor(groupVals)
 	for i, spec := range a.cr.head.aggs {

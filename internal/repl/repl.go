@@ -30,11 +30,9 @@ type REPL struct {
 	Echo bool
 }
 
-// New creates a REPL around a fresh runtime named "repl". Options are
-// forwarded to the runtime (e.g. overlog.WithParallelFixpoint for the
-// \profile per-worker view).
-func New(out io.Writer, opts ...overlog.Option) *REPL {
-	r := &REPL{rt: overlog.NewRuntime("repl", opts...), out: out, Echo: true,
+// New creates a REPL around a fresh runtime named "repl".
+func New(out io.Writer) *REPL {
+	r := &REPL{rt: overlog.NewRuntime("repl"), out: out, Echo: true,
 		tracer: telemetry.NewTracer(0)}
 	telemetry.AttachTracer(r.tracer, "repl", r.rt, nil)
 	r.rt.RegisterWatcher(func(ev overlog.WatchEvent) {
@@ -365,27 +363,9 @@ func (r *REPL) profile(args []string) {
 		fmt.Fprintln(r.out, "(wall-clock profiling off — .profile on to time rules)")
 	}
 	fmt.Fprintf(r.out, "  %-24s %4s %10s %10s %12s\n", "rule", "strat", "fires", "retracted", "wall")
-	anyPar := false
 	for _, p := range profiles {
 		fmt.Fprintf(r.out, "  %-24s %4d %10d %10d %12s\n",
 			p.Rule, p.Stratum, p.Fires, p.Retracted, time.Duration(p.WallNS))
-		if p.ParallelRuns > 0 {
-			anyPar = true
-		}
-	}
-	if anyPar {
-		fmt.Fprintf(r.out, "  parallel fixpoint (pool of %d):\n", r.rt.ParallelFixpoint())
-		for _, p := range profiles {
-			if p.ParallelRuns == 0 {
-				continue
-			}
-			var fires []string
-			for w, n := range p.WorkerFires {
-				fires = append(fires, fmt.Sprintf("w%d=%d", w, n))
-			}
-			fmt.Fprintf(r.out, "    %-22s runs=%-6d merge-wait=%-10s %s\n",
-				p.Rule, p.ParallelRuns, time.Duration(p.MergeWaitNS), strings.Join(fires, " "))
-		}
 	}
 	strata := r.rt.StratumProfiles()
 	if len(strata) == 0 {

@@ -17,8 +17,8 @@ import (
 
 // StartReplicatedMaster serves one replica of a Paxos-replicated
 // master group at addr. replicas is the full group (addr included).
-func StartReplicatedMaster(addr string, replicas []string, cfg boomfs.Config, pcfg paxos.Config, opts ...overlog.Option) (*Server, error) {
-	rt := overlog.NewRuntime(addr, opts...)
+func StartReplicatedMaster(addr string, replicas []string, cfg boomfs.Config, pcfg paxos.Config) (*Server, error) {
+	rt := overlog.NewRuntime(addr)
 	if err := boomfs.InstallReplicatedMaster(rt, addr, replicas, cfg, pcfg); err != nil {
 		return nil, err
 	}

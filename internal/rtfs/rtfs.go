@@ -71,18 +71,16 @@ func (s *Server) ServeStatus(addr string) error {
 	return nil
 }
 
-// StartMaster serves a BOOM-FS master at addr (host:port). Trailing
-// options configure the node's runtime (e.g.
-// overlog.WithParallelFixpoint for the -workers flag).
-func StartMaster(addr string, cfg boomfs.Config, opts ...overlog.Option) (*Server, error) {
-	return StartMasterFrom(addr, cfg, "", opts...)
+// StartMaster serves a BOOM-FS master at addr (host:port).
+func StartMaster(addr string, cfg boomfs.Config) (*Server, error) {
+	return StartMasterFrom(addr, cfg, "")
 }
 
 // StartMasterFrom serves a master, optionally restoring its metadata
 // catalog from a checkpoint file first (the FsImage equivalent —
 // Runtime.Snapshot output).
-func StartMasterFrom(addr string, cfg boomfs.Config, restorePath string, opts ...overlog.Option) (*Server, error) {
-	rt := overlog.NewRuntime(addr, opts...)
+func StartMasterFrom(addr string, cfg boomfs.Config, restorePath string) (*Server, error) {
+	rt := overlog.NewRuntime(addr)
 	if err := rt.InstallSource(boomfs.ProtocolDecls); err != nil {
 		return nil, err
 	}
@@ -125,8 +123,8 @@ func (s *Server) Checkpoint(path string) error {
 }
 
 // StartDataNode serves a datanode at addr, heartbeating the master.
-func StartDataNode(addr, master string, cfg boomfs.Config, opts ...overlog.Option) (*Server, error) {
-	rt := overlog.NewRuntime(addr, opts...)
+func StartDataNode(addr, master string, cfg boomfs.Config) (*Server, error) {
+	rt := overlog.NewRuntime(addr)
 	_, svc, err := boomfs.NewDataNodeOnRuntime(rt, master, cfg)
 	if err != nil {
 		return nil, err

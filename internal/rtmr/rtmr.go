@@ -50,14 +50,12 @@ func (s *server) close() {
 }
 
 // Start brings up a JobTracker at jtAddr and task trackers at ttAddrs.
-// Trailing options configure every node's runtime (e.g.
-// overlog.WithParallelFixpoint for the -workers flag).
-func Start(jtAddr string, ttAddrs []string, policy boommr.Policy, cfg boommr.MRConfig, opts ...overlog.Option) (*Cluster, error) {
+func Start(jtAddr string, ttAddrs []string, policy boommr.Policy, cfg boommr.MRConfig) (*Cluster, error) {
 	cl := &Cluster{JT: jtAddr, reg: boommr.NewRegistry(), cfg: cfg}
 
 	// Programs install before the node's loop starts: a live runtime is
 	// only touched through the node's mutex.
-	jtRT := overlog.NewRuntime(jtAddr, opts...)
+	jtRT := overlog.NewRuntime(jtAddr)
 	if err := installJobTracker(jtRT, policy, cfg); err != nil {
 		return nil, err
 	}
@@ -70,7 +68,7 @@ func Start(jtAddr string, ttAddrs []string, policy boommr.Policy, cfg boommr.MRC
 	boommr.InstrumentJobTrackerGauges(jtSrv.reg, "", jtSrv.node.Runtime)
 
 	for _, addr := range ttAddrs {
-		rt := overlog.NewRuntime(addr, opts...)
+		rt := overlog.NewRuntime(addr)
 		tt, svc, err := boommr.NewTaskTrackerOnRuntime(rt, jtAddr, cfg, cl.reg)
 		if err != nil {
 			cl.Close()

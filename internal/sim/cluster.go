@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/overlog"
 	"repro/internal/telemetry"
@@ -193,16 +192,6 @@ type Cluster struct {
 	MaxSteps int64
 	steps    int64
 
-	// parallel ≥ 2 steps co-timed nodes concurrently (see
-	// WithParallelStep). 0 or 1 means serial.
-	parallel int
-
-	// nodeOpts are runtime options applied to every node the cluster
-	// creates — including crash-restarted incarnations, which would
-	// otherwise silently lose per-node configuration like
-	// overlog.WithParallelFixpoint.
-	nodeOpts []overlog.Option
-
 	// Optional telemetry: a registry shared by every node (metrics are
 	// labelled per node) and a cluster-wide event journal recording
 	// inter-node sends with trace IDs — the simulated counterpart of
@@ -329,36 +318,6 @@ func WithServiceTime(fn func(node, table string) int64) Option {
 	return func(c *Cluster) { c.serviceTime = fn }
 }
 
-// WithParallelStep steps nodes whose next events share a virtual
-// instant concurrently on a bounded pool of `workers` goroutines.
-// Replay stays bit-identical with parallelism on or off:
-//
-//   - Phase 1 (concurrent) runs each runnable node's fixpoint
-//     (Runtime.Step), which touches only node-local state — each
-//     runtime owns its tables, its watch buffer, and its own seeded
-//     RNG, so co-timed fixpoints never observe one another.
-//   - Phase 2 (serial, fixed creation order) merges the effects:
-//     outbound envelopes go through the network model and service
-//     handlers inject follow-ups. Everything that draws from the
-//     cluster RNG or allocates delivery sequence numbers happens here,
-//     in exactly the order the serial scheduler would have used, and
-//     every in-step injection carries delay ≥ 1 so it cannot affect
-//     the instant being merged.
-//
-// workers ≤ 1 keeps the serial scheduler.
-func WithParallelStep(workers int) Option {
-	return func(c *Cluster) { c.parallel = workers }
-}
-
-// WithNodeOptions applies the given runtime options to every node the
-// cluster creates, now and after crash-restarts. Node-level
-// WithParallelFixpoint composes with cluster-level WithParallelStep:
-// the latter parallelizes across co-timed nodes, the former within one
-// node's stratum.
-func WithNodeOptions(opts ...overlog.Option) Option {
-	return func(c *Cluster) { c.nodeOpts = append(c.nodeOpts, opts...) }
-}
-
 // WithTelemetry installs a metrics registry (every node added later is
 // instrumented, labelled by address) and an optional shared journal
 // that records inter-node message flow with trace IDs.
@@ -370,11 +329,11 @@ func WithTelemetry(reg *telemetry.Registry, j *telemetry.Journal) Option {
 }
 
 // WithTracer installs a cluster-wide span tracer. The sim stamps all
-// spans itself in the serial phase-2 merge — rule-fire spans when a
+// spans itself in the phase-2 merge — rule-fire spans when a
 // node consumed traced tuples, network spans when a traced envelope
 // or service injection crosses a link — with virtual-clock
 // timestamps and per-node span counters, so span assembly is
-// bit-identical across runs (including under WithParallelStep).
+// bit-identical across runs.
 func WithTracer(tr *telemetry.Tracer) Option {
 	return func(c *Cluster) { c.tracer = tr }
 }
@@ -423,7 +382,7 @@ func (c *Cluster) AddNode(addr string, opts ...overlog.Option) (*overlog.Runtime
 	if _, dup := c.nodes[addr]; dup {
 		return nil, fmt.Errorf("sim: duplicate node %q", addr)
 	}
-	rt := overlog.NewRuntime(addr, append(append([]overlog.Option(nil), c.nodeOpts...), opts...)...)
+	rt := overlog.NewRuntime(addr, opts...)
 	if c.reg != nil {
 		telemetry.AttachRuntime(c.reg, addr, rt)
 	}
@@ -535,7 +494,7 @@ func (c *Cluster) Restart(addr string) error {
 		return fmt.Errorf("sim: Restart: node %q has no NodeSpec (use SetSpec, or Revive)", addr)
 	}
 	prev := n.rt
-	rt := overlog.NewRuntime(addr, c.nodeOpts...)
+	rt := overlog.NewRuntime(addr)
 	if c.reg != nil {
 		telemetry.AttachRuntime(c.reg, addr, rt)
 	}
@@ -553,9 +512,6 @@ func (c *Cluster) Restart(addr string) error {
 	// the explicit refresh after un-killing picks the final state up.
 	rt.SetWakeHook(func() { c.refreshWake(n) })
 	svcs, err := n.spec(prev, rt)
-	// The crashed runtime is dead once the spec has copied what it
-	// wants: release its fixpoint worker pool, if one ever started.
-	prev.Close()
 	if err != nil {
 		return fmt.Errorf("sim: restart %s: %w", addr, err)
 	}
@@ -696,8 +652,8 @@ func (c *Cluster) send(from string, env overlog.Envelope) {
 // stampNetSpan records the wire hop of a traced cross-node emission:
 // EndMS covers network delay only, so the gap to the destination's
 // next rule-fire span is the service-queueing component. Runs only in
-// the serial phase-2 merge, which is what keeps per-node span
-// counters and ring order deterministic.
+// the phase-2 merge, in creation order, which is what keeps per-node
+// span counters and ring order deterministic.
 func (c *Cluster) stampNetSpan(from, to string, tp overlog.Tuple, delay int64) {
 	if c.tracer == nil || from == to {
 		return
@@ -799,52 +755,25 @@ func (c *Cluster) Step() (bool, error) {
 	}
 	// Kills only happen in the timer phase above, so nothing in the
 	// active set is dead. Restore creation order: deliveries arrive in
-	// sequence order and wakes in time order, but the step order the
-	// serial scheduler always used — and that phase 2 must replay for
-	// bit-identical parallel runs — is node creation order.
+	// sequence order and wakes in time order, but the step order that
+	// replay relies on is node creation order.
 	c.sorter.ns = c.active
 	sort.Sort(&c.sorter)
 	c.sorter.ns = nil
 
-	// Step every active node. Phase 1 runs each runnable node's
-	// fixpoint (node-local state only), phase 2 merges the effects —
-	// sends and service injections — serially in creation order. The
-	// split is what makes WithParallelStep deterministic: phase 1 may
-	// run concurrently because nothing in it touches the cluster RNG,
-	// sequence counter, or journal; phase 2 touches them in the same
-	// order regardless of how phase 1 was scheduled.
+	// Step every active node. Phase 1 runs each node's fixpoint
+	// (node-local state only); phase 2 then merges the effects — sends
+	// and service injections — in creation order. Every node of an
+	// instant runs before any is flushed: recorded schedules replay
+	// against that order.
 	c.runnable = c.runnable[:0]
 	for _, n := range c.active {
 		c.runnable = append(c.runnable, stepResult{n: n, in: n.inbox})
 	}
 	runnable := c.runnable
-	if c.parallel >= 2 && len(runnable) >= 2 {
-		workers := c.parallel
-		if workers > len(runnable) {
-			workers = len(runnable)
-		}
-		work := make(chan *stepResult)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			//boomvet:allow(gospawn) sanctioned phase-1 worker pool: node fixpoints touch node-local state only; sends and injections merge serially in creation order in phase 2
-			go func() {
-				defer wg.Done()
-				for r := range work {
-					r.out, r.err = c.runNode(r.n, r.in)
-				}
-			}()
-		}
-		for i := range runnable {
-			work <- &runnable[i]
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		for i := range runnable {
-			r := &runnable[i]
-			r.out, r.err = c.runNode(r.n, r.in)
-		}
+	for i := range runnable {
+		r := &runnable[i]
+		r.out, r.err = c.runNode(r.n, r.in)
 	}
 	for i := range runnable {
 		r := &runnable[i]
@@ -872,10 +801,9 @@ type stepResult struct {
 	err error
 }
 
-// runNode is phase 1: the node's local fixpoint. Safe to run
-// concurrently with other nodes' runNode calls — it only touches the
-// node's own runtime (tables, per-runtime RNG, watch buffer) plus the
-// telemetry registry, whose metric updates are locked and commutative.
+// runNode is phase 1: the node's local fixpoint. It touches only the
+// node's own runtime (tables, per-runtime RNG, watch buffer) and the
+// telemetry registry.
 func (c *Cluster) runNode(n *node, in []overlog.Tuple) ([]overlog.Envelope, error) {
 	n.buffer = n.buffer[:0]
 	out, err := n.rt.Step(c.now, in)
@@ -885,10 +813,9 @@ func (c *Cluster) runNode(n *node, in []overlog.Tuple) ([]overlog.Envelope, erro
 	return out, nil
 }
 
-// flushNode is phase 2: merge one node's effects into cluster state.
-// Must run serially in creation order — it draws from the cluster RNG
-// (latency, loss), allocates delivery sequence numbers, and appends to
-// the journal.
+// flushNode is phase 2: merge one node's effects into cluster state,
+// in creation order — it draws from the cluster RNG (latency, loss),
+// allocates delivery sequence numbers, and appends to the journal.
 func (c *Cluster) flushNode(n *node, out []overlog.Envelope) {
 	for _, env := range out {
 		c.send(n.addr, env)

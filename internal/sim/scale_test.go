@@ -2,11 +2,53 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/overlog"
 	"repro/internal/telemetry"
 )
+
+// gossipProgram is a chatty multi-node workload: every node pings a
+// ring neighbour on a periodic, remote rules fan replies back, and an
+// aggregate view summarizes what each node has heard. It keeps many
+// nodes co-timed (all periodics share phase), the case where a
+// scheduling bug would show up as divergent state.
+const gossipProgram = `
+	program gossip;
+	periodic beat interval 10;
+	event ping(Addr: addr, From: addr, N: int);
+	event pong(Addr: addr, From: addr, N: int);
+	table heard(From: addr, N: int) keys(0,1);
+	table stats(C: int, Mx: int) keys(0,1);
+	r1 ping(@Next, Me, Ord) :- beat(Ord, _), next_hop(Next), Me := localaddr();
+	r2 pong(@From, Me, N) :- ping(@Me, From, N);
+	r3 heard(From, N) :- pong(@Me, From, N), Me == localaddr();
+	r4 stats(count<N>, max<N>) :- heard(_, N);
+	table next_hop(Next: addr) keys(0);
+`
+
+// clusterFingerprint reduces every observable the simulator promises
+// to keep deterministic into one string: per-node table contents, the
+// delivery/drop counters, the virtual clock, and the full telemetry
+// journal (which records sends, drops, and faults in order).
+func clusterFingerprint(c *Cluster, j *telemetry.Journal) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d dropped=%d delivered=%d\n", c.Now(), c.Dropped, c.DeliveredTotal())
+	for _, dt := range c.DeliveredByTable() {
+		fmt.Fprintf(&b, "delivered[%s]=%d\n", dt.Table, dt.Count)
+	}
+	for _, addr := range c.Nodes() {
+		rt := c.Node(addr)
+		for _, tbl := range rt.TableNames() {
+			fmt.Fprintf(&b, "-- %s.%s --\n%s", addr, tbl, rt.Table(tbl).Dump())
+		}
+	}
+	for _, ev := range j.Events() {
+		fmt.Fprintf(&b, "journal %d %s %s %s %s %s\n", ev.WallMS, ev.Node, ev.Kind, ev.Table, ev.TraceID, ev.Detail)
+	}
+	return b.String()
+}
 
 // idleProg is a node that never wakes on its own: no periodics, no
 // facts, one rule waiting for a poke that never comes. The event-
@@ -21,16 +63,15 @@ const idleProg = `
 // buildSparse assembles a cluster of `total` nodes where only the
 // first `active` gossip in a ring; the rest are idle. Faults at fixed
 // times exercise kill/revive interaction with the wake index.
-func buildSparse(t *testing.T, total, active int, opts ...Option) (*Cluster, *telemetry.Journal) {
+func buildSparse(t *testing.T, total, active int) (*Cluster, *telemetry.Journal) {
 	t.Helper()
 	j := telemetry.NewJournal(1 << 16)
-	base := []Option{
+	c := NewCluster(
 		WithClusterSeed(42),
 		WithLatency(UniformLatency(1, 9)),
 		WithDropRate(0.05),
 		WithTelemetry(telemetry.NewRegistry(), j),
-	}
-	c := NewCluster(append(base, opts...)...)
+	)
 	addrs := make([]string, active)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("act%d", i)
@@ -56,9 +97,9 @@ func buildSparse(t *testing.T, total, active int, opts ...Option) (*Cluster, *te
 	return c, j
 }
 
-func runSparse(t *testing.T, total, active int, horizon int64, opts ...Option) string {
+func runSparse(t *testing.T, total, active int, horizon int64) string {
 	t.Helper()
-	c, j := buildSparse(t, total, active, opts...)
+	c, j := buildSparse(t, total, active)
 	if err := c.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +108,8 @@ func runSparse(t *testing.T, total, active int, horizon int64, opts ...Option) s
 
 // TestSparseFingerprintAtScale is the determinism-at-scale check from
 // the scale-harness issue: a 5k-node cluster where only 32 nodes carry
-// traffic, run serially and with parallel stepping, must produce
-// bit-identical journals and table fingerprints.
+// traffic must produce bit-identical journals and table fingerprints
+// on every run.
 func TestSparseFingerprintAtScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("5k-node fingerprint runs are too slow under the race detector (smoke variant covers race)")
@@ -76,21 +117,21 @@ func TestSparseFingerprintAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	serial := runSparse(t, 5000, 32, 400)
-	parallel := runSparse(t, 5000, 32, 400, WithParallelStep(4))
-	if serial != parallel {
-		t.Fatal("parallel(4) fingerprint diverged from serial on the 5k-node sparse cluster")
+	if first, again := runSparse(t, 5000, 32, 400), runSparse(t, 5000, 32, 400); first != again {
+		t.Fatal("fingerprint diverged between two runs of the 5k-node sparse cluster")
 	}
 }
 
 // TestSparseFingerprintSmoke is the race-gated variant: small enough
 // to run under the race detector in make check, same shape (idle
-// majority, faults mid-run, serial-vs-parallel comparison).
+// majority, faults mid-run).
 func TestSparseFingerprintSmoke(t *testing.T) {
-	serial := runSparse(t, 300, 16, 300)
-	parallel := runSparse(t, 300, 16, 300, WithParallelStep(4))
-	if serial != parallel {
-		t.Fatal("parallel(4) fingerprint diverged from serial on the sparse smoke cluster")
+	first := runSparse(t, 300, 16, 300)
+	if again := runSparse(t, 300, 16, 300); first != again {
+		t.Fatal("fingerprint diverged between two runs of the sparse smoke cluster")
+	}
+	if !strings.Contains(first, "journal") {
+		t.Fatal("fingerprint recorded no journal events; test is vacuous")
 	}
 }
 

