@@ -19,7 +19,9 @@ test: check
 # span-tracing and SLO-monitor tests, so concurrent span recording is
 # always raced. internal/overlog has no goroutines and no race line:
 # its Differential tests (semi-naive against naive evaluation) run in
-# the plain `go test ./...`.
+# the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
+# families of regression guards — bytes per step, and rules entered or
+# rows compared per step — so a CI log shows them run.
 # boomlint runs the Overlog whole-program analyzer over every embedded
 # rule set (and the standalone .olg examples), failing on any
 # error-severity finding. boomvet does the same for the Go runtime
@@ -35,7 +37,7 @@ check:
 	$(GO) run ./cmd/boomlint -severity=error examples/quickstart/quickstart.olg
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
-	$(GO) test -run AllocGuard ./internal/overlog ./internal/sim
+	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
 	bash bench/run.sh -smoke

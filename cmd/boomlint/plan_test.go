@@ -171,3 +171,117 @@ func TestEveryScanHasDeltaVariant(t *testing.T) {
 		t.Errorf("planExceptions names %s, which no unit installs", id)
 	}
 }
+
+// dispatchExceptions lists, by unit/group/rule and body position, the
+// atoms that carry a string or bool constant which a new tuple at that
+// position is nevertheless not dispatched on, with the reason. Such a
+// rule is entered for every new tuple of the table, and its first
+// comparison turns the wrong ones away.
+var dispatchExceptions = map[string]string{
+	// A trigger list has one dispatch column, the one most of its entries
+	// have a constant on. In stratum 0 of the LATE policy's jobtracker
+	// that is task.State ("pending"/"running" in a4, d4, rj1, tf1, ...);
+	// these two rules name a task's Type instead. task rows change a few
+	// times per task, not per heartbeat, so two extra entries cost little.
+	"boommr-late/jobtracker/arr1@1": "task.Type = \"map\": task tuples are dispatched on task.State",
+	"boommr-late/jobtracker/arr2@1": "as arr1",
+}
+
+// TestEveryLeadingConstantIsDispatched is the dispatch pin: in every
+// program this repository ships, a rule that names a string or bool
+// constant in a body atom is reached by a new tuple of that atom's
+// table only when the tuple carries the constant — `Explain` prints
+// `dispatch: <table>.<col> = <const>` for that scan position. boomfs'
+// master offered every request to all 21 of its
+// request(@M, Id, Src, "<op>", ...) rules before a trigger list was
+// keyed by constant, 30 % of its rule time for rules that fired nothing.
+// (Aggregates are evaluated whole and have no scan positions to pin;
+// one whose body opens on an event table is held to the same line.)
+func TestEveryLeadingConstantIsDispatched(t *testing.T) {
+	unused := map[string]bool{}
+	for k := range dispatchExceptions {
+		unused[k] = true
+	}
+	dispatched := 0
+	for _, u := range embeddedUnits() {
+		groups := make([]string, 0, len(u.Groups))
+		for g := range u.Groups {
+			groups = append(groups, g)
+		}
+		sort.Strings(groups)
+		for _, g := range groups {
+			rt := overlog.NewRuntime("n:0")
+			for _, src := range u.Groups[g] {
+				if err := rt.InstallSource(src); err != nil {
+					t.Fatalf("%s/%s: %v", u.Name, g, err)
+				}
+			}
+			names := rt.Rules()
+			var rules []*overlog.Rule
+			for _, prog := range rt.Programs() {
+				rules = append(rules, prog.Rules...)
+			}
+			if len(rules) != len(names) {
+				t.Fatalf("%s/%s: %d rules parsed, %d installed", u.Name, g, len(rules), len(names))
+			}
+			for i, rule := range rules {
+				plan, err := rt.Explain(names[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole := strings.Contains(plan, "(evaluated whole)")
+				for pos, be := range rule.Body {
+					if be.Kind != overlog.BodyAtom || !hasHashableConst(be.Atom) {
+						continue
+					}
+					id := fmt.Sprintf("%s/%s/%s@%d", u.Name, g, names[i], pos)
+					line := fmt.Sprintf("\n    new %s at %d: dispatch: ", be.Atom.Table, pos)
+					if whole {
+						if pos != 0 || !rt.Table(be.Atom.Table).Decl().Event {
+							continue
+						}
+						line = "\n    dispatch: "
+					}
+					at := strings.Index(plan, line)
+					if at < 0 {
+						t.Errorf("%s: %s has a constant and the plan has no dispatch line for it:\n%s", id, be.Atom, plan)
+						continue
+					}
+					got, _, _ := strings.Cut(plan[at+len(line):], "\n")
+					_, excepted := dispatchExceptions[id]
+					switch none := strings.HasPrefix(got, "none"); {
+					case none && !excepted:
+						t.Errorf("%s: %s is not dispatched: %s", id, be.Atom, got)
+					case !none && excepted:
+						t.Errorf("%s: listed as an exception but dispatched on %s; drop it from dispatchExceptions", id, got)
+					case !none:
+						dispatched++
+					}
+					delete(unused, id)
+				}
+			}
+		}
+	}
+	for id := range unused {
+		t.Errorf("dispatchExceptions names %s, which no unit installs", id)
+	}
+	t.Logf("%d scan positions dispatched", dispatched)
+	if dispatched < 200 {
+		t.Errorf("%d scan positions dispatched across all units, want the 200+ there were when this was pinned", dispatched)
+	}
+}
+
+// hasHashableConst reports whether a body atom names a string or bool
+// constant: the kinds a tuple is dispatched on whatever the column's
+// declared type.
+func hasHashableConst(a *overlog.Atom) bool {
+	for _, term := range a.Terms {
+		if c, ok := term.Expr.(*overlog.ConstExpr); ok {
+			switch c.Val.Kind() {
+			case overlog.KindString, overlog.KindAddr, overlog.KindBool:
+				return true
+			}
+		}
+	}
+	return false
+}

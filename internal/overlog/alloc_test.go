@@ -2,6 +2,7 @@ package overlog
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -277,6 +278,13 @@ const tinyStepProgram = `
 // their first chunk must be a few entries, not a bulk-sized one: at
 // full-size first chunks this step allocated ~160 KB (41 KB per event
 // table touched), which was half of fs_sim's CPU in GC and malloc.
+// What is left is storage's alone — per event table touched, a first
+// arena chunk (8 values, 384 B) and a first chain chunk (4 rows, 160 B),
+// for the one table with an index a 96 B backlog, and the caller's own
+// input tuple: 2512 B, which is the budget give or take a word. The
+// stepping loop allocates nothing (2568 B when every stratum grew a
+// rule list and every rule entered made a closure); getting under
+// ROADMAP's 1 KB bar is the compact-tuple item's job, not the loop's.
 func TestTinyStepAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation sizes")
@@ -293,9 +301,9 @@ func TestTinyStepAllocGuard(t *testing.T) {
 		}
 	}
 	perStep := stepBytes(run)
-	const budget = 4 << 10
+	const budget = 2540
 	if perStep > budget {
-		t.Fatalf("a one-tuple step through four event tables allocates %d B, budget %d — an arena or backlog is back to a bulk-sized first chunk", perStep, budget)
+		t.Fatalf("a one-tuple step through four event tables allocates %d B, budget %d — an arena or backlog is back to a bulk-sized first chunk, or the stepping loop allocates again", perStep, budget)
 	}
 	t.Logf("%d B per step", perStep)
 }
@@ -357,12 +365,47 @@ func TestDisplaceStepAllocGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if len(rt.retracted) != 0 {
-		t.Fatalf("retractions recorded for %d tables no per-group aggregate reads", len(rt.retracted))
+	for _, ts := range rt.ts {
+		if cap(ts.retracted) != 0 {
+			t.Fatalf("retractions recorded for %s, which no per-group aggregate reads", ts.tbl.Name())
+		}
 	}
 	const budget = 1132
 	if perStep > budget {
 		t.Fatalf("a step that displaces one keyed row allocates %d B, budget %d", perStep, budget)
 	}
 	t.Logf("%d B per step", perStep)
+}
+
+// TestIdleStratumAllocGuard: a step that triggers one of five strata
+// allocates nothing for the other four — what it allocates is what the
+// same step allocates when the triggered rule is the whole program.
+// (Every stratum used to make a rule list, a consumed map and a window
+// map per step whether or not anything it reads had changed.)
+func TestIdleStratumAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	perStep := func(src string) uint64 {
+		rt := NewRuntime("guard")
+		mustInstall(t, rt, src)
+		step := int64(0)
+		if strings.Contains(src, "e0") {
+			step++
+			if _, err := rt.Step(step, []Tuple{NewTuple("e0", Int(1))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return stepBytes(func() {
+			step++
+			if _, err := rt.Step(step, []Tuple{NewTuple("z", Int(step))}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	alone, beside := perStep(oneStratumProgram), perStep(fiveStrataProgram)
+	if beside > alone {
+		t.Fatalf("a step that triggers one rule allocates %d B beside four idle strata, %d B alone", beside, alone)
+	}
+	t.Logf("%d B per step", beside)
 }

@@ -187,6 +187,7 @@ const (
 type bodyOp struct {
 	kind  opKind
 	table string // opScan, opNotin
+	tbl   *Table // the table's storage, resolved when the atom compiles
 
 	// Atom columns are partitioned into:
 	//   bound  — value computable from earlier bindings; probed via index
@@ -268,6 +269,7 @@ type aggSpec struct {
 // headOp is the compiled rule head.
 type headOp struct {
 	table  string
+	tbl    *Table  // nil for Query's synthetic head
 	exprs  []cexpr // nil at aggregate positions
 	aggs   []aggSpec
 	locCol int // column carrying '@', or -1
@@ -307,11 +309,20 @@ type compiledRule struct {
 	// position carries the frontier (nil = evaluate in original order).
 	deltaForPos []*compiledRule
 
+	// inputs has a bit per table the body reads (scan or notin): a rule
+	// evaluated whole runs again when one of them changed. guard, on an
+	// aggregate whose body opens with constants on an event table, names
+	// them: no tuple of the step carrying them means no binding.
+	inputs bitset
+	guard  *ruleGuard
+
 	// Reusable evaluation buffers (see bodyOp's plan fields for the
 	// safety argument). headBuf backs head materialization: duplicate
-	// derivations are rejected against storage without allocating.
+	// derivations are rejected against storage without allocating. emit
+	// is emitHead bound to this form, built once at install.
 	envBuf  []Value
 	headBuf []Value
+	emit    func([]Value) error
 
 	// stats accumulates firing/retraction/wall-time counters; delta
 	// variants share their parent's block so counts aggregate no matter
@@ -352,7 +363,7 @@ func (op *bodyOp) prepareProbe() {
 
 // finalizeDelta builds the delta dispatch table once the variants
 // exist. Entries stay nil when no (safe) reordered variant is
-// available, which evalRuleDelta reads as "original order".
+// available, which the trigger index reads as "original order".
 func (cr *compiledRule) finalizeDelta() {
 	cr.deltaForPos = make([]*compiledRule, len(cr.body))
 	if len(cr.deltaVariants) != len(cr.scanPositions) {
@@ -361,6 +372,22 @@ func (cr *compiledRule) finalizeDelta() {
 	for i, p := range cr.scanPositions {
 		cr.deltaForPos[p] = cr.deltaVariants[i]
 	}
+}
+
+// forms lists every compiled form of the rule: itself, its reordered
+// delta variants and, for an aggregate maintained per group, its seeded
+// form.
+func (cr *compiledRule) forms() []*compiledRule {
+	out := []*compiledRule{cr}
+	for _, v := range cr.deltaVariants {
+		if v != nil && v != cr {
+			out = append(out, v)
+		}
+	}
+	if cr.group != nil {
+		out = append(out, cr.group.seeded)
+	}
+	return out
 }
 
 // exprCalls reports whether every builtin a compiled expression can
@@ -615,7 +642,7 @@ func (rc *ruleCompiler) compileAtom(a *Atom, negated bool) (*bodyOp, error) {
 	if len(a.Terms) != decl.Arity() {
 		return nil, rc.errf(a.Line, "table %s has arity %d, atom supplies %d terms", a.Table, decl.Arity(), len(a.Terms))
 	}
-	op := &bodyOp{kind: opScan, table: a.Table, line: a.Line}
+	op := &bodyOp{kind: opScan, table: a.Table, tbl: rc.cat.tables[a.Table], line: a.Line}
 	if negated {
 		op.kind = opNotin
 	}
@@ -749,7 +776,8 @@ func (rc *ruleCompiler) compileRule(seq int) (*compiledRule, error) {
 	if len(r.Head.Terms) != hd.Arity() {
 		return nil, rc.errf(r.Head.Line, "head %s has arity %d, rule supplies %d terms", r.Head.Table, hd.Arity(), len(r.Head.Terms))
 	}
-	cr.head = headOp{table: r.Head.Table, locCol: r.Head.LocIndex(), exprs: make([]cexpr, hd.Arity())}
+	cr.head = headOp{table: r.Head.Table, tbl: rc.cat.tables[r.Head.Table], locCol: r.Head.LocIndex(),
+		exprs: make([]cexpr, hd.Arity())}
 	for col, term := range r.Head.Terms {
 		if term.Agg != AggNone {
 			spec := aggSpec{col: col, kind: term.Agg, slot: -1}
@@ -865,7 +893,7 @@ type groupPlan struct {
 // a change to the table can reach any group. A row that differs from
 // the atom on a constant column matches it in no group.
 type groupAtom struct {
-	table     string
+	tbl       *Table
 	cols      []int
 	constCols []int
 	constVals []Value
@@ -873,8 +901,8 @@ type groupAtom struct {
 
 // groupAtomOf reads a seeded form's atom (or head) back as a groupAtom:
 // exprs[i] is what the rule puts in column cols[i].
-func groupAtomOf(table string, nvars int, cols []int, exprs []cexpr) groupAtom {
-	at := groupAtom{table: table, cols: make([]int, nvars)}
+func groupAtomOf(tbl *Table, nvars int, cols []int, exprs []cexpr) groupAtom {
+	at := groupAtom{tbl: tbl, cols: make([]int, nvars)}
 	found := 0
 	for i := range at.cols {
 		at.cols[i] = -1
@@ -923,11 +951,11 @@ func planGroups(cat *catalog, cr *compiledRule, seq int) (*groupPlan, string) {
 		return nil, "deferred head"
 	}
 	for _, op := range cr.body {
-		if (op.kind == opScan || op.kind == opNotin) && cat.decls[op.table].Event {
+		if (op.kind == opScan || op.kind == opNotin) && op.tbl.decl.Event {
 			return nil, "event input " + op.table
 		}
 	}
-	if cat.decls[cr.head.table].Event {
+	if cr.head.tbl.decl.Event {
 		return nil, "event head"
 	}
 	envCall := ""
@@ -968,7 +996,7 @@ func planGroups(cat *catalog, cr *compiledRule, seq int) (*groupPlan, string) {
 	for _, op := range seeded.body {
 		if op.kind == opScan || op.kind == opNotin {
 			plan.atoms = append(plan.atoms,
-				groupAtomOf(op.table, len(vars), op.boundCols[:op.plainBound], op.boundExprs[:op.plainBound]))
+				groupAtomOf(op.tbl, len(vars), op.boundCols[:op.plainBound], op.boundExprs[:op.plainBound]))
 		}
 	}
 	if len(plan.carrying()) == 0 {
@@ -978,7 +1006,7 @@ func planGroups(cat *catalog, cr *compiledRule, seq int) (*groupPlan, string) {
 	for i := range headCols {
 		headCols[i] = i
 	}
-	plan.head = groupAtomOf(cr.head.table, len(vars), headCols, seeded.head.exprs)
+	plan.head = groupAtomOf(cr.head.tbl, len(vars), headCols, seeded.head.exprs)
 	return plan, ""
 }
 
@@ -990,12 +1018,12 @@ func (p *groupPlan) carrying() []string {
 		ok := true
 		for j, other := range p.atoms {
 			// An earlier atom of the same table has decided it already.
-			if other.table == at.table && (other.cols == nil || j < i) {
+			if other.tbl == at.tbl && (other.cols == nil || j < i) {
 				ok = false
 			}
 		}
 		if ok {
-			out = append(out, at.table)
+			out = append(out, at.tbl.Name())
 		}
 	}
 	return out
@@ -1020,7 +1048,7 @@ func (p *groupPlan) carrying() []string {
 // putting the value in the atom. Event tables are left alone too: they
 // hold a step's few tuples, and keying those every step costs more than
 // scanning them.
-func planComputedKeys(cr *compiledRule, tables map[string]*Table) {
+func planComputedKeys(cr *compiledRule) {
 	// Body position binding each slot; -1 for the slots a seeded form
 	// (groupPlan) holds bound before the body starts.
 	boundAt := make([]int, cr.nslots)
@@ -1038,7 +1066,7 @@ func planComputedKeys(cr *compiledRule, tables map[string]*Table) {
 		}
 	}
 	for i, op := range cr.body {
-		t := tables[op.table]
+		t := op.tbl
 		if op.kind != opScan || t.decl.Event {
 			continue
 		}
@@ -1115,25 +1143,26 @@ func encodingEq(ce cexpr) bool {
 
 // catalog holds all installed declarations and compiled rules.
 type catalog struct {
-	decls     map[string]*TableDecl
+	decls map[string]*TableDecl
+	// tables is the runtime's storage by name (the map is shared), so an
+	// atom resolves its table once, when it compiles.
+	tables    map[string]*Table
 	rules     []*compiledRule
 	periodics []*PeriodicDecl
 	watches   map[string]string // table -> modes ("" = both)
 	programs  []string
-	// strata[i] holds the rules of stratum i, aggregates listed first.
-	strata     [][]*compiledRule
-	maxStratum int
-	// groupTables names the tables whose retracted rows the runtime
-	// records: the body tables and the head of every aggregate rule
-	// with a groupPlan.
-	groupTables map[string]bool
+	// strata[i] is the evaluation plan of stratum i (see trigger.go).
+	strata []*stratum
+	// fire lists, when some rule reads sys::fire, the rows the runtime
+	// refreshes it with each step: one per rule name, in rule order.
+	fire []fireRow
 }
 
-func newCatalog() *catalog {
+func newCatalog(tables map[string]*Table) *catalog {
 	return &catalog{
-		decls:       make(map[string]*TableDecl),
-		watches:     make(map[string]string),
-		groupTables: make(map[string]bool),
+		decls:   make(map[string]*TableDecl),
+		tables:  tables,
+		watches: make(map[string]string),
 	}
 }
 
@@ -1211,8 +1240,7 @@ func (c *catalog) stratify() error {
 			max = s
 		}
 	}
-	c.maxStratum = max
-	c.strata = make([][]*compiledRule, max+1)
+	strata := make([][]*compiledRule, max+1)
 	for _, cr := range c.rules {
 		if cr.isDeferred || cr.isDelete {
 			// Deferred and delete rules evaluate where their inputs are
@@ -1229,13 +1257,16 @@ func (c *catalog) stratify() error {
 		} else {
 			cr.stratum = stratum[cr.head.table]
 		}
-		c.strata[cr.stratum] = append(c.strata[cr.stratum], cr)
+		strata[cr.stratum] = append(strata[cr.stratum], cr)
 	}
-	// Aggregate rules first within each stratum (they run once at entry).
-	for _, rules := range c.strata {
+	c.strata = c.strata[:0]
+	for _, rules := range strata {
+		// Aggregate rules first within each stratum (they run once at entry).
 		sort.SliceStable(rules, func(i, j int) bool {
 			return rules[i].isAgg && !rules[j].isAgg
 		})
+		c.strata = append(c.strata, planStratum(rules, len(c.tables)))
 	}
+	c.planFireRows()
 	return nil
 }

@@ -140,7 +140,9 @@
 // Each node's timestep: drain external events (network arrivals, timer
 // firings, API inserts, and the previous step's `next` heads) → run all
 // rules to a stratified semi-naive fixpoint (delta-driven, with
-// per-delta-position reordered join plans) → apply deferred deletions →
+// per-delta-position reordered join plans; a new tuple reaches the
+// rules that scan its table and, where they name a constant, carry it —
+// Runtime.Explain prints each rule's triggers) → apply deferred deletions →
 // ship remote heads → clear event tables. Within a step, derivation is
 // monotone except for primary-key replacement, whose last-writer wins;
 // rules that must read-and-update the same state use `next`.

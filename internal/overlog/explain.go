@@ -7,10 +7,12 @@ import (
 )
 
 // Explain renders the compiled plan of one installed rule: its stratum,
-// flags, the join order with each atom's bound/bind/filter column
-// partition and access path, the delta-variant reorderings semi-naive
-// evaluation will use and, for an aggregate, whether it is maintained
-// per group or recomputed whole (and why). This is a debugging aid in
+// flags, what triggers it (the tables and scan positions whose new
+// tuples it joins, and the constant a tuple must carry to reach it),
+// the join order with each atom's bound/bind/filter column partition
+// and access path, the delta-variant reorderings semi-naive evaluation
+// will use and, for an aggregate, whether it is maintained per group or
+// recomputed whole (and why). This is a debugging aid in
 // the spirit of the paper's metaprogrammed introspection — the catalog
 // knows everything about the program, so exposing the physical plan is
 // a formatting exercise.
@@ -50,7 +52,9 @@ func (r *Runtime) Explain(ruleName string) (string, error) {
 		}
 		fmt.Fprintf(&b, " aggregates [%s]", strings.Join(aggs, ", "))
 	}
-	b.WriteString("\n  plan (textual join order):\n")
+	b.WriteString("\n")
+	r.explainTriggers(&b, cr)
+	b.WriteString("  plan (textual join order):\n")
 	r.explainOps(&b, cr, -1, "    ")
 	switch {
 	case cr.group != nil:
@@ -124,7 +128,7 @@ func (r *Runtime) accessPath(op *bodyOp, frontier bool) string {
 	case len(op.boundCols) == op.plainBound:
 		return fmt.Sprintf("index %v", op.boundCols)
 	}
-	t := r.tables[op.table]
+	t := op.tbl
 	keys := make([]string, len(op.boundCols))
 	for i, c := range op.boundCols {
 		if i < op.plainBound {

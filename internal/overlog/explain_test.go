@@ -116,3 +116,21 @@ func TestExplainAllStrata(t *testing.T) {
 		t.Fatalf("ExplainAll:\n%s", out)
 	}
 }
+
+// TestExplainTriggers: Explain says what makes a rule run — per scan
+// position the table whose new tuples it joins and the constant they
+// are dispatched on, or, for a rule evaluated whole, the tables a
+// change to which re-evaluates it.
+func TestExplainTriggers(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, diffProgramNamed("dispatch-constants").src)
+	for rule, want := range map[string]string{
+		"d2": "  triggers:\n    new req at 0: dispatch: req.Op = \"get\"\n    new kv at 1\n  plan",
+		"d5": "  triggers:\n    new req at 0\n  plan",
+		"d9": "  triggers: a change to req (evaluated whole)\n    dispatch: req.Op = \"put\"\n  plan",
+	} {
+		if out := mustExplain(t, rt, rule); !strings.Contains(out, want) {
+			t.Errorf("Explain(%s) missing %q:\n%s", rule, want, out)
+		}
+	}
+}

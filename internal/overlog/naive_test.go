@@ -167,6 +167,72 @@ func TestAggregateDifferential(t *testing.T) {
 	}
 }
 
+// TestVisitDifferential is the oracle for what a step visits: the two
+// programs of the differential pool written for it, over seeded 16-step
+// streams through differentialRun's two evaluators. Naive evaluation
+// runs every rule of a stratum on every step; semi-naive enters the
+// rules a trigger list reaches. The inspections pin that the streams
+// went where the shortcuts are: rules were reached through their
+// constant and turned away without being entered, and rows left index
+// buckets long enough to be found by slot, which later shrank again.
+func TestVisitDifferential(t *testing.T) {
+	var entered, fired map[string]int64
+	tracked, shrankBack := 0, 0
+	inspect := map[string]func(semi *Runtime){
+		"dispatch-constants": func(semi *Runtime) {
+			for _, cr := range semi.cat.rules {
+				entered[cr.name] += cr.stats.evals
+				fired[cr.name] += cr.stats.fires
+			}
+			for rule, want := range map[string]string{
+				"d1": `new req at 0: dispatch: req.Op = "put"`,
+				"d6": `new req at 1: dispatch: req.Op = "get"`,
+				"d7": `new req at 0: dispatch: none (constant on req.K; req tuples are dispatched on req.Op)`,
+				"d9": `dispatch: req.Op = "put"`,
+			} {
+				if plan := mustExplain(t, semi, rule); !strings.Contains(plan, want+"\n") {
+					t.Fatalf("%s: want %q in\n%s", rule, want, plan)
+				}
+			}
+		},
+		"low-cardinality-delete": func(semi *Runtime) {
+			item := semi.Table("item")
+			ix := item.ensureIndex([]int{1})
+			if ix.pos == nil {
+				return
+			}
+			tracked++
+			if len(item.Match([]int{1}, []Value{Int(0)})) <= posMapMin && len(item.Match([]int{1}, []Value{Int(1)})) <= posMapMin {
+				shrankBack++
+			}
+		},
+	}
+	for name, look := range inspect {
+		entered, fired = map[string]int64{}, map[string]int64{}
+		for seed := int64(1); seed <= 25; seed++ {
+			differentialRun(t, diffProgramNamed(name), seed, 16, look)
+		}
+		if name != "dispatch-constants" {
+			continue
+		}
+		for _, rule := range []string{"d1", "d2", "d3", "d4", "d5", "d6", "d7", "d9", "d10"} {
+			if fired[rule] == 0 {
+				t.Errorf("%s never fired", rule)
+			}
+		}
+		if entered["d8"] != 0 {
+			t.Errorf("d8, whose constant no tuple carries, was entered %d times", entered["d8"])
+		}
+		if entered["d5"] <= entered["d1"] || entered["d5"] <= entered["d3"] {
+			t.Errorf("d5 (no constant) entered %d times, d1 %d, d3 %d: want a step without a put or a get to skip those", entered["d5"], entered["d1"], entered["d3"])
+		}
+	}
+	if tracked == 0 || shrankBack == 0 {
+		t.Errorf("of 25 streams %d removed a row from a bucket past %d rows, and %d of those ended with both buckets back under it; want some of each",
+			tracked, posMapMin, shrankBack)
+	}
+}
+
 // stripComputedKeys takes every computed-key probe back out of an
 // installed runtime's plans, leaving the same join orders with the
 // full scans (or stored-column probes) they had before
@@ -289,6 +355,74 @@ func TestComputedKeyProbeVisitsFewRows(t *testing.T) {
 	}
 	if n := len(probe.candBuf); n > 2 {
 		t.Fatalf("one new pending tuple visited %d decided rows of 2000, want the 1 its key selects", n)
+	}
+}
+
+// fiveStrataProgram is a chain of aggregates, one stratum each, fed by
+// e0, beside a rule of stratum 0 (oneStratumProgram) that no other
+// stratum reads the output of.
+const oneStratumProgram = `
+	table zt(X: int) keys(0);
+	event z(X: int);
+	z0 zt(X % 8) :- z(X);
+`
+
+const fiveStrataProgram = oneStratumProgram + `
+	table t0(X: int) keys(0);
+	table c1(K: string, N: int) keys(0);
+	table c2(K: string, N: int) keys(0);
+	table c3(K: string, N: int) keys(0);
+	table c4(K: string, N: int) keys(0);
+	event e0(X: int);
+	s0 t0(X) :- e0(X);
+	s1 c1("k", count<X>) :- t0(X);
+	s2 c2("k", count<N>) :- c1(_, N);
+	s3 c3("k", count<N>) :- c2(_, N);
+	s4 c4("k", count<N>) :- c3(_, N);
+`
+
+// TestIdleStratumVisitsNoRule is the visit-count guard of the trigger
+// index: a step whose only input is a table that strata 1 to 4 do not
+// read enters no rule of theirs, and in stratum 0 enters the rule that
+// scans it and not its neighbour.
+func TestIdleStratumVisitsNoRule(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, fiveStrataProgram)
+	for i, want := range []int{0, 1, 2, 3, 4} {
+		if got := ruleNamed(rt, fmt.Sprintf("s%d", i)).stratum; got != want {
+			t.Fatalf("s%d is in stratum %d, want %d", i, got, want)
+		}
+	}
+	for step := int64(1); step <= 3; step++ {
+		if _, err := rt.Step(step, []Tuple{NewTuple("e0", Int(step)), NewTuple("z", Int(step))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rt.Table("c4").Dump(); got != `c4("k", 1)` {
+		t.Fatalf("the chain derived %q", got)
+	}
+	evals := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, p := range rt.RuleProfiles() {
+			out[p.Rule] = p.Evals
+		}
+		return out
+	}
+	before, strata := evals(), rt.strataRun
+	if _, err := rt.Step(4, []Tuple{NewTuple("z", Int(4))}); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.strataRun - strata; n != 1 {
+		t.Errorf("a step carrying one z tuple entered %d strata, want stratum 0 alone", n)
+	}
+	for rule, n := range evals() {
+		want := before[rule]
+		if rule == "z0" {
+			want++
+		}
+		if n != want {
+			t.Errorf("a step carrying one z tuple took %s from %d evaluations to %d, want %d", rule, before[rule], n, want)
+		}
 	}
 }
 

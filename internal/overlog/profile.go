@@ -13,6 +13,10 @@ package overlog
 // reordered delta variants share one block, so counts aggregate no
 // matter which variant ran.
 type ruleStats struct {
+	// evals counts evaluations entered (one per evalRuleFull or
+	// evalRuleDelta call, whether or not anything derived): with fires,
+	// it says what a rule cost for nothing.
+	evals     int64
 	fires     int64 // head derivations (pre-dedup)
 	retracted int64 // stored tuples this rule's deletions/maintenance removed
 	wallNS    int64 // wall time inside evalRuleFull/evalRuleDelta (profiling only)
@@ -27,6 +31,7 @@ type RuleProfile struct {
 	Rule      string `json:"rule"`
 	Program   string `json:"program"`
 	Stratum   int    `json:"stratum"`
+	Evals     int64  `json:"evals"`
 	Fires     int64  `json:"fires"`
 	Retracted int64  `json:"retracted,omitempty"`
 	WallNS    int64  `json:"wall_ns"`
@@ -64,9 +69,9 @@ func iterBucket(n int) int {
 }
 
 // SetProfiling toggles wall-time attribution and stratum-iteration
-// recording. Firing and retraction counts are always maintained (they
-// are integer increments); only the time.Now calls and histogram
-// bookkeeping are gated.
+// recording. Evaluation, firing and retraction counts are always
+// maintained (they are integer increments); only the time.Now calls
+// and histogram bookkeeping are gated.
 func (r *Runtime) SetProfiling(on bool) { r.profOn = on }
 
 // Profiling reports whether wall-time profiling is enabled.
@@ -81,6 +86,7 @@ func (r *Runtime) RuleProfiles() []RuleProfile {
 			Rule:      cr.name,
 			Program:   cr.program,
 			Stratum:   cr.stratum,
+			Evals:     cr.stats.evals,
 			Fires:     cr.stats.fires,
 			Retracted: cr.stats.retracted,
 			WallNS:    cr.stats.wallNS,

@@ -390,6 +390,37 @@ func genAggFact(r *rand.Rand, table string) []Value {
 	panic("genAggFact: no generator for " + table)
 }
 
+// genDispatchFact draws facts for dispatch-constants: requests keyed by
+// K (a batch carries one per key, so a step's puts do not replace each
+// other) whose Op is one of the constants the rules name, or one none
+// of them does.
+func genDispatchFact(r *rand.Rand, table string) []Value {
+	ops := []Value{Str("put"), Str("put"), Str("get"), Str("get"), Str("del"), Str("stat")}
+	return []Value{Int(int64(r.Intn(6))), Int(int64(r.Intn(40))), ops[r.Intn(len(ops))]}
+}
+
+// genChurnFact draws facts for low-cardinality-delete. Whole ranges of
+// ten items enter, move to the other G and leave at once, so the two
+// buckets of the index on G grow past posMapMin and shrink back under
+// it within a stream; single items (ids above the ranges', so that a
+// step never stores two rows under one key) churn beside them.
+func genChurnFact(r *rand.Rand, table string) []Value {
+	n := func(k int) Value { return Int(int64(r.Intn(k))) }
+	switch table {
+	case "put_range":
+		return []Value{n(8), n(2)}
+	case "del_range":
+		return []Value{n(8)}
+	case "put_item":
+		return []Value{Int(int64(100 + r.Intn(10))), n(2), n(3)}
+	case "del_item":
+		return []Value{Int(int64(100 + r.Intn(10)))}
+	case "probe":
+		return []Value{n(3)}
+	}
+	panic("genChurnFact: no generator for " + table)
+}
+
 // diffPrograms is the pool of programs the semi-naive/naive
 // differential test draws from. Together they cover the paths where
 // the two strategies could diverge: recursion (delta variants),
@@ -401,7 +432,10 @@ func genAggFact(r *rand.Rand, table string) []Value {
 // kvstore's a2 had before the apply cursor), and — the agg-* programs —
 // aggregates over tables that shrink, maintained one group at a time
 // where the rule's shape allows it and whole where it does not (the
-// texts of boommr's jc1, pm1 and fc1/fm1 and paxos' mp1 among them).
+// texts of boommr's jc1, pm1 and fc1/fm1 and paxos' mp1 among them),
+// and — the last two — what a step visits: rules reached through a
+// trigger list keyed by constant, and rows removed from index buckets
+// long enough to be tracked by slot.
 var diffPrograms = []diffProgram{
 	{
 		name: "transitive-closure",
@@ -678,6 +712,69 @@ var diffPrograms = []diffProgram{
 		factTables: []string{"put_item", "put_item", "del_item", "zap"},
 		gen:        genAggFact,
 		perGroup:   []string{"c1"},
+	},
+	{
+		// One event atom under many rules: constants on the dispatch
+		// column (boomfs' request rules), none at all (d5), a constant at
+		// a scan position that is not the rule's first (d6), a constant
+		// on another column (d7), one no tuple carries (d8), and
+		// aggregates whose body opens with one — maintained (d9: entered
+		// while it has a group to retract) and deferred (d10). A step's
+		// frontier mixes the operations.
+		name: "dispatch-constants",
+		src: `
+			table kv(K: int, Id: int) keys(0);
+			table got(Id: int, V: int) keys(0,1);
+			table miss(Id: int, K: int) keys(0,1);
+			table seen(Id: int, Op: string) keys(0,1);
+			table hit(K: int, Id: int) keys(0,1);
+			table zero(Id: int) keys(0);
+			table never(Id: int) keys(0);
+			table puts(K: string, N: int) keys(0);
+			table last_puts(K: string, N: int) keys(0);
+			event req(K: int, Id: int, Op: string);
+			d1 kv(K, Id) :- req(K, Id, "put");
+			d2 got(Id, V) :- req(K, Id, "get"), kv(K, V);
+			d3 miss(Id, K) :- req(K, Id, "get"), notin kv(K, _);
+			d4 delete kv(K, V) :- req(K, _, "del"), kv(K, V);
+			d5 seen(Id, Op) :- req(_, Id, Op);
+			d6 hit(K, Id) :- kv(K, _), req(K, Id, "get");
+			d7 zero(Id) :- req(0, Id, _);
+			d8 never(Id) :- req(_, Id, "nope");
+			d9 puts("n", count<Id>) :- req(_, Id, "put");
+			d10 next last_puts("n", count<Id>) :- req(_, Id, "put");
+		`,
+		factTables: []string{"req"},
+		gen:        genDispatchFact,
+	},
+	{
+		// Insert, key-replace and delete churn under a 2-value indexed
+		// column: the per-group aggregate and the probe rules read item
+		// through its index on G, whose two buckets hold a few dozen rows
+		// — removals find theirs by slot — and sometimes a handful.
+		name: "low-cardinality-delete",
+		src: `
+			table item(Id: int, G: int, V: int) keys(0);
+			table ten(N: int) keys(0);
+			table cnt(G: int, N: int, S: int) keys(0);
+			table seen(G: int, Id: int, V: int) keys(0,1,2);
+			table lonely(G: int) keys(0);
+			event put_range(Lo: int, G: int);
+			event del_range(Lo: int);
+			event put_item(Id: int, G: int, V: int);
+			event del_item(Id: int);
+			event probe(G: int);
+			ten(0); ten(1); ten(2); ten(3); ten(4); ten(5); ten(6); ten(7); ten(8); ten(9);
+			pr1 item(Lo * 10 + N, G, N) :- put_range(Lo, G), ten(N);
+			dr1 delete item(Id, G, V) :- del_range(Lo), ten(N), Id := Lo * 10 + N, item(Id, G, V);
+			pi1 item(Id, G, V) :- put_item(Id, G, V);
+			di1 delete item(Id, G, V) :- del_item(Id), item(Id, G, V);
+			ag1 cnt(G, count<Id>, sum<V>) :- item(Id, G, V);
+			sn1 seen(G, Id, V) :- probe(G), item(Id, G, V);
+			ln1 lonely(G) :- probe(G), notin item(_, G, _);
+		`,
+		factTables: []string{"put_range", "put_range", "put_range", "del_range", "put_item", "del_item", "probe"},
+		gen:        genChurnFact,
 	},
 }
 

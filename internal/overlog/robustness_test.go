@@ -133,3 +133,31 @@ func TestStepEmptyRuntime(t *testing.T) {
 		}
 	}
 }
+
+// TestStepAfterFailedInstall: an Install that declares a table and then
+// fails leaves the table declared and the evaluation plans as they
+// were; a tuple for that table must still step (the plans are indexed
+// by table id, and this one is past their end).
+func TestStepAfterFailedInstall(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, `
+		table a(X: int) keys(0);
+		table b(X: int) keys(0);
+		r1 b(X) :- a(X);
+	`)
+	if err := rt.InstallSource(`
+		table late(X: int) keys(0);
+		bad b(X) :- late(X), nosuch(X);
+	`); err == nil {
+		t.Fatal("install of a rule over an undeclared table succeeded")
+	}
+	if _, err := rt.Step(1, []Tuple{NewTuple("late", Int(1)), NewTuple("a", Int(2))}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Table("b").Dump(); got != "b(2)" {
+		t.Fatalf("b holds %q", got)
+	}
+	if rt.Table("late").Len() != 1 {
+		t.Fatal("the tuple for the late table was not stored")
+	}
+}

@@ -50,6 +50,39 @@ type periodicState struct {
 	ord      int64
 }
 
+// tableState is what the evaluator keeps about one table from step to
+// step.
+type tableState struct {
+	tbl *Table
+	// delta holds the tuples newly inserted this step. It is NOT reset
+	// when a step starts: tuples inserted since the previous step (facts
+	// and state loaded by Install, sys::fire refreshes) seed the next
+	// step's semi-naive frontier; it is emptied at the end of the step,
+	// keeping its backing so that a table's delta does not re-climb the
+	// doubling ladder every step. That is safe because nothing retains a
+	// previous step's delta headers past the step — frontier windows are
+	// local to runStratum, and the tuples' value storage is table-owned,
+	// not delta-owned. consumed is how much of it the running stratum
+	// has used as frontier.
+	delta    []Tuple
+	consumed int
+	// dirty marks a table that lost rows (deletion, or displacement under
+	// the primary key), which is the half of "an input changed" that
+	// delta does not show; retracted keeps the lost rows themselves when
+	// a per-group aggregate reads or heads the table (keepLost), so such
+	// a rule can tell which groups a loss touched. Both are delta's
+	// counterpart with the lifetime shifted: they are emptied after a
+	// step's last stratum, not at its end, so a loss is seen by exactly
+	// one stratum pass — this step's when it happens before the strata
+	// (external and in-stratum displacements), the next step's when it
+	// happens after them (end-of-step deletions, sys::fire refreshes,
+	// Install and restore between steps). retracted keeps its backing
+	// across steps, as delta does.
+	dirty     bool
+	keepLost  bool
+	retracted []Tuple
+}
+
 // Runtime executes Overlog programs for a single logical node.
 //
 // A Runtime is passive and single-threaded: the driver calls Step with
@@ -71,34 +104,27 @@ type Runtime struct {
 	now       int64
 	stepCount int64
 
-	// Per-step evaluation state.
-	stepDeltas map[string][]Tuple // all tuples newly inserted this step, per table
-	// deltaFree recycles each table's delta backing across steps: the
-	// end-of-step clear parks the slice here (len 0), and the first
-	// insert for that table next step regrows into it instead of
-	// re-allocating the whole doubling ladder. Safe because nothing
-	// retains a previous step's delta headers past the step — frontier
-	// windows are local to runStratum, and the tuples' value storage is
-	// table-owned, not delta-owned.
-	deltaFree map[string][]Tuple
-	outbox    []Envelope
-	pendDel   []Tuple
-	// deferredIns holds `next`-rule heads awaiting the following step.
+	// Per-step evaluation state, per table: ts is indexed by Table.id
+	// (see tableState), and what a step touched is listed, so that the
+	// step's bookkeeping costs what it changed, not what is declared.
+	// deltaIDs and deltaBits hold the tables with a non-empty delta,
+	// dirtyIDs and dirtyBits those that lost rows.
+	ts        []tableState
+	deltaIDs  []int
+	dirtyIDs  []int
+	deltaBits bitset
+	dirtyBits bitset
+	// stored counts the tuples held across all tables (Table.stored).
+	stored int64
+
+	outbox  []Envelope
+	pendDel []Tuple
+	// deferredIns holds `next`-rule heads awaiting the following step;
+	// extBuf is the buffer a step joins them with its external input in,
+	// and cursors runStratum's scratch: all three keep their backing.
 	deferredIns []Tuple
-	// dirty marks tables that lost rows (deletion, or displacement under
-	// the primary key), which is the half of "an input changed" that
-	// stepDeltas does not show; retracted keeps the lost rows themselves
-	// for the tables per-group aggregates read (catalog.groupTables), so
-	// such a rule can tell which groups a loss touched. Both are
-	// stepDeltas' counterpart with the lifetime shifted: they are emptied
-	// after a step's last stratum, not at its end, so a loss is seen by
-	// exactly one stratum pass — this step's when it happens before the
-	// strata (external and in-stratum displacements), the next step's
-	// when it happens after them (end-of-step deletions, sys::fire
-	// refreshes, Install and restore between steps). The slices keep
-	// their backing across steps, as deltaFree does for stepDeltas.
-	dirty     map[string]bool
-	retracted map[string][]Tuple
+	extBuf      []Tuple
+	cursors     []cursor
 
 	watchers []Watcher
 	watchAll bool // trace every table regardless of watch declarations
@@ -106,6 +132,7 @@ type Runtime struct {
 	maxIterations int
 	naiveEval     bool
 
+	strataRun int64 // strata entered because something they read changed (the visit guards read it)
 	derivedCt int64 // total tuples derived (including duplicates suppressed)
 	insertCt  int64 // tuples actually inserted (post-dedup)
 	retractCt int64 // stored tuples removed (deletions + key replacements)
@@ -115,6 +142,7 @@ type Runtime struct {
 	// rule evaluation when the head's table is captured; provStack holds
 	// the body-tuple fingerprints along the current execOps descent.
 	provOn     bool
+	provTable  *Table // sys::prov
 	provGen    uint64
 	provAll    int
 	provTables map[string]int
@@ -224,14 +252,10 @@ func WithNaiveEval() Option {
 func NewRuntime(addr string, opts ...Option) *Runtime {
 	r := &Runtime{
 		addr:          addr,
-		cat:           newCatalog(),
 		tables:        make(map[string]*Table),
-		stepDeltas:    make(map[string][]Tuple),
-		deltaFree:     make(map[string][]Tuple),
-		dirty:         make(map[string]bool),
-		retracted:     make(map[string][]Tuple),
 		maxIterations: 1 << 20,
 	}
+	r.cat = newCatalog(r.tables)
 	r.rng = rand.New(rand.NewSource(int64(hashValue(Str(addr)))))
 	for _, o := range opts {
 		o(r)
@@ -369,8 +393,22 @@ func (r *Runtime) declareSysTables() {
 		}},
 	}
 	for _, d := range sys {
-		r.cat.decls[d.Name] = d
-		r.tables[d.Name] = NewTable(d)
+		r.declare(d)
+	}
+	r.provTable = r.tables["sys::prov"]
+}
+
+// declare creates the storage of a newly declared table and gives it
+// the next table id.
+func (r *Runtime) declare(d *TableDecl) {
+	t := NewTable(d)
+	t.id, t.stored = len(r.ts), &r.stored
+	r.cat.decls[d.Name] = d
+	r.tables[d.Name] = t
+	r.ts = append(r.ts, tableState{tbl: t})
+	if words := (len(r.ts) + 63) / 64; words > len(r.deltaBits) {
+		r.deltaBits = append(r.deltaBits, 0)
+		r.dirtyBits = append(r.dirtyBits, 0)
 	}
 }
 
@@ -387,8 +425,7 @@ func (r *Runtime) Install(prog *Program) error {
 			}
 			continue
 		}
-		r.cat.decls[d.Name] = d
-		r.tables[d.Name] = NewTable(d)
+		r.declare(d)
 	}
 	for _, pd := range prog.Periodics {
 		if d, ok := r.cat.decls[pd.Table]; ok {
@@ -397,12 +434,10 @@ func (r *Runtime) Install(prog *Program) error {
 					Msg: fmt.Sprintf("periodic %s must name an event table", pd.Table)}
 			}
 		} else {
-			d := &TableDecl{Name: pd.Table, Event: true, Cols: []ColDecl{
+			r.declare(&TableDecl{Name: pd.Table, Event: true, Cols: []ColDecl{
 				{Name: "Ord", Type: KindInt},
 				{Name: "Time", Type: KindInt},
-			}, Line: pd.Line}
-			r.cat.decls[d.Name] = d
-			r.tables[d.Name] = NewTable(d)
+			}, Line: pd.Line})
 		}
 		r.period = append(r.period, &periodicState{decl: pd, nextFire: 0})
 	}
@@ -430,21 +465,18 @@ func (r *Runtime) Install(prog *Program) error {
 			return err
 		}
 		cr.finalizeDelta()
-		planComputedKeys(cr, r.tables)
-		for _, v := range cr.deltaVariants {
-			if v != nil && v != cr {
-				planComputedKeys(v, r.tables)
-			}
-		}
 		if cr.isAgg {
 			cr.agg = newAggCollector(cr, r)
 			if cr.group, cr.wholeRule = planGroups(r.cat, cr, base+i); cr.group != nil {
-				planComputedKeys(cr.group.seeded, r.tables)
-				r.cat.groupTables[cr.head.table] = true
+				r.ts[cr.head.tbl.id].keepLost = true
 				for _, at := range cr.group.atoms {
-					r.cat.groupTables[at.table] = true
+					r.ts[at.tbl.id].keepLost = true
 				}
 			}
+		}
+		for _, form := range cr.forms() {
+			planComputedKeys(form)
+			form.emit = func(env []Value) error { return r.emitHead(form, env) }
 		}
 		r.cat.rules = append(r.cat.rules, cr)
 	}
@@ -578,14 +610,15 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 	r.outbox = nil
 	r.pendDel = nil
 	r.pendDelBy = nil
-	// stepDeltas is NOT reset here: tuples inserted since the previous
-	// step (facts and state loaded by Install) must seed this step's
-	// semi-naive frontier. It is cleared at the end of the step.
 
-	// Deferred heads from the previous step arrive as external inserts.
-	if len(r.deferredIns) > 0 {
-		external = append(append([]Tuple{}, r.deferredIns...), external...)
-		r.deferredIns = nil
+	// Deferred heads from the previous step arrive as external inserts,
+	// ahead of the caller's. (The joined input lives in a buffer the
+	// runtime owns and takes back when the step is over:
+	// StepStats.Consumed aliases it, and hooks may not keep that.)
+	joined := len(r.deferredIns) > 0
+	if joined {
+		external = append(append(r.extBuf[:0], r.deferredIns...), external...)
+		r.deferredIns = recycle(r.deferredIns)
 	}
 
 	// Fire due periodics.
@@ -612,25 +645,26 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 	// Sync the provenance capture set when sys::prov changed (local
 	// API call, rule derivation, or a remote toggle that just arrived
 	// as an external tuple). One integer compare on the steady path.
-	if t := r.tables["sys::prov"]; t.generation != r.provGen {
+	if t := r.provTable; t.generation != r.provGen {
 		r.syncProv(t)
 	}
 
 	// Stratified semi-naive fixpoint.
-	for s := 0; s <= r.cat.maxStratum; s++ {
+	for s := range r.cat.strata {
 		if err := r.runStratum(s); err != nil {
 			return nil, err
 		}
 	}
 	// Every rule has now seen the rows lost since the previous step's
 	// strata; what is lost from here on is the next step's to see.
-	if len(r.dirty) > 0 {
-		clear(r.dirty)
-		for t, lost := range r.retracted {
-			clear(lost)
-			r.retracted[t] = lost[:0]
-		}
+	for _, id := range r.dirtyIDs {
+		ts := &r.ts[id]
+		ts.dirty = false
+		clear(ts.retracted)
+		ts.retracted = ts.retracted[:0]
+		r.dirtyBits.unset(id)
 	}
+	r.dirtyIDs = r.dirtyIDs[:0]
 
 	// Deferred deletions.
 	for i, tp := range r.pendDel {
@@ -643,32 +677,26 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 		}
 	}
 
-	// Event tables live one step.
-	for name, d := range r.cat.decls {
-		if d.Event {
-			r.tables[name].Clear()
-		}
-	}
-
 	r.stepCount++
-	// Clear this step's deltas first: fire-stat rows recorded below go
-	// through insertLocal so they seed the NEXT step's frontier (rules
-	// reading sys::fire see updates one step later). The backings are
-	// parked in deltaFree for reuse, not dropped (see the field doc).
-	for t, d := range r.stepDeltas {
-		r.deltaFree[t] = d[:0]
-		delete(r.stepDeltas, t)
+	// Event tables live one step, and only one with a delta holds a row.
+	// The deltas themselves go with them — before sys::fire is refreshed
+	// below, so that those rows seed the NEXT step's frontier (rules
+	// reading sys::fire see updates one step later).
+	for _, id := range r.deltaIDs {
+		ts := &r.ts[id]
+		if ts.tbl.decl.Event {
+			ts.tbl.Clear()
+		}
+		ts.delta, ts.consumed = ts.delta[:0], 0
+		r.deltaBits.unset(id)
 	}
+	r.deltaIDs = r.deltaIDs[:0]
 	if err := r.maintainFireStats(); err != nil {
 		return nil, err
 	}
 	out := r.outbox
 	r.outbox = nil
 	if len(r.stepHooks) != 0 {
-		var stored int64
-		for _, tbl := range r.tables {
-			stored += int64(tbl.Len())
-		}
 		st := StepStats{
 			NowMS:      now,
 			DurationNS: time.Since(hookStart).Nanoseconds(), //boomvet:allow(walltime) profiling only: reported to hooks, never stored
@@ -677,7 +705,7 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 			Inserted:   r.insertCt - inserted0,
 			Retracted:  r.retractCt - retracted0,
 			Envelopes:  len(out),
-			Stored:     stored,
+			Stored:     r.stored,
 			Consumed:   external,
 			Outbox:     out,
 		}
@@ -688,33 +716,34 @@ func (r *Runtime) Step(now int64, external []Tuple) ([]Envelope, error) {
 			hook(st)
 		}
 	}
+	if joined {
+		r.extBuf = recycle(external)
+	}
 	return out, nil
 }
 
-// maintainFireStats refreshes sys::fire when any rule reads it.
-func (r *Runtime) maintainFireStats() error {
-	needed := false
-	for _, cr := range r.cat.rules {
-		for _, op := range cr.body {
-			if (op.kind == opScan || op.kind == opNotin) && op.table == "sys::fire" {
-				needed = true
-			}
-		}
-	}
-	if !needed {
+// recycle empties a scratch list for reuse — unless one bulk step grew
+// it past a few hundred tuples, which it must not pin for good.
+func recycle(buf []Tuple) []Tuple {
+	if cap(buf) > 256 {
 		return nil
 	}
-	// Rule order, not map order: insertion order is delta order, which
-	// rules reading sys::fire (a per-group aggregate's emission order
-	// included) pass on to everything downstream.
-	fires := r.RuleStats()
-	for _, cr := range r.cat.rules {
-		count, ok := fires[cr.name]
-		if !ok {
-			continue // a rule of the same name reported the sum already
+	clear(buf)
+	return buf[:0]
+}
+
+// maintainFireStats refreshes sys::fire when any rule reads it
+// (catalog.fire, decided at install), in rule order, not map order:
+// insertion order is delta order, which rules reading sys::fire (a
+// per-group aggregate's emission order included) pass on to everything
+// downstream.
+func (r *Runtime) maintainFireStats() error {
+	for _, row := range r.cat.fire {
+		var count int64
+		for _, st := range row.stats {
+			count += st.fires
 		}
-		delete(fires, cr.name)
-		if _, err := r.insertLocal(NewTuple("sys::fire", Str(cr.name), Int(count)), "sys"); err != nil {
+		if _, err := r.insertLocal(NewTuple("sys::fire", Str(row.name), Int(count)), "sys"); err != nil {
 			return err
 		}
 	}
@@ -730,6 +759,12 @@ func (r *Runtime) insertLocal(tp Tuple, viaRule string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("overlog: %s: insert into undeclared table %q", r.addr, tp.Table)
 	}
+	return r.insertInto(tbl, tp, viaRule)
+}
+
+// insertInto is insertLocal with the table already resolved (a rule's
+// head is, when it compiles).
+func (r *Runtime) insertInto(tbl *Table, tp Tuple, viaRule string) (bool, error) {
 	inserted, displaced, norm, err := tbl.insertChecked(tp)
 	if err != nil {
 		return false, err
@@ -738,9 +773,11 @@ func (r *Runtime) insertLocal(tp Tuple, viaRule string) (bool, error) {
 		return false, nil
 	}
 	r.insertCt++
-	dl, ok := r.stepDeltas[tp.Table]
-	if !ok {
-		dl = r.deltaFree[tp.Table]
+	ts := &r.ts[tbl.id]
+	dl := ts.delta
+	if len(dl) == 0 {
+		r.deltaIDs = append(r.deltaIDs, tbl.id)
+		r.deltaBits.set(tbl.id)
 	}
 	if len(dl) == cap(dl) {
 		// Doubling growth with a generous floor: append's taper to ~1.25x
@@ -754,9 +791,9 @@ func (r *Runtime) insertLocal(tp Tuple, viaRule string) (bool, error) {
 		copy(grown, dl)
 		dl = grown
 	}
-	r.stepDeltas[tp.Table] = append(dl, norm)
+	ts.delta = append(dl, norm)
 	if displaced != nil {
-		r.noteRetraction(*displaced)
+		r.noteRetraction(tbl, *displaced)
 		if len(r.watchers) > 0 {
 			r.emitWatch(WatchEvent{Node: r.addr, Time: r.now, Insert: false, Rule: viaRule, Tuple: *displaced})
 		}
@@ -779,7 +816,7 @@ func (r *Runtime) deleteLocal(tp Tuple) (bool, error) {
 		return false, err
 	}
 	if removed {
-		r.noteRetraction(old)
+		r.noteRetraction(tbl, old)
 		r.emitWatch(WatchEvent{Node: r.addr, Time: r.now, Insert: false, Rule: "delete", Tuple: tp})
 	}
 	return removed, nil
@@ -788,12 +825,17 @@ func (r *Runtime) deleteLocal(tp Tuple) (bool, error) {
 // noteRetraction records that a stored row left its table: old is the
 // storage-owned row, which stays intact after removal (arena slots are
 // never rewritten).
-func (r *Runtime) noteRetraction(old Tuple) {
+func (r *Runtime) noteRetraction(tbl *Table, old Tuple) {
 	r.retractCt++
-	r.dirty[old.Table] = true
-	if r.cat.groupTables[old.Table] {
+	ts := &r.ts[tbl.id]
+	if !ts.dirty {
+		ts.dirty = true
+		r.dirtyIDs = append(r.dirtyIDs, tbl.id)
+		r.dirtyBits.set(tbl.id)
+	}
+	if ts.keepLost {
 		//boomvet:allow(ownership) old is the row storage owned, handed over by the removal
-		r.retracted[old.Table] = append(r.retracted[old.Table], old)
+		ts.retracted = append(ts.retracted, old)
 	}
 }
 
@@ -835,97 +877,96 @@ func (r *Runtime) emitWatch(ev WatchEvent) {
 	}
 }
 
-// runStratum evaluates one stratum: aggregate (and scan-free) rules
-// once at entry, then a semi-naive loop over the rest.
+// runStratum evaluates one stratum, if anything it reads changed:
+// aggregate (and scan-free) rules once at entry, then a semi-naive loop
+// over the rest, driven by the stratum's trigger index (trigger.go).
 func (r *Runtime) runStratum(s int) error {
-	// An empty catalog (no rules installed yet) has no strata at all
-	// even though maxStratum is 0.
-	if s >= len(r.cat.strata) {
-		return nil
-	}
-	rules := r.cat.strata[s]
-	if len(rules) == 0 {
-		return nil
-	}
+	st := r.cat.strata[s]
 	if r.naiveEval {
-		return r.runStratumNaive(s, rules)
+		if len(st.rules) == 0 {
+			return nil
+		}
+		return r.runStratumNaive(s, st.rules)
 	}
+	if !st.fresh && !st.reads.meets(r.deltaBits, r.dirtyBits) {
+		return nil
+	}
+	r.strataRun++
 
-	var loopRules []*compiledRule
-	for _, cr := range rules {
-		if cr.isAgg || len(cr.scanPositions) == 0 {
-			// Evaluation is only needed when an input table changed (rows
-			// inserted this step, or lost since the previous step's
-			// strata) or the rule has never run.
-			if cr.ranOnce && !r.ruleInputsChanged(cr) {
-				continue
-			}
+	for _, cr := range st.full {
+		// Evaluation is only needed when an input table changed (rows
+		// inserted this step, or lost since the previous step's strata)
+		// or the rule has never run.
+		if cr.ranOnce && !r.ruleInputsChanged(cr) {
+			continue
+		}
+		if !r.unreached(cr) {
 			if err := r.evalRuleFull(cr); err != nil {
 				return err
 			}
-			cr.ranOnce = true
-			continue
 		}
-		loopRules = append(loopRules, cr)
+		cr.ranOnce = true
 	}
-	if len(loopRules) == 0 {
-		if r.profOn {
-			r.recordStratumIters(s, 1)
-		}
-		return nil
-	}
+	st.fresh = false
 
-	// consumed[t] = how many of stepDeltas[t] this stratum has already
-	// used as frontier.
-	consumed := map[string]int{}
+	// Each table's consumed says how much of its delta this stratum has
+	// already used as frontier: nothing yet (a table without a delta is
+	// at zero already).
+	for _, id := range r.deltaIDs {
+		r.ts[id].consumed = 0
+	}
 	for iter := 0; ; iter++ {
 		if iter > r.maxIterations {
 			return fmt.Errorf("overlog: %s: fixpoint did not converge after %d iterations in stratum %d", r.addr, iter, s)
 		}
-		// Snapshot the frontier window per table.
-		window := map[string][2]int{}
-		progress := false
-		for t, delta := range r.stepDeltas {
-			lo := consumed[t]
-			hi := len(delta)
-			if hi > lo {
-				window[t] = [2]int{lo, hi}
-				progress = true
+		// Snapshot the frontier window of every table that has one and
+		// triggers a rule here.
+		cursors := r.cursors[:0]
+		for _, id := range r.deltaIDs {
+			if id >= len(st.trig) {
+				continue // declared by an Install that failed before it planned
 			}
+			tl, ts := st.trig[id], &r.ts[id]
+			if tl == nil || len(ts.delta) == ts.consumed {
+				continue
+			}
+			frontier := ts.delta[ts.consumed:]
+			ts.consumed = len(ts.delta)
+			tl.mark(frontier)
+			cursors = append(cursors, cursor{tl: tl, frontier: frontier})
 		}
-		if !progress {
+		r.cursors = cursors[:0]
+		if len(cursors) == 0 {
 			if r.profOn {
-				r.recordStratumIters(s, iter)
+				r.recordStratumIters(s, max(iter, 1))
 			}
 			return nil
 		}
-		for t, w := range window {
-			consumed[t] = w[1]
-		}
-		for _, cr := range loopRules {
-			for _, pos := range cr.scanPositions {
-				tbl := cr.body[pos].table
-				w, ok := window[tbl]
-				if !ok {
-					continue
+		// Evaluate the triggered (rule, position) pairs in rule order:
+		// each list is in it, so take the lowest-ranked head until none
+		// is left.
+		for {
+			var first *cursor
+			var tg *trigger
+			for i := range cursors {
+				if h := cursors[i].head(); h != nil && (tg == nil || h.rank < tg.rank) {
+					first, tg = &cursors[i], h
 				}
-				frontier := r.stepDeltas[tbl][w[0]:w[1]]
-				if err := r.evalRuleDelta(cr, pos, frontier); err != nil {
-					return err
-				}
+			}
+			if tg == nil {
+				break
+			}
+			first.next++
+			if err := r.evalRuleDelta(tg, first.frontier); err != nil {
+				return err
 			}
 		}
 	}
 }
 
-// tableChanged reports whether the table gained rows this step or lost
-// rows since the previous step's strata.
-func (r *Runtime) tableChanged(table string) bool {
-	return len(r.stepDeltas[table]) > 0 || r.dirty[table]
-}
-
-// ruleInputsChanged reports whether any body table of cr changed. A
-// rule maintained per group also answers for its own rows: one that
+// ruleInputsChanged reports whether any body table of cr gained rows
+// this step or lost rows since the previous step's strata. A rule
+// maintained per group also answers for its own rows: one that
 // something else removed is re-derived at the next pass, which costs
 // the rule's own end-of-step retraction of a vanished group one empty
 // look at that group. (A whole-rule aggregate re-derives such a row
@@ -933,12 +974,7 @@ func (r *Runtime) tableChanged(table string) bool {
 // own retractions would re-read now() at steps where it is not read
 // today.)
 func (r *Runtime) ruleInputsChanged(cr *compiledRule) bool {
-	for _, op := range cr.body {
-		if (op.kind == opScan || op.kind == opNotin) && r.tableChanged(op.table) {
-			return true
-		}
-	}
-	return cr.group != nil && r.dirty[cr.head.table]
+	return cr.inputs.meets(r.deltaBits, r.dirtyBits) || (cr.group != nil && r.ts[cr.head.tbl.id].dirty)
 }
 
 // runStratumNaive is the ablation path: iterate full re-derivation of
@@ -970,6 +1006,7 @@ func (r *Runtime) runStratumNaive(s int, rules []*compiledRule) error {
 // candidate lists); a Runtime is single-threaded and execOps never
 // re-enters an operator, so reuse is safe.
 func (r *Runtime) evalRuleFull(cr *compiledRule) error {
+	cr.stats.evals++
 	if r.profOn {
 		start := time.Now()                                                   //boomvet:allow(walltime) profiling only: per-rule wall attribution
 		defer func() { cr.stats.wallNS += time.Since(start).Nanoseconds() }() //boomvet:allow(walltime) profiling only: per-rule wall attribution
@@ -978,9 +1015,7 @@ func (r *Runtime) evalRuleFull(cr *compiledRule) error {
 	if cr.isAgg {
 		return r.evalAgg(cr)
 	}
-	return r.execOps(cr, 0, -1, nil, cr.envBuf, func(env []Value) error {
-		return r.emitHead(cr, env)
-	})
+	return r.execOps(cr, 0, -1, nil, cr.envBuf, cr.emit)
 }
 
 // evalAgg evaluates an aggregate rule. Which groups: the ones this
@@ -1018,30 +1053,17 @@ func (r *Runtime) armProv(cr *compiledRule) {
 }
 
 // evalRuleDelta evaluates a rule with one scan position restricted to
-// the frontier tuples. The compile-time dispatch table maps the delta
-// position straight to its reordered variant (frontier scan first, so
-// the remaining atoms are index-probed with bound values); nil entries
-// fall back to original-order evaluation.
-func (r *Runtime) evalRuleDelta(cr *compiledRule, deltaPos int, frontier []Tuple) error {
-	if cr.isAgg {
-		return nil // aggregates are recomputed via evalRuleFull only
-	}
+// the frontier tuples, through the form the trigger names: the
+// reordered variant (frontier scan first, so the remaining atoms are
+// index-probed with bound values), or the rule in original order.
+func (r *Runtime) evalRuleDelta(tg *trigger, frontier []Tuple) error {
+	tg.cr.stats.evals++
 	if r.profOn {
-		start := time.Now()                                                   //boomvet:allow(walltime) profiling only: per-rule wall attribution
-		defer func() { cr.stats.wallNS += time.Since(start).Nanoseconds() }() //boomvet:allow(walltime) profiling only: per-rule wall attribution
+		start := time.Now()                                                      //boomvet:allow(walltime) profiling only: per-rule wall attribution
+		defer func() { tg.cr.stats.wallNS += time.Since(start).Nanoseconds() }() //boomvet:allow(walltime) profiling only: per-rule wall attribution
 	}
-	r.armProv(cr)
-	run := cr
-	pos := deltaPos
-	if deltaPos < len(cr.deltaForPos) {
-		if v := cr.deltaForPos[deltaPos]; v != nil {
-			run = v
-			pos = run.scanPositions[0]
-		}
-	}
-	return r.execOps(run, 0, pos, frontier, run.envBuf, func(env []Value) error {
-		return r.emitHead(run, env)
-	})
+	r.armProv(tg.run)
+	return r.execOps(tg.run, 0, tg.runPos, frontier, tg.run.envBuf, tg.run.emit)
 }
 
 // execOps recursively executes the body operations from opIdx on.
@@ -1087,7 +1109,7 @@ func (r *Runtime) execOps(cr *compiledRule, opIdx, deltaPos int, frontier []Tupl
 		if err != nil {
 			return err
 		}
-		if t := r.tables[op.table]; !op.memoHit(t, vals) {
+		if t := op.tbl; !op.memoHit(t, vals) {
 			op.candBuf = t.MatchInto(op.candBuf[:0], op.boundCols, vals)
 			op.memoStore(t, vals)
 		}
@@ -1107,7 +1129,7 @@ func (r *Runtime) execOps(cr *compiledRule, opIdx, deltaPos int, frontier []Tupl
 		if opIdx == deltaPos {
 			candidates = frontier
 		} else {
-			if t := r.tables[op.table]; !op.memoHit(t, vals) {
+			if t := op.tbl; !op.memoHit(t, vals) {
 				op.candBuf = t.MatchInto(op.candBuf[:0], op.boundCols, vals)
 				op.memoStore(t, vals)
 			}
@@ -1272,7 +1294,7 @@ func (r *Runtime) routeHead(cr *compiledRule, tp Tuple, scratch bool) error {
 		r.deferredIns = append(r.deferredIns, tp)
 		return nil
 	}
-	_, err := r.insertLocal(tp, cr.name)
+	_, err := r.insertInto(cr.head.tbl, tp, cr.name)
 	return err
 }
 
@@ -1363,7 +1385,7 @@ type aggCollector struct {
 }
 
 func newAggCollector(cr *compiledRule, rt *Runtime) *aggCollector {
-	a := &aggCollector{cr: cr, rt: rt, head: rt.tables[cr.head.table],
+	a := &aggCollector{cr: cr, rt: rt, head: cr.head.tbl,
 		groups: make(map[string]*aggGroup), aggBuf: make([]Value, len(cr.head.aggs))}
 	a.collectFn = a.collect
 	return a
@@ -1493,21 +1515,23 @@ func (a *aggCollector) collectRow(groupVals, aggVals []Value) {
 func (a *aggCollector) collectTouched() (bool, error) {
 	r, plan := a.rt, a.cr.group
 	for i := range plan.atoms {
-		if at := &plan.atoms[i]; at.cols == nil && r.tableChanged(at.table) {
+		at := &plan.atoms[i]
+		if ts := &r.ts[at.tbl.id]; at.cols == nil && (len(ts.delta) > 0 || ts.dirty) {
 			return false, nil
 		}
 	}
 	a.begin(plan.seeded)
 	for i := range plan.atoms {
 		at := &plan.atoms[i]
-		if err := a.collectGroupsOf(at, r.stepDeltas[at.table]); err != nil {
+		ts := &r.ts[at.tbl.id]
+		if err := a.collectGroupsOf(at, ts.delta); err != nil {
 			return true, err
 		}
-		if err := a.collectGroupsOf(at, r.retracted[at.table]); err != nil {
+		if err := a.collectGroupsOf(at, ts.retracted); err != nil {
 			return true, err
 		}
 	}
-	return true, a.collectGroupsOf(&plan.head, r.retracted[plan.head.table])
+	return true, a.collectGroupsOf(&plan.head, r.ts[plan.head.tbl.id].retracted)
 }
 
 // collectGroupsOf collects the group of each row, unless this

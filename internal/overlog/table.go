@@ -81,6 +81,17 @@ type Table struct {
 	// across steps: watchers and step hooks may still hold stored tuples.
 	arena []Value
 	chain []Tuple
+
+	// id is the table's number in the runtime that declared it (index of
+	// Runtime.ts) and stored that runtime's count of tuples held across
+	// all its tables, kept here because storage is mutated directly too
+	// (Clear, Insert on a sys:: table). A standalone table has neither.
+	id     int
+	stored *int64
+
+	// removeCompares counts the rows index removals key-compared: the
+	// visit-count guards read it.
+	removeCompares int64
 }
 
 // arenaChunk and chainChunk are the full chunk sizes of the stored-
@@ -116,7 +127,20 @@ type index struct {
 	// them, so that test raises the error a full scan would have met.
 	computed bool
 	unkeyed  []Tuple
+	// pos maps a row's primary-key fingerprint to its slot in whichever
+	// bucket (or unkeyed) holds it, so removing a row does not scan a
+	// low-cardinality bucket. It is nil until a removal meets a bucket
+	// longer than posMapMin — an index whose keys are near-unique never
+	// builds one and pays nothing on insert — and from then on follows
+	// every append and swap-remove until Clear. It is only ever a hint: a
+	// hit is verified against the row in that slot, and a miss (two keys
+	// of one bucket sharing a fingerprint) falls back to the scan.
+	pos map[uint64]int32
 }
+
+// posMapMin is the bucket length past which a removal stops scanning
+// and the index starts tracking slots (index.pos).
+const posMapMin = 32
 
 // indexSig packs a column list into a 64-bit signature: 8 bits per
 // column for up to 8 small column numbers (the common case, and
@@ -181,6 +205,14 @@ func (t *Table) Name() string { return t.decl.Name }
 
 // Len returns the current tuple count.
 func (t *Table) Len() int { return t.n }
+
+// grow adjusts the tuple count, and the owning runtime's with it.
+func (t *Table) grow(d int) {
+	t.n += d
+	if t.stored != nil {
+		*t.stored += int64(d)
+	}
+}
 
 // KeyOf encodes a tuple's primary key (debugging/compat; storage itself
 // keys by fingerprint).
@@ -309,7 +341,7 @@ func (t *Table) insertChecked(tp Tuple) (bool, *Tuple, Tuple, error) {
 		}
 		// Same key, different non-key columns: replace.
 		stored := t.ownTuple(tp)
-		t.removeFromIndexes(old)
+		t.removeFromIndexes(old, fp)
 		bucket[i] = stored
 		t.deferIndexAdd(stored)
 		t.generation++
@@ -324,7 +356,7 @@ func (t *Table) insertChecked(tp Tuple) (bool, *Tuple, Tuple, error) {
 	} else {
 		s.b = append(bucket, stored)
 	}
-	t.n++
+	t.grow(1)
 	t.deferIndexAdd(stored)
 	t.generation++
 	return true, nil, stored, nil
@@ -371,7 +403,7 @@ func (t *Table) InsertBatch(tps []Tuple) (int, error) {
 				valBacking = valBacking[:a]
 				continue
 			}
-			t.removeFromIndexes(old)
+			t.removeFromIndexes(old, fp)
 			bucket[i] = stored
 			t.deferIndexAdd(stored)
 			mutated++
@@ -384,7 +416,7 @@ func (t *Table) InsertBatch(tps []Tuple) (int, error) {
 		} else {
 			t.rows.put(fp, append(bucket, stored))
 		}
-		t.n++
+		t.grow(1)
 		t.deferIndexAdd(stored)
 		mutated++
 	}
@@ -415,7 +447,7 @@ func (t *Table) remove(tp Tuple) (Tuple, bool, error) {
 	}
 	old := bucket[i]
 	t.removeRow(fp, i)
-	t.removeFromIndexes(old)
+	t.removeFromIndexes(old, fp)
 	t.generation++
 	return old, true, nil
 }
@@ -435,7 +467,7 @@ func (t *Table) DeleteByKey(tp Tuple) (*Tuple, error) {
 	}
 	old := bucket[i]
 	t.removeRow(fp, i)
-	t.removeFromIndexes(old)
+	t.removeFromIndexes(old, fp)
 	t.generation++
 	return &old, nil
 }
@@ -451,7 +483,7 @@ func (t *Table) removeRow(fp uint64, i int) {
 	} else {
 		t.rows.put(fp, bucket[:last])
 	}
-	t.n--
+	t.grow(-1)
 }
 
 // Contains reports whether an identical tuple is stored.
@@ -526,10 +558,11 @@ func (t *Table) Clear() {
 		return
 	}
 	t.rows.clear()
-	t.n = 0
+	t.grow(-t.n)
 	for _, ix := range t.ixAll {
 		ix.buckets.clear()
 		ix.unkeyed = nil
+		ix.pos = nil
 	}
 	t.sorted = nil
 	t.sortedOK = false
@@ -733,16 +766,25 @@ func (t *Table) syncIndexes() {
 // addToIndexes mirrors a stored tuple into every secondary index.
 func (t *Table) addToIndexes(tp Tuple) {
 	for _, ix := range t.ixAll {
+		var slot int
 		if fp, ok := t.keyFP(ix, tp); ok {
-			ix.buckets.put(fp, append(ix.buckets.get(fp), tp))
+			bucket := append(ix.buckets.get(fp), tp)
+			ix.buckets.put(fp, bucket)
+			slot = len(bucket) - 1
 		} else {
 			//boomvet:allow(ownership) tp is a stored row: deferIndexAdd's callers pass the storage-owned clone
 			ix.unkeyed = append(ix.unkeyed, tp)
+			slot = len(ix.unkeyed) - 1
+		}
+		if ix.pos != nil {
+			ix.pos[tp.hashCols(t.keys)] = int32(slot)
 		}
 	}
 }
 
-func (t *Table) removeFromIndexes(tp Tuple) {
+// removeFromIndexes takes a row that left the table (pk is the
+// fingerprint of its primary key) out of every secondary index.
+func (t *Table) removeFromIndexes(tp Tuple, pk uint64) {
 	// The departing row may still sit in the pending backlog; drain it
 	// first so the removal finds (and keeps) a complete index.
 	if len(t.pending) > 0 {
@@ -751,10 +793,10 @@ func (t *Table) removeFromIndexes(tp Tuple) {
 	for _, ix := range t.ixAll {
 		fp, ok := t.keyFP(ix, tp)
 		if !ok {
-			ix.unkeyed = t.removeByKey(ix.unkeyed, tp)
+			ix.unkeyed = t.removeByKey(ix, ix.unkeyed, tp, pk)
 			continue
 		}
-		if bucket := t.removeByKey(ix.buckets.get(fp), tp); len(bucket) == 0 {
+		if bucket := t.removeByKey(ix, ix.buckets.get(fp), tp, pk); len(bucket) == 0 {
 			ix.buckets.del(fp)
 		} else {
 			ix.buckets.put(fp, bucket)
@@ -762,18 +804,59 @@ func (t *Table) removeFromIndexes(tp Tuple) {
 	}
 }
 
-// removeByKey drops from rows, in place, the row stored under tp's
-// primary key.
-func (t *Table) removeByKey(rows []Tuple, tp Tuple) []Tuple {
-	for i := range rows {
-		if rows[i].keyEqualCols(tp, t.keys) {
-			last := len(rows) - 1
-			rows[i] = rows[last]
-			rows[last] = Tuple{}
-			return rows[:last]
+// removeByKey drops from rows — one bucket of ix, or its unkeyed list —
+// the row stored under tp's primary key, in place, by moving the last
+// row into its slot: a bucket's order is probe candidate order, which
+// rules pass on to everything they derive, so how the slot is found
+// must not change what is left behind. A short bucket is scanned; the
+// first removal to meet a long one has the index track slots from then
+// on (index.pos).
+func (t *Table) removeByKey(ix *index, rows []Tuple, tp Tuple, pk uint64) []Tuple {
+	if ix.pos == nil && len(rows) > posMapMin {
+		t.trackSlots(ix)
+	}
+	at := -1
+	if s, ok := ix.pos[pk]; ok && int(s) < len(rows) {
+		t.removeCompares++
+		if rows[s].keyEqualCols(tp, t.keys) {
+			at = int(s)
 		}
 	}
-	return rows
+	if at < 0 {
+		for i := range rows {
+			t.removeCompares++
+			if rows[i].keyEqualCols(tp, t.keys) {
+				at = i
+				break
+			}
+		}
+		if at < 0 {
+			return rows
+		}
+	}
+	last := len(rows) - 1
+	if ix.pos != nil {
+		delete(ix.pos, pk)
+		if at != last {
+			ix.pos[rows[last].hashCols(t.keys)] = int32(at)
+		}
+	}
+	rows[at] = rows[last]
+	rows[last] = Tuple{}
+	return rows[:last]
+}
+
+// trackSlots builds ix.pos from the index as it stands.
+func (t *Table) trackSlots(ix *index) {
+	ix.pos = make(map[uint64]int32, t.n)
+	for i := range ix.buckets.slots {
+		for slot, row := range ix.buckets.slots[i].b {
+			ix.pos[row.hashCols(t.keys)] = int32(slot)
+		}
+	}
+	for slot, row := range ix.unkeyed {
+		ix.pos[row.hashCols(t.keys)] = int32(slot)
+	}
 }
 
 // Dump renders the table contents for debugging, sorted.

@@ -1,6 +1,7 @@
 package overlog
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -187,5 +188,275 @@ func TestComputedKeyIndexUnkeyedRows(t *testing.T) {
 	tbl.Insert(row(7))
 	if got := probe("a"); got != "7" {
 		t.Fatalf("after Clear, probe a = %s", got)
+	}
+}
+
+// indexModel is the reference an index is held to: per key, the rows in
+// the order storage documents — a fresh index lists each key's rows in
+// sorted-scan order, an insert appends, a removal moves the key's last
+// row into the hole — and the rows whose computed key fails, apart.
+// Everything is found by walking; nothing is shared with Table.
+type indexModel struct {
+	cols    []int
+	keyOf   func(Tuple) (string, bool) // false: a computed column fails on the row
+	buckets map[string][]Tuple
+	unkeyed []Tuple
+}
+
+func (m *indexModel) add(tp Tuple) {
+	if key, ok := m.keyOf(tp); ok {
+		m.buckets[key] = append(m.buckets[key], tp)
+	} else {
+		m.unkeyed = append(m.unkeyed, tp)
+	}
+}
+
+func (m *indexModel) remove(slot Value) {
+	swapOut := func(rows []Tuple) []Tuple {
+		for i := range rows {
+			if rows[i].Vals[0].Equal(slot) {
+				rows[i] = rows[len(rows)-1]
+				return rows[:len(rows)-1]
+			}
+		}
+		return rows
+	}
+	for key, rows := range m.buckets {
+		m.buckets[key] = swapOut(rows)
+	}
+	m.unkeyed = swapOut(m.unkeyed)
+}
+
+// TestPropIndexMatchOrderMatchesModel drives one table through seeded
+// random inserts, key replacements, Delete, DeleteByKey, Clear and
+// snapshot-restore (dump sorted, clear, load — what RestoreSnapshot does
+// to a table), and after every operation probes three indexes — a
+// 2-value stored column whose buckets grow past posMapMin and shrink
+// back, a computed key with rows it fails on, and the pair — holding
+// each Match result, as an ordered list, to indexModel. Probe candidate
+// order decides derivation order, so "the same rows" is not enough.
+func TestPropIndexMatchOrderMatchesModel(t *testing.T) {
+	decl := &TableDecl{Name: "log", Cols: []ColDecl{
+		{Name: "Slot", Type: KindInt},
+		{Name: "G", Type: KindInt},
+		{Name: "Cmd", Type: KindList},
+	}, KeyCols: []int{0}}
+	nth, _ := LookupBuiltin("nth")
+	tostr, _ := LookupBuiltin("tostr")
+	first := ccall{b: tostr, args: []cexpr{ccall{b: nth, args: []cexpr{cslot{idx: 2}, cconst{v: Int(0)}}}}}
+	firstOf := func(tp Tuple) (string, bool) {
+		if l := tp.Vals[2].AsList(); len(l) > 0 {
+			return l[0].AsString(), true
+		}
+		return "", false
+	}
+	render := func(rows []Tuple) string {
+		var b strings.Builder
+		for _, tp := range rows {
+			b.WriteString(tp.String())
+			b.WriteString(" ")
+		}
+		return b.String()
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tbl := NewTable(decl)
+		vc := tbl.computedCol(first)
+		models := []*indexModel{
+			{cols: []int{1}, keyOf: func(tp Tuple) (string, bool) { return tp.Vals[1].String(), true }},
+			{cols: []int{vc}, keyOf: firstOf},
+			{cols: []int{1, vc}, keyOf: func(tp Tuple) (string, bool) {
+				f, ok := firstOf(tp)
+				return tp.Vals[1].String() + "/" + f, ok
+			}},
+		}
+		rows := map[int64]Tuple{} // the table's contents, by slot
+		store := func(tp Tuple) {
+			slot := tp.Vals[0].AsInt()
+			if old, ok := rows[slot]; ok {
+				if old.Equal(tp) {
+					return
+				}
+				for _, m := range models {
+					if m.buckets != nil {
+						m.remove(tp.Vals[0])
+					}
+				}
+			}
+			rows[slot] = tp
+			for _, m := range models {
+				if m.buckets != nil {
+					m.add(tp)
+				}
+			}
+		}
+		drop := func(slot int64) {
+			if _, ok := rows[slot]; !ok {
+				return
+			}
+			delete(rows, slot)
+			for _, m := range models {
+				if m.buckets != nil {
+					m.remove(Int(slot))
+				}
+			}
+		}
+		sorted := func() []Tuple {
+			var all []Tuple
+			for _, tp := range rows {
+				all = append(all, tp)
+			}
+			SortTuples(all)
+			return all
+		}
+		randRow := func() Tuple {
+			cmd := List()
+			if r.Intn(5) > 0 {
+				cmd = List(Str(string(rune('a'+r.Intn(3)))), Int(int64(r.Intn(2))))
+			}
+			return NewTuple("log", Int(int64(r.Intn(150))), Int(int64(r.Intn(2))), cmd)
+		}
+		maxBucket, tracked := 0, false
+		for op := 0; op < 1500; op++ {
+			switch k := r.Intn(1000); {
+			case k < 600 || len(rows) < 20:
+				tp := randRow()
+				if _, _, err := tbl.Insert(tp.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				store(tp)
+			case k < 780:
+				slot := int64(r.Intn(150))
+				if old, ok := rows[slot]; ok {
+					if removed, err := tbl.Delete(old.Clone()); err != nil || !removed {
+						t.Fatalf("seed %d op %d: Delete(%s) = %v, %v", seed, op, old, removed, err)
+					}
+					drop(slot)
+				}
+			case k < 990:
+				slot := int64(r.Intn(150))
+				if _, err := tbl.DeleteByKey(NewTuple("log", Int(slot), Int(9), List())); err != nil {
+					t.Fatal(err)
+				}
+				drop(slot)
+			case k < 993:
+				tbl.Clear()
+				for slot := range rows {
+					drop(slot)
+				}
+			default:
+				dump := tbl.Tuples()
+				if got, want := render(dump), render(sorted()); got != want {
+					t.Fatalf("seed %d op %d: table holds\n%s\nmodel\n%s", seed, op, got, want)
+				}
+				tbl.Clear()
+				for slot := range rows {
+					drop(slot)
+				}
+				for _, tp := range dump {
+					if _, _, err := tbl.Insert(tp.Clone()); err != nil {
+						t.Fatal(err)
+					}
+					store(tp)
+				}
+			}
+			for _, m := range models {
+				if m.buckets == nil {
+					if op < 40*len(m.cols) {
+						continue // the index comes into being with rows already stored
+					}
+					m.buckets = map[string][]Tuple{}
+					for _, tp := range sorted() {
+						m.add(tp)
+					}
+				}
+				g := Int(int64(r.Intn(2)))
+				f := string(rune('a' + r.Intn(4))) // "d": no row has it
+				vals, key := []Value{g}, g.String()
+				switch len(m.cols) + m.cols[0] {
+				case 1 + vc:
+					vals, key = []Value{Str(f)}, f
+				case 2 + 1:
+					vals, key = []Value{g, Str(f)}, g.String()+"/"+f
+				}
+				want := append([]Tuple(nil), m.buckets[key]...)
+				for _, tp := range m.unkeyed {
+					if m.cols[0] != 1 || tp.Vals[1].Equal(g) {
+						want = append(want, tp)
+					}
+				}
+				if got := tbl.Match(m.cols, vals); render(got) != render(want) {
+					t.Fatalf("seed %d op %d: Match(%v, %v) =\n%s\nmodel\n%s", seed, op, m.cols, vals, render(got), render(want))
+				}
+				maxBucket = max(maxBucket, len(m.buckets[key]))
+			}
+			for _, ix := range tbl.ixAll {
+				tracked = tracked || ix.pos != nil
+			}
+		}
+		if maxBucket <= posMapMin || !tracked {
+			t.Fatalf("seed %d: largest bucket %d rows, slots tracked: %v — the stream never took a removal through a bucket past posMapMin",
+				seed, maxBucket, tracked)
+		}
+	}
+}
+
+// TestBigBucketRemovalVisitsTwoRows is the scan-count guard of index
+// removal: 10 000 removals from a 5 000-row bucket of a 2-value column
+// key-compare at most 2 rows each (it was the whole bucket: 15 % of
+// fs_sim's CPU went to removing a file from its parent directory's
+// bucket), and leave the bucket, every time, in exactly the order
+// swap-with-last leaves it.
+func TestBigBucketRemovalVisitsTwoRows(t *testing.T) {
+	decl := &TableDecl{Name: "file", Cols: []ColDecl{
+		{Name: "Id", Type: KindInt},
+		{Name: "Parent", Type: KindInt},
+	}, KeyCols: []int{0}}
+	tbl := NewTable(decl)
+	var model []int64
+	next := int64(0)
+	insert := func(parent int64) {
+		if _, _, err := tbl.Insert(NewTuple("file", Int(next), Int(parent))); err != nil {
+			t.Fatal(err)
+		}
+		if parent == 7 {
+			model = append(model, next)
+		}
+		next++
+	}
+	for i := 0; i < 5000; i++ {
+		insert(7)
+		if i%10 == 0 {
+			insert(int64(100 + i)) // singleton buckets beside the big one
+		}
+	}
+	cols, dir := []int{1}, []Value{Int(7)}
+	if n := len(tbl.Match(cols, dir)); n != 5000 {
+		t.Fatalf("bucket holds %d rows, want 5000", n)
+	}
+	ix := tbl.ensureIndex(cols)
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 10000; n++ {
+		at := r.Intn(len(model))
+		before := tbl.removeCompares
+		if removed, err := tbl.Delete(NewTuple("file", Int(model[at]), Int(7))); err != nil || !removed {
+			t.Fatalf("removal %d: %v, %v", n, removed, err)
+		}
+		if d := tbl.removeCompares - before; d > 2 {
+			t.Fatalf("removal %d from a %d-row bucket compared %d rows, want at most 2", n, len(model), d)
+		}
+		model[at] = model[len(model)-1]
+		model = model[:len(model)-1]
+		bucket := ix.buckets.get(hashVals(dir))
+		if len(bucket) != len(model) {
+			t.Fatalf("removal %d: bucket holds %d rows, model %d", n, len(bucket), len(model))
+		}
+		for i, id := range model {
+			if bucket[i].Vals[0].AsInt() != id {
+				t.Fatalf("removal %d: bucket[%d] is file %d, swap-with-last leaves %d there", n, i, bucket[i].Vals[0].AsInt(), id)
+			}
+		}
+		insert(7)
+		tbl.syncIndexes()
 	}
 }

@@ -225,8 +225,9 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleRules serves per-rule firing counts (the metaprogrammed rule
-// profiler, as an endpoint).
+// handleRules serves per-rule evaluation and firing counts (the
+// metaprogrammed rule profiler, as an endpoint), rules sharing a name
+// summed.
 func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 	if s.src.WithRuntime == nil {
 		http.Error(w, "no runtime attached", http.StatusNotFound)
@@ -234,13 +235,21 @@ func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 	}
 	type rinfo struct {
 		Rule  string `json:"rule"`
+		Evals int64  `json:"evals"`
 		Fires int64  `json:"fires"`
 	}
 	var out []rinfo
 	s.src.WithRuntime(func(rt *overlog.Runtime) {
-		stats := rt.RuleStats()
-		for _, name := range rt.Rules() {
-			out = append(out, rinfo{name, stats[name]})
+		at := map[string]int{}
+		for _, p := range rt.RuleProfiles() {
+			i, ok := at[p.Rule]
+			if !ok {
+				i = len(out)
+				at[p.Rule] = i
+				out = append(out, rinfo{Rule: p.Rule})
+			}
+			out[i].Evals += p.Evals
+			out[i].Fires += p.Fires
 		}
 	})
 	sort.Slice(out, func(i, j int) bool {
