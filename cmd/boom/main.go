@@ -509,10 +509,10 @@ func runOlg(args []string) error {
 		}
 	}
 	if *profile {
-		fmt.Printf("%-24s %5s %10s %10s %10s %12s\n", "rule", "strat", "evals", "fires", "retracted", "wall")
+		fmt.Printf("%-24s %5s %10s %10s %10s %10s %12s\n", "rule", "strat", "evals", "alt_evals", "fires", "retracted", "wall")
 		for _, p := range rt.RuleProfiles() {
-			fmt.Printf("%-24s %5d %10d %10d %10d %12s\n",
-				p.Rule, p.Stratum, p.Evals, p.Fires, p.Retracted, time.Duration(p.WallNS))
+			fmt.Printf("%-24s %5d %10d %10d %10d %10d %12s\n",
+				p.Rule, p.Stratum, p.Evals, p.AltEvals, p.Fires, p.Retracted, time.Duration(p.WallNS))
 		}
 		for _, s := range rt.StratumProfiles() {
 			fmt.Printf("stratum %d: steps=%d iters=%d max=%d\n", s.Stratum, s.Steps, s.Iters, s.Max)

@@ -172,6 +172,165 @@ func TestEveryScanHasDeltaVariant(t *testing.T) {
 	}
 }
 
+// generatorAlternatives pins, by unit/group/rule and frontier table,
+// every shipped delta variant whose run of atoms after the frontier
+// full-scans a generator that a later atom of the run could key, with
+// the alternative join order it carries (see overlog.planAlternative).
+// An evaluation that reaches the generator continues in the alternative
+// only while the keying atom's table is the smaller.
+var generatorAlternatives = map[string]string{
+	"paxos/replica/ad1@new cur_ballot":             ad1Alternative,
+	"kvstore/replica/ad1@new cur_ballot":           ad1Alternative,
+	"boomfs-replicated/replica/ad1@new cur_ballot": ad1Alternative,
+}
+
+// ad1Alternative is paxos' ad1 for a new ballot, which joins every
+// adopt_max row (one per slot) with its promises. adopt_max is never the
+// larger table: it has one row per slot that promise_acc_store holds a
+// promise for, and promise_acc_store one per promising acceptor. So ad1
+// keeps today's order and emission order at run time, and the ballot
+// index the alternative probes is never built.
+const ad1Alternative = "alternative when len(promise_acc_store) < len(adopt_max): " +
+	"promise_acc_store via index [0], adopt_max via index [0 1]"
+
+// TestEveryGeneratorHasAlternative is the pin of alternative join
+// orders: in every program this repository ships, every delta variant
+// that full-scans a generator which a later atom of its run could key —
+// read off the rule text here, independently of the planner — carries
+// the alternative, and is listed in generatorAlternatives. (evalbench's
+// join program spent 86 % of its candidate rows in such a scan.)
+func TestEveryGeneratorHasAlternative(t *testing.T) {
+	unused := map[string]bool{}
+	for k := range generatorAlternatives {
+		unused[k] = true
+	}
+	for _, u := range embeddedUnits() {
+		for g, srcs := range u.Groups {
+			rt := overlog.NewRuntime("n:0")
+			for _, src := range srcs {
+				if err := rt.InstallSource(src); err != nil {
+					t.Fatalf("%s/%s: %v", u.Name, g, err)
+				}
+			}
+			names := rt.Rules()
+			var rules []*overlog.Rule
+			for _, prog := range rt.Programs() {
+				rules = append(rules, prog.Rules...)
+			}
+			for i, rule := range rules {
+				plan, err := rt.Explain(names[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				const marker = "delta variants (frontier-first reorderings): "
+				at := strings.Index(plan, marker)
+				if at < 0 {
+					continue
+				}
+				// One block per scan position, in body order: its header, then
+				// the variant's plan and alternative lines.
+				blocks := strings.Split(plan[at:], "\n    new ")[1:]
+				var scans []int
+				for pos, be := range rule.Body {
+					if be.Kind == overlog.BodyAtom && rt.Table(be.Atom.Table) != nil {
+						scans = append(scans, pos)
+					}
+				}
+				if len(blocks) != len(scans) {
+					t.Fatalf("%s/%s/%s: %d variant blocks for %d scans:\n%s", u.Name, g, names[i], len(blocks), len(scans), plan)
+				}
+				for j, pos := range scans {
+					id := fmt.Sprintf("%s/%s/%s@new %s", u.Name, g, names[i], rule.Body[pos].Atom.Table)
+					_, alt, has := strings.Cut(blocks[j], "\n      alternative when ")
+					alt, _, _ = strings.Cut(alt, "\n")
+					want, pinned := generatorAlternatives[id]
+					switch keyable := keyableGenerator(rt, rule.Body, pos); {
+					case keyable && !has:
+						t.Errorf("%s full-scans a generator a later atom could key, and has no alternative:\n%s", id, plan)
+					case has && !keyable:
+						t.Errorf("%s has an alternative, but its text shows no keyable generator:\n%s", id, plan)
+					case has && !pinned:
+						t.Errorf("%s is not in generatorAlternatives; it carries alternative when %s", id, alt)
+					case has && want != "alternative when "+alt:
+						t.Errorf("%s carries alternative when %s, pinned as %s", id, alt, want)
+					}
+					delete(unused, id)
+				}
+			}
+		}
+	}
+	for id := range unused {
+		t.Errorf("generatorAlternatives names %s, which no unit installs", id)
+	}
+}
+
+// keyableGenerator reads a rule's text as the delta variant led by the
+// atom at frontier would run it, the rest in order: in the run of
+// declared atoms after the frontier, is there a generator (an atom whose
+// terms are all wildcards and variables not bound yet, one at least)
+// followed by an atom of plain terms that names both a variable bound
+// before the generator and one the generator binds?
+func keyableGenerator(rt *overlog.Runtime, body []*overlog.BodyElem, frontier int) bool {
+	run := []*overlog.Atom{body[frontier].Atom}
+	for pos, be := range body {
+		if pos == frontier {
+			continue
+		}
+		if be.Kind != overlog.BodyAtom || rt.Table(be.Atom.Table) == nil {
+			break
+		}
+		run = append(run, be.Atom)
+	}
+	bound := map[string]bool{}
+	vars := func(a *overlog.Atom) (out []string) {
+		for _, term := range a.Terms {
+			if v, ok := term.Expr.(*overlog.VarExpr); ok {
+				out = append(out, v.Name)
+			}
+		}
+		return out
+	}
+	for _, v := range vars(run[0]) {
+		bound[v] = true
+	}
+	for g, gen := range run[1:] {
+		binds := map[string]bool{}
+		isGen := true
+		for _, term := range gen.Terms {
+			switch e := term.Expr.(type) {
+			case *overlog.WildcardExpr:
+			case *overlog.VarExpr:
+				isGen = isGen && !bound[e.Name]
+				binds[e.Name] = true
+			default:
+				isGen = false
+			}
+		}
+		if isGen && len(binds) > 0 {
+			for _, q := range run[g+2:] {
+				plain, early, fromGen := true, false, false
+				for _, term := range q.Terms {
+					switch e := term.Expr.(type) {
+					case *overlog.WildcardExpr, *overlog.ConstExpr:
+					case *overlog.VarExpr:
+						early = early || bound[e.Name]
+						fromGen = fromGen || binds[e.Name]
+					default:
+						plain = false
+					}
+				}
+				if plain && early && fromGen {
+					return true
+				}
+			}
+		}
+		for _, v := range vars(gen) {
+			bound[v] = true
+		}
+	}
+	return false
+}
+
 // dispatchExceptions lists, by unit/group/rule and body position, the
 // atoms that carry a string or bool constant which a new tuple at that
 // position is nevertheless not dispatched on, with the reason. Such a

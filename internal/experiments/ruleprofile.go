@@ -102,14 +102,14 @@ func (r *RuleProfileResult) Report() string {
 	fmt.Fprintf(&b, "== per-rule fixpoint profile ==\n")
 	fmt.Fprintf(&b, "   (%d metadata creates against one master, %d datanodes)\n\n",
 		r.Params.Ops, r.Params.DataNodes)
-	fmt.Fprintf(&b, "%-28s %-16s %5s %10s %10s %10s %12s\n",
-		"rule", "program", "strat", "evals", "fires", "retracted", "wall")
+	fmt.Fprintf(&b, "%-28s %-16s %5s %10s %10s %10s %10s %12s\n",
+		"rule", "program", "strat", "evals", "alt_evals", "fires", "retracted", "wall")
 	for _, p := range r.Rules {
 		if p.Evals == 0 && p.Retracted == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-28s %-16s %5d %10d %10d %10d %12s\n",
-			p.Rule, p.Program, p.Stratum, p.Evals, p.Fires, p.Retracted, time.Duration(p.WallNS))
+		fmt.Fprintf(&b, "%-28s %-16s %5d %10d %10d %10d %10d %12s\n",
+			p.Rule, p.Program, p.Stratum, p.Evals, p.AltEvals, p.Fires, p.Retracted, time.Duration(p.WallNS))
 	}
 	fmt.Fprintf(&b, "\nstratum fixpoint iterations (buckets %s):\n",
 		strings.Join(overlog.IterBuckets[:], " | "))

@@ -377,6 +377,60 @@ func TestDisplaceStepAllocGuard(t *testing.T) {
 	t.Logf("%d B per step", perStep)
 }
 
+// TestGeneratorAlternativeAllocGuard: a steady step whose delta variant
+// takes the alternative join order (e(C) → s by C → r by B, instead of
+// a full scan of r probing s by each row) allocates no more than the
+// same step in textual order. Every derivation is a duplicate, so what
+// either allocates is the event's storage.
+func TestGeneratorAlternativeAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	perStep := func(strip bool) uint64 {
+		rt := NewRuntime("guard")
+		mustInstall(t, rt, `
+			table r(A: int, B: int) keys(0,1);
+			table s(B: int, C: int) keys(0,1);
+			table q(A: int, C: int) keys(0,1);
+			event e(C: int);
+			a1 q(A, C) :- e(C), r(A, B), s(B, C);
+		`)
+		if strip {
+			stripJoinAlternatives(rt)
+		}
+		var load []Tuple
+		for i := int64(0); i < 400; i++ {
+			load = append(load, NewTuple("r", Int(i), Int(i%40)))
+		}
+		for b := int64(0); b < 40; b++ {
+			load = append(load, NewTuple("s", Int(b), Int(b%20)))
+		}
+		step := int64(1)
+		if _, err := rt.Step(step, load); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			step++
+			if _, err := rt.Step(step, []Tuple{NewTuple("e", Int(step%20))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			run() // derive every q row once
+		}
+		bytes := stepBytes(run)
+		if took := ruleNamed(rt, "a1").stats.altEvals; strip == (took != 0) {
+			t.Fatalf("strip=%v: a1 took the alternative in %d evaluations", strip, took)
+		}
+		return bytes
+	}
+	with, without := perStep(false), perStep(true)
+	if with > without {
+		t.Fatalf("a steady step allocates %d B in the alternative join order, %d B in textual order", with, without)
+	}
+	t.Logf("%d B per step, %d B in textual order", with, without)
+}
+
 // TestIdleStratumAllocGuard: a step that triggers one of five strata
 // allocates nothing for the other four — what it allocates is what the
 // same step allocates when the triggered rule is the whole program.

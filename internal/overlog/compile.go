@@ -308,6 +308,12 @@ type compiledRule struct {
 	// maps a body position directly to the variant to run when that
 	// position carries the frontier (nil = evaluate in original order).
 	deltaForPos []*compiledRule
+	// alt is a delta variant's alternative join order (planAlternative):
+	// this body with the atom that can key the generator at body[altAt]
+	// moved directly ahead of it. Delta evaluation that reaches the
+	// generator continues in alt when that atom's table is the smaller.
+	alt   *compiledRule
+	altAt int
 
 	// inputs has a bit per table the body reads (scan or notin): a rule
 	// evaluated whole runs again when one of them changed. guard, on an
@@ -375,13 +381,18 @@ func (cr *compiledRule) finalizeDelta() {
 }
 
 // forms lists every compiled form of the rule: itself, its reordered
-// delta variants and, for an aggregate maintained per group, its seeded
-// form.
+// delta variants, their alternative join orders and, for an aggregate
+// maintained per group, its seeded form.
 func (cr *compiledRule) forms() []*compiledRule {
 	out := []*compiledRule{cr}
 	for _, v := range cr.deltaVariants {
 		if v != nil && v != cr {
 			out = append(out, v)
+		}
+	}
+	for i, n := 0, len(out); i < n; i++ {
+		if alt := out[i].alt; alt != nil {
+			out = append(out, alt)
 		}
 	}
 	if cr.group != nil {
@@ -705,6 +716,8 @@ func (rc *ruleCompiler) compileRule(seq int) (*compiledRule, error) {
 	}
 
 	// Body, in textual order (the join order, as in P2).
+	cr.body = make([]*bodyOp, 0, len(r.Body))
+	cr.scanPositions = make([]int, 0, len(r.Body))
 	for _, be := range r.Body {
 		switch be.Kind {
 		case BodyAtom:
@@ -847,6 +860,7 @@ func buildDeltaVariants(cat *catalog, cr *compiledRule, seq int) error {
 		if elemIdx == scanElems[0] && elemIdx == 0 {
 			// Already first; reuse the main compilation.
 			cr.deltaVariants = append(cr.deltaVariants, cr)
+			planAlternative(cat, cr, seq)
 			continue
 		}
 		reordered := make([]*BodyElem, 0, len(src.Body))
@@ -870,8 +884,77 @@ func buildDeltaVariants(cat *catalog, cr *compiledRule, seq int) error {
 		vcr.name = cr.name
 		vcr.stats = cr.stats
 		cr.deltaVariants = append(cr.deltaVariants, vcr)
+		planAlternative(cat, vcr, seq)
 	}
 	return nil
+}
+
+// planAlternative gives a delta variant at most one alternative join
+// order, chosen from its shape. In the run of consecutive positive atoms
+// after the frontier, the generator G is the first full scan that binds
+// variables and is followed in the run by an atom Q that could key it:
+// Q's terms are variables, constants or wildcards, one of its variables
+// is bound before G and one is bound by G. The variant makes |G| probes
+// of Q per binding that reaches G; with Q moved directly ahead of G, G
+// becomes an index probe, made at most |Q| times. Both orders complete
+// the same bindings, and only Q moves, so every condition, := and notin
+// (all of which come after the run) sees what it saw. execOps takes the
+// alternative when len(Q) < len(G), so it never adds probes. It shares
+// the variant's prefix up to G slot for slot, which lets execOps carry
+// the prefix's bindings over; a compilation that does not is dropped.
+//
+// Slots are numbered in order of first occurrence, and the body up to G
+// is atoms only, so the slots bound before G are 0..prefix-1 and G's
+// own the next len(G.bindSlots).
+func planAlternative(cat *catalog, v *compiledRule, seq int) {
+	end := 1
+	for end < len(v.body) && v.body[end].kind == opScan {
+		end++
+	}
+	prefix := len(v.body[0].bindSlots)
+	for g := 1; g < end; g++ {
+		gen := v.body[g]
+		if len(gen.boundCols) > 0 || len(gen.bindSlots) == 0 {
+			prefix += len(gen.bindSlots)
+			continue
+		}
+		for q := g + 1; q < end; q++ {
+			if !keysGenerator(v.body[q], prefix, prefix+len(gen.bindSlots)) {
+				continue
+			}
+			rule := *v.src
+			rule.Body = slices.Clone(v.src.Body)
+			copy(rule.Body[g+1:q+1], v.src.Body[g:q])
+			rule.Body[g] = v.src.Body[q]
+			rc := &ruleCompiler{cat: cat, rule: &rule, prog: v.program, slots: map[string]int{}, reordered: true}
+			alt, err := rc.compileRule(seq)
+			if err != nil || alt.nslots != v.nslots || !slices.Equal(alt.slotNames[:prefix], v.slotNames[:prefix]) {
+				return
+			}
+			alt.name, alt.stats = v.name, v.stats
+			v.alt, v.altAt = alt, g
+			return
+		}
+		prefix += len(gen.bindSlots)
+	}
+}
+
+// keysGenerator reports whether atom q could key a generator that binds
+// slots gen..genEnd-1, the slots below gen being bound before it: q's
+// terms are plain, and it reads one slot of each kind.
+func keysGenerator(q *bodyOp, gen, genEnd int) bool {
+	early, fromGen := false, false
+	for _, ce := range q.boundExprs {
+		switch e := ce.(type) {
+		case cconst:
+		case cslot:
+			early = early || e.idx < gen
+			fromGen = fromGen || (e.idx >= gen && e.idx < genEnd)
+		default:
+			return false
+		}
+	}
+	return early && fromGen
 }
 
 // groupPlan lets an aggregate rule re-evaluate single groups instead of

@@ -80,6 +80,12 @@ func (r *Runtime) Explain(ruleName string) (string, error) {
 				fmt.Fprintf(&b, "    new %s:\n", front)
 				r.explainOps(&b, v, 0, "      ")
 			}
+			if v != nil && v.alt != nil {
+				// The atom moved ahead of the generator, then the generator.
+				q, gen := v.alt.body[v.altAt], v.alt.body[v.altAt+1]
+				fmt.Fprintf(&b, "      alternative when len(%s) < len(%s): %s via %s, %s via %s\n",
+					q.table, gen.table, q.table, r.accessPath(q, false), gen.table, r.accessPath(gen, false))
+			}
 		}
 	}
 	return b.String(), nil

@@ -102,6 +102,32 @@ func TestExplainAggregateMode(t *testing.T) {
 	}
 }
 
+// TestExplainAlternative: under the delta variant that full-scans a
+// generator, Explain prints the alternative join order, with the size
+// test that picks it and the access paths of the atom moved ahead of the
+// generator and of the generator itself — also when the variant is the
+// rule's textual order.
+func TestExplainAlternative(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, multiJoinProgram)
+	out := mustExplain(t, rt, "j1")
+	const newU = "    new u:\n" +
+		"      0. scan  u                  bound=[] bind=[0 1] filter=[]  via delta\n" +
+		"      1. scan  r                  bound=[] bind=[0 1] filter=[]  via full scan\n" +
+		"      2. scan  s                  bound=[0 1] bind=[] filter=[]  via index [0 1]\n" +
+		"      3. cond\n" +
+		"      alternative when len(s) < len(r): s via index [1], r via index [1]\n"
+	if !strings.HasSuffix(out, newU) || strings.Count(out, "alternative when") != 1 {
+		t.Errorf("Explain(j1): want new u, and it alone, to end with\n%s\nin\n%s", newU, out)
+	}
+	mustInstall(t, rt, diffProgramNamed("generator-join").src)
+	const textual = "    new u: textual order\n" +
+		"      alternative when len(tag) < len(r): tag via index [0 2], r via index [0]\n"
+	if out := mustExplain(t, rt, "cq1"); !strings.Contains(out, textual) {
+		t.Errorf("Explain(cq1) missing %q:\n%s", textual, out)
+	}
+}
+
 func TestExplainAllStrata(t *testing.T) {
 	rt := NewRuntime("n1")
 	mustInstall(t, rt, `

@@ -75,28 +75,45 @@ func TestNaiveEvalEventsAndDeletes(t *testing.T) {
 // differentialRun is the oracle for an access path: one seeded stream
 // of the program's facts, steps timesteps long, through semi-naive
 // evaluation and naive (never runs a delta variant, always collects all
-// groups), which must agree on every table after every timestep.
-// inspect sees the semi-naive runtime afterwards.
+// groups), which must agree on every table after every timestep, and on
+// the error of a step that fails. inspect sees the semi-naive runtime
+// afterwards.
 func differentialRun(t *testing.T, prog diffProgram, seed int64, steps int, inspect func(semi *Runtime)) {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
 	semi, naive := NewRuntime("n1"), NewRuntime("n1", WithNaiveEval())
 	mustInstall(t, semi, prog.src)
 	mustInstall(t, naive, prog.src)
+	lockstep(t, prog, seed, steps, [2]string{"semi-naive", "naive"}, semi, naive, nil)
+	inspect(semi)
+}
+
+// lockstep feeds one seeded stream of prog's facts to two runtimes,
+// which must agree on every table after every timestep, and on the
+// error when a step fails; the stream ends there, since a failed step
+// leaves a runtime mid-fixpoint. after runs after each step that did
+// not fail. lockstep reports the step that failed, 0 if none did.
+func lockstep(t *testing.T, prog diffProgram, seed int64, steps int, names [2]string, a, b *Runtime, after func()) int64 {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
 	for step := int64(1); step <= int64(steps); step++ {
 		batch := prog.batch(r, 1+r.Intn(12), 5)
-		if _, err := semi.Step(step, cloneBatch(batch)); err != nil {
-			t.Fatalf("%s seed %d step %d: semi-naive: %v", prog.name, seed, step, err)
+		_, errA := a.Step(step, cloneBatch(batch))
+		_, errB := b.Step(step, cloneBatch(batch))
+		if fmt.Sprint(errA) != fmt.Sprint(errB) {
+			t.Fatalf("%s seed %d step %d: %s error %v, %s error %v", prog.name, seed, step, names[0], errA, names[1], errB)
 		}
-		if _, err := naive.Step(step, cloneBatch(batch)); err != nil {
-			t.Fatalf("%s seed %d step %d: naive: %v", prog.name, seed, step, err)
+		if errA != nil {
+			return step
 		}
-		if got, want := dumpAll(naive), dumpAll(semi); got != want {
-			t.Fatalf("%s seed %d step %d: naive diverged from semi-naive:\n%s\nvs\n%s",
-				prog.name, seed, step, got, want)
+		if got, want := dumpAll(b), dumpAll(a); got != want {
+			t.Fatalf("%s seed %d step %d: %s diverged from %s:\n%s\nvs\n%s",
+				prog.name, seed, step, names[1], names[0], got, want)
+		}
+		if after != nil {
+			after()
 		}
 	}
-	inspect(semi)
+	return 0
 }
 
 // TestComputedKeyDifferential is the oracle for the computed-key access
@@ -254,6 +271,111 @@ func stripComputedKeys(rt *Runtime) {
 	}
 }
 
+// stripJoinAlternatives takes every alternative join order back out of
+// an installed runtime's delta variants, leaving each to full-scan its
+// generator as it did before planAlternative: the reference for "with
+// and without the alternative".
+func stripJoinAlternatives(rt *Runtime) {
+	for _, cr := range rt.cat.rules {
+		for _, v := range cr.deltaVariants {
+			if v != nil {
+				v.alt = nil
+			}
+		}
+	}
+}
+
+// TestJoinAlternativeDifferential is the oracle for alternative join
+// orders: generator-join over 25 seeded 12-step streams, naive against
+// semi-naive, and semi-naive with its alternatives against semi-naive
+// without them, which must agree on every table after every step and on
+// the error of a step that raises. The inspection pins that the streams
+// ran each alternative and each generator scan it replaces: the table
+// sizes crossed len(Q) < len(G) both ways. Some streams reach the
+// raising condition and some do not.
+func TestJoinAlternativeDifferential(t *testing.T) {
+	prog := diffProgramNamed("generator-join")
+	type order struct {
+		name         string
+		variant, alt *bodyOp
+	}
+	var orders []order
+	took, kept := map[string]int{}, map[string]int{}
+	raised := 0
+	for seed := int64(1); seed <= 25; seed++ {
+		differentialRun(t, prog, seed, 12, func(*Runtime) {})
+		with, without := NewRuntime("n1"), NewRuntime("n1")
+		mustInstall(t, with, prog.src)
+		mustInstall(t, without, prog.src)
+		stripJoinAlternatives(without)
+		// A scan op's memo says whether it probed since it was cleared: the
+		// variant's generator in today's order, or the atom moved ahead of
+		// it in the alternative.
+		orders = orders[:0]
+		for _, cr := range with.cat.rules {
+			for i, v := range cr.deltaVariants {
+				if v != nil && v.alt != nil {
+					name := fmt.Sprintf("%s new %s", cr.name, cr.body[cr.scanPositions[i]].table)
+					orders = append(orders, order{name: name, variant: v.body[v.altAt], alt: v.alt.body[v.altAt]})
+				}
+			}
+		}
+		if len(orders) != 9 {
+			t.Fatalf("%d delta variants with an alternative, want 9: %v", len(orders), orders)
+		}
+		observe := func() {
+			for _, o := range orders {
+				if o.variant.memoOK {
+					kept[o.name]++
+				}
+				if o.alt.memoOK {
+					took[o.name]++
+				}
+				o.variant.memoOK, o.alt.memoOK = false, false
+			}
+		}
+		if lockstep(t, prog, seed, 12, [2]string{"with alternatives", "without"}, with, without, observe) != 0 {
+			raised++
+		}
+	}
+	for _, o := range orders {
+		if took[o.name] == 0 || kept[o.name] == 0 {
+			t.Errorf("%s: the alternative ran in %d steps and the generator scan in %d; want both", o.name, took[o.name], kept[o.name])
+		}
+	}
+	t.Logf("alternative taken in %v steps, generator scanned in %v; %d of 25 streams raised", took, kept, raised)
+	if raised == 0 || raised == 25 {
+		t.Errorf("%d of 25 streams reached the raising condition; want some, not all", raised)
+	}
+}
+
+// TestCoercingConstantDifferential: a frontier tuple is held to an
+// atom's constants the way an index probe holds a stored row, by
+// encoding: 1.0 does not match an int 1 in an any column, nor -0.0 a
+// stored 0.0, whichever of naive and semi-naive evaluation looks.
+func TestCoercingConstantDifferential(t *testing.T) {
+	prog := diffProgramNamed("coercing-constants")
+	for _, opts := range [][]Option{nil, {WithNaiveEval()}} {
+		rt := NewRuntime("n1", opts...)
+		mustInstall(t, rt, prog.src)
+		if _, err := rt.Step(1, []Tuple{NewTuple("t", Int(1), Int(1)), NewTuple("f", Int(2), Float(0))}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Table("hit").Dump() + rt.Table("zhit").Dump(); got != "" {
+			t.Errorf("naive=%v: derived %s", rt.naiveEval, got)
+		}
+	}
+	hits := 0
+	for seed := int64(1); seed <= 25; seed++ {
+		differentialRun(t, prog, seed, 8, func(semi *Runtime) {
+			hits += semi.Table("hit").Len() + semi.Table("zhit").Len()
+		})
+	}
+	if hits == 0 {
+		t.Fatal("no stream derived a hit: the constants never matched")
+	}
+}
+
 // TestComputedKeyErrorRow: a row whose key expression fails (nth past
 // the end of a short list) is a candidate of every probe, so the rule
 // meets it exactly where a full scan would. Unguarded, the rule raises
@@ -355,6 +477,132 @@ func TestComputedKeyProbeVisitsFewRows(t *testing.T) {
 	}
 	if n := len(probe.candBuf); n > 2 {
 		t.Fatalf("one new pending tuple visited %d decided rows of 2000, want the 1 its key selects", n)
+	}
+}
+
+// multiJoinProgram and multiJoinFacts are evalbench's join workload
+// (internal/evalbench imports this package, so its tests cannot import
+// evalbench back).
+const multiJoinProgram = `
+	table r(A: int, B: int) keys(0,1);
+	table s(B: int, C: int) keys(0,1);
+	table u(C: int, D: int) keys(0,1);
+	table q(A: int, D: int) keys(0,1);
+	j1 q(A, D) :- r(A, B), s(B, C), u(C, D), A != D;
+`
+
+func multiJoinFacts() []Tuple {
+	var facts []Tuple
+	for i := int64(0); i < 400; i++ {
+		facts = append(facts, NewTuple("r", Int(i), Int(i%40)), NewTuple("s", Int(i%40), Int(i%20)),
+			NewTuple("u", Int(i%20), Int(i)))
+	}
+	return facts
+}
+
+// TestGeneratorJoinVisitsFewRows is the visit-count guard of alternative
+// join orders: the step that loads the join program's 1 200 facts hands
+// its scan ops at least 5x fewer candidate rows than the same step
+// without alternatives. There, j1's new-u variant full-scans r (400
+// rows) for each of 400 frontier tuples, to probe s with every row:
+// 160 000 of ~185 000 candidates. Its alternative probes s (40 rows) by
+// C, then r by B.
+func TestGeneratorJoinVisitsFewRows(t *testing.T) {
+	run := func(strip bool) *Runtime {
+		rt := NewRuntime("n1")
+		mustInstall(t, rt, multiJoinProgram)
+		if strip {
+			stripJoinAlternatives(rt)
+		}
+		if _, err := rt.Step(1, multiJoinFacts()); err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	with, without := run(false), run(true)
+	if a, b := dumpAll(with), dumpAll(without); a != b {
+		t.Fatalf("the alternative changed the fixpoint:\n%s\nvs\n%s", a, b)
+	}
+	if p := with.RuleProfiles()[0]; p.AltEvals != 1 {
+		t.Fatalf("j1 took the alternative in %d of %d evaluations, want 1 (new u)", p.AltEvals, p.Evals)
+	}
+	if with.scanRows*5 > without.scanRows {
+		t.Fatalf("one step handed scan ops %d candidate rows, %d without the alternative: want at least 5x fewer",
+			with.scanRows, without.scanRows)
+	}
+	t.Logf("%d candidate rows, %d without the alternative", with.scanRows, without.scanRows)
+}
+
+// adoptProgram is paxos' ad1 over its tables (commands as ints). Its
+// cur_ballot-first variant full-scans adopt_max, which the
+// promise_acc_store atom that follows could key by ballot.
+const adoptProgram = `
+	table is_leader(K: string, V: bool) keys(0);
+	table adopt_max(Slot: int, AB: int) keys(0);
+	table cur_ballot(K: string, B: int) keys(0);
+	table promise_acc_store(Bal: int, Slot: int, AccBal: int, Cmd: int, From: int) keys(0,1,4);
+	table decided(Slot: int, Cmd: int) keys(0);
+	table propose_internal(S: int, Cmd: int) keys(0,1);
+	ad1 propose_internal(S, Cmd) :- is_leader("l", true), adopt_max(S, AB),
+	        cur_ballot("b", B), promise_acc_store(B, S, AB, Cmd, _), notin decided(S, _);
+`
+
+func hasIndex(t *Table, cols ...int) bool {
+	for _, ix := range t.ixAll {
+		if colsEqual(ix.cols, cols) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSmallerGeneratorVisitsInTextualOrder is the guard of the size test
+// on ad1's shape: adopt_max holds one row per slot and promise_acc_store
+// one per acceptor too, so a new ballot scans adopt_max in textual
+// order, in today's emission order, and never builds the ballot index
+// the alternative would probe. Once adopt_max outgrows the promises, the
+// next ballot takes the alternative.
+func TestSmallerGeneratorVisitsInTextualOrder(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, adoptProgram)
+	const alt = "      alternative when len(promise_acc_store) < len(adopt_max): " +
+		"promise_acc_store via index [0], adopt_max via index [0 1]\n"
+	if plan := mustExplain(t, rt, "ad1"); !strings.Contains(plan, "    new cur_ballot:\n") || !strings.Contains(plan, alt) {
+		t.Fatalf("fixture lost its shape: want the cur_ballot-first variant with %q in\n%s", alt, plan)
+	}
+	pas := rt.Table("promise_acc_store")
+	load := []Tuple{NewTuple("is_leader", Str("l"), Bool(true))}
+	for s := int64(0); s < 20; s++ {
+		load = append(load, NewTuple("adopt_max", Int(s), Int(1)))
+		for from := int64(0); from < 3; from++ {
+			load = append(load, NewTuple("promise_acc_store", Int(1), Int(s), Int(1), Int(s*10), Int(from)))
+		}
+	}
+	ad1 := ruleNamed(rt, "ad1")
+	for step, batch := range [][]Tuple{load, {NewTuple("cur_ballot", Str("b"), Int(1))}} {
+		if _, err := rt.Step(int64(step+1), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := rt.Table("propose_internal").Len(); n != 20 {
+		t.Fatalf("ad1 proposed %d slots, want 20", n)
+	}
+	if ad1.stats.altEvals != 0 || hasIndex(pas, 0) {
+		t.Fatalf("with %d promises for %d slots, ad1 took the alternative %d times (ballot index built: %v), want 0",
+			pas.Len(), rt.Table("adopt_max").Len(), ad1.stats.altEvals, hasIndex(pas, 0))
+	}
+	var more []Tuple
+	for s := int64(20); s < 100; s++ {
+		more = append(more, NewTuple("adopt_max", Int(s), Int(1)))
+	}
+	for step, batch := range [][]Tuple{more, {NewTuple("cur_ballot", Str("b"), Int(2))}} {
+		if _, err := rt.Step(int64(step+3), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ad1.stats.altEvals != 1 || !hasIndex(pas, 0) {
+		t.Fatalf("with %d promises for %d slots, ad1 took the alternative %d times (ballot index built: %v), want 1",
+			pas.Len(), rt.Table("adopt_max").Len(), ad1.stats.altEvals, hasIndex(pas, 0))
 	}
 }
 

@@ -24,6 +24,11 @@ type ruleStats struct {
 	// through its seeded form (see groupPlan); an evaluation of all
 	// groups adds nothing.
 	groupEvals int64
+	// altEvals counts evaluations that continued in a delta variant's
+	// alternative join order (see planAlternative) at least once;
+	// altSeen is the evals count of the last one.
+	altEvals int64
+	altSeen  int64
 }
 
 // RuleProfile is one rule's accumulated profile counters.
@@ -32,6 +37,7 @@ type RuleProfile struct {
 	Program   string `json:"program"`
 	Stratum   int    `json:"stratum"`
 	Evals     int64  `json:"evals"`
+	AltEvals  int64  `json:"alt_evals"`
 	Fires     int64  `json:"fires"`
 	Retracted int64  `json:"retracted,omitempty"`
 	WallNS    int64  `json:"wall_ns"`
@@ -87,6 +93,7 @@ func (r *Runtime) RuleProfiles() []RuleProfile {
 			Program:   cr.program,
 			Stratum:   cr.stratum,
 			Evals:     cr.stats.evals,
+			AltEvals:  cr.stats.altEvals,
 			Fires:     cr.stats.fires,
 			Retracted: cr.stats.retracted,
 			WallNS:    cr.stats.wallNS,

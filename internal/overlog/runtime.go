@@ -133,6 +133,7 @@ type Runtime struct {
 	naiveEval     bool
 
 	strataRun int64 // strata entered because something they read changed (the visit guards read it)
+	scanRows  int64 // candidate rows handed to scan ops (the visit guards read it)
 	derivedCt int64 // total tuples derived (including duplicates suppressed)
 	insertCt  int64 // tuples actually inserted (post-dedup)
 	retractCt int64 // stored tuples removed (deletions + key replacements)
@@ -1121,6 +1122,19 @@ func (r *Runtime) execOps(cr *compiledRule, opIdx, deltaPos int, frontier []Tupl
 		return r.execOps(cr, opIdx+1, deltaPos, frontier, env, emit)
 
 	case opScan:
+		// A delta variant reaching its generator continues in the
+		// alternative join order when the atom that keys it is the smaller
+		// table (planAlternative). The two forms share this prefix, env
+		// included. deltaPos 0 is delta evaluation of a frontier-first
+		// form; a rule run whole (-1), or in textual order because no
+		// variant compiles, keeps its order.
+		if alt := cr.alt; alt != nil && opIdx == cr.altAt && deltaPos == 0 && alt.body[opIdx].tbl.Len() < op.tbl.Len() {
+			if st := cr.stats; st.altSeen != st.evals {
+				st.altSeen = st.evals
+				st.altEvals++
+			}
+			return r.execOps(alt, opIdx, deltaPos, frontier, env, alt.emit)
+		}
 		vals, err := op.probeVals(env, r, cr)
 		if err != nil {
 			return err
@@ -1135,14 +1149,16 @@ func (r *Runtime) execOps(cr *compiledRule, opIdx, deltaPos int, frontier []Tupl
 			}
 			candidates = op.candBuf
 		}
+		r.scanRows += int64(len(candidates))
 		// Frontier tuples are unfiltered: check the stored bound columns
-		// (computed ones have their test in the body).
+		// (computed ones have their test in the body) with the encoding
+		// equality an index probe applies.
 		stored := op.boundCols[:op.plainBound]
 		for _, cand := range candidates {
 			if opIdx == deltaPos {
 				ok := true
 				for i, col := range stored {
-					if !cand.Vals[col].Equal(vals[i]) {
+					if !cand.Vals[col].keyEqual(vals[i]) {
 						ok = false
 						break
 					}

@@ -362,10 +362,10 @@ func (r *REPL) profile(args []string) {
 	if !r.rt.Profiling() {
 		fmt.Fprintln(r.out, "(wall-clock profiling off — .profile on to time rules)")
 	}
-	fmt.Fprintf(r.out, "  %-24s %4s %10s %10s %10s %12s\n", "rule", "strat", "evals", "fires", "retracted", "wall")
+	fmt.Fprintf(r.out, "  %-24s %4s %10s %10s %10s %10s %12s\n", "rule", "strat", "evals", "alt_evals", "fires", "retracted", "wall")
 	for _, p := range profiles {
-		fmt.Fprintf(r.out, "  %-24s %4d %10d %10d %10d %12s\n",
-			p.Rule, p.Stratum, p.Evals, p.Fires, p.Retracted, time.Duration(p.WallNS))
+		fmt.Fprintf(r.out, "  %-24s %4d %10d %10d %10d %10d %12s\n",
+			p.Rule, p.Stratum, p.Evals, p.AltEvals, p.Fires, p.Retracted, time.Duration(p.WallNS))
 	}
 	strata := r.rt.StratumProfiles()
 	if len(strata) == 0 {

@@ -234,9 +234,10 @@ func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	type rinfo struct {
-		Rule  string `json:"rule"`
-		Evals int64  `json:"evals"`
-		Fires int64  `json:"fires"`
+		Rule     string `json:"rule"`
+		Evals    int64  `json:"evals"`
+		AltEvals int64  `json:"alt_evals"`
+		Fires    int64  `json:"fires"`
 	}
 	var out []rinfo
 	s.src.WithRuntime(func(rt *overlog.Runtime) {
@@ -249,6 +250,7 @@ func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 				out = append(out, rinfo{Rule: p.Rule})
 			}
 			out[i].Evals += p.Evals
+			out[i].AltEvals += p.AltEvals
 			out[i].Fires += p.Fires
 		}
 	})
