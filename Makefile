@@ -45,7 +45,8 @@ check:
 
 # chaos: a short deterministic fault-injection sweep — every scenario
 # (replicated-FS master failover, Paxos leader churn, MapReduce worker
-# churn) under a few seeds' worth of kills, restarts, partitions, and
+# churn, gossip membership views against ground truth) under a few
+# seeds' worth of kills, restarts, partitions, and
 # loss bursts; exits 1 on any sys::invariant violation, printing the
 # shrunk minimal fault schedule. `go run ./cmd/boom-chaos -seeds 25`
 # is the full acceptance sweep.

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/boomfs"
 	"repro/internal/boommr"
+	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/paxos"
 	"repro/internal/repl"
@@ -95,7 +96,8 @@ subcommands:
   repl                                         interactive Overlog shell
   rules    [name]                              print a shipped rule set
            (fs-master, fs-datanode, fs-gc, gateway, mr-jobtracker,
-            mr-fifo, mr-late, mr-fair, mr-tracker, paxos)
+            mr-fifo, mr-late, mr-fair, mr-tracker, paxos, membership,
+            fs-feed-master, fs-feed-datanode)
 `)
 }
 
@@ -175,7 +177,7 @@ func runDataNode(args []string) error {
 	return nil
 }
 
-// startGossip attaches SWIM membership when -gossip is set. Seeds are
+// startGossip installs the membership rules when -gossip is set. Seeds are
 // the defaults (the datanode's -master address; masters start with an
 // empty view and learn peers from whoever probes them) plus whatever
 // -gossip-seeds lists — all seeds are assumed to be master replicas,
@@ -196,9 +198,9 @@ func startGossip(srv *rtfs.Server, enabled bool, seedList string, defaults []str
 	for _, s := range seeds {
 		roles[s] = "master"
 	}
-	_, err := srv.StartGossip(rtfs.GossipOptions{Seeds: seeds, SeedRoles: roles})
+	err := srv.StartGossip(membership.Config{Seeds: seeds, SeedRoles: roles})
 	if err == nil {
-		fmt.Printf("gossip membership on (view at /debug/transport); seeds: %v\n", seeds)
+		fmt.Printf("gossip membership on (view at /debug/tables?table=member); seeds: %v\n", seeds)
 	}
 	return err
 }
@@ -422,16 +424,19 @@ func runMRDemo(args []string) error {
 // shippedRules maps CLI names to the embedded Overlog sources.
 func shippedRules() map[string]string {
 	return map[string]string{
-		"fs-master":     boomfs.MasterRules,
-		"fs-datanode":   boomfs.DataNodeRules,
-		"fs-gc":         boomfs.GCRules,
-		"gateway":       boomfs.GatewayRules,
-		"mr-jobtracker": boommr.JobTrackerRules,
-		"mr-fifo":       boommr.PolicyFIFO,
-		"mr-late":       boommr.PolicyLATE,
-		"mr-fair":       boommr.PolicyFAIR,
-		"mr-tracker":    boommr.TrackerRules,
-		"paxos":         paxos.Rules,
+		"fs-master":        boomfs.MasterRules,
+		"fs-datanode":      boomfs.DataNodeRules,
+		"fs-gc":            boomfs.GCRules,
+		"gateway":          boomfs.GatewayRules,
+		"mr-jobtracker":    boommr.JobTrackerRules,
+		"mr-fifo":          boommr.PolicyFIFO,
+		"mr-late":          boommr.PolicyLATE,
+		"mr-fair":          boommr.PolicyFAIR,
+		"mr-tracker":       boommr.TrackerRules,
+		"paxos":            paxos.Rules,
+		"membership":       membership.Rules,
+		"fs-feed-master":   boomfs.MasterFeed,
+		"fs-feed-datanode": boomfs.DataNodeFeed,
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"repro/internal/boomfs"
 	"repro/internal/boommr"
 	"repro/internal/kvstore"
+	"repro/internal/membership"
 	"repro/internal/overlog/analysis"
 	"repro/internal/paxos"
 )
@@ -33,6 +34,7 @@ func embeddedUnits() []analysis.Unit {
 	units = append(units, boomfs.LintUnits()...)
 	units = append(units, boommr.LintUnits()...)
 	units = append(units, paxos.LintUnits()...)
+	units = append(units, membership.LintUnits()...)
 	units = append(units, kvstore.LintUnits()...)
 	sort.Slice(units, func(i, j int) bool { return units[i].Name < units[j].Name })
 	return units

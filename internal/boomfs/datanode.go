@@ -15,7 +15,6 @@ import (
 // (DataNodeRules); only the byte store is Go.
 type DataNode struct {
 	Addr    string
-	Master  string
 	masters []string
 	rt      *overlog.Runtime
 	cfg     Config
@@ -50,7 +49,7 @@ func NewDataNodeOnRuntime(rt *overlog.Runtime, master string, cfg Config) (*Data
 	if err := installDataNodeProgram(rt, cfg); err != nil {
 		return nil, nil, err
 	}
-	dn := &DataNode{Addr: rt.LocalAddr(), Master: master, masters: []string{master},
+	dn := &DataNode{Addr: rt.LocalAddr(), masters: []string{master},
 		rt: rt, cfg: cfg, chunks: make(map[int64]string)}
 	if err := rt.InstallSource(fmt.Sprintf(`master("%s");`, master)); err != nil {
 		return nil, nil, err
@@ -128,13 +127,6 @@ func (d *DataNode) ChunkCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.chunks)
-}
-
-// SetMaster repoints the datanode's heartbeats (failover support).
-func (d *DataNode) SetMaster(master string) error {
-	d.Master = master
-	d.masters = append(d.masters, master)
-	return d.rt.InstallSource(fmt.Sprintf(`master("%s");`, master))
 }
 
 // chunkStore is the imperative data plane: it reacts to pipeline and

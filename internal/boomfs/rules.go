@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/membership"
 	"repro/internal/overlog/analysis"
 	"repro/internal/paxos"
 )
@@ -334,11 +335,27 @@ const ClientRules = `
 	c3 read_log(Id, C, D, Ok) :- dn_read_resp(@Cl, Id, C, D, Ok);
 `
 
+// MasterFeed turns the membership unit's alive datanodes into a dn_alive
+// per failure-detector tick, the tuple a datanode's heartbeat produces.
+// The head is deferred so it enters the next step as input, where span
+// tracing stamps it under the datanode's address like a heartbeat.
+const MasterFeed = `
+	program boomfs_feed_master;
+	mf1 next dn_alive(@Me, A) :- fd_tick(_, _), member(A, "datanode", 0, _), Me := localaddr();
+`
+
+// DataNodeFeed turns alive masters into master facts, so heartbeats fan
+// out to replicas the datanode was never configured with.
+const DataNodeFeed = `
+	program boomfs_feed_datanode;
+	mf2 master(A) :- member(A, "master", 0, _);
+`
+
 // LintUnits declares the analysis units for cmd/boomlint: the plain
-// deployment (master, datanode, client roles) and the availability
-// revision where master replicas gateway metadata writes through the
-// Overlog Paxos log. Sources are expanded with the default config,
-// exactly as the install path does.
+// deployment (master, datanode, client roles), the same with membership
+// feeding liveness, and the availability revision where master replicas
+// gateway metadata writes through the Overlog Paxos log. Sources are
+// expanded with the default config, exactly as the install path does.
 func LintUnits() []analysis.Unit {
 	cfg := DefaultConfig()
 	master := expand(MasterRules, cfg.masterVars())
@@ -349,6 +366,13 @@ func LintUnits() []analysis.Unit {
 		Groups: map[string][]string{
 			"master":   {ProtocolDecls, master, gc},
 			"datanode": {ProtocolDecls, dn},
+			"client":   {ProtocolDecls, ClientRules},
+		},
+	}, {
+		Name: "boomfs-membership",
+		Groups: map[string][]string{
+			"master":   append(append([]string{ProtocolDecls, master, gc}, membership.LintSources()...), MasterFeed),
+			"datanode": append(append([]string{ProtocolDecls, dn}, membership.LintSources()...), DataNodeFeed),
 			"client":   {ProtocolDecls, ClientRules},
 		},
 	}}

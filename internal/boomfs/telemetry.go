@@ -13,9 +13,9 @@ import (
 func init() {
 	for table, col := range map[string]int{
 		"request": 1, "response": 1, "fsreq": 1,
-		// Membership relations trace by member address, so gossip- and
-		// heartbeat-originated liveness changes are followable across
-		// nodes instead of dead-ending at the membership boundary.
+		// Liveness relations trace by node address, so a datanode's
+		// heartbeats and the membership feed's dn_alive (MasterFeed) and
+		// master rows follow one trace per node across the cluster.
 		"dn_alive": 1, "master": 0,
 		"dn_write": 1, "dn_write_ack": 1, "dn_read": 1, "dn_read_resp": 1,
 		"dn_store":   0,

@@ -35,6 +35,26 @@ func TestMapReduceScenarioClean(t *testing.T) {
 	mustClean(t, MapReduce(), 1)
 }
 
+func TestGossipScenarioClean(t *testing.T) {
+	mustClean(t, Gossip(), 1)
+}
+
+// Held to a detection bound of two probe intervals, which no SWIM
+// round can meet, the gossip scenario must report its ground-truth
+// check and shrink to one fault that takes a node down.
+func TestGossipScenarioShrinksToOneOutage(t *testing.T) {
+	sc := gossip(1000)
+	sched := sc.Schedule(1)
+	out := sc.Run(1, sched)
+	if out.Err != nil || !out.Violated() {
+		t.Fatalf("a 1000 ms bound must be violated (err=%v)", out.Err)
+	}
+	shrunk := Shrink(sc, 1, sched)
+	if len(shrunk) != 1 || (shrunk[0].Kind != Kill && shrunk[0].Kind != CrashRestart) {
+		t.Fatalf("shrunk to %d actions, want one kill or crash-restart:\n%s", len(shrunk), shrunk)
+	}
+}
+
 // The weakened configuration (replication factor 1, permanent datanode
 // kills) must trip the in-Overlog durability monitor — not just the
 // harness read-back check — and the shrinker must cut the 5-action

@@ -39,5 +39,6 @@ func Registry() []Scenario {
 		WeakDurability(),
 		Paxos(),
 		MapReduce(),
+		Gossip(),
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/boomfs"
 	"repro/internal/boommr"
 	"repro/internal/kvstore"
+	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/paxos"
 	"repro/internal/tpc"
@@ -35,22 +36,25 @@ type CodeSizeResult struct {
 // of the system inventory).
 func olgSources() map[string]string {
 	return map[string]string{
-		"boomfs master":     boomfs.MasterRules,
-		"boomfs datanode":   boomfs.DataNodeRules,
-		"boomfs client":     boomfs.ClientRules,
-		"boomfs gateway":    boomfs.GatewayRules,
-		"boomfs gc":         boomfs.GCRules,
-		"boomfs protocol":   boomfs.ProtocolDecls,
-		"boommr jobtracker": boommr.JobTrackerRules,
-		"boommr fifo":       boommr.PolicyFIFO,
-		"boommr late":       boommr.PolicyLATE,
-		"boommr fair":       boommr.PolicyFAIR,
-		"boommr tracker":    boommr.TrackerRules,
-		"boommr protocol":   boommr.MRProtocolDecls,
-		"paxos":             paxos.Rules,
-		"2pc coordinator":   tpc.CoordRules,
-		"kvstore":           kvstore.Rules,
-		"2pc participant":   tpc.PartRules,
+		"boomfs master":        boomfs.MasterRules,
+		"boomfs datanode":      boomfs.DataNodeRules,
+		"boomfs client":        boomfs.ClientRules,
+		"boomfs gateway":       boomfs.GatewayRules,
+		"boomfs gc":            boomfs.GCRules,
+		"boomfs protocol":      boomfs.ProtocolDecls,
+		"boommr jobtracker":    boommr.JobTrackerRules,
+		"boommr fifo":          boommr.PolicyFIFO,
+		"boommr late":          boommr.PolicyLATE,
+		"boommr fair":          boommr.PolicyFAIR,
+		"boommr tracker":       boommr.TrackerRules,
+		"boommr protocol":      boommr.MRProtocolDecls,
+		"paxos":                paxos.Rules,
+		"membership":           membership.Rules,
+		"boomfs feed master":   boomfs.MasterFeed,
+		"boomfs feed datanode": boomfs.DataNodeFeed,
+		"2pc coordinator":      tpc.CoordRules,
+		"kvstore":              kvstore.Rules,
+		"2pc participant":      tpc.PartRules,
 	}
 }
 
@@ -58,7 +62,8 @@ func olgSources() map[string]string {
 func neutralize(src string) string {
 	for _, k := range []string{"REPL", "DNTIMEOUT", "FDTICK", "HBMS", "SCHEDMS",
 		"TTTTL", "SLOWFRAC", "SPECMINMS", "MAXSPEC", "TTHB", "PXTICK",
-		"ELTIMEOUT", "STRIDE", "SYNCMS", "GCTICK", "GCGRACE", "TICK", "TIMEOUT"} {
+		"ELTIMEOUT", "STRIDE", "SYNCMS", "GCTICK", "GCGRACE", "TICK", "TIMEOUT",
+		"HALF", "SUSPECT"} {
 		src = strings.ReplaceAll(src, "{{"+k+"}}", "1")
 	}
 	return src

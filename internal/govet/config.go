@@ -11,15 +11,15 @@ package govet
 // unseeded randomness, map-order leaks, and goroutines are all bugs
 // here.
 //
-// Two deliberate exclusions, decided when the transport grew gossip
-// membership and the live chaos harness:
+// Two deliberate exclusions, decided when the transport grew the live
+// chaos harness:
 //
 //   - repro/internal/transport is wall-clock BY CONTRACT — it is the
-//     real-time driver (step loops on time.After, SWIM probe timers,
-//     dial backoff, queue deadlines). Scoping it would demand an allow
-//     on nearly every line, and a blanket-waived package teaches
-//     readers to ignore pragmas. Its determinism-relevant twin is
-//     internal/sim, which stays scoped.
+//     real-time driver (step loops on time.After, dial backoff, queue
+//     deadlines). Scoping it would demand an allow on nearly every
+//     line, and a blanket-waived package teaches readers to ignore
+//     pragmas. Its determinism-relevant twin is internal/sim, which
+//     stays scoped, as does internal/membership's probe timing.
 //   - repro/internal/chaos/live replays chaos schedules on that
 //     transport; goroutine and kernel scheduling make its runs
 //     non-replayable by nature. The schedule it executes is data owned
@@ -48,6 +48,7 @@ var DeterministicPackages = map[string]bool{
 	"repro/internal/overlog/analysis": true,
 	"repro/internal/loadgen":          true,
 	"repro/internal/chaos":            true,
+	"repro/internal/membership":       true,
 }
 
 // OrderSensitivePackages additionally emit ordered output (sorted

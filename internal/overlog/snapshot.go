@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -17,12 +18,12 @@ import (
 
 const snapshotMagic = "OLGSNAP1"
 
-// Snapshot writes every persistent user table's contents to w.
-func (r *Runtime) Snapshot(w io.Writer) error {
+// Snapshot writes every persistent user table not in skip to w.
+func (r *Runtime) Snapshot(w io.Writer, skip ...string) error {
 	names := make([]string, 0, len(r.tables))
 	for name, tbl := range r.tables {
 		d := tbl.Decl()
-		if d.Event || isSysTable(name) {
+		if d.Event || isSysTable(name) || slices.Contains(skip, name) {
 			continue
 		}
 		names = append(names, name)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/overlog"
 )
 
@@ -92,5 +93,41 @@ func TestRealTimeCheckpointRestore(t *testing.T) {
 	ok, err := cl2.Exists("/ck/b")
 	if err != nil || !ok {
 		t.Fatalf("exists: %v %v", ok, err)
+	}
+}
+
+// TestCheckpointRestoreWithGossip: a gossiping master's checkpoint holds
+// the catalog but not the membership view, so the restored master boots
+// (the unit is installed only after the restore) and starts from a view
+// of itself, not the old process's.
+func TestCheckpointRestoreWithGossip(t *testing.T) {
+	cfg := rtConfig()
+	gossip := membership.Config{ProbeInterval: 50 * time.Millisecond}
+	m, err := StartMaster(freeAddr(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StartGossip(gossip); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // a few membership ticks
+	image := filepath.Join(t.TempDir(), "fsimage")
+	if err := m.Checkpoint(image); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+
+	m2, err := StartMasterFrom(freeAddr(t), cfg, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if err := m2.StartGossip(gossip); err != nil {
+		t.Fatal(err)
+	}
+	var view map[string]membership.Row
+	m2.Node.Runtime(func(rt *overlog.Runtime) { view = membership.View(rt) })
+	if _, ok := view[m2.Addr]; len(view) != 1 || !ok {
+		t.Fatalf("restored master's view %v, want only itself (%s)", view, m2.Addr)
 	}
 }

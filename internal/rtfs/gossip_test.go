@@ -1,26 +1,13 @@
 package rtfs
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/boomfs"
+	"repro/internal/membership"
 	"repro/internal/overlog"
-	"repro/internal/paxos"
-	"repro/internal/transport"
 )
-
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no localhost networking: %v", err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
 
 // liveDNs reads the master's datanode relation with the liveness
 // cutoff the FS rules use.
@@ -42,53 +29,52 @@ func liveDNs(s *Server, timeoutMS int64) []string {
 }
 
 // TestGossipFeedsDatanodeRelation: with datanode heartbeats configured
-// far apart, only the gossip view can keep the master's datanode
+// far apart, only the membership feed can keep the master's datanode
 // relation fresh — and when a datanode dies, membership must both mark
 // it dead and let the relation's liveness cutoff expire it. This is
 // the "membership materializes into the relations the rules consume"
 // claim, asserted end to end on real sockets.
 func TestGossipFeedsDatanodeRelation(t *testing.T) {
 	cfg := boomfs.DefaultConfig()
-	cfg.HeartbeatMS = 60000 // static heartbeats effectively off
+	cfg.HeartbeatMS = 60000 // one heartbeat at boot, then none
 	cfg.DNTimeoutMS = 400
 	cfg.FDTickMS = 100
 	cfg.GCTickMS = 0
 
-	master, err := StartMaster(freePort(t), cfg)
+	master, err := StartMaster(freeAddr(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
 
 	const probe = 50 * time.Millisecond
-	if _, err := master.StartGossip(GossipOptions{ProbeInterval: probe, Seed: 1}); err != nil {
+	if err := master.StartGossip(membership.Config{ProbeInterval: probe}); err != nil {
 		t.Fatal(err)
 	}
 
-	seeds := GossipOptions{
+	seeds := membership.Config{
 		Seeds:         []string{master.Addr},
 		SeedRoles:     map[string]string{master.Addr: "master"},
 		ProbeInterval: probe,
-		Seed:          2,
 	}
-	dn1, err := StartDataNode(freePort(t), master.Addr, cfg)
+	dn1, err := StartDataNode(freeAddr(t), master.Addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dn1.Close()
-	if _, err := dn1.StartGossip(seeds); err != nil {
+	if err := dn1.StartGossip(seeds); err != nil {
 		t.Fatal(err)
 	}
-	dn2, err := StartDataNode(freePort(t), master.Addr, cfg)
+	dn2, err := StartDataNode(freeAddr(t), master.Addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dn2.StartGossip(seeds); err != nil {
+	if err := dn2.StartGossip(seeds); err != nil {
 		t.Fatal(err)
 	}
 
 	// Both datanodes must appear live — and stay live past several
-	// DNTimeoutMS windows, which only the gossip-driven dn_alive
+	// DNTimeoutMS windows, which only the membership-fed dn_alive
 	// refresh can sustain with heartbeats this sparse.
 	deadline := time.Now().Add(10 * time.Second)
 	for len(liveDNs(master, cfg.DNTimeoutMS)) < 2 {
@@ -102,43 +88,33 @@ func TestGossipFeedsDatanodeRelation(t *testing.T) {
 		t.Fatalf("gossip failed to sustain liveness: %v", live)
 	}
 
-	// Membership relations trace by member address: the gossip-originated
-	// dn_alive refresh must have grown spans under the datanode's own
-	// address, including the explicit "member" transition span — liveness
-	// changes are followable traces, not dead ends.
-	spans := master.Tracer.ByTrace(dn1.Addr)
-	if len(spans) == 0 {
-		t.Fatalf("no spans traced under member address %s", dn1.Addr)
-	}
-	var member bool
-	for _, sp := range spans {
-		if sp.Kind == "member" {
-			member = true
-			break
+	// dn_alive traces by datanode address: the feed rule's dn_alive
+	// enters each master step as input, where the tracer stamps a rules
+	// span under dn1's address. The boot heartbeat accounts for one.
+	fed := 0
+	for _, sp := range master.Tracer.ByTrace(dn1.Addr) {
+		if sp.Kind == "rules" && sp.Op == "dn_alive" {
+			fed++
 		}
 	}
-	if !member {
-		t.Fatalf("no membership-transition span for %s; got: %v", dn1.Addr, spans)
+	if fed < 3 {
+		t.Fatalf("%d dn_alive rule spans under %s; want the feed's, not just the boot heartbeat's: %v",
+			fed, dn1.Addr, master.Tracer.ByTrace(dn1.Addr))
 	}
 
-	// Kill dn2: gossip must mark it dead within its interval budget,
+	// Kill dn2: membership must mark it dead within its interval budget,
 	// after which the relation's cutoff expires it.
 	dn2.Close()
 	killed := time.Now()
-	g := master.TCP.Gossip()
 	budget := 25 * probe
 	for {
-		var dead bool
-		for _, m := range g.Members() {
-			if m.Addr == dn2.Addr && m.State == transport.StateDead {
-				dead = true
-			}
-		}
-		if dead {
+		var row membership.Row
+		master.Node.Runtime(func(rt *overlog.Runtime) { row = membership.View(rt)[dn2.Addr] })
+		if row.State == membership.Dead {
 			break
 		}
 		if time.Since(killed) > budget {
-			t.Fatalf("gossip never marked killed datanode dead; view: %+v", g.Members())
+			t.Fatalf("gossip never marked killed datanode dead; its row: %+v", row)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -152,62 +128,5 @@ func TestGossipFeedsDatanodeRelation(t *testing.T) {
 			t.Fatalf("datanode relation never expired the dead node: %v", live)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestReplicatedMasterLiveOps: three Paxos-replicated masters on real
-// sockets, a gateway client running metadata ops through the log.
-func TestReplicatedMasterLiveOps(t *testing.T) {
-	replicas := []string{freePort(t), freePort(t), freePort(t)}
-	cfg := boomfs.DefaultConfig()
-	cfg.GCTickMS = 0
-	pcfg := paxos.Config{TickMS: 50, ElectTimeout: 300, BallotStride: 100, SyncMS: 200}
-
-	var servers []*Server
-	for _, addr := range replicas {
-		s, err := StartReplicatedMaster(addr, replicas, cfg, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		servers = append(servers, s)
-	}
-
-	cl, err := NewReplicatedClient(freePort(t), replicas, 20*time.Second, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if err := cl.Mkdir("/data"); err != nil {
-		t.Fatalf("mkdir: %v", err)
-	}
-	if err := cl.Create("/data/a"); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	ok, err := cl.Exists("/data/a")
-	if err != nil || !ok {
-		t.Fatalf("exists: %v %v", ok, err)
-	}
-	names, err := cl.Ls("/data")
-	if err != nil || len(names) != 1 {
-		t.Fatalf("ls: %v %v", names, err)
-	}
-
-	// The write went through the log: every replica's catalog must
-	// converge on the same file row.
-	deadline := time.Now().Add(10 * time.Second)
-	for _, s := range servers {
-		for {
-			n := 0
-			s.Node.Runtime(func(rt *overlog.Runtime) { n = rt.Table("file").Len() })
-			if n >= 3 { // root + /data + /data/a
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %s never converged: %d file rows", s.Addr, n)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
 	}
 }

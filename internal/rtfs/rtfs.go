@@ -5,6 +5,7 @@
 package rtfs
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/boomfs"
+	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/overlog/analysis"
 	"repro/internal/telemetry"
@@ -100,8 +102,8 @@ func StartMasterFrom(addr string, cfg boomfs.Config, restorePath string) (*Serve
 	return serve(rt, addr, "master", nil)
 }
 
-// Checkpoint writes the server's current catalog to path atomically
-// (write to a temp file, then rename).
+// Checkpoint writes the server's current catalog, not its membership
+// view, to path atomically (write to a temp file, then rename).
 func (s *Server) Checkpoint(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -110,7 +112,7 @@ func (s *Server) Checkpoint(path string) error {
 	}
 	var snapErr error
 	s.Node.Runtime(func(rt *overlog.Runtime) {
-		snapErr = rt.Snapshot(f)
+		snapErr = rt.Snapshot(f, membership.SoftTables...)
 	})
 	if cerr := f.Close(); snapErr == nil {
 		snapErr = cerr
@@ -134,7 +136,56 @@ func StartDataNode(addr, master string, cfg boomfs.Config) (*Server, error) {
 	})
 }
 
+// StartGossip installs the membership unit and its role's boomfs feed rule
+// on the running node, with gauges over member rows and rule fires.
+func (s *Server) StartGossip(opts membership.Config) error {
+	feed := boomfs.MasterFeed
+	if s.Role == "datanode" {
+		feed = boomfs.DataNodeFeed
+	}
+	var err error
+	s.Node.Runtime(func(rt *overlog.Runtime) {
+		if err = membership.Install(rt, s.Role, opts); err == nil {
+			err = rt.InstallSource(feed)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	gauge := func(name, help string, fn func(rt *overlog.Runtime) int64) {
+		s.Reg.GaugeFunc(name, help, func() float64 {
+			var n int64
+			s.Node.Runtime(func(rt *overlog.Runtime) { n = fn(rt) })
+			return float64(n)
+		})
+	}
+	for st, name := range []string{"alive", "suspect", "dead"} {
+		gauge(fmt.Sprintf("boom_gossip_members{state=%q}", name), "membership view by state",
+			func(rt *overlog.Runtime) int64 { return membership.Count(rt, int64(st)) })
+	}
+	gauge("boom_gossip_transitions_total", "membership state transitions observed", membership.Transitions)
+	return nil
+}
+
+// transportDebug serves /debug/transport: per-peer queue depth, backoff
+// and drops. The membership view is the member table in /debug/tables.
+func (s *Server) transportDebug(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(map[string]interface{}{
+		"addr":        s.Addr,
+		"role":        s.Role,
+		"queue_depth": s.TCP.QueueDepth(),
+		"peers":       s.TCP.Peers(),
+	})
+}
+
 func serve(rt *overlog.Runtime, addr, role string, setup func(*transport.Node) error) (*Server, error) {
+	// Decode membership peers' probes even without running the unit.
+	if err := rt.InstallSource(membership.WireDecls); err != nil {
+		return nil, err
+	}
 	var tcp *transport.TCP
 	node := transport.NewNode(rt, func(env overlog.Envelope) error { return tcp.Send(env) })
 	if setup != nil {

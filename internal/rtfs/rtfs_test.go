@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/boomfs"
 	"repro/internal/overlog"
+	"repro/internal/paxos"
 )
 
 func freeAddr(t *testing.T) string {
@@ -142,5 +143,62 @@ func TestRunningNodeLint(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != 200 || !strings.Contains(string(body), "point-of-order") {
 		t.Fatalf("/debug/lint %d:\n%s", resp.StatusCode, body)
+	}
+}
+
+// TestReplicatedMasterLiveOps: three Paxos-replicated masters on real
+// sockets, a gateway client running metadata ops through the log.
+func TestReplicatedMasterLiveOps(t *testing.T) {
+	replicas := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	cfg := boomfs.DefaultConfig()
+	cfg.GCTickMS = 0
+	pcfg := paxos.Config{TickMS: 50, ElectTimeout: 300, BallotStride: 100, SyncMS: 200}
+
+	var servers []*Server
+	for _, addr := range replicas {
+		s, err := StartReplicatedMaster(addr, replicas, cfg, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		servers = append(servers, s)
+	}
+
+	cl, err := NewReplicatedClient(freeAddr(t), replicas, 20*time.Second, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if err := cl.Mkdir("/data"); err != nil {
+		t.Fatalf("mkdir: %v", err)
+	}
+	if err := cl.Create("/data/a"); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	ok, err := cl.Exists("/data/a")
+	if err != nil || !ok {
+		t.Fatalf("exists: %v %v", ok, err)
+	}
+	names, err := cl.Ls("/data")
+	if err != nil || len(names) != 1 {
+		t.Fatalf("ls: %v %v", names, err)
+	}
+
+	// The write went through the log: every replica's catalog must
+	// converge on the same file row.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, s := range servers {
+		for {
+			n := 0
+			s.Node.Runtime(func(rt *overlog.Runtime) { n = rt.Table("file").Len() })
+			if n >= 3 { // root + /data + /data/a
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s never converged: %d file rows", s.Addr, n)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }

@@ -26,7 +26,7 @@ type Source struct {
 	Tracer      *Tracer
 	WithRuntime func(func(*overlog.Runtime))
 	// Extra mounts additional debug endpoints (path → handler), e.g.
-	// the transport layer's /debug/transport queue/membership snapshot.
+	// the transport layer's /debug/transport send-queue snapshot.
 	// Paths collide with the built-ins at the mux's discretion; use
 	// fresh /debug/... paths.
 	Extra map[string]http.HandlerFunc

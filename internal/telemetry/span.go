@@ -27,8 +27,7 @@ type Span struct {
 	// the usual root), "rules" (a runtime step that consumed tuples of
 	// this trace), "send" (a remote emission leaving a step), "net"
 	// (a sim-modeled wire hop, EndMS includes only network delay),
-	// "recv" (TCP-side delivery), "member" (a gossip membership
-	// transition).
+	// "recv" (TCP-side delivery).
 	Kind    string `json:"kind"`
 	Op      string `json:"op"`
 	StartMS int64  `json:"start_ms"`

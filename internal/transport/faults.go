@@ -60,13 +60,6 @@ func (f *Faults) Heal(a, b string) {
 	f.mu.Unlock()
 }
 
-// HealAll clears every partition (not loss or latency).
-func (f *Faults) HealAll() {
-	f.mu.Lock()
-	f.parts = map[linkKey]bool{}
-	f.mu.Unlock()
-}
-
 // SetLossRate sets the global probability (0..1) that any frame is
 // dropped at send time, returning the previous rate — the same
 // contract as sim.Cluster.SetDropRate, so chaos LossBurst windows

@@ -41,9 +41,9 @@ type Node struct {
 }
 
 // NewNode wraps a runtime for real-time execution. The caller installs
-// programs on rt before calling Run.
+// programs on rt before calling Run, or afterwards through Runtime.
 func NewNode(rt *overlog.Runtime, send Sender) *Node {
-	return &Node{
+	n := &Node{
 		rt:    rt,
 		send:  send,
 		inbox: make(chan overlog.Tuple, 1024),
@@ -56,6 +56,15 @@ func NewNode(rt *overlog.Runtime, send Sender) *Node {
 		},
 		OnSendError: func(error) {},
 	}
+	// A program installed while Run sleeps (membership started on a
+	// running server) can add a periodic due before the loop's timer.
+	rt.SetWakeHook(func() {
+		select {
+		case n.wake <- struct{}{}:
+		default:
+		}
+	})
+	return n
 }
 
 // SetEpoch rebases the node's millisecond clock on an external start
@@ -197,6 +206,8 @@ func (n *Node) Run() {
 				}
 			}
 		case <-timer:
+		case <-n.wake:
+			continue
 		}
 
 		n.mu.Lock()

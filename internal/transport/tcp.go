@@ -152,7 +152,6 @@ type TCP struct {
 	journal *telemetry.Journal
 	tracer  *telemetry.Tracer
 	faults  *Faults
-	gossip  *Gossip
 	done    chan struct{}
 	wg      sync.WaitGroup
 }
@@ -332,9 +331,6 @@ func (t *TCP) telemetry() (*TCPStats, *telemetry.Journal) {
 	defer t.mu.Unlock()
 	return t.stats, t.journal
 }
-
-// Sender returns the mesh's outbound hook for NewNode.
-func (t *TCP) Sender() Sender { return t.Send }
 
 // LocalAddr returns the transport's listen address.
 func (t *TCP) LocalAddr() string { return t.localAddr }
@@ -702,8 +698,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
-// deliverWire routes one received frame: gossip frames go to the
-// membership agent, everything else into the runtime's inbox.
+// deliverWire records one received frame and queues its tuple for the runtime.
 func (t *TCP) deliverWire(msg WireMsg, from string) {
 	stats, journal := t.telemetry()
 	stats.Recv.Inc()
@@ -724,15 +719,6 @@ func (t *TCP) deliverWire(msg WireMsg, from string) {
 		})
 		tr.SetActive(t.localAddr, trace, id)
 	}
-	if msg.Table == GossipTable {
-		t.mu.Lock()
-		g := t.gossip
-		t.mu.Unlock()
-		if g != nil {
-			g.receive(msg.Vals)
-		}
-		return
-	}
 	t.node.Deliver(tp)
 }
 
@@ -748,8 +734,6 @@ func (t *TCP) Close() {
 	}
 	t.ln.Close()
 	t.mu.Lock()
-	g := t.gossip
-	t.gossip = nil
 	peers := make([]*peerQ, 0, len(t.peers))
 	for _, p := range t.peers {
 		peers = append(peers, p)
@@ -768,9 +752,6 @@ func (t *TCP) Close() {
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
-	}
-	if g != nil {
-		g.Stop()
 	}
 	t.wg.Wait()
 }

@@ -124,19 +124,38 @@ func TestTCPPingPong(t *testing.T) {
 }
 
 // TestRealtimePeriodics checks that periodic rules fire on the wall
-// clock without any inbound traffic.
+// clock without any inbound traffic — including a periodic installed
+// after the loop has stepped and gone to sleep with nothing due, as
+// membership is on a running server: the install must wake the loop.
 func TestRealtimePeriodics(t *testing.T) {
 	rt := overlog.NewRuntime("local")
-	if err := rt.InstallSource(`
-		periodic tick interval 10;
-		table ticks(Ord: int) keys(0);
-		r1 ticks(Ord) :- tick(Ord, _);
-	`); err != nil {
+	if err := rt.InstallSource(`event poke(N: int);`); err != nil {
 		t.Fatal(err)
 	}
 	node := NewNode(rt, func(overlog.Envelope) error { return nil })
 	go node.Run()
 	defer node.Stop()
+	node.Deliver(overlog.NewTuple("poke", overlog.Int(1)))
+	steps := func() (n int64) {
+		node.Runtime(func(rt *overlog.Runtime) { n = rt.StepCount() })
+		return n
+	}
+	for deadline := time.Now().Add(3 * time.Second); steps() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the poke was never stepped")
+		}
+	}
+	var err error
+	node.Runtime(func(rt *overlog.Runtime) {
+		err = rt.InstallSource(`
+			periodic tick interval 10;
+			table ticks(Ord: int) keys(0);
+			r1 ticks(Ord) :- tick(Ord, _);
+		`)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {
