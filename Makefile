@@ -21,7 +21,9 @@ test: check
 # its Differential tests (semi-naive against naive evaluation) run in
 # the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
 # families of regression guards — bytes per step, and rules entered or
-# rows compared per step — so a CI log shows them run.
+# rows compared per step — so a CI log shows them run. The fuzz line
+# feeds RestoreSnapshot mutated checkpoint images for ten seconds,
+# starting from the seed corpus in internal/overlog/testdata/fuzz.
 # boomlint runs the Overlog whole-program analyzer over every embedded
 # rule set (and the standalone .olg examples), failing on any
 # error-severity finding. boomvet does the same for the Go runtime
@@ -38,6 +40,7 @@ check:
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
 	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
+	$(GO) test -run '^$$' -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/overlog
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
 	bash bench/run.sh -smoke

@@ -85,7 +85,7 @@ func NewDataNode(c *sim.Cluster, addr, master string, cfg Config) (*DataNode, er
 // heartbeat re-reports everything the node holds. In-flight pipeline
 // and ack state is lost with the runtime.
 func (d *DataNode) RestartSpec() sim.NodeSpec {
-	return func(_, fresh *overlog.Runtime) ([]sim.Service, error) {
+	return func(fresh *overlog.Runtime) ([]sim.Service, error) {
 		if err := installDataNodeProgram(fresh, d.cfg); err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package boomfs
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/overlog"
@@ -41,7 +40,10 @@ const GatewayRules = `
 	// silently drops commands (an addchunk applied in the same step as
 	// its create finds no file row; the chaos harness caught exactly
 	// that, as metadata loss followed by gc eating an acked chunk).
-	table applied(K: string, S: int) keys(0);
+	// The cursor is durable: a restarted replica resumes replay at it,
+	// and the restored cursor's delta re-fires g3 if the crash fell
+	// between a slot's decision and its application.
+	table applied(K: string, S: int) keys(0) durable;
 	applied("a", 0);
 
 	// Exactly-once replay: a client that never saw its response retries
@@ -54,8 +56,10 @@ const GatewayRules = `
 	// would graft a phantom unwritten chunk onto the file). Safe to
 	// consult one step late: the cursor applies one slot per step and
 	// duplicate slots are strictly later, so g5's next-insert is visible
-	// before any duplicate replays.
-	table seen_op(Id: string, S: int) keys(0);
+	// before any duplicate replays. Durable with the cursor (g4 and g5
+	// commit in one step), so a restarted replica keeps refusing
+	// duplicates of what it already applied.
+	table seen_op(Id: string, S: int) keys(0) durable;
 
 	g3 request(@Me, Id, Src, Op, Path, Arg) :- decided(S, Cmd), applied("a", S),
 	        Me := localaddr(),
@@ -125,12 +129,12 @@ func InstallReplicatedMaster(rt *overlog.Runtime, self string, replicas []string
 	return nil
 }
 
-// ReplicatedMasterRestart rebuilds a crashed replica on a fresh
-// runtime: programs reinstalled for the restarted role, Paxos acceptor
-// state restored silently, and the FS metadata checkpoint restored with
-// delta seeding (see RestartSpec for the reasoning). prev may be nil
-// for a total-loss restart.
-func ReplicatedMasterRestart(prev, fresh *overlog.Runtime, self string, replicas []string, cfg Config, pcfg paxos.Config) error {
+// ReplicatedMasterRestart installs a crashed replica's programs on a
+// fresh runtime, for the restarted role: master metadata rules, Paxos
+// without leadership, and the gateway. The cluster's Restart restores
+// the durable tables afterwards; leadership, pending proposals and the
+// datanode view are lost, exactly as a real failover loses them.
+func ReplicatedMasterRestart(fresh *overlog.Runtime, self string, replicas []string, cfg Config, pcfg paxos.Config) error {
 	if err := installMasterProgram(fresh, cfg); err != nil {
 		return err
 	}
@@ -140,50 +144,14 @@ func ReplicatedMasterRestart(prev, fresh *overlog.Runtime, self string, replicas
 	if err := fresh.InstallSource(GatewayRules); err != nil {
 		return fmt.Errorf("boomfs: gateway rules: %w", err)
 	}
-	if prev != nil {
-		if err := paxos.CopyDurable(prev, fresh); err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if err := prev.SnapshotTables(&buf, DurableFSTables...); err != nil {
-			return err
-		}
-		if err := fresh.RestoreSnapshot(&buf); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// DurableFSTables is the metadata a master replica checkpoints to
-// stable storage — the relational analogue of the NameNode's FsImage.
-// fqpath is deliberately absent: it is a derived view that rebuilds
-// from the restored file tuples on the first post-restart step. The
-// datanode inventory (datanode, hb_chunk, live_dn, chunk_repl) is soft
-// state rebuilt from heartbeats within one heartbeat period.
-//
-// The gateway's applied cursor rides along: the decided log restores
-// silently (no replay — the checkpoint already holds applied slots'
-// effects), so the cursor is what lets replay resume exactly at the
-// first unapplied slot. It is restored WITH deltas on purpose: the
-// cursor delta joins decided(S) and re-fires g3 if the crash landed
-// between a slot's decision and its application. seen_op travels with
-// the cursor (g4 and g5 commit in the same step, so a checkpoint never
-// separates them): a restarted replica must keep refusing duplicates
-// of operations its checkpoint already applied.
-var DurableFSTables = []string{"file", "fchunk", "file_nchunks", "chunk_loc_hint", "applied", "seen_op"}
-
-// RestartSpec returns the crash-restart spec for replica i: reinstall
-// master + Paxos + gateway programs, restore the Paxos acceptor's
-// durable tables silently (the decided log must not replay through
-// gateway rule g3 — its effects are already in the checkpoint), and
-// restore the FS metadata checkpoint with delta seeding so derived
-// views rebuild. Leadership, pending proposals, and the datanode view
-// are lost, exactly as a real failover loses them.
+// RestartSpec returns the crash-restart spec for replica i.
 func (rm *ReplicatedMaster) RestartSpec(i int) sim.NodeSpec {
 	addr := rm.Replicas[i]
-	return func(prev, fresh *overlog.Runtime) ([]sim.Service, error) {
-		if err := ReplicatedMasterRestart(prev, fresh, addr, rm.Replicas, rm.cfg, rm.pcfg); err != nil {
+	return func(fresh *overlog.Runtime) ([]sim.Service, error) {
+		if err := ReplicatedMasterRestart(fresh, addr, rm.Replicas, rm.cfg, rm.pcfg); err != nil {
 			return nil, err
 		}
 		rm.masters[i].rt = fresh

@@ -75,11 +75,14 @@ const ProtocolDecls = `
 const MasterRules = `
 	program boomfs_master;
 
-	// --- The metadata catalog (paper Table: "BOOM-FS relations") ---
-	table file(FileId: int, ParentId: int, Name: string, IsDir: bool) keys(0);
+	// --- The metadata catalog (paper Table: "BOOM-FS relations"). The
+	// durable tables are the FsImage: fqpath is re-derived from file on
+	// a restored master's first step, and the datanode view (datanode,
+	// hb_chunk, live_dn, chunk_repl) is relearned from heartbeats. ---
+	table file(FileId: int, ParentId: int, Name: string, IsDir: bool) keys(0) durable;
 	table fqpath(Path: string, FileId: int) keys(0);
-	table fchunk(ChunkId: int, FileId: int, Idx: int) keys(0);
-	table file_nchunks(FileId: int, N: int) keys(0);
+	table fchunk(ChunkId: int, FileId: int, Idx: int) keys(0) durable;
+	table file_nchunks(FileId: int, N: int) keys(0) durable;
 	table datanode(Node: addr, LastHB: int) keys(0);
 	table hb_chunk(Node: addr, ChunkId: int, Bytes: int) keys(0,1);
 
@@ -117,7 +120,7 @@ const MasterRules = `
 
 	// Placement hint recorded at allocation time, so reads work before
 	// the first post-write heartbeat arrives.
-	table chunk_loc_hint(ChunkId: int, Nodes: list) keys(0);
+	table chunk_loc_hint(ChunkId: int, Nodes: list) keys(0) durable;
 
 	// --- exists ---
 	ex1 response(@Src, Id, true, [Fid], "") :-

@@ -166,7 +166,7 @@ func NewTaskTracker(c *sim.Cluster, addr, jt string, cfg MRConfig, reg *Registry
 // MapsRun/RedsRun counters survive (they are an experiment metric, not
 // node state).
 func (tt *TaskTracker) RestartSpec() sim.NodeSpec {
-	return func(_, fresh *overlog.Runtime) ([]sim.Service, error) {
+	return func(fresh *overlog.Runtime) ([]sim.Service, error) {
 		if err := installTrackerProgram(fresh, tt.JT, tt.cfg); err != nil {
 			return nil, err
 		}

@@ -251,10 +251,10 @@ func (c *Cluster) Revive(name string) error {
 }
 
 // Restart crash-restarts a node through its NodeSpec: soft state is
-// lost with the old runtime, durable state is whatever the spec copies
-// over — the same recovery path the simulator exercises. A running node
-// is killed first (sim schedules always Kill before Restart; a direct
-// call gets the same semantics).
+// lost with the old runtime, and the durable tables are restored after
+// the spec installs — the same recovery path (overlog.Restart) the
+// simulator exercises. A running node is killed first (sim schedules
+// always Kill before Restart; a direct call gets the same semantics).
 func (c *Cluster) Restart(name string) error {
 	c.Kill(name)
 	c.mu.Lock()
@@ -269,9 +269,12 @@ func (c *Cluster) Restart(name string) error {
 	if n.spec == nil {
 		return fmt.Errorf("live: node %q has no restart spec", name)
 	}
-	prev := n.rt
 	fresh := overlog.NewRuntime(n.addr)
-	svcs, err := n.spec(prev, fresh)
+	var svcs []sim.Service
+	err := overlog.Restart(n.rt, fresh, func(rt *overlog.Runtime) (err error) {
+		svcs, err = n.spec(rt)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("live: restart %s: %w", name, err)
 	}

@@ -107,11 +107,10 @@ func runFS(seed int64, sched chaos.Schedule) chaos.Outcome {
 			return fail(err)
 		}
 		self := maddrs[i]
-		base := sim.NodeSpec(func(prev, fresh *overlog.Runtime) ([]sim.Service, error) {
-			return nil, boomfs.ReplicatedMasterRestart(prev, fresh, self, maddrs, cfg, pcfg)
+		base := sim.NodeSpec(func(fresh *overlog.Runtime) ([]sim.Service, error) {
+			return nil, boomfs.ReplicatedMasterRestart(fresh, self, maddrs, cfg, pcfg)
 		})
-		if err := lc.SetSpec(fmt.Sprintf("fsm:%d", i),
-			chaos.WrapSpec(base, installMon, "mon_acked", "inv_violation")); err != nil {
+		if err := lc.SetSpec(fmt.Sprintf("fsm:%d", i), chaos.WrapSpec(base, installMon)); err != nil {
 			return fail(err)
 		}
 	}
@@ -267,8 +266,7 @@ func runPaxos(seed int64, sched chaos.Schedule) chaos.Outcome {
 		if err := installMon(rt); err != nil {
 			return fail(err)
 		}
-		if err := lc.SetSpec(names[i], chaos.WrapSpec(paxos.RestartSpec(addrs[i], addrs, pcfg),
-			installMon, "inv_violation")); err != nil {
+		if err := lc.SetSpec(names[i], chaos.WrapSpec(paxos.RestartSpec(addrs[i], addrs, pcfg), installMon)); err != nil {
 			return fail(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -24,7 +23,7 @@ import (
 // runtime accepts identical redeclarations, so co-installed monitors
 // agree on the schema.
 const invViolationDecl = `
-	table inv_violation(Inv: string, Node: addr, T: int, Detail: string) keys(0,1,3);
+	table inv_violation(Inv: string, Node: addr, T: int, Detail: string) keys(0,1,3) durable;
 `
 
 // MonitorConfig tunes the monitors (simulated milliseconds).
@@ -114,7 +113,7 @@ const FSMonitorRules = `
 	//lint:feed mon_acked
 	//lint:export inv_violation
 ` + invViolationDecl + `
-	table mon_acked(ChunkId: int, Bytes: int) keys(0);
+	table mon_acked(ChunkId: int, Bytes: int) keys(0) durable;
 	table mon_lost_since(ChunkId: int, T: int) keys(0);
 	table mon_under_since(ChunkId: int, T: int) keys(0);
 
@@ -184,38 +183,17 @@ func InstallFSMonitor(rt *overlog.Runtime, cfg MonitorConfig) error {
 }
 
 // WrapSpec layers monitors onto a node's crash-restart spec: after the
-// base spec rebuilds the node, install reinstalls the monitor programs,
-// and the keep tables (the monitor's own ledgers — acked chunks,
-// already-raised violations) are carried over from the previous
-// incarnation. Monitors are the tester's notebook, not state of the
-// node under test, so a crash must not erase them.
-func WrapSpec(base sim.NodeSpec, install func(*overlog.Runtime) error, keep ...string) sim.NodeSpec {
-	return func(prev, fresh *overlog.Runtime) ([]sim.Service, error) {
-		svcs, err := base(prev, fresh)
+// base spec rebuilds the node, install reinstalls the monitor programs.
+// Their ledgers (acked chunks, already-raised violations) are declared
+// durable, so the cluster's Restart carries them over from the previous
+// incarnation: monitors are the tester's notebook, not state of the
+// node under test, and a crash must not erase them.
+func WrapSpec(base sim.NodeSpec, install func(*overlog.Runtime) error) sim.NodeSpec {
+	return func(fresh *overlog.Runtime) ([]sim.Service, error) {
+		svcs, err := base(fresh)
 		if err != nil {
 			return nil, err
 		}
-		if err := install(fresh); err != nil {
-			return nil, err
-		}
-		if prev == nil {
-			return svcs, nil
-		}
-		var carry []string
-		for _, name := range keep {
-			if prev.Table(name) != nil {
-				carry = append(carry, name)
-			}
-		}
-		if len(carry) > 0 {
-			var buf bytes.Buffer
-			if err := prev.SnapshotTables(&buf, carry...); err != nil {
-				return nil, err
-			}
-			if err := fresh.RestoreSnapshotSilent(&buf); err != nil {
-				return nil, err
-			}
-		}
-		return svcs, nil
+		return svcs, install(fresh)
 	}
 }

@@ -131,8 +131,7 @@ func (p fsParams) run(seed int64, sched Schedule) Outcome {
 		if err := installMon(rm.Master(i).Runtime()); err != nil {
 			return fail(err)
 		}
-		if err := c.SetSpec(addr, WrapSpec(rm.RestartSpec(i), installMon,
-			"mon_acked", "inv_violation")); err != nil {
+		if err := c.SetSpec(addr, WrapSpec(rm.RestartSpec(i), installMon)); err != nil {
 			return fail(err)
 		}
 	}

@@ -47,10 +47,15 @@ func gossip(boundMS int64) Scenario {
 			if i == 0 {
 				role = "master"
 			}
-			spec := func(_, fresh *overlog.Runtime) ([]sim.Service, error) {
-				return nil, membership.Install(fresh, role, cfg)
+			// The harness records view violations into the node's
+			// durable ledger, so a later restart keeps them.
+			spec := func(fresh *overlog.Runtime) ([]sim.Service, error) {
+				if err := membership.Install(fresh, role, cfg); err != nil {
+					return nil, err
+				}
+				return nil, fresh.InstallSource(invViolationDecl)
 			}
-			if _, out.Err = spec(nil, c.MustAddNode(a)); out.Err == nil {
+			if _, out.Err = spec(c.MustAddNode(a)); out.Err == nil {
 				out.Err = c.SetSpec(a, spec)
 			}
 			if out.Err != nil {

@@ -83,8 +83,7 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 		if err := installMon(rt); err != nil {
 			return fail(err)
 		}
-		if err := c.SetSpec(m, WrapSpec(paxos.RestartSpec(m, members, pcfg),
-			installMon, "inv_violation")); err != nil {
+		if err := c.SetSpec(m, WrapSpec(paxos.RestartSpec(m, members, pcfg), installMon)); err != nil {
 			return fail(err)
 		}
 	}

@@ -2,7 +2,6 @@ package membership
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -35,31 +34,13 @@ func cluster(t *testing.T, n int) (*sim.Cluster, []string) {
 		if err := Install(c.MustAddNode(a), role, nodeCfg); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SetSpec(a, func(_, fresh *overlog.Runtime) ([]sim.Service, error) {
+		if err := c.SetSpec(a, func(fresh *overlog.Runtime) ([]sim.Service, error) {
 			return nil, Install(fresh, role, nodeCfg)
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return c, addrs
-}
-
-// TestSoftTablesAreThePersistentTables keeps SoftTables in step with the
-// unit's declarations: a table missing from it would be checkpointed.
-func TestSoftTablesAreThePersistentTables(t *testing.T) {
-	prog, err := overlog.Parse(cfg.rules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var persistent []string
-	for _, d := range prog.Tables {
-		if !d.Event {
-			persistent = append(persistent, d.Name)
-		}
-	}
-	if !slices.Equal(persistent, SoftTables) {
-		t.Fatalf("persistent tables %v, SoftTables %v", persistent, SoftTables)
-	}
 }
 
 // everyone reports whether every viewer holds target in state st.

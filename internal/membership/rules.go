@@ -54,6 +54,8 @@ const Rules = `
 	//lint:export member
 	//lint:ordered mb_view a merge keeps the highest (Inc, State) per address in any arrival order
 
+	// None of the unit's tables is durable: peers rebuild the view, and a
+	// checkpointed copy would hold a dead clock's stamps.
 	table member(Addr: addr, Role: string, State: int, Inc: int) keys(0);
 	table mb_probe(K: string, Target: addr, Seq: int, T: int) keys(0);
 	table mb_since(Addr: addr, T: int) keys(0);
@@ -110,10 +112,6 @@ const Rules = `
 	// later, a node replaces its record with a higher one.
 	rf1 member(Me, R, 0, I + 1) :- mb_view(@Me, Me, _, S, I), S > 0, member(Me, R, _, I0), I >= I0;
 `
-
-// SoftTables are the unit's persistent tables, which checkpoints skip:
-// peers rebuild them, and a stored copy would hold a dead clock's stamps.
-var SoftTables = []string{"member", "mb_probe", "mb_since", "mb_live", "mb_dead"}
 
 // wire is the unit's wire protocol: a message, and the sender's view.
 const wire = `

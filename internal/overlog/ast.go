@@ -27,13 +27,15 @@ type Pragma struct {
 	Line int
 }
 
-// TableDecl declares a relation: its columns, key columns, and whether
-// it is persistent (table) or a one-timestep event relation (event).
+// TableDecl declares a relation: its columns, key columns, whether it
+// is persistent (table) or a one-timestep event relation (event), and
+// whether it survives a crash (durable: Snapshot writes it).
 type TableDecl struct {
 	Name    string
 	Cols    []ColDecl
 	KeyCols []int // indices into Cols; empty means all columns (set semantics)
 	Event   bool
+	Durable bool
 	Line    int
 	Col     int
 }
@@ -64,6 +66,9 @@ func (d *TableDecl) String() string {
 			keys[i] = fmt.Sprintf("%d", k)
 		}
 		s += fmt.Sprintf(" keys(%s)", strings.Join(keys, ", "))
+	}
+	if d.Durable {
+		s += " durable"
 	}
 	return s + ";"
 }

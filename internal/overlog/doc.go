@@ -18,8 +18,12 @@
 // matches an existing row replaces that row (update-in-place, as in
 // P2/JOL). Without a keys clause, the whole row is the key (set
 // semantics). Event relations hold tuples for a single timestep only.
+// A persistent table marked durable survives a crash: Runtime.Snapshot
+// writes exactly the durable tables, and a crash-restart carries them
+// into the node's next incarnation (see Restart); every other table is
+// soft state and starts empty. An event may not be durable.
 //
-//	table file(FileId: int, Parent: int, Name: string, IsDir: bool) keys(0);
+//	table file(FileId: int, Parent: int, Name: string, IsDir: bool) keys(0) durable;
 //	event request(Master: addr, ReqId: string, Op: string);
 //
 // Column types: int (int64), float, string, bool, addr (a node
@@ -128,10 +132,10 @@
 //
 // # Metaprogramming
 //
-// The installed program is itself data: sys::table(Name, Arity, Event),
-// sys::rule(Name, Program, Head, Stratum, IsDelete, IsAgg), and
-// sys::fire(Rule, Count) (maintained only when some rule reads it) can
-// be joined like any other relation.
+// The installed program is itself data: sys::table(Name, Arity, Event,
+// Durable), sys::rule(Name, Program, Head, Stratum, IsDelete, IsAgg),
+// and sys::fire(Rule, Count) (maintained only when some rule reads it)
+// can be joined like any other relation.
 //
 //	meta rulecount(H, count<R>) :- sys::rule(R, _, H, _, _, _);
 //

@@ -99,7 +99,7 @@ func TestJournalTornTail(t *testing.T) {
 // TestSnapshotPlusJournal is the full FsImage+EditLog recovery story:
 // checkpoint, keep journaling, crash, restore checkpoint, replay tail.
 func TestSnapshotPlusJournal(t *testing.T) {
-	const src = `table kv(K: string, V: int) keys(0);`
+	const src = `table kv(K: string, V: int) keys(0) durable;`
 	rt := NewRuntime("n1")
 	mustInstall(t, rt, src)
 	rt.Step(1, []Tuple{NewTuple("kv", Str("a"), Int(1))})

@@ -113,6 +113,10 @@ func decodeValue(b []byte) (Value, []byte, error) {
 		}
 		n := int(binary.BigEndian.Uint32(b[:4]))
 		b = b[4:]
+		// Every element takes at least its kind byte.
+		if len(b) < n {
+			return NilValue, nil, fmt.Errorf("overlog: truncated list body")
+		}
 		elems := make([]Value, n)
 		for i := 0; i < n; i++ {
 			var err error

@@ -118,8 +118,8 @@ func (p *parser) parseProgram() (*Program, error) {
 	return prog, nil
 }
 
-// parseTableDecl parses "table name(Col: type, ...) keys(0, 1);" or the
-// event form without keys.
+// parseTableDecl parses "table name(Col: type, ...) keys(0, 1) durable;"
+// (both modifiers optional) or the event form without them.
 func (p *parser) parseTableDecl(event bool) (*TableDecl, error) {
 	kw := p.advance() // table / event
 	name, err := p.expect(tokIdent, "table declaration")
@@ -184,6 +184,13 @@ func (p *parser) parseTableDecl(event bool) (*TableDecl, error) {
 		if _, err := p.expect(tokRParen, "keys clause"); err != nil {
 			return nil, err
 		}
+	}
+	if p.isKeyword("durable") {
+		if event {
+			return nil, p.errf(p.cur(), "event table %s may not be durable", d.Name)
+		}
+		p.advance()
+		d.Durable = true
 	}
 	if _, err := p.expect(tokSemi, "table declaration"); err != nil {
 		return nil, err

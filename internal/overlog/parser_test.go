@@ -85,6 +85,32 @@ func TestParseTableDecl(t *testing.T) {
 	}
 }
 
+// TestParseDurable: durable is a contextual modifier after the keys
+// clause, rendered back by String (the redeclaration shape check), and
+// still a legal table name.
+func TestParseDurable(t *testing.T) {
+	prog, err := Parse(`
+		table decided(Slot: int, Cmd: list) keys(0) durable;
+		table durable(N: int) durable;
+		durable(1);
+		d1 durable(N) :- decided(N, _);
+	`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	for i, want := range []string{
+		"table decided(Slot: int, Cmd: list) keys(0) durable;",
+		"table durable(N: int) durable;",
+	} {
+		if d := prog.Tables[i]; !d.Durable || d.String() != want {
+			t.Errorf("decl %d renders %q (durable %v), want %q", i, d, d.Durable, want)
+		}
+	}
+	if len(prog.Facts) != 1 || prog.Rules[0].Head.Table != "durable" {
+		t.Errorf("a table named durable: facts %v, head %q", prog.Facts, prog.Rules[0].Head.Table)
+	}
+}
+
 func TestParseRule(t *testing.T) {
 	prog, err := Parse(`
 		table link(Src: string, Dst: string, Cost: int) keys(0,1);
@@ -187,6 +213,8 @@ func TestParseErrors(t *testing.T) {
 		{`table t(A: wat);`, "unknown column type"},
 		{`table t(A: int) keys(3);`, "out of range"},
 		{`event e(A: int) keys(0);`, "may not declare keys"},
+		{`event e(A: int) durable;`, "may not be durable"},
+		{`table t(A: int) durable keys(0);`, "expected ';'"},
 		{`table t(A: int); t(1)`, "after atom"},
 		{`table t(A: int); x t(1);`, "fact may not carry"},
 		{`table t(A: int); t(X) :- t(count<X>);`, "only allowed in a rule head"},
@@ -247,7 +275,7 @@ func TestRoundTripStrings(t *testing.T) {
 func TestNamespacedAtom(t *testing.T) {
 	prog, err := Parse(`
 		table mirror(Name: string, Arity: int) keys(0);
-		mirror(N, A) :- sys::table(N, A, _);
+		mirror(N, A) :- sys::table(N, A, _, _);
 	`)
 	if err != nil {
 		t.Fatalf("parse: %v", err)

@@ -335,6 +335,7 @@ func (r *Runtime) declareSysTables() {
 			{Name: "Name", Type: KindString},
 			{Name: "Arity", Type: KindInt},
 			{Name: "Event", Type: KindBool},
+			{Name: "Durable", Type: KindBool},
 		}, KeyCols: []int{0}},
 		{Name: "sys::rule", Cols: []ColDecl{
 			{Name: "Name", Type: KindString},
@@ -549,7 +550,7 @@ func (r *Runtime) refreshSysCatalog() {
 	st := r.tables["sys::table"]
 	st.Clear()
 	for name, d := range r.cat.decls {
-		_, _, _ = st.Insert(NewTuple("sys::table", Str(name), Int(int64(d.Arity())), Bool(d.Event)))
+		_, _, _ = st.Insert(NewTuple("sys::table", Str(name), Int(int64(d.Arity())), Bool(d.Event), Bool(d.Durable)))
 	}
 	sr := r.tables["sys::rule"]
 	sr.Clear()

@@ -2,53 +2,32 @@ package overlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 )
 
 // Because a runtime's entire state is relations of first-class values,
 // checkpointing is trivial — the BOOM papers make exactly this point
 // about their NameNode versus HDFS's bespoke FsImage machinery. A
-// snapshot is the persistent tables' tuples in a flat binary framing;
-// event tables and sys:: catalog relations are derived or transient and
-// are skipped.
+// snapshot is the durable tables' tuples in a flat binary framing; what
+// survives a crash is declared beside the table (`keys(0) durable`), so
+// every other table is soft state that a restarted node rebuilds.
 
 const snapshotMagic = "OLGSNAP1"
 
-// Snapshot writes every persistent user table not in skip to w.
-func (r *Runtime) Snapshot(w io.Writer, skip ...string) error {
-	names := make([]string, 0, len(r.tables))
+// Snapshot writes the durable tables of the installed programs to w.
+func (r *Runtime) Snapshot(w io.Writer) error {
+	var names []string
 	for name, tbl := range r.tables {
-		d := tbl.Decl()
-		if d.Event || isSysTable(name) || slices.Contains(skip, name) {
-			continue
+		if tbl.Decl().Durable {
+			names = append(names, name)
 		}
-		names = append(names, name)
 	}
 	// Table order decides the snapshot's bytes; sorted so snapshots of
 	// identical state are identical (state-sync and replay compare them).
-	sort.Strings(names)
-	return r.SnapshotTables(w, names...)
-}
-
-// SnapshotTables writes only the named persistent tables to w, in the
-// same framing as Snapshot. Used by crash-restart specs to checkpoint a
-// protocol's durable subset (e.g. a Paxos acceptor's promised/accepted
-// log) while everything else is rebuilt as soft state.
-func (r *Runtime) SnapshotTables(w io.Writer, names ...string) error {
-	for _, name := range names {
-		tbl, ok := r.tables[name]
-		if !ok {
-			return fmt.Errorf("overlog: snapshot: table %q not declared", name)
-		}
-		if tbl.Decl().Event {
-			return fmt.Errorf("overlog: snapshot: table %q is an event table", name)
-		}
-	}
-	names = append([]string(nil), names...)
 	sort.Strings(names)
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -58,11 +37,10 @@ func (r *Runtime) SnapshotTables(w io.Writer, names ...string) error {
 		return err
 	}
 	for _, name := range names {
-		tbl := r.tables[name]
 		if err := writeString(bw, name); err != nil {
 			return err
 		}
-		tuples := tbl.Tuples()
+		tuples := r.tables[name].Tuples()
 		if err := writeUvarint(bw, uint64(len(tuples))); err != nil {
 			return err
 		}
@@ -84,26 +62,13 @@ func (r *Runtime) SnapshotTables(w io.Writer, names ...string) error {
 	return bw.Flush()
 }
 
-// RestoreSnapshot loads a snapshot into the runtime: tables must
-// already be declared (install the same programs first). Restored
+// RestoreSnapshot loads a snapshot into the runtime. Every table in it
+// must be declared durable by an installed program (install the same
+// programs first): a table none declares durable is an error naming
+// it, so a restart that left a program out fails loudly. Restored
 // tuples seed the next step's deltas, so derived views rebuild
-// incrementally on the first step after restore. Unknown tables in the
-// snapshot are an error (schema mismatch should be loud).
+// incrementally on the first step after restore.
 func (r *Runtime) RestoreSnapshot(rd io.Reader) error {
-	return r.restoreSnapshot(rd, false)
-}
-
-// RestoreSnapshotSilent loads a snapshot without seeding deltas: the
-// restored tuples become base facts that future joins can scan, but no
-// rules re-fire over them. This models state whose downstream effects
-// were already applied before the checkpoint — e.g. a replicated
-// master's decided log, which must be queryable after restart but must
-// not replay through the gateway's apply rule.
-func (r *Runtime) RestoreSnapshotSilent(rd io.Reader) error {
-	return r.restoreSnapshot(rd, true)
-}
-
-func (r *Runtime) restoreSnapshot(rd io.Reader, silent bool) error {
 	br := bufio.NewReader(rd)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -121,20 +86,25 @@ func (r *Runtime) restoreSnapshot(rd io.Reader, silent bool) error {
 		if err != nil {
 			return err
 		}
-		if _, ok := r.tables[name]; !ok {
-			return fmt.Errorf("overlog: restore: snapshot table %q not declared", name)
+		tbl, ok := r.tables[name]
+		if !ok || !tbl.Decl().Durable {
+			return fmt.Errorf("overlog: restore: snapshot table %q is not declared durable", name)
 		}
 		nTuples, err := binary.ReadUvarint(br)
 		if err != nil {
 			return err
 		}
+		want := uint64(tbl.Decl().Arity())
 		for i := uint64(0); i < nTuples; i++ {
 			arity, err := binary.ReadUvarint(br)
 			if err != nil {
 				return err
 			}
+			if arity != want {
+				return fmt.Errorf("overlog: restore %s: tuple arity %d, declared %d", name, arity, want)
+			}
 			vals := make([]Value, arity)
-			for c := uint64(0); c < arity; c++ {
+			for c := range vals {
 				data, err := readBytes(br)
 				if err != nil {
 					return err
@@ -143,17 +113,29 @@ func (r *Runtime) restoreSnapshot(rd io.Reader, silent bool) error {
 					return fmt.Errorf("overlog: restore %s: %w", name, err)
 				}
 			}
-			tp := NewTuple(name, vals...)
-			if silent {
-				if _, _, err := r.tables[name].Insert(tp); err != nil {
-					return err
-				}
-			} else if _, err := r.insertLocal(tp, "restore"); err != nil {
+			if _, err := r.insertLocal(NewTuple(name, vals...), "restore"); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// Restart rebuilds a crashed node on fresh: it snapshots prev's durable
+// tables, runs install on fresh, then restores the image into fresh.
+// prev is the crashed runtime, frozen since the crash; everything it
+// held outside its durable tables is lost. Because the restore comes
+// last, install must install every program that declares a table in
+// the image, or Restart fails naming the table.
+func Restart(prev, fresh *Runtime, install func(*Runtime) error) error {
+	var image bytes.Buffer
+	if err := prev.Snapshot(&image); err != nil {
+		return err
+	}
+	if err := install(fresh); err != nil {
+		return err
+	}
+	return fresh.RestoreSnapshot(&image)
 }
 
 func isSysTable(name string) bool {
@@ -191,11 +173,13 @@ func readBytes(r *bufio.Reader) ([]byte, error) {
 	if n > 1<<30 {
 		return nil, fmt.Errorf("overlog: restore: implausible field size %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	// Grown as bytes arrive, so a corrupt size costs no more memory
+	// than the input that backs it.
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return b.Bytes(), nil
 }
 
 func readString(r *bufio.Reader) (string, error) {

@@ -1,48 +1,16 @@
 package paxos
 
 import (
-	"bytes"
-
 	"repro/internal/overlog"
 	"repro/internal/sim"
 )
 
-// DurableAcceptorTables is the protocol state a correct acceptor keeps
-// on stable storage: its promise, its accepted values, its ballot, and
-// the learned log. Everything else — leadership, pending commands, slot
-// counters, vote tallies — is soft state a crash legitimately erases
-// (next_slot is re-derived from the accepted log during the next
-// election's phase 1, via the slot_seen/max_seen_slot rules).
-var DurableAcceptorTables = []string{"promised", "accepted", "cur_ballot", "decided"}
-
-// CopyDurable moves the durable acceptor tables from a crashed
-// replica's runtime into its replacement. The restore is silent — the
-// tuples become scannable base facts without re-seeding rule deltas, so
-// restoring the decided log does not replay decisions through whatever
-// apply rules the host program layers on it (the replicated BOOM-FS
-// master's gateway, for instance).
-func CopyDurable(prev, fresh *overlog.Runtime) error {
-	var buf bytes.Buffer
-	if err := prev.SnapshotTables(&buf, DurableAcceptorTables...); err != nil {
-		return err
-	}
-	return fresh.RestoreSnapshotSilent(&buf)
-}
-
 // RestartSpec returns the sim.NodeSpec for crash-restarting a plain
-// Paxos replica: reinstall the protocol with post-crash role state,
-// then restore the durable acceptor tables from the previous
-// incarnation (modeling a synchronous write-ahead disk).
+// Paxos replica: reinstall the protocol with post-crash role state. The
+// cluster's Restart then restores the durable acceptor tables from the
+// previous incarnation (modeling a synchronous write-ahead disk).
 func RestartSpec(self string, members []string, cfg Config) sim.NodeSpec {
-	return func(prev, fresh *overlog.Runtime) ([]sim.Service, error) {
-		if err := InstallRestarted(fresh, self, members, cfg); err != nil {
-			return nil, err
-		}
-		if prev != nil {
-			if err := CopyDurable(prev, fresh); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+	return func(fresh *overlog.Runtime) ([]sim.Service, error) {
+		return nil, InstallRestarted(fresh, self, members, cfg)
 	}
 }

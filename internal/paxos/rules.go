@@ -56,17 +56,21 @@ const Rules = `
 	// findings stand as documentation.
 	//lint:ordered decide_msg all senders agree on the decided command per slot
 
-	// --- membership & protocol state ---
+	// --- membership & protocol state. The durable tables are an
+	// acceptor's stable storage: its promise, accepted values and
+	// ballot, and the learned log. Leadership, pending commands, slot
+	// counters and tallies are soft state a crash erases (next_slot is
+	// re-derived from the restored log by ss1/ss2). ---
 	table member(Node: addr, Rank: int) keys(0);
 	table quorum(K: string, Q: int) keys(0);
-	table promised(K: string, B: int) keys(0);
-	table accepted(Slot: int, Bal: int, Cmd: list) keys(0);
-	table cur_ballot(K: string, B: int) keys(0);
+	table promised(K: string, B: int) keys(0) durable;
+	table accepted(Slot: int, Bal: int, Cmd: list) keys(0) durable;
+	table cur_ballot(K: string, B: int) keys(0) durable;
 	table is_leader(K: string, V: bool) keys(0);
 	table leader_seen(K: string, T: int) keys(0);
 	table last_elect(K: string, T: int) keys(0);
 	table next_slot(K: string, S: int) keys(0);
-	table decided(Slot: int, Cmd: list) keys(0);
+	table decided(Slot: int, Cmd: list) keys(0) durable;
 	table pending(ReqId: string, Cmd: list) keys(0);
 	table inflight(ReqId: string);
 	table proposal(Slot: int, Bal: int, Cmd: list) keys(0);
@@ -220,7 +224,7 @@ func Install(rt *overlog.Runtime, self string, members []string, cfg Config) err
 // InstallRestarted is Install for a replica coming back from a crash:
 // identical rules and membership, but the replica never boots believing
 // it leads — leadership must be re-won through an election, after the
-// durable acceptor tables have been restored (see RestartSpec).
+// cluster's Restart has restored the durable tables (see RestartSpec).
 func InstallRestarted(rt *overlog.Runtime, self string, members []string, cfg Config) error {
 	return install(rt, self, members, cfg, true)
 }

@@ -1,6 +1,7 @@
 package rtfs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -129,5 +130,35 @@ func TestCheckpointRestoreWithGossip(t *testing.T) {
 	m2.Node.Runtime(func(rt *overlog.Runtime) { view = membership.View(rt) })
 	if _, ok := view[m2.Addr]; len(view) != 1 || !ok {
 		t.Fatalf("restored master's view %v, want only itself (%s)", view, m2.Addr)
+	}
+}
+
+// TestFailedCheckpointKeepsPreviousImage: Checkpoint writes a temporary
+// file and renames it over the image, so a write that fails (here the
+// temporary path is taken by a directory) leaves the previous image
+// byte for byte as it was.
+func TestFailedCheckpointKeepsPreviousImage(t *testing.T) {
+	m, err := StartMaster(freeAddr(t), rtConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	image := filepath.Join(t.TempDir(), "fsimage")
+	if err := m.Checkpoint(image); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(image+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(image); err == nil {
+		t.Fatal("checkpoint over a blocked temporary path succeeded")
+	}
+	after, err := os.ReadFile(image)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("previous image changed by a failed checkpoint (err %v)", err)
 	}
 }

@@ -102,8 +102,9 @@ func StartMasterFrom(addr string, cfg boomfs.Config, restorePath string) (*Serve
 	return serve(rt, addr, "master", nil)
 }
 
-// Checkpoint writes the server's current catalog, not its membership
-// view, to path atomically (write to a temp file, then rename).
+// Checkpoint writes the server's durable tables — the catalog, not its
+// membership view — to path atomically (write to a temp file, then
+// rename).
 func (s *Server) Checkpoint(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -112,7 +113,7 @@ func (s *Server) Checkpoint(path string) error {
 	}
 	var snapErr error
 	s.Node.Runtime(func(rt *overlog.Runtime) {
-		snapErr = rt.Snapshot(f, membership.SoftTables...)
+		snapErr = rt.Snapshot(f)
 	})
 	if cerr := f.Close(); snapErr == nil {
 		snapErr = cerr

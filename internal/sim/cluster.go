@@ -101,13 +101,12 @@ func (h *timerHeap) Pop() interface{} {
 	return t
 }
 
-// NodeSpec rebuilds a node after a crash-restart: install programs on
-// the fresh runtime (and restore whatever the node's durability model
-// says survived the crash — prev is the crashed runtime, frozen since
-// the kill) and return the services to attach. Soft state not copied
-// explicitly is lost, unlike Revive which resumes with every table
-// intact.
-type NodeSpec func(prev, fresh *overlog.Runtime) ([]Service, error)
+// NodeSpec rebuilds a node after a crash-restart: install every
+// program the node runs on the fresh runtime and return the services
+// to attach. The spec only installs; Restart then restores the crashed
+// runtime's durable tables, so soft state is lost, unlike Revive which
+// resumes with every table intact.
+type NodeSpec func(fresh *overlog.Runtime) ([]Service, error)
 
 type eventHeap []*event
 
@@ -481,10 +480,10 @@ func (c *Cluster) SetSpec(addr string, spec NodeSpec) error {
 }
 
 // Restart is a true crash-restart: the node's runtime is discarded and
-// rebuilt from its registered NodeSpec, so all soft state (tables not
-// explicitly restored by the spec, pending deferred tuples, periodic
-// phases) is lost. The crashed runtime is passed to the spec so it can
-// model stable storage by copying durable tables forward.
+// rebuilt from its registered NodeSpec, then the crashed runtime's
+// durable tables are restored into it (overlog.Restart), modeling a
+// synchronous write-ahead disk. All soft state (tables not declared
+// durable, pending deferred tuples, periodic phases) is lost.
 func (c *Cluster) Restart(addr string) error {
 	n, ok := c.nodes[addr]
 	if !ok {
@@ -511,7 +510,11 @@ func (c *Cluster) Restart(addr string) error {
 	// node is still marked killed (refreshWake ignores killed nodes);
 	// the explicit refresh after un-killing picks the final state up.
 	rt.SetWakeHook(func() { c.refreshWake(n) })
-	svcs, err := n.spec(prev, rt)
+	var svcs []Service
+	err := overlog.Restart(prev, rt, func(fresh *overlog.Runtime) (err error) {
+		svcs, err = n.spec(fresh)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("sim: restart %s: %w", addr, err)
 	}

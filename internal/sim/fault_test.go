@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/overlog"
@@ -53,12 +53,12 @@ func TestKillClearsServiceBacklog(t *testing.T) {
 }
 
 // TestRestartLosesSoftState: Restart discards the runtime and rebuilds
-// from the NodeSpec, so tables the spec does not restore are empty in
-// the new incarnation while spec-restored (durable) tables carry over.
+// from the NodeSpec, so tables not declared durable are empty in the
+// new incarnation while durable tables carry over.
 func TestRestartLosesSoftState(t *testing.T) {
 	const src = `
 		table soft(N: int) keys(0);
-		table durable(N: int) keys(0);
+		table durable(N: int) keys(0) durable;
 		event put(Kind: string, N: int);
 		p1 soft(N) :- put("soft", N);
 		p2 durable(N) :- put("durable", N);
@@ -68,20 +68,8 @@ func TestRestartLosesSoftState(t *testing.T) {
 	if err := rt.InstallSource(src); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetSpec("n", func(prev, fresh *overlog.Runtime) ([]Service, error) {
-		if err := fresh.InstallSource(src); err != nil {
-			return nil, err
-		}
-		if prev != nil {
-			var buf bytes.Buffer
-			if err := prev.SnapshotTables(&buf, "durable"); err != nil {
-				return nil, err
-			}
-			if err := fresh.RestoreSnapshotSilent(&buf); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+	if err := c.SetSpec("n", func(fresh *overlog.Runtime) ([]Service, error) {
+		return nil, fresh.InstallSource(src)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +119,30 @@ func TestRestartLosesSoftState(t *testing.T) {
 	// A node without a registered spec cannot crash-restart.
 	if err := c2.Restart("m"); err == nil {
 		t.Fatal("Restart without a NodeSpec should error")
+	}
+}
+
+// TestRestartWithoutDurableProgramFails: a spec that leaves out a
+// program whose durable table the crashed runtime holds cannot restore
+// it, and Restart says which table instead of booting without it.
+func TestRestartWithoutDurableProgramFails(t *testing.T) {
+	c := NewCluster()
+	rt := c.MustAddNode("n")
+	if err := rt.InstallSource(`
+		table soft(N: int) keys(0);
+		table ledger(N: int) keys(0) durable;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetSpec("n", func(fresh *overlog.Runtime) ([]Service, error) {
+		return nil, fresh.InstallSource(`table soft(N: int) keys(0);`)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Kill("n")
+	err := c.Restart("n")
+	if err == nil || !strings.Contains(err.Error(), `"ledger"`) {
+		t.Fatalf("Restart without the ledger's program: %v, want an error naming ledger", err)
 	}
 }
 
