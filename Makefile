@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint race bench-paper chaos chaos-tcp scale examples experiments profile clean
+.PHONY: all build test check lint race chaos chaos-tcp scale examples experiments clean
 
 all: build test
 
@@ -92,21 +92,12 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Every table/figure as testing.B benchmarks (plus runtime ablations).
-bench-paper:
-	$(GO) test -bench=. -benchmem .
-
-# The paper's evaluation with full parameters, printed as reports.
+# experiments: run the paper's evaluation once, at its documented
+# parameters, and rewrite EXPERIMENTS.md's generated tables and the
+# behaviour golden (internal/experiments/testdata) that
+# TestBehaviourGolden checks them against.
 experiments:
-	$(GO) run ./cmd/boom-bench all
-
-# profile: both profiler views from one boom-bench run — the Go CPU
-# profile (inspect with `go tool pprof cpu.pprof`) and the Overlog
-# per-rule fixpoint profile (wall time, fires, retractions per rule,
-# stratum iteration histograms, plus a sample lineage DAG).
-profile:
-	$(GO) run ./cmd/boom-bench -cpuprofile cpu.pprof -ruleprofile ruleprofile.txt profile
-	@echo "wrote cpu.pprof and ruleprofile.txt"
+	$(GO) run ./cmd/boom-bench
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -114,8 +105,7 @@ examples:
 	$(GO) run ./examples/failover
 	$(GO) run ./examples/partitioned
 	$(GO) run ./examples/monitoring
-	$(GO) run ./examples/twophase
 
 clean:
 	$(GO) clean ./...
-	rm -f boom boom-bench test_output.txt cpu.pprof ruleprofile.txt
+	rm -f boom boom-bench test_output.txt

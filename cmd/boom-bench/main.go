@@ -1,247 +1,49 @@
-// Command boom-bench regenerates the paper's evaluation artifacts: one
-// subcommand per table/figure, printing the rows/series the paper
-// reports (see EXPERIMENTS.md for the mapping and expected shapes).
+// Command boom-bench regenerates the paper's evaluation: it runs every
+// table and figure once at its documented parameters (see
+// internal/experiments.RunPaper), rewrites the generated tables in
+// EXPERIMENTS.md and the behaviour golden they are checked against,
+// and prints T2's wall-clock overhead, the one number that is not
+// deterministic. Run it from inside the module:
 //
-// Usage:
-//
-//	boom-bench codesize            # T1: code-size table
-//	boom-bench perf                # F1: {scheduler} x {fs} wordcount CDFs
-//	boom-bench failover            # F2: replicated-master failure scenarios
-//	boom-bench scaleup             # F3: partitioned-master scale-up
-//	boom-bench late                # F4: LATE speculative scheduling
-//	boom-bench monitor             # T2: metaprogrammed tracing overhead
-//	boom-bench paxos               # F5: Paxos commit latency vs group size
-//	boom-bench profile             # per-rule fixpoint profile + sample lineage
-//	boom-bench all                 # everything, in order
-//
-// Add -quick for reduced sizes (CI-friendly).
+//	go run ./cmd/boom-bench
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"time"
+	"path/filepath"
 
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run reduced problem sizes")
-	cdf := flag.Bool("cdf", false, "also print ASCII CDF plots for the figure experiments")
-	cpuprofile := flag.String("cpuprofile", "", "write a Go CPU profile of the run to this file")
-	ruleprofile := flag.String("ruleprofile", "", "write the per-rule profile artifact to this file (profile subcommand)")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "boom-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "boom-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	cmd := flag.Arg(0)
-	start := time.Now()
-	var err error
-	switch cmd {
-	case "codesize":
-		err = runCodesize()
-	case "perf":
-		err = runPerf(*quick, *cdf)
-	case "failover":
-		err = runFailover(*quick)
-	case "scaleup":
-		err = runScaleup(*quick)
-	case "late":
-		err = runLate(*quick, *cdf)
-	case "monitor":
-		err = runMonitor(*quick)
-	case "paxos":
-		err = runPaxos(*quick)
-	case "fair":
-		err = runFair(*quick)
-	case "profile":
-		err = runProfile(*quick, *ruleprofile)
-	case "all":
-		for _, f := range []func() error{
-			runCodesize,
-			func() error { return runPerf(*quick, *cdf) },
-			func() error { return runFailover(*quick) },
-			func() error { return runScaleup(*quick) },
-			func() error { return runLate(*quick, *cdf) },
-			func() error { return runMonitor(*quick) },
-			func() error { return runPaxos(*quick) },
-			func() error { return runFair(*quick) },
-		} {
-			if err = f(); err != nil {
-				break
-			}
-			fmt.Println()
-		}
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "boom-bench %s: %v\n", cmd, err)
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "boom-bench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("\n[boom-bench %s completed in %.1fs wall]\n", cmd, time.Since(start).Seconds())
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `boom-bench regenerates the BOOM Analytics evaluation.
-
-usage: boom-bench [-quick] [-cpuprofile F] [-ruleprofile F]
-                  <codesize|perf|failover|scaleup|late|monitor|paxos|fair|profile|all>
-`)
-}
-
-// runProfile drives the fixpoint profiler over a metadata workload and
-// optionally writes the per-rule artifact (make profile pairs it with
-// -cpuprofile so the Overlog- and Go-level views come from one run).
-func runProfile(quick bool, artifact string) error {
-	p := experiments.DefaultRuleProfileParams()
-	if quick {
-		p.Ops, p.DataNodes = 60, 2
-	}
-	res, err := experiments.RunRuleProfile(p)
+func run() error {
+	root, err := experiments.ModuleRoot()
 	if err != nil {
 		return err
 	}
-	report := res.Report()
-	fmt.Print(report)
-	if artifact != "" {
-		if err := os.WriteFile(artifact, []byte(report), 0o644); err != nil {
+	p, err := experiments.RunPaper()
+	if err != nil {
+		return err
+	}
+	files, err := p.Files(root)
+	if err != nil {
+		return err
+	}
+	for _, name := range []string{experiments.GoldenFile, experiments.DocFile} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(files[name]), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\n[per-rule profile written to %s]\n", artifact)
+		fmt.Printf("wrote %s\n", name)
 	}
-	return nil
-}
-
-func runCodesize() error {
-	fmt.Print(experiments.RunCodeSize().Report())
-	return nil
-}
-
-func runPerf(quick, cdf bool) error {
-	p := experiments.DefaultPerfParams()
-	if quick {
-		p.DataNodes, p.TaskTrackers, p.NumSplits, p.BytesPerSplit, p.NumReduce =
-			4, 4, 8, 8<<10, 2
-	}
-	res, err := experiments.RunPerf(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
-	if cdf {
-		for _, cb := range res.Combos {
-			fmt.Printf("\nmap-completion CDF, %s + %s:\n%s", cb.MR, cb.FS,
-				cb.MapCDF.AsciiPlot(50))
-		}
-	}
-	return nil
-}
-
-func runFailover(quick bool) error {
-	p := experiments.DefaultFailoverParams()
-	if quick {
-		p.Ops, p.KillAtOp, p.DataNodes = 20, 8, 2
-	}
-	res, err := experiments.RunFailover(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
-	return nil
-}
-
-func runScaleup(quick bool) error {
-	p := experiments.DefaultScaleupParams()
-	if quick {
-		p.Partitions = []int{1, 2}
-		p.Clients, p.OpsPerClient = 4, 30
-	}
-	res, err := experiments.RunScaleup(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
-	return nil
-}
-
-func runLate(quick, cdf bool) error {
-	p := experiments.DefaultLateParams()
-	if quick {
-		p.TaskTrackers, p.NumSplits, p.BytesPerSplit = 4, 8, 24<<10
-		p.Plan = workload.OneStraggler(8)
-	}
-	res, err := experiments.RunLate(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
-	if cdf {
-		for _, run := range res.Runs {
-			fmt.Printf("\nmap-completion CDF, %s:\n%s", run.Policy,
-				run.MapCDF.AsciiPlot(50))
-		}
-	}
-	return nil
-}
-
-func runMonitor(quick bool) error {
-	p := experiments.DefaultMonitoringParams()
-	if quick {
-		p.Ops, p.DataNodes = 40, 2
-	}
-	res, err := experiments.RunMonitoring(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
-	return nil
-}
-
-func runFair(quick bool) error {
-	p := experiments.DefaultFairnessParams()
-	if quick {
-		p.Jobs, p.SplitsPerJob = 2, 4
-	}
-	res, err := experiments.RunFairness(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
-	return nil
-}
-
-func runPaxos(quick bool) error {
-	p := experiments.DefaultPaxosParams()
-	if quick {
-		p.ReplicaCounts = []int{1, 3}
-		p.Commands = 12
-	}
-	res, err := experiments.RunPaxosBench(p)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Report())
+	watch, registry := p.Monitoring.WallRatios()
+	fmt.Printf("T2 wall-clock overhead vs instrumentation off: watch-all %.2fx, telemetry registry %.2fx\n",
+		watch, registry)
 	return nil
 }

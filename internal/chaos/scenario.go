@@ -1,6 +1,10 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -10,13 +14,22 @@ import (
 // the rendered derivation DAG of the first violation — which monitor
 // rule fired, from which tuples, chased across nodes. Tracer, when a
 // scenario runs traced, holds the cross-node span record so a failure
-// report can show where each request spent its time.
+// report can show where each request spent its time. Digest, set when
+// a run completes, condenses the cluster's final state (see digest): a
+// run that behaves the same yields the same Digest.
 type Outcome struct {
 	Violations []Violation
 	Provenance string
 	Journal    *telemetry.Journal
 	Tracer     *telemetry.Tracer
+	Digest     string
 	Err        error
+}
+
+// digest hashes c.Fingerprint() to 16 hex digits.
+func digest(c *sim.Cluster) string {
+	sum := sha256.Sum256([]byte(c.Fingerprint()))
+	return hex.EncodeToString(sum[:8])
 }
 
 // Violated reports whether the run surfaced invariant violations.

@@ -95,6 +95,7 @@ func gossip(boundMS int64) Scenario {
 			}
 		}
 		out.Violations = Collect(c)
+		out.Digest = digest(c)
 		return out
 	}
 	return Scenario{Name: "gossip", Schedule: schedule, Run: run}

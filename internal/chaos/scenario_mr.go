@@ -110,5 +110,6 @@ func (p mrParams) run(seed int64, sched Schedule) Outcome {
 
 	out.Violations = Collect(c)
 	out.Provenance = ExplainViolation(c, out.Violations)
+	out.Digest = digest(c)
 	return out
 }

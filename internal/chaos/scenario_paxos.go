@@ -205,5 +205,6 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 
 	out.Violations = Collect(c)
 	out.Provenance = ExplainViolation(c, out.Violations)
+	out.Digest = digest(c)
 	return out
 }

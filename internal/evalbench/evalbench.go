@@ -1,6 +1,6 @@
 // Package evalbench defines the Overlog evaluator's microbenchmark
 // workloads in importable form. The same drivers back two consumers:
-// `go test -bench ./internal/overlog` (thin wrappers in bench_test.go)
+// `go test -bench . ./internal/overlog` (thin wrappers in its bench_test.go)
 // and the benchmark's eval_batch workload (bench/eval.go), which looks
 // three of them up by name in Suite() and times their Once bodies.
 //

@@ -112,20 +112,16 @@ func runFairness(p FairnessParams, pol boommr.Policy) (*FairnessRun, error) {
 // Report renders the ablation.
 func (r *FairnessResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== A1 (ablation): multi-job scheduling policy, FIFO vs FAIR rules ==\n")
-	fmt.Fprintf(&b, "   (%d identical jobs submitted together, %d single-slot trackers)\n\n",
+	fmt.Fprintf(&b, "Measured (%d identical jobs submitted together, %d single-slot trackers; simulated ms):\n\n",
 		r.Params.Jobs, r.Params.TaskTrackers)
-	fmt.Fprintf(&b, "%-8s %-30s %12s %10s\n", "policy", "per-job completion (ms)", "mean", "spread")
+	b.WriteString("| policy | per-job completion | mean | spread |\n|---|---|---:|---:|\n")
 	for _, run := range r.Runs {
 		times := make([]string, len(run.JobDoneAt))
 		for i, v := range run.JobDoneAt {
 			times[i] = fmt.Sprintf("%d", v)
 		}
-		fmt.Fprintf(&b, "%-8v %-30s %10.0fms %8dms\n",
+		fmt.Fprintf(&b, "| %v | %s | %.0f | %d |\n",
 			run.Policy, strings.Join(times, ", "), run.MeanMS, run.SpreadMS)
 	}
-	b.WriteString("\nshape: FIFO drains jobs in order (wide spread, early first job);\n" +
-		"FAIR interleaves, so all jobs finish near the end together (small\n" +
-		"spread). Both are tiny rule sets over the same machinery.\n")
 	return b.String()
 }

@@ -140,19 +140,15 @@ func runLatePolicy(p LateParams, pol LatePolicy) (*LateRun, error) {
 // Report renders the comparison.
 func (r *LateResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== F4: speculative scheduling with stragglers ==\n")
-	fmt.Fprintf(&b, "   (%d trackers, %d slow at %.0fx, %d splits x %d KB)\n\n",
+	fmt.Fprintf(&b, "Measured (%d trackers, %d contaminated at %.0f× slowdown, %d splits × %d KB; simulated ms):\n\n",
 		r.Params.TaskTrackers, len(r.Params.Plan.SlowIdx), r.Params.Plan.Slowdown,
 		r.Params.NumSplits, r.Params.BytesPerSplit>>10)
-	fmt.Fprintf(&b, "%-22s %10s %9s %9s %9s %6s\n",
-		"policy", "job", "map p50", "map p90", "map max", "spec")
+	b.WriteString("| policy | job | map p50 | map p90 | map max (tail) | speculative attempts |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%-22s %8dms %7dms %7dms %7dms %6d\n",
+		fmt.Fprintf(&b, "| %s | %d | %d | %d | %d | %d |\n",
 			run.Policy, run.JobMS, run.MapCDF.Percentile(50),
 			run.MapCDF.Percentile(90), run.MapCDF.Max(), run.Speculative)
 	}
-	b.WriteString("\npaper shape: FIFO's map tail (and the whole job) is held hostage by\n" +
-		"the straggler; LATE pulls the tail in by re-executing it elsewhere,\n" +
-		"matching the imperative speculation baseline.\n")
 	return b.String()
 }

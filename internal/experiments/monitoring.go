@@ -187,49 +187,24 @@ func runMonitoring(p MonitoringParams, mode monMode) (*MonitoringRun, error) {
 	return run, nil
 }
 
-// Report renders the comparison plus the registry snapshot — the same
-// numbers a live node serves on /metrics, proving the bench and the
-// endpoint read one source of truth.
+// Report renders the deterministic columns of the comparison. Wall
+// time is left out: it varies run to run (see WallRatios).
 func (r *MonitoringResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== T2: instrumentation overhead ==\n")
-	fmt.Fprintf(&b, "   (%d metadata creates against one master, %d datanodes)\n\n",
+	fmt.Fprintf(&b, "Measured (%d metadata creates against one master, %d datanodes):\n\n",
 		r.Params.Ops, r.Params.DataNodes)
-	fmt.Fprintf(&b, "%-26s %10s %10s %9s %13s %13s\n",
-		"configuration", "sim total", "wall", "op p50", "derivations", "trace events")
+	b.WriteString("| configuration | sim total | op p50 | derivations | trace events |\n")
+	b.WriteString("|---|---:|---:|---:|---:|\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%-26s %8dms %8.1fms %7dms %13d %13d\n",
-			run.Label, run.TotalMS, float64(run.WallNS)/1e6, run.OpP50,
-			run.Derivations, run.TraceEvents)
+		fmt.Fprintf(&b, "| %s | %d ms | %d ms | %d | %d |\n",
+			run.Label, run.TotalMS, run.OpP50, run.Derivations, run.TraceEvents)
 	}
-	if len(r.Runs) == 3 && r.Runs[0].WallNS > 0 {
-		base := float64(r.Runs[0].WallNS)
-		fmt.Fprintf(&b, "\noverhead vs off: watch-all %.2fx, telemetry registry %.2fx wall-clock\n",
-			float64(r.Runs[1].WallNS)/base, float64(r.Runs[2].WallNS)/base)
-		fmt.Fprintf(&b, "(simulated latency unchanged in every configuration)\n")
-	}
-	if samples := r.Snapshot(); len(samples) > 0 {
-		fmt.Fprintf(&b, "\nmaster registry snapshot (as served on /metrics):\n")
-		for _, s := range samples {
-			if strings.Contains(s.Name, "_bucket") || !strings.Contains(s.Name, "master:0") {
-				continue
-			}
-			fmt.Fprintf(&b, "  %-60s %g\n", s.Name, s.Value)
-		}
-	}
-	b.WriteString("\npaper shape: full tracing costs little because watches reuse the\n" +
-		"same dataflow the rules already execute, and the production\n" +
-		"registry is cheaper still — one atomic add per hook site.\n")
 	return b.String()
 }
 
-// Snapshot returns the registry-on run's telemetry samples (nil when
-// the registry configuration was not part of the result).
-func (r *MonitoringResult) Snapshot() []telemetry.Sample {
-	for _, run := range r.Runs {
-		if len(run.Samples) > 0 {
-			return run.Samples
-		}
-	}
-	return nil
+// WallRatios returns the watch-all and registry configurations' wall
+// time over the uninstrumented run's (the median triple's).
+func (r *MonitoringResult) WallRatios() (watch, registry float64) {
+	base := float64(r.Runs[0].WallNS)
+	return float64(r.Runs[1].WallNS) / base, float64(r.Runs[2].WallNS) / base
 }

@@ -159,23 +159,22 @@ func runScaleupPoint(p ScaleupParams, parts int) (*ScaleupPoint, error) {
 // Report renders the sweep.
 func (r *ScaleupResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== F3: hash-partitioned master metadata scale-up ==\n")
-	fmt.Fprintf(&b, "   (%d clients x %d ops, create-heavy mix)\n\n", r.Params.Clients, r.Params.OpsPerClient)
-	fmt.Fprintf(&b, "%-12s %10s %14s %10s %10s\n",
-		"partitions", "total", "throughput", "op p50", "op p90")
-	base := 0.0
-	for i, pt := range r.Points {
-		speed := ""
-		if i == 0 {
-			base = pt.Throughput
-		} else if base > 0 {
-			speed = fmt.Sprintf("  (%.2fx)", pt.Throughput/base)
-		}
-		fmt.Fprintf(&b, "%-12d %8dms %10.1f/s%s %7dms %7dms\n",
-			pt.Partitions, pt.TotalMS, pt.Throughput, speed,
+	fmt.Fprintf(&b, "Measured (%d closed-loop clients × %d create-heavy metadata ops, %d ms modeled master CPU per request; simulated ms):\n\n",
+		r.Params.Clients, r.Params.OpsPerClient, r.Params.MasterServiceMS)
+	b.WriteString("| partitions | total | throughput | speedup | op p50 | op p90 |\n")
+	b.WriteString("|---:|---:|---:|---:|---:|---:|\n")
+	for _, pt := range r.Points {
+		fmt.Fprintf(&b, "| %d | %d | %.1f/s | %.2f× | %d | %d |\n",
+			pt.Partitions, pt.TotalMS, pt.Throughput, r.Speedup(pt),
 			pt.OpCDF.Percentile(50), pt.OpCDF.Percentile(90))
 	}
-	b.WriteString("\npaper shape: throughput grows with partitions until the fixed\n" +
-		"client population saturates; per-op latency stays flat.\n")
 	return b.String()
+}
+
+// Speedup is a point's throughput over the first point's.
+func (r *ScaleupResult) Speedup(pt ScaleupPoint) float64 {
+	if len(r.Points) == 0 || r.Points[0].Throughput == 0 {
+		return 0
+	}
+	return pt.Throughput / r.Points[0].Throughput
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/overlog"
 	"repro/internal/telemetry"
@@ -941,6 +942,29 @@ func (c *Cluster) DeliveredTotal() int64 {
 		total += v
 	}
 	return total
+}
+
+// Fingerprint reduces every observable the simulator promises to keep
+// deterministic into one string: per-node table contents, the
+// delivery/drop counters, the virtual clock, and the telemetry journal
+// (which records sends, drops, and faults in order) when one is
+// installed. Two runs from the same seed and schedule must agree on it.
+func (c *Cluster) Fingerprint() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d dropped=%d delivered=%d\n", c.now, c.Dropped, c.DeliveredTotal())
+	for _, dt := range c.DeliveredByTable() {
+		fmt.Fprintf(&b, "delivered[%s]=%d\n", dt.Table, dt.Count)
+	}
+	for _, addr := range c.order {
+		rt := c.Node(addr)
+		for _, tbl := range rt.TableNames() {
+			fmt.Fprintf(&b, "-- %s.%s --\n%s", addr, tbl, rt.Table(tbl).Dump())
+		}
+	}
+	for _, ev := range c.journal.Events() {
+		fmt.Fprintf(&b, "journal %d %s %s %s %s %s\n", ev.WallMS, ev.Node, ev.Kind, ev.Table, ev.TraceID, ev.Detail)
+	}
+	return b.String()
 }
 
 // DeliveredByTable returns delivery counts sorted by table name.

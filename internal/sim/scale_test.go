@@ -28,28 +28,6 @@ const gossipProgram = `
 	table next_hop(Next: addr) keys(0);
 `
 
-// clusterFingerprint reduces every observable the simulator promises
-// to keep deterministic into one string: per-node table contents, the
-// delivery/drop counters, the virtual clock, and the full telemetry
-// journal (which records sends, drops, and faults in order).
-func clusterFingerprint(c *Cluster, j *telemetry.Journal) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d dropped=%d delivered=%d\n", c.Now(), c.Dropped, c.DeliveredTotal())
-	for _, dt := range c.DeliveredByTable() {
-		fmt.Fprintf(&b, "delivered[%s]=%d\n", dt.Table, dt.Count)
-	}
-	for _, addr := range c.Nodes() {
-		rt := c.Node(addr)
-		for _, tbl := range rt.TableNames() {
-			fmt.Fprintf(&b, "-- %s.%s --\n%s", addr, tbl, rt.Table(tbl).Dump())
-		}
-	}
-	for _, ev := range j.Events() {
-		fmt.Fprintf(&b, "journal %d %s %s %s %s %s\n", ev.WallMS, ev.Node, ev.Kind, ev.Table, ev.TraceID, ev.Detail)
-	}
-	return b.String()
-}
-
 // idleProg is a node that never wakes on its own: no periodics, no
 // facts, one rule waiting for a poke that never comes. The event-
 // driven scheduler must spend zero time on such nodes.
@@ -63,14 +41,13 @@ const idleProg = `
 // buildSparse assembles a cluster of `total` nodes where only the
 // first `active` gossip in a ring; the rest are idle. Faults at fixed
 // times exercise kill/revive interaction with the wake index.
-func buildSparse(t *testing.T, total, active int) (*Cluster, *telemetry.Journal) {
+func buildSparse(t *testing.T, total, active int) *Cluster {
 	t.Helper()
-	j := telemetry.NewJournal(1 << 16)
 	c := NewCluster(
 		WithClusterSeed(42),
 		WithLatency(UniformLatency(1, 9)),
 		WithDropRate(0.05),
-		WithTelemetry(telemetry.NewRegistry(), j),
+		WithTelemetry(telemetry.NewRegistry(), telemetry.NewJournal(1<<16)),
 	)
 	addrs := make([]string, active)
 	for i := range addrs {
@@ -94,16 +71,16 @@ func buildSparse(t *testing.T, total, active int) (*Cluster, *telemetry.Journal)
 	}
 	c.At(90, func() error { c.Kill("act1"); return nil })
 	c.At(210, func() error { c.Revive("act1"); return nil })
-	return c, j
+	return c
 }
 
 func runSparse(t *testing.T, total, active int, horizon int64) string {
 	t.Helper()
-	c, j := buildSparse(t, total, active)
+	c := buildSparse(t, total, active)
 	if err := c.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
-	return clusterFingerprint(c, j)
+	return c.Fingerprint()
 }
 
 // TestSparseFingerprintAtScale is the determinism-at-scale check from
@@ -139,7 +116,7 @@ func TestSparseFingerprintSmoke(t *testing.T) {
 // a sparse run, idle nodes have taken zero runtime steps — the
 // scheduler never visited them at all.
 func TestIdleNodesDoNotStep(t *testing.T) {
-	c, _ := buildSparse(t, 200, 8)
+	c := buildSparse(t, 200, 8)
 	if err := c.Run(300); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // CDF is an empirical distribution over int64 samples (milliseconds).
@@ -21,12 +20,6 @@ type CDF struct {
 // Add appends one sample.
 func (c *CDF) Add(v int64) {
 	c.samples = append(c.samples, v)
-	c.sorted = false
-}
-
-// AddAll appends many samples.
-func (c *CDF) AddAll(vs []int64) {
-	c.samples = append(c.samples, vs...)
 	c.sorted = false
 }
 
@@ -80,28 +73,6 @@ func (c *CDF) Mean() float64 {
 	return float64(sum) / float64(len(c.samples))
 }
 
-// Points returns (value, cumulative fraction) pairs for plotting,
-// downsampled to at most maxPoints.
-func (c *CDF) Points(maxPoints int) [][2]float64 {
-	c.ensure()
-	n := len(c.samples)
-	if n == 0 {
-		return nil
-	}
-	step := 1
-	if maxPoints > 0 && n > maxPoints {
-		step = n / maxPoints
-	}
-	var out [][2]float64
-	for i := 0; i < n; i += step {
-		out = append(out, [2]float64{float64(c.samples[i]), float64(i+1) / float64(n)})
-	}
-	if out[len(out)-1][0] != float64(c.samples[n-1]) {
-		out = append(out, [2]float64{float64(c.samples[n-1]), 1})
-	}
-	return out
-}
-
 // Summary renders a one-line percentile digest.
 func (c *CDF) Summary() string {
 	if c.N() == 0 {
@@ -110,65 +81,4 @@ func (c *CDF) Summary() string {
 	return fmt.Sprintf("n=%d min=%d p25=%d p50=%d p75=%d p90=%d p99=%d max=%d mean=%.1f",
 		c.N(), c.Min(), c.Percentile(25), c.Percentile(50), c.Percentile(75),
 		c.Percentile(90), c.Percentile(99), c.Max(), c.Mean())
-}
-
-// AsciiPlot renders a crude terminal CDF: one row per decile.
-func (c *CDF) AsciiPlot(width int) string {
-	if c.N() == 0 {
-		return "(no samples)"
-	}
-	if width <= 0 {
-		width = 50
-	}
-	max := c.Max()
-	if max == 0 {
-		max = 1
-	}
-	var b strings.Builder
-	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 100} {
-		v := c.Percentile(p)
-		bar := int(int64(width) * v / max)
-		fmt.Fprintf(&b, "%5.0f%% %8dms |%s\n", p, v, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
-// Series is a labelled collection of CDFs, printed side by side (one
-// paper figure = one Series).
-type Series struct {
-	Title string
-	Order []string
-	ByKey map[string]*CDF
-}
-
-// NewSeries creates a named series.
-func NewSeries(title string) *Series {
-	return &Series{Title: title, ByKey: map[string]*CDF{}}
-}
-
-// CDF returns (creating if needed) the labelled distribution.
-func (s *Series) CDF(label string) *CDF {
-	c, ok := s.ByKey[label]
-	if !ok {
-		c = &CDF{}
-		s.ByKey[label] = c
-		s.Order = append(s.Order, label)
-	}
-	return c
-}
-
-// Table renders the series as a percentile table, the textual stand-in
-// for the paper's figure.
-func (s *Series) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", s.Title)
-	fmt.Fprintf(&b, "%-28s %6s %8s %8s %8s %8s %8s\n",
-		"series", "n", "p25", "p50", "p75", "p90", "max")
-	for _, label := range s.Order {
-		c := s.ByKey[label]
-		fmt.Fprintf(&b, "%-28s %6d %7dms %7dms %7dms %7dms %7dms\n",
-			label, c.N(), c.Percentile(25), c.Percentile(50), c.Percentile(75),
-			c.Percentile(90), c.Max())
-	}
-	return b.String()
 }

@@ -36,7 +36,9 @@ func TestCDFMin(t *testing.T) {
 		t.Fatalf("n=0 Min: got %d, want 0", got)
 	}
 	many := &CDF{}
-	many.AddAll([]int64{9, 3, 7, 3, 100})
+	for _, v := range []int64{9, 3, 7, 3, 100} {
+		many.Add(v)
+	}
 	if got := many.Min(); got != 3 {
 		t.Fatalf("Min: got %d, want 3", got)
 	}
@@ -49,43 +51,11 @@ func TestCDFMin(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := &CDF{}
-	if c.Percentile(50) != 0 || c.Mean() != 0 || len(c.Points(10)) != 0 {
+	if c.Percentile(50) != 0 || c.Mean() != 0 {
 		t.Fatal("empty CDF should be all zeros")
 	}
 	if c.Summary() != "n=0" {
 		t.Fatalf("summary: %q", c.Summary())
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := &CDF{}
-	c.AddAll([]int64{5, 1, 3, 2, 4})
-	pts := c.Points(0)
-	if len(pts) != 5 || pts[0][0] != 1 || pts[4][0] != 5 || pts[4][1] != 1.0 {
-		t.Fatalf("points: %v", pts)
-	}
-	// Downsampling keeps the last point at fraction 1.
-	big := &CDF{}
-	for i := int64(0); i < 1000; i++ {
-		big.Add(i)
-	}
-	pts = big.Points(10)
-	if len(pts) < 10 || pts[len(pts)-1][1] != 1.0 {
-		t.Fatalf("downsampled: %d points, last %v", len(pts), pts[len(pts)-1])
-	}
-}
-
-func TestSeriesTable(t *testing.T) {
-	s := NewSeries("demo")
-	s.CDF("a").AddAll([]int64{1, 2, 3})
-	s.CDF("b").Add(10)
-	out := s.Table()
-	if !strings.Contains(out, "demo") || !strings.Contains(out, "a") || !strings.Contains(out, "b") {
-		t.Fatalf("table: %s", out)
-	}
-	// Label order is insertion order.
-	if strings.Index(out, "\na") > strings.Index(out, "\nb") {
-		t.Fatalf("order: %s", out)
 	}
 }
 
@@ -149,21 +119,6 @@ func TestRuleProfile(t *testing.T) {
 	out := RuleProfile(rt, 5)
 	if !strings.Contains(out, "hot") {
 		t.Fatalf("profile: %s", out)
-	}
-}
-
-func TestAsciiPlot(t *testing.T) {
-	c := &CDF{}
-	for i := int64(1); i <= 100; i++ {
-		c.Add(i * 10)
-	}
-	out := c.AsciiPlot(40)
-	if !strings.Contains(out, "50%") || !strings.Contains(out, "#") {
-		t.Fatalf("plot:\n%s", out)
-	}
-	empty := &CDF{}
-	if empty.AsciiPlot(10) != "(no samples)" {
-		t.Fatal("empty plot")
 	}
 }
 
