@@ -99,12 +99,14 @@ race:
 experiments:
 	$(GO) run ./cmd/boom-bench
 
+# examples: every walkthrough under examples/ runs and exits 0.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/wordcount
 	$(GO) run ./examples/failover
 	$(GO) run ./examples/partitioned
 	$(GO) run ./examples/monitoring
+	$(GO) run ./examples/kvdemo
 
 clean:
 	$(GO) clean ./...

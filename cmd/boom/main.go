@@ -37,10 +37,12 @@ import (
 
 	"repro/internal/boomfs"
 	"repro/internal/boommr"
+	"repro/internal/kvstore"
 	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/paxos"
 	"repro/internal/repl"
+	"repro/internal/rsm"
 	"repro/internal/rtfs"
 	"repro/internal/rtmr"
 	"repro/internal/workload"
@@ -437,6 +439,8 @@ func shippedRules() map[string]string {
 		"membership":       membership.Rules,
 		"fs-feed-master":   boomfs.MasterFeed,
 		"fs-feed-datanode": boomfs.DataNodeFeed,
+		"rsm":              rsm.Rules,
+		"kvstore":          kvstore.Rules,
 	}
 }
 

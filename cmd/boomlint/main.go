@@ -6,12 +6,13 @@
 // points of order).
 //
 // With no arguments it lints every embedded deployment unit (BOOM-FS,
-// BOOM-MR under each scheduling policy, Paxos, the replicated KV
-// store). With file arguments it lints those Overlog sources as one
-// co-installed unit. The exit status is 1 when any finding reaches
-// the -severity gate, so `boomlint -severity=error` works as a CI
-// step; findings are also available machine-readably via -json and,
-// on running nodes, as the sys::lint relation.
+// BOOM-MR under each scheduling policy, Paxos, the replicated state
+// machine over it, the replicated KV store). With file arguments it
+// lints those Overlog sources as one co-installed unit. The exit
+// status is 1 when any finding reaches the -severity gate, so
+// `boomlint -severity=error` works as a CI step; findings are also
+// available machine-readably via -json and, on running nodes, as the
+// sys::lint relation.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/overlog/analysis"
 	"repro/internal/paxos"
+	"repro/internal/rsm"
 )
 
 func embeddedUnits() []analysis.Unit {
@@ -36,6 +38,7 @@ func embeddedUnits() []analysis.Unit {
 	units = append(units, paxos.LintUnits()...)
 	units = append(units, membership.LintUnits()...)
 	units = append(units, kvstore.LintUnits()...)
+	units = append(units, rsm.LintUnits()...)
 	sort.Slice(units, func(i, j int) bool { return units[i].Name < units[j].Name })
 	return units
 }

@@ -187,6 +187,7 @@ func TestEveryScanHasDeltaVariant(t *testing.T) {
 var generatorAlternatives = map[string]string{
 	"paxos/replica/ad1@new cur_ballot":             ad1Alternative,
 	"kvstore/replica/ad1@new cur_ballot":           ad1Alternative,
+	"rsm/replica/ad1@new cur_ballot":               ad1Alternative,
 	"boomfs-replicated/replica/ad1@new cur_ballot": ad1Alternative,
 }
 

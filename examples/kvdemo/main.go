@@ -1,6 +1,7 @@
 // KV demo: a replicated key-value store composed from this repo's
-// declarative substrates — the Overlog Paxos log orders writes, eight
-// gateway rules apply them. Kill the leader mid-session and keep going.
+// declarative substrates — the Overlog Paxos log orders writes, the
+// internal/rsm cursor replays each once, and seven kvstore rules submit,
+// apply and read them. Kill the leader mid-session and keep going.
 // Run with:
 //
 //	go run ./examples/kvdemo

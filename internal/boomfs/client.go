@@ -153,7 +153,7 @@ func (cl *Client) call(op, path, arg string) (*Response, error) {
 	overall := cl.cluster.Now() + cl.cfg.OpTimeoutMS
 	tries := 0
 	// In gateway mode every retry reuses one request id: replicas
-	// replay a shared log with per-id dedup (GatewayRules seen_op), so
+	// replay a shared log with per-id dedup (internal/rsm seen_op), so
 	// any replica's response is authoritative and a retry whose
 	// predecessor actually committed cannot re-execute the write. In
 	// direct mode each master executes independently, so a response is
@@ -171,18 +171,7 @@ func (cl *Client) call(op, path, arg string) (*Response, error) {
 		} else {
 			id = cl.SendTo(m, op, path, arg)
 		}
-		var resp *Response
-		deadline := cl.cluster.Now() + perTry
-		if deadline > overall {
-			deadline = overall
-		}
-		_, err := cl.cluster.RunUntil(func() bool {
-			r, ok := cl.Poll(id)
-			if ok {
-				resp = r
-			}
-			return ok
-		}, deadline)
+		resp, err := cl.await(id, min(cl.cluster.Now()+perTry, overall))
 		if err != nil {
 			return nil, err
 		}
@@ -210,25 +199,26 @@ func (cl *Client) callOK(op, path, arg string) (*Response, error) {
 	return resp, nil
 }
 
+// await runs the simulation until the response to id arrives (returned)
+// or the clock passes deadline (nil).
+func (cl *Client) await(id string, deadline int64) (*Response, error) {
+	var resp *Response
+	_, err := cl.cluster.RunUntil(func() bool {
+		r, ok := cl.Poll(id)
+		resp = r
+		return ok
+	}, deadline)
+	return resp, err
+}
+
 // CallTo issues one synchronous metadata request to an explicit master
 // (used by the partitioned deployment, which routes per-path itself).
 func (cl *Client) CallTo(master, op, path, arg string) (*Response, error) {
-	id := cl.SendTo(master, op, path, arg)
-	var resp *Response
-	deadline := cl.cluster.Now() + cl.cfg.OpTimeoutMS
-	if _, err := cl.cluster.RunUntil(func() bool {
-		r, ok := cl.Poll(id)
-		if ok {
-			resp = r
-		}
-		return ok
-	}, deadline); err != nil {
-		return nil, err
+	resp, err := cl.await(cl.SendTo(master, op, path, arg), cl.cluster.Now()+cl.cfg.OpTimeoutMS)
+	if err == nil && resp == nil {
+		err = fmt.Errorf("%w: %s %s @%s", ErrTimeout, op, path, master)
 	}
-	if resp == nil {
-		return nil, fmt.Errorf("%w: %s %s @%s", ErrTimeout, op, path, master)
-	}
-	return resp, nil
+	return resp, err
 }
 
 // Mkdir creates a directory; the parent must exist.
@@ -254,7 +244,12 @@ func (cl *Client) Exists(path string) (bool, error) {
 
 // Ls lists the names in a directory, sorted.
 func (cl *Client) Ls(path string) ([]string, error) {
-	resp, err := cl.callOK("ls", path, "")
+	return cl.callStrings("ls", path, "")
+}
+
+// callStrings is callOK for a response that is a list of strings.
+func (cl *Client) callStrings(op, path, arg string) ([]string, error) {
+	resp, err := cl.callOK(op, path, arg)
 	if err != nil {
 		return nil, err
 	}
@@ -314,15 +309,7 @@ func (cl *Client) Chunks(path string) ([]int64, error) {
 
 // ChunkLocs returns the datanodes believed to hold a chunk.
 func (cl *Client) ChunkLocs(chunkID int64) ([]string, error) {
-	resp, err := cl.callOK("chunklocs", "", fmt.Sprintf("%d", chunkID))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(resp.Result))
-	for i, v := range resp.Result {
-		out[i] = v.AsString()
-	}
-	return out, nil
+	return cl.callStrings("chunklocs", "", fmt.Sprintf("%d", chunkID))
 }
 
 // WriteChunk pushes data into the replica pipeline and waits until all

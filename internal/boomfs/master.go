@@ -38,6 +38,12 @@ func installMasterProgram(rt *overlog.Runtime, cfg Config) error {
 	if err := rt.InstallSource(ProtocolDecls); err != nil {
 		return fmt.Errorf("boomfs: installing protocol: %w", err)
 	}
+	return installMasterRules(rt, cfg)
+}
+
+// installMasterRules loads the master rules, and the gc rules when gc
+// is on.
+func installMasterRules(rt *overlog.Runtime, cfg Config) error {
 	if err := rt.InstallSource(expand(MasterRules, cfg.masterVars())); err != nil {
 		return fmt.Errorf("boomfs: installing master rules: %w", err)
 	}
@@ -56,13 +62,8 @@ func NewMasterOnRuntime(rt *overlog.Runtime, cfg Config) (*Master, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := rt.InstallSource(expand(MasterRules, cfg.masterVars())); err != nil {
-		return nil, fmt.Errorf("boomfs: installing master rules: %w", err)
-	}
-	if cfg.GCTickMS > 0 {
-		if err := rt.InstallSource(expand(GCRules, cfg.masterVars())); err != nil {
-			return nil, fmt.Errorf("boomfs: installing gc rules: %w", err)
-		}
+	if err := installMasterRules(rt, cfg); err != nil {
+		return nil, err
 	}
 	return &Master{Addr: rt.LocalAddr(), rt: rt, cfg: cfg}, nil
 }

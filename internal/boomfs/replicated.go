@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/overlog"
 	"repro/internal/paxos"
+	"repro/internal/rsm"
 	"repro/internal/sim"
 )
 
@@ -31,44 +32,10 @@ const GatewayRules = `
 	// ...reads are answered locally...
 	g2 request(@Me, Id, Src, Op, Path, Arg) :- fsreq(@Me, Id, Src, Op, Path, Arg),
 	        notin write_op(Op);
-	// ...and every decided command replays into the local master rules,
-	// strictly in slot order, one slot per evaluation step. The cursor
-	// matters: a command's catalog writes are deferred (next), so a
-	// later command that reads them must apply in a later step — yet
-	// anti-entropy and post-election adoption can land a whole batch of
-	// decided slots in a single step. Replaying the batch unserialized
-	// silently drops commands (an addchunk applied in the same step as
-	// its create finds no file row; the chaos harness caught exactly
-	// that, as metadata loss followed by gc eating an acked chunk).
-	// The cursor is durable: a restarted replica resumes replay at it,
-	// and the restored cursor's delta re-fires g3 if the crash fell
-	// between a slot's decision and its application.
-	table applied(K: string, S: int) keys(0) durable;
-	applied("a", 0);
-
-	// Exactly-once replay: a client that never saw its response retries
-	// the same operation under the same request id, and concurrent
-	// proposals can land one id in two slots — so the decided log is
-	// at-least-once and the dedup must sit at the replay boundary.
-	// seen_op records the first slot that applied each id; later slots
-	// carrying the same id advance the cursor without re-executing
-	// (a duplicate mkdir would answer "exists", a duplicate addchunk
-	// would graft a phantom unwritten chunk onto the file). Safe to
-	// consult one step late: the cursor applies one slot per step and
-	// duplicate slots are strictly later, so g5's next-insert is visible
-	// before any duplicate replays. Durable with the cursor (g4 and g5
-	// commit in one step), so a restarted replica keeps refusing
-	// duplicates of what it already applied.
-	table seen_op(Id: string, S: int) keys(0) durable;
-
-	g3 request(@Me, Id, Src, Op, Path, Arg) :- decided(S, Cmd), applied("a", S),
-	        Me := localaddr(),
-	        Id := tostr(nth(Cmd, 0)), Src := toaddr(nth(Cmd, 1)), Op := tostr(nth(Cmd, 2)),
-	        Path := tostr(nth(Cmd, 3)), Arg := tostr(nth(Cmd, 4)),
-	        notin seen_op(Id, _);
-	g4 next applied("a", S + 1) :- decided(S, _), applied("a", S);
-	g5 next seen_op(Id, S) :- decided(S, Cmd), applied("a", S),
-	        Id := tostr(nth(Cmd, 0)), notin seen_op(Id, _);
+	// ...and every command internal/rsm applies replays into the local
+	// master rules, in slot order, once per request id.
+	g3 request(@Me, Id, Src, Op, Path, Arg) :- apply(_, Id, Src, Cmd), Me := localaddr(),
+	        Op := tostr(nth(Cmd, 2)), Path := tostr(nth(Cmd, 3)), Arg := tostr(nth(Cmd, 4));
 `
 
 // ReplicatedMaster is a group of BOOM-FS master replicas coordinated by
@@ -113,38 +80,27 @@ func NewReplicatedMaster(c *sim.Cluster, prefix string, n int, cfg Config, pcfg 
 }
 
 // InstallReplicatedMaster installs one replica's full program — master
-// metadata rules, Paxos, and the gateway bridge — on a bare runtime.
-// This is the driver-agnostic core of NewReplicatedMaster, shared with
-// the real-time deployment (rtfs) and the live chaos harness.
+// metadata rules, Paxos, its replay (rsm), the gateway — on a bare
+// runtime. This is the driver-agnostic core of NewReplicatedMaster,
+// shared with the real-time deployment (rtfs) and the live chaos
+// harness.
 func InstallReplicatedMaster(rt *overlog.Runtime, self string, replicas []string, cfg Config, pcfg paxos.Config) error {
 	if err := installMasterProgram(rt, cfg); err != nil {
 		return err
 	}
-	if err := paxos.Install(rt, self, replicas, pcfg); err != nil {
-		return err
-	}
-	if err := rt.InstallSource(GatewayRules); err != nil {
-		return fmt.Errorf("boomfs: gateway rules: %w", err)
-	}
-	return nil
+	return rsm.Install(rt, self, replicas, pcfg, GatewayRules)
 }
 
 // ReplicatedMasterRestart installs a crashed replica's programs on a
 // fresh runtime, for the restarted role: master metadata rules, Paxos
-// without leadership, and the gateway. The cluster's Restart restores
-// the durable tables afterwards; leadership, pending proposals and the
-// datanode view are lost, exactly as a real failover loses them.
+// without leadership, the replay, the gateway. The cluster's Restart
+// restores the durable tables afterwards; leadership, pending proposals
+// and the datanode view are lost, exactly as a real failover loses them.
 func ReplicatedMasterRestart(fresh *overlog.Runtime, self string, replicas []string, cfg Config, pcfg paxos.Config) error {
 	if err := installMasterProgram(fresh, cfg); err != nil {
 		return err
 	}
-	if err := paxos.InstallRestarted(fresh, self, replicas, pcfg); err != nil {
-		return err
-	}
-	if err := fresh.InstallSource(GatewayRules); err != nil {
-		return fmt.Errorf("boomfs: gateway rules: %w", err)
-	}
-	return nil
+	return rsm.InstallRestarted(fresh, self, replicas, pcfg, GatewayRules)
 }
 
 // RestartSpec returns the crash-restart spec for replica i.

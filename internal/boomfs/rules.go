@@ -23,7 +23,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/overlog/analysis"
-	"repro/internal/paxos"
+	"repro/internal/rsm"
 )
 
 // expand substitutes {{KEY}} placeholders in rule text.
@@ -180,10 +180,11 @@ const MasterRules = `
 	        request(@M, Id, Src, "rm", Path, _), Path == "/";
 
 	// --- mv (files and empty directories; keeps fqpath maintenance
-	// local to the moved entry) ---
+	// local to the moved entry). An empty directory's only subtree is
+	// itself, so NewPar != Fid is "not into its own subtree". ---
 	mv1 req_mv_ok(Id, Src, Fid, Path, NewPar, NewPath) :-
 	        request(@M, Id, Src, "mv", Path, NewPath), fqpath(Path, Fid), Fid != 0,
-	        notin fqpath(NewPath, _), fqpath(dirname(NewPath), NewPar),
+	        notin fqpath(NewPath, _), fqpath(dirname(NewPath), NewPar), NewPar != Fid,
 	        file(NewPar, _, _, true), notin file(_, Fid, _, _);
 	mv2 next file(Fid, NewPar, basename(NewPath), D) :-
 	        req_mv_ok(_, _, Fid, _, NewPar, NewPath), file(Fid, _, _, D);
@@ -379,7 +380,7 @@ func LintUnits() []analysis.Unit {
 			"client":   {ProtocolDecls, ClientRules},
 		},
 	}}
-	replica := append([]string{ProtocolDecls, master, gc}, paxos.LintSources()...)
+	replica := append([]string{ProtocolDecls, master, gc}, rsm.LintSources()...)
 	units = append(units, analysis.Unit{
 		Name: "boomfs-replicated",
 		Groups: map[string][]string{

@@ -13,6 +13,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/paxos"
+	"repro/internal/rsm"
 )
 
 // OlgStat summarizes one embedded Overlog program.
@@ -73,6 +74,7 @@ func olgSources() map[string]string {
 		"boomfs feed master":   boomfs.MasterFeed,
 		"boomfs feed datanode": boomfs.DataNodeFeed,
 		"kvstore":              kvstore.Rules,
+		"rsm":                  rsm.Rules,
 	}
 }
 

@@ -265,7 +265,9 @@ func (nn *NameNode) handleRequest(env sim.Env, tp overlog.Tuple) []sim.Injection
 		}
 		dir, base := splitPath(arg)
 		newParent := nn.resolve(dir)
-		if newParent == nil || !newParent.isDir || base == "" {
+		// in has no children, so newParent == in is the whole "into its
+		// own subtree" case.
+		if newParent == nil || !newParent.isDir || base == "" || newParent == in {
 			return fail("mv failed")
 		}
 		oldParent := nn.byID[in.parent]

@@ -1,10 +1,11 @@
 // Package kvstore is a replicated key-value store built entirely from
 // this repository's declarative substrates: the Overlog Paxos log
-// orders writes, ten gateway rules apply them, and reads are served
-// from any replica's table. It exists to show the paper's larger
-// point — once the coordination substrate is rules, new replicated
-// services are small compositions — and as a second, simpler consumer
-// of internal/paxos beyond the replicated file-system master.
+// orders writes, internal/rsm replays each one once, and seven rules
+// submit writes, apply them to the table and answer reads from any
+// replica's table. It exists to show the paper's larger point — once
+// the coordination substrate is rules, new replicated services are
+// small compositions — and as a second, simpler consumer of
+// internal/paxos beyond the replicated file-system master.
 package kvstore
 
 import (
@@ -14,6 +15,7 @@ import (
 	"repro/internal/overlog"
 	"repro/internal/overlog/analysis"
 	"repro/internal/paxos"
+	"repro/internal/rsm"
 	"repro/internal/sim"
 )
 
@@ -43,23 +45,15 @@ const Rules = `
 	g3 kv_resp(@Cl, Id, true, V) :- kv_get(@Me, Id, Cl, K), kv(K, V);
 	g4 kv_resp(@Cl, Id, false, "") :- kv_get(@Me, Id, Cl, K), notin kv(K, _);
 
-	// ...and every decided command applies to the table exactly once, in
-	// slot order, one slot per step (the cursor boomfs/replicated.go
-	// g3-g5 uses). Joining kv against the whole decided log instead
-	// would let an old del delete a newer put of the same key, and let a
-	// learner that receives slots out of order keep the older write.
-	table applied(K: string, S: int) keys(0);
-	applied("a", 0);
-	event apply(S: int, Cmd: list);
-	g5 apply(S, Cmd) :- decided(S, Cmd), applied("a", S);
-	g6 next applied("a", S + 1) :- apply(S, _);
-
-	a1 kv(K, V) :- apply(_, Cmd), tostr(nth(Cmd, 2)) == "put",
+	// ...and every command internal/rsm applies writes the table, in
+	// slot order, once per request id. Every slot the cursor passes
+	// acknowledges its id, so a retry of an applied put is answered
+	// without writing again.
+	a1 kv(K, V) :- apply(_, _, _, Cmd), tostr(nth(Cmd, 2)) == "put",
 	        K := tostr(nth(Cmd, 3)), V := tostr(nth(Cmd, 4));
-	a2 delete kv(K, V) :- apply(_, Cmd), tostr(nth(Cmd, 2)) == "del",
+	a2 delete kv(K, V) :- apply(_, _, _, Cmd), tostr(nth(Cmd, 2)) == "del",
 	        K := tostr(nth(Cmd, 3)), kv(K, V);
-	a3 kv_resp(@Cl, Id, true, "") :- apply(_, Cmd),
-	        Id := tostr(nth(Cmd, 0)), Cl := toaddr(nth(Cmd, 1));
+	a3 kv_resp(@Cl, Id, true, "") :- done(Id, Cl);
 `
 
 // clientRules log responses for the Go API to poll.
@@ -72,13 +66,13 @@ const clientRules = `
 `
 
 // LintUnits declares the analysis unit for cmd/boomlint: replicas
-// (Paxos plus the gateway rules) together with a client node, so the
-// kv_resp protocol resolves across roles.
+// (Paxos, the replay rules and Rules) together with a client node, so
+// the kv_resp protocol resolves across roles.
 func LintUnits() []analysis.Unit {
 	return []analysis.Unit{{
 		Name: "kvstore",
 		Groups: map[string][]string{
-			"replica": append(paxos.LintSources(), Rules),
+			"replica": append(rsm.LintSources(), Rules),
 			"client":  {clientRules},
 		},
 	}}
@@ -101,17 +95,15 @@ func NewGroup(c *sim.Cluster, prefix string, n int, pcfg paxos.Config) (*Group, 
 		if err != nil {
 			return nil, err
 		}
-		if err := paxos.Install(rt, addr, addrs, pcfg); err != nil {
-			return nil, err
-		}
-		if err := rt.InstallSource(Rules); err != nil {
+		if err := rsm.Install(rt, addr, addrs, pcfg, Rules); err != nil {
 			return nil, err
 		}
 	}
 	return &Group{Replicas: addrs, cluster: c}, nil
 }
 
-// Get reads a key directly from one replica's table (test oracle).
+// ReplicaValue reads a key directly from one replica's table (test
+// oracle).
 func (g *Group) ReplicaValue(i int, key string) (string, bool) {
 	rt := g.cluster.Node(g.Replicas[i])
 	tp, ok := rt.Table("kv").LookupKey(overlog.NewTuple("kv",
@@ -166,46 +158,45 @@ func (cl *Client) Runtime() *overlog.Runtime { return cl.rt }
 // row on the client node. No retries, no failover — open-loop load
 // generation wants the raw one-shot outcome.
 func (cl *Client) SendPut(key, value string) string {
-	replica := cl.group.Replicas[cl.preferred%len(cl.group.Replicas)]
 	id := cl.nextID()
-	cl.cluster.Inject(replica, overlog.NewTuple("kv_put", overlog.Addr(replica),
-		overlog.Str(id), overlog.Addr(cl.Addr), overlog.Str(key), overlog.Str(value)), 0)
+	cl.send(cl.group.Replicas[cl.preferred%len(cl.group.Replicas)], id, "kv_put", key, value)
 	return id
 }
 
-// call sends op tuples (a function of replica and id) until a response
-// arrives or the timeout passes.
-func (cl *Client) call(mk func(replica, id string) overlog.Tuple) (bool, string, error) {
+// send injects op(@replica, id, client, args...) at a replica.
+func (cl *Client) send(replica, id, op string, args ...string) {
+	vals := []overlog.Value{overlog.Addr(replica), overlog.Str(id), overlog.Addr(cl.Addr)}
+	for _, a := range args {
+		vals = append(vals, overlog.Str(a))
+	}
+	cl.cluster.Inject(replica, overlog.NewTuple(op, vals...), 0)
+}
+
+// call sends an operation down the replica list until a response
+// arrives or the timeout passes, and returns the response's Found and
+// V. Every attempt carries the same request id: the replicas replay
+// one log with per-id dedup (internal/rsm), so a retry whose
+// predecessor committed is acknowledged, not applied again, and any
+// replica's response for the id is authoritative.
+func (cl *Client) call(op string, args ...string) (bool, string, error) {
 	overall := cl.cluster.Now() + cl.TimeoutMS
-	tries := 0
-	for cl.cluster.Now() < overall {
+	id := cl.nextID()
+	for tries := 0; cl.cluster.Now() < overall; tries++ {
 		idx := (cl.preferred + tries) % len(cl.group.Replicas)
-		replica := cl.group.Replicas[idx]
-		tries++
-		id := cl.nextID()
-		cl.cluster.Inject(replica, mk(replica, id), 0)
-		deadline := cl.cluster.Now() + cl.RetryMS
-		if deadline > overall {
-			deadline = overall
-		}
-		var found bool
-		var val string
-		got := false
-		if _, err := cl.cluster.RunUntil(func() bool {
-			tp, ok := cl.rt.Table("kvr").LookupKey(overlog.NewTuple("kvr",
+		cl.send(cl.group.Replicas[idx], id, op, args...)
+		var resp overlog.Tuple
+		got, err := cl.cluster.RunUntil(func() bool {
+			var ok bool
+			resp, ok = cl.rt.Table("kvr").LookupKey(overlog.NewTuple("kvr",
 				overlog.Str(id), overlog.Bool(false), overlog.Str("")))
-			if ok {
-				found = tp.Vals[1].AsBool()
-				val = tp.Vals[2].AsString()
-				got = true
-			}
 			return ok
-		}, deadline); err != nil {
+		}, min(cl.cluster.Now()+cl.RetryMS, overall))
+		if err != nil {
 			return false, "", err
 		}
 		if got {
 			cl.preferred = idx
-			return found, val, nil
+			return resp.Vals[1].AsBool(), resp.Vals[2].AsString(), nil
 		}
 	}
 	return false, "", ErrTimeout
@@ -213,19 +204,13 @@ func (cl *Client) call(mk func(replica, id string) overlog.Tuple) (bool, string,
 
 // Put writes a key.
 func (cl *Client) Put(key, value string) error {
-	_, _, err := cl.call(func(replica, id string) overlog.Tuple {
-		return overlog.NewTuple("kv_put", overlog.Addr(replica), overlog.Str(id),
-			overlog.Addr(cl.Addr), overlog.Str(key), overlog.Str(value))
-	})
+	_, _, err := cl.call("kv_put", key, value)
 	return err
 }
 
 // Delete removes a key.
 func (cl *Client) Delete(key string) error {
-	_, _, err := cl.call(func(replica, id string) overlog.Tuple {
-		return overlog.NewTuple("kv_del", overlog.Addr(replica), overlog.Str(id),
-			overlog.Addr(cl.Addr), overlog.Str(key))
-	})
+	_, _, err := cl.call("kv_del", key)
 	return err
 }
 
@@ -233,10 +218,7 @@ func (cl *Client) Delete(key string) error {
 // a lagging replica may serve slightly stale data — same contract as
 // the replicated FS master).
 func (cl *Client) Get(key string) (string, bool, error) {
-	found, val, err := cl.call(func(replica, id string) overlog.Tuple {
-		return overlog.NewTuple("kv_get", overlog.Addr(replica), overlog.Str(id),
-			overlog.Addr(cl.Addr), overlog.Str(key))
-	})
+	found, val, err := cl.call("kv_get", key)
 	if err != nil {
 		return "", false, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/overlog"
 	"repro/internal/paxos"
+	"repro/internal/rsm"
 	"repro/internal/sim"
 )
 
@@ -158,10 +159,7 @@ func TestPutDeletePut(t *testing.T) {
 func TestOutOfOrderLearnerAppliesInSlotOrder(t *testing.T) {
 	const self = "kv:1"
 	rt := overlog.NewRuntime(self)
-	if err := paxos.Install(rt, self, []string{"kv:0", self, "kv:2"}, paxos.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.InstallSource(Rules); err != nil {
+	if err := rsm.Install(rt, self, []string{"kv:0", self, "kv:2"}, paxos.DefaultConfig(), Rules); err != nil {
 		t.Fatal(err)
 	}
 	decide := func(slot int64, op, key, val string) overlog.Tuple {
@@ -188,5 +186,58 @@ func TestOutOfOrderLearnerAppliesInSlotOrder(t *testing.T) {
 	deliver(decide(3, "put", "b", "late"), decide(4, "del", "b", ""))
 	if got, want := rt.Table("kv").Dump(), `kv("a", "new")`; got != want {
 		t.Fatalf("kv = %s, want %s", got, want)
+	}
+}
+
+// TestRetryAfterLostAckIsExactlyOnce replays a history a fresh id per
+// attempt made possible: A's put k=a commits but every response to A is
+// lost; a reader then sees a, and B's put k=b is acknowledged. A's
+// retry, still inside the same Put, commits the command again. Applied
+// again it would leave every replica at a, a history no sequential
+// order explains (the reader saw a before b was written, so a cannot
+// also be the last write). Under one id the replay dedup acknowledges
+// the retry without writing, and b stays.
+func TestRetryAfterLostAckIsExactlyOnce(t *testing.T) {
+	c, g, _ := setup(t, 3)
+	newClient := func(addr string) *Client {
+		cl, err := NewClient(c, addr, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	a, b, reader := newClient("client:a"), newClient("client:b"), newClient("client:r")
+	for _, r := range g.Replicas {
+		c.Partition(a.Addr, r)
+	}
+	// While A's first attempt waits out its RetryMS, the others act
+	// through their own synchronous calls, which this timer runs inside
+	// A's Put on the same cluster.
+	c.At(c.Now()+a.RetryMS/2, func() error {
+		if v, ok, err := reader.Get("k"); err != nil || !ok || v != "a" {
+			return fmt.Errorf("reader: k=%q ok=%v err=%v, want a", v, ok, err)
+		}
+		if err := b.Put("k", "b"); err != nil {
+			return fmt.Errorf("B's put: %v", err)
+		}
+		for _, r := range g.Replicas {
+			c.Heal(a.Addr, r)
+		}
+		return nil
+	})
+	start := c.Now()
+	if err := a.Put("k", "a"); err != nil {
+		t.Fatalf("A's put: %v", err)
+	}
+	if d := c.Now() - start; d > a.TimeoutMS {
+		t.Fatalf("A's put took %dms, over its %dms budget", d, a.TimeoutMS)
+	}
+	if err := c.Run(c.Now() + 5_000); err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.Replicas {
+		if v, ok := g.ReplicaValue(i, "k"); !ok || v != "b" {
+			t.Errorf("replica %d: k=%q ok=%v, want b", i, v, ok)
+		}
 	}
 }

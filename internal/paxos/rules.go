@@ -7,9 +7,9 @@
 // slots, and staggered timeouts elect a successor when it dies.
 //
 // The replicated state machine contract: `decided(Slot, Cmd)` grows
-// identically on every live replica; drivers apply decided commands to
-// their local state (the replicated BOOM-FS master feeds them back into
-// its own metadata rules).
+// identically on every live replica, in any order and at least once per
+// request; internal/rsm replays it into a service's rules once per
+// request, in slot order (the replicated BOOM-FS master and kvstore).
 package paxos
 
 import (
@@ -20,13 +20,6 @@ import (
 	"repro/internal/overlog"
 	"repro/internal/overlog/analysis"
 )
-
-func expand(src string, vars map[string]string) string {
-	for k, v := range vars {
-		src = strings.ReplaceAll(src, "{{"+k+"}}", v)
-	}
-	return src
-}
 
 // Config tunes the protocol's timers (simulated milliseconds).
 type Config struct {
@@ -41,8 +34,18 @@ func DefaultConfig() Config {
 	return Config{TickMS: 300, ElectTimeout: 1200, BallotStride: 100, SyncMS: 1000}
 }
 
+// rules is Rules with cfg's timers filled in.
+func (cfg Config) rules() string {
+	return strings.NewReplacer(
+		"{{PXTICK}}", fmt.Sprint(cfg.TickMS),
+		"{{ELTIMEOUT}}", fmt.Sprint(cfg.ElectTimeout),
+		"{{STRIDE}}", fmt.Sprint(cfg.BallotStride),
+		"{{SYNCMS}}", fmt.Sprint(cfg.SyncMS),
+	).Replace(Rules)
+}
+
 // Rules is the complete protocol. Placeholders: PXTICK, ELTIMEOUT,
-// STRIDE.
+// STRIDE, SYNCMS.
 const Rules = `
 	program paxos;
 
@@ -244,13 +247,7 @@ func install(rt *overlog.Runtime, self string, members []string, cfg Config, res
 	if rank < 0 {
 		return fmt.Errorf("paxos: %s not in membership %v", self, members)
 	}
-	vars := map[string]string{
-		"PXTICK":    fmt.Sprintf("%d", cfg.TickMS),
-		"ELTIMEOUT": fmt.Sprintf("%d", cfg.ElectTimeout),
-		"STRIDE":    fmt.Sprintf("%d", cfg.BallotStride),
-		"SYNCMS":    fmt.Sprintf("%d", cfg.SyncMS),
-	}
-	if err := rt.InstallSource(expand(Rules, vars)); err != nil {
+	if err := rt.InstallSource(cfg.rules()); err != nil {
 		return err
 	}
 	return rt.InstallSource(seedFacts(rank, sorted, rank == 0 && !restarted))
@@ -280,15 +277,8 @@ func seedFacts(rank int, sorted []string, leader bool) string {
 // protocol (kvstore, the replicated BOOM-FS master) reuse it in their
 // own lint units.
 func LintSources() []string {
-	cfg := DefaultConfig()
-	vars := map[string]string{
-		"PXTICK":    fmt.Sprintf("%d", cfg.TickMS),
-		"ELTIMEOUT": fmt.Sprintf("%d", cfg.ElectTimeout),
-		"STRIDE":    fmt.Sprintf("%d", cfg.BallotStride),
-		"SYNCMS":    fmt.Sprintf("%d", cfg.SyncMS),
-	}
 	members := []string{"px:0", "px:1", "px:2"}
-	return []string{expand(Rules, vars), seedFacts(0, members, true)}
+	return []string{DefaultConfig().rules(), seedFacts(0, members, true)}
 }
 
 // LintUnits declares the analysis units for this package.

@@ -46,8 +46,8 @@ func NewReplicatedClient(addr string, masters []string, timeout, retry time.Dura
 // callReplicated is the failover path of Client.call: ONE request ID
 // for every attempt, per-attempt retry bound, rotation through the
 // replica list starting at the last replica that answered. Reusing the
-// id is what makes retries exactly-once — the gateway's replay dedup
-// (seen_op) applies each id a single time no matter how many replicas
+// id is what makes retries exactly-once — the replay dedup (internal/rsm
+// seen_op) applies each id a single time no matter how many replicas
 // proposed it, and since every replica replays the same log, any
 // replica's response for the id is authoritative.
 func (c *Client) callReplicated(op, path, arg string) (*boomfs.Response, error) {
