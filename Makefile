@@ -25,8 +25,8 @@ test: check
 # feeds RestoreSnapshot mutated checkpoint images for ten seconds,
 # starting from the seed corpus in internal/overlog/testdata/fuzz.
 # boomlint runs the Overlog whole-program analyzer over every embedded
-# rule set (and the standalone .olg examples), failing on any
-# error-severity finding. boomvet does the same for the Go runtime
+# rule set, failing on any warn- or error-severity finding, and over the
+# standalone .olg examples, failing on any error-severity finding. boomvet does the same for the Go runtime
 # itself: determinism, clone-on-store ownership, and noalloc passes
 # over every package (see internal/govet). The last two lines cover the
 # benchmark, a module of its own that `go build ./...` and
@@ -35,7 +35,7 @@ test: check
 check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/boomvet -severity=error ./...
-	$(GO) run ./cmd/boomlint -severity=error
+	$(GO) run ./cmd/boomlint -severity=warn
 	$(GO) run ./cmd/boomlint -severity=error examples/quickstart/quickstart.olg
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
@@ -81,7 +81,7 @@ lint:
 	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/boomvet -severity=error ./...
-	$(GO) run ./cmd/boomlint -severity=error
+	$(GO) run ./cmd/boomlint -severity=warn
 	$(GO) run ./cmd/boomlint -severity=error examples/quickstart/quickstart.olg
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \

@@ -18,12 +18,14 @@ var planExceptions = map[string]string{
 	// request's Path: leading with fqpath would need request probed by
 	// dirname of its own column. request is an event table (a row or two
 	// per step), so textual order costs nothing.
-	"boomfs/master/pc1":             "fqpath(dirname(Path), _): atom argument computed from a later atom's variable",
-	"boomfs/master/mv1":             "fqpath(dirname(NewPath), _): atom argument computed from a later atom's variable",
-	"boomfs-replicated/replica/pc1": "as boomfs/master/pc1",
-	"boomfs-replicated/replica/mv1": "as boomfs/master/mv1",
-	"boomfs-membership/master/pc1":  "as boomfs/master/pc1",
-	"boomfs-membership/master/mv1":  "as boomfs/master/mv1",
+	"boomfs/master/pc1":                        "fqpath(dirname(Path), _): atom argument computed from a later atom's variable",
+	"boomfs/master/mv1":                        "fqpath(dirname(NewPath), _): atom argument computed from a later atom's variable",
+	"boomfs-replicated/replica/pc1":            "as boomfs/master/pc1",
+	"boomfs-replicated/replica/mv1":            "as boomfs/master/mv1",
+	"boomfs-membership/master/pc1":             "as boomfs/master/pc1",
+	"boomfs-membership/master/mv1":             "as boomfs/master/mv1",
+	"boomfs-replicated-membership/replica/pc1": "as boomfs/master/pc1",
+	"boomfs-replicated-membership/replica/mv1": "as boomfs/master/mv1",
 }
 
 // aggregatePlans pins, by program/rule, how every aggregate rule this
@@ -40,12 +42,11 @@ var aggregatePlans = map[string]string{
 	// to task can move any rank.
 	"boommr_jt/pm1": "whole-rule: every input has an atom without the group",
 	"boommr_jt/pr1": "whole-rule: every input has an atom without the group",
-	// Re-reading now() for every tracker whenever any tracker row changes
-	// is what expires a silent tracker from the free ranks.
-	"boommr_jt/fm1":           "whole-rule: calls now()",
-	"boommr_jt/fc1":           "whole-rule: calls now()",
-	"boommr_jt/fr1":           "whole-rule: calls now()",
-	"boommr_jt/fc2":           "whole-rule: calls now()",
+	// A tracker's slots or liveness can move every other tracker's rank.
+	"boommr_jt/fm1":           "whole-rule: every input has an atom without the group",
+	"boommr_jt/fc1":           "whole-rule: constant group",
+	"boommr_jt/fr1":           "whole-rule: every input has an atom without the group",
+	"boommr_jt/fc2":           "whole-rule: constant group",
 	"boommr_policy_fair/js1":  "per-group (seeded on J; atoms carrying the group: task)",
 	"boommr_policy_fair/far1": "whole-rule: event input fair_key",
 	"boommr_policy_late/ar1":  "per-group (seeded on J; atoms carrying the group: attempt_rate)",
@@ -59,8 +60,10 @@ var aggregatePlans = map[string]string{
 	"paxos/mp1": "whole-rule: constant group",
 	"paxos/at1": "per-group (seeded on S, B; atoms carrying the group: ack_store)",
 
-	"boomfs_master/ld1": "whole-rule: calls now()",
-	"boomfs_master/cr1": "whole-rule: calls now()",
+	"boomfs_master/ld1": "whole-rule: constant group",
+	// A heartbeat names the chunks it touches; a datanode's liveness
+	// changing re-reads every chunk.
+	"boomfs_master/cr1": "per-group (seeded on C; atoms carrying the group: hb_chunk)",
 	// Responses leave the node: there is no view to maintain.
 	"boomfs_master/ls3": "whole-rule: remote head",
 	"boomfs_master/ck1": "whole-rule: remote head",
@@ -185,10 +188,11 @@ func TestEveryScanHasDeltaVariant(t *testing.T) {
 // An evaluation that reaches the generator continues in the alternative
 // only while the keying atom's table is the smaller.
 var generatorAlternatives = map[string]string{
-	"paxos/replica/ad1@new cur_ballot":             ad1Alternative,
-	"kvstore/replica/ad1@new cur_ballot":           ad1Alternative,
-	"rsm/replica/ad1@new cur_ballot":               ad1Alternative,
-	"boomfs-replicated/replica/ad1@new cur_ballot": ad1Alternative,
+	"paxos/replica/ad1@new cur_ballot":                        ad1Alternative,
+	"kvstore/replica/ad1@new cur_ballot":                      ad1Alternative,
+	"rsm/replica/ad1@new cur_ballot":                          ad1Alternative,
+	"boomfs-replicated/replica/ad1@new cur_ballot":            ad1Alternative,
+	"boomfs-replicated-membership/replica/ad1@new cur_ballot": ad1Alternative,
 }
 
 // ad1Alternative is paxos' ad1 for a new ballot, which joins every

@@ -331,6 +331,30 @@ func TestReadAfterHolderDies(t *testing.T) {
 	}
 }
 
+// TestDeadDataNodesLeaveLiveSet: once every datanode has been silent
+// past DNTimeoutMS, the rules' live set is empty, and LiveDataNodes
+// says the same. live_dn is a view over dn_live, which the failure
+// detector's tick expires; an aggregate that compared heartbeat stamps
+// with now() itself would keep its last set until some datanode row
+// changed again.
+func TestDeadDataNodesLeaveLiveSet(t *testing.T) {
+	cfg := smallConfig()
+	c, m, dns, _ := testFS(t, 2, cfg)
+	if live := m.LiveDataNodes(); len(live) != 2 {
+		t.Fatalf("live before the kill: %v", live)
+	}
+	for _, dn := range dns {
+		c.Kill(dn.Addr)
+	}
+	cfgRun(t, c, cfg.DNTimeoutMS+3*cfg.FDTickMS)
+	if rows := m.rt.Table("live_dn").Tuples(); len(rows) != 0 {
+		t.Errorf("live_dn with every datanode dead: %v", rows)
+	}
+	if live := m.LiveDataNodes(); len(live) != 0 {
+		t.Errorf("LiveDataNodes with every datanode dead: %v", live)
+	}
+}
+
 func TestManyFilesMetadata(t *testing.T) {
 	_, m, _, cl := testFS(t, 3, smallConfig())
 	if err := cl.Mkdir("/d"); err != nil {

@@ -14,7 +14,6 @@ import (
 type Master struct {
 	Addr string
 	rt   *overlog.Runtime
-	cfg  Config
 }
 
 // NewMaster creates a master node on the cluster.
@@ -29,7 +28,7 @@ func NewMaster(c *sim.Cluster, addr string, cfg Config) (*Master, error) {
 	if err := installMasterProgram(rt, cfg); err != nil {
 		return nil, err
 	}
-	return &Master{Addr: addr, rt: rt, cfg: cfg}, nil
+	return &Master{Addr: addr, rt: rt}, nil
 }
 
 // installMasterProgram loads the protocol and master rules into an
@@ -65,7 +64,7 @@ func NewMasterOnRuntime(rt *overlog.Runtime, cfg Config) (*Master, error) {
 	if err := installMasterRules(rt, cfg); err != nil {
 		return nil, err
 	}
-	return &Master{Addr: rt.LocalAddr(), rt: rt, cfg: cfg}, nil
+	return &Master{Addr: rt.LocalAddr(), rt: rt}, nil
 }
 
 // Runtime exposes the underlying Overlog runtime (tests, monitoring).
@@ -77,13 +76,11 @@ func (m *Master) FileCount() int { return m.rt.Table("file").Len() - 1 }
 // ChunkCount returns the number of allocated chunks.
 func (m *Master) ChunkCount() int { return m.rt.Table("fchunk").Len() }
 
-// LiveDataNodes lists datanodes with a fresh heartbeat as of the
-// master's current clock.
+// LiveDataNodes lists the datanodes the rules hold live (dn_live).
 func (m *Master) LiveDataNodes() []string {
 	var out []string
-	cutoff := m.rt.NowMS() - m.cfg.DNTimeoutMS
-	m.rt.Table("datanode").Scan(func(tp overlog.Tuple) bool {
-		if tp.Vals[1].AsInt() >= cutoff {
+	m.rt.Table("dn_live").Scan(func(tp overlog.Tuple) bool {
+		if tp.Vals[1].AsBool() {
 			out = append(out, tp.Vals[0].AsString())
 		}
 		return true

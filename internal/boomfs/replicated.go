@@ -69,7 +69,7 @@ func NewReplicatedMaster(c *sim.Cluster, prefix string, n int, cfg Config, pcfg 
 		if err := InstallReplicatedMaster(rt, addr, addrs, cfg, pcfg); err != nil {
 			return nil, err
 		}
-		rm.masters = append(rm.masters, &Master{Addr: addr, rt: rt, cfg: cfg})
+		rm.masters = append(rm.masters, &Master{Addr: addr, rt: rt})
 	}
 	for i, addr := range addrs {
 		if err := c.SetSpec(addr, rm.RestartSpec(i)); err != nil {

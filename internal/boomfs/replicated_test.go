@@ -252,12 +252,25 @@ func TestGatewayDedupSameID(t *testing.T) {
 	if err := c.Run(c.Now() + 20_000); err != nil {
 		t.Fatal(err)
 	}
-	// Retry the same id: with no inflight memory the new leader
-	// proposes it into a fresh slot, and only seen_op stops the replay.
-	send(rm.Replicas[0])
-	send(rm.Replicas[1])
+	// Retry the same id at every replica, so whichever leads after the
+	// restart gets it: with no inflight memory it proposes the id into a
+	// fresh slot, and only seen_op stops the replay.
+	for _, a := range rm.Replicas {
+		send(a)
+	}
 	if err := c.Run(c.Now() + 20_000); err != nil {
 		t.Fatal(err)
+	}
+	for i := range rm.Replicas {
+		slots := 0
+		for _, cmd := range paxos.Decided(rm.Master(i).rt) {
+			if cmd[0].AsString() == id {
+				slots++
+			}
+		}
+		if slots < 2 {
+			t.Fatalf("replica %d: %s decided in %d slots, want 2 (the retry must reach the log)", i, id, slots)
+		}
 	}
 	// A replayed duplicate would answer ok=false "exists", overwriting
 	// the client's keyed resp_log — it must still hold the ok answer.

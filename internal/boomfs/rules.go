@@ -19,6 +19,7 @@ package boomfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/membership"
@@ -78,7 +79,8 @@ const MasterRules = `
 	// --- The metadata catalog (paper Table: "BOOM-FS relations"). The
 	// durable tables are the FsImage: fqpath is re-derived from file on
 	// a restored master's first step, and the datanode view (datanode,
-	// hb_chunk, live_dn, chunk_repl) is relearned from heartbeats. ---
+	// hb_chunk, dn_live, live_dn, chunk_repl) is relearned from
+	// heartbeats. ---
 	table file(FileId: int, ParentId: int, Name: string, IsDir: bool) keys(0) durable;
 	table fqpath(Path: string, FileId: int) keys(0);
 	table fchunk(ChunkId: int, FileId: int, Idx: int) keys(0) durable;
@@ -106,17 +108,23 @@ const MasterRules = `
 	fq1 fqpath(P, C) :- file(C, F, N, _), fqpath(PP, F), C != 0,
 	                    P := ifelse(PP == "/", "/" + N, PP + "/" + N);
 
-	// --- Datanode liveness ---
+	// --- Datanode liveness: a heartbeat sets Up, and dx1 is the one
+	// rule that expires a silent datanode, on the failure-detector tick.
+	// Both replace the keyed row; a heartbeat in a tick's step is
+	// written first, so dx1 sees the fresh stamp. ---
+	table dn_live(Node: addr, Up: bool) keys(0);
+	periodic fd_tick interval {{FDTICK}};
 	dn1 datanode(N, T) :- dn_alive(@M, N), T := now();
 	dn2 hb_chunk(N, C, B) :- dn_chunk(@M, N, C, B);
+	dl1 dn_live(N, true) :- dn_alive(@M, N);
+	dx1 dn_live(N, false) :- fd_tick(_, _), datanode(N, T), T < now() - {{DNTIMEOUT}};
 
 	table live_dn(K: string, Nodes: list) keys(0);
-	ld1 live_dn("live", setof<N>) :- datanode(N, T), T >= now() - {{DNTIMEOUT}};
+	ld1 live_dn("live", setof<N>) :- dn_live(N, true);
 
 	// Replica inventory per chunk, restricted to live datanodes.
 	table chunk_repl(ChunkId: int, N: int, Nodes: list) keys(0);
-	cr1 chunk_repl(C, count<N>, setof<N>) :- hb_chunk(N, C, _), datanode(N, T),
-	                                          T >= now() - {{DNTIMEOUT}};
+	cr1 chunk_repl(C, count<N>, setof<N>) :- hb_chunk(N, C, _), dn_live(N, true);
 
 	// Placement hint recorded at allocation time, so reads work before
 	// the first post-write heartbeat arrives.
@@ -234,12 +242,11 @@ const MasterRules = `
 	        request(@M, Id, Src, "chunklocs", _, Arg), C := toint(Arg),
 	        notin chunk_repl(C, _, _), notin chunk_loc_hint(C, _);
 
-	// --- Failure handling: re-replicate under-replicated chunks. The
-	// failure detector is just a periodic join against heartbeat
-	// timestamps; a repl_cmd asks a live holder to copy the chunk to a
-	// live non-holder. Commands are re-issued until heartbeats show the
-	// chunk healthy again (the copy is idempotent).
-	periodic fd_tick interval {{FDTICK}};
+	// --- Failure handling: re-replicate under-replicated chunks. On
+	// the failure detector's tick (dx1 above), a repl_cmd asks a live
+	// holder to copy the chunk to a live non-holder. Commands are
+	// re-issued until heartbeats show the chunk healthy again (the copy
+	// is idempotent).
 	rr1 repl_cmd(@SrcNode, C, Target) :-
 	        fd_tick(_, _), fchunk(C, _, _), chunk_repl(C, N, Nodes),
 	        N > 0, N < {{REPL}}, live_dn("live", All),
@@ -260,15 +267,14 @@ const MasterRules = `
 // inventory immediately but may still be catching up on the decided
 // metadata log, and treating that transient gap as an orphan turns a
 // replica restart into permanent data loss (found by the chaos
-// harness's durability monitor). Placeholders: GCTICK, GCGRACE,
-// DNTIMEOUT.
+// harness's durability monitor). Placeholders: GCTICK, GCGRACE.
 const GCRules = `
 	program boomfs_gc;
 
 	periodic gc_tick interval {{GCTICK}};
 
 	table orphan_since(ChunkId: int, T: int) keys(0);
-	og1 next orphan_since(C, now()) :- gc_tick(_, _), hb_chunk(N, C, _),
+	og1 next orphan_since(C, now()) :- gc_tick(_, _), hb_chunk(_, C, _),
 	        notin fchunk(C, _, _), notin orphan_since(C, _);
 	og2 delete orphan_since(C, T) :- gc_tick(_, _), orphan_since(C, T),
 	        fchunk(C, _, _);
@@ -276,8 +282,7 @@ const GCRules = `
 	        notin hb_chunk(_, C, _);
 
 	gc1 gc_cmd(@N, C) :- gc_tick(_, _), hb_chunk(N, C, _), notin fchunk(C, _, _),
-	        orphan_since(C, T), now() - T > {{GCGRACE}},
-	        datanode(N, T2), T2 >= now() - {{DNTIMEOUT}};
+	        orphan_since(C, T), now() - T > {{GCGRACE}}, dn_live(N, true);
 	// Forget the replica record optimistically; the next heartbeat
 	// re-reports it if the datanode had not processed the command yet
 	// (the command is idempotent and will be re-sent).
@@ -358,8 +363,9 @@ const DataNodeFeed = `
 // LintUnits declares the analysis units for cmd/boomlint: the plain
 // deployment (master, datanode, client roles), the same with membership
 // feeding liveness, and the availability revision where master replicas
-// gateway metadata writes through the Overlog Paxos log. Sources are
-// expanded with the default config, exactly as the install path does.
+// gateway metadata writes through the Overlog Paxos log, without and
+// with membership. Sources are expanded with the default config,
+// exactly as the install path does.
 func LintUnits() []analysis.Unit {
 	cfg := DefaultConfig()
 	master := expand(MasterRules, cfg.masterVars())
@@ -380,12 +386,19 @@ func LintUnits() []analysis.Unit {
 			"client":   {ProtocolDecls, ClientRules},
 		},
 	}}
-	replica := append([]string{ProtocolDecls, master, gc}, rsm.LintSources()...)
+	replica := append(append([]string{ProtocolDecls, master, gc}, rsm.LintSources()...), GatewayRules)
 	units = append(units, analysis.Unit{
 		Name: "boomfs-replicated",
 		Groups: map[string][]string{
-			"replica":  append(replica, GatewayRules),
+			"replica":  replica,
 			"datanode": {ProtocolDecls, dn},
+			"client":   {ProtocolDecls, ClientRules},
+		},
+	}, analysis.Unit{
+		Name: "boomfs-replicated-membership",
+		Groups: map[string][]string{
+			"replica":  append(append(slices.Clip(replica), membership.LintSources()...), MasterFeed),
+			"datanode": append(append([]string{ProtocolDecls, dn}, membership.LintSources()...), DataNodeFeed),
 			"client":   {ProtocolDecls, ClientRules},
 		},
 	})

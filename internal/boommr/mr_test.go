@@ -155,6 +155,30 @@ func TestTrackerDeathReassignsTasks(t *testing.T) {
 	}
 }
 
+// TestDeadTrackersHoldNoFreeSlots: once every tracker has been silent
+// past TrackerTTL, no free slot is left to count. The slot counts are
+// views over tracker_live, which the scheduling tick expires; an
+// aggregate that compared heartbeat stamps with now() itself would keep
+// its last count until some tracker row changed again.
+func TestDeadTrackersHoldNoFreeSlots(t *testing.T) {
+	cfg := DefaultMRConfig()
+	c, jt, tts, _ := testMR(t, 2, FIFO, cfg)
+	if n := jt.Runtime().Table("free_map_cnt").Len(); n != 1 {
+		t.Fatalf("free_map_cnt has %d rows before the kill, want 1", n)
+	}
+	for _, tt := range tts {
+		c.Kill(tt.Addr)
+	}
+	if err := c.Run(c.Now() + cfg.TrackerTTL + 3*cfg.SchedTickMS); err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []string{"free_map_cnt", "free_red_cnt", "free_map_rank", "free_red_rank"} {
+		if rows := jt.Runtime().Table(tbl).Tuples(); len(rows) != 0 {
+			t.Errorf("%s with every tracker dead: %v", tbl, rows)
+		}
+	}
+}
+
 func TestLATESpeculatesOnStraggler(t *testing.T) {
 	cfg := DefaultMRConfig()
 	c, jt, tts, _ := testMR(t, 4, LATE, cfg)

@@ -60,8 +60,9 @@ const JobTrackerRules = `
 	table task(JobId: int, TaskId: int, Type: string, State: string) keys(0,1);
 	table attempt(JobId: int, TaskId: int, AttemptId: int, Tracker: addr,
 	              State: string, Progress: float, Start: int, End: int) keys(2);
-	table tracker(Tracker: addr, LastHB: int, MapSlots: int, RedSlots: int,
-	              MapUsed: int, RedUsed: int) keys(0);
+	table tracker(Tracker: addr, MapSlots: int, RedSlots: int, MapUsed: int, RedUsed: int) keys(0);
+	table tracker_hb(Tracker: addr, LastHB: int) keys(0);
+	table tracker_live(Tracker: addr, Up: bool) keys(0);
 	table task_done_at(JobId: int, TaskId: int, Type: string, Time: int) keys(0,1);
 	table job_done_at(JobId: int, Time: int) keys(0);
 
@@ -75,7 +76,15 @@ const JobTrackerRules = `
 	// --- intake ---
 	j1 job(J, now(), NM, NR, "running") :- job_submit(@JT, J, NM, NR);
 	t1 task(J, T, Ty, "pending") :- task_submit(@JT, J, T, Ty);
-	h1 tracker(Tr, now(), MS, RS, MU, RU) :- tt_hb(@JT, Tr, MS, RS, MU, RU);
+	h1 tracker(Tr, MS, RS, MU, RU) :- tt_hb(@JT, Tr, MS, RS, MU, RU);
+	h2 tracker_hb(Tr, now()) :- tt_hb(@JT, Tr, _, _, _, _);
+
+	// --- liveness: a heartbeat sets Up, and tl1 is the one rule that
+	// expires a silent tracker, on the tick whose rules read it. Both
+	// replace the keyed row: a heartbeat in a tick's step is written
+	// first, so tl1 sees the fresh stamp. ---
+	h3 tracker_live(Tr, true) :- tt_hb(@JT, Tr, _, _, _, _);
+	tl1 tracker_live(Tr, false) :- sched_tick(_, _), tracker_hb(Tr, HB), HB < now() - {{TTTTL}};
 
 	// --- assignment plumbing ---
 	a1 do_assign(J, T, Tr, nextid(), "map", false) :- cand_map(Tr, J, T);
@@ -86,10 +95,10 @@ const JobTrackerRules = `
 	a5 next attempt(J, T, A, Tr, "running", 0.0, now(), 0) :- do_assign(J, T, Tr, A, _, _);
 	// Optimistically count the slot as used until the next heartbeat
 	// reasserts the tracker's own view.
-	a6 next tracker(Tr, HB, MS, RS, MU + 1, RU) :-
-	        do_assign(_, _, Tr, _, "map", _), tracker(Tr, HB, MS, RS, MU, RU);
-	a7 next tracker(Tr, HB, MS, RS, MU, RU + 1) :-
-	        do_assign(_, _, Tr, _, "reduce", _), tracker(Tr, HB, MS, RS, MU, RU);
+	a6 next tracker(Tr, MS, RS, MU + 1, RU) :-
+	        do_assign(_, _, Tr, _, "map", _), tracker(Tr, MS, RS, MU, RU);
+	a7 next tracker(Tr, MS, RS, MU, RU + 1) :-
+	        do_assign(_, _, Tr, _, "reduce", _), tracker(Tr, MS, RS, MU, RU);
 
 	// --- rejections: tracker was full; task returns to pending ---
 	rj1 next task(J, T, Ty, "pending") :- assign_reject(@JT, J, T, _, _),
@@ -114,10 +123,9 @@ const JobTrackerRules = `
 	// tracker that stopped heartbeating ---
 	tf1 next task(J, T, Ty, "pending") :- sched_tick(_, _),
 	        attempt(J, T, _, Tr, "running", _, _, _), task(J, T, Ty, "running"),
-	        tracker(Tr, HB, _, _, _, _), HB < now() - {{TTTTL}};
+	        tracker_live(Tr, false);
 	tf2 attempt(J, T, A, Tr, "lost", P, S, now()) :- sched_tick(_, _),
-	        attempt(J, T, A, Tr, "running", P, S, _),
-	        tracker(Tr, HB, _, _, _, _), HB < now() - {{TTTTL}};
+	        attempt(J, T, A, Tr, "running", P, S, _), tracker_live(Tr, false);
 
 	table job_done_cnt(JobId: int, N: int) keys(0);
 	jc1 job_done_cnt(J, count<T>) :- task(J, T, _, "done");
@@ -145,22 +153,18 @@ const JobTrackerRules = `
 	        or(J2 < J, and(J2 == J, T2 <= T));
 
 	table free_map_rank(Tracker: addr, K: int) keys(0);
-	fm1 free_map_rank(Tr, count<Tr2>) :- tracker(Tr, HB, MS, _, MU, _),
-	        MS > MU, HB >= now() - {{TTTTL}},
-	        tracker(Tr2, HB2, MS2, _, MU2, _), MS2 > MU2, HB2 >= now() - {{TTTTL}},
-	        Tr2 <= Tr;
+	fm1 free_map_rank(Tr, count<Tr2>) :- tracker(Tr, MS, _, MU, _), MS > MU,
+	        tracker_live(Tr, true), tracker(Tr2, MS2, _, MU2, _), MS2 > MU2,
+	        tracker_live(Tr2, true), Tr2 <= Tr;
 	table free_map_cnt(K: string, N: int) keys(0);
-	fc1 free_map_cnt("m", count<Tr>) :- tracker(Tr, HB, MS, _, MU, _), MS > MU,
-	        HB >= now() - {{TTTTL}};
+	fc1 free_map_cnt("m", count<Tr>) :- tracker(Tr, MS, _, MU, _), MS > MU, tracker_live(Tr, true);
 
 	table free_red_rank(Tracker: addr, K: int) keys(0);
-	fr1 free_red_rank(Tr, count<Tr2>) :- tracker(Tr, HB, _, RS, _, RU),
-	        RS > RU, HB >= now() - {{TTTTL}},
-	        tracker(Tr2, HB2, _, RS2, _, RU2), RS2 > RU2, HB2 >= now() - {{TTTTL}},
-	        Tr2 <= Tr;
+	fr1 free_red_rank(Tr, count<Tr2>) :- tracker(Tr, _, RS, _, RU), RS > RU,
+	        tracker_live(Tr, true), tracker(Tr2, _, RS2, _, RU2), RS2 > RU2,
+	        tracker_live(Tr2, true), Tr2 <= Tr;
 	table free_red_cnt(K: string, N: int) keys(0);
-	fc2 free_red_cnt("r", count<Tr>) :- tracker(Tr, HB, _, RS, _, RU), RS > RU,
-	        HB >= now() - {{TTTTL}};
+	fc2 free_red_cnt("r", count<Tr>) :- tracker(Tr, _, RS, _, RU), RS > RU, tracker_live(Tr, true);
 `
 
 // PolicyFIFO assigns pending tasks in (JobId, TaskId) order to free
@@ -172,14 +176,12 @@ const PolicyFIFO = `
 	cm1 cand_map(Tr, J, T) :- sched_tick(_, _),
 	        pending_map_rank(J, T, R), task(J, T, "map", "pending"),
 	        free_map_rank(Tr, K), free_map_cnt("m", N), N > 0,
-	        tracker(Tr, HB, MS, _, MU, _), MS > MU, HB >= now() - {{TTTTL}},
 	        R <= N, (R - 1) % N == K - 1;
 
 	cr1 cand_red(Tr, J, T) :- sched_tick(_, _),
 	        pending_red_rank(J, T, R), task(J, T, "reduce", "pending"),
 	        maps_done(J, DN), job(J, _, NM, _, "running"), DN == NM,
 	        free_red_rank(Tr, K), free_red_cnt("r", N), N > 0,
-	        tracker(Tr, HB, _, RS, _, RU), RS > RU, HB >= now() - {{TTTTL}},
 	        R <= N, (R - 1) % N == K - 1;
 `
 
@@ -215,7 +217,6 @@ const PolicyFAIR = `
 
 	fa1 cand_map(Tr, J, T) :- fair_rank(J, T, R), task(J, T, "map", "pending"),
 	        free_map_rank(Tr, Kt), free_map_cnt("m", Nf), Nf > 0,
-	        tracker(Tr, HB, MS, _, MU, _), MS > MU, HB >= now() - {{TTTTL}},
 	        R <= Nf, (R - 1) % Nf == Kt - 1;
 
 	// Reduces keep the FIFO barrier dispatch.
@@ -223,7 +224,6 @@ const PolicyFAIR = `
 	        pending_red_rank(J, T, R), task(J, T, "reduce", "pending"),
 	        maps_done(J, DN), job(J, _, NM, _, "running"), DN == NM,
 	        free_red_rank(Tr, K), free_red_cnt("r", N), N > 0,
-	        tracker(Tr, HB, _, RS, _, RU), RS > RU, HB >= now() - {{TTTTL}},
 	        R <= N, (R - 1) % N == K - 1;
 `
 
@@ -232,7 +232,7 @@ const PolicyFAIR = `
 // rate, and re-launch the longest-estimate straggler (whose rate is
 // below SLOWFRAC of the job average) on a free tracker. The policy
 // delta is ~12 rules, the paper's headline for declarative scheduling.
-// Placeholders: TTTTL, SLOWFRAC (e.g. 0.5), SPECMINMS (min runtime
+// Placeholders: SLOWFRAC (e.g. 0.5), SPECMINMS (min runtime
 // before an attempt may be speculated), MAXSPEC (max speculative
 // attempts per task, normally 1).
 const PolicyLATE = `
@@ -272,7 +272,6 @@ const PolicyLATE = `
 	sw1 spec_worst("w", max<E>) :- spec_cand(_, _, E);
 	sp1 do_assign(J, T, Tr, nextid(), "map", true) :- spec_worst("w", E),
 	        spec_cand(J, T, E), free_map_rank(Tr, 1),
-	        tracker(Tr, HB, MS, _, MU, _), MS > MU, HB >= now() - {{TTTTL}},
 	        notin attempt(J, T, _, Tr, "running", _, _, _);
 `
 

@@ -65,7 +65,7 @@ const PaxosMonitorRules = `
 	periodic inv_px_tick interval {{MONMS}};
 
 	mc1 mon_claim(@N, Me, B) :- inv_px_tick(_, _), is_leader("l", true),
-	        cur_ballot("b", B), member(N, _), N != localaddr(), Me := localaddr();
+	        cur_ballot("b", B), replica(N, _), N != localaddr(), Me := localaddr();
 
 	cs1 mon_claim_seen(From, now()) :- mon_claim(@Me, From, _);
 	dl1 next mon_dual_since(From, now()) :- mon_claim(@Me, From, _),
@@ -82,7 +82,7 @@ const PaxosMonitorRules = `
 	        Me := localaddr(), Detail := "dual leadership with " + tostr(F);
 
 	md1 mon_decided(@N, Me, S, Cmd) :- inv_px_tick(_, _), decided(S, Cmd),
-	        member(N, _), N != localaddr(), Me := localaddr();
+	        replica(N, _), N != localaddr(), Me := localaddr();
 	iv2 inv_violation("log-agreement", Me, now(), Detail) :-
 	        mon_decided(@Me, From, S, Cmd), decided(S, Cmd2), Cmd != Cmd2,
 	        Detail := "slot " + tostr(S) + ": " + tostr(Cmd2) +

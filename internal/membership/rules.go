@@ -72,11 +72,11 @@ const Rules = `
 	// rules reading them defer their heads: answers update member.
 	lv1 mb_live("l", setof<A>) :- member(A, _, S, _), S < 2, A != localaddr();
 	lv2 mb_dead("d", setof<A>) :- member(A, _, 2, _);
-	pr1 next mb_probe("p", Tg, N, T) :- mb_tick(N, T), N % 2 == 0, mb_live("l", L),
+	pb1 next mb_probe("p", Tg, N, T) :- mb_tick(N, T), N % 2 == 0, mb_live("l", L),
 	        Tg := toaddr(nth(L, (N / 2) % size(L)));
-	pr2 mb_send(Tg, "ping", Tg, S, "") :- mb_probe("p", Tg, S, _);
+	pb2 mb_send(Tg, "ping", Tg, S, "") :- mb_probe("p", Tg, S, _);
 	// First timeout: two relays ping the target for us.
-	pr3 next mb_send(R, "ping_req", Tg, S, "") :- mb_tick(_, _), mb_probe("p", Tg, S, T),
+	pb3 next mb_send(R, "ping_req", Tg, S, "") :- mb_tick(_, _), mb_probe("p", Tg, S, T),
 	        now() - T > {{HALF}} / 2, now() - T < 3 * {{HALF}} / 2, mb_live("l", L),
 	        Rs := pickk(ldiff(L, [Tg]), 2, hash(Tg) + S),
 	        member(R, _, 0, _), member(Rs, R) == true;
@@ -100,7 +100,7 @@ const Rules = `
 	rc1 mb_send(F, "ack", Me, S, O) :- mb_msg(@Me, F, "ping", _, S, O);
 	rc2 mb_send(Tg, "ping", Tg, S, F) :- mb_msg(@Me, F, "ping_req", Tg, S, _);
 	rc3 mb_send(O, "ack", Tg, S, "") :- mb_msg(@Me, _, "ack", Tg, S, O), O != "";
-	ak1 delete mb_probe("p", Tg, S, T) :- mb_msg(@Me, _, "ack", Tg, S, ""), mb_probe("p", Tg, S, T);
+	pk1 delete mb_probe("p", Tg, S, T) :- mb_msg(@Me, _, "ack", Tg, S, ""), mb_probe("p", Tg, S, T);
 
 	// Merge: a higher incarnation wins; at an equal one dead beats
 	// suspect beats alive. A new peer is added a step later (the add

@@ -97,12 +97,20 @@
 // when an input next changes.
 //
 // A now() in an aggregate body is read only when the rule is evaluated,
-// that is when an input table changes, and then for every group: ld1
-// below drops a silent node the next time any node's row changes, not
-// when its two seconds are up. Rules that must notice the passage of
-// time on their own join a periodic.
+// that is when an input table changes, and then for every group: the
+// rule below drops a silent node the next time any node's row changes,
+// not when its two seconds are up.
 //
-//	ld1 live_dn("live", setof<N>) :- datanode(N, T), T >= now() - 2000;
+//	live(K, setof<N>) :- datanode(N, T), T >= now() - 2000;
+//
+// Rules that must notice the passage of time on their own join a
+// periodic. The shipped rules write liveness as a keyed relation that
+// heartbeats set and one periodic rule expires, and aggregate over the
+// relation, which changes exactly when a node comes or goes:
+//
+//	dl1 dn_live(N, true) :- dn_alive(@M, N);
+//	dx1 dn_live(N, false) :- fd_tick(_, _), datanode(N, T), T < now() - 2000;
+//	ld1 live_dn("live", setof<N>) :- dn_live(N, true);
 //
 // # Deletion rules
 //

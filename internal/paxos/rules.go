@@ -59,12 +59,12 @@ const Rules = `
 	// findings stand as documentation.
 	//lint:ordered decide_msg all senders agree on the decided command per slot
 
-	// --- membership & protocol state. The durable tables are an
+	// --- the replica group & protocol state. The durable tables are an
 	// acceptor's stable storage: its promise, accepted values and
 	// ballot, and the learned log. Leadership, pending commands, slot
 	// counters and tallies are soft state a crash erases (next_slot is
 	// re-derived from the restored log by ss1/ss2). ---
-	table member(Node: addr, Rank: int) keys(0);
+	table replica(Node: addr, Rank: int) keys(0);
 	table quorum(K: string, Q: int) keys(0);
 	table promised(K: string, B: int) keys(0) durable;
 	table accepted(Slot: int, Bal: int, Cmd: list) keys(0) durable;
@@ -98,20 +98,20 @@ const Rules = `
 
 	// --- leader heartbeat ---
 	hb1 leader_hb(@N, Me, B) :- px_tick(_, _), is_leader("l", true), cur_ballot("b", B),
-	        member(N, _), Me := localaddr();
+	        replica(N, _), Me := localaddr();
 	hb2 leader_seen("t", now()) :- leader_hb(@Me, _, B), promised("p", PB), B >= PB;
 
 	// --- election: staggered by rank so the next-ranked live replica
 	// usually wins uncontested ---
 	el1 elect("e") :- px_tick(_, _), is_leader("l", false), leader_seen("t", T),
-	        member(Me2, R), Me2 == localaddr(), now() - T > {{ELTIMEOUT}} * (R + 1),
+	        replica(Me2, R), Me2 == localaddr(), now() - T > {{ELTIMEOUT}} * (R + 1),
 	        last_elect("t", T2), now() - T2 > {{ELTIMEOUT}};
 	el2 next last_elect("t", now()) :- elect("e");
 	el3 next cur_ballot("b", NB) :- elect("e"), cur_ballot("b", B),
-	        member(Me2, R), Me2 == localaddr(), NB := ((B / {{STRIDE}}) + 1) * {{STRIDE}} + R;
+	        replica(Me2, R), Me2 == localaddr(), NB := ((B / {{STRIDE}}) + 1) * {{STRIDE}} + R;
 	el4 prepare(@N, Me, NB) :- elect("e"), cur_ballot("b", B),
-	        member(Me2, R), Me2 == localaddr(), NB := ((B / {{STRIDE}}) + 1) * {{STRIDE}} + R,
-	        member(N, _), Me := localaddr();
+	        replica(Me2, R), Me2 == localaddr(), NB := ((B / {{STRIDE}}) + 1) * {{STRIDE}} + R,
+	        replica(N, _), Me := localaddr();
 
 	// --- acceptor: phase 1 ---
 	ap1 next promised("p", B) :- prepare(@Me, _, B), promised("p", PB), B > PB;
@@ -173,10 +173,10 @@ const Rules = `
 
 	// --- phase 2: broadcast accepts (and retry undecided each tick) ---
 	p2a accept_msg(@N, Me, B, S, Cmd) :- proposal(S, B, Cmd), cur_ballot("b", B),
-	        is_leader("l", true), member(N, _), Me := localaddr();
+	        is_leader("l", true), replica(N, _), Me := localaddr();
 	rt1 accept_msg(@N, Me, B, S, Cmd) :- px_tick(_, _), is_leader("l", true),
 	        cur_ballot("b", B), proposal(S, B, Cmd), notin decided(S, _),
-	        member(N, _), Me := localaddr();
+	        replica(N, _), Me := localaddr();
 
 	// --- acceptor: phase 2. The accepted-value write is deferred (it
 	// breaks the adopt/propose/accept cycle temporally, as JOL's
@@ -198,14 +198,14 @@ const Rules = `
 	table ack_cnt(Slot: int, Bal: int, N: int) keys(0,1);
 	at1 ack_cnt(S, B, count<From>) :- ack_store(S, B, From);
 	dc1 decide_msg(@N, S, Cmd) :- ack_cnt(S, B, N1), quorum("q", Q), N1 >= Q,
-	        proposal(S, B, Cmd), member(N, _);
+	        proposal(S, B, Cmd), replica(N, _);
 	dc2 next decided(S, Cmd) :- decide_msg(@Me, S, Cmd);
 
 	// Learner anti-entropy: the leader re-broadcasts its decided log on
 	// a slow timer so a dropped decide_msg cannot orphan a follower.
 	periodic px_sync interval {{SYNCMS}};
 	le1 decide_msg(@N, S, Cmd) :- px_sync(_, _), is_leader("l", true),
-	        decided(S, Cmd), member(N, _);
+	        decided(S, Cmd), replica(N, _);
 
 	// --- cleanup: a decided command clears its queue entry and its
 	// per-slot bookkeeping; a decided slot needs no more acks ---
@@ -259,7 +259,7 @@ func install(rt *overlog.Runtime, self string, members []string, cfg Config, res
 func seedFacts(rank int, sorted []string, leader bool) string {
 	var b strings.Builder
 	for i, m := range sorted {
-		fmt.Fprintf(&b, "member(\"%s\", %d);\n", m, i)
+		fmt.Fprintf(&b, "replica(\"%s\", %d);\n", m, i)
 	}
 	fmt.Fprintf(&b, `quorum("q", %d);`+"\n", len(sorted)/2+1)
 	fmt.Fprintf(&b, `promised("p", -1);`+"\n")

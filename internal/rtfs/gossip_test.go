@@ -7,6 +7,7 @@ import (
 	"repro/internal/boomfs"
 	"repro/internal/membership"
 	"repro/internal/overlog"
+	"repro/internal/paxos"
 )
 
 // liveDNs reads the master's datanode relation with the liveness
@@ -128,5 +129,51 @@ func TestGossipFeedsDatanodeRelation(t *testing.T) {
 			t.Fatalf("datanode relation never expired the dead node: %v", live)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestGossipOnReplicatedMaster: membership installs beside Paxos on
+// every replica of a replicated master, and both keep running: after
+// ten probe intervals every view still holds the whole group alive, and
+// a replica leads. The two units once both declared a member table,
+// so the second install failed.
+func TestGossipOnReplicatedMaster(t *testing.T) {
+	replicas := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	cfg := boomfs.DefaultConfig()
+	cfg.GCTickMS = 0
+	pcfg := paxos.Config{TickMS: 50, ElectTimeout: 300, BallotStride: 100, SyncMS: 200}
+	const probe = 50 * time.Millisecond
+	opts := membership.Config{Seeds: replicas, SeedRoles: map[string]string{}, ProbeInterval: probe}
+	for _, addr := range replicas {
+		opts.SeedRoles[addr] = "master"
+	}
+	var servers []*Server
+	for _, addr := range replicas {
+		s, err := StartReplicatedMaster(addr, replicas, cfg, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.StartGossip(opts); err != nil {
+			t.Fatalf("%s: %v", addr, err)
+		}
+		servers = append(servers, s)
+	}
+	time.Sleep(10 * probe)
+	leaders := 0
+	for _, s := range servers {
+		var alive int64
+		s.Node.Runtime(func(rt *overlog.Runtime) {
+			alive = membership.Count(rt, membership.Alive)
+			if paxos.IsLeader(rt) {
+				leaders++
+			}
+		})
+		if alive != int64(len(replicas)) {
+			t.Errorf("%s: %d of %d replicas alive in its view", s.Addr, alive, len(replicas))
+		}
+	}
+	if leaders == 0 {
+		t.Error("no replica leads")
 	}
 }
