@@ -21,12 +21,16 @@ test: check
 # its Differential tests (semi-naive against naive evaluation) run in
 # the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
 # families of regression guards — bytes per step, and rules entered or
-# rows compared per step — so a CI log shows them run. The fuzz line
-# feeds RestoreSnapshot mutated checkpoint images for ten seconds,
-# starting from the seed corpus in internal/overlog/testdata/fuzz.
-# boomlint runs the Overlog whole-program analyzer over every embedded
-# rule set, failing on any warn- or error-severity finding, and over the
-# standalone .olg examples, failing on any error-severity finding. boomvet does the same for the Go runtime
+# rows compared per step — so a CI log shows them run. The two fuzz
+# lines run ten seconds each: FuzzRestoreSnapshot feeds RestoreSnapshot
+# mutated checkpoint images, starting from the seed corpus in
+# internal/overlog/testdata/fuzz, and FuzzParse feeds the parser (and
+# an install of what it accepts) mutations of every shipped .olg file.
+# boomlint runs the Overlog whole-program analyzer over every
+# deployment unit of the registered .olg files (internal/programs),
+# failing on any warn- or error-severity finding, and over the
+# standalone .olg examples, failing on any error-severity finding.
+# boomvet does the same for the Go runtime
 # itself: determinism, clone-on-store ownership, and noalloc passes
 # over every package (see internal/govet). The last two lines cover the
 # benchmark, a module of its own that `go build ./...` and
@@ -41,6 +45,7 @@ check:
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
 	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/overlog
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/overlog
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
 	bash bench/run.sh -smoke

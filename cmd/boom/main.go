@@ -21,7 +21,7 @@
 //	boom olg my-program.olg              # run a file
 //	boom olg -analyze my-program.olg     # CALM analysis + strata
 //	boom repl                            # interactive shell
-//	boom rules fs-master                 # print a shipped rule set
+//	boom rules boomfs-master             # print a shipped rule set
 //	boom mr-demo -policy late            # MapReduce over real TCP
 package main
 
@@ -31,18 +31,15 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/boomfs"
 	"repro/internal/boommr"
-	"repro/internal/kvstore"
 	"repro/internal/membership"
 	"repro/internal/overlog"
-	"repro/internal/paxos"
+	"repro/internal/programs"
 	"repro/internal/repl"
-	"repro/internal/rsm"
 	"repro/internal/rtfs"
 	"repro/internal/rtmr"
 	"repro/internal/workload"
@@ -93,13 +90,11 @@ subcommands:
              mv OLD NEW
              put PATH DATA
              get PATH
-  olg      FILE [-steps N] [-analyze] [-profile]   run or analyze an Overlog file
+  olg      FILE... [-steps N] [-analyze] [-profile]
+                                               run or analyze Overlog files, co-installed in order
   mr-demo  [-trackers N] [-status ADDR]        wordcount over real TCP sockets
   repl                                         interactive Overlog shell
-  rules    [name]                              print a shipped rule set
-           (fs-master, fs-datanode, fs-gc, gateway, mr-jobtracker,
-            mr-fifo, mr-late, mr-fair, mr-tracker, paxos, membership,
-            fs-feed-master, fs-feed-datanode)
+  rules    [name]                              list the shipped rule sets, or print one
 `)
 }
 
@@ -423,45 +418,19 @@ func runMRDemo(args []string) error {
 	return nil
 }
 
-// shippedRules maps CLI names to the embedded Overlog sources.
-func shippedRules() map[string]string {
-	return map[string]string{
-		"fs-master":        boomfs.MasterRules,
-		"fs-datanode":      boomfs.DataNodeRules,
-		"fs-gc":            boomfs.GCRules,
-		"gateway":          boomfs.GatewayRules,
-		"mr-jobtracker":    boommr.JobTrackerRules,
-		"mr-fifo":          boommr.PolicyFIFO,
-		"mr-late":          boommr.PolicyLATE,
-		"mr-fair":          boommr.PolicyFAIR,
-		"mr-tracker":       boommr.TrackerRules,
-		"paxos":            paxos.Rules,
-		"membership":       membership.Rules,
-		"fs-feed-master":   boomfs.MasterFeed,
-		"fs-feed-datanode": boomfs.DataNodeFeed,
-		"rsm":              rsm.Rules,
-		"kvstore":          kvstore.Rules,
-	}
-}
-
 func runRules(args []string) error {
-	all := shippedRules()
-	if len(args) < 1 {
-		names := make([]string, 0, len(all))
-		for n := range all {
-			names = append(names, n)
+	for _, p := range programs.All() {
+		switch {
+		case len(args) == 0:
+			fmt.Println(p.Name)
+		case p.Name == args[0]:
+			fmt.Print(p.Src)
+			return nil
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(n)
-		}
-		return nil
 	}
-	src, ok := all[args[0]]
-	if !ok {
+	if len(args) > 0 {
 		return fmt.Errorf("rules: unknown rule set %q", args[0])
 	}
-	fmt.Print(src)
 	return nil
 }
 
@@ -483,29 +452,30 @@ func runOlg(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("olg: missing program file")
 	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
 	rt := overlog.NewRuntime("local")
 	rt.RegisterWatcher(func(ev overlog.WatchEvent) {
 		fmt.Println(ev)
 	})
-	if *analyze {
+	for _, file := range fs.Args() {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
 		prog, err := overlog.Parse(string(src))
 		if err != nil {
 			return err
 		}
-		fmt.Print(overlog.AnalyzeCALM(prog).Report())
+		if *analyze {
+			fmt.Print(overlog.AnalyzeCALM(prog).Report())
+		}
 		if err := rt.Install(prog); err != nil {
 			return err
 		}
+	}
+	if *analyze {
 		fmt.Println("\nstrata:")
 		fmt.Print(rt.ExplainAll())
 		return nil
-	}
-	if err := rt.InstallSource(string(src)); err != nil {
-		return err
 	}
 	rt.SetProfiling(*profile)
 	for i := 0; i < *steps; i++ {

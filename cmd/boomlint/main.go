@@ -5,10 +5,12 @@
 // (fire-and-forget protocols, unbounded event persistence, CALM
 // points of order).
 //
-// With no arguments it lints every embedded deployment unit (BOOM-FS,
-// BOOM-MR under each scheduling policy, Paxos, the replicated state
-// machine over it, the replicated KV store). With file arguments it
-// lints those Overlog sources as one co-installed unit. The exit
+// With no arguments it lints every deployment unit of the shipped .olg
+// files (internal/programs: BOOM-FS, BOOM-MR under each scheduling
+// policy, Paxos, the replicated state machine over it, the replicated
+// KV store), reporting a finding shared by several units once, with
+// the units it appears in. With file arguments it lints those Overlog
+// sources as one co-installed unit. The exit
 // status is 1 when any finding reaches the -severity gate, so
 // `boomlint -severity=error` works as a CI step; findings are also
 // available machine-readably via -json and, on running nodes, as the
@@ -20,27 +22,40 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
-	"repro/internal/boomfs"
-	"repro/internal/boommr"
-	"repro/internal/kvstore"
-	"repro/internal/membership"
 	"repro/internal/overlog/analysis"
-	"repro/internal/paxos"
-	"repro/internal/rsm"
+	"repro/internal/programs"
 )
 
-func embeddedUnits() []analysis.Unit {
-	var units []analysis.Unit
-	units = append(units, boomfs.LintUnits()...)
-	units = append(units, boommr.LintUnits()...)
-	units = append(units, paxos.LintUnits()...)
-	units = append(units, membership.LintUnits()...)
-	units = append(units, kvstore.LintUnits()...)
-	units = append(units, rsm.LintUnits()...)
-	sort.Slice(units, func(i, j int) bool { return units[i].Name < units[j].Name })
-	return units
+func embeddedUnits() []analysis.Unit { return programs.LintUnits() }
+
+// lint runs every unit and reports each (program, rule, code, subject)
+// once, with the units it appears in: a program co-installed in five
+// units is one finding, not five. A merged finding keeps the first
+// unit's message (its code fixes the severity).
+func lint(units []analysis.Unit) []analysis.Diagnostic {
+	type key struct{ program, rule, code, subject string }
+	at := map[key]int{}
+	var out []analysis.Diagnostic
+	for _, u := range units {
+		for _, d := range analysis.Run(u, analysis.Options{}) {
+			k := key{d.Program, d.Rule, d.Code, d.Subject}
+			i, ok := at[k]
+			if !ok {
+				at[k] = len(out)
+				d.Units, d.Unit = []string{d.Unit}, ""
+				out = append(out, d)
+				continue
+			}
+			if m := &out[i]; !slices.Contains(m.Units, d.Unit) {
+				m.Units = append(m.Units, d.Unit)
+			}
+		}
+	}
+	analysis.Sort(out)
+	return out
 }
 
 func main() {
@@ -76,7 +91,7 @@ func main() {
 		minSev = sev
 	}
 
-	var ds []analysis.Diagnostic
+	var units []analysis.Unit
 	if files := flag.Args(); len(files) > 0 {
 		srcs := make([]string, 0, len(files))
 		for _, f := range files {
@@ -87,22 +102,19 @@ func main() {
 			}
 			srcs = append(srcs, string(b))
 		}
-		unit := analysis.Unit{Name: "files", Groups: map[string][]string{"all": srcs}}
-		ds = analysis.Run(unit, analysis.Options{})
+		units = []analysis.Unit{{Name: "files", Groups: map[string][]string{"all": srcs}}}
 	} else {
-		found := false
 		for _, u := range embeddedUnits() {
-			if *unitName != "" && u.Name != *unitName {
-				continue
+			if *unitName == "" || u.Name == *unitName {
+				units = append(units, u)
 			}
-			found = true
-			ds = append(ds, analysis.Run(u, analysis.Options{})...)
 		}
-		if *unitName != "" && !found {
+		if len(units) == 0 {
 			fmt.Fprintf(os.Stderr, "boomlint: no embedded unit named %q (try -units)\n", *unitName)
 			os.Exit(2)
 		}
 	}
+	ds := lint(units)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -126,7 +138,7 @@ func main() {
 				hidden++
 				continue
 			}
-			fmt.Printf("%s: %s\n", d.Unit, d.String())
+			fmt.Printf("%s: %s\n", strings.Join(d.Units, ","), d.String())
 		}
 		if len(ds) == hidden {
 			fmt.Printf("boomlint: no findings at %s or above", showSev)

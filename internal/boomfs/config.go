@@ -79,13 +79,3 @@ func (c Config) transferMS(n int) int64 {
 	}
 	return ms
 }
-
-func (c Config) masterVars() map[string]string {
-	return map[string]string{
-		"REPL":      fmt.Sprintf("%d", c.ReplicationFactor),
-		"DNTIMEOUT": fmt.Sprintf("%d", c.DNTimeoutMS),
-		"FDTICK":    fmt.Sprintf("%d", c.FDTickMS),
-		"GCTICK":    fmt.Sprintf("%d", c.GCTickMS),
-		"GCGRACE":   fmt.Sprintf("%d", c.GCGraceMS),
-	}
-}

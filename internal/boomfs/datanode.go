@@ -12,7 +12,7 @@ import (
 
 // DataNode stores chunk bytes and heartbeats its inventory to the
 // master. Heartbeats and the write pipeline are Overlog rules
-// (DataNodeRules); only the byte store is Go.
+// (datanode.olg); only the byte store is Go.
 type DataNode struct {
 	Addr    string
 	masters []string
@@ -32,8 +32,7 @@ func installDataNodeProgram(rt *overlog.Runtime, cfg Config) error {
 	if err := rt.InstallSource(ProtocolDecls); err != nil {
 		return fmt.Errorf("boomfs: datanode protocol: %w", err)
 	}
-	src := expand(DataNodeRules, map[string]string{"HBMS": fmt.Sprintf("%d", cfg.HeartbeatMS)})
-	if err := rt.InstallSource(src); err != nil {
+	if err := rt.InstallSource(dataNodeRules, cfg.Params()["datanode.olg"]...); err != nil {
 		return fmt.Errorf("boomfs: datanode rules: %w", err)
 	}
 	return nil

@@ -8,7 +8,7 @@ import (
 )
 
 // Master is a BOOM-FS NameNode. All of its behaviour lives in
-// MasterRules; this struct only installs the program and exposes
+// master.olg; this struct only installs the program and exposes
 // inspection helpers. (The absence of Go logic here is the point of
 // the paper.)
 type Master struct {
@@ -43,11 +43,12 @@ func installMasterProgram(rt *overlog.Runtime, cfg Config) error {
 // installMasterRules loads the master rules, and the gc rules when gc
 // is on.
 func installMasterRules(rt *overlog.Runtime, cfg Config) error {
-	if err := rt.InstallSource(expand(MasterRules, cfg.masterVars())); err != nil {
+	params := cfg.Params()
+	if err := rt.InstallSource(masterRules, params["master.olg"]...); err != nil {
 		return fmt.Errorf("boomfs: installing master rules: %w", err)
 	}
 	if cfg.GCTickMS > 0 {
-		if err := rt.InstallSource(expand(GCRules, cfg.masterVars())); err != nil {
+		if err := rt.InstallSource(gcRules, params["gc.olg"]...); err != nil {
 			return fmt.Errorf("boomfs: installing gc rules: %w", err)
 		}
 	}

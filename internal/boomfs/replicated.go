@@ -9,35 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// GatewayRules bridge the FS protocol onto the Paxos log: metadata
-// writes become replicated commands applied by every replica's own
-// master rules; reads are served from local replica state. This is the
-// paper's availability revision — the FS master becomes a replicated
-// state machine with no change to the metadata rules themselves.
-const GatewayRules = `
-	program boomfs_gateway;
-
-	// Replicated-master clients inject fsreq instead of request.
-	//lint:feed fsreq
-
-	table write_op(Op: string);
-	write_op("mkdir"); write_op("create"); write_op("rm");
-	write_op("mv"); write_op("addchunk");
-
-	event fsreq(To: addr, ReqId: string, Src: addr, Op: string, Path: string, Arg: string);
-
-	// Writes enter the Paxos queue as encoded commands...
-	g1 paxos_request(@Me, Id, Cmd) :- fsreq(@Me, Id, Src, Op, Path, Arg),
-	        write_op(Op), Cmd := [Id, Src, Op, Path, Arg];
-	// ...reads are answered locally...
-	g2 request(@Me, Id, Src, Op, Path, Arg) :- fsreq(@Me, Id, Src, Op, Path, Arg),
-	        notin write_op(Op);
-	// ...and every command internal/rsm applies replays into the local
-	// master rules, in slot order, once per request id.
-	g3 request(@Me, Id, Src, Op, Path, Arg) :- apply(_, Id, Src, Cmd), Me := localaddr(),
-	        Op := tostr(nth(Cmd, 2)), Path := tostr(nth(Cmd, 3)), Arg := tostr(nth(Cmd, 4));
-`
-
 // ReplicatedMaster is a group of BOOM-FS master replicas coordinated by
 // the Overlog Paxos implementation.
 type ReplicatedMaster struct {
@@ -88,7 +59,7 @@ func InstallReplicatedMaster(rt *overlog.Runtime, self string, replicas []string
 	if err := installMasterProgram(rt, cfg); err != nil {
 		return err
 	}
-	return rsm.Install(rt, self, replicas, pcfg, GatewayRules)
+	return rsm.Install(rt, self, replicas, pcfg, gatewayRules)
 }
 
 // ReplicatedMasterRestart installs a crashed replica's programs on a
@@ -100,7 +71,7 @@ func ReplicatedMasterRestart(fresh *overlog.Runtime, self string, replicas []str
 	if err := installMasterProgram(fresh, cfg); err != nil {
 		return err
 	}
-	return rsm.InstallRestarted(fresh, self, replicas, pcfg, GatewayRules)
+	return rsm.InstallRestarted(fresh, self, replicas, pcfg, gatewayRules)
 }
 
 // RestartSpec returns the crash-restart spec for replica i.

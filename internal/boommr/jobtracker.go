@@ -1,8 +1,6 @@
 package boommr
 
 import (
-	"fmt"
-
 	"repro/internal/overlog"
 	"repro/internal/sim"
 )
@@ -29,7 +27,7 @@ func (p Policy) String() string {
 }
 
 // JobTracker is the BOOM-MR scheduler node. All scheduling behaviour
-// is Overlog: JobTrackerRules (machinery) + the selected policy rules.
+// is Overlog: jobtracker.olg (machinery) + the selected policy rules.
 type JobTracker struct {
 	Addr   string
 	Policy Policy
@@ -65,34 +63,20 @@ func InstallJobTrackerPrograms(rt *overlog.Runtime, policy Policy, cfg MRConfig)
 	if err := rt.InstallSource(MRProtocolDecls); err != nil {
 		return err
 	}
-	vars := map[string]string{
-		"SCHEDMS":   fmt.Sprintf("%d", cfg.SchedTickMS),
-		"TTTTL":     fmt.Sprintf("%d", cfg.TrackerTTL),
-		"SLOWFRAC":  fmt.Sprintf("%g", cfg.SlowFrac),
-		"SPECMINMS": fmt.Sprintf("%d", cfg.SpecMinMS),
-		"MAXSPEC":   fmt.Sprintf("%d", cfg.MaxSpec),
-	}
-	if err := rt.InstallSource(expand(JobTrackerRules, vars)); err != nil {
+	params := cfg.Params()
+	if err := rt.InstallSource(jobTrackerRules, params["jobtracker.olg"]...); err != nil {
 		return err
 	}
 	switch policy {
 	case FAIR:
-		if err := rt.InstallSource(expand(PolicyFAIR, vars)); err != nil {
-			return err
-		}
+		return rt.InstallSource(policyFAIR)
 	case LATE:
-		if err := rt.InstallSource(expand(PolicyFIFO, vars)); err != nil {
+		if err := rt.InstallSource(policyFIFO); err != nil {
 			return err
 		}
-		if err := rt.InstallSource(expand(PolicyLATE, vars)); err != nil {
-			return err
-		}
-	default:
-		if err := rt.InstallSource(expand(PolicyFIFO, vars)); err != nil {
-			return err
-		}
+		return rt.InstallSource(policyLATE, params["late.olg"]...)
 	}
-	return nil
+	return rt.InstallSource(policyFIFO)
 }
 
 // Runtime exposes the scheduler's runtime.

@@ -7,36 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TrackerRules run on every TaskTracker node: heartbeats carry the
-// slot inventory; progress and completion reports route through the
-// tracker itself so that a dead tracker's in-flight work vanishes with
-// it. Placeholder: TTHB (heartbeat period ms).
-const TrackerRules = `
-	program boommr_tt;
-
-	// jobtracker and slot_state are facts maintained by the Go executor
-	// service, which also raises the local progress/done events and
-	// watches local_done to free its slots.
-	//lint:feed jobtracker slot_state local_progress local_done
-	//lint:export local_done
-
-	table jobtracker(JT: addr);
-	table slot_state(K: string, MapSlots: int, RedSlots: int, MapUsed: int, RedUsed: int) keys(0);
-
-	// Local events produced by the executor service.
-	event local_progress(JobId: int, TaskId: int, AttemptId: int, Progress: float);
-	event local_done(JobId: int, TaskId: int, AttemptId: int, Ok: bool);
-
-	periodic tt_hb_timer interval {{TTHB}};
-
-	hb1 tt_hb(@JT, Me, MS, RS, MU, RU) :- tt_hb_timer(_, _), jobtracker(JT),
-	        slot_state("s", MS, RS, MU, RU), Me := localaddr();
-
-	fp1 attempt_progress(@JT, J, T, A, P) :- local_progress(J, T, A, P), jobtracker(JT);
-	fd1 attempt_done(@JT, J, T, A, Me, Ok) :- local_done(J, T, A, Ok), jobtracker(JT),
-	        Me := localaddr();
-`
-
 // MRConfig tunes the MapReduce engine (all times in simulated ms).
 type MRConfig struct {
 	MapSlots    int
@@ -115,8 +85,7 @@ func installTrackerProgram(rt *overlog.Runtime, jt string, cfg MRConfig) error {
 	if err := rt.InstallSource(MRProtocolDecls); err != nil {
 		return err
 	}
-	src := expand(TrackerRules, map[string]string{"TTHB": fmt.Sprintf("%d", cfg.HeartbeatMS)})
-	if err := rt.InstallSource(src); err != nil {
+	if err := rt.InstallSource(trackerRules, cfg.Params()["tracker.olg"]...); err != nil {
 		return err
 	}
 	boot := fmt.Sprintf(`jobtracker("%s"); slot_state("s", %d, %d, 0, 0);`,

@@ -210,3 +210,35 @@ func TestSweepCleanSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairFloorDetail pins the repl-floor violation text, whose
+// floor is a param spliced into a string: "under floor 2" is the byte
+// sequence the monitor wrote when the floor was substituted into the
+// literal.
+func TestRepairFloorDetail(t *testing.T) {
+	rt := overlog.NewRuntime("m:0")
+	// The master tables the monitor reads, and one chunk below the
+	// floor of 2 with two live datanodes to repair it.
+	if err := rt.InstallSource(`
+		table fchunk(ChunkId: int, FileId: int, Idx: int) keys(0) durable;
+		table chunk_repl(ChunkId: int, N: int, Nodes: list) keys(0);
+		table live_dn(K: string, Nodes: list) keys(0);
+		fchunk(7, 1, 0);
+		chunk_repl(7, 1, ["d:0"]);
+		live_dn("live", ["d:0", "d:1"]);`); err != nil {
+		t.Fatal(err)
+	}
+	cfg := MonitorConfig{TickMS: 10, GraceMS: 5, Repl: 2}
+	if err := InstallFSMonitor(rt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for now := int64(10); now <= 40; now += 10 {
+		if _, err := rt.Step(now, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs := ScanViolations(rt)
+	if len(vs) != 1 || vs[0].Detail != "chunk 7 under floor 2 (since 10ms)" {
+		t.Fatalf("violations: %v", vs)
+	}
+}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	_ "embed"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,34 +12,17 @@ import (
 // SLO monitoring is the same metaprogramming move as the invariant
 // monitors, applied to performance: a sweep (telemetry.MetricSweep)
 // mirrors registry series into sys::metric(Node, Name, Window, Value)
-// tuples, and the rules below compare them against declared bounds.
-// A breach materializes slo_violation — and an inv_violation("slo")
-// row, so the existing Collect/ScanViolations machinery surfaces SLO
-// breaches in sys::invariant and chaos reports exactly like safety
-// violations.
-const SLOMonitorRules = `
-	program chaos_slo_monitor;
-
-	//lint:feed slo_bound sys::metric
-	//lint:export inv_violation
-` + invViolationDecl + `
-	table slo_bound(Name: string, Bound: int) keys(0);
-	table slo_violation(Name: string, Node: string, W: int, Val: int, Bound: int) keys(0,1,2);
-
-	sv1 slo_violation(Name, N, W, V, B) :- sys::metric(N, Name, W, V),
-	        slo_bound(Name, B), V > B;
-	sl1 inv_violation("slo", Me, now(), Detail) :- slo_violation(Name, N, W, V, B),
-	        Me := localaddr(),
-	        Detail := Name + "=" + tostr(V) + " > bound " + tostr(B) +
-	                " (node " + N + ", window " + tostr(W) + ")";
-`
+// tuples, and slo_monitor.olg compares them against declared bounds.
+//
+//go:embed slo_monitor.olg
+var sloMonitorRules string
 
 // InstallSLOMonitor loads the SLO rules onto a runtime and declares
 // the given bounds (metric name, as swept into sys::metric, to
 // inclusive upper bound). The runtime needs a sweep delivering
 // sys::metric tuples for the rules to have anything to judge.
 func InstallSLOMonitor(rt *overlog.Runtime, bounds map[string]int64) error {
-	if err := rt.InstallSource(SLOMonitorRules); err != nil {
+	if err := rt.InstallSource(sloMonitorRules); err != nil {
 		return fmt.Errorf("chaos: slo monitor: %w", err)
 	}
 	names := make([]string, 0, len(bounds))

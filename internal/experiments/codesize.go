@@ -4,16 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
-	"repro/internal/boomfs"
-	"repro/internal/boommr"
-	"repro/internal/kvstore"
-	"repro/internal/membership"
 	"repro/internal/overlog"
-	"repro/internal/paxos"
-	"repro/internal/rsm"
+	"repro/internal/programs"
 )
 
 // OlgStat summarizes one embedded Overlog program.
@@ -53,42 +47,6 @@ var t1Rows = []t1Row{
 	{"Paxos", []string{"paxos"}, "", "~50 rules"},
 }
 
-// olgSources enumerates every embedded rule set (the declarative side
-// of the system inventory).
-func olgSources() map[string]string {
-	return map[string]string{
-		"boomfs master":        boomfs.MasterRules,
-		"boomfs datanode":      boomfs.DataNodeRules,
-		"boomfs client":        boomfs.ClientRules,
-		"boomfs gateway":       boomfs.GatewayRules,
-		"boomfs gc":            boomfs.GCRules,
-		"boomfs protocol":      boomfs.ProtocolDecls,
-		"boommr jobtracker":    boommr.JobTrackerRules,
-		"boommr fifo":          boommr.PolicyFIFO,
-		"boommr late":          boommr.PolicyLATE,
-		"boommr fair":          boommr.PolicyFAIR,
-		"boommr tracker":       boommr.TrackerRules,
-		"boommr protocol":      boommr.MRProtocolDecls,
-		"paxos":                paxos.Rules,
-		"membership":           membership.Rules,
-		"boomfs feed master":   boomfs.MasterFeed,
-		"boomfs feed datanode": boomfs.DataNodeFeed,
-		"kvstore":              kvstore.Rules,
-		"rsm":                  rsm.Rules,
-	}
-}
-
-// neutralize replaces config placeholders so sources parse.
-func neutralize(src string) string {
-	for _, k := range []string{"REPL", "DNTIMEOUT", "FDTICK", "HBMS", "SCHEDMS",
-		"TTTTL", "SLOWFRAC", "SPECMINMS", "MAXSPEC", "TTHB", "PXTICK",
-		"ELTIMEOUT", "STRIDE", "SYNCMS", "GCTICK", "GCGRACE", "TICK", "TIMEOUT",
-		"HALF", "SUSPECT"} {
-		src = strings.ReplaceAll(src, "{{"+k+"}}", "1")
-	}
-	return src
-}
-
 // countLines counts the lines that are neither blank nor a // comment,
 // the same rule for Overlog and Go so T1 compares like with like.
 func countLines(src string) int {
@@ -103,20 +61,28 @@ func countLines(src string) int {
 	return n
 }
 
+// olgStat counts one program; a program that does not parse is an
+// error, not a row of zeros.
+func olgStat(name, src string) (OlgStat, error) {
+	prog, err := overlog.Parse(src)
+	if err != nil {
+		return OlgStat{}, fmt.Errorf("T1: program %s: %w", name, err)
+	}
+	return OlgStat{Name: name, Rules: len(prog.Rules), Tables: len(prog.Tables), Lines: countLines(src)}, nil
+}
+
 // RunCodeSize measures our artifacts: rules/lines per Overlog program
 // plus the lines of each imperative twin (found by walking up to
 // go.mod).
 func RunCodeSize() (*CodeSizeResult, error) {
 	res := &CodeSizeResult{GoLines: map[string]int{}}
-	for name, src := range olgSources() {
-		stat := OlgStat{Name: name, Lines: countLines(src)}
-		if prog, err := overlog.Parse(neutralize(src)); err == nil {
-			stat.Rules = len(prog.Rules)
-			stat.Tables = len(prog.Tables)
+	for _, p := range programs.All() {
+		stat, err := olgStat(strings.ReplaceAll(p.Name, "-", " "), p.Src)
+		if err != nil {
+			return nil, err
 		}
 		res.Olg = append(res.Olg, stat)
 	}
-	sort.Slice(res.Olg, func(i, j int) bool { return res.Olg[i].Name < res.Olg[j].Name })
 
 	root, err := ModuleRoot()
 	if err != nil {

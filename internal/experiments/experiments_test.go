@@ -77,8 +77,8 @@ func TestBehaviourGolden(t *testing.T) {
 // component is compared with the imperative twin written for this
 // repository, counting like for like: Go lines of the twin's non-test
 // file and Overlog lines of the component, neither blank nor comment.
-// The floors sit under today's ratios [FS 330 / 114 = 2.9×, MR
-// 381 / 91 = 4.2×], so only a change that erodes the gap fails.
+// The floors sit under today's ratios [FS 330 / 119 = 2.8×, MR
+// 381 / 90 = 4.2×], so only a change that erodes the gap fails.
 func TestCodeSize(t *testing.T) {
 	res, err := RunCodeSize()
 	if err != nil {
@@ -103,21 +103,13 @@ func TestCodeSize(t *testing.T) {
 	}
 }
 
-// TestCodeSizeAllProgramsParse guards the placeholder substitution: a
-// rule set that fails to parse would report zero rules and silently
-// understate the declarative inventory.
+// TestCodeSizeAllProgramsParse: a program that does not parse fails T1
+// with its name, instead of reporting zero rules and silently
+// understating the declarative inventory.
 func TestCodeSizeAllProgramsParse(t *testing.T) {
-	res, err := RunCodeSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Olg {
-		if strings.Contains(s.Name, "protocol") {
-			continue // declaration-only sources legitimately have 0 rules
-		}
-		if s.Rules == 0 {
-			t.Errorf("program %q parsed to 0 rules (placeholder gap?)", s.Name)
-		}
+	_, err := olgStat("boomfs master", "program p;\nperiodic t interval {{TICK}};\n")
+	if err == nil || !strings.Contains(err.Error(), "boomfs master") {
+		t.Fatalf("unparseable program: %v, want an error naming it", err)
 	}
 }
 

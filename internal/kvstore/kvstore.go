@@ -9,6 +9,7 @@
 package kvstore
 
 import (
+	"embed"
 	"errors"
 	"fmt"
 
@@ -19,60 +20,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Rules is the whole service.
-const Rules = `
-	program kvstore;
+// Files holds the package's Overlog programs, one per .olg file.
+//
+//go:embed *.olg
+var Files embed.FS
 
-	// Clients inject operations; the Go API reads kv directly (test
-	// oracle) and polls kvr on the client node.
-	//lint:feed kv_put kv_del kv_get
-	//lint:export kv
-
-	table kv(K: string, V: string) keys(0);
-
-	event kv_put(To: addr, ReqId: string, Client: addr, K: string, V: string);
-	event kv_del(To: addr, ReqId: string, Client: addr, K: string);
-	event kv_get(To: addr, ReqId: string, Client: addr, K: string);
-	event kv_resp(To: addr, ReqId: string, Found: bool, V: string);
-
-	// Writes go through the Paxos log...
-	g1 paxos_request(@Me, Id, Cmd) :- kv_put(@Me, Id, Cl, K, V),
-	        Cmd := [Id, Cl, "put", K, V];
-	g2 paxos_request(@Me, Id, Cmd) :- kv_del(@Me, Id, Cl, K),
-	        Cmd := [Id, Cl, "del", K, ""];
-
-	// ...reads are answered locally...
-	g3 kv_resp(@Cl, Id, true, V) :- kv_get(@Me, Id, Cl, K), kv(K, V);
-	g4 kv_resp(@Cl, Id, false, "") :- kv_get(@Me, Id, Cl, K), notin kv(K, _);
-
-	// ...and every command internal/rsm applies writes the table, in
-	// slot order, once per request id. Every slot the cursor passes
-	// acknowledges its id, so a retry of an applied put is answered
-	// without writing again.
-	a1 kv(K, V) :- apply(_, _, _, Cmd), tostr(nth(Cmd, 2)) == "put",
-	        K := tostr(nth(Cmd, 3)), V := tostr(nth(Cmd, 4));
-	a2 delete kv(K, V) :- apply(_, _, _, Cmd), tostr(nth(Cmd, 2)) == "del",
-	        K := tostr(nth(Cmd, 3)), kv(K, V);
-	a3 kv_resp(@Cl, Id, true, "") :- done(Id, Cl);
-`
-
-// clientRules log responses for the Go API to poll.
-const clientRules = `
-	program kvclient;
-	//lint:export kvr
-	event kv_resp(To: addr, ReqId: string, Found: bool, V: string);
-	table kvr(ReqId: string, Found: bool, V: string) keys(0);
-	c1 kvr(Id, F, V) :- kv_resp(@Me, Id, F, V);
-`
+var (
+	//go:embed kvstore.olg
+	rules string
+	//go:embed client.olg
+	clientRules string
+)
 
 // LintUnits declares the analysis unit for cmd/boomlint: replicas
-// (Paxos, the replay rules and Rules) together with a client node, so
+// (Paxos, the replay rules and kvstore.olg) together with a client node, so
 // the kv_resp protocol resolves across roles.
 func LintUnits() []analysis.Unit {
 	return []analysis.Unit{{
 		Name: "kvstore",
 		Groups: map[string][]string{
-			"replica": append(rsm.LintSources(), Rules),
+			"replica": append(rsm.LintSources(), rules),
 			"client":  {clientRules},
 		},
 	}}
@@ -95,7 +62,7 @@ func NewGroup(c *sim.Cluster, prefix string, n int, pcfg paxos.Config) (*Group, 
 		if err != nil {
 			return nil, err
 		}
-		if err := rsm.Install(rt, addr, addrs, pcfg, Rules); err != nil {
+		if err := rsm.Install(rt, addr, addrs, pcfg, rules); err != nil {
 			return nil, err
 		}
 	}

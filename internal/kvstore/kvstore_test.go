@@ -159,7 +159,7 @@ func TestPutDeletePut(t *testing.T) {
 func TestOutOfOrderLearnerAppliesInSlotOrder(t *testing.T) {
 	const self = "kv:1"
 	rt := overlog.NewRuntime(self)
-	if err := rsm.Install(rt, self, []string{"kv:0", self, "kv:2"}, paxos.DefaultConfig(), Rules); err != nil {
+	if err := rsm.Install(rt, self, []string{"kv:0", self, "kv:2"}, paxos.DefaultConfig(), rules); err != nil {
 		t.Fatal(err)
 	}
 	decide := func(slot int64, op, key, val string) overlog.Tuple {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/overlog"
 	"repro/internal/sim"
 )
 
@@ -44,7 +45,8 @@ func (r SchedResult) String() string {
 
 const activeProgram = `
 	program activetick;
-	periodic tick interval %d;
+	param period_ms: int = 50;
+	periodic tick interval period_ms;
 	table seen(K: int, T: int) keys(0);
 	ra seen(0, T) :- tick(_, T);
 `
@@ -70,7 +72,7 @@ func RunSched(cfg SchedConfig) (SchedResult, error) {
 			return SchedResult{}, err
 		}
 		interval := cfg.BaseIntervalMS + int64(i%13)
-		if err := rt.InstallSource(fmt.Sprintf(activeProgram, interval)); err != nil {
+		if err := rt.InstallSource(activeProgram, overlog.Param{Name: "period_ms", Value: overlog.Int(interval)}); err != nil {
 			return SchedResult{}, err
 		}
 	}

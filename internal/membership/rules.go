@@ -6,9 +6,9 @@
 package membership
 
 import (
+	"embed"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/overlog"
@@ -44,98 +44,36 @@ func (c Config) DetectionBoundMS(members int) int64 {
 	return c.probeMS() * int64(members+1+3)
 }
 
-// Rules is the protocol; placeholders HALF (the tick, half a probe
-// interval) and SUSPECT (the suspicion window). A probe starts every
-// other tick and times out at the next two; its age is compared with
-// the midpoints between ticks, so a late wall-clock tick still counts.
-const Rules = `
-	program membership;
+// Files holds the package's Overlog programs, one per .olg file.
+//
+//go:embed *.olg
+var Files embed.FS
 
-	//lint:export member
-	//lint:ordered mb_view a merge keeps the highest (Inc, State) per address in any arrival order
+//go:embed membership.olg
+var rules string
 
-	// None of the unit's tables is durable: peers rebuild the view, and a
-	// checkpointed copy would hold a dead clock's stamps.
-	table member(Addr: addr, Role: string, State: int, Inc: int) keys(0);
-	table mb_probe(K: string, Target: addr, Seq: int, T: int) keys(0);
-	table mb_since(Addr: addr, T: int) keys(0);
-	table mb_live(K: string, Peers: list) keys(0);
-	table mb_dead(K: string, Peers: list) keys(0);
-	event mb_send(To: addr, Kind: string, Target: addr, Seq: int, Origin: addr);` + wire + `
-	periodic mb_tick interval {{HALF}};
-
-	// The first tick stamps this node's incarnation with its clock, so a
-	// restart on the sim's global clock outranks its old record.
-	in1 member(Me, R, 0, T) :- mb_tick(0, T), Me := localaddr(), member(Me, R, _, _);
-
-	// The probe rotation (non-dead peers, by address) and the dead. The
-	// rules reading them defer their heads: answers update member.
-	lv1 mb_live("l", setof<A>) :- member(A, _, S, _), S < 2, A != localaddr();
-	lv2 mb_dead("d", setof<A>) :- member(A, _, 2, _);
-	pb1 next mb_probe("p", Tg, N, T) :- mb_tick(N, T), N % 2 == 0, mb_live("l", L),
-	        Tg := toaddr(nth(L, (N / 2) % size(L)));
-	pb2 mb_send(Tg, "ping", Tg, S, "") :- mb_probe("p", Tg, S, _);
-	// First timeout: two relays ping the target for us.
-	pb3 next mb_send(R, "ping_req", Tg, S, "") :- mb_tick(_, _), mb_probe("p", Tg, S, T),
-	        now() - T > {{HALF}} / 2, now() - T < 3 * {{HALF}} / 2, mb_live("l", L),
-	        Rs := pickk(ldiff(L, [Tg]), 2, hash(Tg) + S),
-	        member(R, _, 0, _), member(Rs, R) == true;
-	// Second timeout: suspect; unrefuted for SUSPECT ms: dead.
-	su1 member(Tg, R, 1, I) :- mb_tick(_, _), mb_probe("p", Tg, _, T),
-	        now() - T > 3 * {{HALF}} / 2, now() - T < 5 * {{HALF}} / 2, member(Tg, R, 0, I);
-	sv1 mb_since(A, now()) :- member(A, _, 1, _);
-	dd1 member(A, R, 2, I) :- mb_tick(_, _), member(A, R, 1, I), mb_since(A, T),
-	        now() - T >= {{SUSPECT}};
-	// Every eighth probe also pings a dead peer, so the halves of a
-	// healed partition find each other again.
-	ae1 next mb_send(D, "ping", D, N, "") :- mb_tick(N, _), N % 16 == 0, mb_dead("d", L),
-	        D := toaddr(nth(L, (N / 16) % size(L)));
-
-	// Every message carries the sender's whole view as rows.
-	sd1 mb_msg(@To, Me, K, Tg, S, O) :- mb_send(To, K, Tg, S, O), Me := localaddr();
-	sd2 mb_view(@To, A, R, St, I) :- mb_send(To, _, _, _, _), member(A, R, St, I);
-
-	// Pings are acked; a relay pings for the requester and forwards the
-	// target's ack to it (Origin names the prober).
-	rc1 mb_send(F, "ack", Me, S, O) :- mb_msg(@Me, F, "ping", _, S, O);
-	rc2 mb_send(Tg, "ping", Tg, S, F) :- mb_msg(@Me, F, "ping_req", Tg, S, _);
-	rc3 mb_send(O, "ack", Tg, S, "") :- mb_msg(@Me, _, "ack", Tg, S, O), O != "";
-	pk1 delete mb_probe("p", Tg, S, T) :- mb_msg(@Me, _, "ack", Tg, S, ""), mb_probe("p", Tg, S, T);
-
-	// Merge: a higher incarnation wins; at an equal one dead beats
-	// suspect beats alive. A new peer is added a step later (the add
-	// cannot read its own absence).
-	mg1 member(A, R, S, I) :- mb_view(@Me, A, R, S, I), A != Me, member(A, _, S0, I0),
-	        or(I > I0, and(I == I0, S > S0));
-	mg2 next member(A, R, S, I) :- mb_view(@Me, A, R, S, I), A != Me, notin member(A, _, _, _);
-	// Refutation: told it is suspect or dead at its own incarnation or
-	// later, a node replaces its record with a higher one.
-	rf1 member(Me, R, 0, I + 1) :- mb_view(@Me, Me, _, S, I), S > 0, member(Me, R, _, I0), I >= I0;
-`
-
-// wire is the unit's wire protocol: a message, and the sender's view.
-const wire = `
-	event mb_msg(To: addr, From: addr, Kind: string, Target: addr, Seq: int, Origin: addr);
-	event mb_view(To: addr, Addr: addr, Role: string, State: int, Inc: int);
-`
-
-// WireDecls is the wire protocol alone, for nodes that do not run the
-// unit: a peer's probe is then dropped, not an undeclared-table error.
-const WireDecls = "program membership_wire;" + wire
+// WireDecls is the unit's wire protocol alone, for nodes that do not
+// run the unit.
+//
+//go:embed wire.olg
+var WireDecls string
 
 // Install loads the unit onto a runtime whose node plays role. The view
 // starts as this node (its first tick restamps the incarnation) and the
 // seeds, all alive at incarnation 0.
 func Install(rt *overlog.Runtime, role string, cfg Config) error {
-	if err := rt.InstallSource(cfg.rules()); err != nil {
+	if err := rt.InstallSource(rules, cfg.Params()["membership.olg"]...); err != nil {
 		return err
 	}
 	return rt.InstallSource(seedFacts(rt.LocalAddr(), role, cfg))
 }
 
-func (c Config) rules() string {
-	return strings.NewReplacer("{{HALF}}", fmt.Sprint(c.probeMS()/2),
-		"{{SUSPECT}}", fmt.Sprint(3*c.probeMS())).Replace(Rules)
+// Params maps c onto the params membership.olg declares, by file name.
+func (c Config) Params() map[string][]overlog.Param {
+	return map[string][]overlog.Param{"membership.olg": {
+		{Name: "half_ms", Value: overlog.Int(c.probeMS() / 2)},
+		{Name: "suspect_ms", Value: overlog.Int(3 * c.probeMS())},
+	}}
 }
 
 func seedFacts(self, role string, cfg Config) string {
@@ -151,12 +89,15 @@ func seedFacts(self, role string, cfg Config) string {
 // LintSources is the unit as a datanode seeded with one master installs it.
 func LintSources() []string {
 	cfg := Config{Seeds: []string{"m:0"}, SeedRoles: map[string]string{"m:0": "master"}}
-	return []string{cfg.rules(), "//lint:feed member\n" + seedFacts("dn:0", "datanode", cfg)}
+	return []string{rules, "//lint:feed member\n" + seedFacts("dn:0", "datanode", cfg)}
 }
 
-// LintUnits declares the analysis unit for this package.
+// LintUnits declares the analysis unit for this package: a node that
+// declares the wire protocol at boot (as every rtfs node does) and then
+// runs the unit.
 func LintUnits() []analysis.Unit {
-	return []analysis.Unit{{Name: "membership", Groups: map[string][]string{"node": LintSources()}}}
+	return []analysis.Unit{{Name: "membership", Groups: map[string][]string{
+		"node": append([]string{WireDecls}, LintSources()...)}}}
 }
 
 // Row is one node's record of a peer.

@@ -68,6 +68,7 @@ type Diagnostic struct {
 	Severity Severity `json:"-"`
 	Sev      string   `json:"severity"` // Severity rendered for JSON
 	Unit     string   `json:"unit,omitempty"`
+	Units    []string `json:"units,omitempty"` // every unit reporting it, once merged (cmd/boomlint)
 	Program  string   `json:"program,omitempty"`
 	Rule     string   `json:"rule,omitempty"`    // rule label; empty for decl-level findings
 	Subject  string   `json:"subject,omitempty"` // table or variable the finding is about

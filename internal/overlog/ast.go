@@ -6,9 +6,10 @@ import (
 )
 
 // Program is a parsed Overlog program: a name plus an ordered list of
-// declarations (tables, events, periodics, watches) and rules.
+// declarations (params, tables, events, periodics, watches) and rules.
 type Program struct {
 	Name      string
+	Params    []*ParamDecl
 	Tables    []*TableDecl
 	Periodics []*PeriodicDecl
 	Watches   []*WatchDecl
@@ -71,6 +72,19 @@ func (d *TableDecl) String() string {
 		s += " durable"
 	}
 	return s + ";"
+}
+
+// ParamDecl declares a named constant of one program: `param name:
+// type = default;`. The parser replaces every later reference to it (a
+// bare lowercase identifier in an expression or as a periodic's
+// interval) with a ConstExpr holding Value, so the compiler never sees
+// the name.
+type ParamDecl struct {
+	Name  string
+	Type  Kind
+	Value Value // the default, or the install-time override
+	Line  int
+	Col   int
 }
 
 // PeriodicDecl declares a periodic event source: the runtime injects a

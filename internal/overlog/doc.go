@@ -11,6 +11,23 @@
 //
 //	program boomfs_master;
 //
+// # Params
+//
+// A param is a named constant of one program, declared before its
+// first use with a type (int, float, string or bool) and a default:
+//
+//	param repl: int = 3;
+//	periodic fd_tick interval fd_ms;
+//	rr1 repl_cmd(@S, C, T) :- fd_tick(_, _), chunk_repl(C, N, _), N < repl, ...;
+//
+// A reference is a bare lowercase identifier in an expression, or a
+// periodic's interval. The parser replaces it with the constant, so a
+// program's plans are those of the same text with the value written in
+// place (inside a string, concatenate: "floor " + tostr(repl)).
+// Runtime.InstallSource takes overrides by name; an override naming no
+// param, of another type, or making an interval non-positive is an
+// InstallError.
+//
 // # Tables and events
 //
 // Relations are declared with typed columns. Persistent tables may
@@ -134,9 +151,10 @@
 // # Periodics and watches
 //
 // `periodic name interval N;` declares an event source firing every N
-// milliseconds (tuples (Ord, Time) into the auto-declared event table
-// `name`). `watch(table)` or `watch(table, "i")` streams that table's
-// inserts ("i") and/or deletes ("d") to registered Go watchers.
+// milliseconds, N an integer or an int param (tuples (Ord, Time) into
+// the auto-declared event table `name`). `watch(table)` or
+// `watch(table, "i")` streams that table's inserts ("i") and/or deletes
+// ("d") to registered Go watchers.
 //
 // # Metaprogramming
 //

@@ -2,6 +2,8 @@ package overlog_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,5 +55,32 @@ func FuzzRestoreSnapshot(f *testing.F) {
 				t.Fatalf("%s after a second round trip:\n%s\nwant\n%s", name, got, want)
 			}
 		}
+	})
+}
+
+// FuzzParse feeds the parser mutations of every shipped .olg file
+// (globbed from the repository, so no copies are checked in). Parse
+// must not panic, and a program it accepts must install on a fresh
+// runtime or be refused with an error, never a panic.
+func FuzzParse(f *testing.F) {
+	for _, pattern := range []string{"../*/*.olg", "../../examples/*/*.olg"} {
+		files, err := filepath.Glob(pattern)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(src))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := overlog.Parse(src)
+		if err != nil {
+			return
+		}
+		_ = overlog.NewRuntime("n:0").Install(prog)
 	})
 }

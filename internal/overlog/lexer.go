@@ -40,6 +40,7 @@ const (
 	tokSlash    // /
 	tokPercent  // %
 	tokDoubleColon
+	tokEquals // = (only after `param name: type`)
 )
 
 func (k tokenKind) String() string {
@@ -102,6 +103,8 @@ func (k tokenKind) String() string {
 		return "'%'"
 	case tokDoubleColon:
 		return "'::'"
+	case tokEquals:
+		return "'='"
 	}
 	return "token"
 }
@@ -338,7 +341,7 @@ func (l *lexer) next() (token, error) {
 			l.advance()
 			tok.kind = tokEQ
 		} else {
-			return tok, &SyntaxError{Line: tok.line, Col: tok.col, Msg: "unexpected '='; use '==' for comparison or ':=' for assignment"}
+			tok.kind = tokEquals
 		}
 	case '!':
 		if l.peekByte() == '=' {
@@ -439,6 +442,14 @@ func (l *lexer) lexString(tok token) (token, error) {
 	}
 }
 
+// paramDefaultNext reports whether toks end in `param name: type`, the
+// one place a lone '=' is a token.
+func paramDefaultNext(toks []token) bool {
+	n := len(toks)
+	return n >= 4 && toks[n-4].kind == tokIdent && toks[n-4].text == "param" &&
+		toks[n-3].kind == tokIdent && toks[n-2].kind == tokColon && toks[n-1].kind == tokIdent
+}
+
 // lexAll scans the whole source, returning the token stream and any
 // lint pragmas found in comments.
 func lexAll(src string) ([]token, []Pragma, error) {
@@ -448,6 +459,9 @@ func lexAll(src string) ([]token, []Pragma, error) {
 		t, err := l.next()
 		if err != nil {
 			return nil, nil, err
+		}
+		if t.kind == tokEquals && !paramDefaultNext(toks) {
+			return nil, nil, &SyntaxError{Line: t.line, Col: t.col, Msg: "unexpected '='; use '==' for comparison or ':=' for assignment"}
 		}
 		toks = append(toks, t)
 		if t.kind == tokEOF {

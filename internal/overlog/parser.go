@@ -4,37 +4,45 @@ import (
 	"fmt"
 )
 
-// Parse parses Overlog source text into a Program. It performs purely
-// syntactic checks; installation into a Runtime performs the semantic
-// ones (declared tables, arity, safety, stratification).
-func Parse(src string) (*Program, error) {
+// Parse parses Overlog source text into a Program, with every param
+// at its declared default. It performs purely syntactic checks;
+// installation into a Runtime performs the semantic ones (declared
+// tables, arity, safety, stratification).
+func Parse(src string) (*Program, error) { return parse(src, nil) }
+
+// Param overrides a program's param by name (Runtime.InstallSource).
+type Param struct {
+	Name  string
+	Value Value
+}
+
+// parse is Parse with overrides. An override naming no param of the
+// program, or of another kind than its param, is an InstallError.
+func parse(src string, overrides []Param) (*Program, error) {
 	toks, pragmas, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, overrides: overrides, params: map[string]*ParamDecl{}}
 	prog, err := p.parseProgram()
 	if err != nil {
 		return nil, err
+	}
+	for _, o := range overrides {
+		if p.params[o.Name] == nil {
+			return nil, &InstallError{Program: prog.Name, Msg: fmt.Sprintf("unknown param %q", o.Name)}
+		}
 	}
 	prog.Pragmas = pragmas
 	return prog, nil
 }
 
-// MustParse parses source text and panics on error. Intended for
-// embedded rule sets shipped inside this repository, where a parse
-// failure is a programming error.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type parser struct {
-	toks []token
-	pos  int
+	toks      []token
+	pos       int
+	prog      string                // program name, for InstallErrors
+	overrides []Param               // install-time param values
+	params    map[string]*ParamDecl // params declared so far
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -79,12 +87,19 @@ func (p *parser) parseProgram() (*Program, error) {
 			return nil, err
 		}
 		prog.Name = name.text
+		p.prog = name.text
 		if _, err := p.expect(tokSemi, "program header"); err != nil {
 			return nil, err
 		}
 	}
 	for p.cur().kind != tokEOF {
 		switch {
+		case p.isKeyword("param") && p.peek().kind == tokIdent:
+			d, err := p.parseParamDecl()
+			if err != nil {
+				return nil, err
+			}
+			prog.Params = append(prog.Params, d)
 		case p.isKeyword("table"):
 			d, err := p.parseTableDecl(false)
 			if err != nil {
@@ -116,6 +131,55 @@ func (p *parser) parseProgram() (*Program, error) {
 		}
 	}
 	return prog, nil
+}
+
+// parseParamDecl parses `param name: type = literal;`, a constant of
+// type int, float, string or bool (the literal may name an earlier
+// param). Its value is the literal unless an override names it.
+func (p *parser) parseParamDecl() (*ParamDecl, error) {
+	kw := p.advance()
+	name := p.advance()
+	if p.params[name.text] != nil {
+		return nil, p.errf(name, "param %s declared twice", name.text)
+	}
+	if _, err := p.expect(tokColon, "param declaration"); err != nil {
+		return nil, err
+	}
+	tname, err := p.expect(tokIdent, "param type")
+	if err != nil {
+		return nil, err
+	}
+	kind, _ := KindByName(tname.text)
+	if kind != KindInt && kind != KindFloat && kind != KindString && kind != KindBool {
+		return nil, p.errf(tname, "param type must be int, float, string, or bool, found %s", tname)
+	}
+	if _, err := p.expect(tokEquals, "param declaration"); err != nil {
+		return nil, err
+	}
+	lit, err := p.parsePrimary()
+	if err != nil {
+		return nil, err
+	}
+	val, ok := lit.(*ConstExpr)
+	if !ok || val.Val.Kind() != kind {
+		return nil, p.errf(tname, "param %s: default must be a %s literal", name.text, kind)
+	}
+	d := &ParamDecl{Name: name.text, Type: kind, Value: val.Val, Line: kw.line, Col: kw.col}
+	for _, o := range p.overrides {
+		if o.Name != d.Name {
+			continue
+		}
+		if o.Value.Kind() != kind {
+			return nil, &InstallError{Program: p.prog, Line: d.Line,
+				Msg: fmt.Sprintf("param %s is %s, override is %s", d.Name, kind, o.Value.Kind())}
+		}
+		d.Value = o.Value
+	}
+	if _, err := p.expect(tokSemi, "param declaration"); err != nil {
+		return nil, err
+	}
+	p.params[d.Name] = d
+	return d, nil
 }
 
 // parseTableDecl parses "table name(Col: type, ...) keys(0, 1) durable;"
@@ -211,17 +275,23 @@ func (p *parser) parsePeriodicDecl() (*PeriodicDecl, error) {
 		return nil, p.errf(p.cur(), "expected 'interval' in periodic declaration")
 	}
 	p.advance()
-	iv, err := p.expect(tokInt, "periodic interval")
-	if err != nil {
-		return nil, err
-	}
-	if iv.ival <= 0 {
+	iv := p.advance()
+	ms := iv.ival
+	switch pd := p.params[iv.text]; {
+	case iv.kind == tokIdent && pd != nil && pd.Type == KindInt:
+		if ms = pd.Value.AsInt(); ms <= 0 {
+			return nil, &InstallError{Program: p.prog, Line: iv.line,
+				Msg: fmt.Sprintf("param %s: periodic %s interval must be positive, got %d", pd.Name, name.text, ms)}
+		}
+	case iv.kind != tokInt:
+		return nil, p.errf(iv, "expected integer or int param in periodic interval, found %s", iv)
+	case ms <= 0:
 		return nil, p.errf(iv, "periodic interval must be positive milliseconds")
 	}
 	if _, err := p.expect(tokSemi, "periodic declaration"); err != nil {
 		return nil, err
 	}
-	return &PeriodicDecl{Table: name.text, IntervalMS: iv.ival, Line: kw.line, Col: kw.col}, nil
+	return &PeriodicDecl{Table: name.text, IntervalMS: ms, Line: kw.line, Col: kw.col}, nil
 }
 
 // parseWatchDecl parses `watch(table);` or `watch(table, "id");`.
@@ -650,7 +720,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return ce, nil
 		}
-		return nil, p.errf(t, "unexpected identifier %q in expression (variables are capitalized)", t.text)
+		if d := p.params[t.text]; d != nil {
+			p.advance()
+			return &ConstExpr{Val: d.Value}, nil
+		}
+		return nil, p.errf(t, "unexpected identifier %q in expression (variables are capitalized; params are declared before use)", t.text)
 	}
 	return nil, p.errf(t, "unexpected %s in expression", t)
 }

@@ -365,3 +365,101 @@ func TestErrorPositions(t *testing.T) {
 		})
 	}
 }
+
+// paramSrc declares one param of each kind and references each: in a
+// periodic interval, in a condition and in a string concatenation.
+const paramSrc = `
+	program knobs;
+	param tick: int = 50;
+	param frac: float = 0.5;
+	param tag: string = "t";
+	param on: bool = true;
+	param low: int = tick;
+	periodic beat interval tick;
+	table out(N: int, S: string, B: bool) keys(0);
+	r1 out(N, S, on) :- beat(N, _), N < low, tofloat(N) * frac < tofloat(tick),
+	        S := tag + tostr(tick);
+`
+
+func TestParseParam(t *testing.T) {
+	prog, err := Parse(paramSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Params) != 5 || prog.Params[0].Name != "tick" || prog.Params[0].Type != KindInt {
+		t.Fatalf("params: %+v", prog.Params)
+	}
+	if got := prog.Params[4].Value; got != Int(50) {
+		t.Errorf("a default naming an earlier param: %v", got)
+	}
+	if prog.Periodics[0].IntervalMS != 50 {
+		t.Errorf("interval: %d", prog.Periodics[0].IntervalMS)
+	}
+	// References are constants: the rule reads as if the defaults had
+	// been written in place.
+	want := `r1 out(N, S, true) :- beat(N, _), (N < 50), ((tofloat(N) * 0.5) < tofloat(50)), S := ("t" + tostr(50));`
+	if got := prog.Rules[0].String(); got != want {
+		t.Errorf("rule:\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestParseParamErrors(t *testing.T) {
+	cases := map[string]string{
+		"program p; param n: int = 1; param n: int = 2;":             "declared twice",
+		"program p; param n: list = 1;":                              "param type",
+		"program p; param n: int = 1.5;":                             "default must be a int literal",
+		"program p; param n: string = 1;":                            "default must be a string literal",
+		"program p; table t(A: int); r t(A) :- t(A), A > n;":         "params are declared before use",
+		"program p; param n: int = 0; periodic x interval n;":        "must be positive",
+		"program p; param s: string = \"a\"; periodic x interval s;": "expected integer or int param",
+	}
+	for src, want := range cases {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want error containing %q", src, err, want)
+		}
+	}
+}
+
+// TestInstallParamOverrides covers the install entry point: a default,
+// an override, and the three ways an override is refused, each an
+// InstallError naming the program and the param.
+func TestInstallParamOverrides(t *testing.T) {
+	interval := func(params ...Param) (int64, error) {
+		rt := NewRuntime("n")
+		if err := rt.InstallSource(paramSrc, params...); err != nil {
+			return 0, err
+		}
+		return rt.period[0].decl.IntervalMS, nil
+	}
+	if ms, err := interval(); err != nil || ms != 50 {
+		t.Fatalf("default: %d, %v", ms, err)
+	}
+	if ms, err := interval(Param{"tick", Int(20)}, Param{"tag", Str("u")}); err != nil || ms != 20 {
+		t.Fatalf("override: %d, %v", ms, err)
+	}
+	for _, c := range []struct {
+		p    Param
+		want string
+	}{
+		{Param{"tock", Int(20)}, `unknown param "tock"`},
+		{Param{"frac", Int(1)}, "param frac is float, override is int"},
+		{Param{"tick", Int(0)}, "param tick: periodic beat interval must be positive"},
+	} {
+		_, err := interval(c.p)
+		ie, ok := err.(*InstallError)
+		if !ok || ie.Program != "knobs" || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("override %+v: %v, want an InstallError of knobs containing %q", c.p, err, c.want)
+		}
+	}
+	// An override reaches every reference, not just the periodic.
+	rt := NewRuntime("n")
+	if err := rt.InstallSource(paramSrc, Param{"tag", Str("u")}, Param{"on", Bool(false)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Step(50, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Table("out").Dump(); !strings.Contains(got, `"u50"`) || !strings.Contains(got, "false") {
+		t.Errorf("out after one beat: %s", got)
+	}
+}

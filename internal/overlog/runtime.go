@@ -506,9 +506,10 @@ func (r *Runtime) Install(prog *Program) error {
 	return nil
 }
 
-// InstallSource parses and installs Overlog source text.
-func (r *Runtime) InstallSource(src string) error {
-	prog, err := Parse(src)
+// InstallSource parses and installs Overlog source text, with params
+// overridden by name; the rest keep their declared defaults.
+func (r *Runtime) InstallSource(src string, params ...Param) error {
+	prog, err := parse(src, params)
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,7 @@ func (h *host) cursor() int64 {
 // that land in a single step, and a crash-restart mid-stream.
 func TestApplyOncePerIDInSlotOrder(t *testing.T) {
 	h := &host{}
-	if err := h.install(overlog.NewRuntime("r:0"), Rules+seed); err != nil {
+	if err := h.install(overlog.NewRuntime("r:0"), rules+seed); err != nil {
 		t.Fatal(err)
 	}
 	// Slots 2, 3 and 5 arrive before slot 0: nothing may apply.
@@ -102,7 +102,7 @@ func TestApplyOncePerIDInSlotOrder(t *testing.T) {
 		t.Fatalf("cursor %d before the crash, want 1", at)
 	}
 	err := overlog.Restart(h.rt, overlog.NewRuntime("r:0"), func(fresh *overlog.Runtime) error {
-		return h.install(fresh, Rules)
+		return h.install(fresh, rules)
 	})
 	if err != nil {
 		t.Fatal(err)
