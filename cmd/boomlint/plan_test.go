@@ -38,16 +38,16 @@ var planExceptions = map[string]string{
 var aggregatePlans = map[string]string{
 	"boommr_jt/jc1": "per-group (seeded on J; atoms carrying the group: task)",
 	"boommr_jt/md1": "per-group (seeded on J; atoms carrying the group: task)",
-	// The second task atom ranks against every pending task: any change
-	// to task can move any rank.
-	"boommr_jt/pm1": "whole-rule: every input has an atom without the group",
-	"boommr_jt/pr1": "whole-rule: every input has an atom without the group",
-	// A tracker's slots or liveness can move every other tracker's rank.
-	"boommr_jt/fm1":           "whole-rule: every input has an atom without the group",
-	"boommr_jt/fc1":           "whole-rule: constant group",
-	"boommr_jt/fr1":           "whole-rule: every input has an atom without the group",
-	"boommr_jt/fc2":           "whole-rule: constant group",
-	"boommr_policy_fair/js1":  "per-group (seeded on J; atoms carrying the group: task)",
+	// A pending task's rank is its place in one sorted list per kind,
+	// one row that any change to task rebuilds.
+	"boommr_jt/pm1": "whole-rule: constant group",
+	"boommr_jt/pr1": "whole-rule: constant group",
+	// Likewise a free tracker's, in a list that any change to a
+	// tracker's slots or liveness rebuilds.
+	"boommr_jt/fm1":          "whole-rule: constant group",
+	"boommr_jt/fr1":          "whole-rule: constant group",
+	"boommr_policy_fair/js1": "per-group (seeded on J; atoms carrying the group: task)",
+	// FAIR's order is a sorted list of the tick's fair_key events.
 	"boommr_policy_fair/far1": "whole-rule: event input fair_key",
 	"boommr_policy_late/ar1":  "per-group (seeded on J; atoms carrying the group: attempt_rate)",
 	"boommr_policy_late/ao1":  "per-group (seeded on J, T; atoms carrying the group: attempt)",

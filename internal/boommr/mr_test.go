@@ -156,15 +156,15 @@ func TestTrackerDeathReassignsTasks(t *testing.T) {
 }
 
 // TestDeadTrackersHoldNoFreeSlots: once every tracker has been silent
-// past TrackerTTL, no free slot is left to count. The slot counts are
+// past TrackerTTL, no free slot is left to list. The free lists are
 // views over tracker_live, which the scheduling tick expires; an
 // aggregate that compared heartbeat stamps with now() itself would keep
 // its last count until some tracker row changed again.
 func TestDeadTrackersHoldNoFreeSlots(t *testing.T) {
 	cfg := DefaultMRConfig()
 	c, jt, tts, _ := testMR(t, 2, FIFO, cfg)
-	if n := jt.Runtime().Table("free_map_cnt").Len(); n != 1 {
-		t.Fatalf("free_map_cnt has %d rows before the kill, want 1", n)
+	if n := jt.Runtime().Table("free_maps").Len(); n != 1 {
+		t.Fatalf("free_maps has %d rows before the kill, want 1", n)
 	}
 	for _, tt := range tts {
 		c.Kill(tt.Addr)
@@ -172,7 +172,7 @@ func TestDeadTrackersHoldNoFreeSlots(t *testing.T) {
 	if err := c.Run(c.Now() + cfg.TrackerTTL + 3*cfg.SchedTickMS); err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range []string{"free_map_cnt", "free_red_cnt", "free_map_rank", "free_red_rank"} {
+	for _, tbl := range []string{"free_maps", "free_reds"} {
 		if rows := jt.Runtime().Table(tbl).Tuples(); len(rows) != 0 {
 			t.Errorf("%s with every tracker dead: %v", tbl, rows)
 		}

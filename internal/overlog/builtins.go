@@ -235,6 +235,19 @@ func init() {
 			}
 			return l[i], nil
 		}})
+	registerBuiltin(&Builtin{Name: "indexof", MinArgs: 2, MaxArgs: 2,
+		Doc: "indexof(l, v) returns the 0-based position of v in list l, or -1",
+		Fn: func(_ EvalEnv, args []Value) (Value, error) {
+			if args[0].Kind() != KindList {
+				return NilValue, argErr("indexof", "list", args[0])
+			}
+			for i, e := range args[0].AsList() {
+				if e.Equal(args[1]) {
+					return Int(int64(i)), nil
+				}
+			}
+			return Int(-1), nil
+		}})
 	registerBuiltin(&Builtin{Name: "member", MinArgs: 2, MaxArgs: 2,
 		Doc: "member(l, v) reports whether v occurs in list l",
 		Fn: func(_ EvalEnv, args []Value) (Value, error) {
@@ -457,7 +470,7 @@ func init() {
 		"dirname": KindString, "basename": KindString, "pathjoin": KindString,
 		"strjoin": KindString, "unique": KindString,
 		"toint": KindInt, "strlen": KindInt, "hash": KindInt, "hashmod": KindInt,
-		"size": KindInt, "now": KindInt, "nextid": KindInt, "random": KindInt,
+		"size": KindInt, "indexof": KindInt, "now": KindInt, "nextid": KindInt, "random": KindInt,
 		"tofloat": KindFloat,
 		"toaddr":  KindAddr, "localaddr": KindAddr,
 		"startswith": KindBool, "endswith": KindBool, "member": KindBool,

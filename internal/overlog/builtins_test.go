@@ -106,6 +106,15 @@ func TestListBuiltins(t *testing.T) {
 	if _, err := evalBuiltin(t, "nth", l, Int(9)); err == nil {
 		t.Error("nth out of range")
 	}
+	if mustEval(t, "indexof", l, Int(3)).AsInt() != 2 {
+		t.Error("indexof found")
+	}
+	if mustEval(t, "indexof", l, Int(7)).AsInt() != -1 {
+		t.Error("indexof absent")
+	}
+	if _, err := evalBuiltin(t, "indexof", Int(1), Int(1)); err == nil {
+		t.Error("indexof of a non-list")
+	}
 	if mustEval(t, "ltail", l).String() != "[2, 3]" {
 		t.Error("ltail")
 	}

@@ -1020,8 +1020,8 @@ func groupAtomOf(tbl *Table, nvars int, cols []int, exprs []cexpr) groupAtom {
 //     input, there is no "unchanged rest");
 //   - no expression reads the clock or the node or is impure: such a
 //     rule is re-read for every group whenever any input row changes,
-//     which is for instance the only thing that ever expires a silent
-//     tracker from boommr's free_map_rank;
+//     and then only (so boommr's free_maps reads tracker_live, which a
+//     periodic rule expires, rather than compare stamps with now());
 //   - every group column is a variable or a constant, and at least one
 //     is a variable (one constant group is the whole rule);
 //   - some table's atoms all carry every group variable, so that a

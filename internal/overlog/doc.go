@@ -73,6 +73,25 @@
 //     including zero-argument calls (now() - T > 500)
 //   - assignments: Var := expr, binding a fresh variable once
 //
+// # Builtins
+//
+// Expressions call builtins by name; LookupBuiltin returns each one
+// with a one-line Doc. Strings and conversions: concat, tostr, toint,
+// tofloat, toaddr, strlen, substr, split, startswith, endswith,
+// strjoin. Paths: dirname, basename, pathjoin. Numbers and logic:
+// minv, maxv, ifelse, and, or, not, hash, hashmod. Lists: size(l),
+// nth(l, i) (0-based), indexof(l, v) (the 0-based position of v, or -1
+// when absent), member, lappend, lconcat, ltail, ldiff, lsort, pickk.
+// The node and its clock: now, localaddr, nextid, unique, random.
+//
+// A setof aggregate (below) with nth and indexof pairs the i-th element
+// of one sorted list with the i-th of another, as BOOM-MR's FIFO
+// scheduler pairs free trackers with pending tasks:
+//
+//	cm1 cand_map(Tr, J, T) :- sched_tick(_, _), pending_maps("m", PL), free_maps("m", FL),
+//	        tracker_live(Tr, Up), Up == true, I := indexof(FL, Tr), I >= 0, I < size(PL),
+//	        K := nth(PL, I), J := K / 1000000, T := K % 1000000, task(J, T, "map", "pending");
+//
 // # Location specifiers
 //
 // Prefixing an argument with @ marks the tuple's location. A derived
