@@ -38,6 +38,7 @@ import (
 	"repro/internal/boommr"
 	"repro/internal/membership"
 	"repro/internal/overlog"
+	"repro/internal/overlog/analysis"
 	"repro/internal/programs"
 	"repro/internal/repl"
 	"repro/internal/rtfs"
@@ -456,6 +457,7 @@ func runOlg(args []string) error {
 	rt.RegisterWatcher(func(ev overlog.WatchEvent) {
 		fmt.Println(ev)
 	})
+	var progs []*overlog.Program
 	for _, file := range fs.Args() {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -465,14 +467,13 @@ func runOlg(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *analyze {
-			fmt.Print(overlog.AnalyzeCALM(prog).Report())
-		}
 		if err := rt.Install(prog); err != nil {
 			return err
 		}
+		progs = append(progs, prog)
 	}
 	if *analyze {
+		fmt.Print(analysis.CALM(progs))
 		fmt.Println("\nstrata:")
 		fmt.Print(rt.ExplainAll())
 		return nil

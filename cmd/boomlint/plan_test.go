@@ -71,6 +71,18 @@ var aggregatePlans = map[string]string{
 	// Views of a handful of member rows, re-read when one changes.
 	"membership/lv1": "whole-rule: calls localaddr()",
 	"membership/lv2": "whole-rule: constant group",
+
+	// boomlint's own passes: the least row, or the set of rows, per group
+	// of facts, all inserted in one step.
+	"analysis/df6": "per-group (seeded on R; atoms carrying the group: dry)",
+	"analysis/dl1": "per-group (seeded on G, N; atoms carrying the group: label)",
+	"analysis/dl3": "per-group (seeded on R; atoms carrying the group: relabel)",
+	"analysis/pr9": "per-group (seeded on R; atoms carrying the group: persists)",
+	"analysis/nm6": "per-group (seeded on R; atoms carrying the group: why)",
+	"analysis/co3": "per-group (seeded on T; atoms carrying the group: sends, ordered)",
+	// The taint search's layers: one step's candidates, chosen from.
+	"analysis/co6": "whole-rule: event input reach",
+	"analysis/co7": "whole-rule: deferred head",
 }
 
 // TestEveryAggregateHasItsPlan holds every aggregate rule of every unit

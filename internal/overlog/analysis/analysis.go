@@ -3,9 +3,13 @@
 // (arity, safety, stratification), this package finds the silent bug
 // classes — dead rules, write-only tables, singleton variables,
 // cross-rule type conflicts, events persisted without a guard, un-acked
-// remote sends — and reports them as structured diagnostics that can be
-// rendered as text, JSON, or materialized into the sys::lint relation
-// (the paper's metaprogramming story: the program analyzing itself).
+// remote sends, non-monotone consumers of async data — and reports
+// them as structured diagnostics that can be rendered as text, JSON,
+// or materialized into the sys::lint relation.
+//
+// The passes are themselves Overlog: analysis.olg is a query over the
+// unit's programs rendered as relations (model.go), and its finding
+// relation holds the results. Only the type pass (types.go) is Go.
 //
 // The analysis unit is a *set* of programs linted together: a protocol
 // declaration block plus every role's rules, so that a table written on
@@ -17,16 +21,33 @@
 //	//lint:export resp_log read_log  (read by Go code)
 //	//lint:ignore singleton-var      (suppress a lint code)
 //	//lint:ordered vote per-acceptor sequencing   (network delivery into
-//	                                 vote is ordered; see coord.go)
+//	                                 vote is ordered: a Blazes seal)
 package analysis
 
 import (
+	"embed"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/overlog"
 )
+
+// Files holds analysis.olg for the program registry.
+//
+//go:embed analysis.olg
+var Files embed.FS
+
+// Source is analysis.olg, the passes as rules.
+//
+//go:embed analysis.olg
+var Source string
+
+// LintUnits declares the analyzer's own lint unit.
+func LintUnits() []Unit {
+	return []Unit{{Name: "analysis", Groups: map[string][]string{"lint": {Source}}}}
+}
 
 // Severity orders lint findings; the CLI gate compares against it.
 type Severity uint8
@@ -103,55 +124,9 @@ type Options struct {
 	Exports map[string]bool
 	Ignore  map[string]bool // lint codes to drop
 	// AssumeExternalEvents treats every event table as both fed and
-	// consumed externally. Used when linting a single node's catalog,
-	// where the peers that complete each protocol are not visible.
+	// exported. Used when linting a single node's catalog, where the
+	// peers that complete each protocol are not visible.
 	AssumeExternalEvents bool
-	// NoLabelCheck suppresses the duplicate-label pass. Run sets it
-	// when analyzing a multi-role union, where labels only collide
-	// within a co-installed group; it then checks each group itself.
-	NoLabelCheck bool
-}
-
-func (o *Options) feed(t string) bool   { return o.Feeds[t] }
-func (o *Options) export(t string) bool { return o.Exports[t] }
-
-// withPragmas returns a copy of o extended with the //lint: pragmas
-// carried by the programs.
-func (o Options) withPragmas(progs []*overlog.Program) Options {
-	out := Options{
-		Feeds:                cloneSet(o.Feeds),
-		Exports:              cloneSet(o.Exports),
-		Ignore:               cloneSet(o.Ignore),
-		AssumeExternalEvents: o.AssumeExternalEvents,
-		NoLabelCheck:         o.NoLabelCheck,
-	}
-	for _, p := range progs {
-		for _, pr := range p.Pragmas {
-			switch pr.Key {
-			case "feed":
-				for _, t := range pr.Args {
-					out.Feeds[t] = true
-				}
-			case "export":
-				for _, t := range pr.Args {
-					out.Exports[t] = true
-				}
-			case "ignore":
-				for _, c := range pr.Args {
-					out.Ignore[c] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-func cloneSet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // Lint codes, grouped by pass.
@@ -219,48 +194,101 @@ func Codes() []string {
 	return out
 }
 
-// Analyze runs every pass over a set of programs linted as one unit.
-func Analyze(unit string, progs []*overlog.Program, opts Options) []Diagnostic {
-	opts = opts.withPragmas(progs)
-	m := buildModel(unit, progs, opts)
-	var ds []Diagnostic
-	ds = append(ds, dataflowLints(m)...)
-	if !opts.NoLabelCheck {
-		// A bare Analyze call sees one co-installed program set (a live
-		// catalog, a set of files), so labels must be unique across it.
-		ds = append(ds, duplicateLabels(unit, progs)...)
+// rules is analysis.olg, parsed once; each Analyze installs it on a
+// fresh runtime.
+var rules = sync.OnceValue(func() *overlog.Program {
+	p, err := overlog.Parse(Source)
+	if err != nil {
+		panic("analysis.olg: " + err.Error())
 	}
-	ds = append(ds, typeLints(m)...)
-	ds = append(ds, varLints(m)...)
-	ds = append(ds, protocolLints(m)...)
-	ds = append(ds, coordLints(m)...)
-	out := ds[:0]
-	for _, d := range ds {
-		if !opts.Ignore[d.Code] {
-			out = append(out, d)
+	return p
+})
+
+// Analyze runs every pass over a set of programs linted as one unit,
+// co-installed on one runtime.
+func Analyze(unit string, progs []*overlog.Program, opts Options) []Diagnostic {
+	all := make([]int, len(progs))
+	for i := range all {
+		all[i] = i
+	}
+	return analyze(unit, progs, [][]int{all}, opts)
+}
+
+// analyze evaluates analysis.olg over the unit's facts, one step per
+// layer of the coordination pass's breadth-first taint, and reads the
+// finding relation back alongside the type pass's findings.
+func analyze(unit string, progs []*overlog.Program, groups [][]int, opts Options) []Diagnostic {
+	m := buildModel(unit, progs)
+	rt := overlog.NewRuntime("lint:" + unit)
+	if err := rt.Install(rules()); err != nil {
+		panic("analysis.olg: " + err.Error())
+	}
+	step := func(in []overlog.Tuple) {
+		if _, err := rt.Step(rt.NowMS()+1, in); err != nil {
+			panic("analysis.olg: " + err.Error())
 		}
 	}
-	Sort(out)
-	return out
+	// The first step stores the facts. Each later one stores a layer of
+	// the coordination pass's breadth-first taint, derived the step
+	// before, and the first that stores none ends the search.
+	in, ignore := m.facts(progs, groups, opts)
+	step(in)
+	for n, taint := -1, rt.Table("taint"); n < taint.Len(); {
+		n = taint.Len()
+		step(nil)
+	}
+	var ds []Diagnostic
+	for _, d := range typeLints(m) {
+		if !ignore[d.Code] {
+			ds = append(ds, d)
+		}
+	}
+	for _, tp := range rt.Table("finding").Tuples() {
+		if v := tp.Vals; !ignore[v[0].AsString()] {
+			ds = append(ds, finish(Diagnostic{
+				Code: v[0].AsString(), Unit: unit, Program: v[1].AsString(), Rule: v[2].AsString(),
+				Subject: v[3].AsString(), Line: int(v[4].AsInt()), Col: int(v[5].AsInt()), Msg: v[6].AsString(),
+			}))
+		}
+	}
+	Sort(ds)
+	return ds
 }
 
 // AnalyzeSource parses each source text and lints them together as one
 // unit. Parse failures become diagnostics rather than errors so that a
 // CLI run over many files reports everything it can.
 func AnalyzeSource(unit string, sources []string, opts Options) []Diagnostic {
+	progs, ds, _ := parseAll(unit, sources)
+	ds = append(ds, Analyze(unit, progs, opts)...)
+	Sort(ds)
+	return ds
+}
+
+// parsed is one source's parse: its program and index among the
+// programs that parsed, or the error.
+type parsed struct {
+	prog *overlog.Program
+	at   int
+	err  error
+}
+
+// parseAll parses each source once, returning the programs that parse,
+// a diagnostic per one that does not, and every source's result.
+func parseAll(unit string, sources []string) ([]*overlog.Program, []Diagnostic, map[string]parsed) {
 	var progs []*overlog.Program
 	var ds []Diagnostic
+	results := map[string]parsed{}
 	for i, src := range sources {
 		p, err := overlog.Parse(src)
+		results[src] = parsed{prog: p, at: len(progs), err: err}
 		if err != nil {
 			ds = append(ds, syntaxDiag(unit, fmt.Sprintf("source#%d", i+1), err))
 			continue
 		}
 		progs = append(progs, p)
 	}
-	ds = append(ds, Analyze(unit, progs, opts)...)
-	Sort(ds)
-	return ds
+	return progs, ds, results
 }
 
 // InstallCheck runs the compiler's semantic checks (declared tables,
@@ -270,16 +298,26 @@ func AnalyzeSource(unit string, sources []string, opts Options) []Diagnostic {
 // different roles may not be co-installable (and never are in
 // production).
 func InstallCheck(unit string, groups map[string][]string) []Diagnostic {
+	return installCheck(unit, groups, map[string]parsed{})
+}
+
+// installCheck is InstallCheck over sources parsed once: results holds
+// the sources already parsed, and gains the rest.
+func installCheck(unit string, groups map[string][]string, results map[string]parsed) []Diagnostic {
 	var ds []Diagnostic
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(groups) {
 		rt := overlog.NewRuntime("lint:" + name)
 		for _, src := range groups[name] {
-			if err := rt.InstallSource(src); err != nil {
+			r, ok := results[src]
+			if !ok {
+				r.prog, r.err = overlog.Parse(src)
+				results[src] = r
+			}
+			err := r.err
+			if err == nil {
+				err = rt.Install(r.prog)
+			}
+			if err != nil {
 				ds = append(ds, installDiag(unit, name, err))
 			}
 		}

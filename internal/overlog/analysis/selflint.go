@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/overlog"
 )
 
@@ -25,4 +28,32 @@ func SelfLint(rt *overlog.Runtime) []Diagnostic {
 		}
 	}
 	return ds
+}
+
+// CALM renders the CALM classification of programs linted as one unit,
+// as `boom olg -analyze` and the REPL's .analyze print it: the share
+// of monotone rules, and each point-of-order finding, a rule that needs
+// coordination for consistency.
+func CALM(progs []*overlog.Program) string {
+	rules := 0
+	for _, p := range progs {
+		rules += len(p.Rules)
+	}
+	var poo []Diagnostic
+	for _, d := range Analyze("calm", progs, Options{}) {
+		if d.Code == CodePointOfOrder {
+			poo = append(poo, d)
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "CALM analysis: %d rules, %d monotone\n", rules, rules-len(poo))
+	if len(poo) == 0 {
+		b.WriteString("program is monotone: eventually consistent without coordination\n")
+		return b.String()
+	}
+	b.WriteString("points of order (coordination needed):\n")
+	for _, d := range poo {
+		fmt.Fprintf(&b, "  %-12s -> %-16s %s\n", d.Rule, d.Subject, d.Msg)
+	}
+	return b.String()
 }

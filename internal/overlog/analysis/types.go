@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/overlog"
 )
@@ -100,7 +101,7 @@ func typeLints(m *model) []Diagnostic {
 	sort.Strings(tables)
 	for _, t := range tables {
 		d := m.decls[t]
-		if d.Event || len(d.KeyCols) == 0 || isSys(t) {
+		if d.Event || len(d.KeyCols) == 0 || strings.HasPrefix(t, "sys::") {
 			continue
 		}
 		distinct := map[int]bool{}

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/overlog"
-)
+import "sort"
 
 // Unit is a named set of Overlog sources linted as one whole program.
 // Groups partition the sources by node role: every group's programs
@@ -20,14 +16,9 @@ type Unit struct {
 // stable (group-name, position) order. Shared sources — the protocol
 // declarations every role installs — appear once.
 func (u Unit) AllSources() []string {
-	names := make([]string, 0, len(u.Groups))
-	for n := range u.Groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	seen := map[string]bool{}
 	var out []string
-	for _, n := range names {
+	for _, n := range sortedKeys(u.Groups) {
 		for _, src := range u.Groups[n] {
 			if seen[src] {
 				continue
@@ -39,38 +30,34 @@ func (u Unit) AllSources() []string {
 	return out
 }
 
-// Run lints a unit: the semantic install check per group, every static
-// pass over the merged sources, and a per-group duplicate-label check
-// (labels collide only within one runtime, so the union analysis
-// skips that pass).
-func Run(u Unit, opts Options) []Diagnostic {
-	ds := InstallCheck(u.Name, u.Groups)
-	opts.NoLabelCheck = true
-	ds = append(ds, AnalyzeSource(u.Name, u.AllSources(), opts)...)
-
-	names := make([]string, 0, len(u.Groups))
-	for n := range u.Groups {
+// sortedKeys returns the group names in order.
+func sortedKeys(groups map[string][]string) []string {
+	names := make([]string, 0, len(groups))
+	for n := range groups {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	seen := map[string]bool{}
-	for _, n := range names {
-		var progs []*overlog.Program
+	return names
+}
+
+// Run lints a unit: the semantic install check per group, and every
+// static pass over the merged sources, with labels checked for
+// collisions within each group (rules on different roles never share
+// a runtime).
+func Run(u Unit, opts Options) []Diagnostic {
+	progs, ds, results := parseAll(u.Name, u.AllSources())
+	ds = append(ds, installCheck(u.Name, u.Groups, results)...)
+	var groups [][]int
+	for _, n := range sortedKeys(u.Groups) {
+		var g []int
 		for _, src := range u.Groups[n] {
-			if p, err := overlog.Parse(src); err == nil {
-				progs = append(progs, p)
-			} // parse failures are already reported by AnalyzeSource
-		}
-		for _, d := range duplicateLabels(u.Name, progs) {
-			// Shared sources make the same collision visible from
-			// several groups; report it once.
-			key := d.Program + "\x00" + d.Rule
-			if !seen[key] {
-				seen[key] = true
-				ds = append(ds, d)
+			if r := results[src]; r.err == nil {
+				g = append(g, r.at)
 			}
 		}
+		groups = append(groups, g)
 	}
+	ds = append(ds, analyze(u.Name, progs, groups, opts)...)
 	Sort(ds)
 	return ds
 }

@@ -184,6 +184,14 @@
 //
 //	meta rulecount(H, count<R>) :- sys::rule(R, _, H, _, _, _);
 //
+// Static analysis goes one level further: package analysis renders a
+// set of parsed programs as relations (rules, atoms, variable
+// occurrences, declarations and lint pragmas) and evaluates boomlint's
+// passes, themselves the Overlog program analysis/analysis.olg, over
+// them on a fresh runtime. Each finding is a row of its finding
+// relation, and SelfLint copies a node's own into sys::lint(Code,
+// Severity, Program, Rule, Subject, Line, Msg).
+//
 // # Evaluation model
 //
 // Each node's timestep: drain external events (network arrivals, timer

@@ -63,7 +63,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 // must not panic, and a program it accepts must install on a fresh
 // runtime or be refused with an error, never a panic.
 func FuzzParse(f *testing.F) {
-	for _, pattern := range []string{"../*/*.olg", "../../examples/*/*.olg"} {
+	for _, pattern := range []string{"../*/*.olg", "*/*.olg", "../../examples/*/*.olg"} {
 		files, err := filepath.Glob(pattern)
 		if err != nil {
 			f.Fatal(err)

@@ -1,7 +1,8 @@
 // Package programs is the registry of the Overlog programs the system
-// ships: every .olg file embedded in boomfs, boommr, kvstore,
-// membership, paxos and rsm, and the deployment units boomlint checks
-// them in. `boom rules`, T1 and boomlint all read it.
+// ships: every .olg file embedded in analysis (boomlint's own passes),
+// boomfs, boommr, kvstore, membership, paxos and rsm, and the
+// deployment units boomlint checks them in. `boom rules`, T1 and
+// boomlint all read it.
 package programs
 
 import (
@@ -26,7 +27,7 @@ import (
 type Program struct{ Name, Src string }
 
 var packages = map[string]embed.FS{
-	"boomfs": boomfs.Files, "boommr": boommr.Files, "kvstore": kvstore.Files,
+	"analysis": analysis.Files, "boomfs": boomfs.Files, "boommr": boommr.Files, "kvstore": kvstore.Files,
 	"membership": membership.Files, "paxos": paxos.Files, "rsm": rsm.Files,
 }
 
@@ -50,7 +51,7 @@ func All() []Program {
 
 // LintUnits returns every deployment unit boomlint checks, by name.
 func LintUnits() []analysis.Unit {
-	units := slices.Concat(boomfs.LintUnits(), boommr.LintUnits(), kvstore.LintUnits(),
+	units := slices.Concat(analysis.LintUnits(), boomfs.LintUnits(), boommr.LintUnits(), kvstore.LintUnits(),
 		membership.LintUnits(), paxos.LintUnits(), rsm.LintUnits())
 	sort.Slice(units, func(i, j int) bool { return units[i].Name < units[j].Name })
 	return units

@@ -228,12 +228,7 @@ func (r *REPL) command(line string) bool {
 		}
 		fmt.Fprint(r.out, out)
 	case ".analyze":
-		merged := &overlog.Program{}
-		for _, p := range r.progs {
-			merged.Tables = append(merged.Tables, p.Tables...)
-			merged.Rules = append(merged.Rules, p.Rules...)
-		}
-		fmt.Fprint(r.out, overlog.AnalyzeCALM(merged).Report())
+		fmt.Fprint(r.out, analysis.CALM(r.progs))
 		fmt.Fprintln(r.out, "strata:")
 		fmt.Fprint(r.out, r.rt.ExplainAll())
 	case ".lint":
