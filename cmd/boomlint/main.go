@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"slices"
 	"strings"
 
@@ -60,11 +59,6 @@ func lint(units []analysis.Unit) []analysis.Diagnostic {
 }
 
 func main() {
-	// A lint run is one short batch of fresh analysis runtimes, whose
-	// facts and indexes all die young. Collecting at 5x the live heap
-	// instead of 2x cuts a run's ~30 collections to ~4, for ~15 MB more
-	// peak memory.
-	debug.SetGCPercent(400)
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	gate := flag.String("severity", "error",
 		"exit non-zero when a finding is at or above this severity (info|warn|error|none)")

@@ -194,8 +194,7 @@ func Codes() []string {
 	return out
 }
 
-// rules is analysis.olg, parsed once; each Analyze installs it on a
-// fresh runtime.
+// rules is analysis.olg, parsed once.
 var rules = sync.OnceValue(func() *overlog.Program {
 	p, err := overlog.Parse(Source)
 	if err != nil {
@@ -204,55 +203,109 @@ var rules = sync.OnceValue(func() *overlog.Program {
 	return p
 })
 
+// idle holds analysis runtimes between units: analysis.olg installed
+// and every table empty. Reusing one skips compiling the rules, and its
+// tables keep their indexes, which then grow with a unit's facts
+// instead of being built by sorting them. A sync.Pool, so that the
+// collector frees them: an emptied runtime still holds a few MB of
+// evaluator buffers, which a node that lints itself once should not
+// keep.
+var idle sync.Pool
+
+// newRuntime installs analysis.olg on a fresh runtime.
+func newRuntime() *overlog.Runtime {
+	rt := overlog.NewRuntime("lint")
+	if err := rt.Install(rules()); err != nil {
+		panic("analysis.olg: " + err.Error())
+	}
+	return rt
+}
+
+// acquire takes an idle analysis runtime, or makes one.
+func acquire() *overlog.Runtime {
+	if rt, ok := idle.Get().(*overlog.Runtime); ok {
+		return rt
+	}
+	return newRuntime()
+}
+
+// release empties rt and returns it to the idle pool.
+func release(rt *overlog.Runtime) {
+	reset(rt)
+	idle.Put(rt)
+}
+
+// step advances an analysis runtime one timestep, with in as its input.
+func step(rt *overlog.Runtime, in []overlog.Tuple) {
+	if _, err := rt.Step(rt.NowMS()+1, in); err != nil {
+		panic("analysis.olg: " + err.Error())
+	}
+}
+
+// reset empties an analysis runtime for the next unit. evaluate
+// steps until no next tuple is pending, so the tables are all there is.
+func reset(rt *overlog.Runtime) {
+	for _, name := range rt.TableNames() {
+		if !strings.HasPrefix(name, "sys::") {
+			rt.Table(name).Clear()
+		}
+	}
+}
+
 // Analyze runs every pass over a set of programs linted as one unit,
 // co-installed on one runtime.
 func Analyze(unit string, progs []*overlog.Program, opts Options) []Diagnostic {
+	rt := acquire()
+	ds := analyze(rt, unit, progs, oneGroup(progs), opts)
+	release(rt)
+	return ds
+}
+
+// oneGroup is the grouping of progs co-installed on one runtime.
+func oneGroup(progs []*overlog.Program) [][]int {
 	all := make([]int, len(progs))
 	for i := range all {
 		all[i] = i
 	}
-	return analyze(unit, progs, [][]int{all}, opts)
+	return [][]int{all}
 }
 
-// analyze evaluates analysis.olg over the unit's facts, one step per
-// layer of the coordination pass's breadth-first taint, and reads the
-// finding relation back alongside the type pass's findings.
-func analyze(unit string, progs []*overlog.Program, groups [][]int, opts Options) []Diagnostic {
-	m := buildModel(unit, progs)
-	rt := overlog.NewRuntime("lint:" + unit)
-	if err := rt.Install(rules()); err != nil {
-		panic("analysis.olg: " + err.Error())
-	}
-	step := func(in []overlog.Tuple) {
-		if _, err := rt.Step(rt.NowMS()+1, in); err != nil {
-			panic("analysis.olg: " + err.Error())
-		}
-	}
-	// The first step stores the facts. Each later one stores a layer of
-	// the coordination pass's breadth-first taint, derived the step
-	// before, and the first that stores none ends the search.
-	in, ignore := m.facts(progs, groups, opts)
-	step(in)
-	for n, taint := -1, rt.Table("taint"); n < taint.Len(); {
-		n = taint.Len()
-		step(nil)
-	}
+// analyze is evaluate with the //lint:ignore pragmas and
+// Options.Ignore applied.
+func analyze(rt *overlog.Runtime, unit string, progs []*overlog.Program, groups [][]int, opts Options) []Diagnostic {
+	all, ignore := evaluate(rt, unit, progs, groups, opts)
 	var ds []Diagnostic
-	for _, d := range typeLints(m) {
+	for _, d := range all {
 		if !ignore[d.Code] {
 			ds = append(ds, d)
 		}
 	}
+	return ds
+}
+
+// evaluate runs analysis.olg over the unit's facts on rt, an idle
+// analysis runtime, and returns its finding relation alongside the type
+// pass's findings, sorted, with the lint codes the unit ignores. The
+// first step stores the facts. Each later one stores the layer of the
+// coordination pass's breadth-first taint that the step before derived
+// with next, until a step derives none.
+func evaluate(rt *overlog.Runtime, unit string, progs []*overlog.Program, groups [][]int, opts Options) ([]Diagnostic, map[string]bool) {
+	m := buildModel(unit, progs)
+	in, ignore := m.facts(progs, groups, opts)
+	step(rt, in)
+	for rt.NextWake() >= 0 {
+		step(rt, nil)
+	}
+	ds := typeLints(m)
 	for _, tp := range rt.Table("finding").Tuples() {
-		if v := tp.Vals; !ignore[v[0].AsString()] {
-			ds = append(ds, finish(Diagnostic{
-				Code: v[0].AsString(), Unit: unit, Program: v[1].AsString(), Rule: v[2].AsString(),
-				Subject: v[3].AsString(), Line: int(v[4].AsInt()), Col: int(v[5].AsInt()), Msg: v[6].AsString(),
-			}))
-		}
+		v := tp.Vals
+		ds = append(ds, finish(Diagnostic{
+			Code: v[0].AsString(), Unit: unit, Program: v[1].AsString(), Rule: v[2].AsString(),
+			Subject: v[3].AsString(), Line: int(v[4].AsInt()), Col: int(v[5].AsInt()), Msg: v[6].AsString(),
+		}))
 	}
 	Sort(ds)
-	return ds
+	return ds, ignore
 }
 
 // AnalyzeSource parses each source text and lints them together as one

@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,6 +46,18 @@ func TestCALMMonotoneProgram(t *testing.T) {
 	}
 	prog := parse(t, src)
 	if rep := CALM(prog); !strings.Contains(rep, "2 rules, 2 monotone") || !strings.Contains(rep, "without coordination") {
+		t.Fatalf("report:\n%s", rep)
+	}
+}
+
+// Silencing point-of-order hides the findings, not the need for
+// coordination: the CALM summary still counts the rule.
+func TestCALMCountsIgnoredPointsOfOrder(t *testing.T) {
+	prog := parse(t, `//lint:ignore point-of-order
+		table kv(K: string, V: int) keys(0);
+		event bump(K: string);
+		up next kv(K, V + 1) :- bump(K), kv(K, V);`)
+	if rep := CALM(prog); !strings.Contains(rep, "1 rules, 0 monotone") || !strings.Contains(rep, "key-replacing update of kv") {
 		t.Fatalf("report:\n%s", rep)
 	}
 }
@@ -192,4 +208,52 @@ func TestSelfLintConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// A reused runtime analyzes a unit as a fresh one does, whichever
+// units it analyzed before: here two units that share a table, one
+// sending into it and one not, then each directory's shipped programs,
+// in one order and then the other.
+func TestReusedRuntimeMatchesFresh(t *testing.T) {
+	const decls = `
+		table vote(Node: addr, Id: int);
+		table top(N: int) keys(0);
+		a1 top(count<Id>) :- vote(_, Id);`
+	units := map[string][]*overlog.Program{
+		"sends": parse(t, decls+`
+			//lint:feed task
+			table task(Id: int, Coord: addr);
+			cast vote(@Coord, Id) :- task(Id, Coord);`),
+		"quiet": parse(t, decls),
+	}
+	names := []string{"sends", "quiet"}
+	files, err := filepath.Glob("../../*/*.olg")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no programs: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Dir(f)
+		if units[dir] == nil {
+			names = append(names, dir)
+		}
+		units[dir] = append(units[dir], parse(t, string(src))...)
+	}
+	backward := slices.Clone(names)
+	slices.Reverse(backward)
+	rt := newRuntime()
+	for _, order := range [][]string{names, backward} {
+		for _, name := range order {
+			progs := units[name]
+			got, _ := evaluate(rt, name, progs, oneGroup(progs), Options{})
+			reset(rt)
+			want, _ := evaluate(newRuntime(), name, progs, oneGroup(progs), Options{})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: reused runtime found\n%v\nfresh runtime found\n%v", name, got, want)
+			}
+		}
+	}
 }

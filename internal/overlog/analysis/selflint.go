@@ -39,8 +39,13 @@ func CALM(progs []*overlog.Program) string {
 	for _, p := range progs {
 		rules += len(p.Rules)
 	}
+	// Every point of order counts, the ignored ones too: a rule whose
+	// finding is silenced still needs coordination.
+	rt := acquire()
+	ds, _ := evaluate(rt, "calm", progs, oneGroup(progs), Options{})
+	release(rt)
 	var poo []Diagnostic
-	for _, d := range Analyze("calm", progs, Options{}) {
+	for _, d := range ds {
 		if d.Code == CodePointOfOrder {
 			poo = append(poo, d)
 		}

@@ -79,7 +79,7 @@ func typeLints(m *model) []Diagnostic {
 				tc.checkAtom(be.Atom, false)
 			case overlog.BodyAssign:
 				cl := tc.exprClass(be.Expr, be.Line, be.Col)
-				tc.constrain(be.Assign, cl, "assignment", be.Line, be.Col)
+				tc.constrain(be.Assign, cl, site{}, be.Line, be.Col)
 			case overlog.BodyCond:
 				cl := tc.exprClass(be.Cond, be.Line, be.Col)
 				if cl != clUnknown && cl != clAny && cl != clBool {
@@ -119,7 +119,22 @@ func typeLints(m *model) []Diagnostic {
 // varType remembers a variable's inferred class and the evidence.
 type varType struct {
 	cl    class
-	where string
+	where site
+}
+
+// site is where a class came from: a column of a declared table, or,
+// with no table, an assignment. It is rendered only for a finding.
+type site struct {
+	decl *overlog.TableDecl
+	col  int
+}
+
+func (s site) String() string {
+	if s.decl == nil {
+		return "assignment"
+	}
+	c := s.decl.Cols[s.col]
+	return fmt.Sprintf("%s column %d (%s %s)", s.decl.Name, s.col, c.Name, c.Type)
 }
 
 type typeChecker struct {
@@ -131,7 +146,7 @@ type typeChecker struct {
 
 // constrain unifies a variable with a class, reporting a conflict if it
 // was already pinned to an incompatible one.
-func (tc *typeChecker) constrain(name string, cl class, where string, line, col int) {
+func (tc *typeChecker) constrain(name string, cl class, where site, line, col int) {
 	if cl == clUnknown || cl == clAny {
 		return
 	}
@@ -154,7 +169,7 @@ func (tc *typeChecker) checkAtom(a *overlog.Atom, head bool) {
 	}
 	for i, term := range a.Terms {
 		colCl := classOfKind(decl.Cols[i].Type)
-		where := fmt.Sprintf("%s column %d (%s %s)", a.Table, i, decl.Cols[i].Name, decl.Cols[i].Type)
+		where := site{decl, i}
 		if head && term.Agg != overlog.AggNone {
 			aggCl := clUnknown
 			switch term.Agg {

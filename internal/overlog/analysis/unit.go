@@ -43,8 +43,11 @@ func sortedKeys(groups map[string][]string) []string {
 // Run lints a unit: the semantic install check per group, and every
 // static pass over the merged sources, with labels checked for
 // collisions within each group (rules on different roles never share
-// a runtime).
+// a runtime). It takes its analysis runtime first and holds it through
+// parsing and the install check, so that a caller linting unit after
+// unit gets the same one back from the pool.
 func Run(u Unit, opts Options) []Diagnostic {
+	rt := acquire()
 	progs, ds, results := parseAll(u.Name, u.AllSources())
 	ds = append(ds, installCheck(u.Name, u.Groups, results)...)
 	var groups [][]int
@@ -57,7 +60,8 @@ func Run(u Unit, opts Options) []Diagnostic {
 		}
 		groups = append(groups, g)
 	}
-	ds = append(ds, analyze(u.Name, progs, groups, opts)...)
+	ds = append(ds, analyze(rt, u.Name, progs, groups, opts)...)
+	release(rt)
 	Sort(ds)
 	return ds
 }

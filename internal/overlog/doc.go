@@ -188,7 +188,7 @@
 // set of parsed programs as relations (rules, atoms, variable
 // occurrences, declarations and lint pragmas) and evaluates boomlint's
 // passes, themselves the Overlog program analysis/analysis.olg, over
-// them on a fresh runtime. Each finding is a row of its finding
+// them on a runtime of their own. Each finding is a row of its finding
 // relation, and SelfLint copies a node's own into sys::lint(Code,
 // Severity, Program, Rule, Subject, Line, Msg).
 //

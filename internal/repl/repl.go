@@ -228,7 +228,15 @@ func (r *REPL) command(line string) bool {
 		}
 		fmt.Fprint(r.out, out)
 	case ".analyze":
-		fmt.Fprint(r.out, analysis.CALM(r.progs))
+		// Each statement parsed as its own program; classify them as the
+		// one program the runtime holds, so a key declared in one
+		// statement counts for an update written in another.
+		merged := &overlog.Program{}
+		for _, p := range r.progs {
+			merged.Tables = append(merged.Tables, p.Tables...)
+			merged.Rules = append(merged.Rules, p.Rules...)
+		}
+		fmt.Fprint(r.out, analysis.CALM([]*overlog.Program{merged}))
 		fmt.Fprintln(r.out, "strata:")
 		fmt.Fprint(r.out, r.rt.ExplainAll())
 	case ".lint":
