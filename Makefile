@@ -13,19 +13,22 @@ test: check
 	$(GO) test ./...
 
 # check: static analysis plus a race pass over the concurrency-heavy
-# packages (telemetry registry/journal/span tracer, wall-clock
-# transport, trace), plus a short fault-injection sweep (see `chaos`
+# packages (telemetry registry and event ring, wall-clock transport,
+# trace), plus a short fault-injection sweep (see `chaos`
 # below). The telemetry, sim, chaos, and loadgen lines carry the
 # span-tracing and SLO-monitor tests, so concurrent span recording is
 # always raced. internal/overlog has no goroutines and no race line:
 # its Differential tests (semi-naive against naive evaluation) run in
 # the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
 # families of regression guards — bytes per step, and rules entered or
-# rows compared per step — so a CI log shows them run. The two fuzz
+# rows compared per step — so a CI log shows them run. The three fuzz
 # lines run ten seconds each: FuzzRestoreSnapshot feeds RestoreSnapshot
 # mutated checkpoint images, starting from the seed corpus in
-# internal/overlog/testdata/fuzz, and FuzzParse feeds the parser (and
-# an install of what it accepts) mutations of every shipped .olg file.
+# internal/overlog/testdata/fuzz; FuzzParse feeds the parser (and an
+# install of what it accepts) mutations of every shipped .olg file; and
+# FuzzWireFrames feeds the TCP receive path arbitrary bytes, seeded with
+# one encoded frame per table of the shipped wire protocols, into a node
+# that must never stop on them.
 # boomlint runs the Overlog whole-program analyzer over every
 # deployment unit of the registered .olg files (internal/programs),
 # failing on any warn- or error-severity finding, and over the
@@ -46,6 +49,7 @@ check:
 	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/overlog
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/overlog
+	$(GO) test -run '^$$' -fuzz=FuzzWireFrames -fuzztime=10s ./internal/transport
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
 	bash bench/run.sh -smoke

@@ -11,7 +11,7 @@
 //	                 on a compressed wall clock
 //
 // On a violation the run's invariant findings and the tail of the
-// cross-node telemetry journal are printed, the schedule is greedily
+// cross-node event ring are printed, the schedule is greedily
 // shrunk to a 1-minimal fault sequence that still breaks the
 // invariant, and the process exits 1 — so `make chaos` works as a CI
 // gate. The fs-weak scenario exists to prove the harness can fail:
@@ -50,7 +50,7 @@ func main() {
 	seeds := flag.Int("seeds", 5, "number of consecutive seeds to sweep")
 	seed := flag.Int64("seed", 1, "first seed of the sweep")
 	shrink := flag.Bool("shrink", true, "shrink violating schedules to minimal fault sequences")
-	tail := flag.Int("tail", 30, "journal events to print per violating run")
+	tail := flag.Int("tail", 30, "event-ring entries to print per violating run")
 	verbose := flag.Bool("v", false, "print each seed's fault schedule even when the run is clean")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -104,7 +104,7 @@ func main() {
 			case res.Outcome.Violated():
 				failed = true
 				fmt.Printf("  seed %d: VIOLATED (%d-action schedule)\n", res.Seed, len(res.Schedule))
-				fmt.Print(indent(chaos.Report(res.Outcome.Violations, res.Outcome.Journal, *tail), "    "))
+				fmt.Print(indent(chaos.Report(res.Outcome.Violations, res.Outcome.Tracer, *tail), "    "))
 				if res.Shrunk != nil {
 					fmt.Printf("    shrunk to %d action(s):\n%s", len(res.Shrunk),
 						indent(res.Shrunk.String(), "      "))

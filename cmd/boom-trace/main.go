@@ -1,8 +1,8 @@
 // Command boom-trace inspects distributed traces: the span trees that
 // traced tuples grow as they cross nodes (see telemetry.Span). It
 // attaches to one or more live status servers and merges their
-// /debug/spans views — over TCP every node records into its own
-// tracer, so a cross-node trace only assembles once the pieces are
+// /debug/trace views — over TCP every node records into its own event
+// ring, so a cross-node trace only assembles once the pieces are
 // pulled together — or replays a span dump from a file.
 //
 // Usage:
@@ -12,7 +12,7 @@
 //	boom-trace -file spans.json [-id req-3]          # replay a dump
 //
 // The file form accepts either a bare JSON span array or any object
-// with a "spans" field — including a saved /debug/spans?id= response.
+// with a "spans" field — including a saved /debug/trace response.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -73,46 +72,19 @@ func main() {
 	fmt.Print(telemetry.Waterfall(telemetry.AssembleTrace(got)))
 }
 
-// listTraces prints one summary line per distinct trace.
+// listTraces prints one summary line per distinct trace; untraced
+// ring entries belong to none.
 func listTraces(spans []telemetry.Span) {
-	byID := make(map[string][]telemetry.Span)
-	for _, sp := range spans {
-		byID[sp.TraceID] = append(byID[sp.TraceID], sp)
-	}
-	type row struct {
-		id      string
-		n       int
-		nodes   int
-		lo, ext int64
-	}
-	var rows []row
-	for id, ts := range byID {
-		lo, hi := ts[0].StartMS, ts[0].EndMS
-		for _, sp := range ts {
-			if sp.StartMS < lo {
-				lo = sp.StartMS
-			}
-			if sp.EndMS > hi {
-				hi = sp.EndMS
-			}
-		}
-		rows = append(rows, row{id, len(ts), len(telemetry.TraceNodes(ts)), lo, hi - lo})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].lo != rows[j].lo {
-			return rows[i].lo < rows[j].lo
-		}
-		return rows[i].id < rows[j].id
-	})
+	traces := telemetry.SummarizeTraces(spans)
 	fmt.Printf("%-28s %6s %6s %8s\n", "trace", "spans", "nodes", "extent")
-	for _, r := range rows {
-		fmt.Printf("%-28s %6d %6d %6dms\n", r.id, r.n, r.nodes, r.ext)
+	for _, ts := range traces {
+		fmt.Printf("%-28s %6d %6d %6dms\n", ts.TraceID, ts.Spans, len(ts.Nodes), ts.EndMS-ts.StartMS)
 	}
-	fmt.Printf("%d trace(s); -id <trace> for the waterfall.\n", len(rows))
+	fmt.Printf("%d trace(s); -id <trace> for the waterfall.\n", len(traces))
 }
 
 // spanDump is the permissive file/endpoint shape: anything carrying a
-// "spans" array, e.g. a saved /debug/spans?id= response.
+// "spans" array, e.g. a saved /debug/trace response.
 type spanDump struct {
 	Spans []telemetry.Span `json:"spans"`
 }
@@ -171,8 +143,8 @@ func fetchAll(addrs []string, id string, timeout time.Duration) ([]telemetry.Spa
 }
 
 // fetchOne reads one server's spans. With a trace ID it uses the
-// filtered endpoint; without, it pages through every summary and
-// fetches each trace — the list view needs the spans to size extents.
+// filtered view; without, it pages backwards through the raw ring,
+// whose traced entries listTraces groups by trace.
 func fetchOne(client *http.Client, addr, id string) ([]telemetry.Span, error) {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -180,32 +152,21 @@ func fetchOne(client *http.Client, addr, id string) ([]telemetry.Span, error) {
 	}
 	if id != "" {
 		var resp spanDump
-		if err := getJSON(client, base+"/debug/spans?id="+id, &resp); err != nil {
+		if err := getJSON(client, base+"/debug/trace?id="+id, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Spans, nil
 	}
+	const limit = 1000
 	var out []telemetry.Span
-	for offset := 0; ; {
-		var page struct {
-			Traces []telemetry.TraceSummary `json:"traces"`
-			Limit  int                      `json:"limit"`
-		}
-		if err := getJSON(client, fmt.Sprintf("%s/debug/spans?offset=%d", base, offset), &page); err != nil {
+	for offset := 0; ; offset += limit {
+		var page spanDump
+		url := fmt.Sprintf("%s/debug/trace?limit=%d&offset=%d", base, limit, offset)
+		if err := getJSON(client, url, &page); err != nil {
 			return nil, err
 		}
-		if len(page.Traces) == 0 {
-			return out, nil
-		}
-		for _, t := range page.Traces {
-			var resp spanDump
-			if err := getJSON(client, base+"/debug/spans?id="+t.TraceID, &resp); err != nil {
-				return nil, err
-			}
-			out = append(out, resp.Spans...)
-		}
-		offset += len(page.Traces)
-		if page.Limit > 0 && len(page.Traces) < page.Limit {
+		out = append(out, page.Spans...)
+		if len(page.Spans) < limit {
 			return out, nil
 		}
 	}

@@ -235,7 +235,7 @@ func runFS(args []string) error {
 	master := fs.String("master", "127.0.0.1:7070", "master address")
 	listen := fs.String("listen", "127.0.0.1:0", "client callback address")
 	timeout := fs.Duration("timeout", 15*time.Second, "operation timeout")
-	traceFlag := fs.Bool("trace", false, "print this op's trace spans (IDs usable against /debug/trace?id=)")
+	traceFlag := fs.Bool("trace", false, "print the op's spans from the client's event ring; its trace ID works with any node's /debug/trace?id=")
 	fs.Parse(args)
 	rest := fs.Args()
 	if len(rest) < 1 {
@@ -258,11 +258,10 @@ func runFS(args []string) error {
 	if *traceFlag {
 		defer func() {
 			fmt.Fprintln(os.Stderr, "trace spans (query any node's /debug/trace?id=<trace_id>):")
-			for _, ev := range cl.Journal.Events() {
-				if ev.TraceID == "" {
-					continue
+			for _, sp := range cl.Tracer.Spans() {
+				if sp.TraceID != "" {
+					fmt.Fprintf(os.Stderr, "  %s\n", sp)
 				}
-				fmt.Fprintf(os.Stderr, "  %-5s %-14s id=%s %s\n", ev.Kind, ev.Table, ev.TraceID, ev.Detail)
 			}
 		}()
 	}

@@ -26,8 +26,8 @@ import (
 
 func main() {
 	reg := telemetry.NewRegistry()
-	journal := telemetry.NewJournal(0)
-	c := sim.NewCluster(sim.WithTelemetry(reg, journal))
+	tracer := telemetry.NewTracer(0)
+	c := sim.NewCluster(sim.WithTelemetry(reg), sim.WithTracer(tracer))
 	cfg := boomfs.DefaultConfig()
 
 	// The cluster's telemetry option attaches step-hook metrics to every
@@ -111,8 +111,8 @@ func main() {
 	fmt.Println("(b) hottest rules by derivation count:")
 	fmt.Println(indent(firstLines(trace.RuleProfile(rt, 8), 10)))
 
-	fmt.Printf("(c) invariant %q: %d violations across %d journal events\n\n",
-		inv.Name, inv.ViolationCount(), journal.Total())
+	fmt.Printf("(c) invariant %q: %d violations across %d ring events\n\n",
+		inv.Name, inv.ViolationCount(), tracer.Total())
 
 	fmt.Println("(d) rule census computed by a rule over sys::rule:")
 	for _, tp := range rt.Table("rule_census").Tuples() {

@@ -7,7 +7,7 @@ import (
 
 // The FS protocol carries a request-scoped identifier (ReqId) through
 // every tuple of one logical operation; registering the columns here
-// lets transports stamp journal events and wire frames with the trace
+// lets transports stamp ring events and wire frames with the trace
 // ID without understanding the protocol — one FS op becomes traceable
 // across client, master and datanodes.
 func init() {

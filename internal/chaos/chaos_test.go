@@ -18,7 +18,7 @@ func mustClean(t *testing.T, sc Scenario, seed int64) Outcome {
 	}
 	if out.Violated() {
 		t.Fatalf("%s seed %d violated:\n%s", sc.Name, seed,
-			Report(out.Violations, out.Journal, 40))
+			Report(out.Violations, out.Tracer, 40))
 	}
 	return out
 }
@@ -80,7 +80,7 @@ func TestWeakDurabilityViolatesAndShrinks(t *testing.T) {
 	}
 	if !monitorFired {
 		t.Fatalf("expected the Overlog durability monitor (iv4) to fire, got:\n%s",
-			Report(out.Violations, out.Journal, 0))
+			Report(out.Violations, out.Tracer, 0))
 	}
 
 	shrunk := Shrink(sc, seed, sched)
@@ -203,7 +203,7 @@ func TestSweepCleanSeeds(t *testing.T) {
 		}
 		if r.Outcome.Violated() {
 			t.Fatalf("seed %d violated:\n%s", r.Seed,
-				Report(r.Outcome.Violations, r.Outcome.Journal, 40))
+				Report(r.Outcome.Violations, r.Outcome.Tracer, 40))
 		}
 		if r.Shrunk != nil {
 			t.Fatalf("seed %d: clean run should not shrink", r.Seed)

@@ -56,11 +56,11 @@ type Cluster struct {
 	// 1000 simulated ms fire 100ms after Start).
 	Compress int64
 
-	epoch   time.Time
-	faults  *transport.Faults
-	journal *telemetry.Journal
-	reg     *telemetry.Registry
-	stats   *transport.TCPStats
+	epoch  time.Time
+	faults *transport.Faults
+	tracer *telemetry.Tracer
+	reg    *telemetry.Registry
+	stats  *transport.TCPStats
 
 	mu     sync.Mutex
 	nodes  map[string]*node
@@ -72,14 +72,15 @@ type Cluster struct {
 
 // NewCluster builds an empty live cluster. The seed feeds the fault
 // plane's loss sampling (the only randomness the harness itself owns).
-func NewCluster(seed, compress int64, reg *telemetry.Registry, journal *telemetry.Journal) *Cluster {
+// Every node records into the cluster's one event ring (Tracer).
+func NewCluster(seed, compress int64, reg *telemetry.Registry) *Cluster {
 	if compress <= 0 {
 		compress = 10
 	}
 	return &Cluster{
 		Compress: compress,
 		faults:   transport.NewFaults(seed),
-		journal:  journal,
+		tracer:   telemetry.NewTracer(0),
 		reg:      reg,
 		stats:    transport.NewTCPStats(reg),
 		nodes:    make(map[string]*node),
@@ -89,6 +90,16 @@ func NewCluster(seed, compress int64, reg *telemetry.Registry, journal *telemetr
 // Faults exposes the shared fault plane, so out-of-cluster participants
 // (the failover client) can join it.
 func (c *Cluster) Faults() *transport.Faults { return c.faults }
+
+// Tracer returns the cluster's event ring.
+func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
+
+// fault records an injected fault in the event ring.
+func (c *Cluster) fault(node, op, detail string) {
+	now := time.Now().UnixMilli()
+	c.tracer.Record(telemetry.Span{Node: node, Kind: "fault", Op: op,
+		StartMS: now, EndMS: now, Detail: detail})
+}
 
 // AddNode allocates a listener address for a logical name and returns
 // the bare runtime to install programs on. The node starts on Start.
@@ -189,7 +200,8 @@ func (c *Cluster) boot(n *node) error {
 	if err != nil {
 		return fmt.Errorf("live: listen %s (%s): %w", n.name, n.addr, err)
 	}
-	tcp.SetTelemetry(c.stats, c.journal)
+	tcp.SetTelemetry(c.stats)
+	tcp.SetTracer(c.tracer)
 	tcp.SetFaults(c.faults)
 	// Faster redial than production defaults: compressed schedules heal
 	// partitions in hundreds of wall milliseconds.
@@ -231,7 +243,7 @@ func (c *Cluster) Kill(name string) {
 	// Stop outside the lock: the step loop may be mid-Send.
 	nd.Stop()
 	tcp.Close()
-	c.journal.Record(telemetry.Event{Node: name, Kind: "fault", Table: "kill"})
+	c.fault(name, "kill", "")
 }
 
 // Revive resumes a killed node with every table intact: a fresh step
@@ -246,7 +258,7 @@ func (c *Cluster) Revive(name string) error {
 	if !n.kill || c.closed {
 		return nil
 	}
-	c.journal.Record(telemetry.Event{Node: name, Kind: "fault", Table: "revive"})
+	c.fault(name, "revive", "")
 	return c.boot(n)
 }
 
@@ -279,27 +291,26 @@ func (c *Cluster) Restart(name string) error {
 		return fmt.Errorf("live: restart %s: %w", name, err)
 	}
 	n.rt, n.svcs = fresh, svcs
-	c.journal.Record(telemetry.Event{Node: name, Kind: "fault", Table: "restart"})
+	c.fault(name, "restart", "")
 	return c.boot(n)
 }
 
 // Partition cuts the link between two logical nodes (both directions).
 func (c *Cluster) Partition(a, b string) {
 	c.faults.Partition(c.Addr(a), c.Addr(b))
-	c.journal.Record(telemetry.Event{Node: a, Kind: "fault", Table: "partition", Detail: a + "|" + b})
+	c.fault(a, "partition", a+"|"+b)
 }
 
 // Heal restores a cut link.
 func (c *Cluster) Heal(a, b string) {
 	c.faults.Heal(c.Addr(a), c.Addr(b))
-	c.journal.Record(telemetry.Event{Node: a, Kind: "fault", Table: "heal", Detail: a + "|" + b})
+	c.fault(a, "heal", a+"|"+b)
 }
 
 // SetDropRate sets the global message-loss probability, returning the
 // previous rate (the contract sim.Cluster.SetDropRate has).
 func (c *Cluster) SetDropRate(rate float64) float64 {
-	c.journal.Record(telemetry.Event{Kind: "fault", Table: "loss",
-		Detail: fmt.Sprintf("rate=%.3f", rate)})
+	c.fault("", "loss", fmt.Sprintf("rate=%.3f", rate))
 	return c.faults.SetLossRate(rate)
 }
 
@@ -311,8 +322,7 @@ func (c *Cluster) SlowLink(a, b string, latMS int64) {
 		d = time.Millisecond
 	}
 	c.faults.SlowLink(c.Addr(a), c.Addr(b), d)
-	c.journal.Record(telemetry.Event{Node: a, Kind: "fault", Table: "slow-link",
-		Detail: fmt.Sprintf("%s|%s +%dms", a, b, latMS)})
+	c.fault(a, "slow-link", fmt.Sprintf("%s|%s +%dms", a, b, latMS))
 }
 
 // Inject delivers a tuple into a node's inbox (dropped if killed, as a

@@ -19,7 +19,7 @@ func TestPaxosLiveSeed(t *testing.T) {
 	}
 	if out.Violated() {
 		t.Fatalf("invariant violations over TCP:\n%s",
-			chaos.Report(out.Violations, out.Journal, 40))
+			chaos.Report(out.Violations, out.Tracer, 40))
 	}
 }
 
@@ -39,7 +39,7 @@ func TestFSLiveSeed(t *testing.T) {
 	}
 	if out.Violated() {
 		t.Fatalf("invariant violations over TCP:\n%s",
-			chaos.Report(out.Violations, out.Journal, 40))
+			chaos.Report(out.Violations, out.Tracer, 40))
 	}
 }
 

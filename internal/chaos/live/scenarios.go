@@ -60,11 +60,9 @@ func runFS(seed int64, sched chaos.Schedule) chaos.Outcome {
 		datanodes = 5
 		files     = 6
 	)
-	journal := telemetry.NewJournal(8192)
-	reg := telemetry.NewRegistry()
-	lc := NewCluster(seed, compress, reg, journal)
+	lc := NewCluster(seed, compress, telemetry.NewRegistry())
 	defer lc.Close()
-	out := chaos.Outcome{Journal: journal}
+	out := chaos.Outcome{Tracer: lc.Tracer()}
 	fail := func(err error) chaos.Outcome { out.Err = err; return out }
 
 	// chaos.ReplicatedFS's config with every clock divided by compress.
@@ -232,11 +230,9 @@ func runPaxos(seed int64, sched chaos.Schedule) chaos.Outcome {
 		replicas = 3
 		commands = 8
 	)
-	journal := telemetry.NewJournal(8192)
-	reg := telemetry.NewRegistry()
-	lc := NewCluster(seed, compress, reg, journal)
+	lc := NewCluster(seed, compress, telemetry.NewRegistry())
 	defer lc.Close()
-	out := chaos.Outcome{Journal: journal}
+	out := chaos.Outcome{Tracer: lc.Tracer()}
 	fail := func(err error) chaos.Outcome { out.Err = err; return out }
 
 	pcfg := livePaxosConfig()

@@ -12,15 +12,15 @@ import (
 // failures (the simulation itself broke); Violations report the system
 // under test breaking its invariants. Provenance, when non-empty, is
 // the rendered derivation DAG of the first violation — which monitor
-// rule fired, from which tuples, chased across nodes. Tracer, when a
-// scenario runs traced, holds the cross-node span record so a failure
-// report can show where each request spent its time. Digest, set when
-// a run completes, condenses the cluster's final state (see digest): a
-// run that behaves the same yields the same Digest.
+// rule fired, from which tuples, chased across nodes. Tracer is the
+// run's event ring — sends, drops, faults and the cross-node spans of
+// traced requests — so a failure report can show what led up to it
+// and where each request spent its time. Digest, set when a run
+// completes, condenses the cluster's final state (see digest): a run
+// that behaves the same yields the same Digest.
 type Outcome struct {
 	Violations []Violation
 	Provenance string
-	Journal    *telemetry.Journal
 	Tracer     *telemetry.Tracer
 	Digest     string
 	Err        error

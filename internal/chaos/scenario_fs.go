@@ -103,12 +103,11 @@ func (p fsParams) schedule(seed int64) Schedule {
 }
 
 func (p fsParams) run(seed int64, sched Schedule) Outcome {
-	journal := telemetry.NewJournal(8192)
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(16384)
-	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg, journal),
+	tracer := telemetry.NewTracer(0)
+	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg),
 		sim.WithProvenance(256), sim.WithTracer(tracer))
-	out := Outcome{Journal: journal, Tracer: tracer}
+	out := Outcome{Tracer: tracer}
 	fail := func(err error) Outcome { out.Err = err; return out }
 
 	cfg := boomfs.DefaultConfig()

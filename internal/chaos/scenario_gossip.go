@@ -37,9 +37,10 @@ func gossip(boundMS int64) Scenario {
 		}
 	}
 	run := func(seed int64, sched Schedule) Outcome {
-		journal := telemetry.NewJournal(8192)
-		c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(telemetry.NewRegistry(), journal))
-		out := Outcome{Journal: journal}
+		tracer := telemetry.NewTracer(0)
+		c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(telemetry.NewRegistry()),
+			sim.WithTracer(tracer))
+		out := Outcome{Tracer: tracer}
 		cfg := gossipCfg
 		cfg.Seeds, cfg.SeedRoles = addrs[:1], map[string]string{"m:0": "master"}
 		for i, a := range addrs {

@@ -51,11 +51,10 @@ func (p mrParams) schedule(seed int64) Schedule {
 }
 
 func (p mrParams) run(seed int64, sched Schedule) Outcome {
-	journal := telemetry.NewJournal(8192)
-	treg := telemetry.NewRegistry()
-	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(treg, journal),
-		sim.WithProvenance(256))
-	out := Outcome{Journal: journal}
+	tracer := telemetry.NewTracer(0)
+	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(telemetry.NewRegistry()),
+		sim.WithTracer(tracer), sim.WithProvenance(256))
+	out := Outcome{Tracer: tracer}
 	fail := func(err error) Outcome { out.Err = err; return out }
 
 	cfg := boommr.DefaultMRConfig()

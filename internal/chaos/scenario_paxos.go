@@ -56,11 +56,11 @@ func (p paxosParams) schedule(seed int64) Schedule {
 }
 
 func (p paxosParams) run(seed int64, sched Schedule) Outcome {
-	journal := telemetry.NewJournal(8192)
+	tracer := telemetry.NewTracer(0)
 	reg := telemetry.NewRegistry()
-	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg, journal),
-		sim.WithProvenance(256))
-	out := Outcome{Journal: journal}
+	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg),
+		sim.WithTracer(tracer), sim.WithProvenance(256))
+	out := Outcome{Tracer: tracer}
 	fail := func(err error) Outcome { out.Err = err; return out }
 
 	pcfg := paxos.DefaultConfig()

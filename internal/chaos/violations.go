@@ -105,10 +105,8 @@ func RecordViolation(rt *overlog.Runtime, v Violation) {
 // Scenarios run with lineage capture on (sim.WithProvenance), so the
 // shrunk counterexample comes with its own causal explanation.
 func ExplainViolation(c *sim.Cluster, vs []Violation) string {
-	opt := provenance.Options{Peers: c.Runtimes(), TraceID: telemetry.TraceIDOf}
-	if j := c.Journal(); j != nil {
-		opt.TraceEvents = j.RenderTrace
-	}
+	opt := provenance.Options{Peers: c.Runtimes(), TraceID: telemetry.TraceIDOf,
+		TraceEvents: c.Tracer().RenderTrace}
 	// Prefer the earliest violation a monitor rule derived — harness
 	// findings (RecordViolation) are direct inserts with no lineage, so
 	// fall back to rendering the first one only when nothing else
@@ -132,25 +130,25 @@ func ExplainViolation(c *sim.Cluster, vs []Violation) string {
 	return fallback
 }
 
-// Report renders violations plus the tail of the telemetry journal —
-// the cross-node trace of sends, drops, and faults leading up to the
-// failure — for postmortem reading.
-func Report(vs []Violation, j *telemetry.Journal, tail int) string {
+// Report renders violations plus the tail of the event ring — the
+// cross-node record of sends, drops, faults and trace spans leading up
+// to the failure — for postmortem reading.
+func Report(vs []Violation, tr *telemetry.Tracer, tail int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d invariant violation(s):\n", len(vs))
 	for _, v := range vs {
 		fmt.Fprintf(&b, "  %s\n", v)
 	}
-	evs := j.Events()
+	evs := tr.Spans()
 	if len(evs) == 0 {
 		return b.String()
 	}
 	if tail > 0 && len(evs) > tail {
 		evs = evs[len(evs)-tail:]
 	}
-	fmt.Fprintf(&b, "journal trace (last %d events):\n", len(evs))
+	fmt.Fprintf(&b, "event ring (last %d events):\n", len(evs))
 	for _, ev := range evs {
-		line := fmt.Sprintf("  %8dms %-14s %-6s %s", ev.WallMS, ev.Node, ev.Kind, ev.Table)
+		line := fmt.Sprintf("  %8dms %-14s %-6s %s", ev.StartMS, ev.Node, ev.Kind, ev.Op)
 		if ev.Detail != "" {
 			line += " " + ev.Detail
 		}

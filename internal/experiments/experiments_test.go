@@ -261,10 +261,10 @@ func TestMonitoringShape(t *testing.T) {
 	if on.TraceEvents == 0 || off.TraceEvents != 0 {
 		t.Fatalf("trace events: off=%d on=%d", off.TraceEvents, on.TraceEvents)
 	}
-	// The registry run journals network events and snapshots the
+	// The registry run records network events in its ring and snapshots the
 	// metrics a live node would serve on /metrics.
 	if reg.TraceEvents == 0 || len(reg.Samples) == 0 {
-		t.Fatalf("registry run: %d journal events, %d samples", reg.TraceEvents, len(reg.Samples))
+		t.Fatalf("registry run: %d ring events, %d samples", reg.TraceEvents, len(reg.Samples))
 	}
 	found := false
 	for _, s := range reg.Samples {

@@ -31,7 +31,7 @@ type monMode int
 const (
 	monOff      monMode = iota // no instrumentation at all
 	monWatch                   // metaprogrammed watch-all tuple tracing
-	monRegistry                // production telemetry registry + journal
+	monRegistry                // production telemetry registry + event ring
 )
 
 // MonitoringRun is one configuration's outcome. Simulated time is
@@ -61,7 +61,7 @@ type MonitoringResult struct {
 // metadata workload with instrumentation off, with the metaprogrammed
 // full-table watch rewrite on (every insert and delete on every
 // relation streamed to a collector), and with the production telemetry
-// registry attached (step hooks + per-node metrics + event journal).
+// registry attached (step hooks + per-node metrics + event ring).
 // The paper's point: because the tracing hooks are just more
 // rules/watchers over the same dataflow, the overhead is modest and
 // the information is complete.
@@ -105,11 +105,11 @@ func runMonitoring(p MonitoringParams, mode monMode) (*MonitoringRun, error) {
 	cfg := boomfs.DefaultConfig()
 	clusterOpts := []sim.Option{sim.WithClusterSeed(p.Seed)}
 	var reg *telemetry.Registry
-	var journal *telemetry.Journal
+	var tracer *telemetry.Tracer
 	if mode == monRegistry {
 		reg = telemetry.NewRegistry()
-		journal = telemetry.NewJournal(0)
-		clusterOpts = append(clusterOpts, sim.WithTelemetry(reg, journal))
+		tracer = telemetry.NewTracer(0)
+		clusterOpts = append(clusterOpts, sim.WithTelemetry(reg), sim.WithTracer(tracer))
 	}
 	c := sim.NewCluster(clusterOpts...)
 	var opts []overlog.Option
@@ -181,7 +181,7 @@ func runMonitoring(p MonitoringParams, mode monMode) (*MonitoringRun, error) {
 	case monWatch:
 		run.TraceEvents = col.Total()
 	case monRegistry:
-		run.TraceEvents = journal.Total()
+		run.TraceEvents = tracer.Total()
 		run.Samples = reg.Snapshot()
 	}
 	return run, nil

@@ -760,9 +760,26 @@ func (r *Runtime) maintainFireStats() error {
 func (r *Runtime) insertLocal(tp Tuple, viaRule string) (bool, error) {
 	tbl, ok := r.tables[tp.Table]
 	if !ok {
-		return false, fmt.Errorf("overlog: %s: insert into undeclared table %q", r.addr, tp.Table)
+		return false, r.undeclared(tp.Table)
 	}
 	return r.insertInto(tbl, tp, viaRule)
+}
+
+func (r *Runtime) undeclared(table string) error {
+	return fmt.Errorf("overlog: %s: insert into undeclared table %q", r.addr, table)
+}
+
+// CheckTuple reports the error inserting tp would fail with: its table
+// is undeclared, or its arity or a column's type does not match the
+// declaration. A driver holding tuples from outside the program checks
+// them with it, so that one bad tuple is dropped instead of failing the
+// whole step.
+func (r *Runtime) CheckTuple(tp Tuple) error {
+	tbl, ok := r.tables[tp.Table]
+	if !ok {
+		return r.undeclared(tp.Table)
+	}
+	return tbl.checkTuple(tp)
 }
 
 // insertInto is insertLocal with the table already resolved (a rule's
@@ -1652,7 +1669,7 @@ func (a *aggCollector) emit(all bool) error {
 	}
 	if all {
 		// Retire vanished groups in sorted key order: pendDel order
-		// decides watch/journal/provenance emission order, which must
+		// decides watch/event/provenance emission order, which must
 		// not inherit map iteration order.
 		gone := a.goneBuf[:0]
 		for key, g := range a.groups {

@@ -11,7 +11,7 @@
 // derivation record, the chase consults peer runtimes: a record with a
 // destination set explains a tuple that arrived over the wire, which
 // is how a tuple on a backup master explains back to the rule firing
-// on the primary. Cross-node journal events (keyed by the request IDs
+// on the primary. Cross-node event-ring spans (keyed by the request IDs
 // that ride WireMsg.TraceID) are attached through the TraceID /
 // TraceEvents options — the package depends only on internal/overlog,
 // so every surface (telemetry server included) can embed it.
@@ -42,7 +42,7 @@ type Node struct {
 	Truncated bool `json:"truncated,omitempty"` // depth/size limit or cycle cut the chase here
 
 	Children []*Node  `json:"children,omitempty"`
-	Trace    []string `json:"trace,omitempty"` // rendered journal events for this tuple's trace ID
+	Trace    []string `json:"trace,omitempty"` // rendered ring spans for this tuple's trace ID
 }
 
 // Options bounds and extends a Why chase.
@@ -57,8 +57,8 @@ type Options struct {
 	// newest matching record wins.
 	Peers []*overlog.Runtime
 	// TraceID extracts a request-scoped trace ID from a tuple (pass
-	// telemetry.TraceIDOf) and TraceEvents returns rendered journal
-	// events for an ID (pass (*telemetry.Journal).RenderTrace). Set both
+	// telemetry.TraceIDOf) and TraceEvents returns rendered event-ring
+	// spans for an ID (pass (*telemetry.Tracer).RenderTrace). Set both
 	// to attach cross-node traces to DAG nodes.
 	TraceID     func(overlog.Tuple) string
 	TraceEvents func(id string) []string
@@ -248,7 +248,7 @@ func findLive(rt *overlog.Runtime, table string, fp uint64) (overlog.Tuple, bool
 	return out, found
 }
 
-// attachTrace pulls rendered journal events for the node's trace ID,
+// attachTrace pulls rendered ring spans for the node's trace ID,
 // when both trace hooks were supplied.
 func (c *chaser) attachTrace(rt *overlog.Runtime, n *Node, fp uint64) {
 	if c.opt.TraceID == nil || c.opt.TraceEvents == nil {

@@ -178,11 +178,11 @@ func TestWhyCrossNodeSim(t *testing.T) {
 // firings on other nodes — the derivation DAG crosses the replica
 // boundary instead of dead-ending at "it was in my tables".
 func TestWhyReplicatedMasterFS(t *testing.T) {
-	journal := telemetry.NewJournal(4096)
-	reg := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(0)
 	c := sim.NewCluster(
 		sim.WithClusterSeed(7),
-		sim.WithTelemetry(reg, journal),
+		sim.WithTelemetry(telemetry.NewRegistry()),
+		sim.WithTracer(tracer),
 		sim.WithProvenance(512))
 
 	cfg := boomfs.DefaultConfig()
@@ -220,7 +220,7 @@ func TestWhyReplicatedMasterFS(t *testing.T) {
 		MaxDepth:    24,
 		MaxNodes:    512,
 		TraceID:     telemetry.TraceIDOf,
-		TraceEvents: journal.RenderTrace,
+		TraceEvents: tracer.RenderTrace,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/boomfs"
 	"repro/internal/overlog"
 	"repro/internal/paxos"
-	"repro/internal/telemetry"
 )
 
 // StartReplicatedMaster serves one replica of a Paxos-replicated
@@ -63,8 +62,6 @@ func (c *Client) callReplicated(op, path, arg string) (*boomfs.Response, error) 
 		idx := (c.preferred + tries) % len(c.Masters)
 		m := c.Masters[idx]
 		tries++
-		c.Journal.Record(telemetry.Event{Node: c.Addr, Kind: "op", Table: "fsreq",
-			TraceID: id, Detail: fmt.Sprintf("%s %s try %d via %s", op, path, tries, m)})
 		err := c.tcp.Send(overlog.Envelope{To: m, Tuple: overlog.NewTuple("fsreq",
 			overlog.Addr(m), overlog.Str(id), overlog.Addr(c.Addr),
 			overlog.Str(op), overlog.Str(path), overlog.Str(arg))})

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -30,10 +31,9 @@ type Server struct {
 
 	// Telemetry: always collected (atomic counters, negligible cost);
 	// served over HTTP only when ServeStatus is called.
-	Reg     *telemetry.Registry
-	Journal *telemetry.Journal
-	Tracer  *telemetry.Tracer
-	Status  *telemetry.Server
+	Reg    *telemetry.Registry
+	Tracer *telemetry.Tracer
+	Status *telemetry.Server
 
 	sweepStop chan struct{}
 }
@@ -59,7 +59,6 @@ func (s *Server) ServeStatus(addr string) error {
 		Role:        s.Role,
 		Addr:        s.Addr,
 		Registry:    s.Reg,
-		Journal:     s.Journal,
 		Tracer:      s.Tracer,
 		WithRuntime: s.Node.Runtime,
 		Extra: map[string]http.HandlerFunc{
@@ -103,8 +102,9 @@ func StartMasterFrom(addr string, cfg boomfs.Config, restorePath string) (*Serve
 }
 
 // Checkpoint writes the server's durable tables — the catalog, not its
-// membership view — to path atomically (write to a temp file, then
-// rename).
+// membership view — to path atomically and durably: write a temp file
+// and sync it, rename it over path, then sync the directory so the
+// rename itself survives a crash.
 func (s *Server) Checkpoint(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -115,6 +115,9 @@ func (s *Server) Checkpoint(path string) error {
 	s.Node.Runtime(func(rt *overlog.Runtime) {
 		snapErr = rt.Snapshot(f)
 	})
+	if snapErr == nil {
+		snapErr = f.Sync()
+	}
 	if cerr := f.Close(); snapErr == nil {
 		snapErr = cerr
 	}
@@ -122,7 +125,18 @@ func (s *Server) Checkpoint(path string) error {
 		os.Remove(tmp)
 		return snapErr
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // StartDataNode serves a datanode at addr, heartbeating the master.
@@ -198,7 +212,6 @@ func serve(rt *overlog.Runtime, addr, role string, setup func(*transport.Node) e
 	// Instrumentation attaches before the step loop starts, so every
 	// hook runs without extra synchronization.
 	reg := telemetry.NewRegistry()
-	journal := telemetry.NewJournal(0)
 	tracer := telemetry.NewTracer(0)
 	telemetry.AttachRuntime(reg, "", rt)
 	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return time.Now().UnixMilli() })
@@ -226,12 +239,12 @@ func serve(rt *overlog.Runtime, addr, role string, setup func(*transport.Node) e
 	if err != nil {
 		return nil, err
 	}
-	tcp.SetTelemetry(transport.NewTCPStats(reg), journal)
+	tcp.SetTelemetry(transport.NewTCPStats(reg))
 	tcp.SetTracer(tracer)
 	tcp.RegisterQueueGauges(reg)
 	go node.Run()
 	return &Server{Addr: addr, Role: role, Node: node, TCP: tcp,
-		Reg: reg, Journal: journal, Tracer: tracer}, nil
+		Reg: reg, Tracer: tracer}, nil
 }
 
 // StartMetricSweep mirrors the server's registry into sys::metric
@@ -277,14 +290,11 @@ type Client struct {
 	Retry      time.Duration
 
 	// Reg records client-observed op latency histograms
-	// (boomfs_op_ms{op=...}); Journal records each op's trace span, so
-	// a request ID found here can be followed into the master's and
-	// datanodes' /debug/trace endpoints.
-	Reg     *telemetry.Registry
-	Journal *telemetry.Journal
-	// Tracer records per-op root spans; the request ID doubles as the
-	// trace ID, so /debug/spans on any node the op touched shows the
-	// same tree the client started.
+	// (boomfs_op_ms{op=...}). Tracer is the client's event ring: one
+	// root span per op, whose request ID doubles as the trace ID, so
+	// /debug/trace?id= on any node the op touched shows the same tree
+	// the client started.
+	Reg    *telemetry.Registry
 	Tracer *telemetry.Tracer
 
 	node      *transport.Node
@@ -305,7 +315,6 @@ func NewClient(addr, master string, timeout time.Duration) (*Client, error) {
 	var tcp *transport.TCP
 	node := transport.NewNode(rt, func(env overlog.Envelope) error { return tcp.Send(env) })
 	reg := telemetry.NewRegistry()
-	journal := telemetry.NewJournal(0)
 	tracer := telemetry.NewTracer(0)
 	telemetry.AttachRuntime(reg, "", rt)
 	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return time.Now().UnixMilli() })
@@ -314,11 +323,11 @@ func NewClient(addr, master string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	tcp.SetTelemetry(transport.NewTCPStats(reg), journal)
+	tcp.SetTelemetry(transport.NewTCPStats(reg))
 	tcp.SetTracer(tracer)
 	go node.Run()
 	return &Client{Addr: addr, Master: master, Timeout: timeout,
-		Reg: reg, Journal: journal, Tracer: tracer, node: node, tcp: tcp}, nil
+		Reg: reg, Tracer: tracer, node: node, tcp: tcp}, nil
 }
 
 // startOpSpan opens the root span of one client op; the returned
@@ -357,7 +366,7 @@ func (c *Client) nextReqID() string {
 
 // call issues one metadata op and waits for the response. Each op is
 // one trace span: the request ID doubles as the trace ID that the
-// master's and datanodes' journals index.
+// master's and datanodes' event rings index.
 func (c *Client) call(op, path, arg string) (*boomfs.Response, error) {
 	start := time.Now()
 	defer func() {
@@ -369,8 +378,6 @@ func (c *Client) call(op, path, arg string) (*boomfs.Response, error) {
 		return c.callReplicated(op, path, arg)
 	}
 	id := c.nextReqID()
-	c.Journal.Record(telemetry.Event{Node: c.Addr, Kind: "op", Table: "request",
-		TraceID: id, Detail: op + " " + path})
 	finish := c.startOpSpan(id, op, path)
 	if err := c.tcp.Send(overlog.Envelope{To: c.Master, Tuple: overlog.NewTuple("request",
 		overlog.Addr(c.Master), overlog.Str(id), overlog.Addr(c.Addr),

@@ -24,9 +24,9 @@ func httpGet(t *testing.T, url string) (int, string) {
 
 // TestStatusEndpointsAndCrossNodeTrace runs a live TCP FS cluster with
 // status servers on every node, performs file operations, and follows
-// one request's trace ID from the client journal through the master's
-// and a datanode's /debug/trace endpoints — the observability
-// acceptance path end to end.
+// one request's trace ID from the client's event ring through the
+// master's /debug/trace endpoint — the observability acceptance path
+// end to end.
 func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	cfg := rtConfig()
 	masterAddr := freeAddr(t)
@@ -116,45 +116,16 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	}
 
 	// Cross-node trace: take the mkdir request's trace ID from the
-	// client journal and find the same ID in the master's journal over
-	// HTTP.
+	// client's op span and find the same ID in the master's event ring
+	// over HTTP.
 	var traceID string
-	for _, ev := range cl.Journal.Events() {
-		if ev.Kind == "op" && strings.HasPrefix(ev.Detail, "mkdir") {
-			traceID = ev.TraceID
+	for _, sp := range cl.Tracer.Spans() {
+		if sp.Kind == "op" && sp.Op == "mkdir" {
+			traceID = sp.TraceID
 		}
 	}
 	if traceID == "" {
-		t.Fatal("client journal has no mkdir op span")
-	}
-	code, body = httpGet(t, m.Status.URL()+"/debug/trace?id="+traceID)
-	if code != 200 {
-		t.Fatalf("trace status: %d", code)
-	}
-	var tr struct {
-		Events []telemetry.Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]bool{}
-	for _, ev := range tr.Events {
-		kinds[ev.Kind] = true
-	}
-	// The master received the request and sent the response — both
-	// under the same trace ID.
-	if !kinds["recv"] || !kinds["send"] {
-		t.Fatalf("master trace %s: kinds %v, events %+v", traceID, kinds, tr.Events)
-	}
-
-	// The client side of the same trace: a send to the master plus the
-	// op span, and a recv for the response.
-	clKinds := map[string]bool{}
-	for _, ev := range cl.Journal.ByTrace(traceID) {
-		clKinds[ev.Kind] = true
-	}
-	if !clKinds["op"] || !clKinds["send"] || !clKinds["recv"] {
-		t.Fatalf("client trace kinds: %v", clKinds)
+		t.Fatal("client ring has no mkdir op span")
 	}
 
 	// Client-observed latency histograms exist per op.
@@ -170,21 +141,22 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 		t.Fatalf("metrics json %d: %s", code, body)
 	}
 
-	// The same trace's SPANS: the client recorded the op root span and
-	// parked the request's wire hop; the master chained recv -> rules.
-	// Each node's /debug/spans serves its own half; merged (what
-	// boom-trace does), they assemble into one tree.
+	// The trace's spans: the client recorded the op root span, the
+	// request's send and the response's recv; the master chained
+	// recv -> rules -> send. Each node's /debug/trace?id= serves its
+	// own half; merged (what boom-trace does), they assemble into one
+	// tree.
 	clSpans := cl.Tracer.ByTrace(traceID)
 	clKindSet := map[string]bool{}
 	for _, sp := range clSpans {
 		clKindSet[sp.Kind] = true
 	}
-	if !clKindSet["op"] || !clKindSet["send"] {
+	if !clKindSet["op"] || !clKindSet["send"] || !clKindSet["recv"] {
 		t.Fatalf("client span kinds: %v (%v)", clKindSet, clSpans)
 	}
-	code, body = httpGet(t, m.Status.URL()+"/debug/spans?id="+traceID)
+	code, body = httpGet(t, m.Status.URL()+"/debug/trace?id="+traceID)
 	if code != 200 {
-		t.Fatalf("spans status: %d", code)
+		t.Fatalf("trace status: %d", code)
 	}
 	var sp struct {
 		Spans     []telemetry.Span `json:"spans"`
@@ -197,7 +169,7 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	for _, s := range sp.Spans {
 		mKindSet[s.Kind] = true
 	}
-	if !mKindSet["recv"] || !mKindSet["rules"] {
+	if !mKindSet["recv"] || !mKindSet["rules"] || !mKindSet["send"] {
 		t.Fatalf("master span kinds: %v (%s)", mKindSet, body)
 	}
 	merged := append(clSpans, sp.Spans...)

@@ -31,14 +31,13 @@ type Cluster struct {
 }
 
 type server struct {
-	addr    string
-	role    string
-	node    *transport.Node
-	tcp     *transport.TCP
-	reg     *telemetry.Registry
-	journal *telemetry.Journal
-	tracer  *telemetry.Tracer
-	status  *telemetry.Server
+	addr   string
+	role   string
+	node   *transport.Node
+	tcp    *transport.TCP
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
+	status *telemetry.Server
 }
 
 func (s *server) close() {
@@ -96,7 +95,6 @@ func serveRuntime(rt *overlog.Runtime, addr, role string, setup func(*transport.
 		}
 	}
 	reg := telemetry.NewRegistry()
-	journal := telemetry.NewJournal(0)
 	tracer := telemetry.NewTracer(0)
 	telemetry.AttachRuntime(reg, "", rt)
 	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return time.Now().UnixMilli() })
@@ -110,14 +108,14 @@ func serveRuntime(rt *overlog.Runtime, addr, role string, setup func(*transport.
 	if err != nil {
 		return nil, err
 	}
-	tcp.SetTelemetry(transport.NewTCPStats(reg), journal)
+	tcp.SetTelemetry(transport.NewTCPStats(reg))
 	tcp.SetTracer(tracer)
 	// Materialize the node's own lint findings into sys::lint before the
 	// step loop starts, so rules and /debug/lint can query them.
 	analysis.SelfLint(rt)
 	go node.Run()
 	return &server{addr: addr, role: role, node: node, tcp: tcp,
-		reg: reg, journal: journal, tracer: tracer}, nil
+		reg: reg, tracer: tracer}, nil
 }
 
 // ServeStatus starts status HTTP servers for every node: the
@@ -134,7 +132,6 @@ func (c *Cluster) ServeStatus(jtStatus string) ([]string, error) {
 			Role:        s.role,
 			Addr:        s.addr,
 			Registry:    s.reg,
-			Journal:     s.journal,
 			Tracer:      s.tracer,
 			WithRuntime: s.node.Runtime,
 		})

@@ -193,12 +193,11 @@ type Cluster struct {
 	steps    int64
 
 	// Optional telemetry: a registry shared by every node (metrics are
-	// labelled per node) and a cluster-wide event journal recording
-	// inter-node sends with trace IDs — the simulated counterpart of
-	// the TCP transport's instrumentation, without the HTTP server.
-	reg     *telemetry.Registry
-	journal *telemetry.Journal
-	tracer  *telemetry.Tracer
+	// labelled per node) and a cluster-wide event ring recording spans,
+	// sends, drops and faults — the simulated counterpart of the TCP
+	// transport's instrumentation, without the HTTP server.
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
 
 	// provCap > 0 enables wildcard derivation capture (sys::prov "*")
 	// on every node, surviving crash-restarts. See WithProvenance.
@@ -318,22 +317,19 @@ func WithServiceTime(fn func(node, table string) int64) Option {
 	return func(c *Cluster) { c.serviceTime = fn }
 }
 
-// WithTelemetry installs a metrics registry (every node added later is
-// instrumented, labelled by address) and an optional shared journal
-// that records inter-node message flow with trace IDs.
-func WithTelemetry(reg *telemetry.Registry, j *telemetry.Journal) Option {
-	return func(c *Cluster) {
-		c.reg = reg
-		c.journal = j
-	}
+// WithTelemetry installs a metrics registry: every node added later is
+// instrumented, labelled by address.
+func WithTelemetry(reg *telemetry.Registry) Option {
+	return func(c *Cluster) { c.reg = reg }
 }
 
-// WithTracer installs a cluster-wide span tracer. The sim stamps all
-// spans itself in the phase-2 merge — rule-fire spans when a
-// node consumed traced tuples, network spans when a traced envelope
-// or service injection crosses a link — with virtual-clock
-// timestamps and per-node span counters, so span assembly is
-// bit-identical across runs.
+// WithTracer installs the cluster-wide event ring. The sim records
+// into it itself in the phase-2 merge — rule-fire spans when a node
+// consumed traced tuples, a net span when a traced envelope or service
+// injection crosses a link and a send when an untraced one does, a
+// drop per lost message, a fault per kill, revive, restart, partition
+// or heal — with virtual-clock timestamps and per-node span counters,
+// so the ring is bit-identical across runs.
 func WithTracer(tr *telemetry.Tracer) Option {
 	return func(c *Cluster) { c.tracer = tr }
 }
@@ -457,7 +453,7 @@ func (c *Cluster) Kill(addr string) {
 		n.killed = true
 		delete(c.busyUntil, addr)
 		c.refreshWake(n)
-		c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: addr, Kind: "fault", Detail: "kill"})
+		c.fault(addr, "kill", "")
 	}
 }
 
@@ -466,7 +462,7 @@ func (c *Cluster) Revive(addr string) {
 	if n, ok := c.nodes[addr]; ok {
 		n.killed = false
 		c.refreshWake(n)
-		c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: addr, Kind: "fault", Detail: "revive"})
+		c.fault(addr, "revive", "")
 	}
 }
 
@@ -527,7 +523,7 @@ func (c *Cluster) Restart(addr string) error {
 	n.killed = false
 	c.refreshWake(n)
 	delete(c.busyUntil, addr)
-	c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: addr, Kind: "fault", Detail: "restart"})
+	c.fault(addr, "restart", "")
 	return nil
 }
 
@@ -541,14 +537,14 @@ func (c *Cluster) Killed(addr string) bool {
 func (c *Cluster) Partition(a, b string) {
 	c.partitions[[2]string{a, b}] = true
 	c.partitions[[2]string{b, a}] = true
-	c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: a, Kind: "fault", Detail: "partition from " + b})
+	c.fault(a, "partition", "from "+b)
 }
 
 // Heal restores the link between a and b.
 func (c *Cluster) Heal(a, b string) {
 	delete(c.partitions, [2]string{a, b})
 	delete(c.partitions, [2]string{b, a})
-	c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: a, Kind: "fault", Detail: "heal with " + b})
+	c.fault(a, "heal", "with "+b)
 }
 
 // SetDropRate replaces the inter-node loss probability (loss-burst
@@ -613,32 +609,33 @@ func (c *Cluster) Inject(to string, tp overlog.Tuple, delayMS int64) {
 // Telemetry returns the cluster's registry (nil unless WithTelemetry).
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
 
-// Journal returns the cluster's event journal (nil unless installed).
-func (c *Cluster) Journal() *telemetry.Journal { return c.journal }
-
-// Tracer returns the cluster's span tracer (nil unless WithTracer).
+// Tracer returns the cluster's event ring (nil unless WithTracer).
 func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
+
+// fault records an injected fault in the event ring.
+func (c *Cluster) fault(node, op, detail string) {
+	c.tracer.Record(telemetry.Span{Node: node, Kind: "fault", Op: op,
+		StartMS: c.now, EndMS: c.now, Detail: detail})
+}
+
+// drop counts a lost message and records it in the event ring.
+func (c *Cluster) drop(from string, tp overlog.Tuple, detail string) {
+	c.Dropped++
+	if c.tracer != nil {
+		c.tracer.Record(telemetry.Span{TraceID: telemetry.TraceIDOf(tp), Node: from,
+			Kind: "drop", Op: tp.Table, StartMS: c.now, EndMS: c.now, Detail: detail})
+	}
+}
 
 // send routes a runtime-emitted envelope through the network model.
 func (c *Cluster) send(from string, env overlog.Envelope) {
 	if c.partitions[[2]string{from, env.To}] {
-		c.Dropped++
-		c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: from, Kind: "drop",
-			Table: env.Tuple.Table, TraceID: telemetry.TraceIDOf(env.Tuple),
-			Detail: "partitioned from " + env.To})
+		c.drop(from, env.Tuple, "partitioned from "+env.To)
 		return
 	}
 	if from != env.To && c.dropRate > 0 && c.rng.Float64() < c.dropRate {
-		c.Dropped++
-		c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: from, Kind: "drop",
-			Table: env.Tuple.Table, TraceID: telemetry.TraceIDOf(env.Tuple),
-			Detail: "lossy link to " + env.To})
+		c.drop(from, env.Tuple, "lossy link to "+env.To)
 		return
-	}
-	if c.journal != nil && from != env.To {
-		c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: from, Kind: "send",
-			Table: env.Tuple.Table, TraceID: telemetry.TraceIDOf(env.Tuple),
-			Detail: "to " + env.To})
 	}
 	delay := int64(0)
 	if from != env.To {
@@ -653,17 +650,20 @@ func (c *Cluster) send(from string, env overlog.Envelope) {
 	c.Inject(env.To, env.Tuple, delay)
 }
 
-// stampNetSpan records the wire hop of a traced cross-node emission:
-// EndMS covers network delay only, so the gap to the destination's
-// next rule-fire span is the service-queueing component. Runs only in
-// the phase-2 merge, in creation order, which is what keeps per-node
-// span counters and ring order deterministic.
+// stampNetSpan records one cross-node emission. A traced one becomes
+// a net span whose EndMS covers network delay only, so the gap to the
+// destination's next rule-fire span is the service-queueing component;
+// an untraced one becomes a send, with no span ID. Runs only in the
+// phase-2 merge, in creation order, which is what keeps per-node span
+// counters and ring order deterministic.
 func (c *Cluster) stampNetSpan(from, to string, tp overlog.Tuple, delay int64) {
 	if c.tracer == nil || from == to {
 		return
 	}
 	trace := telemetry.TraceIDOf(tp)
 	if trace == "" {
+		c.tracer.Record(telemetry.Span{Node: from, Kind: "send", Op: tp.Table,
+			StartMS: c.now, EndMS: c.now, Detail: "to " + to})
 		return
 	}
 	id := c.tracer.NextID(from)
@@ -819,7 +819,7 @@ func (c *Cluster) runNode(n *node, in []overlog.Tuple) ([]overlog.Envelope, erro
 
 // flushNode is phase 2: merge one node's effects into cluster state,
 // in creation order — it draws from the cluster RNG (latency, loss),
-// allocates delivery sequence numbers, and appends to the journal.
+// allocates delivery sequence numbers, and appends to the event ring.
 func (c *Cluster) flushNode(n *node, out []overlog.Envelope) {
 	for _, env := range out {
 		c.send(n.addr, env)
@@ -850,17 +850,11 @@ func (c *Cluster) flushNode(n *node, out []overlog.Envelope) {
 func (c *Cluster) sendInjection(from string, inj Injection) {
 	if inj.To != from {
 		if c.partitions[[2]string{from, inj.To}] {
-			c.Dropped++
-			c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: from, Kind: "drop",
-				Table: inj.Tuple.Table, TraceID: telemetry.TraceIDOf(inj.Tuple),
-				Detail: "partitioned from " + inj.To})
+			c.drop(from, inj.Tuple, "partitioned from "+inj.To)
 			return
 		}
 		if c.dropRate > 0 && c.rng.Float64() < c.dropRate {
-			c.Dropped++
-			c.journal.RecordAt(telemetry.Event{WallMS: c.now, Node: from, Kind: "drop",
-				Table: inj.Tuple.Table, TraceID: telemetry.TraceIDOf(inj.Tuple),
-				Detail: "lossy link to " + inj.To})
+			c.drop(from, inj.Tuple, "lossy link to "+inj.To)
 			return
 		}
 	}
@@ -946,9 +940,10 @@ func (c *Cluster) DeliveredTotal() int64 {
 
 // Fingerprint reduces every observable the simulator promises to keep
 // deterministic into one string: per-node table contents, the
-// delivery/drop counters, the virtual clock, and the telemetry journal
-// (which records sends, drops, and faults in order) when one is
-// installed. Two runs from the same seed and schedule must agree on it.
+// delivery/drop counters, the virtual clock, and the event ring's
+// retained spans (sends, drops, faults and trace spans, in order) when
+// one is installed. Two runs from the same seed and schedule must
+// agree on it.
 func (c *Cluster) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d dropped=%d delivered=%d\n", c.now, c.Dropped, c.DeliveredTotal())
@@ -961,8 +956,8 @@ func (c *Cluster) Fingerprint() string {
 			fmt.Fprintf(&b, "-- %s.%s --\n%s", addr, tbl, rt.Table(tbl).Dump())
 		}
 	}
-	for _, ev := range c.journal.Events() {
-		fmt.Fprintf(&b, "journal %d %s %s %s %s %s\n", ev.WallMS, ev.Node, ev.Kind, ev.Table, ev.TraceID, ev.Detail)
+	for _, sp := range c.tracer.Spans() {
+		fmt.Fprintf(&b, "event %s\n", sp)
 	}
 	return b.String()
 }

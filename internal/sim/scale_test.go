@@ -47,7 +47,8 @@ func buildSparse(t *testing.T, total, active int) *Cluster {
 		WithClusterSeed(42),
 		WithLatency(UniformLatency(1, 9)),
 		WithDropRate(0.05),
-		WithTelemetry(telemetry.NewRegistry(), telemetry.NewJournal(1<<16)),
+		WithTelemetry(telemetry.NewRegistry()),
+		WithTracer(telemetry.NewTracer(1<<16)),
 	)
 	addrs := make([]string, active)
 	for i := range addrs {
@@ -85,7 +86,7 @@ func runSparse(t *testing.T, total, active int, horizon int64) string {
 
 // TestSparseFingerprintAtScale is the determinism-at-scale check from
 // the scale-harness issue: a 5k-node cluster where only 32 nodes carry
-// traffic must produce bit-identical journals and table fingerprints
+// traffic must produce bit-identical event rings and table fingerprints
 // on every run.
 func TestSparseFingerprintAtScale(t *testing.T) {
 	if raceEnabled {
@@ -107,8 +108,8 @@ func TestSparseFingerprintSmoke(t *testing.T) {
 	if again := runSparse(t, 300, 16, 300); first != again {
 		t.Fatal("fingerprint diverged between two runs of the sparse smoke cluster")
 	}
-	if !strings.Contains(first, "journal") {
-		t.Fatal("fingerprint recorded no journal events; test is vacuous")
+	if !strings.Contains(first, "\nevent ") {
+		t.Fatal("fingerprint recorded no ring events; test is vacuous")
 	}
 }
 

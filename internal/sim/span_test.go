@@ -112,3 +112,41 @@ func TestSimSpanChain(t *testing.T) {
 		t.Fatalf("trace assembled into %d trees, want 1", len(roots))
 	}
 }
+
+// TestSimOneEntryPerEnvelope pins the ring's accounting: every
+// cross-node envelope is one entry — a net span when traced, a send
+// with neither trace nor span ID when not — beside the rules span of
+// each step that consumed a traced tuple.
+func TestSimOneEntryPerEnvelope(t *testing.T) {
+	tr := telemetry.NewTracer(0)
+	c := sim.NewCluster(sim.WithClusterSeed(7), sim.WithTracer(tr))
+	ring := []string{"a", "b", "c"}
+	for i, addr := range ring {
+		next := ring[(i+1)%len(ring)]
+		rt := c.MustAddNode(addr)
+		if err := rt.InstallSource(fmt.Sprintf(`
+			event relay(P: addr, Id: string, H: int);
+			event hop(P: addr, H: int);
+			f1 relay(@N, Id, H + 1) :- relay(_, Id, H), H < 3, N := %q;
+			f2 hop(@N, H + 1) :- hop(_, H), H < 3, N := %q;
+		`, next, next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Inject("a", overlog.NewTuple("relay", overlog.Addr("a"), overlog.Str("req-5"), overlog.Int(0)), 1)
+	c.Inject("a", overlog.NewTuple("hop", overlog.Addr("a"), overlog.Int(0)), 1)
+	if err := c.Run(c.Now() + 2000); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, sp := range tr.Spans() {
+		kinds[sp.Kind]++
+		if sp.Kind == "send" && (sp.Op != "hop" || sp.TraceID != "" || sp.SpanID != "") {
+			t.Fatalf("untraced send carries trace context: %v", sp)
+		}
+	}
+	want := map[string]int{"rules": 4, "net": 3, "send": 3}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("ring entries by kind = %v, want %v", kinds, want)
+	}
+}

@@ -1,8 +1,8 @@
 // Package telemetry is the production observability layer for BOOM
 // nodes: a metrics registry with atomic hot-path counters, gauges and
 // bounded-bucket histograms (exposed in Prometheus text format), a
-// per-node ring-buffer trace journal with cross-node trace-ID
-// correlation, and a status HTTP server whose debug endpoints are
+// per-node event ring of spans with cross-node trace-ID correlation,
+// and a status HTTP server whose debug endpoints are
 // driven by the runtime's sys:: catalog — the paper's "a program is
 // data" monitoring claim made operational.
 //

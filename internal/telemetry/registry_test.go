@@ -37,15 +37,15 @@ func TestNilReceiversSafe(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var j *Journal
+	var tr *Tracer
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	j.Record(Event{Kind: "op"})
+	tr.Record(Span{Kind: "op"})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 ||
-		h.Quantile(0.5) != 0 || j.Total() != 0 || j.Events() != nil {
+		h.Quantile(0.5) != 0 || tr.Total() != 0 || tr.Spans() != nil {
 		t.Fatal("nil metric receivers must read as zero")
 	}
 }

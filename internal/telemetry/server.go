@@ -22,7 +22,6 @@ type Source struct {
 	Role        string // "master", "datanode", "jobtracker", ...
 	Addr        string // the node's Overlog/TCP address
 	Registry    *Registry
-	Journal     *Journal
 	Tracer      *Tracer
 	WithRuntime func(func(*overlog.Runtime))
 	// Extra mounts additional debug endpoints (path → handler), e.g.
@@ -54,7 +53,6 @@ func Serve(addr string, src Source) (*Server, error) {
 	mux.HandleFunc("/debug/rules", s.handleRules)
 	mux.HandleFunc("/debug/catalog", s.handleCatalog)
 	mux.HandleFunc("/debug/trace", s.handleTrace)
-	mux.HandleFunc("/debug/spans", s.handleSpans)
 	mux.HandleFunc("/debug/lint", s.handleLint)
 	mux.HandleFunc("/debug/prov", s.handleProv)
 	mux.HandleFunc("/debug/profile", s.handleProfile)
@@ -140,14 +138,11 @@ func tupleRows(ts []overlog.Tuple, limit int) [][]string {
 }
 
 // pageParams reads ?limit= and ?offset= (limit falls back to the given
-// default; aliases let older query shapes keep working).
-func pageParams(r *http.Request, defLimit int, limitAliases ...string) (limit, offset int) {
+// default).
+func pageParams(r *http.Request, defLimit int) (limit, offset int) {
 	limit = defLimit
-	for _, key := range append([]string{"limit"}, limitAliases...) {
-		if n, err := strconv.Atoi(r.URL.Query().Get(key)); err == nil && n > 0 {
-			limit = n
-			break
-		}
+	if n, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && n > 0 {
+		limit = n
 	}
 	if n, err := strconv.Atoi(r.URL.Query().Get("offset")); err == nil && n > 0 {
 		offset = n
@@ -307,49 +302,14 @@ func (s *Server) handleLint(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleTrace serves the event journal: ?id=TRACE filters to one
-// request-scoped trace; otherwise a page of the newest events is
-// returned — ?limit=N (default 100; ?n= is an older alias) sized, with
-// ?offset=M skipping the M most recent, so a client can walk backwards
-// through the buffer page by page.
+// handleTrace serves the event ring. ?id=TRACE returns one trace's
+// spans in canonical order, the nodes they touch and a rendered
+// waterfall. Otherwise it returns a page of the newest entries, traced
+// or not — ?limit=N (default 100) sized, with ?offset=M skipping the M
+// most recent, so a client can walk backwards through the buffer page
+// by page — with total (ever recorded), buffered (retained) and
+// evicted (total - buffered), so the view reports what it lost.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.src.Journal == nil {
-		http.Error(w, "no journal attached", http.StatusNotFound)
-		return
-	}
-	if id := r.URL.Query().Get("id"); id != "" {
-		writeJSON(w, map[string]interface{}{
-			"trace_id": id,
-			"node":     s.src.Addr,
-			"events":   s.src.Journal.ByTrace(id),
-		})
-		return
-	}
-	limit, offset := pageParams(r, 100, "n")
-	evs := s.src.Journal.Events()
-	hi := len(evs) - offset
-	if hi < 0 {
-		hi = 0
-	}
-	lo := hi - limit
-	if lo < 0 {
-		lo = 0
-	}
-	writeJSON(w, map[string]interface{}{
-		"node":     s.src.Addr,
-		"total":    s.src.Journal.Total(),
-		"buffered": len(evs),
-		"offset":   offset,
-		"limit":    limit,
-		"events":   evs[lo:hi],
-	})
-}
-
-// handleSpans serves the span tracer: ?id=TRACE returns one trace's
-// spans in canonical order plus a rendered waterfall; otherwise a
-// page of trace summaries (?limit=N, default 50, ?offset=M) — the
-// machine-readable form boom-trace attaches to and replays from.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if s.src.Tracer == nil {
 		http.Error(w, "no tracer attached", http.StatusNotFound)
 		return
@@ -365,14 +325,23 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	limit, offset := pageParams(r, 50)
-	traces := s.src.Tracer.Traces()
-	lo, hi := pageSlice(len(traces), limit, offset)
+	limit, offset := pageParams(r, 100)
+	spans, total := s.src.Tracer.snapshot()
+	hi := len(spans) - offset
+	if hi < 0 {
+		hi = 0
+	}
+	lo := hi - limit
+	if lo < 0 {
+		lo = 0
+	}
 	writeJSON(w, map[string]interface{}{
-		"node":   s.src.Addr,
-		"total":  s.src.Tracer.Total(),
-		"traces": traces[lo:hi],
-		"offset": offset,
-		"limit":  limit,
+		"node":     s.src.Addr,
+		"total":    total,
+		"buffered": len(spans),
+		"evicted":  total - int64(len(spans)),
+		"offset":   offset,
+		"limit":    limit,
+		"spans":    spans[lo:hi],
 	})
 }

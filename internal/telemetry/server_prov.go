@@ -11,14 +11,10 @@ import (
 )
 
 // provOptions builds the chase options for HTTP queries: local-ring
-// only (the status server sees one runtime), but with journal trace
-// attachment so external nodes still carry their wire history.
+// only (the status server sees one runtime), but with the event ring's
+// spans attached so external nodes still carry their wire history.
 func (s *Server) provOptions() provenance.Options {
-	opt := provenance.Options{TraceID: TraceIDOf}
-	if s.src.Journal != nil {
-		opt.TraceEvents = s.src.Journal.RenderTrace
-	}
-	return opt
+	return provenance.Options{TraceID: TraceIDOf, TraceEvents: s.src.Tracer.RenderTrace}
 }
 
 // derivJSON renders one captured derivation for the ring-dump view.

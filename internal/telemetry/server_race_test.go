@@ -17,14 +17,15 @@ import (
 // endpoints while a sim cluster with provenance capture and profiling
 // keeps deriving on its own goroutine — run under -race this proves
 // the status server's serialized-runtime access really serializes
-// against the step loop, and that registry/journal reads are safe
-// alongside their writers.
+// against the step loop, and that registry and event-ring reads are
+// safe alongside their writers.
 func TestStatusServerConcurrentWithCluster(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	journal := telemetry.NewJournal(1024)
+	tracer := telemetry.NewTracer(1024)
 	c := sim.NewCluster(
 		sim.WithClusterSeed(3),
-		sim.WithTelemetry(reg, journal),
+		sim.WithTelemetry(reg),
+		sim.WithTracer(tracer),
 		sim.WithProvenance(64))
 
 	// Two nodes ping tuples back and forth so both keep deriving.
@@ -53,7 +54,7 @@ func TestStatusServerConcurrentWithCluster(t *testing.T) {
 	// mutex, exactly how the TCP transport serializes runtime access.
 	var mu sync.Mutex
 	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Source{
-		Role: "sim", Addr: "a", Registry: reg, Journal: journal,
+		Role: "sim", Addr: "a", Registry: reg, Tracer: tracer,
 		WithRuntime: func(fn func(*overlog.Runtime)) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -112,10 +113,10 @@ func TestStatusServerConcurrentWithCluster(t *testing.T) {
 	}
 }
 
-// TestJournalWrapConcurrentPagination forces the journal ring to wrap
+// TestJournalWrapConcurrentPagination forces the event ring to wrap
 // many times over while /debug/trace pages through it. Each writer
 // stamps its events with its own strictly sequential offset; every
-// page the server returns is carved from one locked Events() snapshot,
+// page the server returns is carved from one locked ring snapshot,
 // so within a page each writer's offsets must be strictly increasing
 // AND gap-free — a duplicated offset means the ring re-served a slot,
 // a gap means wraparound lost an event that newer retained events
@@ -126,9 +127,9 @@ func TestJournalWrapConcurrentPagination(t *testing.T) {
 		perWriter = 2000
 		capacity  = 256
 	)
-	journal := telemetry.NewJournal(capacity)
+	tracer := telemetry.NewTracer(capacity)
 	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Source{
-		Role: "sim", Addr: "n1", Journal: journal,
+		Role: "sim", Addr: "n1", Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,19 +142,21 @@ func TestJournalWrapConcurrentPagination(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				journal.RecordAt(telemetry.Event{
-					WallMS: int64(i), Node: fmt.Sprintf("w%d", w),
-					Kind: "op", Table: "hammer", Detail: fmt.Sprintf("%d", i),
+				tracer.Record(telemetry.Span{
+					StartMS: int64(i), EndMS: int64(i), Node: fmt.Sprintf("w%d", w),
+					Kind: "op", Op: "hammer", Detail: fmt.Sprintf("%d", i),
 				})
 			}
 		}(w)
 	}
 
 	type page struct {
-		Total  int64             `json:"total"`
-		Events []telemetry.Event `json:"events"`
+		Total    int64            `json:"total"`
+		Buffered int64            `json:"buffered"`
+		Evicted  int64            `json:"evicted"`
+		Spans    []telemetry.Span `json:"spans"`
 	}
-	checkPage := func(evs []telemetry.Event) {
+	checkPage := func(evs []telemetry.Span) {
 		last := map[string]int{}
 		for _, ev := range evs {
 			var off int
@@ -191,17 +194,20 @@ func TestJournalWrapConcurrentPagination(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
-				checkPage(p.Events)
+				if p.Evicted != p.Total-p.Buffered {
+					t.Errorf("evicted %d != total %d - buffered %d", p.Evicted, p.Total, p.Buffered)
+				}
+				checkPage(p.Spans)
 			}
 		}
 	}()
 	wg.Wait()
 	<-readDone
 
-	if got := journal.Total(); got != writers*perWriter {
-		t.Fatalf("journal total = %d, want %d (no lost records)", got, writers*perWriter)
+	if got := tracer.Total(); got != writers*perWriter {
+		t.Fatalf("ring total = %d, want %d (no lost records)", got, writers*perWriter)
 	}
-	evs := journal.Events()
+	evs := tracer.Spans()
 	if len(evs) != capacity {
 		t.Fatalf("retained %d events, want full ring of %d", len(evs), capacity)
 	}

@@ -12,10 +12,10 @@ import (
 	"repro/internal/overlog"
 )
 
-// serveTestNode builds a stepped runtime with a program, metrics and a
-// journal, fronted by a status server, mirroring how transports wire
+// serveTestNode builds a stepped runtime with a program, metrics and an
+// event ring, fronted by a status server, mirroring how transports wire
 // real nodes (serialized runtime access).
-func serveTestNode(t *testing.T) (*Server, *Registry, *Journal) {
+func serveTestNode(t *testing.T) (*Server, *Registry, *Tracer) {
 	t.Helper()
 	rt := overlog.NewRuntime("n1")
 	if err := rt.InstallSource(`
@@ -33,19 +33,20 @@ func serveTestNode(t *testing.T) (*Server, *Registry, *Journal) {
 		defer mu.Unlock()
 		fn(rt)
 	}
-	j := NewJournal(64)
-	j.Record(Event{WallMS: 5, Node: "n1", Kind: "op", Table: "bump", TraceID: "t-1", Detail: "bump x"})
+	tr := NewTracer(64)
+	tr.Record(Span{TraceID: "t-1", SpanID: "n1#1", Node: "n1", Kind: "op", Op: "bump",
+		StartMS: 5, EndMS: 5, Detail: "bump x"})
 	rt.Step(1, []overlog.Tuple{overlog.NewTuple("bump", overlog.Str("x"))})
 	rt.Step(2, []overlog.Tuple{overlog.NewTuple("bump", overlog.Str("y"))})
 
 	srv, err := Serve("127.0.0.1:0", Source{
-		Role: "test", Addr: "n1", Registry: reg, Journal: j, WithRuntime: withRT,
+		Role: "test", Addr: "n1", Registry: reg, Tracer: tr, WithRuntime: withRT,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, reg, j
+	return srv, reg, tr
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -154,33 +155,35 @@ func TestServerRulesAndCatalog(t *testing.T) {
 }
 
 func TestServerTrace(t *testing.T) {
-	srv, _, j := serveTestNode(t)
-	j.Record(Event{WallMS: 6, Node: "n1", Kind: "send", Table: "bump", TraceID: "t-2"})
+	srv, _, tr := serveTestNode(t)
+	tr.Record(Span{Node: "n1", Kind: "send", Op: "bump", StartMS: 6, EndMS: 6, Detail: "to n2"})
 
 	code, body := get(t, srv.URL()+"/debug/trace?id=t-1")
 	if code != 200 {
 		t.Fatalf("trace status: %d", code)
 	}
-	var tr struct {
-		TraceID string  `json:"trace_id"`
-		Events  []Event `json:"events"`
+	var one struct {
+		TraceID string `json:"trace_id"`
+		Spans   []Span `json:"spans"`
 	}
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
+	if err := json.Unmarshal([]byte(body), &one); err != nil {
 		t.Fatal(err)
 	}
-	if tr.TraceID != "t-1" || len(tr.Events) != 1 || tr.Events[0].Detail != "bump x" {
+	if one.TraceID != "t-1" || len(one.Spans) != 1 || one.Spans[0].Detail != "bump x" {
 		t.Fatalf("trace: %s", body)
 	}
 
-	code, body = get(t, srv.URL()+"/debug/trace?n=1")
+	// The unfiltered page holds untraced events too.
+	code, body = get(t, srv.URL()+"/debug/trace?limit=1")
 	var recent struct {
-		Total  int64   `json:"total"`
-		Events []Event `json:"events"`
+		Total int64  `json:"total"`
+		Spans []Span `json:"spans"`
 	}
 	if err := json.Unmarshal([]byte(body), &recent); err != nil || code != 200 {
 		t.Fatalf("recent %d: %v / %s", code, err, body)
 	}
-	if recent.Total != 2 || len(recent.Events) != 1 || recent.Events[0].TraceID != "t-2" {
+	if recent.Total != 2 || len(recent.Spans) != 1 || recent.Spans[0].Kind != "send" ||
+		recent.Spans[0].TraceID != "" {
 		t.Fatalf("recent: %s", body)
 	}
 }
@@ -215,25 +218,25 @@ func TestServerTablesPagination(t *testing.T) {
 }
 
 func TestServerTracePagination(t *testing.T) {
-	srv, _, j := serveTestNode(t)
+	srv, _, tr := serveTestNode(t)
 	for i := 0; i < 5; i++ {
-		j.Record(Event{WallMS: int64(10 + i), Node: "n1", Kind: "op", Table: "bump"})
+		tr.Record(Span{Node: "n1", Kind: "op", Op: "bump", StartMS: int64(10 + i), EndMS: int64(10 + i)})
 	}
 	// 6 events buffered; limit=2&offset=1 must return the 4th and 5th.
 	code, body := get(t, srv.URL()+"/debug/trace?limit=2&offset=1")
 	var page struct {
-		Buffered int     `json:"buffered"`
-		Events   []Event `json:"events"`
+		Buffered int    `json:"buffered"`
+		Spans    []Span `json:"spans"`
 	}
 	if err := json.Unmarshal([]byte(body), &page); err != nil || code != 200 {
 		t.Fatalf("trace page %d: %v / %s", code, err, body)
 	}
-	if page.Buffered != 6 || len(page.Events) != 2 {
+	if page.Buffered != 6 || len(page.Spans) != 2 {
 		t.Fatalf("trace page: %s", body)
 	}
-	if page.Events[0].WallMS != 12 || page.Events[1].WallMS != 13 {
+	if page.Spans[0].StartMS != 12 || page.Spans[1].StartMS != 13 {
 		t.Fatalf("offset=1 window = [%d, %d], want [12, 13]",
-			page.Events[0].WallMS, page.Events[1].WallMS)
+			page.Spans[0].StartMS, page.Spans[1].StartMS)
 	}
 }
 

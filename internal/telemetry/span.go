@@ -8,26 +8,31 @@ import (
 	"sync"
 )
 
-// A Span is one timed segment of a distributed trace. Spans are
-// cheap, append-only records — the Tracer keeps them in a bounded
-// ring like the journal keeps Events — and a trace assembles into a
-// tree by ParentID, giving the per-hop latency breakdown of one
-// logical request across nodes.
+// A Span is one record of a node's event ring: a timed segment of a
+// distributed trace, or a point event (StartMS == EndMS) such as a
+// send, a receive, a drop or an injected fault. A trace assembles
+// into a tree by ParentID, giving the per-hop latency breakdown of
+// one logical request across nodes. An untraced event (a tuple whose
+// table has no trace column, a fault) has an empty TraceID and no
+// SpanID, so recording it costs one ring slot and nothing more.
 //
 // Timestamps are whatever clock the recorder passed in: the sim
 // driver stamps virtual-clock milliseconds (bit-identical replay),
 // the TCP driver stamps wall milliseconds. The Tracer itself never
-// reads a clock, exactly like Journal.RecordAt.
+// reads a clock.
 type Span struct {
-	TraceID  string `json:"trace_id"`
-	SpanID   string `json:"span_id"`
+	TraceID  string `json:"trace_id,omitempty"`
+	SpanID   string `json:"span_id,omitempty"`
 	ParentID string `json:"parent_id,omitempty"`
 	Node     string `json:"node"`
-	// Kind classifies the segment: "op" (a client-visible operation,
+	// Kind classifies the record: "op" (a client-visible operation,
 	// the usual root), "rules" (a runtime step that consumed tuples of
-	// this trace), "send" (a remote emission leaving a step), "net"
-	// (a sim-modeled wire hop, EndMS includes only network delay),
-	// "recv" (TCP-side delivery).
+	// this trace), "send" (an emission leaving a node), "net" (a
+	// sim-modeled wire hop, EndMS includes only network delay), "recv"
+	// (TCP-side delivery), "drop" (a message lost to a fault, a full
+	// queue, a failed dial or write, or a frame the receiver's program
+	// cannot hold) and "fault" (an injected kill, restart, partition,
+	// ...).
 	Kind    string `json:"kind"`
 	Op      string `json:"op"`
 	StartMS int64  `json:"start_ms"`
@@ -48,10 +53,24 @@ type activeKey struct{ node, trace string }
 
 type hopKey struct{ from, trace, to string }
 
-// Tracer collects spans cluster-wide (one per process under the sim
-// driver, one per node over TCP) and carries the two pieces of
-// cross-component context that make chaining work without threading
-// span IDs through every call site:
+// hopRef is one parking of a hop: seq tells a live parking from an
+// older one of the same key that was taken since.
+type hopRef struct {
+	key hopKey
+	seq uint64
+}
+
+type parkedHop struct {
+	span string
+	seq  uint64
+}
+
+// Tracer is the event ring: a bounded ring of spans, cluster-wide
+// under the sim driver and one per node over TCP, that every view of
+// a node's events reads (/debug/trace, chaos reports, provenance
+// trace attachments, the sim fingerprint). It also carries the two
+// pieces of cross-component context that make chaining work without
+// threading span IDs through every call site:
 //
 //   - the ACTIVE span per (node, trace): the span a node's next
 //     rule-fire for that trace should parent to;
@@ -64,7 +83,8 @@ type hopKey struct{ from, trace, to string }
 // goroutine per node); span IDs come from per-node counters, which
 // stay deterministic in the sim because each node's steps are serial.
 // Both context maps are bounded with FIFO eviction so abandoned
-// traces cannot leak.
+// traces cannot leak. Record, Spans and Total accept a nil Tracer, so
+// a driver without a ring records nothing.
 type Tracer struct {
 	mu       sync.Mutex
 	buf      []Span
@@ -74,11 +94,12 @@ type Tracer struct {
 	seq      map[string]int64
 	active   map[activeKey]string
 	actOrder []activeKey
-	hops     map[hopKey]string
-	hopOrder []hopKey
+	hops     map[hopKey]parkedHop
+	hopOrder []hopRef
+	hopSeq   uint64
 }
 
-// DefaultSpanCap bounds the span ring when NewTracer is given a
+// DefaultSpanCap bounds the ring when NewTracer is given a
 // non-positive capacity.
 const DefaultSpanCap = 4096
 
@@ -94,7 +115,7 @@ func NewTracer(capacity int) *Tracer {
 		buf:    make([]Span, capacity),
 		seq:    make(map[string]int64),
 		active: make(map[activeKey]string),
-		hops:   make(map[hopKey]string),
+		hops:   make(map[hopKey]parkedHop),
 	}
 }
 
@@ -111,6 +132,9 @@ func (t *Tracer) NextID(node string) string {
 
 // Record appends a span to the ring, evicting the oldest when full.
 func (t *Tracer) Record(sp Span) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	t.buf[t.next] = sp
 	t.next++
@@ -148,18 +172,27 @@ func (t *Tracer) Active(node, trace string) string {
 }
 
 // SetHop parks a send span until the transport picks it up for the
-// matching (from, trace, to) emission.
+// matching (from, trace, to) emission. Eviction drops the oldest
+// parking, and only while it is still live: a key taken and parked
+// again is live under its newer parking, not its first.
 func (t *Tracer) SetHop(from, trace, to, span string) {
 	t.mu.Lock()
 	k := hopKey{from, trace, to}
-	if _, ok := t.hops[k]; !ok {
-		t.hopOrder = append(t.hopOrder, k)
+	h, ok := t.hops[k]
+	if !ok {
+		t.hopSeq++
+		h.seq = t.hopSeq
+		t.hopOrder = append(t.hopOrder, hopRef{k, h.seq})
 		if len(t.hopOrder) > maxContext {
-			delete(t.hops, t.hopOrder[0])
+			old := t.hopOrder[0]
+			if t.hops[old.key].seq == old.seq {
+				delete(t.hops, old.key)
+			}
 			t.hopOrder = t.hopOrder[1:]
 		}
 	}
-	t.hops[k] = span
+	h.span = span
+	t.hops[k] = h
 	t.mu.Unlock()
 }
 
@@ -169,17 +202,20 @@ func (t *Tracer) SetHop(from, trace, to, span string) {
 func (t *Tracer) TakeHop(from, trace, to string) string {
 	t.mu.Lock()
 	k := hopKey{from, trace, to}
-	id, ok := t.hops[k]
+	h, ok := t.hops[k]
 	if ok {
 		delete(t.hops, k)
 	}
 	t.mu.Unlock()
-	return id
+	return h.span
 }
 
 // Total reports how many spans were ever recorded (including ones
 // the ring has since evicted).
 func (t *Tracer) Total() int64 {
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
@@ -187,29 +223,52 @@ func (t *Tracer) Total() int64 {
 
 // Spans returns the retained spans, oldest first.
 func (t *Tracer) Spans() []Span {
+	spans, _ := t.snapshot()
+	return spans
+}
+
+// snapshot returns the retained spans, oldest first, and the count
+// ever recorded, read under one lock so that the two agree.
+func (t *Tracer) snapshot() ([]Span, int64) {
+	if t == nil {
+		return nil, 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.full {
-		return append([]Span(nil), t.buf[:t.next]...)
+		return append([]Span(nil), t.buf[:t.next]...), t.total
 	}
 	out := make([]Span, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
-	return out
+	return out, t.total
 }
 
 // ByTrace returns the retained spans of one trace in canonical order
 // (see SortSpans) — ring append order is not deterministic when
 // co-timed nodes record concurrently, the canonical order is.
 func (t *Tracer) ByTrace(id string) []Span {
-	all := t.Spans()
 	var out []Span
-	for _, sp := range all {
+	for _, sp := range t.Spans() {
 		if sp.TraceID == id {
 			out = append(out, sp)
 		}
 	}
 	SortSpans(out)
+	return out
+}
+
+// RenderTrace returns one trace's spans rendered one per line — the
+// shape provenance.Options.TraceEvents expects.
+func (t *Tracer) RenderTrace(id string) []string {
+	spans := t.ByTrace(id)
+	if len(spans) == 0 {
+		return nil
+	}
+	out := make([]string, len(spans))
+	for i, sp := range spans {
+		out[i] = sp.String()
+	}
 	return out
 }
 
@@ -222,12 +281,19 @@ type TraceSummary struct {
 	EndMS   int64    `json:"end_ms"`
 }
 
-// Traces summarizes the distinct traces retained in the ring, ordered
-// by first start time then trace ID.
-func (t *Tracer) Traces() []TraceSummary {
+// Traces summarizes the distinct traces retained in the ring (see
+// SummarizeTraces).
+func (t *Tracer) Traces() []TraceSummary { return SummarizeTraces(t.Spans()) }
+
+// SummarizeTraces groups spans by trace, ordered by first start time
+// then trace ID. Untraced events belong to none.
+func SummarizeTraces(spans []Span) []TraceSummary {
 	byID := make(map[string]*TraceSummary)
 	nodes := make(map[string]map[string]bool)
-	for _, sp := range t.Spans() {
+	for _, sp := range spans {
+		if sp.TraceID == "" {
+			continue
+		}
 		s := byID[sp.TraceID]
 		if s == nil {
 			s = &TraceSummary{TraceID: sp.TraceID, StartMS: sp.StartMS, EndMS: sp.EndMS}

@@ -6,12 +6,17 @@ import (
 	"testing"
 )
 
+// TestSpansEndpoint pins /debug/trace over a ring that has evicted
+// entries: ?id= returns one trace's spans, nodes and waterfall, and the
+// unfiltered page reports total, buffered and evicted.
 func TestSpansEndpoint(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracer(4)
 	for _, sp := range []Span{
+		{Node: "c", Kind: "send", Op: "hb", StartMS: 1, EndMS: 1},
 		{TraceID: "r1", SpanID: "c#1", Node: "c", Kind: "op", Op: "create", StartMS: 10, EndMS: 40},
 		{TraceID: "r1", SpanID: "m#1", ParentID: "c#1", Node: "m", Kind: "rules", Op: "req", StartMS: 16, EndMS: 16},
 		{TraceID: "r2", SpanID: "c#2", Node: "c", Kind: "op", Op: "rm", StartMS: 50, EndMS: 60},
+		{Node: "c", Kind: "drop", Op: "hb", StartMS: 61, EndMS: 61, Detail: "partitioned"},
 	} {
 		tr.Record(sp)
 	}
@@ -21,41 +26,34 @@ func TestSpansEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	code, body := get(t, srv.URL()+"/debug/spans")
+	code, body := get(t, srv.URL()+"/debug/trace")
 	if code != 200 {
-		t.Fatalf("spans list status %d: %s", code, body)
+		t.Fatalf("trace page status %d: %s", code, body)
 	}
-	var list struct {
-		Total  int64          `json:"total"`
-		Traces []TraceSummary `json:"traces"`
+	var page struct {
+		Total    int64  `json:"total"`
+		Buffered int64  `json:"buffered"`
+		Evicted  int64  `json:"evicted"`
+		Spans    []Span `json:"spans"`
 	}
-	if err := json.Unmarshal([]byte(body), &list); err != nil {
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
 		t.Fatal(err)
 	}
-	if list.Total != 3 || len(list.Traces) != 2 {
-		t.Fatalf("list = total %d, %d traces; want 3, 2", list.Total, len(list.Traces))
+	if page.Total != 5 || page.Buffered != 4 || page.Evicted != 1 || len(page.Spans) != 4 {
+		t.Fatalf("page = total %d, buffered %d, evicted %d, %d spans; want 5, 4, 1, 4",
+			page.Total, page.Buffered, page.Evicted, len(page.Spans))
 	}
-	if list.Traces[0].TraceID != "r1" || list.Traces[0].Spans != 2 {
-		t.Fatalf("first summary wrong: %+v", list.Traces[0])
-	}
-
-	code, body = get(t, srv.URL()+"/debug/spans?limit=1&offset=1")
-	var page struct {
-		Traces []TraceSummary `json:"traces"`
-	}
-	if err := json.Unmarshal([]byte(body), &page); err != nil || code != 200 {
-		t.Fatalf("paged list: %d %v", code, err)
-	}
-	if len(page.Traces) != 1 || page.Traces[0].TraceID != "r2" {
-		t.Fatalf("page = %+v, want only r2", page.Traces)
+	if page.Spans[0].SpanID != "c#1" || page.Spans[3].Kind != "drop" {
+		t.Fatalf("page not oldest-first after eviction: %+v", page.Spans)
 	}
 
-	code, body = get(t, srv.URL()+"/debug/spans?id=r1")
+	code, body = get(t, srv.URL()+"/debug/trace?id=r1")
 	if code != 200 {
-		t.Fatalf("spans?id status %d", code)
+		t.Fatalf("trace?id status %d", code)
 	}
 	var one struct {
 		TraceID   string   `json:"trace_id"`
+		Node      string   `json:"node"`
 		Nodes     []string `json:"nodes"`
 		Spans     []Span   `json:"spans"`
 		Waterfall string   `json:"waterfall"`
@@ -63,21 +61,21 @@ func TestSpansEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &one); err != nil {
 		t.Fatal(err)
 	}
-	if one.TraceID != "r1" || len(one.Spans) != 2 || len(one.Nodes) != 2 {
+	if one.TraceID != "r1" || one.Node != "c" || len(one.Spans) != 2 || len(one.Nodes) != 2 {
 		t.Fatalf("trace view wrong: %+v", one)
 	}
 	if one.Waterfall == "" {
 		t.Fatal("trace view missing waterfall render")
 	}
 
-	// No tracer attached → 404, matching the journal-less /debug/trace.
+	// No tracer attached → 404.
 	bare, err := Serve("127.0.0.1:0", Source{Role: "bare", Addr: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	if code, _ := get(t, bare.URL()+"/debug/spans"); code != 404 {
-		t.Fatalf("tracerless /debug/spans status %d, want 404", code)
+	if code, _ := get(t, bare.URL()+"/debug/trace"); code != 404 {
+		t.Fatalf("tracerless /debug/trace status %d, want 404", code)
 	}
 }
 

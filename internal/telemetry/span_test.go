@@ -61,6 +61,28 @@ func TestTracerContextEviction(t *testing.T) {
 	}
 }
 
+// TestTracerReparkedHopSurvivesEviction: a gateway retry reuses its
+// request ID, so one (from, trace, to) hop is parked, taken and parked
+// again. Evicting the first parking must not take the live second one
+// with it — here only two hops are live when eviction runs.
+func TestTracerReparkedHopSurvivesEviction(t *testing.T) {
+	tr := telemetry.NewTracer(8)
+	tr.SetHop("m", "r1", "c", "m#1")
+	tr.TakeHop("m", "r1", "c")
+	for i := 0; i < 4094; i++ {
+		tr.SetHop("m", fmt.Sprintf("other-%d", i), "c", "m#x")
+		tr.TakeHop("m", fmt.Sprintf("other-%d", i), "c")
+	}
+	tr.SetHop("m", "r1", "c", "m#2")
+	tr.SetHop("m", "last", "c", "m#3")
+	if got := tr.TakeHop("m", "r1", "c"); got != "m#2" {
+		t.Fatalf("TakeHop(m, r1, c) = %q, want m#2 (a live hop was evicted)", got)
+	}
+	if got := tr.TakeHop("m", "last", "c"); got != "m#3" {
+		t.Fatalf("TakeHop(m, last, c) = %q, want m#3", got)
+	}
+}
+
 // sampleTrace is a 3-node request: op on the client, a rule fire and a
 // wire hop per downstream node.
 func sampleTrace() []telemetry.Span {

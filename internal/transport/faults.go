@@ -11,7 +11,7 @@ import (
 // SlowLink) so the same chaos.Schedule replays against live sockets.
 // One Faults value is shared by every transport of a live cluster:
 // frames consult it at enqueue time (partition / random loss → drop,
-// counted and journaled like a sim drop) and at flush time (added link
+// counted and recorded like a sim drop) and at flush time (added link
 // latency → the peer's writer sleeps, which also delays everything
 // FIFO-behind it, exactly like a slow link would).
 //

@@ -108,7 +108,7 @@ func TestWireBatchTruncatedStream(t *testing.T) {
 
 // TestBatchedTraceIDPropagation forces real coalescing (a slow link
 // delays the first flush so later sends pile up behind it) and checks
-// every frame's TraceID reaches the receiver's journal individually —
+// every frame's TraceID reaches the receiver's ring individually —
 // batching must not smear or drop per-frame trace identity.
 func TestBatchedTraceIDPropagation(t *testing.T) {
 	telemetry.RegisterTraceColumn("msg", 1)
@@ -143,7 +143,7 @@ func TestBatchedTraceIDPropagation(t *testing.T) {
 		id := fmt.Sprintf("%d", 100+i)
 		evs := jB.ByTrace(id)
 		if len(evs) == 0 || evs[0].Kind != "recv" {
-			t.Fatalf("trace %s missing from receiver journal: %+v", id, evs)
+			t.Fatalf("trace %s missing from receiver ring: %+v", id, evs)
 		}
 	}
 }

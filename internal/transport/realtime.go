@@ -36,6 +36,10 @@ type Node struct {
 	// drop silently — unreachable peers are normal during failures).
 	OnSendError func(error)
 
+	// rejected accounts an inbound tuple the runtime cannot hold; the
+	// TCP transport sets it (n.mu guards it).
+	rejected func(overlog.Tuple, error)
+
 	services []sim.Service
 	svcBuf   []overlog.WatchEvent
 }
@@ -76,6 +80,25 @@ func (n *Node) SetEpoch(start time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.start = start
+}
+
+// admit drops the inbound tuples the runtime cannot hold — a table it
+// never declared, a wrong arity or column type — so that one foreign
+// frame costs itself, not the step that would fail on it and with it
+// the node. n.mu must be held: a live InstallSource changes the
+// declarations.
+func (n *Node) admit(batch []overlog.Tuple) []overlog.Tuple {
+	kept := batch[:0]
+	for _, tp := range batch {
+		if err := n.rt.CheckTuple(tp); err != nil {
+			if n.rejected != nil {
+				n.rejected(tp, err)
+			}
+			continue
+		}
+		kept = append(kept, tp)
+	}
+	return kept
 }
 
 // Runtime gives serialized access to the runtime for inspection; fn
@@ -213,7 +236,7 @@ func (n *Node) Run() {
 		n.mu.Lock()
 		n.svcBuf = n.svcBuf[:0]
 		now := n.nowMS()
-		out, err := n.rt.Step(now, batch)
+		out, err := n.rt.Step(now, n.admit(batch))
 		n.lastMS = now
 		events := append([]overlog.WatchEvent(nil), n.svcBuf...)
 		n.svcBuf = n.svcBuf[:0]

@@ -53,6 +53,7 @@ type TCPStats struct {
 	SendErrors *telemetry.Counter // failed dials + failed writes (drops)
 	QueueDrops *telemetry.Counter // frames evicted/refused by the bounded send queue
 	FaultDrops *telemetry.Counter // frames dropped by injected faults (partition/loss)
+	Rejects    *telemetry.Counter // received frames the node's program cannot hold
 	Flushes    *telemetry.Counter // batched writes (one per syscall-ish flush)
 	Reconnects *telemetry.Counter // re-dials to a previously connected peer
 	Accepts    *telemetry.Counter
@@ -69,6 +70,7 @@ func NewTCPStats(reg *telemetry.Registry) *TCPStats {
 		SendErrors: reg.Counter("boom_transport_send_errors_total", "sends dropped on dial/write failure"),
 		QueueDrops: reg.Counter("boom_transport_queue_drops_total", "frames dropped by the bounded send queue"),
 		FaultDrops: reg.Counter("boom_transport_fault_drops_total", "frames dropped by injected faults"),
+		Rejects:    reg.Counter("boom_transport_rejects_total", "received frames dropped: undeclared table, or wrong arity or types"),
 		Flushes:    reg.Counter("boom_transport_flushes_total", "batched envelope flushes"),
 		Reconnects: reg.Counter("boom_transport_reconnects_total", "re-dials to previously connected peers"),
 		Accepts:    reg.Counter("boom_transport_accepts_total", "inbound connections accepted"),
@@ -149,7 +151,6 @@ type TCP struct {
 	boCap   time.Duration
 	qcfg    QueueConfig
 	stats   *TCPStats
-	journal *telemetry.Journal
 	tracer  *telemetry.Tracer
 	faults  *Faults
 	done    chan struct{}
@@ -198,6 +199,9 @@ func ListenTCP(node *Node, addr string) (*TCP, error) {
 		boBase:  50 * time.Millisecond, boCap: 5 * time.Second,
 		qcfg:  DefaultQueueConfig(),
 		stats: &TCPStats{}, done: make(chan struct{})}
+	node.mu.Lock()
+	node.rejected = t.reject
+	node.mu.Unlock()
 	go t.acceptLoop()
 	return t, nil
 }
@@ -229,34 +233,29 @@ func (t *TCP) SetFaults(f *Faults) {
 	t.mu.Unlock()
 }
 
-// SetTelemetry installs the metric bundle and event journal. Either
-// may be nil; call before traffic flows for complete counts.
-func (t *TCP) SetTelemetry(stats *TCPStats, j *telemetry.Journal) {
-	t.mu.Lock()
-	if stats != nil {
-		t.stats = stats
+// SetTelemetry installs the metric bundle (nil keeps the current one);
+// call before traffic flows for complete counts.
+func (t *TCP) SetTelemetry(stats *TCPStats) {
+	if stats == nil {
+		return
 	}
-	t.journal = j
+	t.mu.Lock()
+	t.stats = stats
 	t.mu.Unlock()
 }
 
-// SetTracer installs the span tracer consulted on every send and
-// delivery; nil clears it. Sends take the pending hop the runtime
-// step hook parked (telemetry.AttachTracer) — or stamp a fresh send
-// span for direct client emissions that never crossed a step — and
-// put its ID on the wire; deliveries record a recv span parented to
-// it and mark it active so the next local rule-fire chains.
+// SetTracer installs the node's event ring; nil clears it. Every
+// message side records one entry. A traced send takes the pending hop
+// the runtime step hook parked (telemetry.AttachTracer), which already
+// is its record, and puts its ID on the wire; any other send (a direct
+// client emission that never crossed a step, or an untraced tuple)
+// records a send. A delivery records one recv, parented to the wire's
+// span ID and marked active so the next local rule-fire chains. Every
+// drop records one drop.
 func (t *TCP) SetTracer(tr *telemetry.Tracer) {
 	t.mu.Lock()
 	t.tracer = tr
 	t.mu.Unlock()
-}
-
-// Tracer returns the installed span tracer, or nil.
-func (t *TCP) Tracer() *telemetry.Tracer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tracer
 }
 
 // RegisterQueueGauges exposes the transport's aggregate queue depth on
@@ -326,10 +325,21 @@ func (t *TCP) Peers() []PeerInfo {
 	return out
 }
 
-func (t *TCP) telemetry() (*TCPStats, *telemetry.Journal) {
+func (t *TCP) telemetry() (*TCPStats, *telemetry.Tracer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.stats, t.journal
+	return t.stats, t.tracer
+}
+
+// event records one point event of this node at the wall clock.
+// Untraced events take no span ID.
+func (t *TCP) event(tr *telemetry.Tracer, kind, table, trace, parent, detail string) {
+	if tr == nil {
+		return
+	}
+	now := time.Now().UnixMilli()
+	tr.Record(telemetry.Span{TraceID: trace, ParentID: parent, Node: t.localAddr,
+		Kind: kind, Op: table, StartMS: now, EndMS: now, Detail: detail})
 }
 
 // LocalAddr returns the transport's listen address.
@@ -344,7 +354,7 @@ func (t *TCP) LocalAddr() string { return t.localAddr }
 // Under DropOldest the new frame is always admitted (nil), at the cost
 // of the backlog's head.
 func (t *TCP) Send(env overlog.Envelope) error {
-	stats, journal := t.telemetry()
+	stats, tr := t.telemetry()
 	trace := telemetry.TraceIDOf(env.Tuple)
 
 	t.mu.Lock()
@@ -353,36 +363,35 @@ func (t *TCP) Send(env overlog.Envelope) error {
 	if faults != nil {
 		if reason, drop := faults.check(t.localAddr, env.To); drop {
 			stats.FaultDrops.Inc()
-			journal.Record(telemetry.Event{Node: t.localAddr, Kind: "drop",
-				Table: env.Tuple.Table, TraceID: trace, Detail: reason + " " + env.To})
+			t.event(tr, "drop", env.Tuple.Table, trace, "", reason+" "+env.To)
 			return fmt.Errorf("transport: send to %s: %s", env.To, reason)
 		}
 	}
 
 	msg := WireMsg{To: env.To, Table: env.Tuple.Table, Vals: env.Tuple.Vals, TraceID: trace}
-	if tr := t.Tracer(); tr != nil && trace != "" {
-		span := tr.TakeHop(t.localAddr, trace, env.To)
-		if span == "" {
-			// Direct emission that never crossed a runtime step (a
-			// client call, a relay) — stamp the send span here so the
-			// remote recv still has a parent.
-			now := time.Now().UnixMilli()
-			span = tr.NextID(t.localAddr)
-			tr.Record(telemetry.Span{
-				TraceID: trace, SpanID: span,
-				ParentID: tr.Active(t.localAddr, trace),
-				Node:     t.localAddr, Kind: "send", Op: env.Tuple.Table,
-				StartMS: now, EndMS: now, Detail: "to " + env.To,
-			})
+	// A hop the step hook parked is this send's record already; only an
+	// uncovered send (a direct client emission, a relay, an untraced
+	// tuple) records one here.
+	covered := false
+	if tr != nil && trace != "" {
+		msg.SpanID = tr.TakeHop(t.localAddr, trace, env.To)
+		covered = msg.SpanID != ""
+		if !covered {
+			msg.SpanID = tr.NextID(t.localAddr)
 		}
-		msg.SpanID = span
 	}
-	p := t.peer(env.To)
-	if err := p.enqueue(msg, stats, journal); err != nil {
+	if err := t.peer(env.To).enqueue(msg, stats, tr); err != nil {
 		return err
 	}
-	journal.Record(telemetry.Event{Node: t.localAddr, Kind: "send",
-		Table: env.Tuple.Table, TraceID: trace, Detail: "to " + env.To})
+	if tr != nil && !covered {
+		now := time.Now().UnixMilli()
+		sp := telemetry.Span{TraceID: trace, SpanID: msg.SpanID, Node: t.localAddr,
+			Kind: "send", Op: env.Tuple.Table, StartMS: now, EndMS: now, Detail: "to " + env.To}
+		if trace != "" {
+			sp.ParentID = tr.Active(t.localAddr, trace)
+		}
+		tr.Record(sp)
+	}
 	return nil
 }
 
@@ -412,7 +421,7 @@ func (t *TCP) peer(addr string) *peerQ {
 // enqueue admits one frame under the queue bound, applying the overflow
 // policy. Fail-fast: inside the peer's dial-backoff window nothing is
 // admitted — the peer is known-dead and the writer would only drop it.
-func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, journal *telemetry.Journal) error {
+func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) error {
 	p.t.mu.Lock()
 	qcfg := p.t.qcfg
 	p.t.mu.Unlock()
@@ -426,10 +435,9 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, journal *telemetry.Journal
 		if wait := time.Until(p.until); wait > 0 {
 			p.drops++
 			stats.SendErrors.Inc()
-			journal.Record(telemetry.Event{Node: p.t.localAddr, Kind: "drop",
-				Table: msg.Table, TraceID: msg.TraceID,
-				Detail: fmt.Sprintf("dial %s: backing off %s after %d failure(s)",
-					p.addr, wait.Round(time.Millisecond), p.fails)})
+			p.t.event(tr, "drop", msg.Table, msg.TraceID, msg.SpanID,
+				fmt.Sprintf("dial %s: backing off %s after %d failure(s)",
+					p.addr, wait.Round(time.Millisecond), p.fails))
 			return fmt.Errorf("transport: dial %s: backing off %s after %d failure(s)",
 				p.addr, wait.Round(time.Millisecond), p.fails)
 		}
@@ -450,9 +458,8 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, journal *telemetry.Journal
 				p.drops++
 				stats.QueueDrops.Inc()
 				stats.SendErrors.Inc()
-				journal.Record(telemetry.Event{Node: p.t.localAddr, Kind: "drop",
-					Table: msg.Table, TraceID: msg.TraceID,
-					Detail: fmt.Sprintf("queue %s: full after %s (cap %d)", p.addr, qcfg.BlockTimeout, qcfg.Cap)})
+				p.t.event(tr, "drop", msg.Table, msg.TraceID, msg.SpanID,
+					fmt.Sprintf("queue %s: full after %s (cap %d)", p.addr, qcfg.BlockTimeout, qcfg.Cap))
 				return fmt.Errorf("transport: send to %s: queue full (cap %d) after %s",
 					p.addr, qcfg.Cap, qcfg.BlockTimeout)
 			}
@@ -462,9 +469,8 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, journal *telemetry.Journal
 			p.queue = p.queue[:len(p.queue)-1]
 			p.drops++
 			stats.QueueDrops.Inc()
-			journal.Record(telemetry.Event{Node: p.t.localAddr, Kind: "drop",
-				Table: victim.Table, TraceID: victim.TraceID,
-				Detail: fmt.Sprintf("queue %s: evicted oldest (cap %d)", p.addr, qcfg.Cap)})
+			p.t.event(tr, "drop", victim.Table, victim.TraceID, victim.SpanID,
+				fmt.Sprintf("queue %s: evicted oldest (cap %d)", p.addr, qcfg.Cap))
 		}
 	}
 	p.queue = append(p.queue, msg)
@@ -509,7 +515,7 @@ func (p *peerQ) writeLoop() {
 		p.cond.Broadcast()
 		p.mu.Unlock()
 
-		stats, journal := t.telemetry()
+		stats, tr := t.telemetry()
 
 		// Injected link latency: the writer sleeps, modeling a slow link
 		// while preserving FIFO (everything behind waits too).
@@ -523,7 +529,7 @@ func (p *peerQ) writeLoop() {
 		}
 
 		if err := p.ensureConn(t); err != nil {
-			p.dropBatch(batch, stats, journal, "dial "+p.addr+": "+err.Error())
+			p.dropBatch(batch, stats, tr, "dial "+p.addr+": "+err.Error())
 			continue
 		}
 		if err := p.writeBatch(batch); err != nil {
@@ -533,7 +539,7 @@ func (p *peerQ) writeLoop() {
 				p.conn, p.enc, p.bw = nil, nil, nil
 			}
 			p.mu.Unlock()
-			p.dropBatch(batch, stats, journal, "write "+p.addr+": "+err.Error())
+			p.dropBatch(batch, stats, tr, "write "+p.addr+": "+err.Error())
 			continue
 		}
 		p.mu.Lock()
@@ -622,14 +628,13 @@ func (p *peerQ) writeBatch(batch []WireMsg) error {
 }
 
 // dropBatch accounts a whole failed batch.
-func (p *peerQ) dropBatch(batch []WireMsg, stats *TCPStats, journal *telemetry.Journal, detail string) {
+func (p *peerQ) dropBatch(batch []WireMsg, stats *TCPStats, tr *telemetry.Tracer, detail string) {
 	p.mu.Lock()
 	p.drops += int64(len(batch))
 	p.mu.Unlock()
 	stats.SendErrors.Add(int64(len(batch)))
 	for _, m := range batch {
-		journal.Record(telemetry.Event{Node: p.t.localAddr, Kind: "drop",
-			Table: m.Table, TraceID: m.TraceID, Detail: detail})
+		p.t.event(tr, "drop", m.Table, m.TraceID, m.SpanID, detail)
 	}
 }
 
@@ -686,40 +691,54 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(&countingReader{r: conn, t: t})
+	_ = t.readFrames(&countingReader{r: conn, t: t}, conn.RemoteAddr().String())
+}
+
+// readFrames decodes wire batches from r and delivers every frame, until
+// the stream ends or stops decoding; it returns that error. What a
+// peer sends is untrusted: a frame the node's program cannot hold is
+// dropped at the node's step (see Node.Run), not here.
+func (t *TCP) readFrames(r io.Reader, from string) error {
+	dec := gob.NewDecoder(r)
 	for {
 		var batch wireBatch
 		if err := dec.Decode(&batch); err != nil {
-			return
+			return err
 		}
 		for _, msg := range batch.Msgs {
-			t.deliverWire(msg, conn.RemoteAddr().String())
+			t.deliverWire(msg, from)
 		}
 	}
 }
 
 // deliverWire records one received frame and queues its tuple for the runtime.
 func (t *TCP) deliverWire(msg WireMsg, from string) {
-	stats, journal := t.telemetry()
+	stats, tr := t.telemetry()
 	stats.Recv.Inc()
 	trace := msg.TraceID
 	tp := overlog.Tuple{Table: msg.Table, Vals: msg.Vals}
 	if trace == "" {
 		trace = telemetry.TraceIDOf(tp)
 	}
-	journal.Record(telemetry.Event{Node: t.localAddr, Kind: "recv",
-		Table: msg.Table, TraceID: trace, Detail: "from " + from})
-	if tr := t.Tracer(); tr != nil && trace != "" {
+	if tr != nil {
 		now := time.Now().UnixMilli()
-		id := tr.NextID(t.localAddr)
-		tr.Record(telemetry.Span{
-			TraceID: trace, SpanID: id, ParentID: msg.SpanID,
-			Node: t.localAddr, Kind: "recv", Op: msg.Table,
-			StartMS: now, EndMS: now, Detail: "from " + from,
-		})
-		tr.SetActive(t.localAddr, trace, id)
+		sp := telemetry.Span{TraceID: trace, ParentID: msg.SpanID, Node: t.localAddr,
+			Kind: "recv", Op: msg.Table, StartMS: now, EndMS: now, Detail: "from " + from}
+		if trace != "" {
+			sp.SpanID = tr.NextID(t.localAddr)
+			tr.SetActive(t.localAddr, trace, sp.SpanID)
+		}
+		tr.Record(sp)
 	}
 	t.node.Deliver(tp)
+}
+
+// reject accounts a received tuple the node's program cannot hold
+// (called by the node's step loop, which drops it).
+func (t *TCP) reject(tp overlog.Tuple, err error) {
+	stats, tr := t.telemetry()
+	stats.Rejects.Inc()
+	t.event(tr, "drop", tp.Table, telemetry.TraceIDOf(tp), "", err.Error())
 }
 
 // Close shuts down the listener, every peer writer, and every accepted

@@ -15,11 +15,17 @@ const failProg = `
 	r1 got(N) :- msg(A, N);
 `
 
-// mkFailNode builds a TCP node with telemetry attached.
-func mkFailNode(t *testing.T, addr string) (*Node, *TCP, *telemetry.Registry, *telemetry.Journal) {
+// mkFailNode builds a TCP node running failProg with telemetry attached.
+func mkFailNode(t *testing.T, addr string) (*Node, *TCP, *telemetry.Registry, *telemetry.Tracer) {
+	t.Helper()
+	return mkProgNode(t, addr, failProg)
+}
+
+// mkProgNode builds a TCP node running prog with telemetry attached.
+func mkProgNode(t *testing.T, addr, prog string) (*Node, *TCP, *telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	rt := overlog.NewRuntime(addr)
-	if err := rt.InstallSource(failProg); err != nil {
+	if err := rt.InstallSource(prog); err != nil {
 		t.Fatal(err)
 	}
 	var tcp *TCP
@@ -30,10 +36,11 @@ func mkFailNode(t *testing.T, addr string) (*Node, *TCP, *telemetry.Registry, *t
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	j := telemetry.NewJournal(128)
-	tcp.SetTelemetry(NewTCPStats(reg), j)
+	tr := telemetry.NewTracer(128)
+	tcp.SetTelemetry(NewTCPStats(reg))
+	tcp.SetTracer(tr)
 	go node.Run()
-	return node, tcp, reg, j
+	return node, tcp, reg, tr
 }
 
 func waitGot(t *testing.T, node *Node, want int, msg string) {
@@ -53,9 +60,10 @@ func waitGot(t *testing.T, node *Node, want int, msg string) {
 }
 
 // TestTCPDialFailureCounts checks that a send to an unreachable peer is
-// counted as a drop and journaled, without wedging the transport. Send
-// is asynchronous now — the frame enqueues cleanly and the writer's
-// dial failure shows up in the metrics and journal shortly after.
+// counted as a drop and recorded in the event ring, without wedging the
+// transport. Send is asynchronous now — the frame enqueues cleanly and
+// the writer's dial failure shows up in the metrics and ring shortly
+// after.
 func TestTCPDialFailureCounts(t *testing.T) {
 	node, tcp, reg, j := mkFailNode(t, freeAddr(t))
 	defer func() { node.Stop(); tcp.Close() }()
@@ -72,8 +80,8 @@ func TestTCPDialFailureCounts(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var drop *telemetry.Event
-	for _, ev := range j.Events() {
+	var drop *telemetry.Span
+	for _, ev := range j.Spans() {
 		if ev.Kind == "drop" {
 			ev := ev
 			drop = &ev
@@ -140,8 +148,9 @@ func TestTCPPeerRestartReconnect(t *testing.T) {
 	}
 }
 
-// TestTCPMetricsCount checks the frame/byte counters and journal events
-// on both ends of a healthy conversation.
+// TestTCPMetricsCount checks the frame/byte counters and ring events on
+// both ends of a healthy untraced conversation: one entry per message
+// per side, none of them with a span ID.
 func TestTCPMetricsCount(t *testing.T) {
 	addrA, addrB := freeAddr(t), freeAddr(t)
 	nodeA, tcpA, regA, jA := mkFailNode(t, addrA)
@@ -172,25 +181,27 @@ func TestTCPMetricsCount(t *testing.T) {
 	if regB.Get("boom_transport_accepts_total") != 1 {
 		t.Fatalf("accepts: %g", regB.Get("boom_transport_accepts_total"))
 	}
-	sends, recvs := 0, 0
-	for _, ev := range jA.Events() {
-		if ev.Kind == "send" && ev.Table == "msg" {
-			sends++
+	count := func(tr *telemetry.Tracer, kind string) int {
+		n := 0
+		for _, ev := range tr.Spans() {
+			if ev.Kind != kind || ev.Op != "msg" || ev.SpanID != "" || ev.TraceID != "" {
+				t.Fatalf("unexpected ring entry %+v", ev)
+			}
+			n++
 		}
+		return n
 	}
-	for _, ev := range jB.Events() {
-		if ev.Kind == "recv" && ev.Table == "msg" {
-			recvs++
-		}
-	}
-	if sends != 5 || recvs != 5 {
-		t.Fatalf("journal: %d sends, %d recvs", sends, recvs)
+	if sends, recvs := count(jA, "send"), count(jB, "recv"); sends != 5 || recvs != 5 {
+		t.Fatalf("ring: %d sends, %d recvs; want 5, 5", sends, recvs)
 	}
 }
 
 // TestWireMsgCarriesTraceID checks end-to-end trace propagation: a
 // table with a registered trace column stamps the frame, and the
-// receiver journals the same ID.
+// receiver records the same ID. Each side records exactly one entry:
+// the sender's send span, whether the step hook parked it (a rule's
+// emission) or Send stamped it (a direct call), and the receiver's recv
+// span, parented to it.
 func TestWireMsgCarriesTraceID(t *testing.T) {
 	telemetry.RegisterTraceColumn("msg", 1)
 	defer telemetry.RegisterTraceColumn("msg", -1)
@@ -200,24 +211,36 @@ func TestWireMsgCarriesTraceID(t *testing.T) {
 	defer func() { nodeA.Stop(); tcpA.Close() }()
 	nodeB, tcpB, _, jB := mkFailNode(t, addrB)
 	defer func() { nodeB.Stop(); tcpB.Close() }()
-
-	if err := tcpA.Send(overlog.Envelope{To: addrB,
-		Tuple: overlog.NewTuple("msg", overlog.Addr(addrB), overlog.Int(77))}); err != nil {
+	var err error
+	nodeA.Runtime(func(rt *overlog.Runtime) {
+		err = rt.InstallSource(`event fwd(To: addr, N: int); f1 msg(@To, N) :- fwd(To, N);`)
+		telemetry.AttachTracer(jA, addrA, rt, nil)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitGot(t, nodeB, 1, "delivery")
 
-	if evs := jA.ByTrace("77"); len(evs) != 1 || evs[0].Kind != "send" {
-		t.Fatalf("sender trace: %+v", evs)
+	// 77 leaves through a rule (the step hook parks its send span), 78
+	// through a direct Send.
+	nodeA.Deliver(overlog.NewTuple("fwd", overlog.Addr(addrB), overlog.Int(77)))
+	waitGot(t, nodeB, 1, "rule-emitted delivery")
+	if err := tcpA.Send(overlog.Envelope{To: addrB,
+		Tuple: overlog.NewTuple("msg", overlog.Addr(addrB), overlog.Int(78))}); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(jB.ByTrace("77")) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("receiver never journaled trace; journal: %+v", jB.Events())
+	waitGot(t, nodeB, 2, "direct delivery")
+
+	for _, id := range []string{"77", "78"} {
+		sent := jA.ByTrace(id)
+		if len(sent) != 1 || sent[0].Kind != "send" || sent[0].SpanID == "" {
+			t.Fatalf("sender ring for trace %s: %+v", id, sent)
 		}
-		time.Sleep(5 * time.Millisecond)
+		got := jB.ByTrace(id)
+		if len(got) != 1 || got[0].Kind != "recv" || got[0].ParentID != sent[0].SpanID {
+			t.Fatalf("receiver ring for trace %s: %+v (sender %+v)", id, got, sent)
+		}
 	}
-	if evs := jB.ByTrace("77"); evs[0].Kind != "recv" {
-		t.Fatalf("receiver trace: %+v", evs)
+	if n, m := len(jA.Spans()), len(jB.Spans()); n != 2 || m != 2 {
+		t.Fatalf("ring sizes: sender %d, receiver %d; want 2 each", n, m)
 	}
 }
