@@ -21,14 +21,16 @@ test: check
 # its Differential tests (semi-naive against naive evaluation) run in
 # the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
 # families of regression guards — bytes per step, and rules entered or
-# rows compared per step — so a CI log shows them run. The three fuzz
+# rows compared per step — so a CI log shows them run. The four fuzz
 # lines run ten seconds each: FuzzRestoreSnapshot feeds RestoreSnapshot
 # mutated checkpoint images, starting from the seed corpus in
 # internal/overlog/testdata/fuzz; FuzzParse feeds the parser (and an
-# install of what it accepts) mutations of every shipped .olg file; and
+# install of what it accepts) mutations of every shipped .olg file;
 # FuzzWireFrames feeds the TCP receive path arbitrary bytes, seeded with
 # one encoded frame per table of the shipped wire protocols, into a node
-# that must never stop on them.
+# that must never stop on them; and FuzzReadSchedule feeds the schedule
+# loader mutations of every scenario's seed 1-5 plans, checking that a
+# plan it accepts writes back byte for byte and ends after it starts.
 # boomlint runs the Overlog whole-program analyzer over every
 # deployment unit of the registered .olg files (internal/programs),
 # failing on any warn- or error-severity finding, and over the
@@ -50,6 +52,7 @@ check:
 	$(GO) test -run '^$$' -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/overlog
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/overlog
 	$(GO) test -run '^$$' -fuzz=FuzzWireFrames -fuzztime=10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz=FuzzReadSchedule -fuzztime=10s ./internal/chaos
 	$(MAKE) chaos
 	$(GO) run ./cmd/boom-scale -smoke -out /dev/null
 	bash bench/run.sh -smoke
@@ -65,15 +68,16 @@ check:
 chaos:
 	$(GO) run ./cmd/boom-chaos -scenario all -seeds 3
 
-# chaos-tcp: the same seed-derived fault schedules replayed against the
-# production TCP transport (real sockets, compressed wall clock) — the
+# chaos-tcp: the same seed-derived fault schedules, protocol configs and
+# monitor windows replayed against the production TCP transport (real
+# sockets, on a virtual clock the cluster owns, uncompressed) — the
 # transport-hardening gate: bounded send queues, dial backoff, and the
 # fault-injecting conn layer must preserve the same invariants the
 # simulator proves. Shrinking is off: live runs aren't bit-replayable,
 # so a minimal counterexample should be reproduced under -transport sim.
 chaos-tcp:
-	$(GO) run ./cmd/boom-chaos -transport tcp -scenario fs -seeds 5 -shrink=false
-	$(GO) run ./cmd/boom-chaos -transport tcp -scenario paxos -seeds 5 -shrink=false
+	$(GO) run ./cmd/boom-chaos -transport tcp -scenario fs -seeds 10 -shrink=false
+	$(GO) run ./cmd/boom-chaos -transport tcp -scenario paxos -seeds 10 -shrink=false
 
 # scale: the scale-trajectory artifact — dense/sparse scheduler
 # microbenchmark (does per-step cost track active or total nodes?)

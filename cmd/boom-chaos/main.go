@@ -8,7 +8,8 @@
 //	-transport tcp   real localhost sockets via the live harness —
 //	                 the production transport (bounded send queues,
 //	                 dial backoff, gob framing) under the same faults,
-//	                 on a compressed wall clock
+//	                 configs and monitor windows, on a virtual clock
+//	                 the cluster owns (uncompressed)
 //
 // On a violation the run's invariant findings and the tail of the
 // cross-node event ring are printed, the schedule is greedily
@@ -44,7 +45,7 @@ func main() {
 	scenario := flag.String("scenario", "all",
 		"scenario to run, or all (fs-weak is the self-test and is excluded from all)")
 	transport := flag.String("transport", "sim",
-		"driver: sim (virtual clock, deterministic) or tcp (real sockets, compressed time)")
+		"driver: sim (virtual clock, deterministic) or tcp (real sockets, virtual clock, not replayable)")
 	schedFile := flag.String("schedule", "",
 		"JSON schedule file replayed for every seed instead of the seed-derived plan")
 	seeds := flag.Int("seeds", 5, "number of consecutive seeds to sweep")

@@ -77,7 +77,9 @@ func TestInvariantsUnderDataNodeChurn(t *testing.T) {
 			}
 		}
 	}
-	sched.Apply(c)
+	if err := sched.Apply(c); err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("churn schedule (%d actions):\n%s", len(sched), sched)
 
 	// The workload runs synchronously while the schedule's faults fire

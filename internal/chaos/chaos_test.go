@@ -166,7 +166,7 @@ func TestLogAgreementMonitorFires(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vs := Collect(c)
+	vs := Collect(c, c.Nodes())
 	found := false
 	for _, v := range vs {
 		if v.Inv == "log-agreement" {
@@ -240,5 +240,47 @@ func TestRepairFloorDetail(t *testing.T) {
 	vs := ScanViolations(rt)
 	if len(vs) != 1 || vs[0].Detail != "chunk 7 under floor 2 (since 10ms)" {
 		t.Fatalf("violations: %v", vs)
+	}
+}
+
+// TestOverlappingLossBursts replays two loss bursts that overlap: the
+// later one's rate holds while both run, and once the last ends the
+// rate from before the first comes back, not the first one's.
+func TestOverlappingLossBursts(t *testing.T) {
+	sched, err := ReadSchedule(strings.NewReader(probeBursts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.NewCluster()
+	if err := sched.Apply(c); err != nil {
+		t.Fatal(err)
+	}
+	peek := func() float64 { r := c.SetDropRate(0); c.SetDropRate(r); return r }
+	var during float64
+	c.At(3500, func() error { during = peek(); return nil })
+	if err := c.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if during != 0.2 {
+		t.Fatalf("rate while the second burst runs: %v, want 0.2", during)
+	}
+	if after := peek(); after != 0 {
+		t.Fatalf("rate after both bursts: %v, want 0", after)
+	}
+}
+
+// TestApplyRejectsUnknownNodes: a schedule naming a node the cluster
+// lacks fails the run with an error naming the action, the way an
+// unknown kind fails the load, instead of replaying as a no-op.
+func TestApplyRejectsUnknownNodes(t *testing.T) {
+	sched, err := ReadSchedule(strings.NewReader(probeNames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{`kill px:9: no node "px:9"`, `partition px:0|pz:1 (heal after 500ms): no node "pz:1"`} {
+		out := Paxos().Run(1, sched[i:])
+		if out.Err == nil || !strings.Contains(out.Err.Error(), want) {
+			t.Fatalf("%v: got %v, want an error containing %q", sched[i:], out.Err, want)
+		}
 	}
 }

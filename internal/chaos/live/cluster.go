@@ -2,88 +2,88 @@
 // simulated harness (internal/chaos) proves the protocols correct on a
 // virtual clock; this package proves the production transport — bounded
 // send queues, dial backoff, framing, fault injection — keeps those
-// same invariants when the bytes are real. A Cluster mirrors the
-// sim.Cluster fault surface (Kill/Revive/Restart/Partition/Heal/
-// SetDropRate/SlowLink) over transport.Node + transport.TCP, with the
-// same NodeSpec restart recipes, so one chaos.Schedule drives both
-// drivers.
+// same invariants when the bytes are real. A Cluster is a chaos.Builder
+// over transport.Node + transport.TCP, as sim.Cluster is, so the
+// scenarios' schedules, setup and bodies run on it unchanged.
 //
 // Schedules name nodes logically (fsm:0, dn:1); live nodes listen on
-// ephemeral localhost ports, and the cluster keeps the alias map. All
-// schedule times are in simulated milliseconds and are divided by
-// Compress at execution, so the sim scenarios' 35-second fault plans
-// replay in a few wall seconds against correspondingly scaled protocol
-// timeouts.
+// localhost ports, and the cluster keeps the alias map. The cluster owns
+// one virtual clock (transport.NewVirtualClock) that every node,
+// transport and joined client reads and waits on. It jumps to the next
+// deadline whenever the whole cluster waits, so the sim scenarios' own
+// schedules, protocol configs and monitor windows run uncompressed, in
+// the time their work takes. What it gives up is wall-clock jitter:
+// nothing is ever late because a kernel was slow.
 //
-// Unlike the simulator, live runs are NOT bit-replayable — goroutine
-// interleaving and kernel scheduling vary. The package is deliberately
-// outside boomvet's deterministic scope (see internal/govet/config.go);
-// what stays deterministic is the schedule itself, which is data shared
-// verbatim with the replayable sim harness.
+// Unlike the simulator, live runs are NOT bit-replayable — the order
+// of work within one virtual instant varies. The package is
+// deliberately outside boomvet's deterministic scope (see
+// internal/govet/config.go); what stays deterministic is the schedule
+// itself, which is data shared verbatim with the replayable sim harness.
 package live
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/overlog"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
+// redialBase and redialCap bound the dial backoff below production's,
+// so a peer back from a crash-restart is redialed within a heartbeat,
+// close to the simulator, which has no dial backoff.
+const redialBase, redialCap = 10 * time.Millisecond, 200 * time.Millisecond
+
 // node is one live process-equivalent: a runtime stepped by a
-// wall-clock Node, listening on its own TCP port.
+// transport.Node, listening on its own TCP port. nd is nil while the
+// node is down: not yet booted, or killed.
 type node struct {
-	name string // logical schedule name (fsm:0, dn:1)
-	addr string // 127.0.0.1:port — the runtime's LocalAddr
+	name string       // logical schedule name (fsm:0, dn:1)
+	addr string       // 127.0.0.1:port — the runtime's LocalAddr
+	hold net.Listener // keeps addr taken until the first boot
 	rt   *overlog.Runtime
 	nd   *transport.Node
 	tcp  *transport.TCP
 	svcs []sim.Service
 	spec sim.NodeSpec
-	kill bool
 }
 
 // Cluster is the live driver: real listeners, real dials, shared fault
-// plane. Build nodes with AddNode, install programs on the returned
-// runtimes, then Start; Apply arms a schedule's timers.
+// plane, one virtual clock. Build nodes with AddNode and install
+// programs on the returned runtimes; the first Run boots them all.
 type Cluster struct {
-	// Compress divides schedule times into wall time (default 10:
-	// 1000 simulated ms fire 100ms after Start).
-	Compress int64
-
-	epoch  time.Time
+	clock  *transport.Clock
 	faults *transport.Faults
 	tracer *telemetry.Tracer
-	reg    *telemetry.Registry
 	stats  *transport.TCPStats
 
-	mu     sync.Mutex
-	nodes  map[string]*node
-	order  []string
-	timers []*time.Timer
-	errs   []error
-	closed bool
+	mu      sync.Mutex
+	nodes   map[string]*node
+	order   []string
+	errs    []error
+	started bool
+	closed  bool
 }
 
 // NewCluster builds an empty live cluster. The seed feeds the fault
 // plane's loss sampling (the only randomness the harness itself owns).
-// Every node records into the cluster's one event ring (Tracer).
-func NewCluster(seed, compress int64, reg *telemetry.Registry) *Cluster {
-	if compress <= 0 {
-		compress = 10
-	}
+// Every node records into the cluster's one event ring (Tracer). The
+// calling goroutine holds the cluster's clock: time stands still until
+// it waits in Run or in a joined client's op.
+func NewCluster(seed int64, reg *telemetry.Registry) *Cluster {
 	return &Cluster{
-		Compress: compress,
-		faults:   transport.NewFaults(seed),
-		tracer:   telemetry.NewTracer(0),
-		reg:      reg,
-		stats:    transport.NewTCPStats(reg),
-		nodes:    make(map[string]*node),
+		clock:  transport.NewVirtualClock(),
+		faults: transport.NewFaults(seed),
+		tracer: telemetry.NewTracer(0),
+		stats:  transport.NewTCPStats(reg),
+		nodes:  make(map[string]*node),
 	}
 }
 
@@ -91,103 +91,107 @@ func NewCluster(seed, compress int64, reg *telemetry.Registry) *Cluster {
 // (the failover client) can join it.
 func (c *Cluster) Faults() *transport.Faults { return c.faults }
 
+// Clock exposes the cluster's clock, which such a participant joins too.
+func (c *Cluster) Clock() *transport.Clock { return c.clock }
+
+// Now returns the cluster clock in schedule milliseconds.
+func (c *Cluster) Now() int64 { return c.clock.Now().UnixMilli() }
+
 // Tracer returns the cluster's event ring.
 func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
 
 // fault records an injected fault in the event ring.
 func (c *Cluster) fault(node, op, detail string) {
-	now := time.Now().UnixMilli()
+	now := c.Now()
 	c.tracer.Record(telemetry.Span{Node: node, Kind: "fault", Op: op,
 		StartMS: now, EndMS: now, Detail: detail})
 }
 
 // AddNode allocates a listener address for a logical name and returns
-// the bare runtime to install programs on. The node starts on Start.
-func (c *Cluster) AddNode(name string) (*overlog.Runtime, error) {
+// the bare runtime to install programs on.
+func (c *Cluster) AddNode(name string, opts ...overlog.Option) (*overlog.Runtime, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.nodes[name]; ok {
 		return nil, fmt.Errorf("live: duplicate node %q", name)
 	}
-	addr, err := reserveAddr()
+	ln, err := reserveAddr()
 	if err != nil {
 		return nil, err
 	}
-	n := &node{name: name, addr: addr, rt: overlog.NewRuntime(addr)}
+	addr := ln.Addr().String()
+	n := &node{name: name, addr: addr, hold: ln, rt: overlog.NewRuntime(addr, opts...)}
 	c.nodes[name] = n
 	c.order = append(c.order, name)
 	return n.rt, nil
 }
 
-// reserveAddr picks a free localhost port. The listener is closed and
-// the address re-bound at Start — the usual ephemeral-port shuffle;
-// collisions are possible in principle and surface as Start errors.
-func reserveAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+// lastPort walks the ports below the ephemeral range (32768 and up on
+// Linux, 49152 and up elsewhere), from a random point, so concurrent
+// test processes rarely walk the same ports.
+var lastPort = atomic.Int64{}
+
+func init() { lastPort.Store(rand.Int63n(12000)) }
+
+// reserveAddr takes a free localhost port for a node, to be bound again
+// at each restart. It stays below the ephemeral range, where the kernel
+// picks the local ports of outbound connections: a node's peers keep
+// dialing while it is down, and none of theirs may take its port.
+func reserveAddr() (net.Listener, error) {
+	for i := 0; i < 1000; i++ {
+		if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", 20000+lastPort.Add(1)%12000)); err == nil {
+			return ln, nil
+		}
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
+	return nil, fmt.Errorf("live: no free port in 20000-31999")
 }
 
-// Addr resolves a logical name to its dialable address.
-func (c *Cluster) Addr(name string) string {
+// Nodes returns every logical name in creation order.
+func (c *Cluster) Nodes() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.nodes[name]; ok {
-		return n.addr
-	}
-	return ""
+	return append([]string(nil), c.order...)
 }
 
-// AttachService registers data-plane glue (same sim.Service values the
-// simulator attaches). Call before Start.
-func (c *Cluster) AttachService(name string, svc sim.Service) error {
+// with runs fn on a node's record under the lock.
+func (c *Cluster) with(name string, fn func(n *node)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.nodes[name]
 	if !ok {
 		return fmt.Errorf("live: no node %q", name)
 	}
-	n.svcs = append(n.svcs, svc)
+	fn(n)
 	return nil
+}
+
+// Addr resolves a logical name to its dialable address.
+func (c *Cluster) Addr(name string) (addr string) {
+	c.with(name, func(n *node) { addr = n.addr })
+	return addr
+}
+
+// AttachService registers data-plane glue (same sim.Service values the
+// simulator attaches). Call before Run.
+func (c *Cluster) AttachService(name string, svc sim.Service) error {
+	return c.with(name, func(n *node) { n.svcs = append(n.svcs, svc) })
 }
 
 // SetSpec registers the node's crash-restart recipe — the identical
 // sim.NodeSpec the simulator uses, including chaos.WrapSpec layering.
 func (c *Cluster) SetSpec(name string, spec sim.NodeSpec) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[name]
-	if !ok {
-		return fmt.Errorf("live: no node %q", name)
-	}
-	n.spec = spec
-	return nil
+	return c.with(name, func(n *node) { n.spec = spec })
 }
 
-// Start boots every node: listener up, fault plane and telemetry wired,
-// step loop running. It also fixes the cluster epoch that all node
-// clocks — including restarted incarnations — count from.
-func (c *Cluster) Start() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch = time.Now()
-	for _, name := range c.order {
-		if err := c.boot(c.nodes[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// boot starts one node incarnation. Caller holds c.mu.
+// boot starts one node incarnation: listener up, clock, fault plane and
+// telemetry wired, step loop running. Caller holds c.mu.
 func (c *Cluster) boot(n *node) error {
+	if n.hold != nil {
+		n.hold.Close()
+		n.hold = nil
+	}
 	var tcp *transport.TCP
 	nd := transport.NewNode(n.rt, func(env overlog.Envelope) error { return tcp.Send(env) })
-	nd.SetEpoch(c.epoch)
 	name := n.name
 	nd.OnError = func(err error) { c.fail(fmt.Errorf("node %s: %w", name, err)) }
 	for _, svc := range n.svcs {
@@ -200,13 +204,12 @@ func (c *Cluster) boot(n *node) error {
 	if err != nil {
 		return fmt.Errorf("live: listen %s (%s): %w", n.name, n.addr, err)
 	}
+	tcp.SetClock(c.clock)
 	tcp.SetTelemetry(c.stats)
 	tcp.SetTracer(c.tracer)
 	tcp.SetFaults(c.faults)
-	// Faster redial than production defaults: compressed schedules heal
-	// partitions in hundreds of wall milliseconds.
-	tcp.SetDialBackoff(10*time.Millisecond, 200*time.Millisecond)
-	n.nd, n.tcp, n.kill = nd, tcp, false
+	tcp.SetDialBackoff(redialBase, redialCap)
+	n.nd, n.tcp = nd, tcp
 	go nd.Run()
 	return nil
 }
@@ -231,35 +234,31 @@ func (c *Cluster) Err() error {
 // Kill stops a node: step loop halted, listener and connections closed.
 // The runtime is retained frozen, exactly like sim.Cluster.Kill.
 func (c *Cluster) Kill(name string) {
-	c.mu.Lock()
-	n, ok := c.nodes[name]
-	if !ok || n.kill {
-		c.mu.Unlock()
-		return
+	var nd *transport.Node
+	var tcp *transport.TCP
+	c.with(name, func(n *node) { nd, tcp, n.nd, n.tcp = n.nd, n.tcp, nil, nil })
+	if nd != nil {
+		// Stop outside the lock: the step loop may be mid-Send.
+		nd.Stop()
+		tcp.Close()
+		c.fault(name, "kill", "")
 	}
-	n.kill = true
-	nd, tcp := n.nd, n.tcp
-	c.mu.Unlock()
-	// Stop outside the lock: the step loop may be mid-Send.
-	nd.Stop()
-	tcp.Close()
-	c.fault(name, "kill", "")
 }
 
 // Revive resumes a killed node with every table intact: a fresh step
-// loop and listener over the retained runtime.
-func (c *Cluster) Revive(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[name]
-	if !ok {
-		return fmt.Errorf("live: no node %q", name)
+// loop and listener over the retained runtime. A failed boot surfaces
+// through Err.
+func (c *Cluster) Revive(name string) {
+	var err error
+	c.with(name, func(n *node) {
+		if n.nd == nil && c.started && !c.closed {
+			c.fault(name, "revive", "")
+			err = c.boot(n)
+		}
+	})
+	if err != nil {
+		c.fail(err)
 	}
-	if !n.kill || c.closed {
-		return nil
-	}
-	c.fault(name, "revive", "")
-	return c.boot(n)
 }
 
 // Restart crash-restarts a node through its NodeSpec: soft state is
@@ -269,30 +268,31 @@ func (c *Cluster) Revive(name string) error {
 // always Kill before Restart; a direct call gets the same semantics).
 func (c *Cluster) Restart(name string) error {
 	c.Kill(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
+	var err error
+	if nerr := c.with(name, func(n *node) {
+		if c.closed {
+			return
+		}
+		if n.spec == nil {
+			err = fmt.Errorf("live: node %q has no restart spec", name)
+			return
+		}
+		fresh := overlog.NewRuntime(n.addr)
+		var svcs []sim.Service
+		if err = overlog.Restart(n.rt, fresh, func(rt *overlog.Runtime) (err error) {
+			svcs, err = n.spec(rt)
+			return err
+		}); err != nil {
+			err = fmt.Errorf("live: restart %s: %w", name, err)
+			return
+		}
+		n.rt, n.svcs = fresh, svcs
+		c.fault(name, "restart", "")
+		err = c.boot(n)
+	}); nerr != nil {
+		return nerr
 	}
-	n, ok := c.nodes[name]
-	if !ok {
-		return fmt.Errorf("live: no node %q", name)
-	}
-	if n.spec == nil {
-		return fmt.Errorf("live: node %q has no restart spec", name)
-	}
-	fresh := overlog.NewRuntime(n.addr)
-	var svcs []sim.Service
-	err := overlog.Restart(n.rt, fresh, func(rt *overlog.Runtime) (err error) {
-		svcs, err = n.spec(rt)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("live: restart %s: %w", name, err)
-	}
-	n.rt, n.svcs = fresh, svcs
-	c.fault(name, "restart", "")
-	return c.boot(n)
+	return err
 }
 
 // Partition cuts the link between two logical nodes (both directions).
@@ -314,160 +314,96 @@ func (c *Cluster) SetDropRate(rate float64) float64 {
 	return c.faults.SetLossRate(rate)
 }
 
-// SlowLink adds latMS of simulated one-way delay (compressed into wall
-// time) to a link; 0 clears it.
+// SlowLink adds latMS of one-way delay to a link; 0 clears it.
 func (c *Cluster) SlowLink(a, b string, latMS int64) {
-	d := time.Duration(latMS) * time.Millisecond / time.Duration(c.Compress)
-	if latMS > 0 && d <= 0 {
-		d = time.Millisecond
-	}
-	c.faults.SlowLink(c.Addr(a), c.Addr(b), d)
+	c.faults.SlowLink(c.Addr(a), c.Addr(b), time.Duration(latMS)*time.Millisecond)
 	c.fault(a, "slow-link", fmt.Sprintf("%s|%s +%dms", a, b, latMS))
 }
 
-// Inject delivers a tuple into a node's inbox (dropped if killed, as a
-// message to a dead simulated node would be).
-func (c *Cluster) Inject(name string, tp overlog.Tuple) {
-	c.mu.Lock()
-	n, ok := c.nodes[name]
-	alive := ok && !n.kill
-	nd := (*transport.Node)(nil)
-	if alive {
-		nd = n.nd
+// Inject delivers a tuple into a node's inbox after delayMS (dropped if
+// the node is down then, as a message to a dead simulated node would
+// be).
+func (c *Cluster) Inject(name string, tp overlog.Tuple, delayMS int64) {
+	if delayMS > 0 {
+		c.At(c.Now()+delayMS, func() error { c.Inject(name, tp, 0); return nil })
+		return
 	}
-	c.mu.Unlock()
-	if alive {
+	var nd *transport.Node
+	c.with(name, func(n *node) { nd = n.nd })
+	if nd != nil {
 		nd.Deliver(tp)
 	}
 }
 
 // RunOn serializes fn against a node's runtime: through the step loop's
-// lock while the node runs, directly on the frozen runtime when killed.
+// lock while the node runs, directly on the frozen runtime when down.
 func (c *Cluster) RunOn(name string, fn func(*overlog.Runtime)) {
-	c.mu.Lock()
-	n, ok := c.nodes[name]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
-	if n.kill {
-		rt := n.rt
-		c.mu.Unlock()
+	var nd *transport.Node
+	var rt *overlog.Runtime
+	c.with(name, func(n *node) { nd, rt = n.nd, n.rt })
+	switch {
+	case nd != nil:
+		nd.Runtime(fn)
+	case rt != nil:
 		fn(rt)
-		return
-	}
-	nd := n.nd
-	c.mu.Unlock()
-	nd.Runtime(fn)
-}
-
-// SimNow returns elapsed cluster time in schedule (simulated)
-// milliseconds.
-func (c *Cluster) SimNow() int64 {
-	return time.Since(c.epoch).Milliseconds() * c.Compress
-}
-
-// SleepSim blocks until cluster time reaches simMS on the schedule
-// clock.
-func (c *Cluster) SleepSim(simMS int64) {
-	d := time.Duration(simMS/c.Compress)*time.Millisecond - time.Since(c.epoch)
-	if d > 0 {
-		time.Sleep(d)
 	}
 }
 
-// after arms fn at schedule time simMS (compressed to wall time,
-// relative to the cluster epoch).
-func (c *Cluster) after(simMS int64, fn func()) {
-	d := time.Duration(simMS/c.Compress)*time.Millisecond - time.Since(c.epoch)
-	if d < 0 {
-		d = 0
-	}
-	t := time.AfterFunc(d, fn)
+// At runs fn at schedule time ms, before the nodes' own timers of that
+// instant, as sim.Cluster.At does; an error surfaces through Err.
+func (c *Cluster) At(ms int64, fn func() error) {
+	c.clock.At(ms, func() {
+		if err := fn(); err != nil {
+			c.fail(err)
+		}
+	})
+}
+
+// Run lets the cluster run until schedule time untilMS, after all the
+// work of that instant, and returns Err. The first Run boots the nodes.
+func (c *Cluster) Run(untilMS int64) error {
 	c.mu.Lock()
-	c.timers = append(c.timers, t)
+	var err error
+	for i := 0; !c.started && i < len(c.order) && err == nil; i++ {
+		err = c.boot(c.nodes[c.order[i]])
+	}
+	c.started = true
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if d := untilMS - c.Now(); d >= 0 {
+		c.clock.Sleep(time.Duration(d) * time.Millisecond)
+	}
+	return c.Err()
 }
 
-// Apply arms every schedule action on the compressed wall clock — the
-// live counterpart of Schedule.Apply on the simulator. Restart failures
-// surface through Err.
-func (c *Cluster) Apply(s chaos.Schedule) {
-	for _, a := range s {
-		a := a
-		switch a.Kind {
-		case chaos.Kill:
-			c.after(a.AtMS, func() { c.Kill(a.Node) })
-		case chaos.Revive:
-			c.after(a.AtMS, func() {
-				if err := c.Revive(a.Node); err != nil {
-					c.fail(err)
-				}
-			})
-		case chaos.CrashRestart:
-			c.after(a.AtMS, func() { c.Kill(a.Node) })
-			c.after(a.AtMS+a.DurMS, func() {
-				if err := c.Restart(a.Node); err != nil {
-					c.fail(err)
-				}
-			})
-		case chaos.Partition:
-			c.after(a.AtMS, func() { c.Partition(a.A, a.B) })
-			if a.DurMS > 0 {
-				c.after(a.AtMS+a.DurMS, func() { c.Heal(a.A, a.B) })
-			}
-		case chaos.Heal:
-			c.after(a.AtMS, func() { c.Heal(a.A, a.B) })
-		case chaos.LossBurst:
-			c.after(a.AtMS, func() {
-				prev := c.SetDropRate(a.Rate)
-				c.after(a.AtMS+a.DurMS, func() { c.SetDropRate(prev) })
-			})
-		case chaos.SlowLink:
-			c.after(a.AtMS, func() { c.SlowLink(a.A, a.B, a.LatMS) })
-			if a.DurMS > 0 {
-				c.after(a.AtMS+a.DurMS, func() { c.SlowLink(a.A, a.B, 0) })
-			}
+// RunUntil runs until cond holds, checking it every millisecond, or
+// until maxMS; it reports whether cond held.
+func (c *Cluster) RunUntil(cond func() bool, maxMS int64) (bool, error) {
+	for !cond() {
+		if err := c.Run(c.Now() + 1); err != nil || c.Now() >= maxMS {
+			return cond(), err
 		}
 	}
+	return true, c.Err()
 }
 
-// Collect sweeps every node's inv_violation relation (running or
-// killed) into sorted violations, mirroring chaos.Collect.
-func (c *Cluster) Collect() []chaos.Violation {
-	c.mu.Lock()
-	names := append([]string(nil), c.order...)
-	c.mu.Unlock()
-	var out []chaos.Violation
-	for _, name := range names {
-		c.RunOn(name, func(rt *overlog.Runtime) {
-			out = append(out, chaos.ScanViolations(rt)...)
-		})
-	}
-	chaos.SortViolations(out)
-	return out
-}
-
-// Close stops pending fault timers and every running node.
+// Close stops every running node. Pending clock waits never fire: the
+// goroutine that holds the clock has stopped waiting on it.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	timers := c.timers
 	var running []*node
-	for _, name := range c.order {
-		if n := c.nodes[name]; !n.kill {
-			n.kill = true
+	for _, n := range c.nodes {
+		if n.hold != nil {
+			n.hold.Close()
+		}
+		if n.nd != nil && !c.closed {
 			running = append(running, n)
 		}
 	}
+	c.closed = true
 	c.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 	for _, n := range running {
 		n.nd.Stop()
 		n.tcp.Close()

@@ -2,9 +2,13 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/overlog"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestPaxosLiveSeed replays the paxos scenario's seed-1 schedule over
@@ -65,5 +69,97 @@ func TestLiveSimScheduleParity(t *testing.T) {
 					lsc.Name, seed, a, b)
 			}
 		}
+	}
+}
+
+// TestSameInstantParity: a fault action and the node timers of one
+// virtual millisecond run in the simulator's order. Node a pings node b
+// on every 100 ms tick and b is killed at 300 ms, the instant of a's
+// fourth tick. Both drivers kill b before that tick's ping: b keeps the
+// same pings on either, and not the one sent at 300.
+func TestSameInstantParity(t *testing.T) {
+	run := func(c chaos.Builder) []int64 {
+		var rts []*overlog.Runtime
+		for _, name := range []string{"a", "b"} {
+			rt, err := c.AddNode(name)
+			if err == nil {
+				err = rt.InstallSource(`
+					event ping(To: addr, T: int);
+					table peer(Addr: addr) keys(0);
+					table got(T: int) keys(0);
+					periodic tick interval 100;
+					p1 ping(@P, T) :- tick(_, _), peer(P), T := now();
+					p2 got(T) :- ping(@Me, T);
+				`)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts = append(rts, rt)
+		}
+		rts[0].Table("peer").Insert(overlog.NewTuple("peer", overlog.Addr(rts[1].LocalAddr())))
+		if err := (chaos.Schedule{{AtMS: 300, Kind: chaos.Kill, Node: "b"}}).Apply(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		c.RunOn("b", func(rt *overlog.Runtime) {
+			for _, tp := range rt.Table("got").Tuples() {
+				got = append(got, tp.Vals[0].AsInt())
+			}
+		})
+		return got
+	}
+	want := run(sim.NewCluster())
+	lc := NewCluster(1, telemetry.NewRegistry())
+	defer lc.Close()
+	if got := run(lc); fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+		t.Fatalf("b got pings sent at %v over TCP, %v on the simulator", got, want)
+	}
+	for _, ms := range want {
+		if ms >= 300 {
+			t.Fatalf("the ping of the kill's instant arrived: %v", want)
+		}
+	}
+}
+
+// TestLiveRingOnScheduleTime: live spans are stamped with the cluster
+// clock, the timeline violations report on, so the paxos seed-1 ring
+// shows the leader's crash-restart at the schedule's own milliseconds.
+func TestLiveRingOnScheduleTime(t *testing.T) {
+	sched := Paxos().Schedule(1)
+	crash := sched[0]
+	lc := NewCluster(1, telemetry.NewRegistry())
+	defer lc.Close()
+	var ring []telemetry.Span
+	lc.At(crash.AtMS+crash.DurMS+1, func() error { ring = lc.Tracer().Spans(); return nil })
+	if _, err := chaos.RunPaxos(lc, 1, sched); err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, sp := range ring {
+		if sp.StartMS > crash.AtMS+crash.DurMS+1 {
+			t.Fatalf("span after the snapshot's instant: %+v", sp)
+		}
+		if sp.Kind == "fault" && sp.Node == crash.Node {
+			found[fmt.Sprintf("%s@%d", sp.Op, sp.StartMS)] = true
+		}
+	}
+	for _, want := range []string{fmt.Sprintf("kill@%d", crash.AtMS), fmt.Sprintf("restart@%d", crash.AtMS+crash.DurMS)} {
+		if !found[want] {
+			t.Fatalf("no %s fault span for %s in the ring: %v", want, crash.Node, found)
+		}
+	}
+}
+
+// TestLiveApplyRejectsUnknownNodes: a schedule naming a node the live
+// cluster lacks fails the run, as on the simulator.
+func TestLiveApplyRejectsUnknownNodes(t *testing.T) {
+	sched := chaos.Schedule{{AtMS: 1000, Kind: chaos.Kill, Node: "px:9"}}
+	out := Paxos().Run(1, sched)
+	if out.Err == nil || !strings.Contains(out.Err.Error(), `no node "px:9"`) {
+		t.Fatalf("got %v, want an error naming px:9", out.Err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 
+	"repro/internal/overlog"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -30,6 +31,26 @@ type Outcome struct {
 func digest(c *sim.Cluster) string {
 	sum := sha256.Sum256([]byte(c.Fingerprint()))
 	return hex.EncodeToString(sum[:8])
+}
+
+// Driver is what a scenario body needs of a cluster, sim.Cluster or the
+// live TCP one (chaos/live): faults, injection, inspection, running.
+type Driver interface {
+	Faults
+	Inject(node string, tp overlog.Tuple, delayMS int64)
+	RunOn(node string, fn func(*overlog.Runtime))
+	Run(untilMS int64) error
+	RunUntil(cond func() bool, maxMS int64) (bool, error)
+	Now() int64
+}
+
+// Builder is a Driver a scenario adds its nodes to. A node listens at
+// its runtime's LocalAddr, which on the simulator is its name.
+type Builder interface {
+	Driver
+	AddNode(name string, opts ...overlog.Option) (*overlog.Runtime, error)
+	AttachService(name string, svc sim.Service) error
+	SetSpec(name string, spec sim.NodeSpec) error
 }
 
 // Violated reports whether the run surfaced invariant violations.

@@ -12,8 +12,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fsParams shapes the replicated-FS scenario.
-type fsParams struct {
+// FSParams shapes the replicated-FS scenario; its Build, Config and
+// Workload run on either driver.
+type FSParams struct {
 	masters   int
 	datanodes int
 	repl      int
@@ -30,7 +31,7 @@ type fsParams struct {
 // crash-restart (chunk disks survive), links partition, slow down, and
 // drop messages — and the invariant monitors must stay silent.
 func ReplicatedFS() Scenario {
-	p := fsParams{masters: 3, datanodes: 5, repl: 2, files: 6}
+	p := ReplicatedFSParams
 	return Scenario{
 		Name:     "fs",
 		Schedule: p.schedule,
@@ -44,7 +45,7 @@ func ReplicatedFS() Scenario {
 // runner shrinks the schedule to the kills that actually destroyed
 // data.
 func WeakDurability() Scenario {
-	p := fsParams{masters: 3, datanodes: 5, repl: 1, files: 6, weaken: true}
+	p := FSParams{masters: 3, datanodes: 5, repl: 1, files: 6, weaken: true}
 	return Scenario{
 		Name:     "fs-weak",
 		Schedule: p.schedule,
@@ -52,11 +53,26 @@ func WeakDurability() Scenario {
 	}
 }
 
-func (p fsParams) mon() MonitorConfig {
+// ReplicatedFSParams are the fs scenario's.
+var ReplicatedFSParams = FSParams{masters: 3, datanodes: 5, repl: 2, files: 6}
+
+// FSRetryMS bounds one client attempt against one master replica.
+const FSRetryMS = 4000
+
+// Config is the scenario's file-system config.
+func (p FSParams) Config() boomfs.Config {
+	cfg := boomfs.DefaultConfig()
+	cfg.ReplicationFactor = p.repl
+	cfg.ChunkSize = 16
+	cfg.OpTimeoutMS = 60_000
+	return cfg
+}
+
+func (p FSParams) mon() MonitorConfig {
 	return MonitorConfig{TickMS: 1000, GraceMS: 20000, Repl: p.repl}
 }
 
-func (p fsParams) schedule(seed int64) Schedule {
+func (p FSParams) schedule(seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	var s Schedule
 	dn := func(i int) string { return fmt.Sprintf("dn:%d", i) }
@@ -102,7 +118,7 @@ func (p fsParams) schedule(seed int64) Schedule {
 	return s
 }
 
-func (p fsParams) run(seed int64, sched Schedule) Outcome {
+func (p FSParams) run(seed int64, sched Schedule) Outcome {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
 	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg),
@@ -110,60 +126,121 @@ func (p fsParams) run(seed int64, sched Schedule) Outcome {
 	out := Outcome{Tracer: tracer}
 	fail := func(err error) Outcome { out.Err = err; return out }
 
-	cfg := boomfs.DefaultConfig()
-	cfg.ReplicationFactor = p.repl
-	cfg.ChunkSize = 16
-	cfg.OpTimeoutMS = 60_000
-	mcfg := p.mon()
-
-	rm, err := boomfs.NewReplicatedMaster(c, "fsm", p.masters, cfg, paxos.DefaultConfig())
+	masters, addrs, err := p.Build(c)
 	if err != nil {
 		return fail(err)
 	}
+	cl, err := boomfs.NewClient(c, "client:0", p.Config(), addrs...)
+	if err != nil {
+		return fail(err)
+	}
+	cl.UseGateway, cl.RetryMS = true, FSRetryMS
+	if err := p.Workload(c, cl, sched, masters, func(v Violation) {
+		v.Node = cl.Addr
+		RecordViolation(cl.Runtime(), v)
+	}); err != nil {
+		return fail(err)
+	}
+	out.Violations = Collect(c, c.Nodes())
+	out.Provenance = ExplainViolation(c, out.Violations)
+	out.Digest = digest(c)
+	return out
+}
+
+// Build adds the master replicas fsm:i and datanodes dn:i to c, with
+// their monitors and restart recipes, and returns the masters' names
+// and addresses.
+func (p FSParams) Build(c Builder) (masters, addrs []string, err error) {
+	cfg, mcfg, pcfg := p.Config(), p.mon(), paxos.DefaultConfig()
 	installMon := func(rt *overlog.Runtime) error {
 		if err := InstallPaxosMonitor(rt, mcfg); err != nil {
 			return err
 		}
 		return InstallFSMonitor(rt, mcfg)
 	}
-	for i, addr := range rm.Replicas {
-		if err := installMon(rm.Master(i).Runtime()); err != nil {
-			return fail(err)
-		}
-		if err := c.SetSpec(addr, WrapSpec(rm.RestartSpec(i), installMon)); err != nil {
-			return fail(err)
-		}
-	}
-	var dns []*boomfs.DataNode
-	for i := 0; i < p.datanodes; i++ {
-		dn, err := boomfs.NewReplicatedDataNode(c, fmt.Sprintf("dn:%d", i), rm, cfg)
+	var rts []*overlog.Runtime
+	for i := 0; i < p.masters; i++ {
+		masters = append(masters, fmt.Sprintf("fsm:%d", i))
+		rt, err := c.AddNode(masters[i])
 		if err != nil {
-			return fail(err)
+			return nil, nil, err
 		}
-		dns = append(dns, dn)
+		rts, addrs = append(rts, rt), append(addrs, rt.LocalAddr())
 	}
-	cl, err := boomfs.NewReplicatedClient(c, "client:0", cfg, rm)
-	if err != nil {
-		return fail(err)
+	for i, rt := range rts {
+		self := addrs[i]
+		restart := func(fresh *overlog.Runtime) ([]sim.Service, error) {
+			return nil, boomfs.ReplicatedMasterRestart(fresh, self, addrs, cfg, pcfg)
+		}
+		err := boomfs.InstallReplicatedMaster(rt, self, addrs, cfg, pcfg)
+		if err == nil {
+			err = installMon(rt)
+		}
+		if err == nil {
+			err = c.SetSpec(masters[i], WrapSpec(restart, installMon))
+		}
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	cl.RetryMS = 4000
+	// Datanodes carry the data-plane service; chunk bytes are the disk
+	// and survive crashes.
+	for i := 0; i < p.datanodes; i++ {
+		name := fmt.Sprintf("dn:%d", i)
+		rt, err := c.AddNode(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		dn, svc, err := boomfs.NewDataNodeOnRuntime(rt, addrs[0], cfg)
+		if err == nil {
+			err = c.AttachService(name, svc)
+		}
+		if err == nil {
+			err = c.SetSpec(name, dn.RestartSpec())
+		}
+		for _, m := range addrs[1:] {
+			if err == nil {
+				err = dn.AddMaster(m)
+			}
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return masters, addrs, nil
+}
 
-	sched.Apply(c)
+// FSClient is what the fs workload needs of a client: the simulator's
+// boomfs client and the live rtfs client both have it.
+type FSClient interface {
+	Mkdir(path string) error
+	Create(path string) error
+	AddChunk(path string) (int64, []string, error)
+	WriteChunk(cid int64, locs []string, data string) error
+	ReadFile(path string) (string, error)
+}
+
+// Workload applies the schedule, writes the files through cl while the
+// faults fire, reports each acked chunk to the masters' monitors, and
+// after the monitors' grace window hands record a read-back violation
+// for every acked write that no longer reads back.
+func (p FSParams) Workload(c Driver, cl FSClient, sched Schedule, masters []string, record func(Violation)) error {
+	cfg, mcfg := p.Config(), p.mon()
+	if err := sched.Apply(c); err != nil {
+		return err
+	}
 
 	// Workload: acked chunk writes, spaced out so faults interleave.
 	// Every acked chunk is reported to all master replicas' durability
 	// monitors; operations that fail under faults simply carry no ack.
 	if err := c.Run(c.Now() + 1500); err != nil {
-		return fail(err)
+		return err
 	}
 	if err := cl.Mkdir("/data"); err != nil {
-		return fail(fmt.Errorf("mkdir /data: %w", err))
+		return fmt.Errorf("mkdir /data: %w", err)
 	}
-	type acked struct {
-		path string
-		data string
-	}
-	var written []acked
+	written := map[string]string{}
+	var paths []string
 	for i := 0; i < p.files; i++ {
 		path := fmt.Sprintf("/data/f%02d", i)
 		data := strings.Repeat(fmt.Sprintf("%d", i%10), cfg.ChunkSize)
@@ -177,42 +254,35 @@ func (p fsParams) run(seed int64, sched Schedule) Outcome {
 		if err := cl.WriteChunk(cid, locs, data); err != nil {
 			continue
 		}
-		for _, m := range rm.Replicas {
+		for _, m := range masters {
 			c.Inject(m, overlog.NewTuple("mon_acked",
 				overlog.Int(cid), overlog.Int(int64(len(data)))), 0)
 		}
-		written = append(written, acked{path: path, data: data})
+		written[path] = data
+		paths = append(paths, path)
 		if err := c.Run(c.Now() + 3000); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 
 	// Let the schedule finish, then give the monitors a full grace
 	// window plus slack: anything still broken is a violation.
-	settle := sched.End() + mcfg.GraceMS + 3*mcfg.TickMS + 5000
-	if end := c.Now() + mcfg.GraceMS + 3*mcfg.TickMS + 5000; end > settle {
-		settle = end
-	}
+	settle := max(sched.End(), c.Now()) + mcfg.GraceMS + 3*mcfg.TickMS + 5000
 	if err := c.Run(settle); err != nil {
-		return fail(err)
+		return err
 	}
 
 	// Empirical durability: every acked write must still read back.
 	// (The monitor watches metadata; this drives the data plane.)
-	for _, w := range written {
-		got, err := cl.ReadFile(w.path)
-		if err != nil || got != w.data {
-			detail := fmt.Sprintf("acked write %s no longer reads back", w.path)
+	for _, path := range paths {
+		got, err := cl.ReadFile(path)
+		if err != nil || got != written[path] {
+			detail := fmt.Sprintf("acked write %s no longer reads back", path)
 			if err != nil {
 				detail += ": " + err.Error()
 			}
-			RecordViolation(cl.Runtime(), Violation{
-				Inv: "read-back", Node: cl.Addr, TimeMS: c.Now(), Detail: detail})
+			record(Violation{Inv: "read-back", TimeMS: c.Now(), Detail: detail})
 		}
 	}
-
-	out.Violations = Collect(c)
-	out.Provenance = ExplainViolation(c, out.Violations)
-	out.Digest = digest(c)
-	return out
+	return nil
 }

@@ -74,7 +74,9 @@ func gossip(boundMS int64) Scenario {
 				}
 			}
 		}
-		sched.Apply(c)
+		if out.Err = sched.Apply(c); out.Err != nil {
+			return out
+		}
 		for _, a := range sched {
 			if node := a.Node; a.Kind == Kill || (a.Kind == CrashRestart && a.DurMS > boundMS) {
 				c.At(a.AtMS+boundMS, func() error {
@@ -95,7 +97,7 @@ func gossip(boundMS int64) Scenario {
 				expect("gossip-resurrection", a, false)
 			}
 		}
-		out.Violations = Collect(c)
+		out.Violations = Collect(c, c.Nodes())
 		out.Digest = digest(c)
 		return out
 	}

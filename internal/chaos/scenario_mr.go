@@ -68,7 +68,9 @@ func (p mrParams) run(seed int64, sched Schedule) Outcome {
 			return fail(err)
 		}
 	}
-	sched.Apply(c)
+	if err := sched.Apply(c); err != nil {
+		return fail(err)
+	}
 	if err := c.Run(cfg.HeartbeatMS*2 + 10); err != nil {
 		return fail(err)
 	}
@@ -107,7 +109,7 @@ func (p mrParams) run(seed int64, sched Schedule) Outcome {
 		}
 	}
 
-	out.Violations = Collect(c)
+	out.Violations = Collect(c, c.Nodes())
 	out.Provenance = ExplainViolation(c, out.Violations)
 	out.Digest = digest(c)
 	return out

@@ -16,13 +16,15 @@ type paxosParams struct {
 	commands int
 }
 
+var paxosScenario = paxosParams{replicas: 3, commands: 8}
+
 // Paxos runs a three-replica multi-Paxos group through leader
 // crash-restarts (durable acceptor state survives, soft state does
 // not), a partition, and a loss burst, while a stream of commands is
 // submitted. The single-leader and log-agreement monitors must stay
 // silent, and every command must eventually decide on every replica.
 func Paxos() Scenario {
-	p := paxosParams{replicas: 3, commands: 8}
+	p := paxosScenario
 	return Scenario{
 		Name:     "paxos",
 		Schedule: p.schedule,
@@ -61,30 +63,45 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg),
 		sim.WithTracer(tracer), sim.WithProvenance(256))
 	out := Outcome{Tracer: tracer}
-	fail := func(err error) Outcome { out.Err = err; return out }
-
-	pcfg := paxos.DefaultConfig()
-	mcfg := p.mon()
-	var members []string
-	for i := 0; i < p.replicas; i++ {
-		members = append(members, fmt.Sprintf("px:%d", i))
+	if out.Violations, out.Err = p.on(c, seed, sched); out.Err == nil {
+		out.Provenance = ExplainViolation(c, out.Violations)
+		out.Digest = digest(c)
 	}
+	return out
+}
+
+// RunPaxos is the paxos scenario on either driver: it adds the
+// replicas px:0..2 to c, submits the commands, applies the schedule,
+// and returns the violations once the group has settled.
+func RunPaxos(c Builder, seed int64, sched Schedule) ([]Violation, error) {
+	return paxosScenario.on(c, seed, sched)
+}
+
+func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, error) {
+	pcfg, mcfg := paxos.DefaultConfig(), p.mon()
 	installMon := func(rt *overlog.Runtime) error {
 		return InstallPaxosMonitor(rt, mcfg)
 	}
-	for _, m := range members {
-		rt, err := c.AddNode(m)
+	var names, addrs []string
+	var rts []*overlog.Runtime
+	for i := 0; i < p.replicas; i++ {
+		names = append(names, fmt.Sprintf("px:%d", i))
+		rt, err := c.AddNode(names[i])
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		if err := paxos.Install(rt, m, members, pcfg); err != nil {
-			return fail(err)
+		rts, addrs = append(rts, rt), append(addrs, rt.LocalAddr())
+	}
+	for i, rt := range rts {
+		err := paxos.Install(rt, addrs[i], addrs, pcfg)
+		if err == nil {
+			err = installMon(rt)
 		}
-		if err := installMon(rt); err != nil {
-			return fail(err)
+		if err == nil {
+			err = c.SetSpec(names[i], WrapSpec(paxos.RestartSpec(addrs[i], addrs, pcfg), installMon))
 		}
-		if err := c.SetSpec(m, WrapSpec(paxos.RestartSpec(m, members, pcfg), installMon)); err != nil {
-			return fail(err)
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -94,28 +111,25 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 	submit := func(i int) {
 		id := fmt.Sprintf("cmd-%02d", i)
 		cmd := overlog.List(overlog.Str(id), overlog.Str(fmt.Sprintf("op-%d", i)))
-		for _, m := range members {
+		for j, m := range names {
 			c.Inject(m, overlog.NewTuple("paxos_request",
-				overlog.Addr(m), overlog.Str(id), cmd), 0)
+				overlog.Addr(addrs[j]), overlog.Str(id), cmd), 0)
 		}
 	}
 	decidedIDs := func(m string) map[string]bool {
 		got := map[string]bool{}
-		rt := c.Node(m)
-		if rt == nil {
-			return got
-		}
-		for _, cmd := range paxos.Decided(rt) {
-			if len(cmd) > 0 {
-				got[cmd[0].AsString()] = true
+		c.RunOn(m, func(rt *overlog.Runtime) {
+			for _, cmd := range paxos.Decided(rt) {
+				if len(cmd) > 0 {
+					got[cmd[0].AsString()] = true
+				}
 			}
-		}
+		})
 		return got
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x70a5))
 	deadline := int64(0)
 	for i := 0; i < p.commands; i++ {
-		i := i
 		at := int64(1000 + i*2200 + rng.Intn(700))
 		c.At(at, func() error { submit(i); return nil })
 		deadline = at
@@ -129,7 +143,7 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 			for i := 0; i < p.commands; i++ {
 				id := fmt.Sprintf("cmd-%02d", i)
 				everywhere := true
-				for _, m := range members {
+				for _, m := range names {
 					if !decidedIDs(m)[id] {
 						everywhere = false
 						break
@@ -143,7 +157,9 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 		})
 	}
 
-	sched.Apply(c)
+	if err := sched.Apply(c); err != nil {
+		return nil, err
+	}
 
 	// Liveness: every command decided on every replica.
 	missing := func(m string) []string {
@@ -157,28 +173,30 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 		return out
 	}
 	allDecided := func() bool {
-		for _, m := range members {
+		for _, m := range names {
 			if len(missing(m)) > 0 {
 				return false
 			}
 		}
 		return true
 	}
+	record := func(m string, v Violation) {
+		c.RunOn(m, func(rt *overlog.Runtime) { RecordViolation(rt, v) })
+	}
 
 	// Run the schedule out plus a full grace window, then give the
 	// group bounded extra time to finish deciding.
 	settle := sched.End() + mcfg.GraceMS + 3*mcfg.TickMS + 5000
 	if err := c.Run(settle); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if _, err := c.RunUntil(allDecided, c.Now()+60_000); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if !allDecided() {
-		for _, m := range members {
+		for _, m := range names {
 			if miss := missing(m); len(miss) > 0 {
-				RecordViolation(c.Node(m), Violation{
-					Inv: "px-liveness", Node: m, TimeMS: c.Now(),
+				record(m, Violation{Inv: "px-liveness", Node: m, TimeMS: c.Now(),
 					Detail: fmt.Sprintf("undecided after faults healed: %v", miss)})
 			}
 		}
@@ -188,12 +206,13 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 	// monitor sees what the wire delivers; the harness sees everything.
 	slots := map[int64]string{}
 	slotAt := map[int64]string{}
-	for _, m := range members {
-		for slot, cmd := range paxos.Decided(c.Node(m)) {
+	for _, m := range names {
+		var decided map[int64][]overlog.Value
+		c.RunOn(m, func(rt *overlog.Runtime) { decided = paxos.Decided(rt) })
+		for slot, cmd := range decided {
 			rendered := overlog.List(cmd...).String()
 			if prev, ok := slots[slot]; ok && prev != rendered {
-				RecordViolation(c.Node(m), Violation{
-					Inv: "log-agreement", Node: m, TimeMS: c.Now(),
+				record(m, Violation{Inv: "log-agreement", Node: m, TimeMS: c.Now(),
 					Detail: fmt.Sprintf("slot %d: %s here vs %s at %s",
 						slot, rendered, prev, slotAt[slot])})
 				continue
@@ -202,9 +221,5 @@ func (p paxosParams) run(seed int64, sched Schedule) Outcome {
 			slotAt[slot] = m
 		}
 	}
-
-	out.Violations = Collect(c)
-	out.Provenance = ExplainViolation(c, out.Violations)
-	out.Digest = digest(c)
-	return out
+	return Collect(c, names), nil
 }

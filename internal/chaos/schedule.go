@@ -9,9 +9,8 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"repro/internal/sim"
 )
 
 // ActionKind names a fault primitive.
@@ -91,12 +90,38 @@ func (s Schedule) String() string {
 	return strings.Join(lines, "\n")
 }
 
+// Faults is the fault surface a schedule drives, on the simulator
+// (sim.Cluster) or the live TCP cluster (chaos/live).
+type Faults interface {
+	Nodes() []string
+	Kill(node string)
+	Revive(node string)
+	Restart(node string) error
+	Partition(a, b string)
+	Heal(a, b string)
+	SetDropRate(rate float64) float64
+	SlowLink(a, b string, latMS int64)
+	At(ms int64, fn func() error)
+}
+
 // Apply registers every action as a cluster timer; the driver fires
-// them as virtual time advances, even while a synchronous workload op
-// is driving the simulation from inside the same event loop.
-func (s Schedule) Apply(c *sim.Cluster) {
+// them as its clock advances, even while a synchronous workload op
+// is driving the simulation from inside the same event loop. An action
+// naming a node the cluster lacks fails the schedule, as an unknown
+// kind fails its load. While loss bursts overlap, the latest to start
+// sets the rate; the rate from before the first comes back when the
+// last ends.
+func (s Schedule) Apply(c Faults) error {
+	nodes := c.Nodes()
 	for _, a := range s {
-		a := a
+		for _, n := range []string{a.Node, a.A, a.B} {
+			if n != "" && !slices.Contains(nodes, n) {
+				return fmt.Errorf("chaos: %v: no node %q", a, n)
+			}
+		}
+	}
+	bursts, base := 0, 0.0 // loss bursts running, and the rate before them
+	for _, a := range s {
 		switch a.Kind {
 		case Kill:
 			c.At(a.AtMS, func() error { c.Kill(a.Node); return nil })
@@ -114,8 +139,16 @@ func (s Schedule) Apply(c *sim.Cluster) {
 			c.At(a.AtMS, func() error { c.Heal(a.A, a.B); return nil })
 		case LossBurst:
 			c.At(a.AtMS, func() error {
-				prev := c.SetDropRate(a.Rate)
-				c.At(a.AtMS+a.DurMS, func() error { c.SetDropRate(prev); return nil })
+				if prev := c.SetDropRate(a.Rate); bursts == 0 {
+					base = prev
+				}
+				bursts++
+				c.At(a.AtMS+a.DurMS, func() error {
+					if bursts--; bursts == 0 {
+						c.SetDropRate(base)
+					}
+					return nil
+				})
 				return nil
 			})
 		case SlowLink:
@@ -125,6 +158,7 @@ func (s Schedule) Apply(c *sim.Cluster) {
 			}
 		}
 	}
+	return nil
 }
 
 // End returns the time by which every action (including its duration)

@@ -19,8 +19,12 @@ var validKinds = map[ActionKind]bool{
 	Partition: true, Heal: true, LossBurst: true, SlowLink: true,
 }
 
+// HorizonMS bounds a schedule: generated ones end before 40 s, and a
+// later time is a typo or a sum that overflows past its kill.
+const HorizonMS = 3_600_000
+
 // Validate checks a schedule is executable: known kinds, the fields
-// that kind requires, non-negative times.
+// that kind requires, non-negative times that end within HorizonMS.
 func (s Schedule) Validate() error {
 	for i, a := range s {
 		if !validKinds[a.Kind] {
@@ -28,6 +32,9 @@ func (s Schedule) Validate() error {
 		}
 		if a.AtMS < 0 || a.DurMS < 0 || a.LatMS < 0 {
 			return fmt.Errorf("chaos: action %d (%s): negative time", i, a.Kind)
+		}
+		if a.AtMS > HorizonMS || a.DurMS > HorizonMS-a.AtMS {
+			return fmt.Errorf("chaos: action %d (%s): ends past the %d ms horizon", i, a.Kind, HorizonMS)
 		}
 		switch a.Kind {
 		case Kill, Revive, CrashRestart:

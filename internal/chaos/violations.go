@@ -24,15 +24,15 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] %s @%dms: %s", v.Inv, v.Node, v.TimeMS, v.Detail)
 }
 
-// Collect sweeps every node's inv_violation relation, materializes the
-// rows into that node's sys::invariant catalog table (mirroring how
-// analysis.SelfLint fills sys::lint), and returns them sorted by time.
-// Harness-level checks can add their own rows with RecordViolation
-// before collecting.
-func Collect(c *sim.Cluster) []Violation {
+// Collect sweeps the named nodes' inv_violation relations on either
+// driver, materializes the rows into each node's sys::invariant catalog
+// table (mirroring how analysis.SelfLint fills sys::lint), and returns
+// them sorted by time. Harness-level checks can add their own rows with
+// RecordViolation before collecting.
+func Collect(c Driver, names []string) []Violation {
 	var out []Violation
-	for _, addr := range c.Nodes() {
-		out = append(out, ScanViolations(c.Node(addr))...)
+	for _, m := range names {
+		c.RunOn(m, func(rt *overlog.Runtime) { out = append(out, ScanViolations(rt)...) })
 	}
 	SortViolations(out)
 	return out

@@ -14,18 +14,19 @@ package govet
 // Two deliberate exclusions, decided when the transport grew the live
 // chaos harness:
 //
-//   - repro/internal/transport is wall-clock BY CONTRACT — it is the
-//     real-time driver (step loops on time.After, dial backoff, queue
-//     deadlines). Scoping it would demand an allow on nearly every
-//     line, and a blanket-waived package teaches readers to ignore
-//     pragmas. Its determinism-relevant twin is internal/sim, which
-//     stays scoped, as does internal/membership's probe timing.
+//   - repro/internal/transport is the real-time driver: goroutines,
+//     sockets, and a Clock that is the wall (nil) or a virtual clock a
+//     harness owns; clock.go is the one file that calls time.Now,
+//     Sleep and AfterFunc. Scoping it would demand an allow on nearly
+//     every goroutine, and a blanket-waived package teaches readers to
+//     ignore pragmas. Its determinism-relevant twin is internal/sim,
+//     which stays scoped, as does internal/membership's probe timing.
 //   - repro/internal/chaos/live replays chaos schedules on that
-//     transport; goroutine and kernel scheduling make its runs
-//     non-replayable by nature. The schedule it executes is data owned
-//     by the scoped internal/chaos package, which is where replayable
-//     logic (schedule derivation, shrinking, JSON interchange) must
-//     stay.
+//     transport, on its virtual clock; the order of work within one
+//     virtual instant varies, so its runs are non-replayable by nature.
+//     The schedules and scenario bodies it runs are owned by the scoped
+//     internal/chaos package, which is where replayable logic (schedule
+//     derivation, shrinking, JSON interchange) must stay.
 //
 // No goroutine in internal/overlog or internal/sim: rule evaluation
 // and sim stepping are serial (DESIGN.md §16), neither package carries
@@ -37,9 +38,9 @@ package govet
 // scoped packages stay waiver-free by construction — the sim stamps
 // spans with its virtual clock in the merge phase, loadgen stamps
 // request spans at virtual issue/complete instants, and only the
-// wall-clock drivers (transport, rtfs, rtmr — all outside the
-// scope, by the transport argument above) call time.Now for span
-// bounds. A walltime finding on a span-stamping line inside a scoped
+// real-time drivers (transport, rtfs, rtmr — all outside the
+// scope, by the transport argument above) read a clock for span
+// bounds: transport and rtfs their transport.Clock, rtmr the wall. A walltime finding on a span-stamping line inside a scoped
 // package means virtual time was available and not used: fix it, do
 // not waive it.
 var DeterministicPackages = map[string]bool{

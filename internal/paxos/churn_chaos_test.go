@@ -44,7 +44,9 @@ func TestSafetyUnderRandomFailures(t *testing.T) {
 					chaos.Action{AtMS: at + down, Kind: chaos.Revive, Node: victim})
 				at += down + 1200 + int64(rng.Intn(1200))
 			}
-			sched.Apply(c)
+			if err := sched.Apply(c); err != nil {
+				t.Fatal(err)
+			}
 
 			// Twelve commands hit random replicas across the fault window.
 			// A command that lands on a dead replica is simply lost — the

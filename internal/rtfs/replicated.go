@@ -54,11 +54,12 @@ func (c *Client) callReplicated(op, path, arg string) (*boomfs.Response, error) 
 	if perTry <= 0 {
 		perTry = c.Timeout
 	}
-	overall := time.Now().Add(c.Timeout)
+	clk := c.tcp.Clock()
+	overall := clk.Now().Add(c.Timeout)
 	tries := 0
 	id := c.nextReqID()
 	finish := c.startOpSpan(id, op, path)
-	for time.Now().Before(overall) {
+	for clk.Now().Before(overall) {
 		idx := (c.preferred + tries) % len(c.Masters)
 		m := c.Masters[idx]
 		tries++
@@ -68,20 +69,14 @@ func (c *Client) callReplicated(op, path, arg string) (*boomfs.Response, error) 
 		if err != nil {
 			// Replica unreachable (fail-fast backoff): rotate without
 			// burning the attempt's full retry window.
-			time.Sleep(5 * time.Millisecond)
+			clk.Sleep(5 * time.Millisecond)
 			continue
 		}
-		deadline := time.Now().Add(perTry)
-		if deadline.After(overall) {
-			deadline = overall
-		}
-		for time.Now().Before(deadline) {
-			if resp := c.pollResponse(id); resp != nil {
-				c.preferred = idx
-				finish(fmt.Sprintf("ok (%d tries)", tries))
-				return resp, nil
-			}
-			time.Sleep(2 * time.Millisecond)
+		var resp *boomfs.Response
+		if c.poll(min(perTry, overall.Sub(clk.Now())), func() bool { resp = c.pollResponse(id); return resp != nil }) {
+			c.preferred = idx
+			finish(fmt.Sprintf("ok (%d tries)", tries))
+			return resp, nil
 		}
 		if tries >= len(c.Masters) && c.Retry <= 0 {
 			break // no retry budget configured; one pass is enough

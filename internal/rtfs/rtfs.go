@@ -214,7 +214,7 @@ func serve(rt *overlog.Runtime, addr, role string, setup func(*transport.Node) e
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
 	telemetry.AttachRuntime(reg, "", rt)
-	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return time.Now().UnixMilli() })
+	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return tcp.Clock().Now().UnixMilli() })
 	var instErr error
 	switch role {
 	case "master":
@@ -317,7 +317,7 @@ func NewClient(addr, master string, timeout time.Duration) (*Client, error) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
 	telemetry.AttachRuntime(reg, "", rt)
-	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return time.Now().UnixMilli() })
+	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return tcp.Clock().Now().UnixMilli() })
 	var err error
 	tcp, err = transport.ListenTCP(node, addr)
 	if err != nil {
@@ -340,10 +340,10 @@ func (c *Client) startOpSpan(id, op, path string) func(outcome string) {
 	}
 	span := c.Tracer.NextID(c.Addr)
 	c.Tracer.SetActive(c.Addr, id, span)
-	start := time.Now().UnixMilli()
+	start := c.tcp.Clock().Now().UnixMilli()
 	return func(outcome string) {
 		c.Tracer.Record(telemetry.Span{TraceID: id, SpanID: span, Node: c.Addr,
-			Kind: "op", Op: op, StartMS: start, EndMS: time.Now().UnixMilli(),
+			Kind: "op", Op: op, StartMS: start, EndMS: c.tcp.Clock().Now().UnixMilli(),
 			Detail: path + " " + outcome})
 	}
 }
@@ -359,6 +359,20 @@ func (c *Client) Close() {
 // cluster participant and suffers partitions and loss like any node.
 func (c *Client) Transport() *transport.TCP { return c.tcp }
 
+// poll checks done every 2 ms on the client's clock until it holds or
+// d has passed, and reports whether it held.
+func (c *Client) poll(d time.Duration, done func() bool) bool {
+	clk := c.tcp.Clock()
+	deadline := clk.Now().Add(d)
+	for clk.Now().Before(deadline) {
+		if done() {
+			return true
+		}
+		clk.Sleep(2 * time.Millisecond)
+	}
+	return false
+}
+
 func (c *Client) nextReqID() string {
 	c.seq++
 	return fmt.Sprintf("%s-%d", c.Addr, c.seq)
@@ -368,11 +382,12 @@ func (c *Client) nextReqID() string {
 // one trace span: the request ID doubles as the trace ID that the
 // master's and datanodes' event rings index.
 func (c *Client) call(op, path, arg string) (*boomfs.Response, error) {
-	start := time.Now()
+	clk := c.tcp.Clock()
+	start := clk.Now()
 	defer func() {
 		c.Reg.Histogram(telemetry.L("boomfs_op_ms", "op", op),
 			"client-observed metadata op latency (ms)", nil).
-			Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+			Observe(float64(clk.Now().Sub(start).Nanoseconds()) / 1e6)
 	}()
 	if len(c.Masters) > 0 {
 		return c.callReplicated(op, path, arg)
@@ -385,13 +400,10 @@ func (c *Client) call(op, path, arg string) (*boomfs.Response, error) {
 		finish("send-error")
 		return nil, err
 	}
-	deadline := time.Now().Add(c.Timeout)
-	for time.Now().Before(deadline) {
-		if resp := c.pollResponse(id); resp != nil {
-			finish("ok")
-			return resp, nil
-		}
-		time.Sleep(2 * time.Millisecond)
+	var resp *boomfs.Response
+	if c.poll(c.Timeout, func() bool { resp = c.pollResponse(id); return resp != nil }) {
+		finish("ok")
+		return resp, nil
 	}
 	finish("timeout")
 	return nil, fmt.Errorf("rtfs: %s %s: timeout after %v", op, path, c.Timeout)
@@ -472,12 +484,6 @@ func (c *Client) AddChunk(path string) (int64, []string, error) {
 	return cid, locs, nil
 }
 
-// WriteChunk streams one chunk's bytes through the datanode pipeline
-// and waits for every replica's ack.
-func (c *Client) WriteChunk(cid int64, locs []string, data string) error {
-	return c.writeChunk(cid, locs, data)
-}
-
 // WriteFile creates path and streams data through the chunk pipeline.
 func (c *Client) WriteFile(path, data string, chunkSize int) error {
 	if chunkSize <= 0 {
@@ -495,14 +501,16 @@ func (c *Client) WriteFile(path, data string, chunkSize int) error {
 		if err != nil {
 			return err
 		}
-		if err := c.writeChunk(cid, locs, data[off:end]); err != nil {
+		if err := c.WriteChunk(cid, locs, data[off:end]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (c *Client) writeChunk(cid int64, locs []string, data string) error {
+// WriteChunk streams one chunk's bytes through the datanode pipeline
+// and waits for every replica's ack.
+func (c *Client) WriteChunk(cid int64, locs []string, data string) error {
 	id := c.nextReqID()
 	rest := make([]overlog.Value, 0, len(locs)-1)
 	for _, l := range locs[1:] {
@@ -513,16 +521,14 @@ func (c *Client) writeChunk(cid int64, locs []string, data string) error {
 		overlog.Int(cid), overlog.Str(data), overlog.List(rest...))}); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(c.Timeout)
-	for time.Now().Before(deadline) {
+	if c.poll(c.Timeout, func() bool {
 		acks := 0
 		c.node.Runtime(func(rt *overlog.Runtime) {
 			acks = len(rt.Table("ack_log").Match([]int{0}, []overlog.Value{overlog.Str(id)}))
 		})
-		if acks >= len(locs) {
-			return nil
-		}
-		time.Sleep(2 * time.Millisecond)
+		return acks >= len(locs)
+	}) {
+		return nil
 	}
 	return fmt.Errorf("rtfs: writechunk %d: ack timeout", cid)
 }
@@ -561,26 +567,19 @@ func (c *Client) readChunk(cid int64, locs []overlog.Value) (string, error) {
 			overlog.Int(cid))}); err != nil {
 			continue
 		}
-		deadline := time.Now().Add(c.Timeout / 2)
-		for time.Now().Before(deadline) {
-			var data string
-			var got, ok bool
+		var data string
+		var ok bool
+		if c.poll(c.Timeout/2, func() (got bool) {
 			c.node.Runtime(func(rt *overlog.Runtime) {
 				tp, found := rt.Table("read_log").LookupKey(overlog.NewTuple("read_log",
 					overlog.Str(id), overlog.Int(0), overlog.Str(""), overlog.Bool(false)))
 				if found {
-					got = true
-					data = tp.Vals[2].AsString()
-					ok = tp.Vals[3].AsBool()
+					got, data, ok = true, tp.Vals[2].AsString(), tp.Vals[3].AsBool()
 				}
 			})
-			if got {
-				if ok {
-					return data, nil
-				}
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+			return got
+		}) && ok {
+			return data, nil
 		}
 	}
 	return "", fmt.Errorf("rtfs: readchunk %d: no replica answered", cid)

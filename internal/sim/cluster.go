@@ -415,6 +415,13 @@ func (c *Cluster) Node(addr string) *overlog.Runtime {
 	return nil
 }
 
+// RunOn runs fn on addr's runtime, if the node exists (chaos.Driver).
+func (c *Cluster) RunOn(addr string, fn func(*overlog.Runtime)) {
+	if n, ok := c.nodes[addr]; ok {
+		fn(n.rt)
+	}
+}
+
 // Nodes returns all node addresses in creation order.
 func (c *Cluster) Nodes() []string { return append([]string(nil), c.order...) }
 

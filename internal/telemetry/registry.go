@@ -214,8 +214,10 @@ func baseName(series string) string {
 	return series
 }
 
-// lookup finds-or-creates an entry, enforcing kind consistency.
-func (r *Registry) lookup(series, help string, kind metricKind) *entry {
+// lookup finds-or-creates an entry, enforcing kind consistency. A new
+// entry is filled by fill under the registry lock, so concurrent first
+// uses of a series share one metric.
+func (r *Registry) lookup(series, help string, kind metricKind, fill func(*entry)) *entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.byName[series]; ok {
@@ -226,6 +228,7 @@ func (r *Registry) lookup(series, help string, kind metricKind) *entry {
 		return e
 	}
 	e := &entry{series: series, base: baseName(series), help: help, kind: kind}
+	fill(e)
 	r.byName[series] = e
 	r.order = append(r.order, series)
 	return e
@@ -233,42 +236,31 @@ func (r *Registry) lookup(series, help string, kind metricKind) *entry {
 
 // Counter returns (creating if needed) the named counter series.
 func (r *Registry) Counter(series, help string) *Counter {
-	e := r.lookup(series, help, kindCounter)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.lookup(series, help, kindCounter, func(e *entry) { e.counter = &Counter{} }).counter
 }
 
 // Gauge returns (creating if needed) the named gauge series.
 func (r *Registry) Gauge(series, help string) *Gauge {
-	e := r.lookup(series, help, kindGauge)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.lookup(series, help, kindGauge, func(e *entry) { e.gauge = &Gauge{} }).gauge
 }
 
 // GaugeFunc registers a gauge evaluated at collection time. fn must be
 // safe to call from the exposition goroutine.
 func (r *Registry) GaugeFunc(series, help string, fn func() float64) {
-	e := r.lookup(series, help, kindGaugeFunc)
+	e := r.lookup(series, help, kindGaugeFunc, func(*entry) {})
 	e.gfn = fn
 }
 
 // Histogram returns (creating if needed) the named histogram. bounds
 // nil selects DefLatencyBuckets.
 func (r *Registry) Histogram(series, help string, bounds []float64) *Histogram {
-	e := r.lookup(series, help, kindHistogram)
-	if e.hist == nil {
+	return r.lookup(series, help, kindHistogram, func(e *entry) {
 		if bounds == nil {
 			bounds = DefLatencyBuckets
 		}
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		e.hist = h
-	}
-	return e.hist
+		e.hist = &Histogram{bounds: append([]float64(nil), bounds...)}
+		e.hist.counts = make([]atomic.Int64, len(e.hist.bounds)+1)
+	}).hist
 }
 
 // Sample is one exposed time-series value.

@@ -8,6 +8,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/overlog"
@@ -17,16 +18,18 @@ import (
 // Sender delivers an envelope toward its destination node.
 type Sender func(overlog.Envelope) error
 
-// Node drives one runtime on the wall clock.
+// Node drives one runtime on a Clock: the wall clock unless its TCP
+// transport joins a virtual one (TCP.SetClock).
 type Node struct {
 	rt     *overlog.Runtime
 	send   Sender
 	inbox  chan overlog.Tuple
 	wake   chan struct{}
 	stop   chan struct{}
+	halt   sync.Once
 	done   chan struct{}
 	mu     sync.Mutex
-	start  time.Time
+	clock  atomic.Pointer[nodeClock]
 	lastMS int64
 
 	// OnError receives fatal step failures (default: panic, because a
@@ -54,32 +57,46 @@ func NewNode(rt *overlog.Runtime, send Sender) *Node {
 		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
-		start: time.Now(),
 		OnError: func(err error) {
 			panic(err)
 		},
 		OnSendError: func(error) {},
 	}
+	n.setClock(nil)
 	// A program installed while Run sleeps (membership started on a
 	// running server) can add a periodic due before the loop's timer.
-	rt.SetWakeHook(func() {
-		select {
-		case n.wake <- struct{}{}:
-		default:
-		}
-	})
+	rt.SetWakeHook(n.poke)
 	return n
 }
 
-// SetEpoch rebases the node's millisecond clock on an external start
-// time (call before Run). The live chaos harness gives every node —
-// including restarted incarnations — the cluster's epoch, so now()
-// advances one shared timeline across crashes, the way the simulator's
-// global clock does; monitor grace windows then span restarts.
-func (n *Node) SetEpoch(start time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.start = start
+// poke makes the step loop re-arm its timer, and counts as work on the
+// node's clock until it has.
+func (n *Node) poke() {
+	clk := n.clk()
+	clk.track(1)
+	select {
+	case n.wake <- struct{}{}:
+	default:
+		clk.track(-1)
+	}
+}
+
+// nodeClock is a node's clock and the origin its milliseconds count from.
+type nodeClock struct {
+	c     *Clock
+	start time.Time
+}
+
+func (n *Node) clk() *Clock { return n.clock.Load().c }
+
+// setClock moves the node onto c. On a virtual clock the loop counts as
+// work from here until its timer is armed on c, whether it runs yet or
+// not, so that time cannot pass it by.
+func (n *Node) setClock(c *Clock) {
+	n.clock.Store(&nodeClock{c, c.origin()})
+	if c != nil {
+		n.poke()
+	}
 }
 
 // admit drops the inbound tuples the runtime cannot hold — a table it
@@ -114,23 +131,45 @@ func (n *Node) Runtime(fn func(rt *overlog.Runtime)) {
 func (n *Node) InboxDepth() int { return len(n.inbox) }
 
 // Deliver enqueues an inbound tuple (thread-safe; called by transports
-// and local producers).
+// and local producers). A tuple queued for a stopped node is dropped.
 func (n *Node) Deliver(tp overlog.Tuple) {
+	clk := n.clk()
+	clk.track(1)
 	select {
 	case n.inbox <- tp:
+		select {
+		case <-n.stop:
+			n.drain()
+		default:
+		}
 	case <-n.stop:
+		clk.track(-1)
 	}
 }
 
-// Now implements sim.Env on the wall clock, letting the same Service
+// drain drops what a stopped node's inbox and wake signal still hold.
+func (n *Node) drain() {
+	for {
+		select {
+		case <-n.inbox:
+		case <-n.wake:
+		default:
+			return
+		}
+		n.clk().track(-1)
+	}
+}
+
+// Now implements sim.Env on the node's clock, letting the same Service
 // implementations run under both drivers.
 func (n *Node) Now() int64 {
-	return time.Since(n.start).Milliseconds()
+	nc := n.clock.Load()
+	return nc.c.Now().Sub(nc.start).Milliseconds()
 }
 
 // AttachService registers data-plane glue (the same sim.Service values
 // the simulator uses). Must be called before Run. Injections are
-// scheduled on wall-clock timers: local ones re-enter this node's
+// scheduled on the node's clock: local ones re-enter this node's
 // inbox; remote ones go out through the node's sender.
 func (n *Node) AttachService(svc sim.Service) error {
 	for _, t := range svc.Tables() {
@@ -169,14 +208,14 @@ func (n *Node) runServices(events []overlog.WatchEvent) {
 					deliver()
 					continue
 				}
-				time.AfterFunc(time.Duration(inj.DelayMS)*time.Millisecond, deliver)
+				n.clk().AfterFunc(time.Duration(inj.DelayMS)*time.Millisecond, deliver)
 			}
 		}
 	}
 }
 
-// nowMS returns the node's millisecond clock: wall time since the
-// epoch, never moving backwards. Steps inside one millisecond share a
+// nowMS returns the node's millisecond clock: time since its origin,
+// never moving backwards. Steps inside one millisecond share a
 // clock value (Runtime.Step asks only for a nondecreasing clock). Giving
 // each step a millisecond of its own let a node that steps more than a
 // thousand times a second run ahead of the wall, and a clock that is
@@ -184,7 +223,7 @@ func (n *Node) runServices(events []overlog.WatchEvent) {
 // Paxos leader 500 ms ahead and stepping a hundred times a second took
 // half a second per 50 ms heartbeat period, and its followers elected.
 func (n *Node) nowMS() int64 {
-	ms := time.Since(n.start).Milliseconds()
+	ms := n.Now()
 	if ms < n.lastMS {
 		ms = n.lastMS
 	}
@@ -195,26 +234,33 @@ func (n *Node) nowMS() int64 {
 // `go node.Run()`.
 func (n *Node) Run() {
 	defer close(n.done)
+	// held counts the last step's work (its inbox tuples, or a wake
+	// signal) and fired its timer: on a virtual clock they are released
+	// only once the next wait is armed, so time cannot pass it by.
+	held, fired := 0, (*Timer)(nil)
 	for {
 		// Determine how long we may sleep: until the next periodic or
 		// deferred wake, or indefinitely pending input.
+		clk := n.clk()
 		n.mu.Lock()
 		next := n.rt.NextWake()
-		last := n.lastMS
+		now := n.nowMS()
 		n.mu.Unlock()
 
-		var timer <-chan time.Time
+		var timer *Timer
+		var tick <-chan time.Time
 		if next >= 0 {
-			delay := time.Duration(next-last) * time.Millisecond
-			if delay < 0 {
-				delay = 0
-			}
-			timer = time.After(delay)
+			timer = clk.NewTimer(time.Duration(next-now) * time.Millisecond)
+			tick = timer.C
 		}
+		clk.track(-held)
+		fired.Stop()
+		held, fired = 0, timer
 
 		var batch []overlog.Tuple
 		select {
 		case <-n.stop:
+			timer.Stop()
 			return
 		case tp := <-n.inbox:
 			batch = append(batch, tp)
@@ -228,14 +274,16 @@ func (n *Node) Run() {
 					break drain
 				}
 			}
-		case <-timer:
+		case <-tick:
 		case <-n.wake:
+			held = 1
 			continue
 		}
+		held = len(batch)
 
 		n.mu.Lock()
 		n.svcBuf = n.svcBuf[:0]
-		now := n.nowMS()
+		now = n.nowMS()
 		out, err := n.rt.Step(now, n.admit(batch))
 		n.lastMS = now
 		events := append([]overlog.WatchEvent(nil), n.svcBuf...)
@@ -243,6 +291,10 @@ func (n *Node) Run() {
 		n.mu.Unlock()
 		if err != nil {
 			n.OnError(err)
+			clk.track(-held)
+			timer.Stop()
+			n.halt.Do(func() { close(n.stop) })
+			n.drain()
 			return
 		}
 		for _, env := range out {
@@ -258,10 +310,7 @@ func (n *Node) Run() {
 
 // Stop terminates the loop and waits for it to exit.
 func (n *Node) Stop() {
-	select {
-	case <-n.stop:
-	default:
-		close(n.stop)
-	}
+	n.halt.Do(func() { close(n.stop) })
 	<-n.done
+	n.drain()
 }

@@ -178,6 +178,8 @@ type peerQ struct {
 	conn    net.Conn
 	enc     *gob.Encoder
 	bw      *bufio.Writer
+	key     string    // the connection's name on a virtual clock
+	counted int       // 1, or 0 while a slow-link wait stops frames counting as work
 	fails   int       // consecutive dial failures
 	until   time.Time // fail-fast window end
 	drops   int64     // frames this peer dropped (queue + dial + write)
@@ -232,6 +234,13 @@ func (t *TCP) SetFaults(f *Faults) {
 	t.faults = f
 	t.mu.Unlock()
 }
+
+// SetClock puts the transport and its node on clock c (nil: the wall
+// clock). Like SetFaults, call it before traffic flows.
+func (t *TCP) SetClock(c *Clock) { t.node.setClock(c) }
+
+// Clock returns the clock the transport and its node read.
+func (t *TCP) Clock() *Clock { return t.node.clk() }
 
 // SetTelemetry installs the metric bundle (nil keeps the current one);
 // call before traffic flows for complete counts.
@@ -316,7 +325,7 @@ func (t *TCP) Peers() []PeerInfo {
 		p.mu.Lock()
 		info := PeerInfo{Addr: a, Queued: len(p.queue), Connected: p.conn != nil,
 			Fails: p.fails, Sent: p.sent, Flushes: p.flushes, Drops: p.drops}
-		if w := time.Until(p.until); w > 0 {
+		if w := p.until.Sub(t.Clock().Now()); w > 0 {
 			info.BackoffMS = w.Milliseconds()
 		}
 		p.mu.Unlock()
@@ -331,13 +340,13 @@ func (t *TCP) telemetry() (*TCPStats, *telemetry.Tracer) {
 	return t.stats, t.tracer
 }
 
-// event records one point event of this node at the wall clock.
-// Untraced events take no span ID.
+// event records one point event of this node on its clock. Untraced
+// events take no span ID.
 func (t *TCP) event(tr *telemetry.Tracer, kind, table, trace, parent, detail string) {
 	if tr == nil {
 		return
 	}
-	now := time.Now().UnixMilli()
+	now := t.Clock().Now().UnixMilli()
 	tr.Record(telemetry.Span{TraceID: trace, ParentID: parent, Node: t.localAddr,
 		Kind: kind, Op: table, StartMS: now, EndMS: now, Detail: detail})
 }
@@ -384,7 +393,7 @@ func (t *TCP) Send(env overlog.Envelope) error {
 		return err
 	}
 	if tr != nil && !covered {
-		now := time.Now().UnixMilli()
+		now := t.Clock().Now().UnixMilli()
 		sp := telemetry.Span{TraceID: trace, SpanID: msg.SpanID, Node: t.localAddr,
 			Kind: "send", Op: env.Tuple.Table, StartMS: now, EndMS: now, Detail: "to " + env.To}
 		if trace != "" {
@@ -402,7 +411,7 @@ func (t *TCP) peer(addr string) *peerQ {
 	if p, ok := t.peers[addr]; ok {
 		return p
 	}
-	p := &peerQ{addr: addr, t: t}
+	p := &peerQ{addr: addr, t: t, counted: 1}
 	p.cond = sync.NewCond(&p.mu)
 	select {
 	case <-t.done:
@@ -426,13 +435,14 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) erro
 	qcfg := p.t.qcfg
 	p.t.mu.Unlock()
 
+	clk := p.t.Clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return fmt.Errorf("transport: send to %s: transport closed", p.addr)
 	}
 	if p.conn == nil && p.fails > 0 {
-		if wait := time.Until(p.until); wait > 0 {
+		if wait := p.until.Sub(clk.Now()); wait > 0 {
 			p.drops++
 			stats.SendErrors.Inc()
 			p.t.event(tr, "drop", msg.Table, msg.TraceID, msg.SpanID,
@@ -445,9 +455,9 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) erro
 	if len(p.queue) >= qcfg.Cap {
 		switch qcfg.Policy {
 		case BlockWithDeadline:
-			deadline := time.Now().Add(qcfg.BlockTimeout)
-			timer := time.AfterFunc(qcfg.BlockTimeout, func() { p.cond.Broadcast() })
-			for len(p.queue) >= qcfg.Cap && !p.closed && time.Now().Before(deadline) {
+			deadline := clk.Now().Add(qcfg.BlockTimeout)
+			timer := clk.AfterFunc(qcfg.BlockTimeout, func() { p.cond.Broadcast() })
+			for len(p.queue) >= qcfg.Cap && !p.closed && clk.Now().Before(deadline) {
 				p.cond.Wait()
 			}
 			timer.Stop()
@@ -467,6 +477,7 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) erro
 			victim := p.queue[0]
 			copy(p.queue, p.queue[1:])
 			p.queue = p.queue[:len(p.queue)-1]
+			clk.track(-p.counted)
 			p.drops++
 			stats.QueueDrops.Inc()
 			p.t.event(tr, "drop", victim.Table, victim.TraceID, victim.SpanID,
@@ -474,6 +485,7 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) erro
 		}
 	}
 	p.queue = append(p.queue, msg)
+	clk.track(p.counted)
 	p.cond.Broadcast()
 	return nil
 }
@@ -501,6 +513,8 @@ func (p *peerQ) writeLoop() {
 				p.conn.Close()
 				p.conn = nil
 			}
+			t.Clock().track(-len(p.queue))
+			p.queue = nil
 			p.mu.Unlock()
 			return
 		}
@@ -516,23 +530,23 @@ func (p *peerQ) writeLoop() {
 		p.mu.Unlock()
 
 		stats, tr := t.telemetry()
+		clk := t.Clock()
 
 		// Injected link latency: the writer sleeps, modeling a slow link
 		// while preserving FIFO (everything behind waits too).
 		t.mu.Lock()
 		faults := t.faults
 		t.mu.Unlock()
-		if faults != nil {
-			if d := faults.delay(t.localAddr, p.addr); d > 0 {
-				time.Sleep(d)
-			}
+		if d := faults.delay(t.localAddr, p.addr); d > 0 {
+			p.sleep(clk, d, len(batch))
 		}
 
 		if err := p.ensureConn(t); err != nil {
+			clk.track(-len(batch))
 			p.dropBatch(batch, stats, tr, "dial "+p.addr+": "+err.Error())
 			continue
 		}
-		if err := p.writeBatch(batch); err != nil {
+		if err := p.writeBatch(batch, clk); err != nil {
 			p.mu.Lock()
 			if p.conn != nil {
 				p.conn.Close()
@@ -552,15 +566,40 @@ func (p *peerQ) writeLoop() {
 	}
 }
 
+// sleep waits out a slow link's delay d holding a batch of n frames,
+// which, like those queued behind it, are no clock's work meanwhile.
+func (p *peerQ) sleep(clk *Clock, d time.Duration, n int) {
+	timer := clk.NewTimer(d)
+	p.mu.Lock()
+	p.counted = 0
+	clk.track(-n - len(p.queue))
+	p.mu.Unlock()
+	select {
+	case <-timer.C:
+	case <-p.t.done:
+	}
+	p.mu.Lock()
+	p.counted = 1
+	clk.track(n + len(p.queue))
+	p.mu.Unlock()
+	timer.Stop()
+}
+
 // ensureConn dials the peer if no connection is cached, honouring the
 // per-peer backoff window.
 func (p *peerQ) ensureConn(t *TCP) error {
 	p.mu.Lock()
-	if p.conn != nil {
+	if p.conn != nil && !t.Clock().hungUp(p.key) {
 		p.mu.Unlock()
 		return nil
 	}
-	if wait := time.Until(p.until); p.fails > 0 && wait > 0 {
+	// A peer that closed (crashed, restarted) swallows the next frame
+	// written to it; a virtual clock knows at once, and redials.
+	if p.conn != nil {
+		p.conn.Close()
+		p.conn, p.enc, p.bw = nil, nil, nil
+	}
+	if wait := p.until.Sub(t.Clock().Now()); p.fails > 0 && wait > 0 {
 		p.mu.Unlock()
 		return fmt.Errorf("backing off %s after %d failure(s)", wait.Round(time.Millisecond), p.fails)
 	}
@@ -580,7 +619,7 @@ func (p *peerQ) ensureConn(t *TCP) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
-		p.noteDialFailure(boBase, boCap)
+		p.noteDialFailure(t.Clock(), boBase, boCap)
 		return err
 	}
 	if p.closed {
@@ -591,7 +630,7 @@ func (p *peerQ) ensureConn(t *TCP) error {
 	if wasEver {
 		stats.Reconnects.Inc()
 	}
-	p.conn = conn
+	p.conn, p.key = conn, conn.LocalAddr().String()+">"+p.addr
 	p.bw = bufio.NewWriterSize(&countingWriter{w: conn, t: t}, 64<<10)
 	p.enc = gob.NewEncoder(p.bw)
 	return nil
@@ -600,7 +639,7 @@ func (p *peerQ) ensureConn(t *TCP) error {
 // noteDialFailure (p.mu held) advances the peer's backoff window:
 // base·2^(fails-1) capped at boCap, then jittered into [d/2, d] so
 // independent senders spread their re-dials.
-func (p *peerQ) noteDialFailure(base, cap time.Duration) {
+func (p *peerQ) noteDialFailure(clk *Clock, base, cap time.Duration) {
 	if base <= 0 {
 		return
 	}
@@ -610,21 +649,28 @@ func (p *peerQ) noteDialFailure(base, cap time.Duration) {
 		d = cap
 	}
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	p.until = time.Now().Add(d)
+	p.until = clk.Now().Add(d)
 }
 
-// writeBatch encodes the batch and flushes it in one buffered write.
-func (p *peerQ) writeBatch(batch []WireMsg) error {
+// writeBatch encodes the batch and flushes it in one buffered write,
+// moving the frames' work onto the connection for the reader to release.
+func (p *peerQ) writeBatch(batch []WireMsg, clk *Clock) error {
 	p.mu.Lock()
-	enc, bw := p.enc, p.bw
+	enc, bw, key := p.enc, p.bw, p.key
 	p.mu.Unlock()
 	if enc == nil {
+		clk.track(-len(batch))
 		return fmt.Errorf("connection lost")
 	}
-	if err := enc.Encode(&wireBatch{Msgs: batch}); err != nil {
-		return err
+	clk.frames(key, len(batch))
+	err := enc.Encode(&wireBatch{Msgs: batch})
+	if err == nil {
+		err = bw.Flush()
 	}
-	return bw.Flush()
+	if err != nil {
+		clk.hangup(key)
+	}
+	return err
 }
 
 // dropBatch accounts a whole failed batch.
@@ -690,6 +736,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Lock()
 		delete(t.inbound, conn)
 		t.mu.Unlock()
+		t.Clock().hangup(conn.RemoteAddr().String() + ">" + t.localAddr)
 	}()
 	_ = t.readFrames(&countingReader{r: conn, t: t}, conn.RemoteAddr().String())
 }
@@ -708,6 +755,7 @@ func (t *TCP) readFrames(r io.Reader, from string) error {
 		for _, msg := range batch.Msgs {
 			t.deliverWire(msg, from)
 		}
+		t.Clock().frames(from+">"+t.localAddr, -len(batch.Msgs))
 	}
 }
 
@@ -721,7 +769,7 @@ func (t *TCP) deliverWire(msg WireMsg, from string) {
 		trace = telemetry.TraceIDOf(tp)
 	}
 	if tr != nil {
-		now := time.Now().UnixMilli()
+		now := t.Clock().Now().UnixMilli()
 		sp := telemetry.Span{TraceID: trace, ParentID: msg.SpanID, Node: t.localAddr,
 			Kind: "recv", Op: msg.Table, StartMS: now, EndMS: now, Detail: "from " + from}
 		if trace != "" {
@@ -773,4 +821,5 @@ func (t *TCP) Close() {
 		p.mu.Unlock()
 	}
 	t.wg.Wait()
+	t.Clock().hangup(">" + t.localAddr)
 }

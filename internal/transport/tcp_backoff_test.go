@@ -82,7 +82,7 @@ func TestTCPDialBackoffGrowsAndCaps(t *testing.T) {
 	nominal := []time.Duration{base, 2 * base, 4 * base, cap, cap}
 	for i, want := range nominal {
 		p.mu.Lock()
-		p.noteDialFailure(base, cap)
+		p.noteDialFailure(nil, base, cap)
 		fails := p.fails
 		window := time.Until(p.until)
 		p.mu.Unlock()
@@ -107,7 +107,7 @@ func TestTCPDialBackoffResetsOnSuccess(t *testing.T) {
 	p := tcpA.peer(addrB)
 	p.mu.Lock()
 	for i := 0; i < 3; i++ {
-		p.noteDialFailure(50*time.Millisecond, 2*time.Second)
+		p.noteDialFailure(nil, 50*time.Millisecond, 2*time.Second)
 	}
 	p.until = time.Now() // window already expired
 	fails := p.fails
