@@ -11,11 +11,12 @@
 //	                 configs and monitor windows, on a virtual clock
 //	                 the cluster owns (uncompressed)
 //
-// On a violation the run's invariant findings and the tail of the
-// cross-node event ring are printed, the schedule is greedily
-// shrunk to a 1-minimal fault sequence that still breaks the
-// invariant, and the process exits 1 — so `make chaos` works as a CI
-// gate. The fs-weak scenario exists to prove the harness can fail:
+// On a violation the run's whole fault schedule, its invariant
+// findings and the tail of the cross-node event ring (whose header
+// counts the events the ring evicted) are printed, the schedule is
+// greedily shrunk to a 1-minimal fault sequence that still breaks the
+// invariant (unless -shrink=false), and the process exits 1 — so
+// `make chaos` works as a CI gate. The fs-weak scenario exists to prove the harness can fail:
 // replication factor 1 plus datanode crashes must violate durability.
 //
 // Schedules are data: -schedule file.json replays a saved JSON fault
@@ -98,36 +99,47 @@ func main() {
 	for _, sc := range picked {
 		fmt.Printf("== scenario %s (%s): %d seed(s) from %d ==\n", sc.Name, *transport, *seeds, *seed)
 		for _, res := range chaos.Sweep(sc, chaos.Seeds(*seed, *seeds), *shrink) {
-			switch {
-			case res.Outcome.Err != nil:
-				failed = true
-				fmt.Printf("  seed %d: RUN ERROR: %v\n", res.Seed, res.Outcome.Err)
-			case res.Outcome.Violated():
-				failed = true
-				fmt.Printf("  seed %d: VIOLATED (%d-action schedule)\n", res.Seed, len(res.Schedule))
-				fmt.Print(indent(chaos.Report(res.Outcome.Violations, res.Outcome.Tracer, *tail), "    "))
-				if res.Shrunk != nil {
-					fmt.Printf("    shrunk to %d action(s):\n%s", len(res.Shrunk),
-						indent(res.Shrunk.String(), "      "))
-					if res.ShrunkOutcome != nil && res.ShrunkOutcome.Provenance != "" {
-						fmt.Printf("    first violation's provenance (minimal schedule):\n%s",
-							indent(res.ShrunkOutcome.Provenance, "      "))
-					}
-				} else if res.Outcome.Provenance != "" {
-					fmt.Printf("    first violation's provenance:\n%s",
-						indent(res.Outcome.Provenance, "    "))
-				}
-			default:
-				fmt.Printf("  seed %d: ok (%d-action schedule)\n", res.Seed, len(res.Schedule))
-				if *verbose && len(res.Schedule) > 0 {
-					fmt.Print(indent(res.Schedule.String(), "    "))
-				}
-			}
+			fmt.Print(render(res, *tail, *verbose))
+			failed = failed || res.Outcome.Err != nil || res.Outcome.Violated()
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// render reports one seed's run. A violating run prints its whole
+// schedule, as -v prints a clean one: the ring's tail may have evicted
+// the faults that led to a late violation.
+func render(res chaos.SweepResult, tail int, verbose bool) string {
+	var b strings.Builder
+	switch {
+	case res.Outcome.Err != nil:
+		fmt.Fprintf(&b, "  seed %d: RUN ERROR: %v\n", res.Seed, res.Outcome.Err)
+	case res.Outcome.Violated():
+		fmt.Fprintf(&b, "  seed %d: VIOLATED (%d-action schedule)\n", res.Seed, len(res.Schedule))
+		if len(res.Schedule) > 0 {
+			b.WriteString(indent(res.Schedule.String(), "    "))
+		}
+		b.WriteString(indent(chaos.Report(res.Outcome.Violations, res.Outcome.Tracer, tail), "    "))
+		if res.Shrunk != nil {
+			fmt.Fprintf(&b, "    shrunk to %d action(s):\n%s", len(res.Shrunk),
+				indent(res.Shrunk.String(), "      "))
+			if res.ShrunkOutcome != nil && res.ShrunkOutcome.Provenance != "" {
+				fmt.Fprintf(&b, "    first violation's provenance (minimal schedule):\n%s",
+					indent(res.ShrunkOutcome.Provenance, "      "))
+			}
+		} else if res.Outcome.Provenance != "" {
+			fmt.Fprintf(&b, "    first violation's provenance:\n%s",
+				indent(res.Outcome.Provenance, "    "))
+		}
+	default:
+		fmt.Fprintf(&b, "  seed %d: ok (%d-action schedule)\n", res.Seed, len(res.Schedule))
+		if verbose && len(res.Schedule) > 0 {
+			b.WriteString(indent(res.Schedule.String(), "    "))
+		}
+	}
+	return b.String()
 }
 
 func indent(s, prefix string) string {

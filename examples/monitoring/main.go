@@ -2,7 +2,7 @@
 //
 // In Overlog a program is data: the sys:: catalog relations describe
 // the installed rules and tables, watches stream every tuple event to
-// collectors, and invariants are just predicates over watched tables.
+// collectors, and invariants are rules whose head is a violation.
 // This example runs a short BOOM-FS workload with full instrumentation
 // and prints (a) the node's telemetry registry — the same numbers a
 // live deployment serves on /metrics, (b) a per-rule execution
@@ -15,13 +15,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 
 	"repro/internal/boomfs"
 	"repro/internal/overlog"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -51,19 +51,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// (c) a declarative invariant over the metadata catalog: every
-	// fully-qualified path must point at a file the catalog knows.
-	inv := &trace.InvariantChecker{
-		Name:  "fqpath-has-file",
-		Table: "fqpath",
-		Check: func(tp overlog.Tuple) bool {
-			probe := overlog.NewTuple("file", tp.Vals[1],
-				overlog.Int(0), overlog.Str(""), overlog.Bool(false))
-			_, ok := rt.Table("file").LookupKey(probe)
-			return ok
-		},
-	}
-	if err := inv.Attach(rt); err != nil {
+	// (c) a declarative invariant over the metadata catalog, written as
+	// the chaos monitors write theirs: every fully-qualified path must
+	// point at a file the catalog knows, and a rule derives a violation
+	// row for each one that does not.
+	if err := rt.InstallSource(`
+		table inv_violation(Inv: string, Node: addr, T: int, Detail: string) keys(0,1,3);
+		iv1 inv_violation("fqpath-has-file", Me, now(), P) :- fqpath(P, F),
+		        notin file(F, _, _, _), Me := localaddr();
+	`); err != nil {
 		log.Fatal(err)
 	}
 
@@ -109,10 +105,10 @@ func main() {
 	fmt.Println(indent(firstLines(masterSamples(reg), 14)))
 
 	fmt.Println("(b) hottest rules by derivation count:")
-	fmt.Println(indent(firstLines(trace.RuleProfile(rt, 8), 10)))
+	fmt.Println(indent(hottestRules(rt, 8)))
 
 	fmt.Printf("(c) invariant %q: %d violations across %d ring events\n\n",
-		inv.Name, inv.ViolationCount(), tracer.Total())
+		"fqpath-has-file", rt.Table("inv_violation").Len(), tracer.Total())
 
 	fmt.Println("(d) rule census computed by a rule over sys::rule:")
 	for _, tp := range rt.Table("rule_census").Tuples() {
@@ -120,6 +116,23 @@ func main() {
 			fmt.Printf("    %-16s %d rules derive it\n", tp.Vals[0].AsString(), tp.Vals[1].AsInt())
 		}
 	}
+}
+
+// hottestRules renders the n rules with the most derivations.
+func hottestRules(rt *overlog.Runtime, n int) string {
+	rules := rt.RuleProfiles()
+	sort.Slice(rules, func(i, j int) bool {
+		if rules[i].Fires != rules[j].Fires {
+			return rules[i].Fires > rules[j].Fires
+		}
+		return rules[i].Rule < rules[j].Rule
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-24s %12s\n", "rule", "derivations")
+	for _, r := range rules[:min(n, len(rules))] {
+		fmt.Fprintf(&b, "%-24s %12d\n", r.Rule, r.Fires)
+	}
+	return b.String()
 }
 
 // masterSamples renders the master's non-bucket registry samples.

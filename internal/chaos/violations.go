@@ -132,7 +132,9 @@ func ExplainViolation(c *sim.Cluster, vs []Violation) string {
 
 // Report renders violations plus the tail of the event ring — the
 // cross-node record of sends, drops, faults and trace spans leading up
-// to the failure — for postmortem reading.
+// to the failure — for postmortem reading. The ring's header says how
+// many events it evicted: a late violation's early faults may be gone
+// from it, but not from the run's schedule.
 func Report(vs []Violation, tr *telemetry.Tracer, tail int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d invariant violation(s):\n", len(vs))
@@ -143,10 +145,12 @@ func Report(vs []Violation, tr *telemetry.Tracer, tail int) string {
 	if len(evs) == 0 {
 		return b.String()
 	}
+	evicted := tr.Total() - int64(len(evs))
+	buffered := len(evs)
 	if tail > 0 && len(evs) > tail {
 		evs = evs[len(evs)-tail:]
 	}
-	fmt.Fprintf(&b, "event ring (last %d events):\n", len(evs))
+	fmt.Fprintf(&b, "event ring (last %d of %d buffered events; %d older evicted):\n", len(evs), buffered, evicted)
 	for _, ev := range evs {
 		line := fmt.Sprintf("  %8dms %-14s %-6s %s", ev.StartMS, ev.Node, ev.Kind, ev.Op)
 		if ev.Detail != "" {

@@ -14,6 +14,7 @@ import (
 type OlgStat struct {
 	Name   string
 	Rules  int
+	Atoms  int // body atoms over all rules: table, notin and built-in (conditions, :=)
 	Tables int
 	Lines  int
 }
@@ -68,7 +69,11 @@ func olgStat(name, src string) (OlgStat, error) {
 	if err != nil {
 		return OlgStat{}, fmt.Errorf("T1: program %s: %w", name, err)
 	}
-	return OlgStat{Name: name, Rules: len(prog.Rules), Tables: len(prog.Tables), Lines: countLines(src)}, nil
+	atoms := 0
+	for _, r := range prog.Rules {
+		atoms += len(r.Body)
+	}
+	return OlgStat{Name: name, Rules: len(prog.Rules), Atoms: atoms, Tables: len(prog.Tables), Lines: countLines(src)}, nil
 }
 
 // RunCodeSize measures our artifacts: rules/lines per Overlog program
@@ -158,9 +163,9 @@ func (r *CodeSizeResult) Report() string {
 		fmt.Fprintf(&b, "| %s | %s | %d rules / %d lines (`%s`) | %s | %s |\n",
 			row.Component, row.Paper, rules, lines, strings.Join(row.Programs, "` + `"), twin, ratio)
 	}
-	b.WriteString("\n| program | rules | tables | lines |\n|---|---:|---:|---:|\n")
+	b.WriteString("\n| program | rules | body atoms | tables | lines |\n|---|---:|---:|---:|---:|\n")
 	for _, s := range r.Olg {
-		fmt.Fprintf(&b, "| %s | %d | %d | %d |\n", s.Name, s.Rules, s.Tables, s.Lines)
+		fmt.Fprintf(&b, "| %s | %d | %d | %d | %d |\n", s.Name, s.Rules, s.Atoms, s.Tables, s.Lines)
 	}
 	return b.String()
 }

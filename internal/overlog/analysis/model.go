@@ -233,10 +233,10 @@ var (
 
 func num(n int) overlog.Value { return overlog.Int(int64(n)) }
 
-// keyed reports whether d's key is a proper subset of its columns: an
-// insert can replace a row.
+// keyed reports whether d's key is a proper subset of its columns and d
+// has no max column (which merges writes in any order): an insert can replace a row.
 func keyed(d *overlog.TableDecl) bool {
-	return !d.Event && len(d.KeyCols) > 0 && len(d.KeyCols) < len(d.Cols)
+	return !d.Event && len(d.KeyCols) > 0 && len(d.KeyCols) < len(d.Cols) && d.MaxCol() < 0
 }
 
 // call reports whether an atom naming t is a condition rather than a

@@ -2,6 +2,7 @@ package overlog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -45,10 +46,32 @@ type TableDecl struct {
 type ColDecl struct {
 	Name string
 	Type Kind
+	Max  bool // the column only grows: writes merge into the stored row by max
 }
 
 // Arity returns the number of columns.
 func (d *TableDecl) Arity() int { return len(d.Cols) }
+
+// MaxCol returns the index of the table's max column, or -1.
+func (d *TableDecl) MaxCol() int {
+	return slices.IndexFunc(d.Cols, func(c ColDecl) bool { return c.Max })
+}
+
+// checkMax reports why d's max column is malformed, or "".
+func (d *TableDecl) checkMax() string {
+	i := d.MaxCol()
+	if i < 0 {
+		return ""
+	}
+	ok := !d.Event && len(d.KeyCols) > 0 && d.Cols[i].Type == KindInt
+	for j, c := range d.Cols {
+		ok = ok && slices.Contains(d.KeyCols, j) != (j == i) && (j == i || !c.Max)
+	}
+	if ok {
+		return ""
+	}
+	return fmt.Sprintf("max column %s of %s must be an int and the only non-key column of a keyed table", d.Cols[i].Name, d.Name)
+}
 
 // String renders the declaration in source syntax.
 func (d *TableDecl) String() string {
@@ -59,6 +82,9 @@ func (d *TableDecl) String() string {
 	cols := make([]string, len(d.Cols))
 	for i, c := range d.Cols {
 		cols[i] = fmt.Sprintf("%s: %s", c.Name, c.Type)
+		if c.Max {
+			cols[i] += " max"
+		}
 	}
 	s := fmt.Sprintf("%s %s(%s)", kw, d.Name, strings.Join(cols, ", "))
 	if len(d.KeyCols) > 0 && !d.Event {

@@ -824,6 +824,9 @@ func (rc *ruleCompiler) compileRule(seq int) (*compiledRule, error) {
 	if cr.isDelete && cr.head.locCol >= 0 {
 		return nil, rc.errf(r.Line, "delete rules may not carry a location specifier (deletions are node-local)")
 	}
+	if cr.isDelete && hd.MaxCol() >= 0 {
+		return nil, rc.errf(r.Line, "delete rules may not name %s: its max column only grows", r.Head.Table)
+	}
 	cr.nslots = len(rc.names)
 	cr.slotNames = rc.names
 	cr.prepare()

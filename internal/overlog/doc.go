@@ -43,6 +43,10 @@
 //	table file(FileId: int, Parent: int, Name: string, IsDir: bool) keys(0) durable;
 //	event request(Master: addr, ReqId: string, Op: string);
 //
+// A column declared max (`B: int max`) only grows: a write the stored row
+// dominates or equals is a no-op, in any arrival order. It must be an int
+// and the only non-key column of a keyed persistent table no delete rule names.
+//
 // Column types: int (int64), float, string, bool, addr (a node
 // address — compares and hashes like string), list, and any (opaque Go
 // values; not wire-marshalable).

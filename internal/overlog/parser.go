@@ -182,8 +182,8 @@ func (p *parser) parseParamDecl() (*ParamDecl, error) {
 	return d, nil
 }
 
-// parseTableDecl parses "table name(Col: type, ...) keys(0, 1) durable;"
-// (both modifiers optional) or the event form without them.
+// parseTableDecl parses "table name(Col: type [max], ...) keys(0, 1) durable;"
+// (every modifier optional) or the event form without them.
 func (p *parser) parseTableDecl(event bool) (*TableDecl, error) {
 	kw := p.advance() // table / event
 	name, err := p.expect(tokIdent, "table declaration")
@@ -211,7 +211,11 @@ func (p *parser) parseTableDecl(event bool) (*TableDecl, error) {
 		if !ok {
 			return nil, p.errf(tname, "unknown column type %q (want int, float, string, bool, addr, list, or any)", tname.text)
 		}
-		d.Cols = append(d.Cols, ColDecl{Name: colName.text, Type: kind})
+		col := ColDecl{Name: colName.text, Type: kind, Max: p.isKeyword("max")}
+		if col.Max {
+			p.advance()
+		}
+		d.Cols = append(d.Cols, col)
 		if p.cur().kind == tokComma {
 			p.advance()
 			continue

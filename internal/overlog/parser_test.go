@@ -111,6 +111,50 @@ func TestParseDurable(t *testing.T) {
 	}
 }
 
+// TestParseMax: max is a contextual modifier after a column's type,
+// rendered back by String, and still a legal column or table name.
+func TestParseMax(t *testing.T) {
+	prog, err := Parse(`
+		table promised(K: string, B: int max) keys(0) durable;
+		table max(max: int);
+	`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	d := prog.Tables[0]
+	if want := "table promised(K: string, B: int max) keys(0) durable;"; d.String() != want || d.MaxCol() != 1 {
+		t.Errorf("decl renders %q (max column %d), want %q (1)", d, d.MaxCol(), want)
+	}
+	if d := prog.Tables[1]; d.String() != "table max(max: int);" || d.MaxCol() != -1 {
+		t.Errorf("a table named max renders %q (max column %d)", d, d.MaxCol())
+	}
+}
+
+// TestInstallMaxErrors: a max column is an int, the only non-key
+// column of a keyed persistent table, and no delete rule names its
+// table. Anything else fails install with an InstallError naming the
+// table.
+func TestInstallMaxErrors(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`table t(K: int, V: float max) keys(0);`, "max column V of t must be an int"},
+		{`table t(K: int max, V: int) keys(0);`, "max column K of t must be an int and the only non-key column of a keyed table"},
+		{`table t(K: int, V: int max, W: int) keys(0);`, "max column V of t must be an int and the only non-key column of a keyed table"},
+		{`table t(K: int, V: int max, W: int max) keys(0);`, "max column V of t must be"},
+		{`table t(K: int, V: int max, W: int max) keys(0, 2);`, "max column V of t must be"},
+		{`table t(K: int, V: int max);`, "max column V of t must be"},
+		{`table t(V: int max);`, "max column V of t must be"},
+		{`table t(V: int max) keys(0);`, "max column V of t must be"},
+		{`event t(K: int, V: int max);`, "max column V of t must be an int and the only non-key column of a keyed table"},
+		{`table t(K: int, V: int max) keys(0); event e(K: int); d1 delete t(K, V) :- e(K), t(K, V);`,
+			"delete rules may not name t: its max column only grows"},
+	} {
+		err := NewRuntime("n").InstallSource("program p;\n" + c.src)
+		if _, ok := err.(*InstallError); !ok || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an InstallError containing %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestParseRule(t *testing.T) {
 	prog, err := Parse(`
 		table link(Src: string, Dst: string, Cost: int) keys(0,1);

@@ -438,8 +438,9 @@ func genChurnFact(r *rand.Rand, table string) []Value {
 // visits: rules reached through a trigger list keyed by constant, and
 // rows removed from index buckets long enough to be tracked by slot;
 // then delta variants that switch to an alternative join order
-// (generator-join), and constants that == would coerce
-// (coercing-constants).
+// (generator-join), constants that == would coerce
+// (coercing-constants), and a max column written by immediate, next and
+// external heads competing within one step (max-column).
 var diffPrograms = []diffProgram{
 	{
 		name: "transitive-closure",
@@ -752,6 +753,30 @@ var diffPrograms = []diffProgram{
 		gen:        genDispatchFact,
 	},
 	{
+		// Max columns written by heads that compete within one step: an
+		// immediate rule (two, one of them deriving from the other's
+		// input), a next rule, and external inserts, several per key.
+		// They merge by max in any order, so unlike a keyed table a
+		// batch may carry many rows for one key. Rules read the table
+		// only monotonically: a view of it and a threshold.
+		name: "max-column",
+		src: `
+			table best(K: int, V: int max) keys(0);
+			table mirror(K: int, V: int max) keys(0);
+			table high(K: int) keys(0);
+			event bid(K: int, V: int);
+			event defer(K: int, V: int);
+			b1 best(K, V) :- bid(K, V);
+			b2 best(K, V + 2) :- bid(K, V), V < 3;
+			b3 next best(K, V) :- defer(K, V);
+			m1 mirror(K, V) :- best(K, V);
+			h1 high(K) :- mirror(K, V), V >= 5;
+		`,
+		factTables: []string{"bid", "bid", "defer", "defer", "best"},
+		gen:        genMaxFact,
+		keyLen:     2,
+	},
+	{
 		// Insert, key-replace and delete churn under a 2-value indexed
 		// column: the per-group aggregate and the probe rules read item
 		// through its index on G, whose two buckets hold a few dozen rows
@@ -842,6 +867,11 @@ func genJoinFact(r *rand.Rand, table string) []Value {
 		return []Value{n()}
 	}
 	panic("genJoinFact: no generator for " + table)
+}
+
+// genMaxFact draws facts for max-column: a few keys, small values.
+func genMaxFact(r *rand.Rand, table string) []Value {
+	return []Value{Int(int64(r.Intn(3))), Int(int64(r.Intn(7)))}
 }
 
 // genCoerceFact draws facts for coercing-constants.

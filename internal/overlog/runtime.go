@@ -420,6 +420,9 @@ func (r *Runtime) declare(d *TableDecl) {
 func (r *Runtime) Install(prog *Program) error {
 	// Declarations first.
 	for _, d := range prog.Tables {
+		if msg := d.checkMax(); msg != "" {
+			return &InstallError{Program: prog.Name, Line: d.Line, Msg: msg}
+		}
 		if existing, ok := r.cat.decls[d.Name]; ok {
 			if existing.String() != d.String() {
 				return &InstallError{Program: prog.Name, Line: d.Line,
@@ -813,6 +816,14 @@ func (r *Runtime) insertInto(tbl *Table, tp Tuple, viaRule string) (bool, error)
 	}
 	ts.delta = append(dl, norm)
 	if displaced != nil {
+		// A max-column row a larger one displaced leaves the delta, unless
+		// a frontier (which aliases the delta) already holds it.
+		for i := len(ts.delta) - 2; tbl.maxCol >= 0 && i >= ts.consumed; i-- {
+			if &ts.delta[i].Vals[0] == &displaced.Vals[0] {
+				ts.delta = slices.Delete(ts.delta, i, i+1)
+				break
+			}
+		}
 		r.noteRetraction(tbl, *displaced)
 		if len(r.watchers) > 0 {
 			r.emitWatch(WatchEvent{Node: r.addr, Time: r.now, Insert: false, Rule: viaRule, Tuple: *displaced})
@@ -1323,6 +1334,12 @@ func (r *Runtime) routeHead(cr *compiledRule, tp Tuple, scratch bool) error {
 		r.recordDeriv(cr, tp, "", false)
 	}
 	if cr.isDeferred {
+		// Covered now is covered next step (a max column only grows).
+		if tbl := cr.head.tbl; tbl.maxCol >= 0 {
+			if old, ok := tbl.LookupKey(tp); ok && tbl.covers(old, tp) {
+				return nil
+			}
+		}
 		if scratch {
 			tp = cloneTuple(tp)
 		}

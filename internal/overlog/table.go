@@ -21,8 +21,9 @@ import (
 // collision merely lengthens one chain, and every probe re-verifies
 // with encoding-equality (keyEqual) before trusting a bucket hit.
 type Table struct {
-	decl *TableDecl
-	keys []int // effective key columns (all columns when unspecified)
+	decl   *TableDecl
+	keys   []int // effective key columns (all columns when unspecified)
+	maxCol int   // the max column (TableDecl.MaxCol), or -1
 
 	rows fpMap // key fingerprint -> rows (collision chain)
 	n    int   // live tuple count
@@ -193,6 +194,7 @@ func NewTable(decl *TableDecl) *Table {
 	return &Table{
 		decl:    decl,
 		keys:    keys,
+		maxCol:  decl.MaxCol(),
 		indexes: make(map[uint64]*index),
 	}
 }
@@ -315,6 +317,12 @@ func (t *Table) ownChain(stored Tuple) []Tuple {
 	return t.chain[a : a+1 : a+1]
 }
 
+// covers reports whether stored row old, of tp's key, dominates or
+// equals tp in the max column: inserting tp is then a no-op.
+func (t *Table) covers(old, tp Tuple) bool {
+	return t.maxCol >= 0 && old.Vals[t.maxCol].AsInt() >= tp.Vals[t.maxCol].AsInt()
+}
+
 // Insert adds the tuple. The returns are (inserted, displaced):
 // inserted is false when an identical tuple was already stored;
 // displaced holds a tuple evicted by primary-key replacement. The
@@ -336,7 +344,7 @@ func (t *Table) insertChecked(tp Tuple) (bool, *Tuple, Tuple, error) {
 	bucket := s.b
 	if i := t.findRow(bucket, tp); i >= 0 {
 		old := bucket[i]
-		if old.Equal(tp) {
+		if old.Equal(tp) || t.covers(old, tp) {
 			return false, nil, old, nil
 		}
 		// Same key, different non-key columns: replace.
@@ -399,7 +407,7 @@ func (t *Table) InsertBatch(tps []Tuple) (int, error) {
 		bucket := t.rows.get(fp)
 		if i := t.findRow(bucket, stored); i >= 0 {
 			old := bucket[i]
-			if old.Equal(stored) {
+			if old.Equal(stored) || t.covers(old, stored) {
 				valBacking = valBacking[:a]
 				continue
 			}

@@ -326,3 +326,57 @@ func TestCleanupProbesLogByRequestID(t *testing.T) {
 		}
 	}
 }
+
+// TestSameStepPreparesKeepTheLargerPromise delivers two prepares to one
+// acceptor in a single step, in both orders. promised and cur_ballot
+// are max columns, so both end at the larger ballot whichever prepare
+// is applied last, and an accept at the smaller ballot, which the
+// acceptor promised to refuse, is neither recorded nor acknowledged.
+// When "keep the larger ballot" was a guard atom in each writing rule,
+// both writes passed the guard against the row stored before the step
+// and the one applied last won: the order 200, 101 left promised at
+// 101 and the acceptor acked ballot 101.
+func TestSameStepPreparesKeepTheLargerPromise(t *testing.T) {
+	members := []string{"px:0", "px:1", "px:2"}
+	for _, order := range [][2]int64{{200, 101}, {101, 200}} {
+		rt := overlog.NewRuntime("px:2")
+		if err := Install(rt, "px:2", members, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		prepare := func(from string, b int64) overlog.Tuple {
+			return overlog.NewTuple("prepare", overlog.Addr("px:2"), overlog.Addr(from), overlog.Int(b))
+		}
+		steps := [][]overlog.Tuple{
+			{prepare("px:0", order[0]), prepare("px:1", order[1])},
+			nil,
+			{overlog.NewTuple("accept_msg", overlog.Addr("px:2"), overlog.Addr("px:1"), overlog.Int(101),
+				overlog.Int(0), overlog.List(overlog.Str("r1"), overlog.Addr("c:0")))},
+			nil,
+			nil,
+		}
+		for i, in := range steps {
+			out, err := rt.Step(int64(10+i), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, env := range out {
+				if env.Tuple.Table == "accept_ack" {
+					t.Errorf("order %v: acked %v after promising 200", order, env.Tuple)
+				}
+			}
+			if i != 1 {
+				continue
+			}
+			for _, table := range []string{"promised", "cur_ballot"} {
+				var got int64
+				rt.Table(table).Scan(func(tp overlog.Tuple) bool { got = tp.Vals[1].AsInt(); return true })
+				if got != 200 {
+					t.Errorf("order %v: %s = %d after the prepares, want 200", order, table, got)
+				}
+			}
+		}
+		if n := rt.Table("accepted").Len(); n != 0 {
+			t.Errorf("order %v: accepted %d values at ballot 101 after promising 200", order, n)
+		}
+	}
+}

@@ -24,10 +24,7 @@ var Files embed.FS
 //go:embed rsm.olg
 var rules string
 
-// seed starts the cursor at slot 0. Only a replica's first install
-// inserts it: on a restart the restore brings the cursor back, and a
-// seed row it displaced would still sit in the first step's delta,
-// re-passing slot 0 and then, every step, the slot before the cursor.
+// seed starts the cursor at slot 0.
 const seed = `applied("a", 0);`
 
 // Install loads Paxos, the replay rules and then the service's rules
@@ -39,14 +36,16 @@ func Install(rt *overlog.Runtime, self string, members []string, cfg paxos.Confi
 	return install(rt, rules, seed, service)
 }
 
-// InstallRestarted is Install for a replica coming back from a crash
-// (paxos.InstallRestarted). The caller's restore of the durable tables
-// then puts the cursor back where the crash left it.
+// InstallRestarted is Install for a replica coming back from a crash:
+// Paxos boots without leadership (paxos.InstallRestarted). The caller's
+// restore of the durable tables then puts the cursor back where the
+// crash left it; the cursor is a max column, so the restored row
+// displaces the seed it dominates, and no rule fires on the seed.
 func InstallRestarted(rt *overlog.Runtime, self string, members []string, cfg paxos.Config, service string) error {
 	if err := paxos.InstallRestarted(rt, self, members, cfg); err != nil {
 		return err
 	}
-	return install(rt, rules, service)
+	return install(rt, rules, seed, service)
 }
 
 func install(rt *overlog.Runtime, srcs ...string) error {

@@ -94,15 +94,16 @@ func TestApplyOncePerIDInSlotOrder(t *testing.T) {
 	if a, d := h.step(t); len(a) != 0 || !reflect.DeepEqual(d, []string{"a"}) {
 		t.Fatalf("duplicate slot 1: applied %v, acknowledged %v; want [], [a]", a, d)
 	}
-	// Crash here, and come back as InstallRestarted does: the rules
-	// without seed. The cursor's advance past slot 1 was still deferred,
-	// so the restored cursor stands at slot 1 and re-passes it.
+	// Crash here, and come back as InstallRestarted does: the rules and
+	// the seed, under the restore. The cursor's advance past slot 1 was
+	// still deferred, so the restored cursor stands at slot 1 and
+	// re-passes it.
 	at := h.cursor()
 	if at != 1 {
 		t.Fatalf("cursor %d before the crash, want 1", at)
 	}
 	err := overlog.Restart(h.rt, overlog.NewRuntime("r:0"), func(fresh *overlog.Runtime) error {
-		return h.install(fresh, rules)
+		return h.install(fresh, rules+seed)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +129,11 @@ func TestApplyOncePerIDInSlotOrder(t *testing.T) {
 
 // TestRestartedReplicaPassesEachSlotOnce restarts through
 // InstallRestarted after the cursor has caught up. It must resume at
-// the restored cursor and pass only new slots. A seed installed under
-// the restore would be displaced by the restored row yet still
-// evaluated: slot 0 would be acknowledged again, and the cursor would
-// then re-pass the slot before it in every later step.
+// the restored cursor and pass only new slots. The seed installed
+// under the restore is displaced by the restored row, which dominates
+// it; were the seed still evaluated, slot 0 would be acknowledged
+// again, and the cursor would then re-pass the slot before it in every
+// later step.
 func TestRestartedReplicaPassesEachSlotOnce(t *testing.T) {
 	members := []string{"r:0"}
 	cfg := paxos.DefaultConfig()

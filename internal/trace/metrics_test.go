@@ -84,44 +84,6 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-func TestInvariantChecker(t *testing.T) {
-	rt := overlog.NewRuntime("n1")
-	if err := rt.InstallSource(`table v(N: int) keys(0);`); err != nil {
-		t.Fatal(err)
-	}
-	ic := &InvariantChecker{
-		Name:  "positive",
-		Table: "v",
-		Check: func(tp overlog.Tuple) bool { return tp.Vals[0].AsInt() > 0 },
-	}
-	if err := ic.Attach(rt); err != nil {
-		t.Fatal(err)
-	}
-	rt.Step(1, []overlog.Tuple{
-		overlog.NewTuple("v", overlog.Int(5)),
-		overlog.NewTuple("v", overlog.Int(-2)),
-	})
-	if ic.ViolationCount() != 1 {
-		t.Fatalf("violations: %d", ic.ViolationCount())
-	}
-}
-
-func TestRuleProfile(t *testing.T) {
-	rt := overlog.NewRuntime("n1")
-	if err := rt.InstallSource(`
-		table a(N: int) keys(0);
-		table b(N: int) keys(0);
-		hot b(N) :- a(N);
-	`); err != nil {
-		t.Fatal(err)
-	}
-	rt.Step(1, []overlog.Tuple{overlog.NewTuple("a", overlog.Int(1)), overlog.NewTuple("a", overlog.Int(2))})
-	out := RuleProfile(rt, 5)
-	if !strings.Contains(out, "hot") {
-		t.Fatalf("profile: %s", out)
-	}
-}
-
 func TestCollectorDeletesTracked(t *testing.T) {
 	rt := overlog.NewRuntime("n1")
 	if err := rt.InstallSource(`

@@ -137,69 +137,3 @@ func (col *Collector) Report() string {
 	}
 	return b.String()
 }
-
-// RuleProfile summarizes per-rule firing counts from a runtime's sys
-// catalog — the paper's "rule execution profiler" built by querying the
-// program as data.
-func RuleProfile(rt *overlog.Runtime, topN int) string {
-	stats := rt.RuleStats()
-	type row struct {
-		rule  string
-		fires int64
-	}
-	var rows []row
-	for r, n := range stats {
-		rows = append(rows, row{r, n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].fires != rows[j].fires {
-			return rows[i].fires > rows[j].fires
-		}
-		return rows[i].rule < rows[j].rule
-	})
-	if topN > 0 && len(rows) > topN {
-		rows = rows[:topN]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %12s\n", "rule", "derivations")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %12d\n", r.rule, r.fires)
-	}
-	return b.String()
-}
-
-// InvariantChecker evaluates a user predicate on every insert into a
-// table and records violations — the declarative-assertion use case
-// from the monitoring section (e.g. "no response without a request").
-type InvariantChecker struct {
-	Name       string
-	Table      string
-	Check      func(overlog.Tuple) bool
-	mu         sync.Mutex
-	Violations []overlog.Tuple
-}
-
-// Attach registers the checker on a runtime.
-func (ic *InvariantChecker) Attach(rt *overlog.Runtime) error {
-	if err := rt.AddWatch(ic.Table, "i"); err != nil {
-		return err
-	}
-	rt.RegisterWatcher(func(ev overlog.WatchEvent) {
-		if !ev.Insert || ev.Tuple.Table != ic.Table {
-			return
-		}
-		if !ic.Check(ev.Tuple) {
-			ic.mu.Lock()
-			ic.Violations = append(ic.Violations, ev.Tuple)
-			ic.mu.Unlock()
-		}
-	})
-	return nil
-}
-
-// ViolationCount returns how many inserts failed the predicate.
-func (ic *InvariantChecker) ViolationCount() int {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return len(ic.Violations)
-}

@@ -594,7 +594,8 @@ func (p *peerQ) ensureConn(t *TCP) error {
 		return nil
 	}
 	// A peer that closed (crashed, restarted) swallows the next frame
-	// written to it; a virtual clock knows at once, and redials.
+	// written to it; a virtual clock knows at once, and redials. (On the
+	// wall clock, watch has dropped such a connection already.)
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn, p.enc, p.bw = nil, nil, nil
@@ -633,7 +634,25 @@ func (p *peerQ) ensureConn(t *TCP) error {
 	p.conn, p.key = conn, conn.LocalAddr().String()+">"+p.addr
 	p.bw = bufio.NewWriterSize(&countingWriter{w: conn, t: t}, 64<<10)
 	p.enc = gob.NewEncoder(p.bw)
+	t.wg.Add(1)
+	go p.watch(conn)
 	return nil
+}
+
+// watch reads conn, on which the peer never writes, until the peer
+// hangs up or the connection is closed here, then drops it if it is
+// still the peer's: the next batch redials instead of writing into a
+// dead connection, which would take the frame without an error and
+// lose it. Blocked in a read, watch is no virtual clock's work.
+func (p *peerQ) watch(conn net.Conn) {
+	defer p.t.wg.Done()
+	_, _ = io.Copy(io.Discard, conn)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn == conn {
+		conn.Close()
+		p.conn, p.enc, p.bw = nil, nil, nil
+	}
 }
 
 // noteDialFailure (p.mu held) advances the peer's backoff window:

@@ -113,9 +113,9 @@ func TestTCPPeerRestartReconnect(t *testing.T) {
 	}
 	waitGot(t, nodeB, 1, "before restart")
 
-	// Kill B. The sender's cached connection goes stale: writes to it
-	// eventually error (first writes may land in kernel buffers), after
-	// which the peer is dropped and counted.
+	// Kill B. The sender sees the hang-up and drops its connection; the
+	// redial fails, and sends fail fast inside the backoff window, each
+	// counted.
 	nodeB.Stop()
 	tcpB.Close()
 	deadline := time.Now().Add(5 * time.Second)
@@ -243,4 +243,34 @@ func TestWireMsgCarriesTraceID(t *testing.T) {
 	if n, m := len(jA.Spans()), len(jB.Spans()); n != 2 || m != 2 {
 		t.Fatalf("ring sizes: sender %d, receiver %d; want 2 each", n, m)
 	}
+}
+
+// TestTCPFirstFrameAfterPeerRestart sends one frame, restarts the peer
+// on the same address, and 50 ms later sends one more: the restarted
+// peer must get it. The sender's connection to the old incarnation is
+// dead, and a frame written into it is accepted by the kernel and lost
+// without an error, so the sender has to notice the hang-up before it
+// writes, and redial.
+func TestTCPFirstFrameAfterPeerRestart(t *testing.T) {
+	addrA, addrB := freeAddr(t), freeAddr(t)
+	nodeA, tcpA, _, _ := mkFailNode(t, addrA)
+	defer func() { nodeA.Stop(); tcpA.Close() }()
+	send := func(n int64) {
+		t.Helper()
+		if err := tcpA.Send(overlog.Envelope{To: addrB,
+			Tuple: overlog.NewTuple("msg", overlog.Addr(addrB), overlog.Int(n))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	nodeB, tcpB, _, _ := mkFailNode(t, addrB)
+	send(1)
+	waitGot(t, nodeB, 1, "before restart")
+	nodeB.Stop()
+	tcpB.Close()
+	nodeB2, tcpB2, _, _ := mkFailNode(t, addrB)
+	defer func() { nodeB2.Stop(); tcpB2.Close() }()
+	time.Sleep(50 * time.Millisecond)
+	send(2)
+	waitGot(t, nodeB2, 1, "first frame after the restart")
 }
