@@ -12,9 +12,9 @@ build:
 test: check
 	$(GO) test ./...
 
-# check: static analysis plus a race pass over the concurrency-heavy
-# packages (telemetry registry and event ring, wall-clock transport,
-# trace), plus a short fault-injection sweep (see `chaos`
+# check: static analysis (the lint target, below) plus a race pass
+# over the concurrency-heavy packages (telemetry registry and event
+# ring, wall-clock transport, trace), plus a short fault-injection sweep (see `chaos`
 # below). The telemetry, sim, chaos, and loadgen lines carry the
 # span-tracing and SLO-monitor tests, so concurrent span recording is
 # always raced. internal/overlog has no goroutines and no race line:
@@ -41,11 +41,7 @@ test: check
 # benchmark, a module of its own that `go build ./...` and
 # `go test ./...` do not see: a 1/20-size run of all six workloads with
 # their correctness checks, and its tests (BENCHMARK.json == catalogue).
-check:
-	$(GO) vet ./...
-	$(GO) run ./cmd/boomvet -severity=error ./...
-	$(GO) run ./cmd/boomlint -severity=warn
-	$(GO) run ./cmd/boomlint -severity=error examples/quickstart/quickstart.olg
+check: lint
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
 	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
@@ -86,7 +82,9 @@ chaos-tcp:
 scale:
 	$(GO) run ./cmd/boom-scale -out BENCH_scale.json
 
-# lint: the full static-analysis surface, Go and Overlog alike.
+# lint: the full static-analysis surface, Go and Overlog alike: gofmt,
+# go vet, boomvet, both boomlint lines and govulncheck when installed.
+# check runs it first, so CI runs each of them once.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \

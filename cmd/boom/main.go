@@ -31,6 +31,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -498,9 +499,13 @@ func runOlg(args []string) error {
 		}
 	}
 	if *dump {
+		catalog := overlog.CatalogRelations()
 		for _, name := range rt.TableNames() {
+			if slices.Contains(catalog, name) {
+				continue
+			}
 			tbl := rt.Table(name)
-			if tbl.Len() == 0 || name == "sys::table" || name == "sys::rule" || name == "sys::fire" {
+			if tbl.Len() == 0 {
 				continue
 			}
 			fmt.Printf("-- %s (%d tuples)\n%s\n", name, tbl.Len(), tbl.Dump())

@@ -67,7 +67,7 @@ func main() {
 	// reading the sys:: catalog.
 	if err := rt.InstallSource(`
 		table rule_census(Head: string, N: int) keys(0);
-		meta1 rule_census(Head, count<Name>) :- sys::rule(Name, _, Head, _, _, _);
+		meta1 rule_census(Head, count<Name>) :- sys::rule(_, _, _, Name, Head, _, _, _, _);
 	`); err != nil {
 		log.Fatal(err)
 	}

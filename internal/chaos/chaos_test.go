@@ -284,3 +284,26 @@ func TestApplyRejectsUnknownNodes(t *testing.T) {
 		}
 	}
 }
+
+// After the paxos scenario's seed 1, every replica holds
+// promise_acc_store rows only at its own cur_ballot: cp6 retires the
+// accepted values promised to the ballots it campaigned at before.
+func TestPaxosRetiresSupersededPromises(t *testing.T) {
+	c := sim.NewCluster(sim.WithClusterSeed(1))
+	if vs, err := RunPaxos(c, 1, Paxos().Schedule(1)); err != nil || len(vs) > 0 {
+		t.Fatalf("run: %v %v", err, vs)
+	}
+	rows := 0
+	for _, name := range []string{"px:0", "px:1", "px:2"} {
+		c.RunOn(name, func(rt *overlog.Runtime) {
+			cur := rt.Table("cur_ballot").Tuples()[0].Vals[1].AsInt()
+			for _, tp := range rt.Table("promise_acc_store").Tuples() {
+				rows++
+				if b := tp.Vals[0].AsInt(); b != cur {
+					t.Errorf("%s: %s at ballot %d, cur_ballot %d", name, tp, b, cur)
+				}
+			}
+		})
+	}
+	t.Logf("%d promise_acc_store rows at the current ballots", rows)
+}

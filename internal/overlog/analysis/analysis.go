@@ -8,8 +8,9 @@
 // or materialized into the sys::lint relation.
 //
 // The passes are themselves Overlog: analysis.olg is a query over the
-// unit's programs rendered as relations (model.go), and its finding
-// relation holds the results. Only the type pass (types.go) is Go.
+// unit rendered as the catalog relations a runtime serves as sys::rule,
+// sys::atom, ... (overlog.Model), and its finding relation holds the
+// results. Only the type pass (types.go) is Go.
 //
 // The analysis unit is a *set* of programs linted together: a protocol
 // declaration block plus every role's rules, so that a table written on
@@ -283,26 +284,49 @@ func analyze(rt *overlog.Runtime, unit string, progs []*overlog.Program, groups 
 	return ds
 }
 
-// evaluate runs analysis.olg over the unit's facts on rt, an idle
-// analysis runtime, and returns its finding relation alongside the type
-// pass's findings, sorted, with the lint codes the unit ignores. The
-// first step stores the facts. Each later one stores the layer of the
+// evaluate runs analysis.olg over the unit on rt, an idle analysis
+// runtime, and returns its finding relation and the type pass's
+// findings, sorted, with the lint codes the unit ignores. Its input is
+// the unit's catalog rows plus what no program says: Options' feeds,
+// exports and ignores, and each co-installed group's programs, as
+// indexes into progs. The first step stores the facts. Each later one stores the layer of the
 // coordination pass's breadth-first taint that the step before derived
 // with next, until a step derives none.
 func evaluate(rt *overlog.Runtime, unit string, progs []*overlog.Program, groups [][]int, opts Options) ([]Diagnostic, map[string]bool) {
-	m := buildModel(unit, progs)
-	in, ignore := m.facts(progs, groups, opts)
+	m := overlog.NewModel(progs)
+	in := m.Rows("")
+	add := func(table string, vals ...overlog.Value) { in = append(in, overlog.NewTuple(table, vals...)) }
+	for table, set := range map[string]map[string]bool{"feed": opts.Feeds, "export": opts.Exports, "ignore": opts.Ignore} {
+		for v := range set {
+			add(table, overlog.Str(v))
+		}
+	}
+	for _, t := range m.Tables {
+		if m.Decls[t].Event && opts.AssumeExternalEvents {
+			add("feed", overlog.Str(t))
+			add("export", overlog.Str(t))
+		}
+	}
+	for g, ps := range groups {
+		for _, p := range ps {
+			add("member", overlog.Int(int64(g)), overlog.Int(int64(p)))
+		}
+	}
 	step(rt, in)
 	for rt.NextWake() >= 0 {
 		step(rt, nil)
 	}
-	ds := typeLints(m)
+	ds := typeLints(unit, m)
 	for _, tp := range rt.Table("finding").Tuples() {
 		v := tp.Vals
 		ds = append(ds, finish(Diagnostic{
 			Code: v[0].AsString(), Unit: unit, Program: v[1].AsString(), Rule: v[2].AsString(),
 			Subject: v[3].AsString(), Line: int(v[4].AsInt()), Col: int(v[5].AsInt()), Msg: v[6].AsString(),
 		}))
+	}
+	ignore := map[string]bool{}
+	for _, tp := range rt.Table("ignore").Tuples() {
+		ignore[tp.Vals[0].AsString()] = true
 	}
 	Sort(ds)
 	return ds, ignore

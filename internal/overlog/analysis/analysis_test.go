@@ -704,3 +704,18 @@ func TestMaxSeverity(t *testing.T) {
 		t.Errorf("MaxSeverity = %v, %v", max, any)
 	}
 }
+
+// TestInputIsTheCatalogSchema: analysis.olg declares its input
+// relations as a runtime declares its sys:: catalog, so a rule over one
+// reads the other unchanged.
+func TestInputIsTheCatalogSchema(t *testing.T) {
+	decls := map[string]string{}
+	for _, d := range rules().Tables {
+		decls[d.Name] = d.String()
+	}
+	for _, d := range overlog.Schema() {
+		if got := decls[d.Name]; got != d.String() {
+			t.Errorf("analysis.olg declares %q, the catalog %q", got, d.String())
+		}
+	}
+}

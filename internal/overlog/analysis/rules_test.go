@@ -141,8 +141,9 @@ func TestCALMOnShippedPrograms(t *testing.T) {
 	}
 }
 
-// Every pass names an unlabeled rule <program>#<n>, 1-based, and
-// anchors it at its position.
+// Every pass names an unlabeled rule as the runtime does,
+// <program>_r<i> for the unit's i-th rule from 0, and anchors it at
+// its position.
 func TestUnlabeledRuleNames(t *testing.T) {
 	ds := lint(t, `program p;
 		//lint:feed bump
@@ -153,12 +154,12 @@ func TestUnlabeledRuleNames(t *testing.T) {
 		next kv(K, V + 1) :- bump(K), kv(K, V), Lonely := 1;`)
 	seen := map[string]bool{}
 	for _, d := range ds {
-		if d.Rule == "p#2" && d.Line != 7 {
+		if d.Rule == "p_r1" && d.Line != 7 {
 			t.Errorf("%s anchored at line %d, want 7", d, d.Line)
 		}
 		seen[d.Code+" "+d.Rule] = true
 	}
-	for _, want := range []string{"point-of-order p#2", "unused-assign p#2", "point-of-order init"} {
+	for _, want := range []string{"point-of-order p_r1", "unused-assign p_r1", "point-of-order init"} {
 		if !seen[want] {
 			t.Errorf("no %s finding: %v", want, ds)
 		}

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/overlog"
@@ -69,11 +69,11 @@ func compatible(a, b class) bool {
 	return a == clUnknown || b == clUnknown || a == clAny || b == clAny || a == b
 }
 
-func typeLints(m *model) []Diagnostic {
+func typeLints(unit string, m *overlog.Model) []Diagnostic {
 	var ds []Diagnostic
-	for _, ri := range m.rules {
-		tc := &typeChecker{m: m, ri: ri, vars: map[string]varType{}}
-		for _, be := range ri.rule.Body {
+	for _, mr := range m.Rules {
+		tc := &typeChecker{unit: unit, m: m, mr: mr, vars: map[string]varType{}}
+		for _, be := range mr.Rule.Body {
 			switch be.Kind {
 			case overlog.BodyAtom, overlog.BodyNotin:
 				tc.checkAtom(be.Atom, false)
@@ -83,24 +83,20 @@ func typeLints(m *model) []Diagnostic {
 			case overlog.BodyCond:
 				cl := tc.exprClass(be.Cond, be.Line, be.Col)
 				if cl != clUnknown && cl != clAny && cl != clBool {
-					tc.ds = append(tc.ds, m.diag(CodeCondType, ri, "", be.Line, be.Col,
-						"condition evaluates to %s, not bool", cl))
+					tc.report(CodeCondType, "", be.Line, be.Col, "condition evaluates to %s, not bool", cl)
 				}
 			}
 		}
-		tc.checkAtom(ri.rule.Head, true)
+		tc.checkAtom(mr.Rule.Head, true)
 		ds = append(ds, tc.ds...)
 	}
 
 	// redundant-keys is declaration-level. Iterate declarations in
 	// sorted order so findings append deterministically.
-	tables := make([]string, 0, len(m.decls))
-	for t := range m.decls {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
+	tables := slices.Clone(m.Tables)
+	slices.Sort(tables)
 	for _, t := range tables {
-		d := m.decls[t]
+		d := m.Decls[t]
 		if d.Event || len(d.KeyCols) == 0 || strings.HasPrefix(t, "sys::") {
 			continue
 		}
@@ -109,8 +105,10 @@ func typeLints(m *model) []Diagnostic {
 			distinct[k] = true
 		}
 		if len(distinct) == d.Arity() {
-			ds = append(ds, m.declDiag(CodeRedundantKeys, t,
-				"keys(...) on %s names every column, which is identical to the default set semantics", t))
+			ds = append(ds, finish(Diagnostic{
+				Code: CodeRedundantKeys, Unit: unit, Subject: t, Program: m.DeclProg[t], Line: d.Line, Col: d.Col,
+				Msg: fmt.Sprintf("keys(...) on %s names every column, which is identical to the default set semantics", t),
+			}))
 		}
 	}
 	return ds
@@ -138,10 +136,19 @@ func (s site) String() string {
 }
 
 type typeChecker struct {
-	m    *model
-	ri   *ruleInfo
+	unit string
+	m    *overlog.Model
+	mr   overlog.ModelRule
 	vars map[string]varType
 	ds   []Diagnostic
+}
+
+// report adds a finding anchored at the rule being checked.
+func (tc *typeChecker) report(code, subject string, line, col int, format string, args ...interface{}) {
+	tc.ds = append(tc.ds, finish(Diagnostic{
+		Code: code, Unit: tc.unit, Program: tc.mr.Prog, Rule: tc.mr.Name, Subject: subject,
+		Line: line, Col: col, Msg: fmt.Sprintf(format, args...),
+	}))
 }
 
 // constrain unifies a variable with a class, reporting a conflict if it
@@ -156,15 +163,15 @@ func (tc *typeChecker) constrain(name string, cl class, where site, line, col in
 		return
 	}
 	if prev.cl != cl {
-		tc.ds = append(tc.ds, tc.m.diag(CodeTypeConflict, tc.ri, name, line, col,
-			"variable %s is %s at %s but %s at %s", name, prev.cl, prev.where, cl, where))
+		tc.report(CodeTypeConflict, name, line, col,
+			"variable %s is %s at %s but %s at %s", name, prev.cl, prev.where, cl, where)
 	}
 }
 
 // checkAtom constrains every term against the declared column types.
 func (tc *typeChecker) checkAtom(a *overlog.Atom, head bool) {
-	decl, ok := tc.m.decls[a.Table]
-	if !ok || decl.Arity() != len(a.Terms) {
+	decl := tc.m.Decls[a.Table]
+	if decl == nil || decl.Arity() != len(a.Terms) {
 		return // undeclared or mis-arity: the dataflow pass / compiler reports it
 	}
 	for i, term := range a.Terms {
@@ -186,8 +193,8 @@ func (tc *typeChecker) checkAtom(a *overlog.Atom, head bool) {
 				continue
 			}
 			if !compatible(aggCl, colCl) {
-				tc.ds = append(tc.ds, tc.m.diag(CodeTypeConflict, tc.ri, a.Table, a.Line, a.Col,
-					"%s<> produces %s but %s is %s", term.Agg, aggCl, where, colCl))
+				tc.report(CodeTypeConflict, a.Table, a.Line, a.Col,
+					"%s<> produces %s but %s is %s", term.Agg, aggCl, where, colCl)
 			}
 			continue
 		}
@@ -199,14 +206,14 @@ func (tc *typeChecker) checkAtom(a *overlog.Atom, head bool) {
 		case *overlog.ConstExpr:
 			constCl := classOfKind(e.Val.Kind())
 			if e.Val.Kind() != overlog.KindNil && !compatible(constCl, colCl) {
-				tc.ds = append(tc.ds, tc.m.diag(CodeConstType, tc.ri, a.Table, a.Line, a.Col,
-					"literal %s is %s but %s is %s", e.Val, constCl, where, colCl))
+				tc.report(CodeConstType, a.Table, a.Line, a.Col,
+					"literal %s is %s but %s is %s", e.Val, constCl, where, colCl)
 			}
 		default:
 			cl := tc.exprClass(term.Expr, a.Line, a.Col)
 			if !compatible(cl, colCl) {
-				tc.ds = append(tc.ds, tc.m.diag(CodeTypeConflict, tc.ri, a.Table, a.Line, a.Col,
-					"expression %s is %s but %s is %s", term.Expr, cl, where, colCl))
+				tc.report(CodeTypeConflict, a.Table, a.Line, a.Col,
+					"expression %s is %s but %s is %s", term.Expr, cl, where, colCl)
 			}
 		}
 	}
@@ -244,8 +251,8 @@ func (tc *typeChecker) exprClass(e overlog.Expr, line, col int) class {
 		switch x.Op {
 		case overlog.OpEQ, overlog.OpNE, overlog.OpLT, overlog.OpLE, overlog.OpGT, overlog.OpGE:
 			if !compatible(l, r) {
-				tc.ds = append(tc.ds, tc.m.diag(CodeTypeConflict, tc.ri, "", line, col,
-					"comparison %s mixes %s and %s; cross-kind comparisons never match", x, l, r))
+				tc.report(CodeTypeConflict, "", line, col,
+					"comparison %s mixes %s and %s; cross-kind comparisons never match", x, l, r)
 			}
 			return clBool
 		case overlog.OpAdd:
@@ -253,8 +260,8 @@ func (tc *typeChecker) exprClass(e overlog.Expr, line, col int) class {
 			// concatenates. numeric + string is a runtime error.
 			if (l == clNumeric && r == clStringy) ||
 				l == clBool || r == clBool || l == clList || r == clList {
-				tc.ds = append(tc.ds, tc.m.diag(CodeTypeConflict, tc.ri, "", line, col,
-					"operator + applied to %s and %s", l, r))
+				tc.report(CodeTypeConflict, "", line, col,
+					"operator + applied to %s and %s", l, r)
 			}
 			if l == clStringy {
 				return clStringy
@@ -275,7 +282,7 @@ func (tc *typeChecker) exprClass(e overlog.Expr, line, col int) class {
 func (tc *typeChecker) wantNumeric(e overlog.Expr, what string, line, col int) {
 	cl := tc.exprClass(e, line, col)
 	if cl != clUnknown && cl != clAny && cl != clNumeric {
-		tc.ds = append(tc.ds, tc.m.diag(CodeTypeConflict, tc.ri, "", line, col,
-			"%s needs a numeric operand, got %s (%s)", what, cl, e))
+		tc.report(CodeTypeConflict, "", line, col,
+			"%s needs a numeric operand, got %s (%s)", what, cl, e)
 	}
 }

@@ -331,11 +331,6 @@ type Expr interface {
 	freeVars(vs []string) []string
 }
 
-// FreeVars returns the variables referenced by an expression, in
-// occurrence order with duplicates preserved (callers that need a set
-// can dedup). Exported for analysis tooling.
-func FreeVars(e Expr) []string { return e.freeVars(nil) }
-
 // VarExpr references a rule variable.
 type VarExpr struct{ Name string }
 

@@ -710,10 +710,7 @@ func (rc *ruleCompiler) compileRule(seq int) (*compiledRule, error) {
 		isAgg:      r.HasAggregate(),
 		stats:      &ruleStats{},
 	}
-	cr.name = r.Name
-	if cr.name == "" {
-		cr.name = fmt.Sprintf("%s_r%d", rc.prog, seq)
-	}
+	cr.name = ruleName(rc.prog, r, seq)
 
 	// Body, in textual order (the join order, as in P2).
 	cr.body = make([]*bodyOp, 0, len(r.Body))
@@ -1241,7 +1238,9 @@ type catalog struct {
 	strata []*stratum
 	// fire lists, when some rule reads sys::fire, the rows the runtime
 	// refreshes it with each step: one per rule name, in rule order.
-	fire []fireRow
+	// render says a rule reads a relation renderCatalog fills.
+	fire   []fireRow
+	render bool
 }
 
 func newCatalog(tables map[string]*Table) *catalog {
@@ -1353,6 +1352,6 @@ func (c *catalog) stratify() error {
 		})
 		c.strata = append(c.strata, planStratum(rules, len(c.tables)))
 	}
-	c.planFireRows()
+	c.planCatalogReads()
 	return nil
 }

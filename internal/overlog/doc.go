@@ -181,16 +181,22 @@
 //
 // # Metaprogramming
 //
-// The installed program is itself data: sys::table(Name, Arity, Event,
-// Durable), sys::rule(Name, Program, Head, Stratum, IsDelete, IsAgg),
-// and sys::fire(Rule, Count) (maintained only when some rule reads it)
-// can be joined like any other relation.
+// The installed program is itself data. Its catalog relations,
+// declared in relations.go, hold the programs as rows: sys::rule(R, P,
+// Prog, Name, Head, Mode, Agg, Line, Col), sys::atom(R, Pos, T, Kind,
+// Line, Col), sys::occ, sys::decl(T, Prog, Event, Keyed, Set, Arity,
+// Durable, Line, Col), sys::keyed, the //lint: pragmas as sys::feed,
+// sys::export, sys::ordered and sys::ignore, and sys::timer,
+// sys::watched and sys::fact. An unlabeled rule is named <prog>_r<i>,
+// i its install index, so sys::rule joins sys::fire(Rule, Count,
+// Evals) on Name. They are filled only when read: by a rule (decided
+// at install) or through Runtime.Table.
 //
-//	meta rulecount(H, count<R>) :- sys::rule(R, _, H, _, _, _);
+//	meta rulecount(H, count<N>) :- sys::rule(_, _, _, N, H, _, _, _, _);
+//	idle(N) :- sys::rule(_, _, _, N, _, _, _, _, _), sys::fire(N, 0, E), E > 100;
 //
-// Static analysis goes one level further: package analysis renders a
-// set of parsed programs as relations (rules, atoms, variable
-// occurrences, declarations and lint pragmas) and evaluates boomlint's
+// Static analysis reads the same relations: package analysis renders a
+// set of parsed programs with the same Model and evaluates boomlint's
 // passes, themselves the Overlog program analysis/analysis.olg, over
 // them on a runtime of their own. Each finding is a row of its finding
 // relation, and SelfLint copies a node's own into sys::lint(Code,

@@ -388,7 +388,7 @@ func TestSysCatalogTables(t *testing.T) {
 	`)
 	found := false
 	rt.Table("sys::rule").Scan(func(tp Tuple) bool {
-		if tp.Vals[0].AsString() == "r1" && tp.Vals[1].AsString() == "meta" {
+		if tp.Vals[3].AsString() == "r1" && tp.Vals[2].AsString() == "meta" {
 			found = true
 		}
 		return true
@@ -396,8 +396,8 @@ func TestSysCatalogTables(t *testing.T) {
 	if !found {
 		t.Fatalf("sys::rule missing r1:\n%s", rt.Table("sys::rule").Dump())
 	}
-	if rt.Table("sys::table").Len() == 0 {
-		t.Fatal("sys::table empty")
+	if got := rt.Table("sys::decl").Dump(); got != `sys::decl("kv", "meta", false, true, false, 2, false, 3, 3)` {
+		t.Fatalf("sys::decl:\n%s", got)
 	}
 }
 
@@ -407,7 +407,7 @@ func TestMetaRuleOverSysCatalog(t *testing.T) {
 		table rulecount(K: string, N: int) keys(0);
 		table kv(K: string, V: int) keys(0);
 		r1 kv(K, V) :- kv(K, V);
-		meta rulecount("rules", count<Name>) :- sys::rule(Name, _, _, _, _, _);
+		meta rulecount("rules", count<Name>) :- sys::rule(_, _, _, Name, _, _, _, _, _);
 	`)
 	stepN(t, rt, 1)
 	tp, ok := rt.Table("rulecount").LookupKey(NewTuple("rulecount", Str("rules"), Int(0)))

@@ -1,6 +1,7 @@
 package overlog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestSysFireMaintained(t *testing.T) {
 		table b(X: int) keys(0);
 		table hot(Rule: string, N: int) keys(0);
 		r1 b(X) :- a(X);
-		meta hot(R, N) :- sys::fire(R, N), N > 0;
+		meta hot(R, N) :- sys::fire(R, N, _), N > 0;
 	`)
 	rt.Step(1, []Tuple{NewTuple("a", Int(1)), NewTuple("a", Int(2))})
 	// sys::fire updates at end of step; the meta rule sees it next step.
@@ -113,5 +114,73 @@ func TestMultiProgramInstallSharedTables(t *testing.T) {
 	err := rt.InstallSource(`table shared(K: string) keys(0);`)
 	if err == nil || !strings.Contains(err.Error(), "different shape") {
 		t.Fatalf("conflicting redecl: %v", err)
+	}
+}
+
+// TestCatalogRenderedOnlyWhenRead: no rule of the runtime reads a
+// catalog relation, so install and ten steps store no catalog rows;
+// reading one through Table renders them, under the names the runtime
+// gives its rules, and a later install re-renders on the next read.
+func TestCatalogRenderedOnlyWhenRead(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, `
+		program p;
+		table a(X: int) keys(0);
+		table b(X: int) keys(0);
+		r1 b(X) :- a(X);
+		b(X) :- a(X), X > 1;
+	`)
+	catalogRows := func() (n int) {
+		for _, name := range CatalogRelations() {
+			n += rt.tables[name].Len()
+		}
+		return n
+	}
+	for i := int64(1); i <= 10; i++ {
+		if _, err := rt.Step(i, []Tuple{NewTuple("a", Int(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := catalogRows(); n != 0 {
+		t.Fatalf("%d catalog rows stored with no reader", n)
+	}
+	stored := rt.stored
+	if rt.Table("sys::atom").Len() == 0 {
+		t.Fatal("reading sys::atom did not render it")
+	}
+	if n := catalogRows(); n == 0 || rt.stored != stored+int64(n) {
+		t.Fatalf("%d catalog rows, stored %d -> %d", n, stored, rt.stored)
+	}
+	if got, want := rt.Table("sys::rule").Dump(), `sys::rule(0, 0, "p", "r1", "b", "insert", false, 5, 3)
+sys::rule(1, 0, "p", "p_r1", "b", "insert", false, 6, 3)`; got != want {
+		t.Fatalf("sys::rule:\n%s\nwant\n%s", got, want)
+	}
+	if !slices.Equal(rt.Rules(), []string{"r1", "p_r1"}) {
+		t.Fatalf("rule names %v", rt.Rules())
+	}
+	mustInstall(t, rt, `q1 a(X) :- b(X), X > 5;`)
+	if n := rt.Table("sys::rule").Len(); n != 3 {
+		t.Fatalf("sys::rule holds %d rows after a third rule", n)
+	}
+}
+
+// TestCatalogRenderedForReaders: a rule reading a catalog relation
+// renders it at install, and each later install adds its rows.
+func TestCatalogRenderedForReaders(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, `
+		table heads(K: string, N: int) keys(0);
+		h1 heads("n", count<H>) :- sys::atom(_, 0, H, _, _, _);
+	`)
+	if rt.tables["sys::atom"].Len() != 2 {
+		t.Fatalf("sys::atom at install:\n%s", rt.tables["sys::atom"].Dump())
+	}
+	mustInstall(t, rt, `
+		table a(X: int);
+		a1 a(1) :- heads(_, _);
+	`)
+	stepN(t, rt, 1)
+	if got := rt.Table("heads").Dump(); got != `heads("n", 2)` {
+		t.Fatalf("heads: %s", got)
 	}
 }

@@ -760,7 +760,7 @@ func TestAggregateOverSysFire(t *testing.T) {
 		event pong(Id: int);
 		s1 seen(Id) :- ping(Id);
 		l1 last("l", Id) :- pong(Id);
-		f1 fire_of(R, max<C>) :- sys::fire(R, C), R != "f1";
+		f1 fire_of(R, max<C>) :- sys::fire(R, C, _), R != "f1";
 	`
 	perGroup, whole := NewRuntime("n1"), NewRuntime("n1")
 	mustInstall(t, perGroup, src)

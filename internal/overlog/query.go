@@ -36,6 +36,7 @@ func (r *Runtime) Query(body string) ([]Binding, error) {
 		var vs []string
 		switch be.Kind {
 		case BodyAtom, BodyNotin:
+			r.Table(be.Atom.Table) // a catalog relation renders on first read
 			for _, term := range be.Atom.Terms {
 				vs = term.Expr.freeVars(vs)
 			}

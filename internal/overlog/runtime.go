@@ -96,8 +96,10 @@ type Runtime struct {
 	tables map[string]*Table
 	period []*periodicState
 	// progs retains every installed program (AST + pragmas) so analysis
-	// tooling can inspect the live catalog.
-	progs []*Program
+	// tooling can inspect the live catalog. The sys:: catalog relations
+	// hold the first catalogProgs of them (renderCatalog).
+	progs        []*Program
+	catalogProgs int
 
 	rng       *rand.Rand
 	idCounter int64
@@ -315,8 +317,14 @@ func (r *Runtime) RuleStats() map[string]int64 {
 	return out
 }
 
-// Table returns the storage for a declared table, or nil.
-func (r *Runtime) Table(name string) *Table { return r.tables[name] }
+// Table returns the storage for a declared table, or nil. Reading a
+// catalog relation renders the installed programs into it first.
+func (r *Runtime) Table(name string) *Table {
+	if r.catalogProgs != len(r.progs) && rendered(name) {
+		r.renderCatalog()
+	}
+	return r.tables[name]
+}
 
 // TableNames lists declared tables in sorted order.
 func (r *Runtime) TableNames() []string {
@@ -328,26 +336,14 @@ func (r *Runtime) TableNames() []string {
 	return out
 }
 
-// declareSysTables installs the metaprogramming catalog relations.
+// declareSysTables declares the runtime's own sys:: relations.
 func (r *Runtime) declareSysTables() {
 	sys := []*TableDecl{
-		{Name: "sys::table", Cols: []ColDecl{
-			{Name: "Name", Type: KindString},
-			{Name: "Arity", Type: KindInt},
-			{Name: "Event", Type: KindBool},
-			{Name: "Durable", Type: KindBool},
-		}, KeyCols: []int{0}},
-		{Name: "sys::rule", Cols: []ColDecl{
-			{Name: "Name", Type: KindString},
-			{Name: "Program", Type: KindString},
-			{Name: "Head", Type: KindString},
-			{Name: "Stratum", Type: KindInt},
-			{Name: "IsDelete", Type: KindBool},
-			{Name: "IsAgg", Type: KindBool},
-		}, KeyCols: []int{0}},
+		// sys::fire: per rule name, fires and evals (maintainFireStats).
 		{Name: "sys::fire", Cols: []ColDecl{
 			{Name: "Rule", Type: KindString},
 			{Name: "Count", Type: KindInt},
+			{Name: "Evals", Type: KindInt},
 		}, KeyCols: []int{0}},
 		// sys::lint holds static-analysis findings over the installed
 		// programs (populated by analysis.SelfLint); empty keys = set
@@ -397,6 +393,12 @@ func (r *Runtime) declareSysTables() {
 	for _, d := range sys {
 		r.declare(d)
 	}
+	// The catalog relations (relations.go), filled by renderCatalog.
+	for _, d := range Schema() {
+		sd := *d
+		sd.Name = "sys::" + d.Name
+		r.declare(&sd)
+	}
 	r.provTable = r.tables["sys::prov"]
 }
 
@@ -439,10 +441,7 @@ func (r *Runtime) Install(prog *Program) error {
 					Msg: fmt.Sprintf("periodic %s must name an event table", pd.Table)}
 			}
 		} else {
-			r.declare(&TableDecl{Name: pd.Table, Event: true, Cols: []ColDecl{
-				{Name: "Ord", Type: KindInt},
-				{Name: "Time", Type: KindInt},
-			}, Line: pd.Line})
+			r.declare(periodicDecl(pd))
 		}
 		r.period = append(r.period, &periodicState{decl: pd, nextFire: 0})
 	}
@@ -502,7 +501,9 @@ func (r *Runtime) Install(prog *Program) error {
 			return err
 		}
 	}
-	r.refreshSysCatalog()
+	if r.cat.render {
+		r.renderCatalog()
+	}
 	if r.wakeHook != nil {
 		r.wakeHook()
 	}
@@ -549,19 +550,15 @@ func (r *Runtime) groundFact(f *Fact) (Tuple, error) {
 	return NewTuple(f.Atom.Table, vals...), nil
 }
 
-// refreshSysCatalog rebuilds the sys::table and sys::rule relations.
-func (r *Runtime) refreshSysCatalog() {
-	st := r.tables["sys::table"]
-	st.Clear()
-	for name, d := range r.cat.decls {
-		_, _, _ = st.Insert(NewTuple("sys::table", Str(name), Int(int64(d.Arity())), Bool(d.Event), Bool(d.Durable)))
-	}
-	sr := r.tables["sys::rule"]
-	sr.Clear()
-	for _, cr := range r.cat.rules {
-		_, _, _ = sr.Insert(NewTuple("sys::rule",
-			Str(cr.name), Str(cr.program), Str(cr.head.table),
-			Int(int64(cr.stratum)), Bool(cr.isDelete), Bool(cr.isAgg)))
+// renderCatalog brings the sys:: catalog relations up to date with
+// the installed programs. A program installed later only adds rows, or
+// displaces one by key (an atom that becomes a table when a later
+// program declares a builtin's name), so the rows already stored are
+// inserted again as no-ops.
+func (r *Runtime) renderCatalog() {
+	r.catalogProgs = len(r.progs)
+	for _, tp := range NewModel(r.progs).Rows("sys::") {
+		_, _ = r.insertLocal(tp, "sys")
 	}
 }
 
@@ -745,11 +742,12 @@ func recycle(buf []Tuple) []Tuple {
 // downstream.
 func (r *Runtime) maintainFireStats() error {
 	for _, row := range r.cat.fire {
-		var count int64
+		var count, evals int64
 		for _, st := range row.stats {
 			count += st.fires
+			evals += st.evals
 		}
-		if _, err := r.insertLocal(NewTuple("sys::fire", Str(row.name), Int(count)), "sys"); err != nil {
+		if _, err := r.insertLocal(NewTuple("sys::fire", Str(row.name), Int(count), Int(evals)), "sys"); err != nil {
 			return err
 		}
 	}

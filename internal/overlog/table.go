@@ -216,10 +216,6 @@ func (t *Table) grow(d int) {
 	}
 }
 
-// KeyOf encodes a tuple's primary key (debugging/compat; storage itself
-// keys by fingerprint).
-func (t *Table) KeyOf(tp Tuple) string { return tp.Key(t.keys) }
-
 // checkTuple validates arity and column types. KindAny columns accept
 // anything; addr and string interconvert; int and float do not (silent
 // numeric coercion in storage makes key semantics confusing).

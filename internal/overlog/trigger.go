@@ -281,14 +281,18 @@ type fireRow struct {
 	stats []*ruleStats
 }
 
-// planFireRows decides, once per install, whether any rule reads
-// sys::fire and, if so, which rows refresh it.
-func (c *catalog) planFireRows() {
-	c.fire = nil
+// planCatalogReads decides, once per install, whether any rule reads
+// a rendered catalog relation, and whether any reads sys::fire and, if
+// so, which rows refresh it.
+func (c *catalog) planCatalogReads() {
+	c.fire, c.render = nil, false
 	read := false
 	for _, cr := range c.rules {
 		for _, op := range cr.body {
-			read = read || ((op.kind == opScan || op.kind == opNotin) && op.table == "sys::fire")
+			if op.kind == opScan || op.kind == opNotin {
+				read = read || op.table == "sys::fire"
+				c.render = c.render || rendered(op.table)
+			}
 		}
 	}
 	if !read {

@@ -597,17 +597,8 @@ func (t Tuple) Clone() Tuple {
 	return Tuple{Table: t.Table, Vals: vals}
 }
 
-// Key encodes the given column subset as a map key.
-func (t Tuple) Key(cols []int) string {
-	b := make([]byte, 0, 16*len(cols))
-	for _, c := range cols {
-		b = t.Vals[c].encode(b)
-	}
-	return string(b)
-}
-
 // hashCols fingerprints the column subset: the FNV-1a hash of the
-// bytes Key(cols) would build, without building them.
+// columns' encodings, without building them.
 //
 //boomvet:noalloc
 func (t Tuple) hashCols(cols []int) uint64 {

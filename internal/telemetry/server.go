@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -211,8 +212,12 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		Tuples int    `json:"tuples"`
 	}
 	var out []tinfo
+	catalog := overlog.CatalogRelations()
 	s.src.WithRuntime(func(rt *overlog.Runtime) {
 		for _, n := range rt.TableNames() {
+			if slices.Contains(catalog, n) {
+				continue // /debug/catalog serves them, rendered on demand
+			}
 			tbl := rt.Table(n)
 			out = append(out, tinfo{n, tbl.Decl().Arity(), tbl.Decl().Event, tbl.Len()})
 		}
@@ -258,8 +263,9 @@ func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleCatalog dumps the sys:: metaprogramming relations — the
-// installed program, described by the program itself.
+// handleCatalog dumps the sys:: catalog relations — the installed
+// program, described by the program itself — rendering them if no rule
+// has yet.
 func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 	if s.src.WithRuntime == nil {
 		http.Error(w, "no runtime attached", http.StatusNotFound)
@@ -267,7 +273,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 	}
 	resp := map[string]interface{}{}
 	s.src.WithRuntime(func(rt *overlog.Runtime) {
-		for _, sys := range []string{"sys::table", "sys::rule", "sys::fire"} {
+		for _, sys := range overlog.CatalogRelations() {
 			tbl := rt.Table(sys)
 			if tbl == nil {
 				continue

@@ -149,7 +149,7 @@ func TestServerRulesAndCatalog(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &cat); err != nil {
 		t.Fatalf("catalog json: %v / %s", err, body)
 	}
-	if len(cat["sys::table"]) == 0 || len(cat["sys::rule"]) == 0 {
+	if len(cat["sys::decl"]) == 0 || len(cat["sys::rule"]) == 0 || len(cat["sys::atom"]) == 0 {
 		t.Fatalf("catalog empty: %s", body)
 	}
 }

@@ -78,44 +78,21 @@ func NewTCPStats(reg *telemetry.Registry) *TCPStats {
 	}
 }
 
-// QueuePolicy decides what happens when a peer's send queue is full.
-type QueuePolicy int
-
-const (
-	// DropOldest evicts the oldest queued frame to admit the new one —
-	// the availability-over-everything choice: a slow peer loses its
-	// backlog's head, the sender never stalls. Overlog protocols retry
-	// (heartbeats re-fire, clients re-issue), so a bounded drop is a
-	// delay, not a loss of correctness.
-	DropOldest QueuePolicy = iota
-	// BlockWithDeadline makes Send wait up to BlockTimeout for space,
-	// then fail — backpressure propagates to the caller instead of the
-	// queue growing without bound.
-	BlockWithDeadline
-)
-
-func (p QueuePolicy) String() string {
-	if p == BlockWithDeadline {
-		return "block"
-	}
-	return "drop-oldest"
-}
-
-// QueueConfig bounds the per-peer send queue.
+// QueueConfig bounds the per-peer send queue. A full queue evicts its
+// oldest frame to admit the new one: a slow peer loses its backlog's
+// head and the sender never stalls. Overlog protocols retry (heartbeats
+// re-fire, clients re-issue), so a bounded drop is a delay, not a loss
+// of correctness.
 type QueueConfig struct {
 	// Cap is the maximum number of frames queued per peer (default 1024).
 	Cap int
 	// MaxBatch caps how many frames one flush coalesces (default 128).
 	MaxBatch int
-	// Policy picks the overflow behaviour (default DropOldest).
-	Policy QueuePolicy
-	// BlockTimeout bounds a BlockWithDeadline wait (default 50ms).
-	BlockTimeout time.Duration
 }
 
 // DefaultQueueConfig returns the production defaults.
 func DefaultQueueConfig() QueueConfig {
-	return QueueConfig{Cap: 1024, MaxBatch: 128, Policy: DropOldest, BlockTimeout: 50 * time.Millisecond}
+	return QueueConfig{Cap: 1024, MaxBatch: 128}
 }
 
 func (q QueueConfig) withDefaults() QueueConfig {
@@ -125,9 +102,6 @@ func (q QueueConfig) withDefaults() QueueConfig {
 	}
 	if q.MaxBatch <= 0 {
 		q.MaxBatch = d.MaxBatch
-	}
-	if q.BlockTimeout <= 0 {
-		q.BlockTimeout = d.BlockTimeout
 	}
 	return q
 }
@@ -358,9 +332,8 @@ func (t *TCP) LocalAddr() string { return t.localAddr }
 // never blocks on the network: dialing, batching, and writing happen on
 // the peer's writer goroutine. It returns an error when the frame was
 // NOT queued — the peer is inside its dial-backoff window (fail fast,
-// like the old transport), an injected fault dropped it, the queue
-// overflowed under BlockWithDeadline, or the transport is closed.
-// Under DropOldest the new frame is always admitted (nil), at the cost
+// like the old transport), an injected fault dropped it, or the
+// transport is closed. A full queue admits the new frame at the cost
 // of the backlog's head.
 func (t *TCP) Send(env overlog.Envelope) error {
 	stats, tr := t.telemetry()
@@ -427,8 +400,8 @@ func (t *TCP) peer(addr string) *peerQ {
 	return p
 }
 
-// enqueue admits one frame under the queue bound, applying the overflow
-// policy. Fail-fast: inside the peer's dial-backoff window nothing is
+// enqueue admits one frame under the queue bound, evicting the oldest
+// when the queue is full. Fail-fast: inside the peer's dial-backoff window nothing is
 // admitted — the peer is known-dead and the writer would only drop it.
 func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) error {
 	p.t.mu.Lock()
@@ -453,36 +426,14 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) erro
 		}
 	}
 	if len(p.queue) >= qcfg.Cap {
-		switch qcfg.Policy {
-		case BlockWithDeadline:
-			deadline := clk.Now().Add(qcfg.BlockTimeout)
-			timer := clk.AfterFunc(qcfg.BlockTimeout, func() { p.cond.Broadcast() })
-			for len(p.queue) >= qcfg.Cap && !p.closed && clk.Now().Before(deadline) {
-				p.cond.Wait()
-			}
-			timer.Stop()
-			if p.closed {
-				return fmt.Errorf("transport: send to %s: transport closed", p.addr)
-			}
-			if len(p.queue) >= qcfg.Cap {
-				p.drops++
-				stats.QueueDrops.Inc()
-				stats.SendErrors.Inc()
-				p.t.event(tr, "drop", msg.Table, msg.TraceID, msg.SpanID,
-					fmt.Sprintf("queue %s: full after %s (cap %d)", p.addr, qcfg.BlockTimeout, qcfg.Cap))
-				return fmt.Errorf("transport: send to %s: queue full (cap %d) after %s",
-					p.addr, qcfg.Cap, qcfg.BlockTimeout)
-			}
-		default: // DropOldest
-			victim := p.queue[0]
-			copy(p.queue, p.queue[1:])
-			p.queue = p.queue[:len(p.queue)-1]
-			clk.track(-p.counted)
-			p.drops++
-			stats.QueueDrops.Inc()
-			p.t.event(tr, "drop", victim.Table, victim.TraceID, victim.SpanID,
-				fmt.Sprintf("queue %s: evicted oldest (cap %d)", p.addr, qcfg.Cap))
-		}
+		victim := p.queue[0]
+		copy(p.queue, p.queue[1:])
+		p.queue = p.queue[:len(p.queue)-1]
+		clk.track(-p.counted)
+		p.drops++
+		stats.QueueDrops.Inc()
+		p.t.event(tr, "drop", victim.Table, victim.TraceID, victim.SpanID,
+			fmt.Sprintf("queue %s: evicted oldest (cap %d)", p.addr, qcfg.Cap))
 	}
 	p.queue = append(p.queue, msg)
 	clk.track(p.counted)
