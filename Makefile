@@ -14,11 +14,13 @@ test: check
 
 # check: static analysis (the lint target, below) plus a race pass
 # over the concurrency-heavy packages (telemetry registry and event
-# ring, wall-clock transport, trace), plus a short fault-injection sweep (see `chaos`
-# below). The telemetry, sim, chaos, and loadgen lines carry the
-# span-tracing and SLO-monitor tests, so concurrent span recording is
-# always raced. internal/overlog has no goroutines and no race line:
-# its Differential tests (semi-naive against naive evaluation) run in
+# ring, wall-clock transport, trace, and rtfs, whose client's TCP link
+# reads its runtime from the caller's goroutine while the node loop
+# runs), plus a short fault-injection sweep (see `chaos` below). The
+# telemetry, sim, chaos, and loadgen lines carry the span-tracing and
+# SLO-monitor tests, so concurrent span recording is always raced.
+# internal/overlog has no goroutines and no race line: its
+# Differential tests (semi-naive against naive evaluation) run in
 # the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
 # families of regression guards — bytes per step, and rules entered or
 # rows compared per step — so a CI log shows them run. The four fuzz
@@ -42,7 +44,7 @@ test: check
 # `go test ./...` do not see: a 1/20-size run of all six workloads with
 # their correctness checks, and its tests (BENCHMARK.json == catalogue).
 check: lint
-	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport
+	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport ./internal/rtfs
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
 	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/overlog

@@ -242,6 +242,12 @@ func runFS(args []string) error {
 	if len(rest) < 1 {
 		return fmt.Errorf("fs: missing operation")
 	}
+	arity := map[string]int{"mkdir": 1, "create": 1, "rm": 1, "exists": 1, "ls": 1, "get": 1, "mv": 2, "put": 2}
+	if n, ok := arity[rest[0]]; !ok {
+		return fmt.Errorf("fs: unknown operation %q", rest[0])
+	} else if len(rest) <= n {
+		return fmt.Errorf("fs %s: missing arguments", rest[0])
+	}
 	addr := *listen
 	if addr == "127.0.0.1:0" {
 		// The node must know its own dialable address; pick a port.
@@ -267,73 +273,36 @@ func runFS(args []string) error {
 		}()
 	}
 
-	op := rest[0]
-	need := func(n int) error {
-		if len(rest) < n+1 {
-			return fmt.Errorf("fs %s: missing arguments", op)
-		}
-		return nil
-	}
-	switch op {
+	a := rest[1:]
+	switch rest[0] {
 	case "mkdir":
-		if err := need(1); err != nil {
-			return err
-		}
-		return cl.Mkdir(rest[1])
+		return cl.Mkdir(a[0])
 	case "create":
-		if err := need(1); err != nil {
-			return err
-		}
-		return cl.Create(rest[1])
+		return cl.Create(a[0])
 	case "rm":
-		if err := need(1); err != nil {
-			return err
-		}
-		return cl.Rm(rest[1])
+		return cl.Rm(a[0])
+	case "mv":
+		return cl.Mv(a[0], a[1])
+	case "put":
+		return cl.WriteFile(a[0], a[1])
 	case "exists":
-		if err := need(1); err != nil {
-			return err
+		ok, err := cl.Exists(a[0])
+		if err == nil {
+			fmt.Println(ok)
 		}
-		ok, err := cl.Exists(rest[1])
-		if err != nil {
-			return err
-		}
-		fmt.Println(ok)
-		return nil
+		return err
 	case "ls":
-		if err := need(1); err != nil {
-			return err
-		}
-		names, err := cl.Ls(rest[1])
-		if err != nil {
-			return err
-		}
+		names, err := cl.Ls(a[0])
 		for _, n := range names {
 			fmt.Println(n)
 		}
-		return nil
-	case "mv":
-		if err := need(2); err != nil {
-			return err
-		}
-		return cl.Mv(rest[1], rest[2])
-	case "put":
-		if err := need(2); err != nil {
-			return err
-		}
-		return cl.WriteFile(rest[1], rest[2], 0)
-	case "get":
-		if err := need(1); err != nil {
-			return err
-		}
-		data, err := cl.ReadFile(rest[1])
-		if err != nil {
-			return err
-		}
-		fmt.Println(data)
-		return nil
+		return err
 	}
-	return fmt.Errorf("fs: unknown operation %q", op)
+	data, err := cl.ReadFile(a[0])
+	if err == nil {
+		fmt.Println(data)
+	}
+	return err
 }
 
 // pickPort reserves an ephemeral localhost port for the client's

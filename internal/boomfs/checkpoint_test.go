@@ -41,11 +41,13 @@ func TestMasterCheckpointRecovery(t *testing.T) {
 	if err := m2.Runtime().RestoreSnapshot(bytes.NewReader(image.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	// Repoint the client and the datanodes (in HDFS terms: the standby's
-	// address comes from config/VIP; here we rewire explicitly). The
-	// extra master fact makes heartbeats reach both the dead master
-	// (dropped by the network) and the recovered one.
-	cl.SetMasters(m2.Addr)
+	// A client of the new address, and the datanodes repointed (in HDFS
+	// terms: the standby's address comes from config/VIP; here we rewire
+	// explicitly). The extra master fact makes heartbeats reach both the
+	// dead master (dropped by the network) and the recovered one.
+	if cl, err = NewClient(c, "client:recovered", cfg, m2.Addr); err != nil {
+		t.Fatal(err)
+	}
 	for _, dnAddr := range []string{"dn:0", "dn:1", "dn:2"} {
 		if rt := c.Node(dnAddr); rt != nil {
 			if err := rt.InstallSource(`master("master:recovered");`); err != nil {

@@ -3,14 +3,16 @@ package boomfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
+	"repro/internal/link"
 	"repro/internal/overlog"
 	"repro/internal/sim"
 )
 
 // ErrTimeout is returned when an operation outlives Config.OpTimeoutMS
-// of simulated time.
+// on its link's clock.
 var ErrTimeout = errors.New("boomfs: operation timed out")
 
 // OpError is a structured failure reported by the master.
@@ -31,44 +33,44 @@ type Response struct {
 	Err    string
 }
 
-// Client is a BOOM-FS client node. Synchronous methods drive the
-// simulation until their response arrives; the Send/Poll pair supports
-// asynchronous use by workload generators that multiplex many
-// outstanding operations.
+// Client is a BOOM-FS client node. It reaches its masters over a
+// link.Link: the simulator's (NewClient) or TCP's (internal/rtfs).
+// Synchronous methods wait on the link until their response arrives;
+// the SendTo/Poll pair supports asynchronous use by workload
+// generators that multiplex many outstanding operations.
 type Client struct {
-	Addr    string
-	cluster *sim.Cluster
-	rt      *overlog.Runtime
-	cfg     Config
-	seq     int64
-	// masters, in preference order; requests go to masters[0] and fail
-	// over down the list on timeout.
-	masters []string
-	// Router, when set, chooses the master for a given path (used by
-	// the hash-partitioned deployment).
-	Router func(path string) string
+	Addr string
 	// UseGateway routes metadata ops through the replicated-master
 	// gateway protocol (fsreq) instead of plain request events.
 	UseGateway bool
 	// RetryMS bounds one attempt against one master before failing over
 	// to the next; 0 means use the whole operation timeout.
 	RetryMS int64
-	// preferred is the index of the last master that answered; retries
-	// start there so clients stick to the new leader after a failover.
-	preferred int
+	rt      *overlog.Runtime
+	cfg     Config
+	// masters, in preference order; requests go to masters[0] and fail
+	// over down the list on timeout.
+	masters []string
+	calls   link.Caller
 }
 
-// NewClient creates a client node on the cluster.
+// NewClient creates a client node on the simulated cluster.
 func NewClient(c *sim.Cluster, addr string, cfg Config, masters ...string) (*Client, error) {
+	rt, err := c.AddNode(addr)
+	if err != nil {
+		return nil, err
+	}
+	return NewClientOn(link.Sim{C: c, RT: rt}, rt, cfg, masters...)
+}
+
+// NewClientOn installs the client rules on rt, the runtime l waits on,
+// and returns a client that reaches its masters over l.
+func NewClientOn(l link.Link, rt *overlog.Runtime, cfg Config, masters ...string) (*Client, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(masters) == 0 {
 		return nil, errors.New("boomfs: client needs at least one master")
-	}
-	rt, err := c.AddNode(addr)
-	if err != nil {
-		return nil, err
 	}
 	if err := rt.InstallSource(ProtocolDecls); err != nil {
 		return nil, err
@@ -76,116 +78,83 @@ func NewClient(c *sim.Cluster, addr string, cfg Config, masters ...string) (*Cli
 	if err := rt.InstallSource(ClientRules); err != nil {
 		return nil, err
 	}
-	return &Client{Addr: addr, cluster: c, rt: rt, cfg: cfg, masters: masters}, nil
+	addr := rt.LocalAddr()
+	return &Client{Addr: addr, rt: rt, cfg: cfg, masters: masters,
+		calls: link.Caller{Link: l, Addr: addr}}, nil
 }
 
-// Runtime exposes the client's runtime (tests).
+// Runtime exposes the client's runtime (tests, and watches on a
+// simulated client; over TCP the node loop owns it).
 func (cl *Client) Runtime() *overlog.Runtime { return cl.rt }
 
-// Masters returns the configured master list.
-func (cl *Client) Masters() []string { return append([]string(nil), cl.masters...) }
-
-// SetMasters replaces the master preference list (failover tests).
-func (cl *Client) SetMasters(masters ...string) { cl.masters = masters }
-
-func (cl *Client) nextReqID() string {
-	cl.seq++
-	return fmt.Sprintf("%s-%d", cl.Addr, cl.seq)
-}
-
-func (cl *Client) masterFor(path string) string {
-	if cl.Router != nil {
-		return cl.Router(path)
-	}
-	return cl.masters[0]
-}
-
-// Send issues a metadata request asynchronously and returns its ReqId.
-func (cl *Client) Send(op, path, arg string) string {
-	return cl.SendTo(cl.masterFor(path), op, path, arg)
-}
-
-// SendTo issues a metadata request to a specific master.
-func (cl *Client) SendTo(master, op, path, arg string) string {
-	id := cl.nextReqID()
-	cl.resend(master, id, op, path, arg)
-	return id
-}
-
-// resend re-issues a request under an existing id (failover retries in
-// gateway mode — the replay dedup makes same-id retries exactly-once).
-func (cl *Client) resend(master, id, op, path, arg string) {
+// request encodes a metadata request to master under id.
+func (cl *Client) request(master, id, op, path, arg string) overlog.Tuple {
 	table := "request"
 	if cl.UseGateway {
 		table = "fsreq"
 	}
-	cl.cluster.Inject(master, overlog.NewTuple(table,
-		overlog.Addr(master), overlog.Str(id), overlog.Addr(cl.Addr),
-		overlog.Str(op), overlog.Str(path), overlog.Str(arg)), 0)
+	return overlog.NewTuple(table, overlog.Addr(master), overlog.Str(id), overlog.Addr(cl.Addr),
+		overlog.Str(op), overlog.Str(path), overlog.Str(arg))
+}
+
+// SendTo issues a metadata request to a specific master without
+// waiting, and returns its ReqId.
+func (cl *Client) SendTo(master, op, path, arg string) string {
+	id := cl.calls.NextID()
+	_ = cl.calls.Link.Send(master, cl.request(master, id, op, path, arg))
+	return id
 }
 
 // Poll checks for a response to a previously sent request.
 func (cl *Client) Poll(reqID string) (*Response, bool) {
-	tp, ok := cl.rt.Table("resp_log").LookupKey(overlog.NewTuple("resp_log",
-		overlog.Str(reqID), overlog.Bool(false), overlog.List(), overlog.Str("")))
-	if !ok {
-		return nil, false
-	}
-	return &Response{
-		Ok:     tp.Vals[1].AsBool(),
-		Result: tp.Vals[2].AsList(),
-		Err:    tp.Vals[3].AsString(),
-	}, true
+	var resp *Response
+	ok, _ := cl.calls.Link.Await(func(rt *overlog.Runtime) bool {
+		resp = response(rt, reqID)
+		return resp != nil
+	}, math.MinInt64)
+	return resp, ok
 }
 
-// call sends a request and runs the simulation until the response
-// arrives. It cycles through the master list, bounding each attempt by
-// RetryMS, until the overall operation timeout expires.
+// response reads id's answer from the client's resp_log, or nil.
+func response(rt *overlog.Runtime, id string) *Response {
+	tp, ok := rt.Table("resp_log").LookupKey(overlog.NewTuple("resp_log",
+		overlog.Str(id), overlog.Bool(false), overlog.List(), overlog.Str("")))
+	if !ok {
+		return nil
+	}
+	return &Response{Ok: tp.Vals[1].AsBool(), Result: tp.Vals[2].AsList(), Err: tp.Vals[3].AsString()}
+}
+
+// call sends a metadata request down the master list until a response
+// arrives or the operation timeout expires (link.Caller.Call).
 func (cl *Client) call(op, path, arg string) (*Response, error) {
-	masters := cl.masters
-	if cl.Router != nil {
-		masters = []string{cl.masterFor(path)}
+	return cl.callOn(cl.masters, cl.RetryMS, op, path, arg)
+}
+
+// CallTo issues one synchronous metadata request to an explicit master
+// (used by the partitioned deployment, which routes per-path itself).
+func (cl *Client) CallTo(master, op, path, arg string) (*Response, error) {
+	return cl.callOn([]string{master}, 0, op, path, arg)
+}
+
+func (cl *Client) callOn(masters []string, retryMS int64, op, path, arg string) (*Response, error) {
+	var resp *Response
+	tries, ok, err := cl.calls.Call(link.Request{
+		Targets: masters, TimeoutMS: cl.cfg.OpTimeoutMS, RetryMS: retryMS,
+		// In direct mode each master executes independently: a fresh id
+		// per try (see link.Request.OneID).
+		OneID: cl.UseGateway,
+		Tuple: func(to, id string) overlog.Tuple { return cl.request(to, id, op, path, arg) },
+		Done: func(rt *overlog.Runtime, id string) bool {
+			resp = response(rt, id)
+			return resp != nil
+		},
+		Op: op, Path: path,
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %s %s (tried %d time(s))", ErrTimeout, op, path, tries)
 	}
-	perTry := cl.RetryMS
-	if perTry <= 0 {
-		perTry = cl.cfg.OpTimeoutMS
-	}
-	overall := cl.cluster.Now() + cl.cfg.OpTimeoutMS
-	tries := 0
-	// In gateway mode every retry reuses one request id: replicas
-	// replay a shared log with per-id dedup (internal/rsm seen_op), so
-	// any replica's response is authoritative and a retry whose
-	// predecessor actually committed cannot re-execute the write. In
-	// direct mode each master executes independently, so a response is
-	// only trusted for the attempt that asked — fresh id per try.
-	var id string
-	if cl.UseGateway {
-		id = cl.nextReqID()
-	}
-	for cl.cluster.Now() < overall {
-		idx := (cl.preferred + tries) % len(masters)
-		m := masters[idx]
-		tries++
-		if cl.UseGateway {
-			cl.resend(m, id, op, path, arg)
-		} else {
-			id = cl.SendTo(m, op, path, arg)
-		}
-		resp, err := cl.await(id, min(cl.cluster.Now()+perTry, overall))
-		if err != nil {
-			return nil, err
-		}
-		if resp != nil {
-			if cl.Router == nil {
-				cl.preferred = idx
-			}
-			return resp, nil
-		}
-		if tries >= len(masters) && cl.RetryMS <= 0 {
-			break // no retry budget configured; one pass is enough
-		}
-	}
-	return nil, fmt.Errorf("%w: %s %s (tried %d time(s))", ErrTimeout, op, path, tries)
+	return resp, err
 }
 
 func (cl *Client) callOK(op, path, arg string) (*Response, error) {
@@ -197,28 +166,6 @@ func (cl *Client) callOK(op, path, arg string) (*Response, error) {
 		return resp, &OpError{Op: op, Path: path, Msg: resp.Err}
 	}
 	return resp, nil
-}
-
-// await runs the simulation until the response to id arrives (returned)
-// or the clock passes deadline (nil).
-func (cl *Client) await(id string, deadline int64) (*Response, error) {
-	var resp *Response
-	_, err := cl.cluster.RunUntil(func() bool {
-		r, ok := cl.Poll(id)
-		resp = r
-		return ok
-	}, deadline)
-	return resp, err
-}
-
-// CallTo issues one synchronous metadata request to an explicit master
-// (used by the partitioned deployment, which routes per-path itself).
-func (cl *Client) CallTo(master, op, path, arg string) (*Response, error) {
-	resp, err := cl.await(cl.SendTo(master, op, path, arg), cl.cluster.Now()+cl.cfg.OpTimeoutMS)
-	if err == nil && resp == nil {
-		err = fmt.Errorf("%w: %s %s @%s", ErrTimeout, op, path, master)
-	}
-	return resp, err
 }
 
 // Mkdir creates a directory; the parent must exist.
@@ -279,8 +226,8 @@ func (cl *Client) AddChunk(path string) (int64, []string, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(resp.Result) < 1 {
-		return 0, nil, &OpError{Op: "addchunk", Path: path, Msg: "malformed response"}
+	if len(resp.Result) < 2 {
+		return 0, nil, &OpError{Op: "addchunk", Path: path, Msg: "no locations"}
 	}
 	id := resp.Result[0].AsInt()
 	locs := make([]string, 0, len(resp.Result)-1)
@@ -318,21 +265,23 @@ func (cl *Client) WriteChunk(chunkID int64, locs []string, data string) error {
 	if len(locs) == 0 {
 		return &OpError{Op: "writechunk", Msg: "no locations"}
 	}
-	id := cl.nextReqID()
+	id := cl.calls.NextID()
 	rest := make([]overlog.Value, 0, len(locs)-1)
 	for _, l := range locs[1:] {
 		rest = append(rest, overlog.Addr(l))
 	}
-	cl.cluster.Inject(locs[0], overlog.NewTuple("dn_write",
+	l := cl.calls.Link
+	if err := l.Send(locs[0], overlog.NewTuple("dn_write",
 		overlog.Addr(locs[0]), overlog.Str(id), overlog.Addr(cl.Addr),
-		overlog.Int(chunkID), overlog.Str(data), overlog.List(rest...)), 0)
+		overlog.Int(chunkID), overlog.Str(data), overlog.List(rest...))); err != nil {
+		return err
+	}
 	want := len(locs)
-	deadline := cl.cluster.Now() + cl.cfg.OpTimeoutMS
 	acks := 0
-	met, err := cl.cluster.RunUntil(func() bool {
-		acks = len(cl.rt.Table("ack_log").Match([]int{0}, []overlog.Value{overlog.Str(id)}))
+	met, err := l.Await(func(rt *overlog.Runtime) bool {
+		acks = len(rt.Table("ack_log").Match([]int{0}, []overlog.Value{overlog.Str(id)}))
 		return acks >= want
-	}, deadline)
+	}, l.Now()+cl.cfg.OpTimeoutMS)
 	if err != nil {
 		return err
 	}
@@ -344,23 +293,24 @@ func (cl *Client) WriteChunk(chunkID int64, locs []string, data string) error {
 
 // ReadChunk fetches chunk bytes, trying each location in turn.
 func (cl *Client) ReadChunk(chunkID int64, locs []string) (string, error) {
+	l := cl.calls.Link
 	for _, loc := range locs {
-		id := cl.nextReqID()
-		cl.cluster.Inject(loc, overlog.NewTuple("dn_read",
-			overlog.Addr(loc), overlog.Str(id), overlog.Addr(cl.Addr), overlog.Int(chunkID)), 0)
+		id := cl.calls.NextID()
+		if err := l.Send(loc, overlog.NewTuple("dn_read",
+			overlog.Addr(loc), overlog.Str(id), overlog.Addr(cl.Addr), overlog.Int(chunkID))); err != nil {
+			continue
+		}
 		var data string
-		var ok, got bool
-		deadline := cl.cluster.Now() + cl.cfg.OpTimeoutMS/4
-		if _, err := cl.cluster.RunUntil(func() bool {
-			tp, found := cl.rt.Table("read_log").LookupKey(overlog.NewTuple("read_log",
+		var ok bool
+		got, err := l.Await(func(rt *overlog.Runtime) bool {
+			tp, found := rt.Table("read_log").LookupKey(overlog.NewTuple("read_log",
 				overlog.Str(id), overlog.Int(0), overlog.Str(""), overlog.Bool(false)))
 			if found {
-				data = tp.Vals[2].AsString()
-				ok = tp.Vals[3].AsBool()
-				got = true
+				data, ok = tp.Vals[2].AsString(), tp.Vals[3].AsBool()
 			}
 			return found
-		}, deadline); err != nil {
+		}, l.Now()+cl.cfg.OpTimeoutMS/4)
+		if err != nil {
 			return "", err
 		}
 		if got && ok {

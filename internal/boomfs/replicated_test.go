@@ -134,8 +134,8 @@ func TestClientSticksToNewLeaderAfterFailover(t *testing.T) {
 	if err := cl.Mkdir("/pre"); err != nil {
 		t.Fatal(err)
 	}
-	if cl.preferred != 0 {
-		t.Fatalf("precondition: preferred=%d, want the primary", cl.preferred)
+	if cl.calls.Preferred() != 0 {
+		t.Fatalf("precondition: preferred=%d, want the primary", cl.calls.Preferred())
 	}
 	c.Kill(rm.Replicas[0])
 
@@ -152,10 +152,10 @@ func TestClientSticksToNewLeaderAfterFailover(t *testing.T) {
 		t.Fatalf("failover op took %dms; expected roughly a %dms probe of the dead primary",
 			failoverMS, cl.RetryMS)
 	}
-	if cl.preferred == 0 {
+	if cl.calls.Preferred() == 0 {
 		t.Fatal("client preference still points at the dead primary")
 	}
-	newPref := cl.preferred
+	newPref := cl.calls.Preferred()
 
 	// Steady state: ops complete well inside one retry window, because
 	// no attempt goes to the dead primary anymore.
@@ -167,8 +167,8 @@ func TestClientSticksToNewLeaderAfterFailover(t *testing.T) {
 		if d := c.Now() - start; d >= cl.RetryMS {
 			t.Fatalf("post-failover op %d took %dms — still probing the dead primary", i, d)
 		}
-		if cl.preferred != newPref {
-			t.Fatalf("preference drifted to %d mid-steady-state", cl.preferred)
+		if cl.calls.Preferred() != newPref {
+			t.Fatalf("preference drifted to %d mid-steady-state", cl.calls.Preferred())
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // The live scenarios share their names, seed-derived schedules,
 // protocol configs, monitor windows, setup and bodies with the
-// simulated registry — one fault plan, two drivers. Only the fs
-// scenario's client is the live one, rtfs's.
+// simulated registry — one fault plan, two drivers. The fs scenario's
+// client is the same boomfs.Client on rtfs's TCP link.
 
 // Registry lists the scenarios that run over real TCP. fs-weak is
 // omitted deliberately: it exists to prove the *deterministic* harness
@@ -46,26 +46,17 @@ func runFS(seed int64, sched chaos.Schedule) chaos.Outcome {
 		out.Err = err
 		return out
 	}
-	// The failover client joins the cluster's clock and its fault plane:
-	// its sends suffer the same partitions and loss bursts as everyone
-	// else's.
-	ln, err := reserveAddr()
-	var cl *rtfs.Client
-	if err == nil {
-		ln.Close()
-		cl, err = rtfs.NewReplicatedClient(ln.Addr().String(), addrs,
+	cl, err := joinClient(lc, func(addr string) (*rtfs.Client, error) {
+		return rtfs.NewReplicatedClient(addr, addrs,
 			time.Duration(p.Config().OpTimeoutMS)*time.Millisecond, chaos.FSRetryMS*time.Millisecond)
-	}
+	})
 	if err != nil {
 		out.Err = err
 		return out
 	}
 	defer cl.Close()
-	cl.Transport().SetClock(lc.Clock())
-	cl.Transport().SetFaults(lc.Faults())
-	cl.Transport().SetDialBackoff(redialBase, redialCap)
 
-	out.Err = p.Workload(lc, cl, sched, masters, func(v chaos.Violation) {
+	out.Err = p.Workload(lc, cl.Client, sched, masters, func(v chaos.Violation) {
 		v.Node = "client"
 		lc.RunOn(masters[0], func(rt *overlog.Runtime) { chaos.RecordViolation(rt, v) })
 	})
@@ -73,6 +64,25 @@ func runFS(seed int64, sched chaos.Schedule) chaos.Outcome {
 		out.Violations, out.Err = chaos.Collect(lc, lc.Nodes()), lc.Err()
 	}
 	return out
+}
+
+// joinClient starts an FS client at a free port and joins it to the
+// cluster's clock and fault plane: its sends suffer the same
+// partitions and loss bursts as everyone else's.
+func joinClient(lc *Cluster, start func(addr string) (*rtfs.Client, error)) (*rtfs.Client, error) {
+	ln, err := reserveAddr()
+	if err != nil {
+		return nil, err
+	}
+	ln.Close()
+	cl, err := start(ln.Addr().String())
+	if err != nil {
+		return nil, err
+	}
+	cl.Transport().SetClock(lc.Clock())
+	cl.Transport().SetFaults(lc.Faults())
+	cl.Transport().SetDialBackoff(redialBase, redialCap)
+	return cl, nil
 }
 
 func runPaxos(seed int64, sched chaos.Schedule) chaos.Outcome {

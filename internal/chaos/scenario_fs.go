@@ -210,21 +210,11 @@ func (p FSParams) Build(c Builder) (masters, addrs []string, err error) {
 	return masters, addrs, nil
 }
 
-// FSClient is what the fs workload needs of a client: the simulator's
-// boomfs client and the live rtfs client both have it.
-type FSClient interface {
-	Mkdir(path string) error
-	Create(path string) error
-	AddChunk(path string) (int64, []string, error)
-	WriteChunk(cid int64, locs []string, data string) error
-	ReadFile(path string) (string, error)
-}
-
 // Workload applies the schedule, writes the files through cl while the
 // faults fire, reports each acked chunk to the masters' monitors, and
 // after the monitors' grace window hands record a read-back violation
 // for every acked write that no longer reads back.
-func (p FSParams) Workload(c Driver, cl FSClient, sched Schedule, masters []string, record func(Violation)) error {
+func (p FSParams) Workload(c Driver, cl *boomfs.Client, sched Schedule, masters []string, record func(Violation)) error {
 	cfg, mcfg := p.Config(), p.mon()
 	if err := sched.Apply(c); err != nil {
 		return err

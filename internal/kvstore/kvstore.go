@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/link"
 	"repro/internal/overlog"
 	"repro/internal/overlog/analysis"
 	"repro/internal/paxos"
@@ -87,15 +88,14 @@ var ErrTimeout = errors.New("kvstore: operation timed out")
 // Client issues synchronous operations against the group, retrying
 // down the replica list.
 type Client struct {
-	Addr    string
-	group   *Group
-	cluster *sim.Cluster
-	rt      *overlog.Runtime
-	seq     int64
-	// TimeoutMS bounds each operation; RetryMS bounds one attempt.
+	Addr  string
+	group *Group
+	rt    *overlog.Runtime
+	calls link.Caller
+	// TimeoutMS bounds each operation; RetryMS bounds one attempt, and
+	// 0 gives each replica the whole timeout, in one pass.
 	TimeoutMS int64
 	RetryMS   int64
-	preferred int
 }
 
 // NewClient creates a client node.
@@ -107,13 +107,8 @@ func NewClient(c *sim.Cluster, addr string, g *Group) (*Client, error) {
 	if err := rt.InstallSource(clientRules); err != nil {
 		return nil, err
 	}
-	return &Client{Addr: addr, group: g, cluster: c, rt: rt,
+	return &Client{Addr: addr, group: g, rt: rt, calls: link.Caller{Link: link.Sim{C: c, RT: rt}, Addr: addr},
 		TimeoutMS: 60_000, RetryMS: 3_000}, nil
-}
-
-func (cl *Client) nextID() string {
-	cl.seq++
-	return fmt.Sprintf("%s-%d", cl.Addr, cl.seq)
 }
 
 // Runtime exposes the client's runtime, so load generators can watch
@@ -125,48 +120,43 @@ func (cl *Client) Runtime() *overlog.Runtime { return cl.rt }
 // row on the client node. No retries, no failover — open-loop load
 // generation wants the raw one-shot outcome.
 func (cl *Client) SendPut(key, value string) string {
-	id := cl.nextID()
-	cl.send(cl.group.Replicas[cl.preferred%len(cl.group.Replicas)], id, "kv_put", key, value)
+	id := cl.calls.NextID()
+	to := cl.group.Replicas[cl.calls.Preferred()%len(cl.group.Replicas)]
+	_ = cl.calls.Link.Send(to, cl.request(to, id, "kv_put", key, value))
 	return id
 }
 
-// send injects op(@replica, id, client, args...) at a replica.
-func (cl *Client) send(replica, id, op string, args ...string) {
+// request encodes op(@replica, id, client, args...).
+func (cl *Client) request(replica, id, op string, args ...string) overlog.Tuple {
 	vals := []overlog.Value{overlog.Addr(replica), overlog.Str(id), overlog.Addr(cl.Addr)}
 	for _, a := range args {
 		vals = append(vals, overlog.Str(a))
 	}
-	cl.cluster.Inject(replica, overlog.NewTuple(op, vals...), 0)
+	return overlog.NewTuple(op, vals...)
 }
 
-// call sends an operation down the replica list until a response
-// arrives or the timeout passes, and returns the response's Found and
-// V. Every attempt carries the same request id: the replicas replay
-// one log with per-id dedup (internal/rsm), so a retry whose
-// predecessor committed is acknowledged, not applied again, and any
-// replica's response for the id is authoritative.
+// call sends an operation down the replica list under one request id
+// (link.Caller.Call) and returns the response's Found and V.
 func (cl *Client) call(op string, args ...string) (bool, string, error) {
-	overall := cl.cluster.Now() + cl.TimeoutMS
-	id := cl.nextID()
-	for tries := 0; cl.cluster.Now() < overall; tries++ {
-		idx := (cl.preferred + tries) % len(cl.group.Replicas)
-		cl.send(cl.group.Replicas[idx], id, op, args...)
-		var resp overlog.Tuple
-		got, err := cl.cluster.RunUntil(func() bool {
-			var ok bool
-			resp, ok = cl.rt.Table("kvr").LookupKey(overlog.NewTuple("kvr",
+	var resp overlog.Tuple
+	_, ok, err := cl.calls.Call(link.Request{
+		Targets: cl.group.Replicas, TimeoutMS: cl.TimeoutMS, RetryMS: cl.RetryMS, OneID: true,
+		Tuple: func(to, id string) overlog.Tuple { return cl.request(to, id, op, args...) },
+		Done: func(rt *overlog.Runtime, id string) bool {
+			var found bool
+			resp, found = rt.Table("kvr").LookupKey(overlog.NewTuple("kvr",
 				overlog.Str(id), overlog.Bool(false), overlog.Str("")))
-			return ok
-		}, min(cl.cluster.Now()+cl.RetryMS, overall))
-		if err != nil {
-			return false, "", err
-		}
-		if got {
-			cl.preferred = idx
-			return resp.Vals[1].AsBool(), resp.Vals[2].AsString(), nil
-		}
+			return found
+		},
+		Op: op,
+	})
+	if err != nil {
+		return false, "", err
 	}
-	return false, "", ErrTimeout
+	if !ok {
+		return false, "", ErrTimeout
+	}
+	return resp.Vals[1].AsBool(), resp.Vals[2].AsString(), nil
 }
 
 // Put writes a key.

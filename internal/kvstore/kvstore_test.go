@@ -241,3 +241,21 @@ func TestRetryAfterLostAckIsExactlyOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestPutWithoutRetryBudget: with RetryMS 0 each replica gets the whole
+// timeout in one pass, so a put completes; an attempt bounded by now+0
+// would re-send at one virtual instant forever.
+func TestPutWithoutRetryBudget(t *testing.T) {
+	c, g, cl := setup(t, 3)
+	cl.RetryMS = 0
+	start := c.Now()
+	if err := cl.Put("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Now() - start; d >= cl.TimeoutMS {
+		t.Fatalf("put took %d ms", d)
+	}
+	if v, ok := g.ReplicaValue(cl.calls.Preferred(), "k"); !ok || v != "v" {
+		t.Fatalf("replica %d: %q %v", cl.calls.Preferred(), v, ok)
+	}
+}

@@ -1238,9 +1238,10 @@ type catalog struct {
 	strata []*stratum
 	// fire lists, when some rule reads sys::fire, the rows the runtime
 	// refreshes it with each step: one per rule name, in rule order.
-	// render says a rule reads a relation renderCatalog fills.
+	// render lists the relations renderCatalog fills that some rule
+	// reads.
 	fire   []fireRow
-	render bool
+	render []string
 }
 
 func newCatalog(tables map[string]*Table) *catalog {

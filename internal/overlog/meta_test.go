@@ -164,6 +164,32 @@ sys::rule(1, 0, "p", "p_r1", "b", "insert", false, 6, 3)`; got != want {
 	}
 }
 
+// TestCatalogRenderedPerRelation: a runtime whose only catalog reader
+// is a rule over sys::rule stores sys::rule and nothing else of the
+// catalog, through install and steps; reading sys::atom renders it.
+func TestCatalogRenderedPerRelation(t *testing.T) {
+	rt := NewRuntime("n1")
+	mustInstall(t, rt, `
+		table a(X: int) keys(0);
+		table b(X: int) keys(0);
+		table nrules(K: string, N: int) keys(0);
+		r1 b(X) :- a(X);
+		r2 nrules("n", count<R>) :- sys::rule(R, _, _, _, _, _, _, _, _);
+	`)
+	stepN(t, rt, 3)
+	if n := rt.tables["sys::rule"].Len(); n != 2 {
+		t.Fatalf("sys::rule holds %d rows, want 2", n)
+	}
+	for _, name := range CatalogRelations() {
+		if n := rt.tables[name].Len(); name != "sys::rule" && n != 0 {
+			t.Fatalf("%s holds %d rows with no reader", name, n)
+		}
+	}
+	if rt.Table("sys::atom").Len() == 0 {
+		t.Fatal("reading sys::atom did not render it")
+	}
+}
+
 // TestCatalogRenderedForReaders: a rule reading a catalog relation
 // renders it at install, and each later install adds its rows.
 func TestCatalogRenderedForReaders(t *testing.T) {

@@ -96,10 +96,11 @@ type Runtime struct {
 	tables map[string]*Table
 	period []*periodicState
 	// progs retains every installed program (AST + pragmas) so analysis
-	// tooling can inspect the live catalog. The sys:: catalog relations
-	// hold the first catalogProgs of them (renderCatalog).
+	// tooling can inspect the live catalog. Each rendered sys:: catalog
+	// relation holds the first catalogProgs[name] of them
+	// (renderCatalog).
 	progs        []*Program
-	catalogProgs int
+	catalogProgs map[string]int
 
 	rng       *rand.Rand
 	idCounter int64
@@ -320,8 +321,8 @@ func (r *Runtime) RuleStats() map[string]int64 {
 // Table returns the storage for a declared table, or nil. Reading a
 // catalog relation renders the installed programs into it first.
 func (r *Runtime) Table(name string) *Table {
-	if r.catalogProgs != len(r.progs) && rendered(name) {
-		r.renderCatalog()
+	if rendered(name) && r.catalogProgs[name] != len(r.progs) {
+		r.renderCatalog(name)
 	}
 	return r.tables[name]
 }
@@ -501,8 +502,8 @@ func (r *Runtime) Install(prog *Program) error {
 			return err
 		}
 	}
-	if r.cat.render {
-		r.renderCatalog()
+	if len(r.cat.render) > 0 {
+		r.renderCatalog(r.cat.render...)
 	}
 	if r.wakeHook != nil {
 		r.wakeHook()
@@ -550,15 +551,22 @@ func (r *Runtime) groundFact(f *Fact) (Tuple, error) {
 	return NewTuple(f.Atom.Table, vals...), nil
 }
 
-// renderCatalog brings the sys:: catalog relations up to date with
-// the installed programs. A program installed later only adds rows, or
-// displaces one by key (an atom that becomes a table when a later
-// program declares a builtin's name), so the rows already stored are
-// inserted again as no-ops.
-func (r *Runtime) renderCatalog() {
-	r.catalogProgs = len(r.progs)
+// renderCatalog brings the named sys:: catalog relations up to date
+// with the installed programs; the others stay as they are until read.
+// A program installed later only adds rows, or displaces one by key (an
+// atom that becomes a table when a later program declares a builtin's
+// name), so the rows already stored are inserted again as no-ops.
+func (r *Runtime) renderCatalog(names ...string) {
+	if r.catalogProgs == nil {
+		r.catalogProgs = map[string]int{}
+	}
+	for _, name := range names {
+		r.catalogProgs[name] = len(r.progs)
+	}
 	for _, tp := range NewModel(r.progs).Rows("sys::") {
-		_, _ = r.insertLocal(tp, "sys")
+		if slices.Contains(names, tp.Table) {
+			_, _ = r.insertLocal(tp, "sys")
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package overlog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -285,13 +286,15 @@ type fireRow struct {
 // a rendered catalog relation, and whether any reads sys::fire and, if
 // so, which rows refresh it.
 func (c *catalog) planCatalogReads() {
-	c.fire, c.render = nil, false
+	c.fire, c.render = nil, nil
 	read := false
 	for _, cr := range c.rules {
 		for _, op := range cr.body {
 			if op.kind == opScan || op.kind == opNotin {
 				read = read || op.table == "sys::fire"
-				c.render = c.render || rendered(op.table)
+				if rendered(op.table) && !slices.Contains(c.render, op.table) {
+					c.render = append(c.render, op.table)
+				}
 			}
 		}
 	}

@@ -6,12 +6,10 @@ package rtfs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/boomfs"
@@ -274,313 +272,101 @@ func (s *Server) StartMetricSweep(intervalMS int64, prefixes ...string) {
 	}()
 }
 
-// Client is a real-time FS client: it owns a node (to receive
-// responses) and issues synchronous operations with wall deadlines.
+// Client is a real-time FS client: a boomfs.Client on a TCP link. It
+// owns a node (to receive responses) and waits on its transport's
+// clock. Reg holds its transport counters; Tracer is its event ring:
+// one root span per op, whose request ID doubles as the trace ID, so
+// /debug/trace?id= on any node the op touched shows the same tree the
+// client started.
 type Client struct {
-	Addr    string
-	Master  string
-	Timeout time.Duration
-
-	// Masters, when non-empty, turns on replica failover: metadata ops
-	// rotate through the list (see NewReplicatedClient). UseGateway
-	// routes them through the replicated-master fsreq protocol; Retry
-	// bounds one attempt against one replica.
-	Masters    []string
-	UseGateway bool
-	Retry      time.Duration
-
-	// Reg records client-observed op latency histograms
-	// (boomfs_op_ms{op=...}). Tracer is the client's event ring: one
-	// root span per op, whose request ID doubles as the trace ID, so
-	// /debug/trace?id= on any node the op touched shows the same tree
-	// the client started.
+	*boomfs.Client
 	Reg    *telemetry.Registry
 	Tracer *telemetry.Tracer
-
-	node      *transport.Node
-	tcp       *transport.TCP
-	seq       int64
-	preferred int
+	link   *tcpLink
 }
 
-// NewClient starts a client node at addr speaking to master.
+// NewClient starts a client node at addr speaking to master; each op
+// may take timeout.
 func NewClient(addr, master string, timeout time.Duration) (*Client, error) {
+	return newClient(addr, timeout, master)
+}
+
+func newClient(addr string, timeout time.Duration, masters ...string) (*Client, error) {
+	cfg := boomfs.DefaultConfig()
+	cfg.OpTimeoutMS = timeout.Milliseconds()
 	rt := overlog.NewRuntime(addr)
-	if err := rt.InstallSource(boomfs.ProtocolDecls); err != nil {
-		return nil, err
-	}
-	if err := rt.InstallSource(boomfs.ClientRules); err != nil {
-		return nil, err
-	}
-	var tcp *transport.TCP
-	node := transport.NewNode(rt, func(env overlog.Envelope) error { return tcp.Send(env) })
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(0)
-	telemetry.AttachRuntime(reg, "", rt)
-	telemetry.AttachTracer(tracer, addr, rt, func() int64 { return tcp.Clock().Now().UnixMilli() })
-	var err error
-	tcp, err = transport.ListenTCP(node, addr)
+	lk := &tcpLink{}
+	fs, err := boomfs.NewClientOn(lk, rt, cfg, masters...)
 	if err != nil {
 		return nil, err
 	}
-	tcp.SetTelemetry(transport.NewTCPStats(reg))
-	tcp.SetTracer(tracer)
-	go node.Run()
-	return &Client{Addr: addr, Master: master, Timeout: timeout,
-		Reg: reg, Tracer: tracer, node: node, tcp: tcp}, nil
-}
-
-// startOpSpan opens the root span of one client op; the returned
-// finish records it once the outcome is known. The span is marked
-// active for the request's trace so the first outbound frame parents
-// to it. No-op without a tracer.
-func (c *Client) startOpSpan(id, op, path string) func(outcome string) {
-	if c.Tracer == nil {
-		return func(string) {}
+	lk.node = transport.NewNode(rt, func(env overlog.Envelope) error { return lk.tcp.Send(env) })
+	reg := telemetry.NewRegistry()
+	lk.tracer = telemetry.NewTracer(0)
+	telemetry.AttachRuntime(reg, "", rt)
+	telemetry.AttachTracer(lk.tracer, addr, rt, lk.Now)
+	if lk.tcp, err = transport.ListenTCP(lk.node, addr); err != nil {
+		return nil, err
 	}
-	span := c.Tracer.NextID(c.Addr)
-	c.Tracer.SetActive(c.Addr, id, span)
-	start := c.tcp.Clock().Now().UnixMilli()
-	return func(outcome string) {
-		c.Tracer.Record(telemetry.Span{TraceID: id, SpanID: span, Node: c.Addr,
-			Kind: "op", Op: op, StartMS: start, EndMS: c.tcp.Clock().Now().UnixMilli(),
-			Detail: path + " " + outcome})
-	}
+	lk.tcp.SetTelemetry(transport.NewTCPStats(reg))
+	lk.tcp.SetTracer(lk.tracer)
+	go lk.node.Run()
+	return &Client{Client: fs, Reg: reg, Tracer: lk.tracer, link: lk}, nil
 }
 
 // Close stops the client.
 func (c *Client) Close() {
-	c.node.Stop()
-	c.tcp.Close()
+	c.link.node.Stop()
+	c.link.tcp.Close()
 }
 
 // Transport exposes the client's TCP transport, so a harness can wire
 // the shared fault plane and dial backoff into it — the client is a
 // cluster participant and suffers partitions and loss like any node.
-func (c *Client) Transport() *transport.TCP { return c.tcp }
+func (c *Client) Transport() *transport.TCP { return c.link.tcp }
 
-// poll checks done every 2 ms on the client's clock until it holds or
-// d has passed, and reports whether it held.
-func (c *Client) poll(d time.Duration, done func() bool) bool {
-	clk := c.tcp.Clock()
-	deadline := clk.Now().Add(d)
-	for clk.Now().Before(deadline) {
-		if done() {
-			return true
+// tcpLink is a client's link.Link over TCP. The clock is the
+// transport's, read at each call, since a harness may replace it after
+// the client starts.
+type tcpLink struct {
+	node   *transport.Node
+	tcp    *transport.TCP
+	tracer *telemetry.Tracer
+}
+
+func (l *tcpLink) Send(to string, tp overlog.Tuple) error {
+	return l.tcp.Send(overlog.Envelope{To: to, Tuple: tp})
+}
+
+func (l *tcpLink) Now() int64 { return l.tcp.Clock().Now().UnixMilli() }
+
+// Await checks cond under the node's lock, then every 2 ms on the
+// client's clock, until it holds or the deadline has passed.
+func (l *tcpLink) Await(cond func(*overlog.Runtime) bool, deadline int64) (bool, error) {
+	clk := l.tcp.Clock()
+	for {
+		held := false
+		l.node.Runtime(func(rt *overlog.Runtime) { held = cond(rt) })
+		if held {
+			return true, nil
+		}
+		if clk.Now().UnixMilli() >= deadline {
+			return false, nil
 		}
 		clk.Sleep(2 * time.Millisecond)
 	}
-	return false
 }
 
-func (c *Client) nextReqID() string {
-	c.seq++
-	return fmt.Sprintf("%s-%d", c.Addr, c.seq)
-}
-
-// call issues one metadata op and waits for the response. Each op is
-// one trace span: the request ID doubles as the trace ID that the
-// master's and datanodes' event rings index.
-func (c *Client) call(op, path, arg string) (*boomfs.Response, error) {
-	clk := c.tcp.Clock()
-	start := clk.Now()
-	defer func() {
-		c.Reg.Histogram(telemetry.L("boomfs_op_ms", "op", op),
-			"client-observed metadata op latency (ms)", nil).
-			Observe(float64(clk.Now().Sub(start).Nanoseconds()) / 1e6)
-	}()
-	if len(c.Masters) > 0 {
-		return c.callReplicated(op, path, arg)
+// StartOp opens the root span of one client op; the returned finish
+// records it once the outcome is known. The span is marked active for
+// the request's trace so the first outbound frame parents to it.
+func (l *tcpLink) StartOp(id, op, path string) func(outcome string) {
+	addr := l.tcp.LocalAddr()
+	span := l.tracer.NextID(addr)
+	l.tracer.SetActive(addr, id, span)
+	start := l.Now()
+	return func(outcome string) {
+		l.tracer.Record(telemetry.Span{TraceID: id, SpanID: span, Node: addr,
+			Kind: "op", Op: op, StartMS: start, EndMS: l.Now(), Detail: path + " " + outcome})
 	}
-	id := c.nextReqID()
-	finish := c.startOpSpan(id, op, path)
-	if err := c.tcp.Send(overlog.Envelope{To: c.Master, Tuple: overlog.NewTuple("request",
-		overlog.Addr(c.Master), overlog.Str(id), overlog.Addr(c.Addr),
-		overlog.Str(op), overlog.Str(path), overlog.Str(arg))}); err != nil {
-		finish("send-error")
-		return nil, err
-	}
-	var resp *boomfs.Response
-	if c.poll(c.Timeout, func() bool { resp = c.pollResponse(id); return resp != nil }) {
-		finish("ok")
-		return resp, nil
-	}
-	finish("timeout")
-	return nil, fmt.Errorf("rtfs: %s %s: timeout after %v", op, path, c.Timeout)
-}
-
-func (c *Client) callOK(op, path, arg string) (*boomfs.Response, error) {
-	resp, err := c.call(op, path, arg)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.Ok {
-		return resp, &boomfs.OpError{Op: op, Path: path, Msg: resp.Err}
-	}
-	return resp, nil
-}
-
-// Mkdir creates a directory.
-func (c *Client) Mkdir(path string) error {
-	_, err := c.callOK("mkdir", path, "")
-	return err
-}
-
-// Create creates an empty file.
-func (c *Client) Create(path string) error {
-	_, err := c.callOK("create", path, "")
-	return err
-}
-
-// Exists reports whether a path resolves.
-func (c *Client) Exists(path string) (bool, error) {
-	resp, err := c.call("exists", path, "")
-	if err != nil {
-		return false, err
-	}
-	return resp.Ok, nil
-}
-
-// Ls lists a directory.
-func (c *Client) Ls(path string) ([]string, error) {
-	resp, err := c.callOK("ls", path, "")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(resp.Result))
-	for i, v := range resp.Result {
-		out[i] = v.AsString()
-	}
-	return out, nil
-}
-
-// Rm removes a file or empty directory.
-func (c *Client) Rm(path string) error {
-	_, err := c.callOK("rm", path, "")
-	return err
-}
-
-// Mv renames a file or empty directory.
-func (c *Client) Mv(oldPath, newPath string) error {
-	_, err := c.callOK("mv", oldPath, newPath)
-	return err
-}
-
-// AddChunk allocates a new chunk for path, returning its id and the
-// datanode placement chosen by the master.
-func (c *Client) AddChunk(path string) (int64, []string, error) {
-	resp, err := c.callOK("addchunk", path, "")
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(resp.Result) < 2 {
-		return 0, nil, errors.New("rtfs: addchunk returned no locations")
-	}
-	cid := resp.Result[0].AsInt()
-	var locs []string
-	for _, v := range resp.Result[1:] {
-		locs = append(locs, v.AsString())
-	}
-	return cid, locs, nil
-}
-
-// WriteFile creates path and streams data through the chunk pipeline.
-func (c *Client) WriteFile(path, data string, chunkSize int) error {
-	if chunkSize <= 0 {
-		chunkSize = 64 << 10
-	}
-	if err := c.Create(path); err != nil {
-		return err
-	}
-	for off := 0; off < len(data); off += chunkSize {
-		end := off + chunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		cid, locs, err := c.AddChunk(path)
-		if err != nil {
-			return err
-		}
-		if err := c.WriteChunk(cid, locs, data[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteChunk streams one chunk's bytes through the datanode pipeline
-// and waits for every replica's ack.
-func (c *Client) WriteChunk(cid int64, locs []string, data string) error {
-	id := c.nextReqID()
-	rest := make([]overlog.Value, 0, len(locs)-1)
-	for _, l := range locs[1:] {
-		rest = append(rest, overlog.Addr(l))
-	}
-	if err := c.tcp.Send(overlog.Envelope{To: locs[0], Tuple: overlog.NewTuple("dn_write",
-		overlog.Addr(locs[0]), overlog.Str(id), overlog.Addr(c.Addr),
-		overlog.Int(cid), overlog.Str(data), overlog.List(rest...))}); err != nil {
-		return err
-	}
-	if c.poll(c.Timeout, func() bool {
-		acks := 0
-		c.node.Runtime(func(rt *overlog.Runtime) {
-			acks = len(rt.Table("ack_log").Match([]int{0}, []overlog.Value{overlog.Str(id)}))
-		})
-		return acks >= len(locs)
-	}) {
-		return nil
-	}
-	return fmt.Errorf("rtfs: writechunk %d: ack timeout", cid)
-}
-
-// ReadFile fetches a file's contents.
-func (c *Client) ReadFile(path string) (string, error) {
-	resp, err := c.callOK("chunks", path, "")
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, pair := range resp.Result {
-		l := pair.AsList()
-		if len(l) != 2 {
-			return "", errors.New("rtfs: malformed chunks response")
-		}
-		cid := l[1].AsInt()
-		locsResp, err := c.callOK("chunklocs", "", fmt.Sprintf("%d", cid))
-		if err != nil {
-			return "", err
-		}
-		data, err := c.readChunk(cid, locsResp.Result)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(data)
-	}
-	return b.String(), nil
-}
-
-func (c *Client) readChunk(cid int64, locs []overlog.Value) (string, error) {
-	for _, loc := range locs {
-		id := c.nextReqID()
-		if err := c.tcp.Send(overlog.Envelope{To: loc.AsString(), Tuple: overlog.NewTuple("dn_read",
-			overlog.Addr(loc.AsString()), overlog.Str(id), overlog.Addr(c.Addr),
-			overlog.Int(cid))}); err != nil {
-			continue
-		}
-		var data string
-		var ok bool
-		if c.poll(c.Timeout/2, func() (got bool) {
-			c.node.Runtime(func(rt *overlog.Runtime) {
-				tp, found := rt.Table("read_log").LookupKey(overlog.NewTuple("read_log",
-					overlog.Str(id), overlog.Int(0), overlog.Str(""), overlog.Bool(false)))
-				if found {
-					got, data, ok = true, tp.Vals[2].AsString(), tp.Vals[3].AsBool()
-				}
-			})
-			return got
-		}) && ok {
-			return data, nil
-		}
-	}
-	return "", fmt.Errorf("rtfs: readchunk %d: no replica answered", cid)
 }

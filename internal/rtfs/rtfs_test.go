@@ -83,13 +83,14 @@ func TestRealTCPFileSystem(t *testing.T) {
 	}
 
 	// The data plane: chunked write and read-back across the pipeline.
-	payload := "real sockets, same rules: the overlog master never noticed"
-	if err := cl.WriteFile("/real/data", payload, cfg.ChunkSize); err != nil {
+	// The client splits at its own config's 64 KiB, so this is two chunks.
+	payload := strings.Repeat("real sockets, same rules: the overlog master never noticed. ", 1200)
+	if err := cl.WriteFile("/real/data", payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := cl.ReadFile("/real/data")
 	if err != nil || got != payload {
-		t.Fatalf("read: %q %v", got, err)
+		t.Fatalf("read: %d bytes, %v", len(got), err)
 	}
 
 	if err := cl.Rm("/real/b"); err != nil {

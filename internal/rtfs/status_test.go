@@ -61,7 +61,7 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	if err := cl.Mkdir("/obs"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteFile("/obs/f", strings.Repeat("x", 40), 16); err != nil {
+	if err := cl.WriteFile("/obs/f", strings.Repeat("x", 40)); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := cl.ReadFile("/obs/f"); err != nil || len(data) != 40 {
@@ -126,12 +126,6 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	}
 	if traceID == "" {
 		t.Fatal("client ring has no mkdir op span")
-	}
-
-	// Client-observed latency histograms exist per op.
-	if cl.Reg.Get(telemetry.L("boomfs_op_ms", "op", "mkdir")) != 1 {
-		t.Fatalf("mkdir histogram count: %g",
-			cl.Reg.Get(telemetry.L("boomfs_op_ms", "op", "mkdir")))
 	}
 
 	// /metrics?format=json mirrors the text exposition with quantiles.

@@ -1,9 +1,9 @@
 // Package trace provides the measurement toolkit for the reproduction:
 // CDFs and percentile summaries over simulated-time samples (the
-// paper's figures are task-completion CDFs), plus the metaprogrammed
-// monitoring helpers of the BOOM monitoring revision — trace sinks over
-// watched tables and rule-firing profiles derived from the runtime's
-// sys catalog.
+// paper's figures are task-completion CDFs), plus a trace sink over
+// watched tables (Collector), the watch-based monitoring of the BOOM
+// monitoring revision. Rule-firing counts are the runtime's own
+// (Runtime.RuleProfiles, and sys::fire for rules).
 package trace
 
 import (
