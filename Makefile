@@ -66,16 +66,17 @@ check: lint
 chaos:
 	$(GO) run ./cmd/boom-chaos -scenario all -seeds 3
 
-# chaos-tcp: the same seed-derived fault schedules, protocol configs and
-# monitor windows replayed against the production TCP transport (real
-# sockets, on a virtual clock the cluster owns, uncompressed) — the
+# chaos-tcp: every scenario but fs-weak (fs, paxos, mr, gossip) with the
+# same seed-derived fault schedules, protocol configs, monitor windows
+# and bodies, run by chaos/live's one runner against the production TCP
+# transport (real sockets, on a virtual clock the cluster owns,
+# uncompressed) — the
 # transport-hardening gate: bounded send queues, dial backoff, and the
 # fault-injecting conn layer must preserve the same invariants the
 # simulator proves. Shrinking is off: live runs aren't bit-replayable,
 # so a minimal counterexample should be reproduced under -transport sim.
 chaos-tcp:
-	$(GO) run ./cmd/boom-chaos -transport tcp -scenario fs -seeds 10 -shrink=false
-	$(GO) run ./cmd/boom-chaos -transport tcp -scenario paxos -seeds 10 -shrink=false
+	$(GO) run ./cmd/boom-chaos -transport tcp -scenario all -seeds 10 -shrink=false
 
 # scale: the scale-trajectory artifact — dense/sparse scheduler
 # microbenchmark (does per-step cost track active or total nodes?)

@@ -22,7 +22,7 @@
 //	boom olg -analyze my-program.olg     # CALM analysis + strata
 //	boom repl                            # interactive shell
 //	boom rules boomfs-master             # print a shipped rule set
-//	boom mr-demo -policy late            # MapReduce over real TCP
+//	boom mr-demo -policy late            # MapReduce over real TCP, on a virtual clock
 package main
 
 import (
@@ -37,13 +37,14 @@ import (
 
 	"repro/internal/boomfs"
 	"repro/internal/boommr"
+	"repro/internal/chaos/live"
 	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/overlog/analysis"
 	"repro/internal/programs"
 	"repro/internal/repl"
 	"repro/internal/rtfs"
-	"repro/internal/rtmr"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -94,7 +95,8 @@ subcommands:
              get PATH
   olg      FILE... [-steps N] [-analyze] [-profile]
                                                run or analyze Overlog files, co-installed in order
-  mr-demo  [-trackers N] [-status ADDR]        wordcount over real TCP sockets
+  mr-demo  [-trackers N] [-policy P] [-status ADDR]
+                                               wordcount over real TCP sockets, on a virtual clock
   repl                                         interactive Overlog shell
   rules    [name]                              list the shipped rule sets, or print one
 `)
@@ -322,7 +324,7 @@ func runMRDemo(args []string) error {
 	fs := flag.NewFlagSet("mr-demo", flag.ExitOnError)
 	trackers := fs.Int("trackers", 3, "task trackers to start")
 	policy := fs.String("policy", "fifo", "scheduling policy: fifo, late, fair")
-	status := fs.String("status", "", "serve the jobtracker's status endpoint at this address (trackers pick ephemeral ports)")
+	status := fs.String("status", "", "serve the jobtracker's status endpoint at this address (trackers pick ephemeral ports) until ctrl-c")
 	fs.Parse(args)
 
 	var pol boommr.Policy
@@ -336,55 +338,66 @@ func runMRDemo(args []string) error {
 	default:
 		return fmt.Errorf("mr-demo: unknown policy %q", *policy)
 	}
-	jtAddr, err := pickPort()
-	if err != nil {
-		return err
-	}
-	var ttAddrs []string
-	for i := 0; i < *trackers; i++ {
-		a, err := pickPort()
-		if err != nil {
-			return err
-		}
-		ttAddrs = append(ttAddrs, a)
-	}
+	reg := telemetry.NewRegistry()
+	lc := live.NewCluster(1, reg)
+	defer lc.Close()
 	cfg := boommr.DefaultMRConfig()
-	cfg.HeartbeatMS, cfg.SchedTickMS, cfg.TrackerTTL = 100, 50, 600
-	cfg.MapBaseMS, cfg.RedBaseMS, cfg.ProgressMS = 100, 150, 100
-	cluster, err := rtmr.Start(jtAddr, ttAddrs, pol, cfg)
+	jt, _, err := boommr.Deploy(lc, *trackers, pol, cfg, boommr.NewRegistry())
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
-	fmt.Printf("jobtracker %s (%s policy), %d trackers on real TCP\n", jtAddr, pol, *trackers)
+	// Instrument each node before its first boot: step metrics into the
+	// demo's registry, spans into the cluster's ring, and its own lint
+	// findings into sys::lint.
+	for _, name := range lc.Nodes() {
+		lc.RunOn(name, func(rt *overlog.Runtime) {
+			telemetry.AttachRuntime(reg, name, rt)
+			telemetry.AttachTracer(lc.Tracer(), rt.LocalAddr(), rt, lc.Now)
+			analysis.SelfLint(rt)
+		})
+	}
+	if err := boommr.InstrumentJobTracker(reg, "jt:0", jt.Runtime()); err != nil {
+		return err
+	}
+	boommr.InstrumentJobTrackerGauges(reg, "jt:0", func(fn func(*overlog.Runtime)) { lc.RunOn("jt:0", fn) })
+	fmt.Printf("jobtracker %s (%s policy), %d trackers on real TCP, virtual clock\n", jt.Addr, pol, *trackers)
 	if *status != "" {
-		urls, err := cluster.ServeStatus(*status)
-		if err != nil {
-			return err
-		}
-		for i, u := range urls {
-			role := "tasktracker"
+		for i, name := range lc.Nodes() {
+			role, addr := "tasktracker", "127.0.0.1:0"
 			if i == 0 {
-				role = "jobtracker"
+				role, addr = "jobtracker", *status
 			}
-			fmt.Printf("status %-11s %s/metrics\n", role, u)
+			st, err := telemetry.Serve(addr, telemetry.Source{Role: role, Addr: lc.Addr(name),
+				Registry: reg, Tracer: lc.Tracer(),
+				WithRuntime: func(fn func(*overlog.Runtime)) { lc.RunOn(name, fn) }})
+			if err != nil {
+				return err
+			}
+			defer st.Close()
+			fmt.Printf("status %-11s %s/metrics\n", role, st.URL())
 		}
 	}
 
+	if err := lc.Run(2 * cfg.HeartbeatMS); err != nil {
+		return err
+	}
 	splits := workload.Corpus(1, 2**trackers, 8<<10)
-	job := boommr.NewJob(cluster.NewJobID(), splits, 2,
+	job := boommr.NewJob(jt.NewJobID(), splits, 2,
 		boommr.WordCountMap, boommr.WordCountReduce)
-	cluster.Submit(job)
+	jt.Submit(job)
 	fmt.Printf("submitted wordcount: %d maps, %d reduces\n", job.NumMap(), job.NumRed)
-	start := time.Now()
-	done, err := cluster.Wait(job.ID, 2*time.Minute)
+	start, wall := lc.Now(), time.Now()
+	done, err := jt.Wait(job.ID, 600_000)
 	if err != nil || !done {
 		return fmt.Errorf("job did not finish: %v", err)
 	}
-	fmt.Printf("job finished in %.1fs wall; %d distinct words\n",
-		time.Since(start).Seconds(), len(job.Output()))
+	fmt.Printf("job finished in %.1fs virtual (%v wall); %d distinct words\n",
+		float64(lc.Now()-start)/1000, time.Since(wall).Round(time.Millisecond), len(job.Output()))
 	fmt.Printf("  the=%s cloud=%s paxos=%s\n",
 		job.Output()["the"], job.Output()["cloud"], job.Output()["paxos"])
+	if *status != "" {
+		waitForInterrupt("mr-demo status endpoints")
+	}
 	return nil
 }
 

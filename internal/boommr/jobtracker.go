@@ -1,6 +1,9 @@
 package boommr
 
 import (
+	"fmt"
+
+	"repro/internal/link"
 	"repro/internal/overlog"
 	"repro/internal/sim"
 )
@@ -28,35 +31,65 @@ func (p Policy) String() string {
 
 // JobTracker is the BOOM-MR scheduler node. All scheduling behaviour
 // is Overlog: jobtracker.olg (machinery) + the selected policy rules.
+// The handle reaches its node over a link.Link, so the same Submit and
+// Wait run on the simulator and over TCP.
 type JobTracker struct {
 	Addr   string
 	Policy Policy
-	cfg    MRConfig
 	rt     *overlog.Runtime
 	reg    *Registry
 	nextID int64
-	c      *sim.Cluster
+	link   link.Link
 }
 
-// NewJobTracker creates the scheduler node.
-func NewJobTracker(c *sim.Cluster, addr string, policy Policy, cfg MRConfig, reg *Registry) (*JobTracker, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// Cluster is what the MR constructors need of a cluster driver,
+// sim.Cluster or chaos/live's: nodes to add, and a link into them.
+type Cluster interface {
+	link.Driver
+	AddNode(name string, opts ...overlog.Option) (*overlog.Runtime, error)
+	AttachService(name string, svc sim.Service) error
+	SetSpec(name string, spec sim.NodeSpec) error
+}
+
+// NewJobTracker adds the scheduler node addr to c.
+func NewJobTracker(c Cluster, addr string, policy Policy, cfg MRConfig, reg *Registry) (*JobTracker, error) {
 	rt, err := c.AddNode(addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := InstallJobTrackerPrograms(rt, policy, cfg); err != nil {
-		return nil, err
-	}
-	return &JobTracker{Addr: addr, Policy: policy, cfg: cfg, rt: rt, reg: reg, c: c}, nil
+	return NewJobTrackerOn(link.Node{C: c, Name: addr}, rt, policy, cfg, reg)
 }
 
-// InstallJobTrackerPrograms loads the protocol, machinery and policy
-// rule sets onto a runtime (shared by the simulator constructor and
-// the real-time deployment in internal/rtmr).
-func InstallJobTrackerPrograms(rt *overlog.Runtime, policy Policy, cfg MRConfig) error {
+// NewJobTrackerOn installs the scheduler's programs on rt, the runtime
+// l waits on, and returns a handle whose submissions enter over l.
+func NewJobTrackerOn(l link.Link, rt *overlog.Runtime, policy Policy, cfg MRConfig, reg *Registry) (*JobTracker, error) {
+	if err := installJobTracker(rt, policy, cfg); err != nil {
+		return nil, err
+	}
+	return &JobTracker{Addr: rt.LocalAddr(), Policy: policy, rt: rt, reg: reg, link: l}, nil
+}
+
+// Deploy adds a JobTracker jt:0 running policy and task trackers
+// tt:0..trackers-1, each with its executor and restart spec, to c.
+func Deploy(c Cluster, trackers int, policy Policy, cfg MRConfig, reg *Registry) (*JobTracker, []*TaskTracker, error) {
+	jt, err := NewJobTracker(c, "jt:0", policy, cfg, reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var tts []*TaskTracker
+	for i := 0; i < trackers; i++ {
+		tt, err := NewTaskTracker(c, fmt.Sprintf("tt:%d", i), jt.Addr, cfg, reg)
+		if err != nil {
+			return nil, nil, err
+		}
+		tts = append(tts, tt)
+	}
+	return jt, tts, nil
+}
+
+// installJobTracker loads the protocol, machinery and policy rule sets
+// onto a runtime.
+func installJobTracker(rt *overlog.Runtime, policy Policy, cfg MRConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
@@ -79,25 +112,32 @@ func InstallJobTrackerPrograms(rt *overlog.Runtime, policy Policy, cfg MRConfig)
 	return rt.InstallSource(policyFIFO)
 }
 
-// Runtime exposes the scheduler's runtime.
+// Runtime exposes the scheduler's runtime (on the simulator; over TCP
+// the node loop owns it).
 func (jt *JobTracker) Runtime() *overlog.Runtime { return jt.rt }
+
+// view runs fn on the scheduler's runtime under the link's
+// serialization: a condition that holds at once never waits.
+func (jt *JobTracker) view(fn func(rt *overlog.Runtime)) {
+	jt.link.Await(func(rt *overlog.Runtime) bool { fn(rt); return true }, 0)
+}
 
 // Submit registers a job and streams its task definitions to the
 // scheduler. Map tasks get ids 0..NumMap-1; reduce tasks follow.
 func (jt *JobTracker) Submit(j *Job) {
 	jt.reg.Register(j)
-	jt.c.Inject(jt.Addr, overlog.NewTuple("job_submit",
+	jt.link.Send(jt.Addr, overlog.NewTuple("job_submit",
 		overlog.Addr(jt.Addr), overlog.Int(j.ID),
-		overlog.Int(int64(j.NumMap())), overlog.Int(int64(j.NumRed))), 0)
+		overlog.Int(int64(j.NumMap())), overlog.Int(int64(j.NumRed))))
 	for t := 0; t < j.NumMap(); t++ {
-		jt.c.Inject(jt.Addr, overlog.NewTuple("task_submit",
+		jt.link.Send(jt.Addr, overlog.NewTuple("task_submit",
 			overlog.Addr(jt.Addr), overlog.Int(j.ID), overlog.Int(int64(t)),
-			overlog.Str("map")), 0)
+			overlog.Str("map")))
 	}
 	for t := 0; t < j.NumRed; t++ {
-		jt.c.Inject(jt.Addr, overlog.NewTuple("task_submit",
+		jt.link.Send(jt.Addr, overlog.NewTuple("task_submit",
 			overlog.Addr(jt.Addr), overlog.Int(j.ID), overlog.Int(int64(j.NumMap()+t)),
-			overlog.Str("reduce")), 0)
+			overlog.Str("reduce")))
 	}
 }
 
@@ -107,21 +147,32 @@ func (jt *JobTracker) NewJobID() int64 {
 	return jt.nextID
 }
 
-// JobState reads the scheduler's view of a job ("running", "done", or
-// "" when unknown).
-func (jt *JobTracker) JobState(jobID int64) string {
-	tp, ok := jt.rt.Table("job").LookupKey(overlog.NewTuple("job",
+// jobRow looks a job up in the scheduler's job table.
+func jobRow(rt *overlog.Runtime, jobID int64) (overlog.Tuple, bool) {
+	return rt.Table("job").LookupKey(overlog.NewTuple("job",
 		overlog.Int(jobID), overlog.Int(0), overlog.Int(0), overlog.Int(0), overlog.Str("")))
-	if !ok {
-		return ""
-	}
-	return tp.Vals[4].AsString()
 }
 
-// Wait drives the simulation until the job completes or maxMS elapses.
+// jobState is the scheduler's view of a job ("running", "done", or ""
+// when unknown).
+func jobState(rt *overlog.Runtime, jobID int64) string {
+	if tp, ok := jobRow(rt, jobID); ok {
+		return tp.Vals[4].AsString()
+	}
+	return ""
+}
+
+// JobState reads the scheduler's view of a job ("running", "done", or
+// "" when unknown).
+func (jt *JobTracker) JobState(jobID int64) (state string) {
+	jt.view(func(rt *overlog.Runtime) { state = jobState(rt, jobID) })
+	return state
+}
+
+// Wait runs the link until the job completes or maxMS elapses.
 func (jt *JobTracker) Wait(jobID int64, maxMS int64) (bool, error) {
-	return jt.c.RunUntil(func() bool { return jt.JobState(jobID) == "done" },
-		jt.c.Now()+maxMS)
+	return jt.link.Await(func(rt *overlog.Runtime) bool { return jobState(rt, jobID) == "done" },
+		jt.link.Now()+maxMS)
 }
 
 // TaskCompletion is one task's lifecycle record for CDF plots.
@@ -136,14 +187,18 @@ type TaskCompletion struct {
 
 // Completions returns per-task completion records for a job, sorted by
 // completion time.
-func (jt *JobTracker) Completions(jobID int64) []TaskCompletion {
+func (jt *JobTracker) Completions(jobID int64) (out []TaskCompletion) {
+	jt.view(func(rt *overlog.Runtime) { out = completions(rt, jobID) })
+	return out
+}
+
+func completions(rt *overlog.Runtime, jobID int64) []TaskCompletion {
 	var submit int64
-	if tp, ok := jt.rt.Table("job").LookupKey(overlog.NewTuple("job",
-		overlog.Int(jobID), overlog.Int(0), overlog.Int(0), overlog.Int(0), overlog.Str(""))); ok {
+	if tp, ok := jobRow(rt, jobID); ok {
 		submit = tp.Vals[1].AsInt()
 	}
 	var out []TaskCompletion
-	jt.rt.Table("task_done_at").Scan(func(tp overlog.Tuple) bool {
+	rt.Table("task_done_at").Scan(func(tp overlog.Tuple) bool {
 		if tp.Vals[0].AsInt() != jobID {
 			return true
 		}
@@ -171,13 +226,15 @@ func sortCompletions(cs []TaskCompletion) {
 }
 
 // JobDoneAt returns when the scheduler observed job completion.
-func (jt *JobTracker) JobDoneAt(jobID int64) (int64, bool) {
-	tp, ok := jt.rt.Table("job_done_at").LookupKey(overlog.NewTuple("job_done_at",
-		overlog.Int(jobID), overlog.Int(0)))
-	if !ok {
-		return 0, false
-	}
-	return tp.Vals[1].AsInt(), true
+func (jt *JobTracker) JobDoneAt(jobID int64) (at int64, ok bool) {
+	jt.view(func(rt *overlog.Runtime) {
+		var tp overlog.Tuple
+		if tp, ok = rt.Table("job_done_at").LookupKey(overlog.NewTuple("job_done_at",
+			overlog.Int(jobID), overlog.Int(0))); ok {
+			at = tp.Vals[1].AsInt()
+		}
+	})
+	return at, ok
 }
 
 // SpeculativeAttempts counts speculative attempts launched (LATE
@@ -185,11 +242,13 @@ func (jt *JobTracker) JobDoneAt(jobID int64) (int64, bool) {
 func (jt *JobTracker) SpeculativeAttempts(jobID int64) int {
 	n := 0
 	seen := map[int64]int{}
-	jt.rt.Table("attempt").Scan(func(tp overlog.Tuple) bool {
-		if tp.Vals[0].AsInt() == jobID {
-			seen[tp.Vals[1].AsInt()]++
-		}
-		return true
+	jt.view(func(rt *overlog.Runtime) {
+		rt.Table("attempt").Scan(func(tp overlog.Tuple) bool {
+			if tp.Vals[0].AsInt() == jobID {
+				seen[tp.Vals[1].AsInt()]++
+			}
+			return true
+		})
 	})
 	for _, c := range seen {
 		if c > 1 {

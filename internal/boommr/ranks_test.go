@@ -50,7 +50,7 @@ func newRankTwin(t *testing.T, policy Policy) *rankTwin {
 	t.Helper()
 	cfg := DefaultMRConfig()
 	w := &rankTwin{}
-	install := [2]func(*overlog.Runtime, Policy, MRConfig) error{installCountRank, InstallJobTrackerPrograms}
+	install := [2]func(*overlog.Runtime, Policy, MRConfig) error{installCountRank, installJobTracker}
 	for i := range w.rts {
 		rt := overlog.NewRuntime(rankJT)
 		if err := install[i](rt, policy, cfg); err != nil {

@@ -93,33 +93,22 @@ func installTrackerProgram(rt *overlog.Runtime, jt string, cfg MRConfig) error {
 	return rt.InstallSource(boot)
 }
 
-// NewTaskTrackerOnRuntime installs the tracker program on an existing
-// runtime and returns the tracker plus its executor service, so the
-// same glue runs under the simulator or the real-time TCP driver.
-func NewTaskTrackerOnRuntime(rt *overlog.Runtime, jt string, cfg MRConfig, reg *Registry) (*TaskTracker, sim.Service, error) {
+// NewTaskTracker adds a tracker node wired to a jobtracker to c, with
+// its executor service and its crash-restart spec.
+func NewTaskTracker(c Cluster, addr, jt string, cfg MRConfig, reg *Registry) (*TaskTracker, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := installTrackerProgram(rt, jt, cfg); err != nil {
-		return nil, nil, err
-	}
-	tt := &TaskTracker{Addr: rt.LocalAddr(), JT: jt, Slowdown: 1.0, cfg: cfg, reg: reg, rt: rt,
-		rng: fnv64(rt.LocalAddr())}
-	return tt, &executor{tt: tt}, nil
-}
-
-// NewTaskTracker creates a tracker node wired to a jobtracker and
-// registers its crash-restart spec with the cluster.
-func NewTaskTracker(c *sim.Cluster, addr, jt string, cfg MRConfig, reg *Registry) (*TaskTracker, error) {
 	rt, err := c.AddNode(addr)
 	if err != nil {
 		return nil, err
 	}
-	tt, svc, err := NewTaskTrackerOnRuntime(rt, jt, cfg, reg)
-	if err != nil {
+	if err := installTrackerProgram(rt, jt, cfg); err != nil {
 		return nil, err
 	}
-	if err := c.AttachService(addr, svc); err != nil {
+	tt := &TaskTracker{Addr: rt.LocalAddr(), JT: jt, Slowdown: 1.0, cfg: cfg, reg: reg, rt: rt,
+		rng: fnv64(rt.LocalAddr())}
+	if err := c.AttachService(addr, &executor{tt: tt}); err != nil {
 		return nil, err
 	}
 	if err := c.SetSpec(addr, tt.RestartSpec()); err != nil {

@@ -290,8 +290,11 @@ func TestApplyRejectsUnknownNodes(t *testing.T) {
 // accepted values promised to the ballots it campaigned at before.
 func TestPaxosRetiresSupersededPromises(t *testing.T) {
 	c := sim.NewCluster(sim.WithClusterSeed(1))
-	if vs, err := RunPaxos(c, 1, Paxos().Schedule(1)); err != nil || len(vs) > 0 {
-		t.Fatalf("run: %v %v", err, vs)
+	if err := Paxos().Body(Env{Builder: c}, 1, Paxos().Schedule(1)); err != nil {
+		t.Fatal(err)
+	}
+	if vs := Collect(c, c.Nodes()); len(vs) > 0 {
+		t.Fatalf("violations: %v", vs)
 	}
 	rows := 0
 	for _, name := range []string{"px:0", "px:1", "px:2"} {

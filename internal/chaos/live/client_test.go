@@ -148,3 +148,48 @@ func TestClientSendErrorFailsFast(t *testing.T) {
 		t.Fatalf("mkdir after heal: %v", err)
 	}
 }
+
+// TestClientOpBeforeBoot: an op against a master that has not booted
+// yet times out on its own clock, as one against a killed master does.
+// Nothing listens at the master's address before its first boot, so
+// the request frame is dropped and counted instead of waiting on a
+// connection nobody reads, which would stop the cluster's clock.
+func TestClientOpBeforeBoot(t *testing.T) {
+	lc := NewCluster(1, telemetry.NewRegistry())
+	defer lc.Close()
+	rt, err := lc.AddNode("fsm:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.InstallSource(boomfs.ProtocolDecls); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := boomfs.NewMasterOnRuntime(rt, boomfs.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = time.Second
+	cl, err := joinClient(lc, func(addr string) (*rtfs.Client, error) {
+		return rtfs.NewClient(addr, rt.LocalAddr(), timeout)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	start := lc.Now()
+	if err := cl.Mkdir("/a"); !errors.Is(err, boomfs.ErrTimeout) {
+		t.Fatalf("mkdir before boot: %v, want a timeout", err)
+	}
+	if d := lc.Now() - start; d != timeout.Milliseconds() {
+		t.Fatalf("op took %d ms of the cluster's clock, want its %v timeout", d, timeout)
+	}
+	drops := 0
+	for _, sp := range cl.Tracer.Spans() {
+		if sp.Kind == "drop" {
+			drops++
+		}
+	}
+	if drops == 0 {
+		t.Fatal("the request to the unbooted master was not dropped and counted")
+	}
+}

@@ -3,11 +3,14 @@
 // virtual clock; this package proves the production transport — bounded
 // send queues, dial backoff, framing, fault injection — keeps those
 // same invariants when the bytes are real. A Cluster is a chaos.Builder
-// over transport.Node + transport.TCP, as sim.Cluster is, so the
-// scenarios' schedules, setup and bodies run on it unchanged.
+// over transport.Node + transport.TCP, as sim.Cluster is, so every
+// scenario's schedule and body (fs, paxos, mr, gossip) runs on it
+// unchanged, through this package's one runner (Registry); boom
+// mr-demo deploys BOOM-MR on it too.
 //
 // Schedules name nodes logically (fsm:0, dn:1); live nodes listen on
-// localhost ports, and the cluster keeps the alias map. The cluster owns
+// localhost ports, and the cluster keeps the alias map: every method
+// that takes a node knows it by either. The cluster owns
 // one virtual clock (transport.NewVirtualClock) that every node,
 // transport and joined client reads and waits on. It jumps to the next
 // deadline whenever the whole cluster waits, so the sim scenarios' own
@@ -43,11 +46,12 @@ const redialBase, redialCap = 10 * time.Millisecond, 200 * time.Millisecond
 
 // node is one live process-equivalent: a runtime stepped by a
 // transport.Node, listening on its own TCP port. nd is nil while the
-// node is down: not yet booted, or killed.
+// node is down: not yet booted, or killed. Either way nothing listens
+// at addr, so a frame sent there is dropped and counted, and the clock
+// moves on.
 type node struct {
-	name string       // logical schedule name (fsm:0, dn:1)
-	addr string       // 127.0.0.1:port — the runtime's LocalAddr
-	hold net.Listener // keeps addr taken until the first boot
+	name string // logical schedule name (fsm:0, dn:1)
+	addr string // 127.0.0.1:port — the runtime's LocalAddr
 	rt   *overlog.Runtime
 	nd   *transport.Node
 	tcp  *transport.TCP
@@ -115,13 +119,12 @@ func (c *Cluster) AddNode(name string, opts ...overlog.Option) (*overlog.Runtime
 	if _, ok := c.nodes[name]; ok {
 		return nil, fmt.Errorf("live: duplicate node %q", name)
 	}
-	ln, err := reserveAddr()
+	addr, err := reserveAddr()
 	if err != nil {
 		return nil, err
 	}
-	addr := ln.Addr().String()
-	n := &node{name: name, addr: addr, hold: ln, rt: overlog.NewRuntime(addr, opts...)}
-	c.nodes[name] = n
+	n := &node{name: name, addr: addr, rt: overlog.NewRuntime(addr, opts...)}
+	c.nodes[name], c.nodes[addr] = n, n
 	c.order = append(c.order, name)
 	return n.rt, nil
 }
@@ -133,17 +136,18 @@ var lastPort = atomic.Int64{}
 
 func init() { lastPort.Store(rand.Int63n(12000)) }
 
-// reserveAddr takes a free localhost port for a node, to be bound again
-// at each restart. It stays below the ephemeral range, where the kernel
-// picks the local ports of outbound connections: a node's peers keep
-// dialing while it is down, and none of theirs may take its port.
-func reserveAddr() (net.Listener, error) {
+// reserveAddr picks a free localhost port for a node, to be bound at
+// each boot. It stays below the ephemeral range, where the kernel picks
+// the local ports of outbound connections: a node's peers keep dialing
+// while it is down, and none of theirs may take its port.
+func reserveAddr() (string, error) {
 	for i := 0; i < 1000; i++ {
 		if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", 20000+lastPort.Add(1)%12000)); err == nil {
-			return ln, nil
+			ln.Close()
+			return ln.Addr().String(), nil
 		}
 	}
-	return nil, fmt.Errorf("live: no free port in 20000-31999")
+	return "", fmt.Errorf("live: no free port in 20000-31999")
 }
 
 // Nodes returns every logical name in creation order.
@@ -186,10 +190,6 @@ func (c *Cluster) SetSpec(name string, spec sim.NodeSpec) error {
 // boot starts one node incarnation: listener up, clock, fault plane and
 // telemetry wired, step loop running. Caller holds c.mu.
 func (c *Cluster) boot(n *node) error {
-	if n.hold != nil {
-		n.hold.Close()
-		n.hold = nil
-	}
 	var tcp *transport.TCP
 	nd := transport.NewNode(n.rt, func(env overlog.Envelope) error { return tcp.Send(env) })
 	name := n.name
@@ -243,6 +243,13 @@ func (c *Cluster) Kill(name string) {
 		tcp.Close()
 		c.fault(name, "kill", "")
 	}
+}
+
+// Killed reports whether a booted node is down now, as
+// sim.Cluster.Killed does.
+func (c *Cluster) Killed(name string) (down bool) {
+	c.with(name, func(n *node) { down = c.started && n.nd == nil })
+	return down
 }
 
 // Revive resumes a killed node with every table intact: a fresh step
@@ -394,11 +401,8 @@ func (c *Cluster) RunUntil(cond func() bool, maxMS int64) (bool, error) {
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	var running []*node
-	for _, n := range c.nodes {
-		if n.hold != nil {
-			n.hold.Close()
-		}
-		if n.nd != nil && !c.closed {
+	for _, name := range c.order {
+		if n := c.nodes[name]; n.nd != nil && !c.closed {
 			running = append(running, n)
 		}
 	}

@@ -11,13 +11,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestPaxosLiveSeed replays the paxos scenario's seed-1 schedule over
-// real sockets: leader crash-restart, partition, loss burst, late
-// follower crash — monitors silent, every command decided everywhere.
-func TestPaxosLiveSeed(t *testing.T) {
-	sc := Paxos()
-	sched := sc.Schedule(1)
-	out := sc.Run(1, sched)
+// scenario is the live registry's scenario of that name.
+func scenario(t *testing.T, name string) chaos.Scenario {
+	t.Helper()
+	for _, sc := range Registry() {
+		if sc.Name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no live scenario %q", name)
+	return chaos.Scenario{}
+}
+
+// mustCleanSeed1 replays a scenario's seed-1 schedule over real
+// sockets and fails on a run error or an invariant violation.
+func mustCleanSeed1(t *testing.T, name string) {
+	t.Helper()
+	sc := scenario(t, name)
+	out := sc.Run(1, sc.Schedule(1))
 	if out.Err != nil {
 		t.Fatalf("run error: %v", out.Err)
 	}
@@ -26,6 +37,22 @@ func TestPaxosLiveSeed(t *testing.T) {
 			chaos.Report(out.Violations, out.Tracer, 40))
 	}
 }
+
+// TestPaxosLiveSeed replays the paxos scenario's seed-1 schedule over
+// real sockets: leader crash-restart, partition, loss burst, late
+// follower crash — monitors silent, every command decided everywhere.
+func TestPaxosLiveSeed(t *testing.T) { mustCleanSeed1(t, "paxos") }
+
+// TestMRLiveSeed replays the mr scenario's seed-1 schedule over real
+// sockets: tracker crash-restart, kill and revive, loss burst — the
+// job still finishes with the sequential wordcount.
+func TestMRLiveSeed(t *testing.T) { mustCleanSeed1(t, "mr") }
+
+// TestGossipLiveSeed replays the gossip scenario's seed-1 schedule over
+// real sockets: every live view declares the killed and the
+// long-restarted datanode dead within the detection bound, and no live
+// node stays dead in a live view once the faults heal.
+func TestGossipLiveSeed(t *testing.T) { mustCleanSeed1(t, "gossip") }
 
 // TestFSLiveSeed replays the replicated-FS scenario's seed-1 schedule
 // over real sockets: master and datanode crash-restarts, a master
@@ -35,26 +62,24 @@ func TestFSLiveSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live cluster run")
 	}
-	sc := FS()
-	sched := sc.Schedule(1)
-	out := sc.Run(1, sched)
-	if out.Err != nil {
-		t.Fatalf("run error: %v", out.Err)
-	}
-	if out.Violated() {
-		t.Fatalf("invariant violations over TCP:\n%s",
-			chaos.Report(out.Violations, out.Tracer, 40))
-	}
+	mustCleanSeed1(t, "fs")
 }
 
 // TestLiveSimScheduleParity pins the acceptance contract: the live
-// registry serves the same scenario names and byte-identical
-// seed-derived schedules as the simulated registry — one fault plan,
-// two drivers.
+// registry serves every simulated scenario but fs-weak, under the same
+// names and with byte-identical seed-derived schedules — one fault
+// plan, two drivers.
 func TestLiveSimScheduleParity(t *testing.T) {
 	simByName := map[string]chaos.Scenario{}
 	for _, sc := range chaos.Registry() {
 		simByName[sc.Name] = sc
+	}
+	var names []string
+	for _, lsc := range Registry() {
+		names = append(names, lsc.Name)
+	}
+	if got := strings.Join(names, " "); got != "fs paxos mr gossip" {
+		t.Fatalf("live registry serves %q, want fs, paxos, mr and gossip", got)
 	}
 	for _, lsc := range Registry() {
 		ssc, ok := simByName[lsc.Name]
@@ -129,13 +154,13 @@ func TestSameInstantParity(t *testing.T) {
 // clock, the timeline violations report on, so the paxos seed-1 ring
 // shows the leader's crash-restart at the schedule's own milliseconds.
 func TestLiveRingOnScheduleTime(t *testing.T) {
-	sched := Paxos().Schedule(1)
+	sched := chaos.Paxos().Schedule(1)
 	crash := sched[0]
 	lc := NewCluster(1, telemetry.NewRegistry())
 	defer lc.Close()
 	var ring []telemetry.Span
 	lc.At(crash.AtMS+crash.DurMS+1, func() error { ring = lc.Tracer().Spans(); return nil })
-	if _, err := chaos.RunPaxos(lc, 1, sched); err != nil {
+	if err := chaos.Paxos().Body(chaos.Env{Builder: lc}, 1, sched); err != nil {
 		t.Fatal(err)
 	}
 	found := map[string]bool{}
@@ -158,7 +183,7 @@ func TestLiveRingOnScheduleTime(t *testing.T) {
 // cluster lacks fails the run, as on the simulator.
 func TestLiveApplyRejectsUnknownNodes(t *testing.T) {
 	sched := chaos.Schedule{{AtMS: 1000, Kind: chaos.Kill, Node: "px:9"}}
-	out := Paxos().Run(1, sched)
+	out := scenario(t, "paxos").Run(1, sched)
 	if out.Err == nil || !strings.Contains(out.Err.Error(), `no node "px:9"`) {
 		t.Fatalf("got %v, want an error naming px:9", out.Err)
 	}

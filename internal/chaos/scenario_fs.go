@@ -9,12 +9,10 @@ import (
 	"repro/internal/overlog"
 	"repro/internal/paxos"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// FSParams shapes the replicated-FS scenario; its Build, Config and
-// Workload run on either driver.
-type FSParams struct {
+// fsParams shapes the replicated-FS scenario.
+type fsParams struct {
 	masters   int
 	datanodes int
 	repl      int
@@ -31,12 +29,8 @@ type FSParams struct {
 // crash-restart (chunk disks survive), links partition, slow down, and
 // drop messages — and the invariant monitors must stay silent.
 func ReplicatedFS() Scenario {
-	p := ReplicatedFSParams
-	return Scenario{
-		Name:     "fs",
-		Schedule: p.schedule,
-		Run:      p.run,
-	}
+	p := fsParams{masters: 3, datanodes: 5, repl: 2, files: 6}
+	return simScenario("fs", p.schedule, p.body)
 }
 
 // WeakDurability is ReplicatedFS with the safety margin removed:
@@ -45,22 +39,15 @@ func ReplicatedFS() Scenario {
 // runner shrinks the schedule to the kills that actually destroyed
 // data.
 func WeakDurability() Scenario {
-	p := FSParams{masters: 3, datanodes: 5, repl: 1, files: 6, weaken: true}
-	return Scenario{
-		Name:     "fs-weak",
-		Schedule: p.schedule,
-		Run:      p.run,
-	}
+	p := fsParams{masters: 3, datanodes: 5, repl: 1, files: 6, weaken: true}
+	return simScenario("fs-weak", p.schedule, p.body)
 }
 
-// ReplicatedFSParams are the fs scenario's.
-var ReplicatedFSParams = FSParams{masters: 3, datanodes: 5, repl: 2, files: 6}
+// fsRetryMS bounds one client attempt against one master replica.
+const fsRetryMS = 4000
 
-// FSRetryMS bounds one client attempt against one master replica.
-const FSRetryMS = 4000
-
-// Config is the scenario's file-system config.
-func (p FSParams) Config() boomfs.Config {
+// config is the scenario's file-system config.
+func (p fsParams) config() boomfs.Config {
 	cfg := boomfs.DefaultConfig()
 	cfg.ReplicationFactor = p.repl
 	cfg.ChunkSize = 16
@@ -68,11 +55,11 @@ func (p FSParams) Config() boomfs.Config {
 	return cfg
 }
 
-func (p FSParams) mon() MonitorConfig {
+func (p fsParams) mon() MonitorConfig {
 	return MonitorConfig{TickMS: 1000, GraceMS: 20000, Repl: p.repl}
 }
 
-func (p FSParams) schedule(seed int64) Schedule {
+func (p fsParams) schedule(seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	var s Schedule
 	dn := func(i int) string { return fmt.Sprintf("dn:%d", i) }
@@ -118,40 +105,24 @@ func (p FSParams) schedule(seed int64) Schedule {
 	return s
 }
 
-func (p FSParams) run(seed int64, sched Schedule) Outcome {
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(0)
-	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg),
-		sim.WithProvenance(256), sim.WithTracer(tracer))
-	out := Outcome{Tracer: tracer}
-	fail := func(err error) Outcome { out.Err = err; return out }
-
-	masters, addrs, err := p.Build(c)
+// body builds the cluster, starts the client and runs the workload.
+func (p fsParams) body(env Env, _ int64, sched Schedule) error {
+	masters, addrs, err := p.build(env)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	cl, err := boomfs.NewClient(c, "client:0", p.Config(), addrs...)
+	cl, err := env.FSClient(p.config(), fsRetryMS, addrs)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	cl.UseGateway, cl.RetryMS = true, FSRetryMS
-	if err := p.Workload(c, cl, sched, masters, func(v Violation) {
-		v.Node = cl.Addr
-		RecordViolation(cl.Runtime(), v)
-	}); err != nil {
-		return fail(err)
-	}
-	out.Violations = Collect(c, c.Nodes())
-	out.Provenance = ExplainViolation(c, out.Violations)
-	out.Digest = digest(c)
-	return out
+	return p.workload(env, cl, sched, masters)
 }
 
-// Build adds the master replicas fsm:i and datanodes dn:i to c, with
+// build adds the master replicas fsm:i and datanodes dn:i to c, with
 // their monitors and restart recipes, and returns the masters' names
 // and addresses.
-func (p FSParams) Build(c Builder) (masters, addrs []string, err error) {
-	cfg, mcfg, pcfg := p.Config(), p.mon(), paxos.DefaultConfig()
+func (p fsParams) build(c Builder) (masters, addrs []string, err error) {
+	cfg, mcfg, pcfg := p.config(), p.mon(), paxos.DefaultConfig()
 	installMon := func(rt *overlog.Runtime) error {
 		if err := InstallPaxosMonitor(rt, mcfg); err != nil {
 			return err
@@ -210,12 +181,12 @@ func (p FSParams) Build(c Builder) (masters, addrs []string, err error) {
 	return masters, addrs, nil
 }
 
-// Workload applies the schedule, writes the files through cl while the
+// workload applies the schedule, writes the files through cl while the
 // faults fire, reports each acked chunk to the masters' monitors, and
-// after the monitors' grace window hands record a read-back violation
-// for every acked write that no longer reads back.
-func (p FSParams) Workload(c Driver, cl *boomfs.Client, sched Schedule, masters []string, record func(Violation)) error {
-	cfg, mcfg := p.Config(), p.mon()
+// after the monitors' grace window records, at the first master, a
+// read-back violation for every acked write that no longer reads back.
+func (p fsParams) workload(c Driver, cl *boomfs.Client, sched Schedule, masters []string) error {
+	cfg, mcfg := p.config(), p.mon()
 	if err := sched.Apply(c); err != nil {
 		return err
 	}
@@ -271,7 +242,8 @@ func (p FSParams) Workload(c Driver, cl *boomfs.Client, sched Schedule, masters 
 			if err != nil {
 				detail += ": " + err.Error()
 			}
-			record(Violation{Inv: "read-back", TimeMS: c.Now(), Detail: detail})
+			v := Violation{Inv: "read-back", Node: cl.Addr, TimeMS: c.Now(), Detail: detail}
+			c.RunOn(masters[0], func(rt *overlog.Runtime) { RecordViolation(rt, v) })
 		}
 	}
 	return nil

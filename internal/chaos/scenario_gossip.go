@@ -8,7 +8,6 @@ import (
 	"repro/internal/membership"
 	"repro/internal/overlog"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 var gossipCfg = membership.Config{ProbeInterval: 500 * time.Millisecond}
@@ -22,11 +21,11 @@ var gossipCfg = membership.Config{ProbeInterval: 500 * time.Millisecond}
 func Gossip() Scenario { return gossip(gossipCfg.DetectionBoundMS(4)) }
 
 func gossip(boundMS int64) Scenario {
-	addrs := []string{"m:0", "dn:0", "dn:1", "dn:2"}
+	names := []string{"m:0", "dn:0", "dn:1", "dn:2"}
 	schedule := func(seed int64) Schedule {
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(3)
-		dn := func(i int) string { return addrs[1+perm[i]] }
+		dn := func(i int) string { return names[1+perm[i]] }
 		cut, cutFor := 7500+int64(rng.Intn(1000)), 3000+int64(rng.Intn(1000))
 		return Schedule{
 			{AtMS: 2000 + int64(rng.Intn(1000)), Kind: Kill, Node: dn(0)},
@@ -36,17 +35,19 @@ func gossip(boundMS int64) Scenario {
 				DurMS: boundMS + 500 + int64(rng.Intn(1000))},
 		}
 	}
-	run := func(seed int64, sched Schedule) Outcome {
-		tracer := telemetry.NewTracer(0)
-		c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(telemetry.NewRegistry()),
-			sim.WithTracer(tracer))
-		out := Outcome{Tracer: tracer}
+	body := func(c Env, _ int64, sched Schedule) error {
 		cfg := gossipCfg
-		cfg.Seeds, cfg.SeedRoles = addrs[:1], map[string]string{"m:0": "master"}
-		for i, a := range addrs {
+		addr := map[string]string{}
+		for i, name := range names {
+			rt, err := c.AddNode(name)
+			if err != nil {
+				return err
+			}
+			addr[name] = rt.LocalAddr()
 			role := "datanode"
 			if i == 0 {
 				role = "master"
+				cfg.Seeds, cfg.SeedRoles = []string{addr[name]}, map[string]string{addr[name]: "master"}
 			}
 			// The harness records view violations into the node's
 			// durable ledger, so a later restart keeps them.
@@ -56,26 +57,31 @@ func gossip(boundMS int64) Scenario {
 				}
 				return nil, fresh.InstallSource(invViolationDecl)
 			}
-			if _, out.Err = spec(c.MustAddNode(a)); out.Err == nil {
-				out.Err = c.SetSpec(a, spec)
+			if _, err = spec(rt); err == nil {
+				err = c.SetSpec(name, spec)
 			}
-			if out.Err != nil {
-				return out
+			if err != nil {
+				return err
 			}
 		}
 		// expect records a violation in every live view that does not
 		// know target or disagrees with dead about it.
 		expect := func(inv, target string, dead bool) {
-			for _, v := range addrs {
-				row, known := membership.View(c.Node(v))[target]
-				if !c.Killed(v) && (!known || (row.State == membership.Dead) != dead) {
-					RecordViolation(c.Node(v), Violation{Inv: inv, Node: v, TimeMS: c.Now(),
-						Detail: fmt.Sprintf("%s is %+v here (known: %v)", target, row, known)})
+			for _, v := range names {
+				if c.Killed(v) {
+					continue
 				}
+				c.RunOn(v, func(rt *overlog.Runtime) {
+					row, known := membership.View(rt)[addr[target]]
+					if !known || (row.State == membership.Dead) != dead {
+						RecordViolation(rt, Violation{Inv: inv, Node: v, TimeMS: c.Now(),
+							Detail: fmt.Sprintf("%s is %+v here (known: %v)", addr[target], row, known)})
+					}
+				})
 			}
 		}
-		if out.Err = sched.Apply(c); out.Err != nil {
-			return out
+		if err := sched.Apply(c); err != nil {
+			return err
 		}
 		for _, a := range sched {
 			if node := a.Node; a.Kind == Kill || (a.Kind == CrashRestart && a.DurMS > boundMS) {
@@ -89,17 +95,15 @@ func gossip(boundMS int64) Scenario {
 		}
 		// Resurrection waits for an anti-entropy ping, which visits the
 		// dead one per eight probes, then a refutation round trip.
-		if out.Err = c.Run(sched.End() + 20*gossipCfg.ProbeInterval.Milliseconds()); out.Err != nil {
-			return out
+		if err := c.Run(sched.End() + 20*gossipCfg.ProbeInterval.Milliseconds()); err != nil {
+			return err
 		}
-		for _, a := range addrs {
-			if !c.Killed(a) {
-				expect("gossip-resurrection", a, false)
+		for _, name := range names {
+			if !c.Killed(name) {
+				expect("gossip-resurrection", name, false)
 			}
 		}
-		out.Violations = Collect(c, c.Nodes())
-		out.Digest = digest(c)
-		return out
+		return nil
 	}
-	return Scenario{Name: "gossip", Schedule: schedule, Run: run}
+	return simScenario("gossip", schedule, body)
 }

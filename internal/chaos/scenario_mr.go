@@ -6,8 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/boommr"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
+	"repro/internal/overlog"
 )
 
 // mrParams shapes the MapReduce scenario.
@@ -24,11 +23,7 @@ type mrParams struct {
 // anything else is a violation.
 func MapReduce() Scenario {
 	p := mrParams{trackers: 3, splits: 8, reduces: 2}
-	return Scenario{
-		Name:     "mr",
-		Schedule: p.schedule,
-		Run:      p.run,
-	}
+	return simScenario("mr", p.schedule, p.body)
 }
 
 func (p mrParams) schedule(seed int64) Schedule {
@@ -50,29 +45,17 @@ func (p mrParams) schedule(seed int64) Schedule {
 	}
 }
 
-func (p mrParams) run(seed int64, sched Schedule) Outcome {
-	tracer := telemetry.NewTracer(0)
-	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(telemetry.NewRegistry()),
-		sim.WithTracer(tracer), sim.WithProvenance(256))
-	out := Outcome{Tracer: tracer}
-	fail := func(err error) Outcome { out.Err = err; return out }
-
+func (p mrParams) body(c Env, _ int64, sched Schedule) error {
 	cfg := boommr.DefaultMRConfig()
-	reg := boommr.NewRegistry()
-	jt, err := boommr.NewJobTracker(c, "jt:0", boommr.FIFO, cfg, reg)
+	jt, _, err := boommr.Deploy(c, p.trackers, boommr.FIFO, cfg, boommr.NewRegistry())
 	if err != nil {
-		return fail(err)
-	}
-	for i := 0; i < p.trackers; i++ {
-		if _, err := boommr.NewTaskTracker(c, fmt.Sprintf("tt:%d", i), jt.Addr, cfg, reg); err != nil {
-			return fail(err)
-		}
+		return err
 	}
 	if err := sched.Apply(c); err != nil {
-		return fail(err)
+		return err
 	}
 	if err := c.Run(cfg.HeartbeatMS*2 + 10); err != nil {
-		return fail(err)
+		return err
 	}
 
 	// 8 splits x 20 sentences x 2 "the" per sentence = 320.
@@ -85,32 +68,25 @@ func (p mrParams) run(seed int64, sched Schedule) Outcome {
 
 	done, err := jt.Wait(job.ID, 600_000)
 	if err != nil {
-		return fail(err)
+		return err
 	}
+	record := func(inv, detail string) {
+		v := Violation{Inv: inv, Node: jt.Addr, TimeMS: c.Now(), Detail: detail}
+		c.RunOn(jt.Addr, func(rt *overlog.Runtime) { RecordViolation(rt, v) })
+	}
+	want := fmt.Sprintf("%d", 2*20*p.splits)
 	if !done {
-		RecordViolation(jt.Runtime(), Violation{
-			Inv: "mr-completion", Node: jt.Addr, TimeMS: c.Now(),
-			Detail: fmt.Sprintf("job %d not done after 600s; state=%q",
-				job.ID, jt.JobState(job.ID))})
-	} else {
-		want := fmt.Sprintf("%d", 2*20*p.splits)
-		if got := job.Output()["the"]; got != want {
-			RecordViolation(jt.Runtime(), Violation{
-				Inv: "mr-output", Node: jt.Addr, TimeMS: c.Now(),
-				Detail: fmt.Sprintf("wordcount[the] = %q, want %q", got, want)})
-		}
+		record("mr-completion", fmt.Sprintf("job %d not done after 600s; state=%q", job.ID, jt.JobState(job.ID)))
+	} else if got := job.Output()["the"]; got != want {
+		record("mr-output", fmt.Sprintf("wordcount[the] = %q, want %q", got, want))
 	}
 
 	// Let the rest of the schedule play out (a fast job can finish
 	// before the last fault fires).
 	if end := sched.End() + 2000; end > c.Now() {
 		if err := c.Run(end); err != nil {
-			return fail(err)
+			return err
 		}
 	}
-
-	out.Violations = Collect(c, c.Nodes())
-	out.Provenance = ExplainViolation(c, out.Violations)
-	out.Digest = digest(c)
-	return out
+	return nil
 }

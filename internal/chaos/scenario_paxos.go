@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/overlog"
 	"repro/internal/paxos"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // paxosParams shapes the bare-consensus scenario.
@@ -16,20 +14,14 @@ type paxosParams struct {
 	commands int
 }
 
-var paxosScenario = paxosParams{replicas: 3, commands: 8}
-
 // Paxos runs a three-replica multi-Paxos group through leader
 // crash-restarts (durable acceptor state survives, soft state does
 // not), a partition, and a loss burst, while a stream of commands is
 // submitted. The single-leader and log-agreement monitors must stay
 // silent, and every command must eventually decide on every replica.
 func Paxos() Scenario {
-	p := paxosScenario
-	return Scenario{
-		Name:     "paxos",
-		Schedule: p.schedule,
-		Run:      p.run,
-	}
+	p := paxosParams{replicas: 3, commands: 8}
+	return simScenario("paxos", p.schedule, p.body)
 }
 
 func (p paxosParams) mon() MonitorConfig {
@@ -57,27 +49,9 @@ func (p paxosParams) schedule(seed int64) Schedule {
 	}
 }
 
-func (p paxosParams) run(seed int64, sched Schedule) Outcome {
-	tracer := telemetry.NewTracer(0)
-	reg := telemetry.NewRegistry()
-	c := sim.NewCluster(sim.WithClusterSeed(seed), sim.WithTelemetry(reg),
-		sim.WithTracer(tracer), sim.WithProvenance(256))
-	out := Outcome{Tracer: tracer}
-	if out.Violations, out.Err = p.on(c, seed, sched); out.Err == nil {
-		out.Provenance = ExplainViolation(c, out.Violations)
-		out.Digest = digest(c)
-	}
-	return out
-}
-
-// RunPaxos is the paxos scenario on either driver: it adds the
-// replicas px:0..2 to c, submits the commands, applies the schedule,
-// and returns the violations once the group has settled.
-func RunPaxos(c Builder, seed int64, sched Schedule) ([]Violation, error) {
-	return paxosScenario.on(c, seed, sched)
-}
-
-func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, error) {
+// body adds the replicas px:0..2 to c, submits the commands, applies
+// the schedule, and records what is wrong once the group has settled.
+func (p paxosParams) body(c Env, seed int64, sched Schedule) error {
 	pcfg, mcfg := paxos.DefaultConfig(), p.mon()
 	installMon := func(rt *overlog.Runtime) error {
 		return InstallPaxosMonitor(rt, mcfg)
@@ -88,7 +62,7 @@ func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, err
 		names = append(names, fmt.Sprintf("px:%d", i))
 		rt, err := c.AddNode(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rts, addrs = append(rts, rt), append(addrs, rt.LocalAddr())
 	}
@@ -101,7 +75,7 @@ func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, err
 			err = c.SetSpec(names[i], WrapSpec(paxos.RestartSpec(addrs[i], addrs, pcfg), installMon))
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -158,7 +132,7 @@ func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, err
 	}
 
 	if err := sched.Apply(c); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Liveness: every command decided on every replica.
@@ -188,10 +162,10 @@ func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, err
 	// group bounded extra time to finish deciding.
 	settle := sched.End() + mcfg.GraceMS + 3*mcfg.TickMS + 5000
 	if err := c.Run(settle); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := c.RunUntil(allDecided, c.Now()+60_000); err != nil {
-		return nil, err
+		return err
 	}
 	if !allDecided() {
 		for _, m := range names {
@@ -221,5 +195,5 @@ func (p paxosParams) on(c Builder, seed int64, sched Schedule) ([]Violation, err
 			slotAt[slot] = m
 		}
 	}
-	return Collect(c, names), nil
+	return nil
 }

@@ -127,7 +127,6 @@ func runMonitoring(p MonitoringParams, mode monMode) (*MonitoringRun, error) {
 		return nil, err
 	}
 	col := trace.NewCollector()
-	col.KeepLastN = 0
 	if mode == monWatch {
 		if err := col.Attach(rt); err != nil {
 			return nil, err

@@ -38,9 +38,9 @@ package govet
 // scoped packages stay waiver-free by construction — the sim stamps
 // spans with its virtual clock in the merge phase, loadgen stamps
 // request spans at virtual issue/complete instants, and only the
-// real-time drivers (transport, rtfs, rtmr — all outside the
+// real-time drivers (transport, rtfs, chaos/live — all outside the
 // scope, by the transport argument above) read a clock for span
-// bounds: transport and rtfs their transport.Clock, rtmr the wall. A walltime finding on a span-stamping line inside a scoped
+// bounds: their transport.Clock. A walltime finding on a span-stamping line inside a scoped
 // package means virtual time was available and not used: fix it, do
 // not waive it.
 var DeterministicPackages = map[string]bool{

@@ -138,7 +138,7 @@ func TestMaxColumnDifferential(t *testing.T) {
 	fires := map[string]int64{}
 	for seed := int64(1); seed <= 25; seed++ {
 		differentialRun(t, diffProgramNamed("max-column"), seed, 12, func(semi *Runtime) {
-			for name, n := range semi.RuleStats() {
+			for name, n := range firesByRule(semi) {
 				fires[name] += n
 			}
 		})

@@ -791,7 +791,7 @@ func TestAggregateOverSysFire(t *testing.T) {
 				t.Fatalf("step %d: fire_of holds\n%s\nwant the counts after step %d\n%s", step, got, step-1, want)
 			}
 		}
-		prev = perGroup.RuleStats()
+		prev = firesByRule(perGroup)
 	}
 	if n := ruleNamed(perGroup, "f1").stats.groupEvals; n == 0 {
 		t.Fatal("f1 never re-collected a single group")

@@ -132,8 +132,7 @@ type Runtime struct {
 	watchers []Watcher
 	watchAll bool // trace every table regardless of watch declarations
 
-	maxIterations int
-	naiveEval     bool
+	naiveEval bool
 
 	strataRun int64 // strata entered because something they read changed (the visit guards read it)
 	scanRows  int64 // candidate rows handed to scan ops (the visit guards read it)
@@ -195,22 +194,11 @@ type StepStats struct {
 	Outbox   []Envelope
 }
 
-// SetStepHook installs a callback invoked at the end of every
+// AddStepHook appends a callback invoked at the end of every
 // successful Step, while the caller still holds the runtime — hook
-// implementations must not re-enter the runtime. The hook is the
-// telemetry layer's attachment point; nil clears every installed
-// hook (including ones added by AddStepHook), non-nil replaces them.
-func (r *Runtime) SetStepHook(fn func(StepStats)) {
-	if fn == nil {
-		r.stepHooks = nil
-		return
-	}
-	r.stepHooks = []func(StepStats){fn}
-}
-
-// AddStepHook appends a step hook without disturbing ones already
-// installed, so metrics attachment and span tracing compose. Hooks
-// run in installation order under the same contract as SetStepHook.
+// implementations must not re-enter the runtime. Hooks are the
+// telemetry layer's attachment point; they run in installation order,
+// so metrics attachment and span tracing compose.
 func (r *Runtime) AddStepHook(fn func(StepStats)) {
 	if fn != nil {
 		r.stepHooks = append(r.stepHooks, fn)
@@ -225,23 +213,16 @@ func (r *Runtime) AddStepHook(fn func(StepStats)) {
 // may read NextWake but must not re-enter the runtime; nil clears it.
 func (r *Runtime) SetWakeHook(fn func()) { r.wakeHook = fn }
 
+// maxIterations is the runaway-fixpoint guard: a stratum that has not
+// converged after this many iterations fails the step.
+const maxIterations = 1 << 20
+
 // Option configures a Runtime.
 type Option func(*Runtime)
-
-// WithSeed fixes the deterministic RNG seed (default derives from the
-// node address so distinct nodes make distinct placement choices).
-func WithSeed(seed int64) Option {
-	return func(r *Runtime) { r.rng = rand.New(rand.NewSource(seed)) }
-}
 
 // WithWatchAll traces every table (used by the monitoring harness).
 func WithWatchAll() Option {
 	return func(r *Runtime) { r.watchAll = true }
-}
-
-// WithMaxIterations overrides the runaway-fixpoint guard.
-func WithMaxIterations(n int) Option {
-	return func(r *Runtime) { r.maxIterations = n }
 }
 
 // WithNaiveEval disables semi-naive evaluation: every fixpoint
@@ -255,9 +236,8 @@ func WithNaiveEval() Option {
 // NewRuntime creates an empty runtime for a node with the given address.
 func NewRuntime(addr string, opts ...Option) *Runtime {
 	r := &Runtime{
-		addr:          addr,
-		tables:        make(map[string]*Table),
-		maxIterations: 1 << 20,
+		addr:   addr,
+		tables: make(map[string]*Table),
 	}
 	r.cat = newCatalog(r.tables)
 	r.rng = rand.New(rand.NewSource(int64(hashValue(Str(addr)))))
@@ -305,17 +285,6 @@ func (r *Runtime) AddWatch(table, modes string) error {
 	}
 	r.cat.watches[table] = modes
 	return nil
-}
-
-// RuleStats returns a copy of per-rule firing counts, merged by rule
-// name (distinct rules sharing a label sum together, as they did when
-// this was a map keyed by name).
-func (r *Runtime) RuleStats() map[string]int64 {
-	out := make(map[string]int64, len(r.cat.rules))
-	for _, cr := range r.cat.rules {
-		out[cr.name] += cr.stats.fires
-	}
-	return out
 }
 
 // Table returns the storage for a declared table, or nil. Reading a
@@ -953,7 +922,7 @@ func (r *Runtime) runStratum(s int) error {
 		r.ts[id].consumed = 0
 	}
 	for iter := 0; ; iter++ {
-		if iter > r.maxIterations {
+		if iter > maxIterations {
 			return fmt.Errorf("overlog: %s: fixpoint did not converge after %d iterations in stratum %d", r.addr, iter, s)
 		}
 		// Snapshot the frontier window of every table that has one and
@@ -1018,7 +987,7 @@ func (r *Runtime) ruleInputsChanged(cr *compiledRule) bool {
 // every rule until no new tuples appear.
 func (r *Runtime) runStratumNaive(s int, rules []*compiledRule) error {
 	for iter := 0; ; iter++ {
-		if iter > r.maxIterations {
+		if iter > maxIterations {
 			return fmt.Errorf("overlog: %s: naive fixpoint did not converge", r.addr)
 		}
 		before := r.insertCt

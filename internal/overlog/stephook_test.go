@@ -17,7 +17,7 @@ func TestStepHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats []StepStats
-	rt.SetStepHook(func(st StepStats) { stats = append(stats, st) })
+	rt.AddStepHook(func(st StepStats) { stats = append(stats, st) })
 
 	rt.Step(1, []Tuple{NewTuple("bump", Str("x")), NewTuple("bump", Str("y"))})
 	rt.Step(2, []Tuple{NewTuple("bump", Str("x"))}) // kv("x") already stored

@@ -9,10 +9,10 @@ import (
 // runtimes (the simulator) stay disambiguated; pass "" for a dedicated
 // per-process registry.
 //
-// Metrics are fed from the runtime's step hook, which the driver calls
-// while it holds the runtime — no extra locking, and nothing is read
-// from the runtime at scrape time. Call before the node starts
-// stepping.
+// Metrics are fed from a step hook added beside any others (a tracer's),
+// which the driver calls while it holds the runtime — no extra locking,
+// and nothing is read from the runtime at scrape time. Call before the
+// node starts stepping.
 func AttachRuntime(reg *Registry, node string, rt *overlog.Runtime) {
 	lbl := func(name string) string {
 		if node == "" {
@@ -28,7 +28,7 @@ func AttachRuntime(reg *Registry, node string, rt *overlog.Runtime) {
 	stored := reg.Gauge(lbl("boom_tuples_stored"), "tuples held across all tables")
 	fixpoint := reg.Histogram(lbl("boom_fixpoint_ms"), "per-step fixpoint wall duration (ms)", nil)
 
-	rt.SetStepHook(func(st overlog.StepStats) {
+	rt.AddStepHook(func(st overlog.StepStats) {
 		steps.Inc()
 		derived.Add(st.Derived)
 		inserted.Add(st.Inserted)

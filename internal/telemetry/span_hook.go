@@ -19,12 +19,12 @@ import (
 //
 // Timestamps come from clock when non-nil, else StepStats.NowMS. The
 // driver chooses the base so every span on one node shares it: the
-// live TCP hosts (rtfs, rtmr) pass a wall clock to match the epoch-ms
-// stamps the transport puts on recv/send-wire spans, while sim and
+// TCP hosts (rtfs, boom mr-demo) pass their transport's clock to match
+// the stamps the transport puts on recv/send-wire spans, while sim and
 // the REPL pass nil and inherit the step clock — the hook itself
 // never reads a wall clock, so the deterministic paths stay boomvet
-// walltime-clean and bit-identical. Use alongside AttachRuntime; step
-// hooks compose via AddStepHook.
+// walltime-clean and bit-identical. Use alongside AttachRuntime, in
+// either order: step hooks compose (Runtime.AddStepHook).
 func AttachTracer(tr *Tracer, node string, rt *overlog.Runtime, clock func() int64) {
 	if tr == nil {
 		return

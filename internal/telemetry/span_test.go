@@ -273,8 +273,8 @@ func TestAttachTracerChainsSpans(t *testing.T) {
 	}
 }
 
-// TestAddStepHookComposes verifies multiple hooks all fire and that
-// SetStepHook(nil) clears them.
+// TestAddStepHookComposes verifies multiple hooks all fire, in the
+// order they were added.
 func TestAddStepHookComposes(t *testing.T) {
 	rt := overlog.NewRuntime("n")
 	if err := rt.InstallSource(`
@@ -284,20 +284,40 @@ func TestAddStepHookComposes(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	var a, b int
-	rt.AddStepHook(func(overlog.StepStats) { a++ })
-	rt.AddStepHook(func(overlog.StepStats) { b++ })
+	var order []string
+	rt.AddStepHook(func(overlog.StepStats) { order = append(order, "a") })
+	rt.AddStepHook(func(overlog.StepStats) { order = append(order, "b") })
 	if _, err := rt.Step(1, []overlog.Tuple{overlog.NewTuple("e", overlog.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
-	if a != 1 || b != 1 {
-		t.Fatalf("hooks fired a=%d b=%d, want 1 each", a, b)
+	if got := strings.Join(order, ""); got != "ab" {
+		t.Fatalf("hooks fired %q, want a then b", got)
 	}
-	rt.SetStepHook(nil)
-	if _, err := rt.Step(2, []overlog.Tuple{overlog.NewTuple("e", overlog.Int(2))}); err != nil {
+}
+
+// TestAttachRuntimeKeepsTracer: metrics attached after the tracer add
+// their hook beside the tracer's instead of replacing it, so one step
+// both counts and records its rules span.
+func TestAttachRuntimeKeepsTracer(t *testing.T) {
+	telemetry.RegisterTraceColumn("tkeep", 0)
+	rt := overlog.NewRuntime("n1")
+	if err := rt.InstallSource(`
+		table seen(Id: string) keys(0);
+		event tkeep(Id: string);
+		r1 seen(Id) :- tkeep(Id);
+	`); err != nil {
 		t.Fatal(err)
 	}
-	if a != 1 || b != 1 {
-		t.Fatalf("hooks fired after clear a=%d b=%d, want 1 each", a, b)
+	tr, reg := telemetry.NewTracer(0), telemetry.NewRegistry()
+	telemetry.AttachTracer(tr, "n1", rt, nil)
+	telemetry.AttachRuntime(reg, "", rt)
+	if _, err := rt.Step(1, []overlog.Tuple{overlog.NewTuple("tkeep", overlog.Str("q1"))}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("boom_steps_total", "").Value(); got != 1 {
+		t.Fatalf("boom_steps_total = %d, want 1", got)
+	}
+	if spans := tr.ByTrace("q1"); len(spans) != 1 || spans[0].Kind != "rules" {
+		t.Fatalf("trace q1 holds %v, want the step's rules span", spans)
 	}
 }

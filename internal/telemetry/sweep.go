@@ -12,7 +12,7 @@ import (
 // tuples so SLO rules can be written in Overlog against ordinary
 // relations (the paper's monitoring-as-metaprogramming move). A
 // driver calls Collect on its periodic — the sim on a virtual-clock
-// timer, rtfs/rtmr on a wall ticker — and delivers the tuples to a
+// timer, rtfs on a wall ticker — and delivers the tuples to a
 // runtime; sys::metric is keyed (Node, Name) so each sweep replaces
 // the previous window.
 //

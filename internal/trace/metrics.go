@@ -1,8 +1,8 @@
 // Package trace provides the measurement toolkit for the reproduction:
 // CDFs and percentile summaries over simulated-time samples (the
-// paper's figures are task-completion CDFs), plus a trace sink over
-// watched tables (Collector), the watch-based monitoring of the BOOM
-// monitoring revision. Rule-firing counts are the runtime's own
+// paper's figures are task-completion CDFs), plus a sink that counts
+// the events on watched tables (Collector), the watch-based monitoring
+// of the BOOM monitoring revision. Rule-firing counts are the runtime's own
 // (Runtime.RuleProfiles, and sys::fire for rules).
 package trace
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/overlog"
@@ -73,14 +72,8 @@ func TestCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Step(1, []overlog.Tuple{overlog.NewTuple("bump", overlog.Str("x"))})
-	if col.Inserts("kv") != 1 || col.Inserts("bump") != 1 {
-		t.Fatalf("counts: kv=%d bump=%d", col.Inserts("kv"), col.Inserts("bump"))
-	}
-	if col.Total() < 2 {
+	if col.Total() != 2 { // bump("x") and kv("x", 1)
 		t.Fatalf("total: %d", col.Total())
-	}
-	if !strings.Contains(col.Report(), "kv") {
-		t.Fatalf("report: %s", col.Report())
 	}
 }
 
@@ -99,43 +92,10 @@ func TestCollectorDeletesTracked(t *testing.T) {
 	}
 	rt.Step(1, []overlog.Tuple{overlog.NewTuple("kv", overlog.Str("x"), overlog.Int(1))})
 	rt.Step(2, []overlog.Tuple{overlog.NewTuple("del", overlog.Str("x"))})
-	if !strings.Contains(col.Report(), "kv") {
-		t.Fatal("report missing kv")
-	}
 	if col.Total() != 2 { // one insert + one delete
 		t.Fatalf("total: %d", col.Total())
 	}
-	if len(col.RecentEvents()) != 2 {
-		t.Fatalf("recent: %d", len(col.RecentEvents()))
-	}
-}
-
-// TestCollectorRecentBounded is the memory-bound regression: the recent
-// window must be a fixed ring — the backing array stays at exactly
-// KeepLastN slots no matter how many events pass through, rather than
-// an append-and-reslice that retains stale prefixes between
-// reallocations.
-func TestCollectorRecentBounded(t *testing.T) {
-	col := NewCollector()
-	col.KeepLastN = 8
-	for i := 0; i < 1000; i++ {
-		col.observe(overlog.WatchEvent{
-			Insert: true,
-			Tuple:  overlog.NewTuple("t", overlog.Int(int64(i))),
-		})
-	}
-	if got := cap(col.recent); got != 8 {
-		t.Fatalf("ring backing array has cap %d, want exactly KeepLastN=8", got)
-	}
-	evs := col.RecentEvents()
-	if len(evs) != 8 {
-		t.Fatalf("window holds %d events, want 8", len(evs))
-	}
-	// Oldest-first ordering across the wrap point.
-	for i, ev := range evs {
-		want := overlog.Int(int64(992 + i))
-		if !ev.Tuple.Vals[0].Equal(want) {
-			t.Fatalf("evs[%d] = %s, want t(%d)", i, ev.Tuple, 992+i)
-		}
+	if rt.Table("kv").Len() != 0 {
+		t.Fatal("kv(x) was not deleted")
 	}
 }
