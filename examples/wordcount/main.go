@@ -48,14 +48,9 @@ func main() {
 	// BOOM-MR: declarative JobTracker (FIFO rules), imperative tasks.
 	mrCfg := boommr.DefaultMRConfig()
 	reg := boommr.NewRegistry()
-	jt, err := boommr.NewJobTracker(c, "jt:0", boommr.FIFO, mrCfg, reg)
+	jt, _, err := boommr.Deploy(c, taskTrackers, boommr.FIFO, mrCfg, reg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	for i := 0; i < taskTrackers; i++ {
-		if _, err := boommr.NewTaskTracker(c, fmt.Sprintf("tt:%d", i), jt.Addr, mrCfg, reg); err != nil {
-			log.Fatal(err)
-		}
 	}
 	if err := c.Run(1100); err != nil {
 		log.Fatal(err)

@@ -60,7 +60,7 @@ func NewClient(c *sim.Cluster, addr string, cfg Config, masters ...string) (*Cli
 	if err != nil {
 		return nil, err
 	}
-	return NewClientOn(link.Node{C: c, Name: addr}, rt, cfg, masters...)
+	return NewClientOn(link.Sim{C: c, RT: rt}, rt, cfg, masters...)
 }
 
 // NewClientOn installs the client rules on rt, the runtime l waits on,

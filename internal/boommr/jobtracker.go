@@ -3,7 +3,6 @@ package boommr
 import (
 	"fmt"
 
-	"repro/internal/link"
 	"repro/internal/overlog"
 	"repro/internal/sim"
 )
@@ -31,24 +30,28 @@ func (p Policy) String() string {
 
 // JobTracker is the BOOM-MR scheduler node. All scheduling behaviour
 // is Overlog: jobtracker.olg (machinery) + the selected policy rules.
-// The handle reaches its node over a link.Link, so the same Submit and
-// Wait run on the simulator and over TCP.
+// The handle drives its node through the cluster it was added to, so
+// the same Submit and Wait run on the simulator and over TCP.
 type JobTracker struct {
 	Addr   string
 	Policy Policy
 	rt     *overlog.Runtime
 	reg    *Registry
 	nextID int64
-	link   link.Link
+	c      Cluster
 }
 
 // Cluster is what the MR constructors need of a cluster driver,
-// sim.Cluster or chaos/live's: nodes to add, and a link into them.
+// sim.Cluster or chaos/live's: nodes to add, injections into them,
+// reads under the driver's serialization, and a run loop.
 type Cluster interface {
-	link.Driver
 	AddNode(name string, opts ...overlog.Option) (*overlog.Runtime, error)
 	AttachService(name string, svc sim.Service) error
 	SetSpec(name string, spec sim.NodeSpec) error
+	Inject(node string, tp overlog.Tuple, delayMS int64)
+	RunOn(node string, fn func(*overlog.Runtime))
+	RunUntil(cond func() bool, maxMS int64) (bool, error)
+	Now() int64
 }
 
 // NewJobTracker adds the scheduler node addr to c.
@@ -57,16 +60,10 @@ func NewJobTracker(c Cluster, addr string, policy Policy, cfg MRConfig, reg *Reg
 	if err != nil {
 		return nil, err
 	}
-	return NewJobTrackerOn(link.Node{C: c, Name: addr}, rt, policy, cfg, reg)
-}
-
-// NewJobTrackerOn installs the scheduler's programs on rt, the runtime
-// l waits on, and returns a handle whose submissions enter over l.
-func NewJobTrackerOn(l link.Link, rt *overlog.Runtime, policy Policy, cfg MRConfig, reg *Registry) (*JobTracker, error) {
 	if err := installJobTracker(rt, policy, cfg); err != nil {
 		return nil, err
 	}
-	return &JobTracker{Addr: rt.LocalAddr(), Policy: policy, rt: rt, reg: reg, link: l}, nil
+	return &JobTracker{Addr: rt.LocalAddr(), Policy: policy, rt: rt, reg: reg, c: c}, nil
 }
 
 // Deploy adds a JobTracker jt:0 running policy and task trackers
@@ -116,28 +113,22 @@ func installJobTracker(rt *overlog.Runtime, policy Policy, cfg MRConfig) error {
 // the node loop owns it).
 func (jt *JobTracker) Runtime() *overlog.Runtime { return jt.rt }
 
-// view runs fn on the scheduler's runtime under the link's
-// serialization: a condition that holds at once never waits.
-func (jt *JobTracker) view(fn func(rt *overlog.Runtime)) {
-	jt.link.Await(func(rt *overlog.Runtime) bool { fn(rt); return true }, 0)
-}
-
 // Submit registers a job and streams its task definitions to the
 // scheduler. Map tasks get ids 0..NumMap-1; reduce tasks follow.
 func (jt *JobTracker) Submit(j *Job) {
 	jt.reg.Register(j)
-	jt.link.Send(jt.Addr, overlog.NewTuple("job_submit",
+	jt.c.Inject(jt.Addr, overlog.NewTuple("job_submit",
 		overlog.Addr(jt.Addr), overlog.Int(j.ID),
-		overlog.Int(int64(j.NumMap())), overlog.Int(int64(j.NumRed))))
+		overlog.Int(int64(j.NumMap())), overlog.Int(int64(j.NumRed))), 0)
 	for t := 0; t < j.NumMap(); t++ {
-		jt.link.Send(jt.Addr, overlog.NewTuple("task_submit",
+		jt.c.Inject(jt.Addr, overlog.NewTuple("task_submit",
 			overlog.Addr(jt.Addr), overlog.Int(j.ID), overlog.Int(int64(t)),
-			overlog.Str("map")))
+			overlog.Str("map")), 0)
 	}
 	for t := 0; t < j.NumRed; t++ {
-		jt.link.Send(jt.Addr, overlog.NewTuple("task_submit",
+		jt.c.Inject(jt.Addr, overlog.NewTuple("task_submit",
 			overlog.Addr(jt.Addr), overlog.Int(j.ID), overlog.Int(int64(j.NumMap()+t)),
-			overlog.Str("reduce")))
+			overlog.Str("reduce")), 0)
 	}
 }
 
@@ -153,26 +144,21 @@ func jobRow(rt *overlog.Runtime, jobID int64) (overlog.Tuple, bool) {
 		overlog.Int(jobID), overlog.Int(0), overlog.Int(0), overlog.Int(0), overlog.Str("")))
 }
 
-// jobState is the scheduler's view of a job ("running", "done", or ""
-// when unknown).
-func jobState(rt *overlog.Runtime, jobID int64) string {
-	if tp, ok := jobRow(rt, jobID); ok {
-		return tp.Vals[4].AsString()
-	}
-	return ""
-}
-
 // JobState reads the scheduler's view of a job ("running", "done", or
 // "" when unknown).
 func (jt *JobTracker) JobState(jobID int64) (state string) {
-	jt.view(func(rt *overlog.Runtime) { state = jobState(rt, jobID) })
+	jt.c.RunOn(jt.Addr, func(rt *overlog.Runtime) {
+		if tp, ok := jobRow(rt, jobID); ok {
+			state = tp.Vals[4].AsString()
+		}
+	})
 	return state
 }
 
-// Wait runs the link until the job completes or maxMS elapses.
+// Wait runs the cluster until the job completes or maxMS elapses.
 func (jt *JobTracker) Wait(jobID int64, maxMS int64) (bool, error) {
-	return jt.link.Await(func(rt *overlog.Runtime) bool { return jobState(rt, jobID) == "done" },
-		jt.link.Now()+maxMS)
+	return jt.c.RunUntil(func() bool { return jt.JobState(jobID) == "done" },
+		jt.c.Now()+maxMS)
 }
 
 // TaskCompletion is one task's lifecycle record for CDF plots.
@@ -188,7 +174,7 @@ type TaskCompletion struct {
 // Completions returns per-task completion records for a job, sorted by
 // completion time.
 func (jt *JobTracker) Completions(jobID int64) (out []TaskCompletion) {
-	jt.view(func(rt *overlog.Runtime) { out = completions(rt, jobID) })
+	jt.c.RunOn(jt.Addr, func(rt *overlog.Runtime) { out = completions(rt, jobID) })
 	return out
 }
 
@@ -227,7 +213,7 @@ func sortCompletions(cs []TaskCompletion) {
 
 // JobDoneAt returns when the scheduler observed job completion.
 func (jt *JobTracker) JobDoneAt(jobID int64) (at int64, ok bool) {
-	jt.view(func(rt *overlog.Runtime) {
+	jt.c.RunOn(jt.Addr, func(rt *overlog.Runtime) {
 		var tp overlog.Tuple
 		if tp, ok = rt.Table("job_done_at").LookupKey(overlog.NewTuple("job_done_at",
 			overlog.Int(jobID), overlog.Int(0))); ok {
@@ -242,7 +228,7 @@ func (jt *JobTracker) JobDoneAt(jobID int64) (at int64, ok bool) {
 func (jt *JobTracker) SpeculativeAttempts(jobID int64) int {
 	n := 0
 	seen := map[int64]int{}
-	jt.view(func(rt *overlog.Runtime) {
+	jt.c.RunOn(jt.Addr, func(rt *overlog.Runtime) {
 		rt.Table("attempt").Scan(func(tp overlog.Tuple) bool {
 			if tp.Vals[0].AsInt() == jobID {
 				seen[tp.Vals[1].AsInt()]++

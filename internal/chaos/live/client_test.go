@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -153,7 +154,8 @@ func TestClientSendErrorFailsFast(t *testing.T) {
 // yet times out on its own clock, as one against a killed master does.
 // Nothing listens at the master's address before its first boot, so
 // the request frame is dropped and counted instead of waiting on a
-// connection nobody reads, which would stop the cluster's clock.
+// connection nobody reads, which would stop the cluster's clock. The
+// address stays reserved meanwhile: no other listener can take it.
 func TestClientOpBeforeBoot(t *testing.T) {
 	lc := NewCluster(1, telemetry.NewRegistry())
 	defer lc.Close()
@@ -191,5 +193,9 @@ func TestClientOpBeforeBoot(t *testing.T) {
 	}
 	if drops == 0 {
 		t.Fatal("the request to the unbooted master was not dropped and counted")
+	}
+	if ln, err := net.Listen("tcp", rt.LocalAddr()); err == nil {
+		ln.Close()
+		t.Fatal("the unbooted master's address was free to another listener")
 	}
 }

@@ -28,9 +28,9 @@ package live
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/overlog"
@@ -50,13 +50,14 @@ const redialBase, redialCap = 10 * time.Millisecond, 200 * time.Millisecond
 // at addr, so a frame sent there is dropped and counted, and the clock
 // moves on.
 type node struct {
-	name string // logical schedule name (fsm:0, dn:1)
-	addr string // 127.0.0.1:port — the runtime's LocalAddr
-	rt   *overlog.Runtime
-	nd   *transport.Node
-	tcp  *transport.TCP
-	svcs []sim.Service
-	spec sim.NodeSpec
+	name    string // logical schedule name (fsm:0, dn:1)
+	addr    string // 127.0.0.1:port — the runtime's LocalAddr
+	release func() // frees addr, reserved by reserveAddr, at the first boot
+	rt      *overlog.Runtime
+	nd      *transport.Node
+	tcp     *transport.TCP
+	svcs    []sim.Service
+	spec    sim.NodeSpec
 }
 
 // Cluster is the live driver: real listeners, real dials, shared fault
@@ -72,6 +73,7 @@ type Cluster struct {
 	nodes   map[string]*node
 	order   []string
 	errs    []error
+	pending []func() // injections made before the first Run
 	started bool
 	closed  bool
 }
@@ -119,11 +121,11 @@ func (c *Cluster) AddNode(name string, opts ...overlog.Option) (*overlog.Runtime
 	if _, ok := c.nodes[name]; ok {
 		return nil, fmt.Errorf("live: duplicate node %q", name)
 	}
-	addr, err := reserveAddr()
+	addr, release, err := reserveAddr()
 	if err != nil {
 		return nil, err
 	}
-	n := &node{name: name, addr: addr, rt: overlog.NewRuntime(addr, opts...)}
+	n := &node{name: name, addr: addr, release: release, rt: overlog.NewRuntime(addr, opts...)}
 	c.nodes[name], c.nodes[addr] = n, n
 	c.order = append(c.order, name)
 	return n.rt, nil
@@ -136,18 +138,28 @@ var lastPort = atomic.Int64{}
 
 func init() { lastPort.Store(rand.Int63n(12000)) }
 
-// reserveAddr picks a free localhost port for a node, to be bound at
-// each boot. It stays below the ephemeral range, where the kernel picks
-// the local ports of outbound connections: a node's peers keep dialing
-// while it is down, and none of theirs may take its port.
-func reserveAddr() (string, error) {
+// reserveAddr picks a free localhost port for a node and keeps it
+// bound, without listening, until release is called at the first boot:
+// no other process can take it meanwhile, and a dial to it is refused,
+// so a frame sent there before the boot is dropped like one to a
+// killed node. Only between the release and the boot's listen, one
+// call apart, is the port free. It stays below the ephemeral range,
+// where the kernel picks the local ports of outbound connections: a
+// node's peers keep dialing while it is down, and none of theirs may
+// take its port.
+func reserveAddr() (addr string, release func(), err error) {
 	for i := 0; i < 1000; i++ {
-		if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", 20000+lastPort.Add(1)%12000)); err == nil {
-			ln.Close()
-			return ln.Addr().String(), nil
+		port := 20000 + int(lastPort.Add(1)%12000)
+		fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+		if err != nil {
+			return "", nil, err
 		}
+		if syscall.Bind(fd, &syscall.SockaddrInet4{Port: port, Addr: [4]byte{127, 0, 0, 1}}) == nil {
+			return fmt.Sprintf("127.0.0.1:%d", port), func() { syscall.Close(fd) }, nil
+		}
+		syscall.Close(fd)
 	}
-	return "", fmt.Errorf("live: no free port in 20000-31999")
+	return "", nil, fmt.Errorf("live: no free port in 20000-31999")
 }
 
 // Nodes returns every logical name in creation order.
@@ -190,6 +202,10 @@ func (c *Cluster) SetSpec(name string, spec sim.NodeSpec) error {
 // boot starts one node incarnation: listener up, clock, fault plane and
 // telemetry wired, step loop running. Caller holds c.mu.
 func (c *Cluster) boot(n *node) error {
+	if n.release != nil {
+		n.release()
+		n.release = nil
+	}
 	var tcp *transport.TCP
 	nd := transport.NewNode(n.rt, func(env overlog.Envelope) error { return tcp.Send(env) })
 	name := n.name
@@ -329,14 +345,19 @@ func (c *Cluster) SlowLink(a, b string, latMS int64) {
 
 // Inject delivers a tuple into a node's inbox after delayMS (dropped if
 // the node is down then, as a message to a dead simulated node would
-// be).
+// be). One made before the first Run waits for the boot, as the
+// simulator's queue holds it for the first step.
 func (c *Cluster) Inject(name string, tp overlog.Tuple, delayMS int64) {
 	if delayMS > 0 {
 		c.At(c.Now()+delayMS, func() error { c.Inject(name, tp, 0); return nil })
 		return
 	}
 	var nd *transport.Node
-	c.with(name, func(n *node) { nd = n.nd })
+	c.with(name, func(n *node) {
+		if nd = n.nd; !c.started {
+			c.pending = append(c.pending, func() { c.Inject(name, tp, 0) })
+		}
+	})
 	if nd != nil {
 		nd.Deliver(tp)
 	}
@@ -375,9 +396,14 @@ func (c *Cluster) Run(untilMS int64) error {
 		err = c.boot(c.nodes[c.order[i]])
 	}
 	c.started = true
+	pending := c.pending
+	c.pending = nil
 	c.mu.Unlock()
 	if err != nil {
 		return err
+	}
+	for _, inject := range pending {
+		inject()
 	}
 	if d := untilMS - c.Now(); d >= 0 {
 		c.clock.Sleep(time.Duration(d) * time.Millisecond)
@@ -402,7 +428,12 @@ func (c *Cluster) Close() {
 	c.mu.Lock()
 	var running []*node
 	for _, name := range c.order {
-		if n := c.nodes[name]; n.nd != nil && !c.closed {
+		n := c.nodes[name]
+		if n.release != nil {
+			n.release()
+			n.release = nil
+		}
+		if n.nd != nil && !c.closed {
 			running = append(running, n)
 		}
 	}

@@ -64,3 +64,23 @@ func TestRealTCPLATE(t *testing.T) {
 		t.Fatal("LATE launched no speculative attempt past the 20x straggler")
 	}
 }
+
+// TestSubmitBeforeRun: a job submitted before the cluster's first Run
+// waits for the boot, as the simulator's queue holds it, instead of
+// being dropped at a node that is not up yet.
+func TestSubmitBeforeRun(t *testing.T) {
+	lc := NewCluster(1, telemetry.NewRegistry())
+	defer lc.Close()
+	jt, _, err := boommr.Deploy(lc, 2, boommr.FIFO, boommr.DefaultMRConfig(), boommr.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := boommr.NewJob(jt.NewJobID(), []string{"early early bird", "early worm"}, 1, boommr.WordCountMap, boommr.WordCountReduce)
+	jt.Submit(job)
+	if done, err := jt.Wait(job.ID, 600_000); err != nil || !done {
+		t.Fatalf("job %d: done=%v err=%v state=%q", job.ID, done, err, jt.JobState(job.ID))
+	}
+	if got := job.Output()["early"]; got != "3" {
+		t.Fatalf("wordcount[early] = %q, want 3", got)
+	}
+}

@@ -60,10 +60,11 @@ func run(body chaos.Body, seed int64, sched chaos.Schedule) chaos.Outcome {
 // cluster's clock and fault plane: its sends suffer the same
 // partitions and loss bursts as everyone else's.
 func joinClient(lc *Cluster, start func(addr string) (*rtfs.Client, error)) (*rtfs.Client, error) {
-	addr, err := reserveAddr()
+	addr, release, err := reserveAddr()
 	if err != nil {
 		return nil, err
 	}
+	release()
 	cl, err := start(addr)
 	if err != nil {
 		return nil, err

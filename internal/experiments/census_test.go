@@ -104,17 +104,12 @@ func TestIdleRuleCensusOnJobTracker(t *testing.T) {
 	c := sim.NewCluster()
 	cfg := boommr.DefaultMRConfig()
 	reg := boommr.NewRegistry()
-	jt, err := boommr.NewJobTracker(c, "jt:0", boommr.FIFO, cfg, reg)
+	jt, _, err := boommr.Deploy(c, 4, boommr.FIFO, cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := jt.Runtime().InstallSource(census); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := boommr.NewTaskTracker(c, fmt.Sprintf("tt:%d", i), jt.Addr, cfg, reg); err != nil {
-			t.Fatal(err)
-		}
 	}
 	splits := make([]string, 8)
 	for i := range splits {

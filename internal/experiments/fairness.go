@@ -59,14 +59,9 @@ func runFairness(p FairnessParams, pol boommr.Policy) (*FairnessRun, error) {
 	cfg.MapSlots = 1
 	cfg.RedSlots = 1
 	reg := boommr.NewRegistry()
-	jt, err := boommr.NewJobTracker(c, "jt:0", pol, cfg, reg)
+	jt, _, err := boommr.Deploy(c, p.TaskTrackers, pol, cfg, reg)
 	if err != nil {
 		return nil, err
-	}
-	for i := 0; i < p.TaskTrackers; i++ {
-		if _, err := boommr.NewTaskTracker(c, fmt.Sprintf("tt:%d", i), jt.Addr, cfg, reg); err != nil {
-			return nil, err
-		}
 	}
 	if err := c.Run(cfg.HeartbeatMS*2 + 10); err != nil {
 		return nil, err

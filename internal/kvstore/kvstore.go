@@ -107,7 +107,7 @@ func NewClient(c *sim.Cluster, addr string, g *Group) (*Client, error) {
 	if err := rt.InstallSource(clientRules); err != nil {
 		return nil, err
 	}
-	return &Client{Addr: addr, group: g, rt: rt, calls: link.Caller{Link: link.Node{C: c, Name: addr}, Addr: addr},
+	return &Client{Addr: addr, group: g, rt: rt, calls: link.Caller{Link: link.Sim{C: c, RT: rt}, Addr: addr},
 		TimeoutMS: 60_000, RetryMS: 3_000}, nil
 }
 

@@ -2,18 +2,17 @@
 // is what a client needs of its cluster: send a tuple, read the clock,
 // wait until a condition over the client's runtime holds. Caller is
 // the one loop over it that sends a request, awaits the answer and
-// retries elsewhere. A node's link (Node) runs its cluster driver, the
-// simulator or chaos/live's, while it waits; the TCP link
-// (internal/rtfs) polls its own node. The FS and KV clients are
-// written against Caller, so both drivers share one retry policy, one
-// id rule and one leader preference, and the MR JobTracker's handle is
-// a Node link on either driver.
+// retries elsewhere. The simulator's link (Sim) runs the cluster while
+// it waits; the TCP link (internal/rtfs) polls its node. The FS and KV
+// clients are written against Caller, so both drivers share one retry
+// policy, one id rule and one leader preference.
 package link
 
 import (
 	"fmt"
 
 	"repro/internal/overlog"
+	"repro/internal/sim"
 )
 
 // Link is how a client reaches its cluster. Times are milliseconds on
@@ -35,41 +34,26 @@ type OpTracer interface {
 	StartOp(id, op, path string) (finish func(outcome string))
 }
 
-// Driver is what a Node link needs of its cluster: the methods the
-// simulator and chaos/live's cluster share with chaos.Driver. Nodes
-// are named as the driver names them; both also know a node by its
-// address.
-type Driver interface {
-	Inject(node string, tp overlog.Tuple, delayMS int64)
-	RunOn(node string, fn func(*overlog.Runtime))
-	RunUntil(cond func() bool, maxMS int64) (bool, error)
-	Now() int64
-}
-
-// Node is the link of a handle whose runtime is node Name of driver
-// C: a send is an injection at the destination, now, and Await runs
-// the cluster until cond holds over the node's runtime, read under
-// the driver's serialization.
-type Node struct {
-	C    Driver
-	Name string
+// Sim is the simulator's link: a send is an injection, and Await runs
+// the cluster until cond holds over the client's runtime RT.
+type Sim struct {
+	C  *sim.Cluster
+	RT *overlog.Runtime
 }
 
 // Send injects tp at to, now.
-func (n Node) Send(to string, tp overlog.Tuple) error {
-	n.C.Inject(to, tp, 0)
+func (s Sim) Send(to string, tp overlog.Tuple) error {
+	s.C.Inject(to, tp, 0)
 	return nil
 }
 
-// Now is the driver's clock.
-func (n Node) Now() int64 { return n.C.Now() }
+// Now is the cluster's virtual time.
+func (s Sim) Now() int64 { return s.C.Now() }
 
-// Await runs the cluster until cond holds or deadline passes.
-func (n Node) Await(cond func(*overlog.Runtime) bool, deadline int64) (bool, error) {
-	return n.C.RunUntil(func() (held bool) {
-		n.C.RunOn(n.Name, func(rt *overlog.Runtime) { held = cond(rt) })
-		return held
-	}, deadline)
+// Await runs the cluster until cond holds or no event is due by
+// deadline.
+func (s Sim) Await(cond func(*overlog.Runtime) bool, deadline int64) (bool, error) {
+	return s.C.RunUntil(func() bool { return cond(s.RT) }, deadline)
 }
 
 // Caller is one client's requests over a link: the id sequence

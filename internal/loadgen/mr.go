@@ -56,14 +56,9 @@ func RunMR(cfg MRConfig) (RunStats, error) {
 
 	mrc := boommr.DefaultMRConfig()
 	reg := boommr.NewRegistry()
-	jt, err := boommr.NewJobTracker(c, "jt:0", boommr.FIFO, mrc, reg)
+	jt, _, err := boommr.Deploy(c, cfg.Trackers, boommr.FIFO, mrc, reg)
 	if err != nil {
 		return RunStats{}, err
-	}
-	for i := 0; i < cfg.Trackers; i++ {
-		if _, err := boommr.NewTaskTracker(c, fmt.Sprintf("tt:%d", i), jt.Addr, mrc, reg); err != nil {
-			return RunStats{}, err
-		}
 	}
 	if err := AddIdleNodes(c, "idle", cfg.IdleNodes); err != nil {
 		return RunStats{}, err

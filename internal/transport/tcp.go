@@ -493,8 +493,10 @@ func (p *peerQ) writeLoop() {
 		}
 
 		if err := p.ensureConn(t); err != nil {
-			clk.track(-len(batch))
+			// Counted before the work is released, so a virtual clock
+			// cannot move past the drop before it is recorded.
 			p.dropBatch(batch, stats, tr, "dial "+p.addr+": "+err.Error())
+			clk.track(-len(batch))
 			continue
 		}
 		if err := p.writeBatch(batch, clk); err != nil {
