@@ -18,12 +18,16 @@ test: check
 # reads its runtime from the caller's goroutine while the node loop
 # runs), plus a short fault-injection sweep (see `chaos` below). The
 # telemetry, sim, chaos, and loadgen lines carry the span-tracing and
-# SLO-monitor tests, so concurrent span recording is always raced.
+# SLO-monitor tests — among them chaos/live's parity test, one traced
+# request recorded by both drivers through telemetry's one recorder —
+# so concurrent span recording is always raced.
 # internal/overlog has no goroutines and no race line: its
 # Differential tests (semi-naive against naive evaluation) run in
 # the plain `go test ./...`; the 'AllocGuard|Visits' line names its two
 # families of regression guards — bytes per step, and rules entered or
-# rows compared per step — so a CI log shows them run. The four fuzz
+# rows compared per step — so a CI log shows them run, uncached
+# (-count=1): the byte guards are load-sensitive, and a cached pass
+# would stand in for a run. The four fuzz
 # lines run ten seconds each: FuzzRestoreSnapshot feeds RestoreSnapshot
 # mutated checkpoint images, starting from the seed corpus in
 # internal/overlog/testdata/fuzz; FuzzParse feeds the parser (and an
@@ -46,7 +50,7 @@ test: check
 check: lint
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/transport ./internal/rtfs
 	$(GO) test -race ./internal/chaos/... ./internal/sim ./internal/loadgen ./internal/provenance
-	$(GO) test -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
+	$(GO) test -count=1 -run 'AllocGuard|Visits' ./internal/overlog ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/overlog
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/overlog
 	$(GO) test -run '^$$' -fuzz=FuzzWireFrames -fuzztime=10s ./internal/transport

@@ -39,7 +39,7 @@ func TestFetchAllAssemblesOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	clStatus, err := telemetry.Serve("127.0.0.1:0", telemetry.Source{Role: "client", Addr: cl.Addr, Tracer: cl.Tracer})
+	clStatus, err := telemetry.Serve("127.0.0.1:0", telemetry.Source{Role: "client", Addr: cl.Addr, Tracer: cl.Tracer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFetchAllAssemblesOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	var id string
-	for _, sp := range cl.Tracer.Spans() {
+	for _, sp := range cl.Tracer().Spans() {
 		if sp.Kind == "op" {
 			id = sp.TraceID
 		}

@@ -267,7 +267,7 @@ func runFS(args []string) error {
 	if *traceFlag {
 		defer func() {
 			fmt.Fprintln(os.Stderr, "trace spans (query any node's /debug/trace?id=<trace_id>):")
-			for _, sp := range cl.Tracer.Spans() {
+			for _, sp := range cl.Tracer().Spans() {
 				if sp.TraceID != "" {
 					fmt.Fprintf(os.Stderr, "  %s\n", sp)
 				}
@@ -347,12 +347,11 @@ func runMRDemo(args []string) error {
 		return err
 	}
 	// Instrument each node before its first boot: step metrics into the
-	// demo's registry, spans into the cluster's ring, and its own lint
-	// findings into sys::lint.
+	// demo's registry and its own lint findings into sys::lint. (The
+	// cluster already records every node's spans into its ring.)
 	for _, name := range lc.Nodes() {
 		lc.RunOn(name, func(rt *overlog.Runtime) {
 			telemetry.AttachRuntime(reg, name, rt)
-			telemetry.AttachTracer(lc.Tracer(), rt.LocalAddr(), rt, lc.Now)
 			analysis.SelfLint(rt)
 		})
 	}

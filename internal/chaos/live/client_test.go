@@ -71,16 +71,19 @@ func TestClientRotatesPastUnreachableReplica(t *testing.T) {
 	}
 	var id string
 	sends := map[string]string{} // span kind + destination -> trace id
-	for _, sp := range cl.Tracer.Spans() {
+	for _, sp := range cl.Tracer().Spans() {
 		switch {
+		case sp.Node != cl.Addr:
 		case sp.Kind == "op":
 			id = sp.TraceID
 		case sp.Op == "fsreq":
 			sends[sp.Kind+" "+sp.Detail] = sp.TraceID
 		}
 	}
-	if len(sends) != 3 {
-		t.Fatalf("want a drop and two sends of fsreq, got %v", sends)
+	// The client records into the cluster's ring: three sends of fsreq,
+	// one a drop's parent (the cut replica's).
+	if len(sends) != 4 {
+		t.Fatalf("want three sends of fsreq and a drop, got %v", sends)
 	}
 	for what, tid := range sends {
 		if tid != id {
@@ -105,12 +108,10 @@ func TestClientRotatesPastUnreachableReplica(t *testing.T) {
 	}
 }
 
-// TestClientSendErrorFailsFast: a single-master client with no retry
-// budget whose send fails under a partition returns that error at
-// once, not after its timeout, and the op does not happen.
-func TestClientSendErrorFailsFast(t *testing.T) {
-	lc := NewCluster(1, telemetry.NewRegistry())
-	defer lc.Close()
+// plainMaster adds one unreplicated FS master, fsm:0, to lc and
+// returns its address.
+func plainMaster(t *testing.T, lc *Cluster) string {
+	t.Helper()
 	rt, err := lc.AddNode("fsm:0")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,31 @@ func TestClientSendErrorFailsFast(t *testing.T) {
 	if _, err := boomfs.NewMasterOnRuntime(rt, boomfs.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	master := rt.LocalAddr()
+	return rt.LocalAddr()
+}
+
+// failsFast runs a mkdir that must fail with an error other than a
+// timeout, in under a tenth of the client's timeout on the cluster's
+// clock.
+func failsFast(t *testing.T, lc *Cluster, cl *rtfs.Client, timeout time.Duration, what string) {
+	t.Helper()
+	start := lc.Now()
+	err := cl.Mkdir("/b")
+	if err == nil || errors.Is(err, boomfs.ErrTimeout) {
+		t.Fatalf("%s: mkdir returned %v, want the send error", what, err)
+	}
+	if d := lc.Now() - start; d >= timeout.Milliseconds()/10 {
+		t.Fatalf("%s: the error took %d ms to surface (timeout %v)", what, d, timeout)
+	}
+}
+
+// TestClientSendErrorFailsFast: a single-master client with no retry
+// budget whose send fails under a partition returns that error at
+// once, not after its timeout, and the op does not happen.
+func TestClientSendErrorFailsFast(t *testing.T) {
+	lc := NewCluster(1, telemetry.NewRegistry())
+	defer lc.Close()
+	master := plainMaster(t, lc)
 	const timeout = 10 * time.Second
 	cl, err := joinClient(lc, func(addr string) (*rtfs.Client, error) { return rtfs.NewClient(addr, master, timeout) })
 	if err != nil {
@@ -136,65 +161,57 @@ func TestClientSendErrorFailsFast(t *testing.T) {
 	}
 
 	lc.Faults().Partition(cl.Addr, master)
-	start := lc.Now()
-	err = cl.Mkdir("/b")
-	if err == nil || errors.Is(err, boomfs.ErrTimeout) {
-		t.Fatalf("partitioned mkdir: %v, want the send error", err)
-	}
-	if d := lc.Now() - start; d >= timeout.Milliseconds()/10 {
-		t.Fatalf("send error took %d ms to surface (timeout %v)", d, timeout)
-	}
+	failsFast(t, lc, cl, timeout, "partitioned")
 	lc.Faults().Heal(cl.Addr, master)
 	if err := cl.Mkdir("/b"); err != nil {
 		t.Fatalf("mkdir after heal: %v", err)
 	}
 }
 
-// TestClientOpBeforeBoot: an op against a master that has not booted
-// yet times out on its own clock, as one against a killed master does.
-// Nothing listens at the master's address before its first boot, so
-// the request frame is dropped and counted instead of waiting on a
-// connection nobody reads, which would stop the cluster's clock. The
-// address stays reserved meanwhile: no other listener can take it.
-func TestClientOpBeforeBoot(t *testing.T) {
+// TestClientKilledMasterFailsFast: a single-master client whose master
+// is down refuses its dial, and the op returns that error at once
+// instead of waiting out its timeout.
+func TestClientKilledMasterFailsFast(t *testing.T) {
 	lc := NewCluster(1, telemetry.NewRegistry())
 	defer lc.Close()
-	rt, err := lc.AddNode("fsm:0")
+	master := plainMaster(t, lc)
+	const timeout = 10 * time.Second
+	cl, err := joinClient(lc, func(addr string) (*rtfs.Client, error) { return rtfs.NewClient(addr, master, timeout) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.InstallSource(boomfs.ProtocolDecls); err != nil {
+	defer cl.Close()
+	if err := lc.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := boomfs.NewMasterOnRuntime(rt, boomfs.DefaultConfig()); err != nil {
+	if err := cl.Mkdir("/a"); err != nil {
 		t.Fatal(err)
 	}
+	lc.Kill("fsm:0")
+	failsFast(t, lc, cl, timeout, "master killed")
+}
+
+// TestClientOpBeforeBoot: an op against a master that has not booted
+// yet fails at once, as one against a killed master does. Nothing
+// listens at the master's address before its first boot, so the
+// client's dial is refused; no frame waits on a connection nobody
+// reads, which would stop the cluster's clock. The address stays
+// reserved meanwhile: no other listener can take it.
+func TestClientOpBeforeBoot(t *testing.T) {
+	lc := NewCluster(1, telemetry.NewRegistry())
+	defer lc.Close()
+	master := plainMaster(t, lc)
 	const timeout = time.Second
 	cl, err := joinClient(lc, func(addr string) (*rtfs.Client, error) {
-		return rtfs.NewClient(addr, rt.LocalAddr(), timeout)
+		return rtfs.NewClient(addr, master, timeout)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	start := lc.Now()
-	if err := cl.Mkdir("/a"); !errors.Is(err, boomfs.ErrTimeout) {
-		t.Fatalf("mkdir before boot: %v, want a timeout", err)
-	}
-	if d := lc.Now() - start; d != timeout.Milliseconds() {
-		t.Fatalf("op took %d ms of the cluster's clock, want its %v timeout", d, timeout)
-	}
-	drops := 0
-	for _, sp := range cl.Tracer.Spans() {
-		if sp.Kind == "drop" {
-			drops++
-		}
-	}
-	if drops == 0 {
-		t.Fatal("the request to the unbooted master was not dropped and counted")
-	}
-	if ln, err := net.Listen("tcp", rt.LocalAddr()); err == nil {
+	failsFast(t, lc, cl, timeout, "before boot")
+	if ln, err := net.Listen("tcp", master); err == nil {
 		ln.Close()
 		t.Fatal("the unbooted master's address was free to another listener")
 	}

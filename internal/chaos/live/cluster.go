@@ -108,9 +108,7 @@ func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
 
 // fault records an injected fault in the event ring.
 func (c *Cluster) fault(node, op, detail string) {
-	now := c.Now()
-	c.tracer.Record(telemetry.Span{Node: node, Kind: "fault", Op: op,
-		StartMS: now, EndMS: now, Detail: detail})
+	c.tracer.Event(node, "fault", op, "", "", c.Now(), detail)
 }
 
 // AddNode allocates a listener address for a logical name and returns
@@ -126,6 +124,7 @@ func (c *Cluster) AddNode(name string, opts ...overlog.Option) (*overlog.Runtime
 		return nil, err
 	}
 	n := &node{name: name, addr: addr, release: release, rt: overlog.NewRuntime(addr, opts...)}
+	telemetry.AttachTracer(c.tracer, addr, n.rt, c.Now)
 	c.nodes[name], c.nodes[addr] = n, n
 	c.order = append(c.order, name)
 	return n.rt, nil
@@ -301,6 +300,7 @@ func (c *Cluster) Restart(name string) error {
 			return
 		}
 		fresh := overlog.NewRuntime(n.addr)
+		telemetry.AttachTracer(c.tracer, n.addr, fresh, c.Now)
 		var svcs []sim.Service
 		if err = overlog.Restart(n.rt, fresh, func(rt *overlog.Runtime) (err error) {
 			svcs, err = n.spec(rt)

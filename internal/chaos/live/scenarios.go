@@ -57,8 +57,9 @@ func run(body chaos.Body, seed int64, sched chaos.Schedule) chaos.Outcome {
 }
 
 // joinClient starts an FS client at a free port and joins it to the
-// cluster's clock and fault plane: its sends suffer the same
-// partitions and loss bursts as everyone else's.
+// cluster's clock, fault plane and event ring: its sends suffer the
+// same partitions and loss bursts as everyone else's, and its ops'
+// spans land in the ring beside the servers'.
 func joinClient(lc *Cluster, start func(addr string) (*rtfs.Client, error)) (*rtfs.Client, error) {
 	addr, release, err := reserveAddr()
 	if err != nil {
@@ -71,6 +72,7 @@ func joinClient(lc *Cluster, start func(addr string) (*rtfs.Client, error)) (*rt
 	}
 	cl.Transport().SetClock(lc.Clock())
 	cl.Transport().SetFaults(lc.Faults())
+	cl.Transport().SetTracer(lc.Tracer())
 	cl.Transport().SetDialBackoff(redialBase, redialCap)
 	return cl, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/overlog"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Link is how a client reaches its cluster. Times are milliseconds on
@@ -26,12 +27,8 @@ type Link interface {
 	// clock reaches deadline, and reports whether cond held. With a
 	// deadline already past it checks cond without waiting.
 	Await(cond func(rt *overlog.Runtime) bool, deadline int64) (bool, error)
-}
-
-// OpTracer is a Link that records one span per call, opened before the
-// first send and named by the request's first id.
-type OpTracer interface {
-	StartOp(id, op, path string) (finish func(outcome string))
+	// Tracer is the event ring the client records into (nil: none).
+	Tracer() *telemetry.Tracer
 }
 
 // Sim is the simulator's link: a send is an injection, and Await runs
@@ -41,11 +38,14 @@ type Sim struct {
 	RT *overlog.Runtime
 }
 
-// Send injects tp at to, now.
+// Send injects tp at to, now, as the client's emission.
 func (s Sim) Send(to string, tp overlog.Tuple) error {
-	s.C.Inject(to, tp, 0)
+	s.C.InjectFrom(s.RT.LocalAddr(), to, tp)
 	return nil
 }
+
+// Tracer is the cluster's event ring.
+func (s Sim) Tracer() *telemetry.Tracer { return s.C.Tracer() }
 
 // Now is the cluster's virtual time.
 func (s Sim) Now() int64 { return s.C.Now() }
@@ -92,7 +92,7 @@ type Request struct {
 	Tuple func(to, id string) overlog.Tuple
 	// Done reports whether the client's runtime holds id's answer.
 	Done func(rt *overlog.Runtime, id string) bool
-	// Op and Path name the call's span on a link that traces.
+	// Op and Path name the call's op span, when the link has a ring.
 	Op, Path string
 }
 
@@ -115,11 +115,11 @@ func (c *Caller) Call(r Request) (tries int, answered bool, err error) {
 	if r.OneID {
 		id = c.NextID()
 	}
-	var finish func(string)
+	var op *telemetry.Op
 	outcome := "timeout"
 	defer func() {
-		if finish != nil {
-			finish(fmt.Sprintf("%s (%d tries)", outcome, tries))
+		if op != nil {
+			op.End(c.Link.Now(), fmt.Sprintf("%s %s (%d tries)", r.Path, outcome, tries))
 		}
 	}()
 	for c.Link.Now() < overall {
@@ -129,8 +129,8 @@ func (c *Caller) Call(r Request) (tries int, answered bool, err error) {
 		if !r.OneID {
 			id = c.NextID()
 		}
-		if t, ok := c.Link.(OpTracer); ok && finish == nil {
-			finish = t.StartOp(id, r.Op, r.Path)
+		if tries == 1 {
+			op = c.Link.Tracer().StartOp(c.Addr, id, r.Op, c.Link.Now())
 		}
 		if err := c.Link.Send(to, r.Tuple(to, id)); err != nil {
 			if len(r.Targets) == 1 && r.RetryMS <= 0 {

@@ -67,8 +67,8 @@ type FSConfig struct {
 	// CPU (the M/D/1 service-time model); 0 leaves masters infinitely
 	// fast and latency purely network-bound.
 	MasterServiceMS int64 `json:"master_service_ms"`
-	// Trace arms per-request root spans plus sim rule/net spans, and
-	// fills RunStats.Breakdown with the queue/serve/network
+	// Trace arms per-request root spans plus the sim's send/recv/rules
+	// spans, and fills RunStats.Breakdown with the queue/serve/network
 	// decomposition of the latency distribution.
 	Trace bool `json:"trace,omitempty"`
 	// SLOBoundP99MS, when positive, declares a p99 SLO: completion
@@ -143,8 +143,9 @@ func RunFS(cfg FSConfig) (RunStats, error) {
 	}
 	var tracer *telemetry.Tracer
 	if cfg.Trace {
-		// Generous cap: every request contributes an op span plus a few
-		// rule/net spans per hop; undersizing silently drops the oldest.
+		// Generous cap: every request contributes an op span plus a
+		// send, a recv and a rules span per hop; undersizing silently
+		// drops the oldest.
 		tracer = telemetry.NewTracer(int(cfg.Ops)*16 + 1024)
 		opts = append(opts, sim.WithTracer(tracer))
 	}

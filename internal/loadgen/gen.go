@@ -30,10 +30,10 @@ type Generator struct {
 	// time (recorded with zero latency).
 	issue func(i int64) (string, error)
 
-	// tracer, when set, gives every request a root "op" span: opened
-	// at issue (and marked active so the request's first hop parents
-	// to it), recorded at completion with the full virtual-time
-	// extent. nodeOf names the span's issuing node per operation.
+	// tracer, when set, gives every request a root "op" span, opened
+	// at issue (telemetry.Tracer.StartOp) and recorded at completion
+	// with the full virtual-time extent. nodeOf names the span's
+	// issuing node per operation.
 	tracer *telemetry.Tracer
 	nodeOf func(i int64) string
 
@@ -52,10 +52,8 @@ type Generator struct {
 
 // inflightOp is one issued-but-unresolved operation.
 type inflightOp struct {
-	at   int64  // issue time (virtual ms)
-	span string // pre-allocated root span ID ("" without a tracer)
-	node string // issuing node for the root span
-	op   int64  // operation index
+	at   int64         // issue time (virtual ms)
+	span *telemetry.Op // the open root span (nil without a tracer)
 }
 
 // NewGenerator builds a generator over c. ops is the stream length,
@@ -90,11 +88,9 @@ func (g *Generator) arm(i, at int64) {
 	g.c.At(at, func() error {
 		key, err := g.issue(i)
 		now := g.c.Now()
-		entry := inflightOp{at: now, op: i}
+		entry := inflightOp{at: now}
 		if g.tracer != nil && err == nil && key != "" {
-			entry.node = g.nodeOf(i)
-			entry.span = g.tracer.NextID(entry.node)
-			g.tracer.SetActive(entry.node, key, entry.span)
+			entry.span = g.tracer.StartOp(g.nodeOf(i), key, fmt.Sprintf("op%d", i), now)
 		}
 		g.mu.Lock()
 		g.issued++
@@ -130,13 +126,7 @@ func (g *Generator) Complete(key string, at int64) {
 	g.rec.Observe(at-entry.at, g.timeoutMS)
 	g.win = append(g.win, at-entry.at)
 	g.mu.Unlock()
-	if g.tracer != nil && entry.span != "" {
-		g.tracer.Record(telemetry.Span{
-			TraceID: key, SpanID: entry.span, Node: entry.node,
-			Kind: "op", Op: fmt.Sprintf("op%d", entry.op),
-			StartMS: entry.at, EndMS: at,
-		})
-	}
+	entry.span.End(at, "")
 }
 
 // TakeWindow returns the completion latencies observed since the

@@ -60,11 +60,12 @@ func StartSLOSweep(c *sim.Cluster, g *Generator, to, src, name string, windowMS 
 
 // LatencyBreakdown decomposes completed-request latency into its
 // queue, serve, and network components using the span trees a traced
-// run records: per trace, network is the summed extent of its "net"
-// spans, queue is the summed gap between a hop's arrival and the
-// rule-fire that consumed it (the M/D/1 service-queueing the sim
-// models), and serve is the remainder of the root op span (client
-// polling, response assembly).
+// run records, on either driver: per trace, network is the summed gap
+// from each send to the recv it parents (the wire), queue the summed
+// gap from each recv to the rules span that consumed it (the M/D/1
+// service queueing the sim models, or a node's inbox over TCP), and
+// serve the remainder of the root op span (client polling, response
+// assembly).
 type LatencyBreakdown struct {
 	Requests    int   `json:"requests"`
 	TotalP99MS  int64 `json:"total_p99_ms"`
@@ -118,15 +119,13 @@ func BreakdownSpans(tr *telemetry.Tracer) LatencyBreakdown {
 		total := op.EndMS - op.StartMS
 		var net, queue int64
 		for _, sp := range ts {
-			switch sp.Kind {
-			case "net":
-				net += sp.EndMS - sp.StartMS
-			case "rules":
-				if p, ok := byID[sp.ParentID]; ok && p.Kind == "net" {
-					if gap := sp.StartMS - p.EndMS; gap > 0 {
-						queue += gap
-					}
-				}
+			p, ok := byID[sp.ParentID]
+			switch {
+			case !ok || sp.StartMS <= p.StartMS:
+			case sp.Kind == "recv" && p.Kind == "send":
+				net += sp.StartMS - p.StartMS
+			case sp.Kind == "rules" && p.Kind == "recv":
+				queue += sp.StartMS - p.StartMS
 			}
 		}
 		serve := total - net - queue

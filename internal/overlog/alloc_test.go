@@ -418,7 +418,12 @@ func TestGeneratorAlternativeAllocGuard(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			run() // derive every q row once
 		}
+		// The least of several measurements: a GC or a scheduler
+		// hiccup during one run can only add bytes, never take them.
 		bytes := stepBytes(run)
+		for i := 0; i < 4; i++ {
+			bytes = min(bytes, stepBytes(run))
+		}
 		if took := ruleNamed(rt, "a1").stats.altEvals; strip == (took != 0) {
 			t.Fatalf("strip=%v: a1 took the alternative in %d evaluations", strip, took)
 		}

@@ -274,15 +274,11 @@ func (s *Server) StartMetricSweep(intervalMS int64, prefixes ...string) {
 
 // Client is a real-time FS client: a boomfs.Client on a TCP link. It
 // owns a node (to receive responses) and waits on its transport's
-// clock. Reg holds its transport counters; Tracer is its event ring:
-// one root span per op, whose request ID doubles as the trace ID, so
-// /debug/trace?id= on any node the op touched shows the same tree the
-// client started.
+// clock. Reg holds its transport counters.
 type Client struct {
 	*boomfs.Client
-	Reg    *telemetry.Registry
-	Tracer *telemetry.Tracer
-	link   *tcpLink
+	Reg  *telemetry.Registry
+	link *tcpLink
 }
 
 // NewClient starts a client node at addr speaking to master; each op
@@ -302,17 +298,25 @@ func newClient(addr string, timeout time.Duration, masters ...string) (*Client, 
 	}
 	lk.node = transport.NewNode(rt, func(env overlog.Envelope) error { return lk.tcp.Send(env) })
 	reg := telemetry.NewRegistry()
-	lk.tracer = telemetry.NewTracer(0)
 	telemetry.AttachRuntime(reg, "", rt)
-	telemetry.AttachTracer(lk.tracer, addr, rt, lk.Now)
+	// The client's steps record into whichever ring its transport holds
+	// at the time, so a harness that moves the transport onto its own
+	// ring (SetTracer) moves the client's whole trace with it.
+	rt.AddStepHook(func(st overlog.StepStats) { lk.Tracer().RecordStep(addr, st, lk.Now()) })
 	if lk.tcp, err = transport.ListenTCP(lk.node, addr); err != nil {
 		return nil, err
 	}
 	lk.tcp.SetTelemetry(transport.NewTCPStats(reg))
-	lk.tcp.SetTracer(lk.tracer)
+	lk.tcp.SetTracer(telemetry.NewTracer(0))
 	go lk.node.Run()
-	return &Client{Client: fs, Reg: reg, Tracer: lk.tracer, link: lk}, nil
+	return &Client{Client: fs, Reg: reg, link: lk}, nil
 }
+
+// Tracer is the client's event ring: one root span per op, whose
+// request ID doubles as the trace ID, so /debug/trace?id= on any node
+// the op touched shows the same tree the client started. It is the
+// ring its transport records into (Transport().SetTracer).
+func (c *Client) Tracer() *telemetry.Tracer { return c.link.Tracer() }
 
 // Close stops the client.
 func (c *Client) Close() {
@@ -325,20 +329,26 @@ func (c *Client) Close() {
 // cluster participant and suffers partitions and loss like any node.
 func (c *Client) Transport() *transport.TCP { return c.link.tcp }
 
-// tcpLink is a client's link.Link over TCP. The clock is the
-// transport's, read at each call, since a harness may replace it after
-// the client starts.
+// tcpLink is a client's link.Link over TCP. The clock and the ring are
+// the transport's, read at each call, since a harness may replace them
+// after the client starts.
 type tcpLink struct {
-	node   *transport.Node
-	tcp    *transport.TCP
-	tracer *telemetry.Tracer
+	node *transport.Node
+	tcp  *transport.TCP
 }
 
+// Send dials to first, so a peer that refuses fails the request now,
+// then queues tp for it.
 func (l *tcpLink) Send(to string, tp overlog.Tuple) error {
+	if err := l.tcp.Dial(to); err != nil {
+		return err
+	}
 	return l.tcp.Send(overlog.Envelope{To: to, Tuple: tp})
 }
 
 func (l *tcpLink) Now() int64 { return l.tcp.Clock().Now().UnixMilli() }
+
+func (l *tcpLink) Tracer() *telemetry.Tracer { return l.tcp.Tracer() }
 
 // Await checks cond under the node's lock, then every 2 ms on the
 // client's clock, until it holds or the deadline has passed.
@@ -354,19 +364,5 @@ func (l *tcpLink) Await(cond func(*overlog.Runtime) bool, deadline int64) (bool,
 			return false, nil
 		}
 		clk.Sleep(2 * time.Millisecond)
-	}
-}
-
-// StartOp opens the root span of one client op; the returned finish
-// records it once the outcome is known. The span is marked active for
-// the request's trace so the first outbound frame parents to it.
-func (l *tcpLink) StartOp(id, op, path string) func(outcome string) {
-	addr := l.tcp.LocalAddr()
-	span := l.tracer.NextID(addr)
-	l.tracer.SetActive(addr, id, span)
-	start := l.Now()
-	return func(outcome string) {
-		l.tracer.Record(telemetry.Span{TraceID: id, SpanID: span, Node: addr,
-			Kind: "op", Op: op, StartMS: start, EndMS: l.Now(), Detail: path + " " + outcome})
 	}
 }

@@ -119,7 +119,7 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	// client's op span and find the same ID in the master's event ring
 	// over HTTP.
 	var traceID string
-	for _, sp := range cl.Tracer.Spans() {
+	for _, sp := range cl.Tracer().Spans() {
 		if sp.Kind == "op" && sp.Op == "mkdir" {
 			traceID = sp.TraceID
 		}
@@ -140,7 +140,7 @@ func TestStatusEndpointsAndCrossNodeTrace(t *testing.T) {
 	// recv -> rules -> send. Each node's /debug/trace?id= serves its
 	// own half; merged (what boom-trace does), they assemble into one
 	// tree.
-	clSpans := cl.Tracer.ByTrace(traceID)
+	clSpans := cl.Tracer().ByTrace(traceID)
 	clKindSet := map[string]bool{}
 	for _, sp := range clSpans {
 		clKindSet[sp.Kind] = true

@@ -324,13 +324,15 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *Cluster) { c.reg = reg }
 }
 
-// WithTracer installs the cluster-wide event ring. The sim records
-// into it itself in the phase-2 merge — rule-fire spans when a node
-// consumed traced tuples, a net span when a traced envelope or service
-// injection crosses a link and a send when an untraced one does, a
-// drop per lost message, a fault per kill, revive, restart, partition
-// or heal — with virtual-clock timestamps and per-node span counters,
-// so the ring is bit-identical across runs.
+// WithTracer installs the cluster-wide event ring. Every runtime the
+// cluster creates (AddNode, Restart) records its steps into it through
+// telemetry.AttachTracer, on the step clock; the network model records
+// each cross-node emission through the ring's wire helpers (a send,
+// then a recv stamped at the arrival instant or a drop), and each
+// kill, revive, restart, partition or heal as a fault. Steps run in
+// creation order and the merge that sends is serial, so per-node span
+// counters and ring order, and with them the ring, are bit-identical
+// across runs.
 func WithTracer(tr *telemetry.Tracer) Option {
 	return func(c *Cluster) { c.tracer = tr }
 }
@@ -383,6 +385,7 @@ func (c *Cluster) AddNode(addr string, opts ...overlog.Option) (*overlog.Runtime
 	if c.reg != nil {
 		telemetry.AttachRuntime(c.reg, addr, rt)
 	}
+	telemetry.AttachTracer(c.tracer, addr, rt, nil)
 	if c.provCap > 0 {
 		rt.EnableProvenance("*", c.provCap)
 	}
@@ -502,6 +505,7 @@ func (c *Cluster) Restart(addr string) error {
 	if c.reg != nil {
 		telemetry.AttachRuntime(c.reg, addr, rt)
 	}
+	telemetry.AttachTracer(c.tracer, addr, rt, nil)
 	if c.provCap > 0 {
 		rt.EnableProvenance("*", c.provCap)
 	}
@@ -620,29 +624,36 @@ func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
 // Tracer returns the cluster's event ring (nil unless WithTracer).
 func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
 
-// fault records an injected fault in the event ring.
-func (c *Cluster) fault(node, op, detail string) {
-	c.tracer.Record(telemetry.Span{Node: node, Kind: "fault", Op: op,
-		StartMS: c.now, EndMS: c.now, Detail: detail})
+// InjectFrom is Inject at delay 0 of a tuple that node from sends
+// outside any step (a client's request): the event ring records it as
+// from's emission, as the network model records a step's.
+func (c *Cluster) InjectFrom(from, to string, tp overlog.Tuple) {
+	c.hop(from, to, tp, 0)
+	c.Inject(to, tp, 0)
 }
 
-// drop counts a lost message and records it in the event ring.
-func (c *Cluster) drop(from string, tp overlog.Tuple, detail string) {
+// fault records an injected fault in the event ring.
+func (c *Cluster) fault(node, op, detail string) {
+	c.tracer.Event(node, "fault", op, "", "", c.now, detail)
+}
+
+// drop counts a message lost on its way from from to to and records
+// it in the event ring.
+func (c *Cluster) drop(from, to string, tp overlog.Tuple, detail string) {
 	c.Dropped++
 	if c.tracer != nil {
-		c.tracer.Record(telemetry.Span{TraceID: telemetry.TraceIDOf(tp), Node: from,
-			Kind: "drop", Op: tp.Table, StartMS: c.now, EndMS: c.now, Detail: detail})
+		c.tracer.Sent(from, to, telemetry.TraceIDOf(tp), tp.Table, c.now, detail)
 	}
 }
 
 // send routes a runtime-emitted envelope through the network model.
 func (c *Cluster) send(from string, env overlog.Envelope) {
 	if c.partitions[[2]string{from, env.To}] {
-		c.drop(from, env.Tuple, "partitioned from "+env.To)
+		c.drop(from, env.To, env.Tuple, "partitioned from "+env.To)
 		return
 	}
 	if from != env.To && c.dropRate > 0 && c.rng.Float64() < c.dropRate {
-		c.drop(from, env.Tuple, "lossy link to "+env.To)
+		c.drop(from, env.To, env.Tuple, "lossy link to "+env.To)
 		return
 	}
 	delay := int64(0)
@@ -654,64 +665,21 @@ func (c *Cluster) send(from string, env overlog.Envelope) {
 	} else {
 		delay = 1
 	}
-	c.stampNetSpan(from, env.To, env.Tuple, delay)
+	c.hop(from, env.To, env.Tuple, delay)
 	c.Inject(env.To, env.Tuple, delay)
 }
 
-// stampNetSpan records one cross-node emission. A traced one becomes
-// a net span whose EndMS covers network delay only, so the gap to the
-// destination's next rule-fire span is the service-queueing component;
-// an untraced one becomes a send, with no span ID. Runs only in the
-// phase-2 merge, in creation order, which is what keeps per-node span
-// counters and ring order deterministic.
-func (c *Cluster) stampNetSpan(from, to string, tp overlog.Tuple, delay int64) {
+// hop records one cross-node emission in the event ring: its send now
+// and, when traced, its recv at the arrival instant, now + delay, so
+// the recv-to-rules gap at the destination is the service queueing.
+// Self-deliveries cross no link and record nothing.
+func (c *Cluster) hop(from, to string, tp overlog.Tuple, delay int64) {
 	if c.tracer == nil || from == to {
 		return
 	}
 	trace := telemetry.TraceIDOf(tp)
-	if trace == "" {
-		c.tracer.Record(telemetry.Span{Node: from, Kind: "send", Op: tp.Table,
-			StartMS: c.now, EndMS: c.now, Detail: "to " + to})
-		return
-	}
-	id := c.tracer.NextID(from)
-	c.tracer.Record(telemetry.Span{
-		TraceID: trace, SpanID: id,
-		ParentID: c.tracer.Active(from, trace),
-		Node:     from, Kind: "net", Op: tp.Table,
-		StartMS: c.now, EndMS: c.now + delay, Detail: "to " + to,
-	})
-	c.tracer.SetActive(to, trace, id)
-}
-
-// stampRuleSpans records one rule-fire span per distinct trace a
-// node's step consumed, parented to the hop that delivered it; the
-// span becomes the node's active span so this step's sends chain
-// under it. Phase 2 only, like stampNetSpan.
-func (c *Cluster) stampRuleSpans(n *node, in []overlog.Tuple, outCt int) {
-	if c.tracer == nil {
-		return
-	}
-	var seen map[string]bool
-	for _, tp := range in {
-		trace := telemetry.TraceIDOf(tp)
-		if trace == "" || seen[trace] {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[string]bool, 4)
-		}
-		seen[trace] = true
-		id := c.tracer.NextID(n.addr)
-		c.tracer.Record(telemetry.Span{
-			TraceID: trace, SpanID: id,
-			ParentID: c.tracer.Active(n.addr, trace),
-			Node:     n.addr, Kind: "rules", Op: tp.Table,
-			StartMS: c.now, EndMS: c.now,
-			Detail: fmt.Sprintf("out=%d", outCt),
-		})
-		c.tracer.SetActive(n.addr, trace, id)
-	}
+	sent := c.tracer.Sent(from, to, trace, tp.Table, c.now, "")
+	c.tracer.Received(to, from, trace, sent, tp.Table, c.now+delay)
 }
 
 // Step processes the earliest pending work (message deliveries, fault
@@ -792,7 +760,6 @@ func (c *Cluster) Step() (bool, error) {
 		if r.err != nil {
 			return false, r.err
 		}
-		c.stampRuleSpans(r.n, r.in, len(r.out))
 		c.flushNode(r.n, r.out)
 		r.n.inbox = r.n.inbox[:0]
 		c.refreshWake(r.n)
@@ -814,8 +781,8 @@ type stepResult struct {
 }
 
 // runNode is phase 1: the node's local fixpoint. It touches only the
-// node's own runtime (tables, per-runtime RNG, watch buffer) and the
-// telemetry registry.
+// node's own runtime (tables, per-runtime RNG, watch buffer), the
+// telemetry registry and, through the step hook, the event ring.
 func (c *Cluster) runNode(n *node, in []overlog.Tuple) ([]overlog.Envelope, error) {
 	n.buffer = n.buffer[:0]
 	out, err := n.rt.Step(c.now, in)
@@ -858,11 +825,11 @@ func (c *Cluster) flushNode(n *node, out []overlog.Envelope) {
 func (c *Cluster) sendInjection(from string, inj Injection) {
 	if inj.To != from {
 		if c.partitions[[2]string{from, inj.To}] {
-			c.drop(from, inj.Tuple, "partitioned from "+inj.To)
+			c.drop(from, inj.To, inj.Tuple, "partitioned from "+inj.To)
 			return
 		}
 		if c.dropRate > 0 && c.rng.Float64() < c.dropRate {
-			c.drop(from, inj.Tuple, "lossy link to "+inj.To)
+			c.drop(from, inj.To, inj.Tuple, "lossy link to "+inj.To)
 			return
 		}
 	}
@@ -873,7 +840,7 @@ func (c *Cluster) sendInjection(from string, inj Injection) {
 	if delay < 1 {
 		delay = 1
 	}
-	c.stampNetSpan(from, inj.To, inj.Tuple, delay)
+	c.hop(from, inj.To, inj.Tuple, delay)
 	c.Inject(inj.To, inj.Tuple, delay)
 }
 

@@ -60,9 +60,9 @@ func TestSimSpanDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimSpanChain checks the shape the sim stamps: the trace's spans
-// alternate rules and net hops, cross every ring node, and parent into
-// one tree.
+// TestSimSpanChain checks the shape the sim records: the trace's spans
+// run rules, send, recv, rules, ... across every ring node, and parent
+// into one tree.
 func TestSimSpanChain(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	c := sim.NewCluster(sim.WithClusterSeed(7), sim.WithTracer(tr))
@@ -85,24 +85,28 @@ func TestSimSpanChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := tr.ByTrace("req-9")
-	var rules, nets int
+	byID := map[string]telemetry.Span{}
 	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+	}
+	kinds := map[string]int{}
+	for _, sp := range spans {
+		kinds[sp.Kind]++
+		parent := byID[sp.ParentID]
 		switch sp.Kind {
-		case "rules":
-			rules++
-		case "net":
-			nets++
-			if sp.EndMS < sp.StartMS {
-				t.Fatalf("net span ends before it starts: %v", sp)
+		case "rules", "send":
+		case "recv":
+			if parent.Kind != "send" || sp.StartMS <= parent.StartMS {
+				t.Fatalf("recv %v does not follow its send %v", sp, parent)
 			}
 		default:
 			t.Fatalf("unexpected span kind %q from the sim", sp.Kind)
 		}
 	}
 	// Hops 0..3 fire rules on a, b, c, a; hops crossing a link are
-	// a->b, b->c, c->a.
-	if rules != 4 || nets != 3 {
-		t.Fatalf("got %d rules + %d net spans, want 4 + 3:\n%v", rules, nets, spans)
+	// a->b, b->c, c->a, each a send and a recv.
+	if want := map[string]int{"rules": 4, "send": 3, "recv": 3}; fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("spans by kind = %v, want %v:\n%v", kinds, want, spans)
 	}
 	if nodes := telemetry.TraceNodes(spans); len(nodes) != 3 {
 		t.Fatalf("trace crossed %v, want all 3 ring nodes", nodes)
@@ -113,10 +117,10 @@ func TestSimSpanChain(t *testing.T) {
 	}
 }
 
-// TestSimOneEntryPerEnvelope pins the ring's accounting: every
-// cross-node envelope is one entry — a net span when traced, a send
-// with neither trace nor span ID when not — beside the rules span of
-// each step that consumed a traced tuple.
+// TestSimOneEntryPerEnvelope pins the ring's accounting: a traced
+// cross-node envelope is a send and a recv, an untraced one a single
+// send with neither trace nor span ID, beside the rules span of each
+// step that consumed a traced tuple.
 func TestSimOneEntryPerEnvelope(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	c := sim.NewCluster(sim.WithClusterSeed(7), sim.WithTracer(tr))
@@ -141,11 +145,11 @@ func TestSimOneEntryPerEnvelope(t *testing.T) {
 	kinds := map[string]int{}
 	for _, sp := range tr.Spans() {
 		kinds[sp.Kind]++
-		if sp.Kind == "send" && (sp.Op != "hop" || sp.TraceID != "" || sp.SpanID != "") {
+		if sp.Kind == "send" && sp.Op == "hop" && (sp.TraceID != "" || sp.SpanID != "") {
 			t.Fatalf("untraced send carries trace context: %v", sp)
 		}
 	}
-	want := map[string]int{"rules": 4, "net": 3, "send": 3}
+	want := map[string]int{"recv": 3, "rules": 4, "send": 6}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("ring entries by kind = %v, want %v", kinds, want)
 	}

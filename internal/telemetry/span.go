@@ -16,23 +16,25 @@ import (
 // table has no trace column, a fault) has an empty TraceID and no
 // SpanID, so recording it costs one ring slot and nothing more.
 //
-// Timestamps are whatever clock the recorder passed in: the sim
-// driver stamps virtual-clock milliseconds (bit-identical replay),
-// the TCP driver stamps wall milliseconds. The Tracer itself never
-// reads a clock.
+// Every span is built here, by the Tracer's recording methods (the
+// step hook, the wire helpers, StartOp); the drivers only say what
+// happened and when. Timestamps are whatever clock the driver passed
+// in: the sim's virtual milliseconds (bit-identical replay), or the
+// TCP transport's clock. The Tracer itself never reads a clock.
 type Span struct {
 	TraceID  string `json:"trace_id,omitempty"`
 	SpanID   string `json:"span_id,omitempty"`
 	ParentID string `json:"parent_id,omitempty"`
 	Node     string `json:"node"`
-	// Kind classifies the record: "op" (a client-visible operation,
-	// the usual root), "rules" (a runtime step that consumed tuples of
-	// this trace), "send" (an emission leaving a node), "net" (a
-	// sim-modeled wire hop, EndMS includes only network delay), "recv"
-	// (TCP-side delivery), "drop" (a message lost to a fault, a full
-	// queue, a failed dial or write, or a frame the receiver's program
-	// cannot hold) and "fault" (an injected kill, restart, partition,
-	// ...).
+	// Kind classifies the record, in one vocabulary on both drivers:
+	// "op" (a client-visible operation, the usual root), "rules" (a
+	// runtime step that consumed tuples of this trace), "send" (an
+	// emission leaving a node), "recv" (a traced emission arriving,
+	// parented to its send; the gap to the send is the wire, the gap
+	// to the next rules span the queue), "drop" (a message lost to a
+	// fault, a full queue, a failed dial or write, or a frame the
+	// receiver's program cannot hold; a traced one parents to its
+	// send) and "fault" (an injected kill, restart, partition, ...).
 	Kind    string `json:"kind"`
 	Op      string `json:"op"`
 	StartMS int64  `json:"start_ms"`
@@ -53,8 +55,8 @@ type activeKey struct{ node, trace string }
 
 type hopKey struct{ from, trace, to string }
 
-// hopRef is one parking of a hop: seq tells a live parking from an
-// older one of the same key that was taken since.
+// hopRef is one parking of a hop: seq tells a parking still waiting
+// from one of the same key that was taken since.
 type hopRef struct {
 	key hopKey
 	seq uint64
@@ -66,25 +68,26 @@ type parkedHop struct {
 }
 
 // Tracer is the event ring: a bounded ring of spans, cluster-wide
-// under the sim driver and one per node over TCP, that every view of
-// a node's events reads (/debug/trace, chaos reports, provenance
-// trace attachments, the sim fingerprint). It also carries the two
-// pieces of cross-component context that make chaining work without
-// threading span IDs through every call site:
+// under the sim and the live cluster and one per process under rtfs,
+// that every view of a node's events reads (/debug/trace, chaos
+// reports, provenance trace attachments, the sim fingerprint). It
+// also carries the two pieces of cross-component context that make
+// chaining work without threading span IDs through every call site:
 //
 //   - the ACTIVE span per (node, trace): the span a node's next
 //     rule-fire for that trace should parent to;
-//   - the pending HOP per (from, trace, to): a send span recorded by
-//     the runtime step hook, waiting for the transport to attach it
-//     to the wire (TCP) or hand it to the destination (sim).
+//   - the pending HOPs per (from, trace, to): send spans recorded by
+//     the runtime step hook, waiting for the driver to send their
+//     emission (Sent), which puts the ID on the wire (TCP) or parents
+//     the destination's recv to it (sim).
 //
 // All methods are mutex-guarded and none reads a clock, so recording
 // is safe from concurrently stepping nodes (the TCP transport runs one
 // goroutine per node); span IDs come from per-node counters, which
 // stay deterministic in the sim because each node's steps are serial.
 // Both context maps are bounded with FIFO eviction so abandoned
-// traces cannot leak. Record, Spans and Total accept a nil Tracer, so
-// a driver without a ring records nothing.
+// traces cannot leak. The recording methods, Spans and Total accept a
+// nil Tracer, so a driver without a ring records nothing.
 type Tracer struct {
 	mu       sync.Mutex
 	buf      []Span
@@ -94,7 +97,7 @@ type Tracer struct {
 	seq      map[string]int64
 	active   map[activeKey]string
 	actOrder []activeKey
-	hops     map[hopKey]parkedHop
+	hops     map[hopKey][]parkedHop
 	hopOrder []hopRef
 	hopSeq   uint64
 }
@@ -115,14 +118,14 @@ func NewTracer(capacity int) *Tracer {
 		buf:    make([]Span, capacity),
 		seq:    make(map[string]int64),
 		active: make(map[activeKey]string),
-		hops:   make(map[hopKey]parkedHop),
+		hops:   make(map[hopKey][]parkedHop),
 	}
 }
 
-// NextID allocates the next span ID for node, formatted "node#n".
+// nextID allocates the next span ID for node, formatted "node#n".
 // Per-node counters keep IDs deterministic: a node's own allocations
 // are always serial.
-func (t *Tracer) NextID(node string) string {
+func (t *Tracer) nextID(node string) string {
 	t.mu.Lock()
 	t.seq[node]++
 	n := t.seq[node]
@@ -146,9 +149,9 @@ func (t *Tracer) Record(sp Span) {
 	t.mu.Unlock()
 }
 
-// SetActive marks span as the parent for node's next segment of
+// setActive marks span as the parent for node's next segment of
 // trace.
-func (t *Tracer) SetActive(node, trace, span string) {
+func (t *Tracer) setActive(node, trace, span string) {
 	t.mu.Lock()
 	k := activeKey{node, trace}
 	if _, ok := t.active[k]; !ok {
@@ -171,43 +174,47 @@ func (t *Tracer) Active(node, trace string) string {
 	return id
 }
 
-// SetHop parks a send span until the transport picks it up for the
-// matching (from, trace, to) emission. Eviction drops the oldest
-// parking, and only while it is still live: a key taken and parked
-// again is live under its newer parking, not its first.
-func (t *Tracer) SetHop(from, trace, to, span string) {
+// setHop parks a send span until the driver sends the matching
+// (from, trace, to) emission. Parkings of one key queue in step order,
+// so a step that emits the same hop twice hands each send its own
+// span. Eviction drops the oldest parking, if it is still waiting.
+func (t *Tracer) setHop(from, trace, to, span string) {
 	t.mu.Lock()
 	k := hopKey{from, trace, to}
-	h, ok := t.hops[k]
-	if !ok {
-		t.hopSeq++
-		h.seq = t.hopSeq
-		t.hopOrder = append(t.hopOrder, hopRef{k, h.seq})
-		if len(t.hopOrder) > maxContext {
-			old := t.hopOrder[0]
-			if t.hops[old.key].seq == old.seq {
-				delete(t.hops, old.key)
-			}
-			t.hopOrder = t.hopOrder[1:]
+	t.hopSeq++
+	t.hops[k] = append(t.hops[k], parkedHop{span, t.hopSeq})
+	t.hopOrder = append(t.hopOrder, hopRef{k, t.hopSeq})
+	if len(t.hopOrder) > maxContext {
+		old := t.hopOrder[0]
+		t.hopOrder = t.hopOrder[1:]
+		if q := t.hops[old.key]; len(q) > 0 && q[0].seq == old.seq {
+			t.popHop(old.key, q)
 		}
 	}
-	h.span = span
-	t.hops[k] = h
 	t.mu.Unlock()
 }
 
-// TakeHop consumes and returns the parked send span for (from,
+// takeHop consumes and returns the oldest parked send span for (from,
 // trace, to), or "" when the emission did not come from a traced
 // runtime step.
-func (t *Tracer) TakeHop(from, trace, to string) string {
+func (t *Tracer) takeHop(from, trace, to string) string {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	k := hopKey{from, trace, to}
-	h, ok := t.hops[k]
-	if ok {
-		delete(t.hops, k)
+	if q := t.hops[k]; len(q) > 0 {
+		return t.popHop(k, q)
 	}
-	t.mu.Unlock()
-	return h.span
+	return ""
+}
+
+// popHop (t.mu held) removes and returns the head of k's queue q.
+func (t *Tracer) popHop(k hopKey, q []parkedHop) string {
+	if len(q) == 1 {
+		delete(t.hops, k)
+	} else {
+		t.hops[k] = q[1:]
+	}
+	return q[0].span
 }
 
 // Total reports how many spans were ever recorded (including ones

@@ -83,14 +83,14 @@ func TestTracerReparkedHopSurvivesEviction(t *testing.T) {
 	}
 }
 
-// sampleTrace is a 3-node request: op on the client, a rule fire and a
-// wire hop per downstream node.
+// sampleTrace is a 3-node request: op on the client, a send into each
+// downstream node and a rule fire there.
 func sampleTrace() []telemetry.Span {
 	return []telemetry.Span{
 		{TraceID: "r1", SpanID: "c#1", Node: "c", Kind: "op", Op: "create", StartMS: 10, EndMS: 40},
-		{TraceID: "r1", SpanID: "c#2", ParentID: "c#1", Node: "c", Kind: "net", Op: "req", StartMS: 10, EndMS: 14},
+		{TraceID: "r1", SpanID: "c#2", ParentID: "c#1", Node: "c", Kind: "send", Op: "req", StartMS: 10, EndMS: 10},
 		{TraceID: "r1", SpanID: "m#1", ParentID: "c#2", Node: "m", Kind: "rules", Op: "req", StartMS: 16, EndMS: 16},
-		{TraceID: "r1", SpanID: "m#2", ParentID: "m#1", Node: "m", Kind: "net", Op: "rep", StartMS: 16, EndMS: 20},
+		{TraceID: "r1", SpanID: "m#2", ParentID: "m#1", Node: "m", Kind: "send", Op: "rep", StartMS: 16, EndMS: 16},
 		{TraceID: "r1", SpanID: "d#1", ParentID: "m#2", Node: "d", Kind: "rules", Op: "rep", StartMS: 22, EndMS: 22},
 	}
 }

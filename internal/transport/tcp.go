@@ -78,33 +78,15 @@ func NewTCPStats(reg *telemetry.Registry) *TCPStats {
 	}
 }
 
-// QueueConfig bounds the per-peer send queue. A full queue evicts its
+// queueCap bounds each peer's send queue. A full queue evicts its
 // oldest frame to admit the new one: a slow peer loses its backlog's
 // head and the sender never stalls. Overlog protocols retry (heartbeats
 // re-fire, clients re-issue), so a bounded drop is a delay, not a loss
-// of correctness.
-type QueueConfig struct {
-	// Cap is the maximum number of frames queued per peer (default 1024).
-	Cap int
-	// MaxBatch caps how many frames one flush coalesces (default 128).
-	MaxBatch int
-}
-
-// DefaultQueueConfig returns the production defaults.
-func DefaultQueueConfig() QueueConfig {
-	return QueueConfig{Cap: 1024, MaxBatch: 128}
-}
-
-func (q QueueConfig) withDefaults() QueueConfig {
-	d := DefaultQueueConfig()
-	if q.Cap <= 0 {
-		q.Cap = d.Cap
-	}
-	if q.MaxBatch <= 0 {
-		q.MaxBatch = d.MaxBatch
-	}
-	return q
-}
+// of correctness. maxBatch caps how many frames one flush coalesces.
+const (
+	queueCap = 1024
+	maxBatch = 128
+)
 
 // TCP is a mesh transport: it listens on the node's own address and
 // lazily dials peers on first send. Every peer gets a bounded send
@@ -123,7 +105,7 @@ type TCP struct {
 	inbound map[net.Conn]bool
 	boBase  time.Duration
 	boCap   time.Duration
-	qcfg    QueueConfig
+	qcap    int // queueCap; tests lower it to force an overflow
 	stats   *TCPStats
 	tracer  *telemetry.Tracer
 	faults  *Faults
@@ -153,6 +135,7 @@ type peerQ struct {
 	enc     *gob.Encoder
 	bw      *bufio.Writer
 	key     string    // the connection's name on a virtual clock
+	dialing bool      // a dial is in flight (ensureConn)
 	counted int       // 1, or 0 while a slow-link wait stops frames counting as work
 	fails   int       // consecutive dial failures
 	until   time.Time // fail-fast window end
@@ -173,7 +156,7 @@ func ListenTCP(node *Node, addr string) (*TCP, error) {
 		peers: map[string]*peerQ{}, ever: map[string]bool{},
 		inbound: map[net.Conn]bool{},
 		boBase:  50 * time.Millisecond, boCap: 5 * time.Second,
-		qcfg:  DefaultQueueConfig(),
+		qcap:  queueCap,
 		stats: &TCPStats{}, done: make(chan struct{})}
 	node.mu.Lock()
 	node.rejected = t.reject
@@ -188,14 +171,6 @@ func ListenTCP(node *Node, addr string) (*TCP, error) {
 func (t *TCP) SetDialBackoff(base, max time.Duration) {
 	t.mu.Lock()
 	t.boBase, t.boCap = base, max
-	t.mu.Unlock()
-}
-
-// SetQueueConfig replaces the send-queue bounds. Call before traffic
-// flows; existing peer queues keep the config they were created with.
-func (t *TCP) SetQueueConfig(q QueueConfig) {
-	t.mu.Lock()
-	t.qcfg = q.withDefaults()
 	t.mu.Unlock()
 }
 
@@ -227,18 +202,22 @@ func (t *TCP) SetTelemetry(stats *TCPStats) {
 	t.mu.Unlock()
 }
 
-// SetTracer installs the node's event ring; nil clears it. Every
-// message side records one entry. A traced send takes the pending hop
-// the runtime step hook parked (telemetry.AttachTracer), which already
-// is its record, and puts its ID on the wire; any other send (a direct
-// client emission that never crossed a step, or an untraced tuple)
-// records a send. A delivery records one recv, parented to the wire's
-// span ID and marked active so the next local rule-fire chains. Every
-// drop records one drop.
+// SetTracer installs the event ring the transport records into; nil
+// clears it. It records every emission through the ring's wire helpers,
+// as the simulator's network model does: a send (the hop the runtime
+// step hook parked, telemetry.AttachTracer, when there is one) whose
+// ID travels on the wire, a recv at the receiver for a traced frame,
+// parented to that ID, and a drop for a frame lost on the way.
 func (t *TCP) SetTracer(tr *telemetry.Tracer) {
 	t.mu.Lock()
 	t.tracer = tr
 	t.mu.Unlock()
+}
+
+// Tracer returns the event ring SetTracer installed.
+func (t *TCP) Tracer() *telemetry.Tracer {
+	_, tr := t.telemetry()
+	return tr
 }
 
 // RegisterQueueGauges exposes the transport's aggregate queue depth on
@@ -314,15 +293,14 @@ func (t *TCP) telemetry() (*TCPStats, *telemetry.Tracer) {
 	return t.stats, t.tracer
 }
 
-// event records one point event of this node on its clock. Untraced
-// events take no span ID.
-func (t *TCP) event(tr *telemetry.Tracer, kind, table, trace, parent, detail string) {
-	if tr == nil {
-		return
+// nowMS reads the transport's clock for the event ring.
+func (t *TCP) nowMS() int64 { return t.Clock().Now().UnixMilli() }
+
+// drop records the loss of a frame whose send is already in the ring.
+func (t *TCP) drop(tr *telemetry.Tracer, m WireMsg, detail string) {
+	if tr != nil {
+		tr.Event(t.localAddr, "drop", m.Table, m.TraceID, m.SpanID, t.nowMS(), detail)
 	}
-	now := t.Clock().Now().UnixMilli()
-	tr.Record(telemetry.Span{TraceID: trace, ParentID: parent, Node: t.localAddr,
-		Kind: kind, Op: table, StartMS: now, EndMS: now, Detail: detail})
 }
 
 // LocalAddr returns the transport's listen address.
@@ -337,7 +315,8 @@ func (t *TCP) LocalAddr() string { return t.localAddr }
 // of the backlog's head.
 func (t *TCP) Send(env overlog.Envelope) error {
 	stats, tr := t.telemetry()
-	trace := telemetry.TraceIDOf(env.Tuple)
+	msg := WireMsg{To: env.To, Table: env.Tuple.Table, Vals: env.Tuple.Vals,
+		TraceID: telemetry.TraceIDOf(env.Tuple)}
 
 	t.mu.Lock()
 	faults := t.faults
@@ -345,34 +324,30 @@ func (t *TCP) Send(env overlog.Envelope) error {
 	if faults != nil {
 		if reason, drop := faults.check(t.localAddr, env.To); drop {
 			stats.FaultDrops.Inc()
-			t.event(tr, "drop", env.Tuple.Table, trace, "", reason+" "+env.To)
+			t.sent(tr, &msg, reason+" "+env.To)
 			return fmt.Errorf("transport: send to %s: %s", env.To, reason)
 		}
 	}
+	return t.peer(env.To).enqueue(msg, stats, tr)
+}
 
-	msg := WireMsg{To: env.To, Table: env.Tuple.Table, Vals: env.Tuple.Vals, TraceID: trace}
-	// A hop the step hook parked is this send's record already; only an
-	// uncovered send (a direct client emission, a relay, an untraced
-	// tuple) records one here.
-	covered := false
-	if tr != nil && trace != "" {
-		msg.SpanID = tr.TakeHop(t.localAddr, trace, env.To)
-		covered = msg.SpanID != ""
-		if !covered {
-			msg.SpanID = tr.NextID(t.localAddr)
-		}
+// sent records msg's emission in the ring, lost at the sender when
+// lost is non-empty, and puts its send span's ID on the frame.
+func (t *TCP) sent(tr *telemetry.Tracer, msg *WireMsg, lost string) {
+	if tr != nil {
+		msg.SpanID = tr.Sent(t.localAddr, msg.To, msg.TraceID, msg.Table, t.nowMS(), lost)
 	}
-	if err := t.peer(env.To).enqueue(msg, stats, tr); err != nil {
-		return err
-	}
-	if tr != nil && !covered {
-		now := t.Clock().Now().UnixMilli()
-		sp := telemetry.Span{TraceID: trace, SpanID: msg.SpanID, Node: t.localAddr,
-			Kind: "send", Op: env.Tuple.Table, StartMS: now, EndMS: now, Detail: "to " + env.To}
-		if trace != "" {
-			sp.ParentID = tr.Active(t.localAddr, trace)
-		}
-		tr.Record(sp)
+}
+
+// Dial connects to the peer at addr unless a connection is up, on the
+// caller's goroutine, and returns the dial's error: inside the peer's
+// backoff window, the one that opened it. A client calls it before a
+// request, so a peer that refuses fails the request at once instead of
+// after its timeout. The node's step loop never dials: its sends
+// queue, and the peer's writer dials.
+func (t *TCP) Dial(addr string) error {
+	if err := t.peer(addr).ensureConn(t); err != nil {
+		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	return nil
 }
@@ -405,35 +380,36 @@ func (t *TCP) peer(addr string) *peerQ {
 // admitted — the peer is known-dead and the writer would only drop it.
 func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) error {
 	p.t.mu.Lock()
-	qcfg := p.t.qcfg
+	qcap := p.t.qcap
 	p.t.mu.Unlock()
 
 	clk := p.t.Clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return fmt.Errorf("transport: send to %s: transport closed", p.addr)
+		err := fmt.Errorf("transport: send to %s: transport closed", p.addr)
+		p.t.sent(tr, &msg, err.Error())
+		return err
 	}
 	if p.conn == nil && p.fails > 0 {
 		if wait := p.until.Sub(clk.Now()); wait > 0 {
 			p.drops++
 			stats.SendErrors.Inc()
-			p.t.event(tr, "drop", msg.Table, msg.TraceID, msg.SpanID,
-				fmt.Sprintf("dial %s: backing off %s after %d failure(s)",
-					p.addr, wait.Round(time.Millisecond), p.fails))
-			return fmt.Errorf("transport: dial %s: backing off %s after %d failure(s)",
+			err := fmt.Errorf("transport: dial %s: backing off %s after %d failure(s)",
 				p.addr, wait.Round(time.Millisecond), p.fails)
+			p.t.sent(tr, &msg, err.Error())
+			return err
 		}
 	}
-	if len(p.queue) >= qcfg.Cap {
+	p.t.sent(tr, &msg, "")
+	if len(p.queue) >= qcap {
 		victim := p.queue[0]
 		copy(p.queue, p.queue[1:])
 		p.queue = p.queue[:len(p.queue)-1]
 		clk.track(-p.counted)
 		p.drops++
 		stats.QueueDrops.Inc()
-		p.t.event(tr, "drop", victim.Table, victim.TraceID, victim.SpanID,
-			fmt.Sprintf("queue %s: evicted oldest (cap %d)", p.addr, qcfg.Cap))
+		p.t.drop(tr, victim, fmt.Sprintf("queue %s: evicted oldest (cap %d)", p.addr, qcap))
 	}
 	p.queue = append(p.queue, msg)
 	clk.track(p.counted)
@@ -449,12 +425,8 @@ func (p *peerQ) enqueue(msg WireMsg, stats *TCPStats, tr *telemetry.Tracer) erro
 // the next batch re-dial.
 func (p *peerQ) writeLoop() {
 	defer p.t.wg.Done()
+	t := p.t
 	for {
-		p.t.mu.Lock()
-		qcfg := p.t.qcfg
-		t := p.t
-		p.t.mu.Unlock()
-
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
@@ -470,8 +442,8 @@ func (p *peerQ) writeLoop() {
 			return
 		}
 		n := len(p.queue)
-		if n > qcfg.MaxBatch {
-			n = qcfg.MaxBatch
+		if n > maxBatch {
+			n = maxBatch
 		}
 		batch := make([]WireMsg, n)
 		copy(batch, p.queue[:n])
@@ -539,9 +511,17 @@ func (p *peerQ) sleep(clk *Clock, d time.Duration, n int) {
 }
 
 // ensureConn dials the peer if no connection is cached, honouring the
-// per-peer backoff window.
+// per-peer backoff window. One dial runs at a time: a second caller
+// (the writer, or a client's Dial) waits for it and takes its result.
 func (p *peerQ) ensureConn(t *TCP) error {
 	p.mu.Lock()
+	for p.dialing {
+		p.cond.Wait()
+	}
+	if p.closed {
+		p.mu.Unlock()
+		return fmt.Errorf("transport closed")
+	}
 	if p.conn != nil && !t.Clock().hungUp(p.key) {
 		p.mu.Unlock()
 		return nil
@@ -557,6 +537,7 @@ func (p *peerQ) ensureConn(t *TCP) error {
 		p.mu.Unlock()
 		return fmt.Errorf("backing off %s after %d failure(s)", wait.Round(time.Millisecond), p.fails)
 	}
+	p.dialing = true
 	p.mu.Unlock()
 
 	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
@@ -572,6 +553,8 @@ func (p *peerQ) ensureConn(t *TCP) error {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.dialing = false
+	p.cond.Broadcast()
 	if err != nil {
 		p.noteDialFailure(t.Clock(), boBase, boCap)
 		return err
@@ -652,7 +635,7 @@ func (p *peerQ) dropBatch(batch []WireMsg, stats *TCPStats, tr *telemetry.Tracer
 	p.mu.Unlock()
 	stats.SendErrors.Add(int64(len(batch)))
 	for _, m := range batch {
-		p.t.event(tr, "drop", m.Table, m.TraceID, m.SpanID, detail)
+		p.t.drop(tr, m, detail)
 	}
 }
 
@@ -740,15 +723,8 @@ func (t *TCP) deliverWire(msg WireMsg, from string) {
 	if trace == "" {
 		trace = telemetry.TraceIDOf(tp)
 	}
-	if tr != nil {
-		now := t.Clock().Now().UnixMilli()
-		sp := telemetry.Span{TraceID: trace, ParentID: msg.SpanID, Node: t.localAddr,
-			Kind: "recv", Op: msg.Table, StartMS: now, EndMS: now, Detail: "from " + from}
-		if trace != "" {
-			sp.SpanID = tr.NextID(t.localAddr)
-			tr.SetActive(t.localAddr, trace, sp.SpanID)
-		}
-		tr.Record(sp)
+	if tr != nil && trace != "" {
+		tr.Received(t.localAddr, from, trace, msg.SpanID, msg.Table, t.nowMS())
 	}
 	t.node.Deliver(tp)
 }
@@ -758,7 +734,7 @@ func (t *TCP) deliverWire(msg WireMsg, from string) {
 func (t *TCP) reject(tp overlog.Tuple, err error) {
 	stats, tr := t.telemetry()
 	stats.Rejects.Inc()
-	t.event(tr, "drop", tp.Table, telemetry.TraceIDOf(tp), "", err.Error())
+	t.drop(tr, WireMsg{Table: tp.Table, TraceID: telemetry.TraceIDOf(tp)}, err.Error())
 }
 
 // Close shuts down the listener, every peer writer, and every accepted

@@ -56,7 +56,9 @@ func bigPayload(n int64) overlog.Tuple {
 func TestSendQueueBoundedUnderStalledReader(t *testing.T) {
 	node, tcp, reg, _ := mkFailNode(t, freeAddr(t))
 	defer func() { node.Stop(); tcp.Close() }()
-	tcp.SetQueueConfig(QueueConfig{Cap: 16, MaxBatch: 4})
+	tcp.mu.Lock()
+	tcp.qcap = 16
+	tcp.mu.Unlock()
 
 	dest, cleanup := stalledListener(t)
 	defer cleanup()
